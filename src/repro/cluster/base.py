@@ -1,0 +1,307 @@
+"""The one topology base under :class:`Deployment` and
+:class:`repro.regions.RegionalDeployment`.
+
+The paper's Figure 1 is one shape — clients → Edge PoP (Katran +
+Proxygen) → Origin DC (Proxygen → HHVM / MQTT brokers).  The two public
+builders differ in how many of each they wire together and in their IP
+scheme; everything else lives here: run-options resolution, the
+env/streams/metrics/network plumbing, the host factory, Origin-DC and
+Edge-proxy construction, start-up, and the aggregate views.
+
+Host names seed ``streams.fork(name)``, host IPs feed the hash rings and
+construction/start order fixes same-tick event order, so all three are
+part of each shape's observable behaviour — see ``_katran_start_order``.
+"""
+
+from __future__ import annotations
+
+from typing import Optional
+
+from ..appserver.brokers import MqttBroker
+from ..appserver.hhvm import AppServer
+from ..appserver.pool import AppServerPool
+from ..faults.injector import FaultInjector
+from ..faults.plan import FaultPlan
+from ..lb.consistent_hash import ConsistentHashRing
+from ..lb.katran import Katran
+from ..metrics.registry import MetricsRegistry
+from ..netsim.addresses import Endpoint, Protocol, VIP
+from ..netsim.host import Host
+from ..netsim.network import INTRA_DC, Network
+from ..ops.load import LoadController, LoadShape
+from ..options import RunOptions, current
+from ..proxygen.context import ProxyTierContext
+from ..proxygen.server import ProxygenServer
+from ..resilience.health import OutlierTracker
+from ..simkernel.core import Environment
+from ..simkernel.events import AllOf
+from ..simkernel.rng import RandomStreams
+
+__all__ = ["Region", "RegionPoP", "Topology"]
+
+
+class RegionPoP:
+    """One Edge PoP: proxies behind ECMP'd L4LBs, plus its users."""
+
+    def __init__(self, name: str, site: str, client_site: str,
+                 context: ProxyTierContext):
+        self.name = name
+        self.site = site
+        self.client_site = client_site
+        #: How this PoP's proxies reach an Origin.
+        self.context = context
+        self.hosts: list[Host] = []
+        self.servers: list[ProxygenServer] = []
+        self.l4lbs: list[Katran] = []
+        self.ecmp = None        # lb.ecmp.EcmpRouter
+        self.resolver = None    # regions.anycast.AnycastResolver
+        self.web_clients = None
+        self.mqtt_clients = None
+        self.quic_clients = None
+
+
+class Region:
+    """One failure domain: an Origin DC plus its Edge PoPs."""
+
+    def __init__(self, name: str, index: int,
+                 origin_site: Optional[str] = None):
+        self.name = name
+        self.index = index
+        self.origin_site = origin_site or f"{name}-origin"
+        self.broker_hosts: list[Host] = []
+        self.brokers: list[MqttBroker] = []
+        self.app_hosts: list[Host] = []
+        self.app_servers: list[AppServer] = []
+        self.app_pool = AppServerPool()
+        self.origin_hosts: list[Host] = []
+        self.origin_servers: list[ProxygenServer] = []
+        self.origin_katran: Optional[Katran] = None
+        self.origin_router = None  # regions.routing.FallbackOriginRouter
+        self.pops: list[RegionPoP] = []
+        #: Administratively withdrawn from anycast (evacuation step 1).
+        self.withdrawn = False
+        #: Fully evacuated (checked by EvacuationCompletenessChecker).
+        self.evacuated = False
+
+    @property
+    def edge_servers(self) -> list[ProxygenServer]:
+        return [s for pop in self.pops for s in pop.servers]
+
+    def katrans(self) -> list[Katran]:
+        out = [l4 for pop in self.pops for l4 in pop.l4lbs]
+        if self.origin_katran is not None:
+            out.append(self.origin_katran)
+        return out
+
+
+class Topology:
+    """A built (but not yet started) set of regions."""
+
+    def __init__(self, spec, edge_vip_ip: str,
+                 env: Optional[Environment] = None,
+                 fault_plan: Optional[FaultPlan] = None,
+                 options: Optional[RunOptions] = None,
+                 partition_rng: bool = False):
+        #: Resolved once, here; afterwards only ``self.spec`` is read.
+        self.options = options if options is not None else current()
+        self.spec = spec = self.options.apply(spec)
+        self.env = env or Environment()
+        #: Explicit plan, else the run options' (the CLI's ``--faults``);
+        #: attached when the deployment starts.
+        self._fault_plan = fault_plan or self.options.fault_plan
+        self.fault_injector: Optional[FaultInjector] = None
+        #: Set by repro.invariants when a suite attaches to us.
+        self.invariant_suite = None
+        self.streams = RandomStreams(spec.seed)
+        self.metrics = MetricsRegistry(bucket_width=spec.bucket_width)
+        self.network = Network(self.env, self.streams,
+                               default_profile=INTRA_DC,
+                               metrics=self.metrics,
+                               partition_rng=partition_rng)
+        self.katran_config = spec.resolved_katran_config()
+        self.origin_vip = Endpoint(spec.origin_vip_ip, spec.https_port)
+        #: What every Edge proxy listens on (https, quic, mqtt).
+        self.edge_vips = [
+            VIP("https", Endpoint(edge_vip_ip, spec.https_port),
+                Protocol.TCP),
+            VIP("quic", Endpoint(edge_vip_ip, spec.https_port),
+                Protocol.UDP),
+            VIP("mqtt", Endpoint(edge_vip_ip, spec.mqtt_port),
+                Protocol.TCP)]
+        self.regions: list[Region] = []
+        self.broker_ring: ConsistentHashRing[str] = ConsistentHashRing(
+            replicas=60, salt=spec.seed)
+        #: Cohort client layer (repro.cohorts), single-cluster shape only.
+        self.cohort_set = None
+        #: Autoscalers attached to this deployment (repro.ops.autoscale)
+        #: — the autoscaler-discipline invariant checker audits these.
+        self.autoscalers: list = []
+        #: Drives client arrival rates when a load shape is configured.
+        self.load_controller: Optional[LoadController] = None
+
+    # -- construction ------------------------------------------------------
+
+    def _next_ip(self, site: str) -> str:
+        """The shape's IP scheme (IPs feed the hash rings)."""
+        raise NotImplementedError
+
+    def _host(self, name: str, site: str, cores: int,
+              core_speed: float) -> Host:
+        return Host(
+            self.env, self.network, name, ip=self._next_ip(site),
+            site=site, metrics=self.metrics,
+            streams=self.streams.fork(name),
+            cores=cores, core_speed=core_speed,
+            cpu_bucket_width=self.spec.bucket_width)
+
+    def _build_origin(self, region: Region, ring: ConsistentHashRing,
+                      prefix: str = "", suffix: str = "") -> None:
+        """One Origin DC: brokers → app servers → origin proxies → their
+        Katran.  ``ring`` is what the origin tier hashes MQTT sessions
+        over; every broker also joins the deployment-wide ring."""
+        spec = self.spec
+        site = region.origin_site
+        for i in range(spec.brokers):
+            host = self._host(f"{prefix}broker-{i}", site,
+                              spec.app_cores, spec.app_core_speed)
+            region.broker_hosts.append(host)
+            region.brokers.append(MqttBroker(host, spec.broker_config))
+            self.broker_ring.add(host.ip)
+            if ring is not self.broker_ring:
+                ring.add(host.ip)
+        for i in range(spec.app_servers):
+            host = self._host(f"{prefix}appserver-{i}", site,
+                              spec.app_cores, spec.app_core_speed)
+            region.app_hosts.append(host)
+            server = AppServer(host, spec.app_config)
+            region.app_servers.append(server)
+            region.app_pool.add(server)
+        context = ProxyTierContext(app_pool=region.app_pool,
+                                   broker_ring=ring,
+                                   broker_port=spec.broker_port)
+        resilience = spec.resolved_origin_config().resilience
+        if resilience.enabled:
+            # Passive health is a *balancer-wide* view: one tracker on
+            # the shared pool, fed by every Origin proxy's outcomes.
+            region.app_pool.attach_health(OutlierTracker(
+                resilience, self.env,
+                self.streams.stream(f"outlier-tracker{suffix}"),
+                counters=self.metrics.scoped_counters(
+                    f"resilience-app{suffix}")))
+        vips = [VIP("https", self.origin_vip, Protocol.TCP)]
+        for i in range(spec.origin_proxies):
+            host = self._host(f"{prefix}origin-proxy-{i}", site,
+                              spec.proxy_cores, spec.proxy_core_speed)
+            region.origin_hosts.append(host)
+            region.origin_servers.append(ProxygenServer(
+                host, spec.resolved_origin_config(), context,
+                vips=list(vips)))
+        region.origin_katran = self._katran(
+            f"{prefix}origin-katran", site, region.origin_hosts,
+            self.origin_vip)
+
+    def _katran(self, name: str, site: str, backends: list[Host],
+                hc_vip: Endpoint) -> Katran:
+        host = self._host(name, site, self.spec.app_cores,
+                          self.spec.app_core_speed)
+        return Katran(host, backends, config=self.katran_config,
+                      name=name, hc_vip=hc_vip)
+
+    def _edge_proxy(self, pop: RegionPoP, name: str) -> ProxygenServer:
+        """One more Edge proxy in ``pop`` (not yet in any L4LB ring)."""
+        spec = self.spec
+        host = self._host(name, pop.site, spec.proxy_cores,
+                          spec.proxy_core_speed)
+        server = ProxygenServer(host, spec.resolved_edge_config(),
+                                pop.context, vips=list(self.edge_vips))
+        pop.hosts.append(host)
+        pop.servers.append(server)
+        return server
+
+    def _attach_load(self, targets: list) -> None:
+        if self.spec.load_shape is not None:
+            self.load_controller = LoadController(
+                self.env, LoadShape(self.spec.load_shape), targets,
+                metrics=self.metrics)
+
+    # -- run ---------------------------------------------------------------
+
+    def start(self, only_regions: Optional[list] = None):
+        """Kick off every component; returns the "infrastructure ready"
+        process (clients start once it completes).  ``only_regions``
+        (region names) starts a subset — a shard worker (repro.shard)
+        builds the *full* topology (identical IPs, names and rings
+        everywhere) but animates only its own regions."""
+        if self._fault_plan is not None and self.fault_injector is None:
+            self.fault_injector = FaultInjector(
+                self, self._fault_plan).attach()
+        return self.env.process(self._startup(only_regions))
+
+    def _katran_start_order(self, region: Region) -> list[Katran]:
+        """L4LB start order is same-tick event order: per shape, kept."""
+        return region.katrans()
+
+    def _startup(self, only_regions: Optional[list] = None):
+        if only_regions is None:
+            regions = self.regions
+        else:
+            wanted = set(only_regions)
+            regions = [r for r in self.regions if r.name in wanted]
+            missing = wanted - {r.name for r in regions}
+            if missing:
+                raise KeyError(f"no region named {sorted(missing)}")
+        for region in regions:
+            for broker in region.brokers:
+                broker.start()
+            for app in region.app_servers:
+                app.start()
+        for tier in ("origin_servers", "edge_servers"):
+            yield AllOf(self.env, [self.env.process(server.start())
+                                   for region in regions
+                                   for server in getattr(region, tier)])
+        for region in regions:
+            for katran in self._katran_start_order(region):
+                katran.start(katran.host.spawn(katran.name))
+        if self.cohort_set is not None:
+            self.cohort_set.start()
+        for region in regions:
+            for pop in region.pops:
+                for part in (pop.resolver, pop.web_clients,
+                             pop.mqtt_clients, pop.quic_clients):
+                    if part is not None:
+                        part.start()
+        if self.load_controller is not None:
+            self.load_controller.start()
+
+    def run(self, until: float) -> None:
+        """Advance the simulation to time ``until``."""
+        self.env.run(until=until)
+
+    # -- aggregate views ---------------------------------------------------
+
+    def _populations(self, kind: str) -> list:
+        if self.cohort_set is not None:
+            # Every lane — representative and solo alike — so per-lane
+            # conservation keeps being checked.
+            return self.cohort_set.populations(kind)
+        populations = (getattr(pop, f"{kind}_clients")
+                       for region in self.regions for pop in region.pops)
+        return [p for p in populations if p is not None]
+
+    @property
+    def web_populations(self) -> list:
+        """Every web client population (the invariant checkers iterate
+        this so both shapes look alike)."""
+        return self._populations("web")
+
+    @property
+    def mqtt_populations(self) -> list:
+        return self._populations("mqtt")
+
+    @property
+    def quic_populations(self) -> list:
+        return self._populations("quic")
+
+    def all_katrans(self) -> list[Katran]:
+        """Every L4LB in the deployment (fault injection / checkers)."""
+        return [k for region in self.regions for k in region.katrans()]

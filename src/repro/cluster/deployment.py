@@ -8,257 +8,128 @@ forwards to HHVM app servers and MQTT brokers.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Optional
 
-from ..appserver.brokers import MqttBroker
-from ..appserver.config import AppServerConfig
 from ..appserver.hhvm import AppServer
-from ..appserver.pool import AppServerPool
 from ..clients.mqtt import MqttClientPopulation
 from ..clients.quic import QuicClientPopulation
 from ..clients.web import WebClientPopulation
-from ..cohorts import (
-    CohortDriver,
-    CohortSet,
-    ambient_cohorts,
-    compile_cohorts,
-)
-from ..faults.injector import FaultInjector, ambient_plan
+from ..cohorts import CohortDriver, CohortSet, compile_cohorts
 from ..faults.plan import FaultPlan
-from ..lb.consistent_hash import ConsistentHashRing
 from ..lb.katran import Katran
-from ..lb.routers import ambient_lb_scheme
-from ..metrics.registry import MetricsRegistry
-from ..netsim.addresses import Endpoint, Protocol, VIP
-from ..ops.load import LoadController, LoadShape, ambient_load_shape
 from ..netsim.host import Host
-from ..netsim.network import (
-    EDGE_ORIGIN,
-    INTRA_DC,
-    WAN_CLIENT_EDGE,
-    Network,
-)
+from ..netsim.network import EDGE_ORIGIN, WAN_CLIENT_EDGE
+from ..options import RunOptions
 from ..proxygen.context import ProxyTierContext
 from ..proxygen.server import ProxygenServer
-from ..resilience.config import ambient_resilience
-from ..resilience.health import OutlierTracker
 from ..simkernel.core import Environment
-from ..simkernel.events import AllOf
-from ..simkernel.rng import RandomStreams
-from ..splice import SpliceGovernor, ambient_splice
+from ..splice import SpliceGovernor
+from .base import Region, RegionPoP, Topology
 from .spec import DeploymentSpec
 
 __all__ = ["Deployment"]
 
 
-class Deployment:
-    """One built (but not yet started) end-to-end deployment."""
+class Deployment(Topology):
+    """One built (but not yet started) end-to-end deployment: a single
+    Origin DC (``self.origin``) behind a single Edge PoP (``self.edge``),
+    whose lists the flat ``edge_*``/``origin_*``/``app_*`` attributes
+    alias."""
 
     def __init__(self, spec: DeploymentSpec,
                  env: Optional[Environment] = None,
-                 fault_plan: Optional[FaultPlan] = None):
-        self.spec = spec
-        self.env = env or Environment()
-        #: Explicit plan, else the ambient one (set by the CLI's
-        #: ``--faults``); attached when the deployment starts.
-        self._fault_plan = fault_plan
-        self.fault_injector: Optional[FaultInjector] = None
-        #: Set by repro.invariants when a suite attaches to us.
-        self.invariant_suite = None
-        self.streams = RandomStreams(spec.seed)
-        self.metrics = MetricsRegistry(bucket_width=spec.bucket_width)
-        #: Splice fast path (repro.splice): explicit spec config, else
-        #: the ambient one (the CLI's ``--splice``); None leaves every
-        #: layer on per-chunk fidelity.
+                 fault_plan: Optional[FaultPlan] = None,
+                 options: Optional[RunOptions] = None):
+        super().__init__(spec, spec.edge_vip_ip, env, fault_plan, options)
+        spec = self.spec
+        #: Splice fast path (repro.splice); None leaves every layer on
+        #: per-chunk fidelity.
         self.splice: Optional[SpliceGovernor] = None
-        splice_config = spec.splice or ambient_splice()
-        if splice_config is not None and splice_config.enabled:
-            self.splice = SpliceGovernor(self.env, splice_config)
+        if spec.splice is not None and spec.splice.enabled:
+            self.splice = SpliceGovernor(self.env, spec.splice)
             self.splice.attach(self)
             # Bound-handle rule: relays and clients reach the governor
             # through the registry they already hold.
             self.metrics.splice = self.splice
-        self.network = Network(self.env, self.streams,
-                               default_profile=INTRA_DC,
-                               metrics=self.metrics)
         self.network.add_profile("client", "edge", WAN_CLIENT_EDGE)
         self.network.add_profile("edge", "origin", EDGE_ORIGIN)
-
         self._ip_serial: dict[str, int] = {}
-        self.edge_hosts: list[Host] = []
-        self.origin_hosts: list[Host] = []
-        self.app_hosts: list[Host] = []
-        self.broker_hosts: list[Host] = []
         self.client_hosts: dict[str, list[Host]] = {}
 
-        self.edge_servers: list[ProxygenServer] = []
-        self.origin_servers: list[ProxygenServer] = []
-        self.app_servers: list[AppServer] = []
-        self.app_pool = AppServerPool()
-        self.brokers: list[MqttBroker] = []
-        self.broker_ring: ConsistentHashRing[str] = ConsistentHashRing(
-            replicas=60, salt=spec.seed)
+        # Origin DC.
+        self.origin = origin = Region("origin", 0, origin_site="origin")
+        self.regions.append(origin)
+        self._build_origin(origin, self.broker_ring)
+        self.broker_hosts = origin.broker_hosts
+        self.brokers = origin.brokers
+        self.app_hosts = origin.app_hosts
+        self.app_servers = origin.app_servers
+        self.app_pool = origin.app_pool
+        self.origin_hosts = origin.origin_hosts
+        self.origin_servers = origin.origin_servers
+        self.origin_katran: Katran = origin.origin_katran
+        self._app_serial = spec.app_servers
 
-        self.edge_katran: Optional[Katran] = None
-        self.origin_katran: Optional[Katran] = None
-        self.web_clients: Optional[WebClientPopulation] = None
-        self.mqtt_clients: Optional[MqttClientPopulation] = None
-        self.quic_clients: Optional[QuicClientPopulation] = None
-        #: Cohort client layer (repro.cohorts): set when the spec (or
-        #: the ambient ``--cohorts`` policy) enables it, in which case
-        #: the three population attributes above stay None and lanes
-        #: are reached through ``web_populations`` etc.
-        self.cohort_set: Optional[CohortSet] = None
+        # Edge PoP.
+        self.edge = edge = RegionPoP(
+            "edge", site="edge", client_site="client",
+            context=ProxyTierContext(
+                origin_vip=self.origin_vip,
+                origin_router=lambda flow: self.origin_katran.route(flow)))
+        origin.pops.append(edge)
+        self.edge_hosts = edge.hosts
+        self.edge_servers = edge.servers
+        for i in range(spec.edge_proxies):
+            self._edge_proxy(edge, f"edge-proxy-{i}")
+        self._edge_serial = spec.edge_proxies
+        self.edge_katran = self._katran(
+            "edge-katran", "edge", edge.hosts, self.edge_vips[0].endpoint)
+        edge.l4lbs.append(self.edge_katran)
 
-        #: Autoscalers attached to this deployment (repro.ops.autoscale)
-        #: — the autoscaler-discipline invariant checker audits these.
-        self.autoscalers: list = []
-        #: Drives client arrival rates when a load shape is configured.
-        self.load_controller: Optional[LoadController] = None
+        self._build_clients()
 
-        self._build()
+    @property
+    def web_clients(self) -> Optional[WebClientPopulation]:
+        return self.edge.web_clients
 
-    # -- host factory ------------------------------------------------------
+    @property
+    def mqtt_clients(self) -> Optional[MqttClientPopulation]:
+        return self.edge.mqtt_clients
 
-    def _host(self, name: str, site: str, cores: int,
-              core_speed: float) -> Host:
+    @property
+    def quic_clients(self) -> Optional[QuicClientPopulation]:
+        return self.edge.quic_clients
+
+    def _next_ip(self, site: str) -> str:
         block = {"edge": 1, "origin": 2, "client": 3}.get(site, 4)
         serial = self._ip_serial.get(site, 0) + 1
         self._ip_serial[site] = serial
-        return Host(
-            self.env, self.network, name,
-            ip=f"10.{block}.{serial // 250}.{serial % 250}",
-            site=site, metrics=self.metrics,
-            streams=self.streams.fork(name),
-            cores=cores, core_speed=core_speed,
-            cpu_bucket_width=self.spec.bucket_width)
+        return f"10.{block}.{serial // 250}.{serial % 250}"
 
-    # -- build --------------------------------------------------------------
+    def _katran_start_order(self, region: Region) -> list[Katran]:
+        return [self.origin_katran, self.edge_katran]
 
-    def _build(self) -> None:
+    def _build_clients(self) -> None:
+        """Client populations — or, with a cohort policy, cohort drivers
+        (repro.cohorts), in which case the three ``*_clients`` stay None
+        and lanes are reached through ``web_populations`` etc."""
         spec = self.spec
-        # The CLI's ``--resilience`` (like ``--faults``) applies to every
-        # deployment built while it is set; never mutate the spec's own
-        # config objects — they may be shared across experiment arms.
-        ambient = ambient_resilience()
-
-        def with_ambient(config):
-            if ambient is None:
-                return config
-            return replace(config, resilience=ambient)
-
-        # Same rule for the CLI's ``--lb-scheme``: override via replace(),
-        # never by mutating the spec's KatranConfig.
-        katran_config = spec.resolved_katran_config()
-        scheme = ambient_lb_scheme()
-        if scheme is not None and katran_config.lb_scheme != scheme:
-            katran_config = replace(katran_config, lb_scheme=scheme)
-
-        # Brokers and app servers (Origin DC).
-        for i in range(spec.brokers):
-            host = self._host(f"broker-{i}", "origin",
-                              spec.app_cores, spec.app_core_speed)
-            self.broker_hosts.append(host)
-            broker = MqttBroker(host, spec.broker_config)
-            self.brokers.append(broker)
-            self.broker_ring.add(host.ip)
-        app_config = spec.app_config
-        if ambient is not None:
-            app_config = with_ambient(app_config or AppServerConfig())
-        #: Kept for dynamic scale-out (repro.ops.autoscale): servers
-        #: added later must match the fleet they join.
-        self._app_config = app_config
-        self._app_serial = spec.app_servers
-        for i in range(spec.app_servers):
-            host = self._host(f"appserver-{i}", "origin",
-                              spec.app_cores, spec.app_core_speed)
-            self.app_hosts.append(host)
-            server = AppServer(host, app_config)
-            self.app_servers.append(server)
-            self.app_pool.add(server)
-
-        # Origin proxies + their Katran.
-        origin_vip = Endpoint(spec.origin_vip_ip, spec.https_port)
-        origin_vips = [VIP("https", origin_vip, Protocol.TCP)]
-        origin_context = ProxyTierContext(
-            app_pool=self.app_pool,
-            broker_ring=self.broker_ring,
-            broker_port=spec.broker_port)
-        origin_config = with_ambient(spec.resolved_origin_config())
-        if origin_config.resilience.enabled:
-            # Passive health is a *balancer-wide* view: one tracker on
-            # the shared pool, fed by every Origin proxy's outcomes.
-            self.app_pool.attach_health(OutlierTracker(
-                origin_config.resilience, self.env,
-                self.streams.stream("outlier-tracker"),
-                counters=self.metrics.scoped_counters("resilience-app")))
-        for i in range(spec.origin_proxies):
-            host = self._host(f"origin-proxy-{i}", "origin",
-                              spec.proxy_cores, spec.proxy_core_speed)
-            self.origin_hosts.append(host)
-            self.origin_servers.append(ProxygenServer(
-                host, with_ambient(spec.resolved_origin_config()),
-                origin_context, vips=list(origin_vips)))
-        origin_katran_host = self._host("origin-katran", "origin",
-                                        spec.app_cores, spec.app_core_speed)
-        self.origin_katran = Katran(
-            origin_katran_host, self.origin_hosts,
-            config=katran_config, name="origin-katran",
-            hc_vip=origin_vip)
-
-        # Edge proxies + their Katran.
-        edge_https = Endpoint(spec.edge_vip_ip, spec.https_port)
-        edge_vips = [
-            VIP("https", edge_https, Protocol.TCP),
-            VIP("quic", Endpoint(spec.edge_vip_ip, spec.https_port),
-                Protocol.UDP),
-            VIP("mqtt", Endpoint(spec.edge_vip_ip, spec.mqtt_port),
-                Protocol.TCP),
-        ]
-        edge_context = ProxyTierContext(
-            origin_vip=origin_vip,
-            origin_router=lambda flow: self.origin_katran.route(flow))
-        # Kept for dynamic scale-out of the edge tier.
-        self._edge_context = edge_context
-        self._edge_vips = edge_vips
-        self._edge_config = with_ambient(spec.resolved_edge_config())
-        self._edge_serial = spec.edge_proxies
-        for i in range(spec.edge_proxies):
-            host = self._host(f"edge-proxy-{i}", "edge",
-                              spec.proxy_cores, spec.proxy_core_speed)
-            self.edge_hosts.append(host)
-            self.edge_servers.append(ProxygenServer(
-                host, with_ambient(spec.resolved_edge_config()),
-                edge_context,
-                vips=[VIP(v.name, v.endpoint, v.protocol)
-                      for v in edge_vips]))
-        edge_katran_host = self._host("edge-katran", "edge",
-                                      spec.app_cores, spec.app_core_speed)
-        self.edge_katran = Katran(
-            edge_katran_host, self.edge_hosts,
-            config=katran_config, name="edge-katran",
-            hc_vip=edge_https)
-
-        # Client populations.  The spec's cohort policy wins; the
-        # ambient one (the CLI's ``--cohorts``) applies otherwise.
         cohort_policy = spec.cohorts
-        if cohort_policy is None:
-            cohort_policy = ambient_cohorts()
         if cohort_policy is not None and not cohort_policy.enabled:
             cohort_policy = None
         edge_route = lambda flow: self.edge_katran.route(flow)  # noqa: E731
+        https, _, mqtt = (vip.endpoint for vip in self.edge_vips)
         workloads = (
             ("web", spec.web_workload, spec.web_client_hosts,
-             "clients_per_host", edge_https),
+             "clients_per_host", https, WebClientPopulation),
             ("mqtt", spec.mqtt_workload, spec.mqtt_client_hosts,
-             "users_per_host", Endpoint(spec.edge_vip_ip, spec.mqtt_port)),
+             "users_per_host", mqtt, MqttClientPopulation),
             ("quic", spec.quic_workload, spec.quic_client_hosts,
-             "flows_per_host", Endpoint(spec.edge_vip_ip, spec.https_port)),
+             "flows_per_host", https, QuicClientPopulation),
         )
         drivers: list[CohortDriver] = []
         cohort_index = 0
-        for kind, workload, host_count, count_field, vip in workloads:
+        for kind, workload, host_count, count_field, vip, cls in workloads:
             if workload is None:
                 continue
             hosts = [self._host(f"{kind}-clients-{i}", "client",
@@ -266,12 +137,8 @@ class Deployment:
                      for i in range(host_count)]
             self.client_hosts[kind] = hosts
             if cohort_policy is None:
-                population = {
-                    "web": WebClientPopulation,
-                    "mqtt": MqttClientPopulation,
-                    "quic": QuicClientPopulation,
-                }[kind](hosts, vip, edge_route, self.metrics, workload)
-                setattr(self, f"{kind}_clients", population)
+                setattr(self.edge, f"{kind}_clients",
+                        cls(hosts, vip, edge_route, self.metrics, workload))
                 continue
             # Cohort mode: one cohort per client host, IDs continuing
             # across cohorts so the condensed rung reproduces the
@@ -291,22 +158,12 @@ class Deployment:
                 drivers.append(driver)
         if cohort_policy is not None:
             self.cohort_set = CohortSet(self, drivers, cohort_policy)
-
-        # Load shape (repro.ops.load): the spec's own shape wins; the
-        # ambient one (the CLI's ``--load-shape``) applies otherwise.
-        # In cohort mode the controller drives the cohort drivers
+        # In cohort mode the load controller drives the cohort drivers
         # directly (each fans the scale into its lanes).
-        load_shape = spec.load_shape
-        if load_shape is None:
-            load_shape = ambient_load_shape()
-        if load_shape is not None:
-            targets = (list(self.cohort_set.drivers)
-                       if self.cohort_set is not None
-                       else [self.web_clients, self.mqtt_clients,
-                             self.quic_clients])
-            self.load_controller = LoadController(
-                self.env, LoadShape(load_shape), targets,
-                metrics=self.metrics)
+        self._attach_load(list(self.cohort_set.drivers)
+                          if self.cohort_set is not None
+                          else [self.web_clients, self.mqtt_clients,
+                                self.quic_clients])
 
     # -- dynamic membership (repro.ops.autoscale) ----------------------------
 
@@ -317,7 +174,7 @@ class Deployment:
         self._app_serial += 1
         host = self._host(name, "origin", spec.app_cores,
                           spec.app_core_speed)
-        server = AppServer(host, self._app_config)
+        server = AppServer(host, spec.app_config)
         if self.invariant_suite is not None:
             server.invariant_tap = self.invariant_suite
         self.app_hosts.append(host)
@@ -342,23 +199,15 @@ class Deployment:
 
     def grow_edge_proxy(self):
         """Generator: boot one new edge proxy and join the Katran pool."""
-        spec = self.spec
-        name = f"edge-proxy-{self._edge_serial}"
+        server = self._edge_proxy(self.edge,
+                                  f"edge-proxy-{self._edge_serial}")
         self._edge_serial += 1
-        host = self._host(name, "edge", spec.proxy_cores,
-                          spec.proxy_core_speed)
-        server = ProxygenServer(
-            host, self._edge_config, self._edge_context,
-            vips=[VIP(v.name, v.endpoint, v.protocol)
-                  for v in self._edge_vips])
         if self.invariant_suite is not None:
             server.invariant_tap = self.invariant_suite
-        self.edge_hosts.append(host)
-        self.edge_servers.append(server)
         yield from server.start()
         # Only a *serving* backend may enter the ring (Katran would
         # health-check it out again, but the window would misroute).
-        self.edge_katran.add_backend(host)
+        self.edge_katran.add_backend(server.host)
         return server
 
     def retire_edge_proxy(self, server: ProxygenServer):
@@ -373,73 +222,7 @@ class Deployment:
             instance.begin_drain(reason="decommission")
             yield instance.exited_event
 
-    # -- start ---------------------------------------------------------------
-
-    def start(self):
-        """Kick off every component; returns the "infrastructure ready"
-        process (clients start once it completes)."""
-        plan = self._fault_plan or ambient_plan()
-        if plan is not None and self.fault_injector is None:
-            self.fault_injector = FaultInjector(self, plan).attach()
-        return self.env.process(self._startup())
-
-    def _startup(self):
-        for broker in self.brokers:
-            broker.start()
-        for app in self.app_servers:
-            app.start()
-        boots = [self.env.process(server.start())
-                 for server in self.origin_servers]
-        yield AllOf(self.env, boots)
-        boots = [self.env.process(server.start())
-                 for server in self.edge_servers]
-        yield AllOf(self.env, boots)
-        self.origin_katran.start(
-            self.origin_katran.host.spawn("origin-katran"))
-        self.edge_katran.start(self.edge_katran.host.spawn("edge-katran"))
-        if self.cohort_set is not None:
-            self.cohort_set.start()
-        if self.web_clients is not None:
-            self.web_clients.start()
-        if self.mqtt_clients is not None:
-            self.mqtt_clients.start()
-        if self.quic_clients is not None:
-            self.quic_clients.start()
-        if self.load_controller is not None:
-            self.load_controller.start()
-
-    def run(self, until: float) -> None:
-        """Advance the simulation to time ``until``."""
-        self.env.run(until=until)
-
     # -- convenience views -------------------------------------------------------
-
-    @property
-    def web_populations(self) -> list:
-        """Every web client population (the invariant checkers iterate
-        this so single- and multi-region deployments look alike).  In
-        cohort mode, every web lane — representative and solo alike —
-        appears here, so per-lane conservation keeps being checked."""
-        if self.cohort_set is not None:
-            return self.cohort_set.populations("web")
-        return [] if self.web_clients is None else [self.web_clients]
-
-    @property
-    def mqtt_populations(self) -> list:
-        if self.cohort_set is not None:
-            return self.cohort_set.populations("mqtt")
-        return [] if self.mqtt_clients is None else [self.mqtt_clients]
-
-    @property
-    def quic_populations(self) -> list:
-        if self.cohort_set is not None:
-            return self.cohort_set.populations("quic")
-        return [] if self.quic_clients is None else [self.quic_clients]
-
-    def all_katrans(self) -> list:
-        """Every L4LB in the deployment (fault injection / checkers)."""
-        return [k for k in (self.edge_katran, self.origin_katran)
-                if k is not None]
 
     def total_idle_cpu(self, start: float, end: float,
                        hosts: Optional[list[Host]] = None) -> list[tuple[float, float]]:

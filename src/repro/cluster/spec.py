@@ -16,11 +16,37 @@ from ..ops.load import LoadShapeConfig
 from ..proxygen.config import ProxygenConfig
 from ..splice import SpliceConfig
 
-__all__ = ["DeploymentSpec"]
+__all__ = ["DeploymentSpec", "TierConfigs"]
+
+
+class TierConfigs:
+    """Per-tier config resolution shared by :class:`DeploymentSpec` and
+    :class:`repro.regions.RegionalSpec` (``None`` → defaults, mode
+    pinned, ``lb_scheme`` applied over the Katran config by replace() —
+    the spec's own config objects may be shared across arms)."""
+
+    def resolved_katran_config(self) -> KatranConfig:
+        config = self.katran_config or KatranConfig()
+        if self.lb_scheme is not None and config.lb_scheme != self.lb_scheme:
+            config = replace(config, lb_scheme=self.lb_scheme)
+        return config
+
+    def resolved_edge_config(self) -> ProxygenConfig:
+        config = self.edge_config or ProxygenConfig(mode="edge")
+        config.validate()
+        return config
+
+    def resolved_origin_config(self) -> ProxygenConfig:
+        config = self.origin_config or ProxygenConfig(mode="origin")
+        config.validate()
+        return config
+
+    def resolved_app_config(self) -> AppServerConfig:
+        return self.app_config or AppServerConfig()
 
 
 @dataclass
-class DeploymentSpec:
+class DeploymentSpec(TierConfigs):
     """Everything needed to build one end-to-end deployment (Fig 1).
 
     Scaled-down defaults: one Edge PoP, one Origin DC, a handful of
@@ -65,16 +91,16 @@ class DeploymentSpec:
     #: katran_config's own scheme (historically the LRU hybrid).
     lb_scheme: Optional[str] = None
     #: Client arrival-rate shape over the run (repro.ops.load); None
-    #: keeps the historical constant-rate behaviour (or the ambient
-    #: shape set by the CLI's ``--load-shape``).
+    #: keeps the historical constant-rate behaviour (or the run
+    #: options' shape, the CLI's ``--load-shape``).
     load_shape: Optional[LoadShapeConfig] = None
     #: Cohort client layer (repro.cohorts); None keeps one SimProcess
-    #: per client (or applies the ambient policy set by the CLI's
+    #: per client (or applies the run options' policy, the CLI's
     #: ``--cohorts``).  With a policy, each client host's workload
     #: becomes one cohort scoped under ``<population>/c<i>``.
     cohorts: Optional[CohortPolicy] = None
     #: Splice fast path (repro.splice); None keeps per-chunk fidelity
-    #: everywhere (or applies the ambient config set by the CLI's
+    #: everywhere (or applies the run options' config, the CLI's
     #: ``--splice``).  With a config, established bulk transfers and
     #: tunnel relays collapse to bulk events outside mechanism windows.
     splice: Optional[SpliceConfig] = None
@@ -86,19 +112,3 @@ class DeploymentSpec:
         default_factory=MqttWorkloadConfig)
     quic_workload: Optional[QuicWorkloadConfig] = field(
         default_factory=QuicWorkloadConfig)
-
-    def resolved_katran_config(self) -> KatranConfig:
-        config = self.katran_config or KatranConfig()
-        if self.lb_scheme is not None and config.lb_scheme != self.lb_scheme:
-            config = replace(config, lb_scheme=self.lb_scheme)
-        return config
-
-    def resolved_edge_config(self) -> ProxygenConfig:
-        if self.edge_config is not None:
-            return self.edge_config
-        return ProxygenConfig(mode="edge")
-
-    def resolved_origin_config(self) -> ProxygenConfig:
-        if self.origin_config is not None:
-            return self.origin_config
-        return ProxygenConfig(mode="origin")

@@ -16,14 +16,11 @@ from .spec import (
     COHORT_FIDELITIES,
     CohortPolicy,
     CohortSpec,
-    ambient_cohorts,
-    clear_ambient_cohorts,
     compile_cohorts,
-    set_ambient_cohorts,
 )
 
 __all__ = [
     "COHORT_FIDELITIES", "CohortAggregate", "CohortDriver", "CohortPolicy",
-    "CohortSet", "CohortSpec", "ambient_cohorts", "clear_ambient_cohorts",
-    "compile_cohorts", "expand", "fold", "modeled", "set_ambient_cohorts",
+    "CohortSet", "CohortSpec", "compile_cohorts", "expand", "fold",
+    "modeled",
 ]

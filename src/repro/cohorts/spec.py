@@ -1,4 +1,4 @@
-"""Cohort specs, the fidelity ladder, and the ambient ``--cohorts`` knob.
+"""Cohort specs, the fidelity ladder, and cohort compilation.
 
 A :class:`CohortSpec` describes one homogeneous client population slice
 (size, protocol, per-cohort rate scale); a :class:`CohortPolicy` is the
@@ -28,11 +28,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 __all__ = ["COHORT_FIDELITIES", "CohortPolicy", "CohortSpec",
-           "ambient_cohorts", "clear_ambient_cohorts",
-           "compile_cohorts", "set_ambient_cohorts"]
+           "compile_cohorts"]
 
 #: The fidelity ladder, cheapest first ("individual" is spelled
 #: ``cohorts=None`` on the deployment spec, so it never appears here).
@@ -131,24 +129,3 @@ def compile_cohorts(policy: CohortPolicy, protocol: str,
     size = per_host_count * policy.scale
     return [CohortSpec(name=f"c{i}", protocol=protocol, size=size)
             for i in range(host_count) if size > 0]
-
-
-# -- ambient configuration (the CLI's --cohorts) ------------------------------
-
-_ambient_policy: Optional[CohortPolicy] = None
-
-
-def set_ambient_cohorts(policy: CohortPolicy) -> None:
-    """Apply ``policy`` to every deployment built while set (CLI hook)."""
-    global _ambient_policy
-    policy.validate()
-    _ambient_policy = policy
-
-
-def clear_ambient_cohorts() -> None:
-    global _ambient_policy
-    _ambient_policy = None
-
-
-def ambient_cohorts() -> Optional[CohortPolicy]:
-    return _ambient_policy

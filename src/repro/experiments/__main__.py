@@ -20,22 +20,16 @@ import argparse
 import sys
 import time
 
-from ..cohorts import COHORT_FIDELITIES, CohortPolicy, \
-    clear_ambient_cohorts, set_ambient_cohorts
-from ..faults import BUILTIN_PLANS, builtin_plan, clear_ambient_plan, \
-    set_ambient_plan
+from ..cohorts import COHORT_FIDELITIES, CohortPolicy
+from ..faults import BUILTIN_PLANS, builtin_plan
 from ..invariants import runtime as invariant_runtime
-from ..lb.routers import ROUTER_SCHEMES, clear_ambient_lb_scheme, \
-    set_ambient_lb_scheme
+from ..lb.routers import ROUTER_SCHEMES
 from ..metrics.report import render_faults, render_series
-from ..ops import CanaryConfig, CanaryController, LOAD_SHAPE_KINDS, \
-    clear_ambient_load_shape, named_load_shape, set_ambient_load_shape
-from ..release.orchestrator import clear_ambient_release_gate, \
-    set_ambient_release_gate
-from ..resilience import ResilienceConfig, clear_ambient_resilience, \
-    set_ambient_resilience
-from ..shard import clear_ambient_shards, set_ambient_shards
-from ..splice import SpliceConfig, clear_ambient_splice, set_ambient_splice
+from ..ops import LOAD_SHAPE_KINDS, default_canary_gate, named_load_shape
+from ..options import RunOptions, use
+from ..resilience import ResilienceConfig
+from ..splice import SpliceConfig
+from ..trace import TraceConfig
 from ..trace import runtime as trace_runtime
 from ..trace.render import render_trace_report
 from . import ALL_EXPERIMENTS
@@ -115,51 +109,10 @@ def main(argv=None) -> int:
             print(f"{key:18s} {description}")
         return 0
 
-    if args.faults is not None:
-        try:
-            plan = builtin_plan(args.faults, at=args.faults_at,
-                                duration=args.faults_duration)
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        set_ambient_plan(plan)
-
-    if args.resilience:
-        set_ambient_resilience(ResilienceConfig(enabled=True))
-
-    if args.lb_scheme is not None:
-        set_ambient_lb_scheme(args.lb_scheme)
-
-    if args.load_shape is not None:
-        set_ambient_load_shape(
-            named_load_shape(args.load_shape, args.load_horizon))
-
-    if args.cohorts is not None:
-        try:
-            set_ambient_cohorts(CohortPolicy(
-                fidelity=args.cohort_fidelity, scale=args.cohorts))
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-
-    if args.splice:
-        set_ambient_splice(SpliceConfig())
-
-    if args.shards is not None:
-        try:
-            set_ambient_shards(args.shards)
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-
-    if args.canary:
-        set_ambient_release_gate(
-            lambda release: CanaryController(release.env, CanaryConfig()))
-
-    if args.trace:
-        trace_runtime.set_ambient_trace()
-    elif args.trace_json is not None:
-        print("--trace-json requires --trace", file=sys.stderr)
+    try:
+        options = _run_options(args)
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
         return 2
 
     if args.figure == "all":
@@ -171,51 +124,76 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
 
-    all_ok = True
     try:
-        for name in names:
-            start = time.time()
-            result = ALL_EXPERIMENTS[name].run(seed=args.seed)
-            result.print()
-            violations = invariant_runtime.drain()
-            if violations:
-                all_ok = False
-                broken = sorted({v.checker for v in violations})
-                print(f"   INVARIANT VIOLATIONS ({len(violations)}) "
-                      f"from checkers: {', '.join(broken)}")
-                for violation in violations[:10]:
-                    print(f"     {violation}")
-                if len(violations) > 10:
-                    print(f"     ... and {len(violations) - 10} more")
-            else:
-                print("   invariants: all checkers clean")
-            if args.faults is not None and not result.faults:
-                # The harness did not surface an injector summary itself;
-                # still label the run so it can't pass as a baseline.
-                for row in render_faults({"plan": args.faults}):
-                    print("   " + row)
-            if args.trace:
-                _report_traces(name, args.trace_json,
-                               multiple=len(names) > 1)
-            if not args.no_plots:
-                for series_name, series in sorted(result.series.items()):
-                    print("   " + render_series(series_name, series,
-                                                width=56))
-            print(f"   ({time.time() - start:.1f}s wall)")
-            all_ok = all_ok and result.all_claims_hold
+        with use(options):
+            oks = [_run_figure(name, args, multiple=len(names) > 1)
+                   for name in names]
     finally:
-        clear_ambient_plan()
-        clear_ambient_resilience()
-        clear_ambient_lb_scheme()
-        clear_ambient_load_shape()
-        clear_ambient_cohorts()
-        clear_ambient_release_gate()
-        clear_ambient_splice()
-        clear_ambient_shards()
-        trace_runtime.clear_ambient_trace()
         trace_runtime.drain()
         invariant_runtime.drain()  # reset registry for in-process callers
-    return 0 if all_ok else 1
+    return 0 if all(oks) else 1
+
+
+def _run_options(args) -> RunOptions:
+    """The one :class:`RunOptions` of this invocation; ValueError on a
+    bad value (unknown plan, cohort scale, shard count, --trace-json
+    without --trace)."""
+    if args.trace_json is not None and not args.trace:
+        raise ValueError("--trace-json requires --trace")
+    if args.shards is not None and args.shards < 1:
+        raise ValueError("--shards must be >= 1")
+    fault_plan = load_shape = cohorts = None
+    if args.faults is not None:
+        fault_plan = builtin_plan(args.faults, at=args.faults_at,
+                                  duration=args.faults_duration)
+    if args.load_shape is not None:
+        load_shape = named_load_shape(args.load_shape, args.load_horizon)
+        load_shape.validate()
+    if args.cohorts is not None:
+        cohorts = CohortPolicy(fidelity=args.cohort_fidelity,
+                               scale=args.cohorts)
+        cohorts.validate()
+    return RunOptions(
+        fault_plan=fault_plan,
+        resilience=ResilienceConfig(enabled=True) if args.resilience
+        else None,
+        lb_scheme=args.lb_scheme,
+        load_shape=load_shape,
+        cohorts=cohorts,
+        splice=SpliceConfig() if args.splice else None,
+        release_gate=default_canary_gate if args.canary else None,
+        shards=args.shards,
+        trace=TraceConfig() if args.trace else None)
+
+
+def _run_figure(name: str, args, multiple: bool) -> bool:
+    """Run and print one figure; True iff every claim and checker held."""
+    start = time.time()
+    result = ALL_EXPERIMENTS[name].run(seed=args.seed)
+    result.print()
+    violations = invariant_runtime.drain()
+    if violations:
+        broken = sorted({v.checker for v in violations})
+        print(f"   INVARIANT VIOLATIONS ({len(violations)}) "
+              f"from checkers: {', '.join(broken)}")
+        for violation in violations[:10]:
+            print(f"     {violation}")
+        if len(violations) > 10:
+            print(f"     ... and {len(violations) - 10} more")
+    else:
+        print("   invariants: all checkers clean")
+    if args.faults is not None and not result.faults:
+        # The harness did not surface an injector summary itself;
+        # still label the run so it can't pass as a baseline.
+        for row in render_faults({"plan": args.faults}):
+            print("   " + row)
+    if args.trace:
+        _report_traces(name, args.trace_json, multiple=multiple)
+    if not args.no_plots:
+        for series_name, series in sorted(result.series.items()):
+            print("   " + render_series(series_name, series, width=56))
+    print(f"   ({time.time() - start:.1f}s wall)")
+    return not violations and result.all_claims_hold
 
 
 def _report_traces(figure: str, json_path, multiple: bool) -> None:

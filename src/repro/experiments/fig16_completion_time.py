@@ -87,19 +87,24 @@ def run_global_des(seed: int = 0, pops: int = 3, proxies_per_pop: int = 4,
     """A *global* roll-out as a real simulation: every PoP's fleet
     releases concurrently (the paper's world-wide push), each batch
     waiting out its drain.  Completion = slowest PoP."""
-    from ..cluster.global_deployment import GlobalDeployment, GlobalSpec
     from ..clients.web import WebWorkloadConfig
+    from ..regions import RegionalDeployment, RegionalSpec, release_all_pops
 
-    dep = GlobalDeployment(GlobalSpec(
-        seed=seed, pops=pops, proxies_per_pop=proxies_per_pop,
+    # "N PoPs → one Origin DC" is the regional shape with one region.
+    dep = RegionalDeployment(RegionalSpec(
+        seed=seed, regions=1, pops_per_region=pops,
+        proxies_per_pop=proxies_per_pop, origin_proxies=3, app_servers=4,
+        brokers=1, mqtt_users_per_pop=0,
         edge_config=ProxygenConfig(mode="edge", drain_duration=drain,
                                    spawn_delay=1.0),
+        origin_config=ProxygenConfig(mode="origin", drain_duration=8.0,
+                                     spawn_delay=1.0),
         web_workload=WebWorkloadConfig(clients_per_host=6,
                                        think_time=1.0)))
     dep.start()
     dep.run(until=15)
-    releases, done = dep.global_release(batch_fraction=0.25,
-                                        post_batch_wait=drain)
+    releases, done = release_all_pops(dep, batch_fraction=0.25,
+                                      post_batch_wait=drain)
     dep.env.run(until=done)
     durations = [r.duration for r in releases]
     global_duration = (max(r.finished_at for r in releases)

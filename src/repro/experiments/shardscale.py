@@ -21,10 +21,11 @@ either region fails the byte-diff.
 from __future__ import annotations
 
 import hashlib
+from dataclasses import replace
 
-from ..faults import ambient_plan, clear_ambient_plan, set_ambient_plan
+from ..options import current
 from ..regions import RegionalSpec
-from ..shard import ambient_shards, run_sharded
+from ..shard import run_sharded
 from .common import ExperimentResult
 
 __all__ = ["run"]
@@ -56,8 +57,9 @@ def _digest(counters: dict) -> str:
 
 
 def run(seed: int = 0, shards: int | None = None) -> ExperimentResult:
+    options = current()
     if shards is None:
-        shards = ambient_shards() or 1
+        shards = options.shards or 1
     spec = RegionalSpec(
         seed=seed,
         regions=REGIONS,
@@ -65,17 +67,11 @@ def run(seed: int = 0, shards: int | None = None) -> ExperimentResult:
         local_broker_homing=True,
         partition_network_rng=True,
     )
-    # Fault plans do not shard (run_sharded rejects ambient plans, so
-    # a `--faults` chaos sweep over `all` does not abort here); shelve
-    # any plan for the duration and label the skip.
-    plan = ambient_plan()
-    if plan is not None:
-        clear_ambient_plan()
-    try:
-        outcome = run_sharded(spec, until=HORIZON, shards=shards)
-    finally:
-        if plan is not None:
-            set_ambient_plan(plan)
+    # Fault plans do not shard (run_sharded rejects them, so a
+    # `--faults` chaos sweep over `all` must not abort here): run
+    # without the plan and label the skip.
+    outcome = run_sharded(spec, until=HORIZON, shards=shards,
+                          options=replace(options, fault_plan=None))
     counters = outcome.counters
 
     result = ExperimentResult(
@@ -83,7 +79,7 @@ def run(seed: int = 0, shards: int | None = None) -> ExperimentResult:
         params={"seed": seed, "regions": REGIONS, "horizon": HORIZON,
                 "shards": shards,
                 "counters_sha256": _digest(counters)})
-    if plan is not None:
+    if options.fault_plan is not None:
         result.params["faults"] = "skipped (fault plans do not shard)"
 
     web_ok = {

@@ -5,13 +5,7 @@ The §5 "operational pitfalls" of the paper — health-check flaps, rogue
 :class:`FaultPlan` inputs that attach to any experiment deployment.
 """
 
-from .injector import (
-    FaultInjector,
-    FaultRecord,
-    ambient_plan,
-    clear_ambient_plan,
-    set_ambient_plan,
-)
+from .injector import FaultInjector, FaultRecord
 from .plan import BUILTIN_PLANS, FAULT_KINDS, FaultPlan, FaultSpec, builtin_plan
 
 __all__ = [
@@ -21,8 +15,5 @@ __all__ = [
     "FaultPlan",
     "FaultRecord",
     "FaultSpec",
-    "ambient_plan",
     "builtin_plan",
-    "clear_ambient_plan",
-    "set_ambient_plan",
 ]

@@ -33,8 +33,7 @@ from .plan import FaultPlan
 def _has_glob(pattern: str) -> bool:
     return any(ch in pattern for ch in "*?[")
 
-__all__ = ["FaultInjector", "FaultRecord", "set_ambient_plan",
-           "ambient_plan", "clear_ambient_plan"]
+__all__ = ["FaultInjector", "FaultRecord"]
 
 
 @dataclass
@@ -394,25 +393,3 @@ def remove_fault_observer(callback) -> None:
 def _notify_fault_observers(phase: str, record) -> None:
     for callback in list(_fault_observers):
         callback(phase, record)
-
-
-# -- ambient plan -----------------------------------------------------------
-#
-# The experiment harnesses build their deployments deep inside figure
-# modules; the CLI sets the ambient plan once and every deployment built
-# afterwards picks it up (see cluster.deployment.Deployment.start).
-
-_ambient: Optional[FaultPlan] = None
-
-
-def set_ambient_plan(plan: Optional[FaultPlan]) -> None:
-    global _ambient
-    _ambient = plan
-
-
-def ambient_plan() -> Optional[FaultPlan]:
-    return _ambient
-
-
-def clear_ambient_plan() -> None:
-    set_ambient_plan(None)

@@ -439,9 +439,6 @@ class LbRoutingGuaranteeChecker(InvariantChecker):
             katran = getattr(deployment, attr, None)
             if katran is not None:
                 yield katran
-        for pop in getattr(deployment, "pops", []) or []:
-            if pop.katran is not None:
-                yield pop.katran
 
     def sample(self) -> None:
         self._check()

@@ -6,8 +6,7 @@ from .katran import BackendState, Katran, KatranConfig
 from .lru import LruConnectionTable
 from .routers import (ROUTER_SCHEMES, ConcuryRouter, FlowRouter,
                       LruHybridRouter, StatefulRouter, StatelessRouter,
-                      ambient_lb_scheme, clear_ambient_lb_scheme,
-                      make_router, set_ambient_lb_scheme)
+                      make_router)
 
 __all__ = [
     "ConsistentHashRing",
@@ -23,7 +22,4 @@ __all__ = [
     "LruHybridRouter",
     "ConcuryRouter",
     "make_router",
-    "ambient_lb_scheme",
-    "set_ambient_lb_scheme",
-    "clear_ambient_lb_scheme",
 ]

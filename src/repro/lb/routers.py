@@ -41,8 +41,7 @@ from .lru import LruConnectionTable
 
 __all__ = ["ROUTER_SCHEMES", "FlowRouter", "StatelessRouter",
            "StatefulRouter", "LruHybridRouter", "ConcuryRouter",
-           "make_router", "set_ambient_lb_scheme", "ambient_lb_scheme",
-           "clear_ambient_lb_scheme"]
+           "make_router"]
 
 #: The four implemented points of the design space, in ablation order.
 ROUTER_SCHEMES = ("stateless", "stateful", "lru", "concury")
@@ -513,26 +512,3 @@ def make_router(scheme: str, ring: ConsistentHashRing,
                              flow_ttl=flow_ttl)
     raise ValueError(
         f"unknown lb scheme {scheme!r}; available: {ROUTER_SCHEMES}")
-
-
-# -- ambient scheme (the CLI's --lb-scheme) -----------------------------------
-
-_ambient_scheme: Optional[str] = None
-
-
-def set_ambient_lb_scheme(scheme: str) -> None:
-    """Route every deployment built while set through ``scheme``."""
-    global _ambient_scheme
-    if scheme not in ROUTER_SCHEMES:
-        raise ValueError(
-            f"unknown lb scheme {scheme!r}; available: {ROUTER_SCHEMES}")
-    _ambient_scheme = scheme
-
-
-def ambient_lb_scheme() -> Optional[str]:
-    return _ambient_scheme
-
-
-def clear_ambient_lb_scheme() -> None:
-    global _ambient_scheme
-    _ambient_scheme = None

@@ -29,25 +29,23 @@ from .autoscale import (
     attach_app_autoscaler,
     attach_edge_autoscaler,
 )
-from .canary import CanaryConfig, CanaryController, judge_window
+from .canary import (CanaryConfig, CanaryController, default_canary_gate,
+                     judge_window)
 from .load import (
     LOAD_SHAPE_KINDS,
     LoadController,
     LoadShape,
     LoadShapeConfig,
-    ambient_load_shape,
-    clear_ambient_load_shape,
     named_load_shape,
-    set_ambient_load_shape,
 )
 from .scheduler import ReleaseWave, WavePlanConfig, plan_release_waves
 
 __all__ = [
     "AppPoolAdapter", "Autoscaler", "AutoscalerConfig", "EdgeProxyAdapter",
     "attach_app_autoscaler", "attach_edge_autoscaler",
-    "CanaryConfig", "CanaryController", "judge_window",
+    "CanaryConfig", "CanaryController", "default_canary_gate",
+    "judge_window",
     "LOAD_SHAPE_KINDS", "LoadController", "LoadShape", "LoadShapeConfig",
-    "ambient_load_shape", "clear_ambient_load_shape", "named_load_shape",
-    "set_ambient_load_shape",
+    "named_load_shape",
     "ReleaseWave", "WavePlanConfig", "plan_release_waves",
 ]

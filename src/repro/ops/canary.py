@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-__all__ = ["CanaryConfig", "CanaryController", "judge_window"]
+__all__ = ["CanaryConfig", "CanaryController", "default_canary_gate",
+           "judge_window"]
 
 #: ``http_status`` tags that count as request failures for canary
 #: purposes.  503 is deliberately excluded: it signals backpressure
@@ -193,6 +194,12 @@ class CanaryController:
     def _inc(self, name: str) -> None:
         if self.counters is not None:
             self.counters.inc(name)
+
+
+def default_canary_gate(release) -> CanaryController:
+    """``RunOptions.release_gate`` factory behind the CLI's ``--canary``
+    (module-level, so the options pickle): default judgment settings."""
+    return CanaryController(release.env, CanaryConfig())
 
 
 def _name(target) -> str:

@@ -24,9 +24,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 __all__ = ["LOAD_SHAPE_KINDS", "LoadShape", "LoadShapeConfig",
-           "LoadController", "ambient_load_shape",
-           "clear_ambient_load_shape", "named_load_shape",
-           "set_ambient_load_shape"]
+           "LoadController", "named_load_shape"]
 
 LOAD_SHAPE_KINDS = ("diurnal", "flash_crowd", "post_outage_herd")
 
@@ -269,27 +267,6 @@ class LoadController:
             population.set_rate_scale(scale)
         if self.counters is not None:
             self.counters.inc("rate_updates")
-
-
-# -- ambient configuration (the CLI's --load-shape) ---------------------------
-
-_ambient_shape: Optional[LoadShapeConfig] = None
-
-
-def set_ambient_load_shape(config: LoadShapeConfig) -> None:
-    """Apply ``config`` to every deployment built while set (CLI hook)."""
-    global _ambient_shape
-    config.validate()
-    _ambient_shape = config
-
-
-def clear_ambient_load_shape() -> None:
-    global _ambient_shape
-    _ambient_shape = None
-
-
-def ambient_load_shape() -> Optional[LoadShapeConfig]:
-    return _ambient_shape
 
 
 def named_load_shape(name: str, horizon: float = 60.0) -> LoadShapeConfig:

@@ -16,7 +16,7 @@ latency matrix, with:
 """
 
 from .anycast import AnycastResolver, RegionTarget
-from .evacuate import EvacuationReport, evacuate_region
+from .evacuate import EvacuationReport, evacuate_region, release_all_pops
 from .routing import FallbackOriginRouter
 from .spec import AnycastConfig, RegionalSpec, WanConfig
 from .topology import Region, RegionPoP, RegionalDeployment
@@ -33,4 +33,5 @@ __all__ = [
     "RegionalSpec",
     "WanConfig",
     "evacuate_region",
+    "release_all_pops",
 ]

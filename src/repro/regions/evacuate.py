@@ -22,9 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..release.orchestrator import RollingRelease, RollingReleaseConfig
 from ..simkernel.events import AllOf
 
-__all__ = ["EvacuationReport", "evacuate_region"]
+__all__ = ["EvacuationReport", "evacuate_region", "release_all_pops"]
 
 
 @dataclass
@@ -167,3 +168,18 @@ def evacuate_region(deployment, region_name: str, grace: float = 1.0):
         suite.record("evacuation_end", region=region)
     counters.inc("evacuations_completed", tag=region_name)
     return report
+
+
+def release_all_pops(deployment, batch_fraction: float = 0.2,
+                     post_batch_wait: float = 0.0):
+    """Release every PoP's proxy fleet concurrently (the paper's global
+    roll-out, §6.1.1); returns the per-PoP :class:`RollingRelease`
+    objects and the completion event."""
+    config = RollingReleaseConfig(batch_fraction=batch_fraction,
+                                  post_batch_wait=post_batch_wait)
+    releases = [RollingRelease(deployment.env, pop.servers, config,
+                               name=f"release-{pop.name}")
+                for region in deployment.regions for pop in region.pops]
+    tasks = [deployment.env.process(release.execute())
+             for release in releases]
+    return releases, AllOf(deployment.env, tasks)

@@ -9,6 +9,7 @@ from ..appserver.brokers import BrokerConfig
 from ..appserver.config import AppServerConfig
 from ..clients.mqtt import MqttWorkloadConfig
 from ..clients.web import WebWorkloadConfig
+from ..cluster.spec import TierConfigs
 from ..lb.katran import KatranConfig
 from ..netsim.network import LinkProfile
 from ..proxygen.config import ProxygenConfig
@@ -67,7 +68,7 @@ class AnycastConfig:
 
 
 @dataclass
-class RegionalSpec:
+class RegionalSpec(TierConfigs):
     """Everything needed to build a :class:`RegionalDeployment`."""
 
     seed: int = 0
@@ -141,20 +142,6 @@ class RegionalSpec:
         if self.l4lbs_per_pop < 1:
             raise ValueError("need at least one L4LB per PoP")
         self.anycast.validate()
-
-    # Mirrors DeploymentSpec: resolved per-tier configs with mode pinned.
-    def resolved_edge_config(self) -> ProxygenConfig:
-        config = self.edge_config or ProxygenConfig(mode="edge")
-        config.validate()
-        return config
-
-    def resolved_origin_config(self) -> ProxygenConfig:
-        config = self.origin_config or ProxygenConfig(mode="origin")
-        config.validate()
-        return config
-
-    def resolved_katran_config(self) -> KatranConfig:
-        return self.katran_config or KatranConfig()
 
     def resolved_web_workload(self) -> Optional[WebWorkloadConfig]:
         if self.web_clients_per_pop <= 0:

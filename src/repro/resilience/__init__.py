@@ -17,9 +17,6 @@ from .admission import AdmissionController
 from .breaker import BreakerBoard, CircuitBreaker
 from .config import (
     ResilienceConfig,
-    ambient_resilience,
-    clear_ambient_resilience,
-    set_ambient_resilience,
 )
 from .health import BackendStats, OutlierTracker
 from .plane import ResiliencePlane
@@ -35,7 +32,4 @@ __all__ = [
     "ResilienceConfig",
     "ResiliencePlane",
     "RetryBudget",
-    "ambient_resilience",
-    "clear_ambient_resilience",
-    "set_ambient_resilience",
 ]

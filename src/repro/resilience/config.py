@@ -14,10 +14,8 @@ environment, so resilience decisions replay identically under one seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-__all__ = ["ResilienceConfig", "set_ambient_resilience",
-           "ambient_resilience", "clear_ambient_resilience"]
+__all__ = ["ResilienceConfig"]
 
 
 @dataclass
@@ -138,27 +136,3 @@ class ResilienceConfig:
             raise ValueError("drain_inflight_factor must be in (0, 1]")
         if self.shed_retry_after < 0:
             raise ValueError("shed_retry_after must be non-negative")
-
-
-# -- ambient config ----------------------------------------------------------
-#
-# Mirrors the ambient fault plan: the CLI's ``--resilience`` sets this
-# once, and every deployment built afterwards enables the resilient data
-# plane without each figure harness having to thread the config through.
-
-_ambient: Optional[ResilienceConfig] = None
-
-
-def set_ambient_resilience(config: Optional[ResilienceConfig]) -> None:
-    if config is not None:
-        config.validate()
-    global _ambient
-    _ambient = config
-
-
-def ambient_resilience() -> Optional[ResilienceConfig]:
-    return _ambient
-
-
-def clear_ambient_resilience() -> None:
-    set_ambient_resilience(None)

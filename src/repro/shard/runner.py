@@ -13,15 +13,15 @@ from __future__ import annotations
 import multiprocessing
 from typing import Optional
 
-from ..faults.injector import ambient_plan
 from ..invariants import runtime as invariant_runtime
+from ..options import RunOptions, current, use
 from . import ShardPlan, ShardResult, counters_snapshot, merge_counters
 
 __all__ = ["run_sharded"]
 
 
 def _run_one(spec, until: float, region_names: Optional[list],
-             check_invariants: bool) -> dict:
+             check_invariants: bool, options: RunOptions) -> dict:
     """Build, start (a subset of) and run one regional deployment;
     return its report dict.  Runs in-process for the 1-shard arm and
     inside a forked worker for every sharded arm — one code path, so
@@ -31,11 +31,14 @@ def _run_one(spec, until: float, region_names: Optional[list],
     if not isinstance(spec, RegionalSpec):
         raise TypeError(f"run_sharded wants a RegionalSpec, "
                         f"got {type(spec).__name__}")
-    deployment = RegionalDeployment(spec)
-    suite = (invariant_runtime.install(deployment)
-             if check_invariants else None)
-    deployment.start(only_regions=region_names)
-    deployment.env.run(until=until)
+    # Entered here, not inherited: a worker's options are an argument,
+    # never fork-copied module state.
+    with use(options):
+        deployment = RegionalDeployment(spec)
+        suite = (invariant_runtime.install(deployment)
+                 if check_invariants else None)
+        deployment.start(only_regions=region_names)
+        deployment.env.run(until=until)
     violations = suite.finalize() if suite is not None else []
     return {
         "counters": counters_snapshot(deployment.metrics),
@@ -46,14 +49,14 @@ def _run_one(spec, until: float, region_names: Optional[list],
 
 
 def _worker_main(pipe, spec, until: float, region_names: list,
-                 check_invariants: bool) -> None:
+                 check_invariants: bool, options: RunOptions) -> None:
     try:
         # The fork inherited the parent's module state: drop any suites
         # a previous parent run registered (they belong to deployments
         # this worker never sees) before installing our own.
         invariant_runtime.drain()
         pipe.send(("ok", _run_one(spec, until, region_names,
-                                  check_invariants)))
+                                  check_invariants, options)))
     except BaseException as exc:  # noqa: BLE001 - reported, then re-raised
         pipe.send(("error", f"{type(exc).__name__}: {exc}"))
         raise
@@ -62,7 +65,8 @@ def _worker_main(pipe, spec, until: float, region_names: list,
 
 
 def run_sharded(spec, until: float, shards: int = 1,
-                check_invariants: bool = True) -> ShardResult:
+                check_invariants: bool = True,
+                options: Optional[RunOptions] = None) -> ShardResult:
     """Run a regional deployment across ``shards`` worker processes.
 
     ``shards=1`` runs in-process (same code path, no fork).  The spec
@@ -72,16 +76,18 @@ def run_sharded(spec, until: float, shards: int = 1,
     bit-identical to the 1-shard run (``failover=False``,
     ``local_broker_homing=True``, ``partition_network_rng=True``, no
     load shape).  Fault plans do not shard — every worker would inject
-    the same plan once, so an ambient plan is rejected outright rather
-    than silently multiplied.
+    the same plan once, so ``options`` (default: the current run
+    options) carrying one is rejected outright rather than silently
+    multiplied.
     """
-    if ambient_plan() is not None:
+    options = options if options is not None else current()
+    if options.fault_plan is not None:
         raise ValueError(
             "fault plans do not shard: clear the ambient fault plan "
             "before run_sharded()")
     plan = ShardPlan.for_spec(spec, shards)
     if shards == 1:
-        report = _run_one(spec, until, None, check_invariants)
+        report = _run_one(spec, until, None, check_invariants, options)
         reports = [report]
     else:
         context = multiprocessing.get_context("fork")
@@ -91,7 +97,7 @@ def run_sharded(spec, until: float, shards: int = 1,
             process = context.Process(
                 target=_worker_main,
                 args=(sender, spec, until, plan.regions_for(index),
-                      check_invariants),
+                      check_invariants, options),
                 name=f"shard-{index}")
             process.start()
             sender.close()

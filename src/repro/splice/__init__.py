@@ -51,8 +51,7 @@ from typing import Optional
 from ..release import orchestrator as release_orchestrator
 from ..simkernel.events import AnyOf
 
-__all__ = ["SpliceConfig", "SpliceGovernor", "ambient_splice",
-           "set_ambient_splice", "clear_ambient_splice"]
+__all__ = ["SpliceConfig", "SpliceGovernor"]
 
 
 @dataclass(frozen=True)
@@ -226,22 +225,3 @@ class SpliceGovernor:
             self.suspend("fault")
         elif phase == "clear":
             self.resume("fault")
-
-
-# -- ambient policy (the CLI's --splice) ------------------------------------
-
-_ambient: Optional[SpliceConfig] = None
-
-
-def set_ambient_splice(config: Optional[SpliceConfig]) -> None:
-    global _ambient
-    _ambient = config
-
-
-def ambient_splice() -> Optional[SpliceConfig]:
-    return _ambient
-
-
-def clear_ambient_splice() -> None:
-    global _ambient
-    _ambient = None

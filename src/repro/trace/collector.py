@@ -33,6 +33,7 @@ disabled tracing costs one ``is not None`` test per hop.
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from typing import Any, Iterable, Optional
 
 __all__ = ["TraceConfig", "Span", "TraceCollector", "TRACE_FORMAT"]
@@ -46,6 +47,7 @@ MECHANISM_PREFIXES = ("takeover", "dcr", "ppr", "retry", "hedge",
                      "breaker", "shed")
 
 
+@dataclass(slots=True)
 class TraceConfig:
     """Tuning knobs for a :class:`TraceCollector`.
 
@@ -55,18 +57,12 @@ class TraceConfig:
     ``max_traces``.
     """
 
-    __slots__ = ("enabled", "sample_rate", "keep_errors", "max_traces",
-                 "max_events", "max_annotations")
-
-    def __init__(self, enabled: bool = True, sample_rate: float = 1.0,
-                 keep_errors: bool = True, max_traces: int = 250,
-                 max_events: int = 2000, max_annotations: int = 64):
-        self.enabled = enabled
-        self.sample_rate = sample_rate
-        self.keep_errors = keep_errors
-        self.max_traces = max_traces
-        self.max_events = max_events
-        self.max_annotations = max_annotations
+    enabled: bool = True
+    sample_rate: float = 1.0
+    keep_errors: bool = True
+    max_traces: int = 250
+    max_events: int = 2000
+    max_annotations: int = 64
 
 
 class _Trace:

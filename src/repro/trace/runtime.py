@@ -1,9 +1,9 @@
 """Opt-in tracing for harness-built deployments.
 
-Mirrors :mod:`repro.invariants.runtime`: the CLI's ``--trace`` flag (and
-the fuzz runner) arm tracing *ambiently*, ``build_deployment`` calls
-:func:`install` right after constructing a deployment, and the run's end
-calls :func:`drain` to collect every installed collector.
+Mirrors :mod:`repro.invariants.runtime`: the CLI's ``--trace`` flag arms
+tracing through the run options (``RunOptions.trace``), ``build_deployment``
+calls :func:`install` right after constructing a deployment, and the
+run's end calls :func:`drain` to collect every installed collector.
 
 ``install`` must run **before** ``deployment.start()``: Proxygen
 instances cache ``metrics.tracing`` when they boot (bound-handle
@@ -18,39 +18,22 @@ from typing import Callable, Optional
 from ..release import orchestrator as release_orchestrator
 from .collector import TraceCollector, TraceConfig
 
-__all__ = ["set_ambient_trace", "clear_ambient_trace", "ambient_trace",
-           "install", "uninstall", "drain"]
+__all__ = ["install", "uninstall", "drain"]
 
-_ambient: Optional[TraceConfig] = None
 _installed: list[tuple[TraceCollector, Callable]] = []
-
-
-def set_ambient_trace(config: Optional[TraceConfig] = None) -> None:
-    """Arm tracing for every deployment built until cleared (the CLI's
-    ``--trace``)."""
-    global _ambient
-    _ambient = config or TraceConfig()
-
-
-def clear_ambient_trace() -> None:
-    global _ambient
-    _ambient = None
-
-
-def ambient_trace() -> Optional[TraceConfig]:
-    return _ambient
 
 
 def install(deployment,
             config: Optional[TraceConfig] = None) -> Optional[TraceCollector]:
     """Attach a collector to ``deployment`` (no-op unless ``config`` is
-    given or ambient tracing is armed); registers it for :func:`drain`.
+    given or the deployment's run options carry one); registers it for
+    :func:`drain`.
 
     The collector draws its ids from the deployment's seeded ``"trace"``
     stream and observes the release orchestrator so takeover/release
     phases land in the event log next to the spans they disrupt.
     """
-    config = config if config is not None else _ambient
+    config = config if config is not None else deployment.options.trace
     if config is None or not config.enabled:
         return None
     if deployment.metrics.tracing is not None:

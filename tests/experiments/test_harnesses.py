@@ -134,6 +134,15 @@ def test_fig16_model_claims_hold():
     assert crosscheck.scalars["relative_error"] < 0.2
 
 
+def test_fig16_global_des_runs_on_the_regional_builder():
+    result = fig16_completion_time.run_global_des(seed=0)
+    assert result.all_claims_hold, result.claims
+    # Same value, to the last digit, as the deleted GlobalDeployment.
+    assert round(result.scalars["global_duration"], 9) == 28.002
+    assert result.scalars["slowest_pop_duration"] == \
+        result.scalars["fastest_pop_duration"]
+
+
 def test_regionevac_claims_hold_and_deterministic():
     from repro.experiments import region_evac
     from repro.invariants import runtime as invariant_runtime

@@ -13,10 +13,8 @@ from repro.faults import (
     FaultInjector,
     FaultPlan,
     FaultSpec,
-    ambient_plan,
-    clear_ambient_plan,
-    set_ambient_plan,
 )
+from repro.options import RunOptions, current, use
 from repro.proxygen.config import ProxygenConfig
 
 
@@ -198,19 +196,16 @@ def test_summary_shape():
     assert event["targets"]
 
 
-def test_ambient_plan_attaches_on_start():
+def test_run_options_plan_attaches_on_start():
     plan = _plan(FaultSpec("slow_host", where="appserver-*", at=1.0,
                            duration=2.0))
-    set_ambient_plan(plan)
-    try:
-        assert ambient_plan() is plan
+    with use(RunOptions(fault_plan=plan)):
+        assert current().fault_plan is plan
         dep = _deployment()  # no explicit plan
         assert dep.fault_injector is not None
         assert dep.fault_injector.plan is plan
-    finally:
-        clear_ambient_plan()
-    assert ambient_plan() is None
-    # With the ambient cleared, new deployments run fault-free.
+    assert current().fault_plan is None
+    # Outside the block, new deployments run fault-free.
     assert _deployment().fault_injector is None
 
 
@@ -224,17 +219,14 @@ def test_attach_is_idempotent():
     assert dep.app_hosts[0].cpu.speed == pytest.approx(original * 0.25)
 
 
-def test_explicit_plan_beats_ambient():
+def test_explicit_plan_beats_run_options():
     explicit = _plan(FaultSpec("slow_host", where="appserver-0", at=1.0),
                      name="explicit")
-    ambient = _plan(FaultSpec("slow_host", where="appserver-1", at=1.0),
-                    name="ambient")
-    set_ambient_plan(ambient)
-    try:
+    optional = _plan(FaultSpec("slow_host", where="appserver-1", at=1.0),
+                     name="options")
+    with use(RunOptions(fault_plan=optional)):
         dep = _deployment(explicit)
         assert dep.fault_injector.plan.name == "explicit"
-    finally:
-        clear_ambient_plan()
 
 
 def test_takeover_stall_fails_release_then_retry_succeeds():

@@ -11,11 +11,9 @@ from repro.lb import (
     ROUTER_SCHEMES,
     StatefulRouter,
     StatelessRouter,
-    clear_ambient_lb_scheme,
     make_router,
-    set_ambient_lb_scheme,
 )
-from repro.lb.routers import ambient_lb_scheme
+from repro.options import RunOptions, current, use
 
 
 def _key(i):
@@ -56,16 +54,16 @@ def test_katran_config_resolves_scheme():
         KatranConfig(lb_scheme="bogus").resolved_scheme()
 
 
-def test_ambient_scheme_set_and_clear():
-    assert ambient_lb_scheme() is None
-    set_ambient_lb_scheme("stateful")
-    try:
-        assert ambient_lb_scheme() == "stateful"
-        with pytest.raises(ValueError):
-            set_ambient_lb_scheme("bogus")
-    finally:
-        clear_ambient_lb_scheme()
-    assert ambient_lb_scheme() is None
+def test_run_options_scheme_set_and_clear():
+    from repro import Deployment, DeploymentSpec
+
+    assert current().lb_scheme is None
+    with use(RunOptions(lb_scheme="stateful")):
+        assert current().lb_scheme == "stateful"
+        with use(RunOptions(lb_scheme="bogus")), pytest.raises(ValueError):
+            Deployment(DeploymentSpec(seed=0))
+        assert current().lb_scheme == "stateful"
+    assert current().lb_scheme is None
 
 
 # -- common routing contract -------------------------------------------------

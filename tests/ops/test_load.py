@@ -10,11 +10,9 @@ from repro.ops.load import (
     LoadController,
     LoadShape,
     LoadShapeConfig,
-    ambient_load_shape,
-    clear_ambient_load_shape,
     named_load_shape,
-    set_ambient_load_shape,
 )
+from repro.options import RunOptions, current, use
 from repro.simkernel import Environment
 
 
@@ -298,13 +296,10 @@ def test_deployment_wires_spec_load_shape_into_clients():
     assert deployment.web_clients.rate_scale == pytest.approx(1.0)
 
 
-def test_ambient_load_shape_applies_and_clears():
-    set_ambient_load_shape(_diurnal())
-    try:
-        assert ambient_load_shape() is not None
+def test_run_options_load_shape_applies_and_clears():
+    with use(RunOptions(load_shape=_diurnal())):
+        assert current().load_shape is not None
         deployment = Deployment(_spec())
         assert deployment.load_controller is not None
-    finally:
-        clear_ambient_load_shape()
-    assert ambient_load_shape() is None
+    assert current().load_shape is None
     assert Deployment(_spec(seed=1)).load_controller is None

@@ -1,33 +1,49 @@
-"""Multi-PoP global deployment: topology and global rolling releases."""
+"""Multi-PoP topology (one region, N PoPs) and global rolling releases.
+
+"N Edge PoPs → one Origin DC" is ``RegionalSpec(regions=1,
+pops_per_region=N)``; ``release_all_pops`` is the paper's world-wide
+push (§6.1.1).  Ported from the deleted ``cluster.GlobalDeployment``.
+"""
 
 import pytest
 
-from repro.cluster import GlobalDeployment, GlobalSpec
 from repro.clients import WebWorkloadConfig
 from repro.proxygen import ProxygenConfig
+from repro.regions import RegionalDeployment, RegionalSpec, release_all_pops
+
+
+def _dep(seed, pops, proxies_per_pop, until, **kwargs):
+    kwargs.setdefault("web_workload", WebWorkloadConfig(
+        clients_per_host=6, think_time=1.0))
+    if kwargs["web_workload"] is None:
+        kwargs["web_clients_per_pop"] = 0
+    dep = RegionalDeployment(RegionalSpec(
+        seed=seed, regions=1, pops_per_region=pops,
+        proxies_per_pop=proxies_per_pop, origin_proxies=3, app_servers=4,
+        mqtt_users_per_pop=0, **kwargs))
+    dep.start()
+    dep.run(until=until)
+    return dep
+
+
+def _pops(dep):
+    return dep.regions[0].pops
 
 
 @pytest.fixture(scope="module")
 def global_dep():
-    dep = GlobalDeployment(GlobalSpec(
-        seed=3, pops=3, proxies_per_pop=3,
-        web_workload=WebWorkloadConfig(clients_per_host=6,
-                                       think_time=1.0)))
-    dep.start()
-    dep.run(until=25)
-    return dep
+    return _dep(seed=3, pops=3, proxies_per_pop=3, until=25)
 
 
-def test_pops_built_with_own_vips(global_dep):
-    assert len(global_dep.pops) == 3
-    vips = {pop.vip for pop in global_dep.pops}
-    assert len(vips) == 3
-    for pop in global_dep.pops:
+def test_pops_built_behind_one_anycast_vip(global_dep):
+    assert len(_pops(global_dep)) == 3
+    for pop in _pops(global_dep):
         assert len(pop.servers) == 3
+        assert {l4.hc_vip for l4 in pop.l4lbs} == {global_dep.anycast_https}
 
 
 def test_each_pop_serves_its_clients(global_dep):
-    for pop in global_dep.pops:
+    for pop in _pops(global_dep):
         counters = global_dep.metrics.scoped_counters(
             f"web-clients-{pop.name}")
         assert counters.get("get_ok") > 10, pop.name
@@ -42,24 +58,21 @@ def test_all_pops_share_one_origin(global_dep):
 
 
 def test_pop_katrans_are_independent(global_dep):
-    for pop in global_dep.pops:
-        assert set(pop.katran.healthy_backends()) == \
+    for pop in _pops(global_dep):
+        assert set(pop.l4lbs[0].healthy_backends()) == \
             {h.ip for h in pop.hosts}
 
 
 def test_global_release_completes_everywhere():
-    dep = GlobalDeployment(GlobalSpec(
-        seed=5, pops=2, proxies_per_pop=2,
-        edge_config=ProxygenConfig(mode="edge", drain_duration=3.0,
-                                   spawn_delay=0.5),
-        web_workload=WebWorkloadConfig(clients_per_host=4,
-                                       think_time=1.0)))
-    dep.start()
-    dep.run(until=15)
-    releases, done = dep.global_release(batch_fraction=0.5)
+    dep = _dep(seed=5, pops=2, proxies_per_pop=2, until=15,
+               edge_config=ProxygenConfig(mode="edge", drain_duration=3.0,
+                                          spawn_delay=0.5),
+               web_workload=WebWorkloadConfig(clients_per_host=4,
+                                              think_time=1.0))
+    releases, done = release_all_pops(dep, batch_fraction=0.5)
     dep.env.run(until=done)
     dep.run(until=dep.env.now + 6)
-    for pop in dep.pops:
+    for pop in _pops(dep):
         for server in pop.servers:
             assert server.releases_completed == 1
             assert server.active_instance.generation == 2
@@ -72,16 +85,14 @@ def test_global_release_completes_everywhere():
 
 def test_global_release_with_drain_wait_takes_batches_times_drain():
     drain = 4.0
-    dep = GlobalDeployment(GlobalSpec(
-        seed=7, pops=2, proxies_per_pop=4,
-        edge_config=ProxygenConfig(mode="edge", drain_duration=drain,
-                                   spawn_delay=0.5),
-        web_workload=None))
-    dep.start()
-    dep.run(until=10)
-    releases, done = dep.global_release(batch_fraction=0.25,
-                                        post_batch_wait=drain)
+    dep = _dep(seed=7, pops=2, proxies_per_pop=4, until=10,
+               edge_config=ProxygenConfig(mode="edge", drain_duration=drain,
+                                          spawn_delay=0.5),
+               web_workload=None)
+    releases, done = release_all_pops(dep, batch_fraction=0.25,
+                                      post_batch_wait=drain)
     dep.env.run(until=done)
+    assert len(releases) == 2
     for release in releases:
         # 4 batches × (takeover ~0.5s + wait 4s) ≈ 18s.
         assert 16 <= release.duration <= 22
@@ -91,21 +102,16 @@ def test_global_release_with_drain_wait_takes_batches_times_drain():
 
 
 def _ecmp_dep(seed=3, l4lbs_per_pop=2):
-    dep = GlobalDeployment(GlobalSpec(
-        seed=seed, pops=2, proxies_per_pop=3,
-        l4lbs_per_pop=l4lbs_per_pop,
-        web_workload=WebWorkloadConfig(clients_per_host=8,
-                                       think_time=0.5)))
-    dep.start()
-    dep.run(until=20)
-    return dep
+    return _dep(seed=seed, pops=2, proxies_per_pop=3, until=20,
+                l4lbs_per_pop=l4lbs_per_pop,
+                web_workload=WebWorkloadConfig(clients_per_host=8,
+                                               think_time=0.5))
 
 
 def test_ecmp_spreads_flows_over_every_l4lb():
     dep = _ecmp_dep()
-    for pop in dep.pops:
+    for pop in _pops(dep):
         assert len(pop.l4lbs) == 2
-        assert pop.katran is pop.l4lbs[0]
         picks = [l4.counters.get("route_hash")
                  + l4.counters.get("route_table_hit")
                  + l4.counters.get("route_table_miss")
@@ -115,7 +121,7 @@ def test_ecmp_spreads_flows_over_every_l4lb():
 
 def test_all_l4lbs_of_a_pop_agree_on_backends():
     dep = _ecmp_dep()
-    for pop in dep.pops:
+    for pop in _pops(dep):
         healthy = {tuple(sorted(l4.healthy_backends()))
                    for l4 in pop.l4lbs}
         assert healthy == {tuple(sorted(h.ip for h in pop.hosts))}
@@ -123,15 +129,9 @@ def test_all_l4lbs_of_a_pop_agree_on_backends():
 
 def test_all_katrans_lists_origin_and_every_pop_l4lb():
     dep = _ecmp_dep()
-    names = {k.name for k in dep.all_katrans()}
-    assert "origin-katran" in names
-    assert {"katran-pop0", "katran-pop0-1",
-            "katran-pop1", "katran-pop1-1"} <= names
-
-
-def test_single_l4lb_keeps_historical_names():
-    dep = GlobalDeployment(GlobalSpec(seed=3, pops=1))
-    assert [l4.name for l4 in dep.pops[0].l4lbs] == ["katran-pop0"]
+    assert {k.name for k in dep.all_katrans()} == {
+        "r0-origin-katran", "r0p0-katran-0", "r0p0-katran-1",
+        "r0p1-katran-0", "r0p1-katran-1"}
 
 
 def test_same_seed_global_runs_are_byte_identical():

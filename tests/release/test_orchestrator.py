@@ -478,10 +478,8 @@ def test_observer_end_fires_once_when_execute_raises_mid_fleet():
     assert observer.begins == [release]
 
 
-def test_ambient_gate_factory_builds_gates_for_ungated_releases():
-    from repro.release.orchestrator import (ambient_release_gate,
-                                            clear_ambient_release_gate,
-                                            set_ambient_release_gate)
+def test_run_options_gate_factory_builds_gates_for_ungated_releases():
+    from repro.options import RunOptions, current, use
 
     class CountingGate:
         def __init__(self):
@@ -502,13 +500,10 @@ def test_ambient_gate_factory_builds_gates_for_ungated_releases():
     env = Environment()
     release = RollingRelease(env, _targets(env, 4),
                              RollingReleaseConfig(batch_fraction=0.5))
-    set_ambient_release_gate(factory)
-    try:
-        assert ambient_release_gate() is factory
+    with use(RunOptions(release_gate=factory)):
+        assert current().release_gate is factory
         env.run(until=env.process(release.execute()))
-    finally:
-        clear_ambient_release_gate()
-    assert ambient_release_gate() is None
+    assert current().release_gate is None
     assert built and built[0][0] is release
     assert built[0][1].reviews == 2  # one review per batch
     # Cleared: the next release builds no gate.

@@ -12,7 +12,8 @@ for figure-scale sweeps at all.
 
 import pytest
 
-from repro.faults import builtin_plan, clear_ambient_plan, set_ambient_plan
+from repro.faults import builtin_plan
+from repro.options import RunOptions, use
 from repro.regions import RegionalSpec
 from repro.shard import ShardPlan, run_sharded
 
@@ -91,10 +92,10 @@ def test_differential_is_not_vacuous():
     assert all(stats["events"] > 0 for stats in outcome.shard_stats)
 
 
-def test_ambient_fault_plan_is_rejected():
-    set_ambient_plan(builtin_plan("hc-flap-storm", at=1.0, duration=5.0))
-    try:
-        with pytest.raises(ValueError, match="do not shard"):
-            run_sharded(_spec(0), until=5.0, shards=2)
-    finally:
-        clear_ambient_plan()
+def test_run_options_fault_plan_is_rejected():
+    options = RunOptions(
+        fault_plan=builtin_plan("hc-flap-storm", at=1.0, duration=5.0))
+    with pytest.raises(ValueError, match="do not shard"):
+        run_sharded(_spec(0), until=5.0, shards=2, options=options)
+    with use(options), pytest.raises(ValueError, match="do not shard"):
+        run_sharded(_spec(0), until=5.0, shards=2)

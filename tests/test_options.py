@@ -1,0 +1,223 @@
+"""``repro.options``: one RunOptions reaches every component of both
+topology shapes, restores itself, pickles, and crosses shard workers."""
+
+import pickle
+from dataclasses import fields, replace
+
+import pytest
+
+from repro.cohorts import CohortPolicy
+from repro.experiments.__main__ import main
+from repro.experiments.common import (build_deployment,
+                                      build_regional_deployment)
+from repro.faults import builtin_plan
+from repro.ops import default_canary_gate, named_load_shape
+from repro.options import RunOptions, current, use
+from repro.proxygen import ProxygenConfig
+from repro.regions import RegionalDeployment, RegionalSpec
+from repro.release.orchestrator import RollingRelease, RollingReleaseConfig
+from repro.resilience import ResilienceConfig
+from repro.shard import run_sharded
+from repro.splice import SpliceConfig
+from repro.trace import TraceConfig
+from repro.trace import runtime as trace_runtime
+
+FAST_EDGE = ProxygenConfig(mode="edge", drain_duration=1.0, spawn_delay=0.2)
+
+
+def _single():
+    return build_deployment(seed=0, edge_proxies=2, origin_proxies=1,
+                            app_servers=2, edge_config=FAST_EDGE)
+
+
+def _one_region_two_pops():
+    return build_regional_deployment(seed=0, regions=1, pops_per_region=2,
+                                     proxies_per_pop=2,
+                                     edge_config=FAST_EDGE)
+
+
+def _two_regions():
+    return build_regional_deployment(seed=0, regions=2, proxies_per_pop=2,
+                                     edge_config=FAST_EDGE)
+
+
+TOPOLOGIES = {"single": _single, "1x2": _one_region_two_pops,
+              "2x1": _two_regions}
+
+_gates_built = []
+
+
+def _recording_gate(release):
+    _gates_built.append(release)
+    return default_canary_gate(release)
+
+
+def _check_fault_plan(dep, options):
+    assert dep.fault_injector is not None
+    assert dep.fault_injector.plan is options.fault_plan
+
+
+def _check_resilience(dep, options):
+    servers = dep.edge_servers + dep.origin_servers + dep.app_servers
+    assert servers and all(s.config.resilience.enabled for s in servers)
+
+
+def _check_lb_scheme(dep, options):
+    schemes = {k.router.scheme for k in dep.all_katrans()}
+    assert schemes == {options.lb_scheme}
+
+
+def _check_load_shape(dep, options):
+    assert dep.load_controller is not None
+
+
+def _check_release_gate(dep, options):
+    dep.run(until=3.0)
+    release = RollingRelease(dep.env, dep.edge_servers[:1],
+                             RollingReleaseConfig(batch_fraction=1.0))
+    assert release.gate is None and not _gates_built
+    try:
+        dep.env.run(until=dep.env.process(release.execute()))
+        assert _gates_built == [release]  # constructed at execute()
+    finally:
+        _gates_built.clear()
+
+
+def _check_trace(dep, options):
+    assert dep.metrics.tracing is not None
+
+
+MATRIX = {
+    "fault_plan": (lambda: builtin_plan("hc-flap-storm", at=1.0,
+                                        duration=2.0), _check_fault_plan),
+    "resilience": (lambda: ResilienceConfig(enabled=True),
+                   _check_resilience),
+    "lb_scheme": (lambda: "stateless", _check_lb_scheme),
+    "load_shape": (lambda: named_load_shape("diurnal", 20.0),
+                   _check_load_shape),
+    "release_gate": (lambda: _recording_gate, _check_release_gate),
+    "trace": (lambda: TraceConfig(), _check_trace),
+}
+
+
+@pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
+@pytest.mark.parametrize("field", sorted(MATRIX))
+def test_option_reaches_every_component(field, topology):
+    make, check = MATRIX[field]
+    options = RunOptions(**{field: make()})
+    try:
+        with use(options):
+            dep = TOPOLOGIES[topology]()
+            assert dep.options is options
+            check(dep, options)
+        assert current() == RunOptions()
+    finally:
+        trace_runtime.drain()
+
+
+def test_use_restores_previous_options_on_exception():
+    outer = RunOptions(lb_scheme="stateful")
+    with use(outer):
+        with pytest.raises(RuntimeError):
+            with use(RunOptions(shards=2)):
+                assert current().shards == 2
+                raise RuntimeError("boom")
+        assert current() is outer
+    assert current() == RunOptions()
+
+
+def test_explicit_options_argument_beats_current():
+    with use(RunOptions(lb_scheme="stateful")):
+        dep = RegionalDeployment(RegionalSpec(regions=1),
+                                 options=RunOptions(lb_scheme="concury"))
+    assert {k.router.scheme for k in dep.all_katrans()} == {"concury"}
+
+
+def test_apply_precedence_and_no_mutation():
+    from repro import DeploymentSpec
+
+    shape = named_load_shape("flash_crowd", 30.0)
+    spec = DeploymentSpec(lb_scheme="stateful", load_shape=shape,
+                          edge_config=FAST_EDGE)
+    options = RunOptions(lb_scheme="concury",
+                         load_shape=named_load_shape("diurnal", 30.0),
+                         cohorts=CohortPolicy(scale=2),
+                         resilience=ResilienceConfig(enabled=True))
+    applied = options.apply(spec)
+    # Overrides: lb_scheme, resilience.  Fill-ins: load_shape, cohorts.
+    assert applied.lb_scheme == "concury"
+    assert applied.edge_config.resilience.enabled
+    assert applied.edge_config.drain_duration == 1.0
+    assert applied.load_shape is shape
+    assert applied.cohorts == CohortPolicy(scale=2)
+    # The caller's spec and config objects are untouched.
+    assert spec.lb_scheme == "stateful" and spec.cohorts is None
+    assert spec.edge_config is FAST_EDGE
+    assert not FAST_EDGE.resilience.enabled
+    assert RunOptions().apply(spec) is spec
+
+
+def test_spec_lb_scheme_reaches_every_katran_on_both_builders():
+    """``RegionalSpec.lb_scheme`` used to be declared but ignored."""
+    from repro import Deployment, DeploymentSpec
+
+    for dep in (Deployment(DeploymentSpec(lb_scheme="stateless")),
+                RegionalDeployment(RegionalSpec(regions=1,
+                                                lb_scheme="stateless")),
+                RegionalDeployment(RegionalSpec(regions=2, l4lbs_per_pop=2,
+                                                lb_scheme="stateless"))):
+        katrans = dep.all_katrans()
+        assert len(katrans) >= 2
+        assert {k.config.lb_scheme for k in katrans} == {"stateless"}
+        assert {k.router.scheme for k in katrans} == {"stateless"}
+
+
+def _full_options() -> RunOptions:
+    return RunOptions(
+        fault_plan=builtin_plan("hc-flap-storm", at=1.0, duration=5.0),
+        resilience=ResilienceConfig(enabled=True),
+        lb_scheme="concury",
+        load_shape=named_load_shape("flash_crowd", 30.0),
+        cohorts=CohortPolicy(scale=3),
+        splice=SpliceConfig(),
+        release_gate=default_canary_gate,
+        shards=2,
+        trace=TraceConfig(sample_rate=0.5))
+
+
+def test_fully_populated_options_pickle_round_trip():
+    options = _full_options()
+    assert all(getattr(options, f.name) is not None
+               for f in fields(RunOptions))
+    assert pickle.loads(pickle.dumps(options)) == options
+
+
+def test_sharded_run_under_options_equals_single_shard():
+    spec = RegionalSpec(seed=0, regions=2, failover=False,
+                        local_broker_homing=True,
+                        partition_network_rng=True)
+    # Fault plans and load shapes do not shard; everything else crosses.
+    options = replace(_full_options(), fault_plan=None, load_shape=None)
+    one = run_sharded(spec, until=10.0, shards=1, options=options)
+    two = run_sharded(spec, until=10.0, shards=2, options=options)
+    assert two.counters == one.counters
+    assert two.violations == one.violations == []
+    # The options reached the workers: resilience scopes exist.
+    assert any(s.startswith("resilience-app-r") for s in two.counters)
+    assert current() == RunOptions()
+
+
+def test_cli_early_exit_leaks_no_options(capsys):
+    """``main`` used to arm --faults/--resilience/--lb-scheme before
+    rejecting an unknown figure, leaving them set for the next caller."""
+    code = main(["nope", "--faults", "hc-flap-storm", "--resilience",
+                 "--lb-scheme", "stateless"])
+    capsys.readouterr()
+    assert code == 2
+    assert current() == RunOptions()
+    for bad in (["fig09", "--faults", "no-such-plan"],
+                ["fig09", "--cohorts", "0"], ["fig09", "--shards", "0"],
+                ["fig09", "--trace-json", "x.json"]):
+        assert main(bad) == 2
+        assert current() == RunOptions()
+    capsys.readouterr()
