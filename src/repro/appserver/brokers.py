@@ -32,6 +32,10 @@ from ..protocols.mqtt import (
 
 __all__ = ["MqttBroker", "BrokerConfig", "BrokerSession"]
 
+#: QoS-style buffering: notifications queued per session while the
+#: relay path is briefly absent (a DCR splice in progress).
+MAX_QUEUED_PER_SESSION = 50
+
 
 @dataclass
 class BrokerConfig:
@@ -40,10 +44,6 @@ class BrokerConfig:
     downstream_publish_rate: float = 0.5
     #: How often the publisher loop scans sessions.
     publish_tick: float = 1.0
-    #: QoS-style buffering: notifications queued per session while the
-    #: relay path is briefly absent (a DCR splice in progress).  0
-    #: disables queueing (fire-and-forget QoS 0).
-    max_queued_per_session: int = 50
 
 
 @dataclass
@@ -89,7 +89,6 @@ class MqttBroker:
             self.process.run(self._serve_conn(conn))
 
     def _serve_conn(self, conn: TcpEndpoint):
-        costs = None
         while conn.alive:
             item = yield conn.recv()
             if isinstance(item, StreamControl):
@@ -217,7 +216,7 @@ class MqttBroker:
             # buffering the message waits for the spliced path (flat
             # DCR curve in Fig 9); without it — or past the cap — it is
             # the disruption the woutDCR curve shows.
-            if len(session.queued) < self.config.max_queued_per_session:
+            if len(session.queued) < MAX_QUEUED_PER_SESSION:
                 session.queued.append(message)
                 self.counters.inc("publish_queued_no_path")
             else:

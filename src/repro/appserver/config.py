@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..netsim.cpu import CpuCosts
 from ..resilience.config import ResilienceConfig
 
 __all__ = ["AppServerConfig"]
@@ -26,15 +25,10 @@ class AppServerConfig:
     drain_duration: float = 12.0
     #: Downtime while the new process starts and primes its cache.
     restart_downtime: float = 8.0
-    #: Mean service time of a short API request (seconds).
-    service_time_mean: float = 0.030
     #: Respond 379+partial body instead of 500 for in-flight POSTs.
     enable_ppr: bool = True
-    #: CPU prices.
-    costs: CpuCosts = field(default_factory=CpuCosts)
-    #: Model memory: resident set + extra while cache-priming.
+    #: Model memory: resident set.
     base_memory: float = 400.0
-    priming_memory: float = 250.0
     memory_per_connection: float = 0.01
     #: Chaos mode reproducing the §5.2 production incident: a buggy
     #: upstream (memory corruption) returns *randomized* HTTP status
@@ -48,6 +42,4 @@ class AppServerConfig:
     def validate(self) -> None:
         if self.drain_duration < 0 or self.restart_downtime < 0:
             raise ValueError("durations must be non-negative")
-        if self.service_time_mean <= 0:
-            raise ValueError("service_time_mean must be positive")
         self.resilience.validate()

@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..netsim.addresses import Endpoint
+from ..netsim.cpu import CpuCosts
 from ..netsim.host import Host
 from ..netsim.packet import StreamControl
 from ..netsim.process import SimProcess
@@ -37,6 +38,12 @@ from ..resilience.admission import AdmissionController
 from .config import AppServerConfig
 
 __all__ = ["AppServer", "InFlightPost"]
+
+#: Mean service time of a short API request (seconds).
+SERVICE_TIME_MEAN = 0.030
+#: Extra model memory while the new process primes its cache (§2.5:
+#: priming is memory-heavy, which is why no parallel instance runs).
+PRIMING_MEMORY = 250.0
 
 
 class InFlightPost:
@@ -78,6 +85,8 @@ class AppServer:
         self.process: Optional[SimProcess] = None
         self.listener: Optional[TcpListenSocket] = None
         self.in_flight_posts: dict[int, InFlightPost] = {}
+        #: Body-complete POSTs whose response is still queued on the CPU.
+        self._unanswered_posts: dict[int, InFlightPost] = {}
         self._rng = host.streams.stream("appserver")
         #: Fault-injection overrides (repro.faults).  ``fault_rogue_fraction``
         #: overrides the config's §5.2 rogue-status chaos flag per server;
@@ -141,25 +150,12 @@ class AppServer:
         self.listener.pause_accepting()
         self.counters.inc("restart_started")
         yield env.timeout(self.config.drain_duration)
-
-        # Requests with incomplete bodies at the end of draining.
-        for post in list(self.in_flight_posts.values()):
-            if post.conn.alive:
-                if self.config.enable_ppr:
-                    self._reply_partial_post(post)
-                else:
-                    self._reply_error(post)
-        self.in_flight_posts.clear()
-
-        old = self.process
-        self.state = self.STATE_DOWN
-        old.exit("release")
+        self._end_drain("release")
         # New process: spawn + cache priming burn (no parallel instance —
         # the machine simply is not serving during this window).
         priming = self.host.spawn(f"hhvm-gen{self.generation + 1}")
-        priming.base_memory = (self.config.base_memory
-                               + self.config.priming_memory)
-        self.host.cpu.background(self.config.costs.cache_priming)
+        priming.base_memory = self.config.base_memory + PRIMING_MEMORY
+        self.host.cpu.background(CpuCosts.cache_priming)
         yield env.timeout(self.config.restart_downtime)
         priming.exit("priming helper done")
         self._boot_process()
@@ -182,17 +178,32 @@ class AppServer:
         self.listener.pause_accepting()
         self.counters.inc("decommission_started")
         yield env.timeout(self.config.drain_duration)
-        for post in list(self.in_flight_posts.values()):
+        self._end_drain("decommission")
+        self.counters.inc("decommissioned")
+
+    def _end_drain(self, exit_reason: str) -> None:
+        """Answer every POST still open, then the old process exits.
+
+        Incomplete bodies get their 379 (or 500 without PPR).  A POST
+        whose last chunk already landed has had its side effect, so it
+        gets the response it was about to send — a 379 would make the
+        proxy apply it a second time, and exiting without a word resets
+        a request that succeeded.
+        """
+        for post in self.in_flight_posts.values():
             if post.conn.alive:
                 if self.config.enable_ppr:
                     self._reply_partial_post(post)
                 else:
                     self._reply_error(post)
         self.in_flight_posts.clear()
-        old = self.process
+        for post in self._unanswered_posts.values():
+            if post.conn.alive:
+                self._answer_post(post)
+                post.conn.close()
+        self._unanswered_posts.clear()
         self.state = self.STATE_DOWN
-        old.exit("decommission")
-        self.counters.inc("decommissioned")
+        self.process.exit(exit_reason)
 
     def crash(self) -> None:
         """Fault path: the machine dies *now* — no drain, no 379s.
@@ -204,6 +215,7 @@ class AppServer:
         if self.process is not None and self.process.alive:
             self.process.exit("fault:crash")
         self.in_flight_posts.clear()
+        self._unanswered_posts.clear()
         self.state = self.STATE_DOWN
         self.counters.inc("crashes")
 
@@ -253,7 +265,7 @@ class AppServer:
             tap = self.invariant_tap
             if tap is not None:
                 tap.record("app_accept", server=self)
-            yield from self.host.cpu.execute(self.config.costs.tcp_handshake)
+            yield from self.host.cpu.execute(CpuCosts.tcp_handshake)
             process.run(self._serve_conn(process, conn))
 
     def _serve_conn(self, process: SimProcess, conn: TcpEndpoint):
@@ -311,10 +323,9 @@ class AppServer:
 
     def _short_request_body(self, conn: TcpEndpoint, request: HttpRequest):
         span = self._request_span(request, "app.request")
-        costs = self.config.costs
-        yield from self.host.cpu.execute(costs.http_request)
+        yield from self.host.cpu.execute(CpuCosts.http_request)
         yield self.host.env.timeout(
-            self._rng.expovariate(1.0 / self.config.service_time_mean))
+            self._rng.expovariate(1.0 / SERVICE_TIME_MEAN))
         if not conn.alive:
             if span is not None:
                 span.fail("conn_gone")
@@ -363,7 +374,6 @@ class AppServer:
         post = InFlightPost(request, conn)
         post.span = self._request_span(request, "app.post")
         self.in_flight_posts[request.id] = post
-        costs = self.config.costs
         while True:
             item = yield conn.recv()
             if isinstance(item, StreamControl):
@@ -381,7 +391,7 @@ class AppServer:
             # echo exact whether or not the train was coalesced.
             post.received_chunks += chunk.chunks
             yield from self.host.cpu.execute(
-                costs.post_byte * chunk.data_size)
+                CpuCosts.post_byte * chunk.data_size)
             if chunk.is_last:
                 break
         post.complete = True
@@ -393,11 +403,17 @@ class AppServer:
             if tap is not None:
                 tap.record("post_applied", server=self,
                            request_id=request.id)
-        yield from self.host.cpu.execute(costs.http_request)
-        if not conn.alive:
-            if post.span is not None:
-                post.span.fail("conn_gone")
-            return
+        self._unanswered_posts[request.id] = post
+        yield from self.host.cpu.execute(CpuCosts.http_request)
+        del self._unanswered_posts[request.id]
+        if conn.alive:
+            self._answer_post(post)
+        elif post.span is not None:
+            post.span.fail("conn_gone")
+
+    def _answer_post(self, post: InFlightPost) -> None:
+        """Respond to a POST whose last chunk has landed."""
+        request, conn = post.request, post.conn
         if post.received_bytes < request.body_size:
             # A replay that lost part of the body (a proxy-side PPR bug)
             # must not be silently accepted.

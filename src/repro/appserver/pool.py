@@ -182,10 +182,6 @@ class UpstreamConnectionPool:
             return
         bucket.append(conn)
 
-    def discard_destination(self, ip: str, port: int) -> None:
-        for conn in self._idle.pop((ip, port), []):
-            conn.close()
-
     def close_all(self) -> None:
         for bucket in self._idle.values():
             for conn in bucket:

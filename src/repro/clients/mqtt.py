@@ -31,6 +31,10 @@ from .base import ClientBase, Router
 
 __all__ = ["MqttWorkloadConfig", "MqttClientPopulation"]
 
+#: Uniform back-off window (seconds) before reconnecting after a failed
+#: connect or a broken session.
+RECONNECT_BACKOFF = (0.5, 2.5)
+
 
 @dataclass
 class MqttWorkloadConfig:
@@ -39,15 +43,10 @@ class MqttWorkloadConfig:
     publish_interval: float = 8.0
     ping_interval: float = 15.0
     connect_timeout: float = 5.0
-    reconnect_backoff_min: float = 0.5
-    reconnect_backoff_max: float = 2.5
     #: Client-side support for the edge's reconnect solicitation (§4.2
     #: caveat: edge DCR needs the end-user application to understand the
     #: connection-reuse workflow).
     supports_reconnect_solicitation: bool = True
-    #: Real MQTT clients speak TLS to the edge; re-handshakes are what
-    #: makes reconnect storms expensive (§2.5).
-    use_tls: bool = True
     #: Seconds of transport silence (no ping responses, no publishes)
     #: before the client declares the session dead and reconnects.  A
     #: blackholed path (WAN partition) never resets the connection, so
@@ -119,9 +118,7 @@ class MqttClientPopulation:
             if conn is None:
                 if span is not None:
                     span.fail("connect_failed")
-                yield env.timeout(sampler.uniform(
-                    config.reconnect_backoff_min,
-                    config.reconnect_backoff_max))
+                yield env.timeout(sampler.uniform(*RECONNECT_BACKOFF))
                 continue
             self.counters.inc("sessions_established")
             ending = yield from self._session(base, conn, user_id, sampler)
@@ -142,8 +139,7 @@ class MqttClientPopulation:
             self.metrics.series("mqtt/client_reconnects").record(env.now)
             if span is not None:
                 span.fail("session_broken")
-            yield env.timeout(sampler.uniform(
-                config.reconnect_backoff_min, config.reconnect_backoff_max))
+            yield env.timeout(sampler.uniform(*RECONNECT_BACKOFF))
 
     def _connect(self, base: ClientBase, process: SimProcess, user_id: int,
                  span=None):
@@ -155,19 +151,20 @@ class MqttClientPopulation:
             backend = conn.app_state.get("l4lb_backend")
             if backend is not None:
                 span.annotate("katran.backend", backend)
-        if self.config.use_tls:
-            try:
-                conn.send(TlsClientHello(), size=320)
-            except (SocketClosedSim, ConnectionResetSim):
-                return None
-            outcome = yield from with_timeout(
-                base.host.env, conn.recv(), self.config.connect_timeout)
-            if (outcome is TIMED_OUT or isinstance(outcome, StreamControl)
-                    or not isinstance(outcome.payload, TlsServerDone)):
-                self.counters.inc("tls_failed")
-                if conn.alive:
-                    conn.abort(reason="tls_failed")
-                return None
+        # Real MQTT clients speak TLS to the edge; re-handshakes are what
+        # makes reconnect storms expensive (§2.5).
+        try:
+            conn.send(TlsClientHello(), size=320)
+        except (SocketClosedSim, ConnectionResetSim):
+            return None
+        outcome = yield from with_timeout(
+            base.host.env, conn.recv(), self.config.connect_timeout)
+        if (outcome is TIMED_OUT or isinstance(outcome, StreamControl)
+                or not isinstance(outcome.payload, TlsServerDone)):
+            self.counters.inc("tls_failed")
+            if conn.alive:
+                conn.abort(reason="tls_failed")
+            return None
         try:
             conn.send(MqttConnect(user_id, trace=span), size=120)
         except (SocketClosedSim, ConnectionResetSim):

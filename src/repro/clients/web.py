@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 from ..metrics.registry import MetricsRegistry
 from ..netsim.addresses import Endpoint
-from ..netsim.cpu import CpuCosts
 from ..netsim.errors import ConnectionResetSim, SocketClosedSim
 from ..netsim.host import Host
 from ..netsim.packet import ControlType, StreamControl
@@ -29,9 +28,16 @@ from ..protocols.http import (
 )
 from ..protocols.tls import TlsClientHello, TlsServerDone
 from ..simkernel.rng import DistributionSampler
+from ..splice import MIN_BULK_BYTES
 from .base import ClientBase, Router
 
 __all__ = ["WebWorkloadConfig", "WebClientPopulation"]
+
+#: Shape of the bounded-Pareto POST size distribution.
+POST_SIZE_ALPHA = 1.3
+#: Seconds (plus up to one more, uniform) before re-dialling after a
+#: failed connect.
+RECONNECT_BACKOFF = 1.0
 
 
 @dataclass
@@ -46,14 +52,11 @@ class WebWorkloadConfig:
     post_fraction: float = 0.05
     #: Bounded-Pareto POST sizes (bytes).
     post_size_min: int = 50_000
-    post_size_alpha: float = 1.3
     post_size_cap: int = 20_000_000
     #: Client upload bandwidth (bytes/s) — sets upload duration.
     upload_bandwidth: float = 250_000.0
     post_chunk_size: int = 64_000
     request_timeout: float = 20.0
-    reconnect_backoff: float = 1.0
-    use_tls: bool = True
     #: Stop each client after this many requests (None = run forever).
     #: Finite-work runs are what the splice differential suite compares:
     #: with every request completed well before the horizon, counters
@@ -132,7 +135,7 @@ class WebClientPopulation:
             if conn is None or not conn.alive:
                 conn = yield from self._establish(base, process)
                 if conn is None:
-                    yield env.timeout(config.reconnect_backoff
+                    yield env.timeout(RECONNECT_BACKOFF
                                       + sampler.uniform(0, 1))
                     continue
             yield env.timeout(sampler.exponential(config.think_time)
@@ -166,16 +169,15 @@ class WebClientPopulation:
         conn = yield from base.connect_routed(process)
         if conn is None:
             return None
-        if self.config.use_tls:
-            conn.send(TlsClientHello(), size=320)
-            outcome = yield from with_timeout(base.host.env, conn.recv(), 5.0)
-            if outcome is TIMED_OUT or isinstance(outcome, StreamControl) \
-                    or not isinstance(outcome.payload, TlsServerDone):
-                self.counters.inc("tls_failed")
-                if conn.alive:
-                    conn.abort(reason="tls_failed")
-                return None
-            self.counters.inc("tls_established")
+        conn.send(TlsClientHello(), size=320)
+        outcome = yield from with_timeout(base.host.env, conn.recv(), 5.0)
+        if outcome is TIMED_OUT or isinstance(outcome, StreamControl) \
+                or not isinstance(outcome.payload, TlsServerDone):
+            self.counters.inc("tls_failed")
+            if conn.alive:
+                conn.abort(reason="tls_failed")
+            return None
+        self.counters.inc("tls_established")
         return conn
 
     def _do_get(self, base: ClientBase, conn, sampler: DistributionSampler):
@@ -202,8 +204,7 @@ class WebClientPopulation:
     def _do_post(self, base: ClientBase, conn, sampler: DistributionSampler):
         """A streaming upload paced by the client's WAN bandwidth."""
         config = self.config
-        size = int(sampler.pareto(config.post_size_alpha,
-                                  config.post_size_min,
+        size = int(sampler.pareto(POST_SIZE_ALPHA, config.post_size_min,
                                   cap=config.post_size_cap))
         request = HttpRequest("POST", "/upload", body_size=size,
                               streaming=True)
@@ -217,7 +218,7 @@ class WebClientPopulation:
         try:
             conn.send(request, size=400)
             if (governor is not None and governor.engaged
-                    and size >= governor.config.min_bulk_bytes):
+                    and size >= MIN_BULK_BYTES):
                 early = yield from self._post_body_spliced(
                     conn, request, size, governor)
             else:

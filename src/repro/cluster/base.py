@@ -37,7 +37,14 @@ from ..simkernel.core import Environment
 from ..simkernel.events import AllOf
 from ..simkernel.rng import RandomStreams
 
-__all__ = ["Region", "RegionPoP", "Topology"]
+__all__ = ["CLIENT_CORES", "CLIENT_CORE_SPEED", "PROXY_CORES",
+           "PROXY_CORE_SPEED", "Region", "RegionPoP", "Topology"]
+
+# Machine shapes (cores × units/s per core).  App-tier machines are the
+# spec's ``app_cores``/``app_core_speed``; client hosts are sized so
+# they never queue — the modeled bottleneck is always server-side.
+PROXY_CORES, PROXY_CORE_SPEED = 4, 20.0
+CLIENT_CORES, CLIENT_CORE_SPEED = 64, 1000.0
 
 
 class RegionPoP:
@@ -165,7 +172,7 @@ class Topology:
             host = self._host(f"{prefix}broker-{i}", site,
                               spec.app_cores, spec.app_core_speed)
             region.broker_hosts.append(host)
-            region.brokers.append(MqttBroker(host, spec.broker_config))
+            region.brokers.append(MqttBroker(host))
             self.broker_ring.add(host.ip)
             if ring is not self.broker_ring:
                 ring.add(host.ip)
@@ -191,7 +198,7 @@ class Topology:
         vips = [VIP("https", self.origin_vip, Protocol.TCP)]
         for i in range(spec.origin_proxies):
             host = self._host(f"{prefix}origin-proxy-{i}", site,
-                              spec.proxy_cores, spec.proxy_core_speed)
+                              PROXY_CORES, PROXY_CORE_SPEED)
             region.origin_hosts.append(host)
             region.origin_servers.append(ProxygenServer(
                 host, spec.resolved_origin_config(), context,
@@ -210,8 +217,7 @@ class Topology:
     def _edge_proxy(self, pop: RegionPoP, name: str) -> ProxygenServer:
         """One more Edge proxy in ``pop`` (not yet in any L4LB ring)."""
         spec = self.spec
-        host = self._host(name, pop.site, spec.proxy_cores,
-                          spec.proxy_core_speed)
+        host = self._host(name, pop.site, PROXY_CORES, PROXY_CORE_SPEED)
         server = ProxygenServer(host, spec.resolved_edge_config(),
                                 pop.context, vips=list(self.edge_vips))
         pop.hosts.append(host)

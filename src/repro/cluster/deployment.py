@@ -24,7 +24,8 @@ from ..proxygen.context import ProxyTierContext
 from ..proxygen.server import ProxygenServer
 from ..simkernel.core import Environment
 from ..splice import SpliceGovernor
-from .base import Region, RegionPoP, Topology
+from .base import (
+    CLIENT_CORE_SPEED, CLIENT_CORES, Region, RegionPoP, Topology)
 from .spec import DeploymentSpec
 
 __all__ = ["Deployment"]
@@ -45,8 +46,8 @@ class Deployment(Topology):
         #: Splice fast path (repro.splice); None leaves every layer on
         #: per-chunk fidelity.
         self.splice: Optional[SpliceGovernor] = None
-        if spec.splice is not None and spec.splice.enabled:
-            self.splice = SpliceGovernor(self.env, spec.splice)
+        if spec.splice is not None:
+            self.splice = SpliceGovernor(self.env)
             self.splice.attach(self)
             # Bound-handle rule: relays and clients reach the governor
             # through the registry they already hold.
@@ -115,8 +116,6 @@ class Deployment(Topology):
         and lanes are reached through ``web_populations`` etc."""
         spec = self.spec
         cohort_policy = spec.cohorts
-        if cohort_policy is not None and not cohort_policy.enabled:
-            cohort_policy = None
         edge_route = lambda flow: self.edge_katran.route(flow)  # noqa: E731
         https, _, mqtt = (vip.endpoint for vip in self.edge_vips)
         workloads = (
@@ -133,7 +132,7 @@ class Deployment(Topology):
             if workload is None:
                 continue
             hosts = [self._host(f"{kind}-clients-{i}", "client",
-                                spec.client_cores, spec.client_core_speed)
+                                CLIENT_CORES, CLIENT_CORE_SPEED)
                      for i in range(host_count)]
             self.client_hosts[kind] = hosts
             if cohort_policy is None:

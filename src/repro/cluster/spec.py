@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from ..appserver.brokers import BrokerConfig
 from ..appserver.config import AppServerConfig
 from ..clients.mqtt import MqttWorkloadConfig
 from ..clients.quic import QuicWorkloadConfig
@@ -19,11 +18,39 @@ from ..splice import SpliceConfig
 __all__ = ["DeploymentSpec", "TierConfigs"]
 
 
+@dataclass
 class TierConfigs:
-    """Per-tier config resolution shared by :class:`DeploymentSpec` and
-    :class:`repro.regions.RegionalSpec` (``None`` → defaults, mode
-    pinned, ``lb_scheme`` applied over the Katran config by replace() —
-    the spec's own config objects may be shared across arms)."""
+    """What :class:`DeploymentSpec` and :class:`repro.regions.RegionalSpec`
+    have in common: the fields both shapes read, and per-tier config
+    resolution (``None`` → defaults, mode pinned, ``lb_scheme`` applied
+    over the Katran config by replace() — the spec's own config objects
+    may be shared across arms)."""
+
+    seed: int = 0
+    bucket_width: float = 1.0
+
+    # Addressing (the Edge VIP is each shape's own field)
+    origin_vip_ip: str = "100.64.1.1"
+    https_port: int = 443
+    mqtt_port: int = 8883
+    broker_port: int = 1883
+
+    # App-tier machine shape (cores × units/s per core)
+    app_cores: int = 4
+    app_core_speed: float = 25.0
+
+    # Component configs (None → defaults)
+    edge_config: Optional[ProxygenConfig] = None
+    origin_config: Optional[ProxygenConfig] = None
+    app_config: Optional[AppServerConfig] = None
+    katran_config: Optional[KatranConfig] = None
+    #: L4LB routing policy (repro.lb.routers.ROUTER_SCHEMES); None keeps
+    #: katran_config's own scheme (by default the LRU hybrid).
+    lb_scheme: Optional[str] = None
+    #: Client arrival-rate shape over the run (repro.ops.load); None
+    #: keeps the constant-rate behaviour (or the run options' shape, the
+    #: CLI's ``--load-shape``).
+    load_shape: Optional[LoadShapeConfig] = None
 
     def resolved_katran_config(self) -> KatranConfig:
         config = self.katran_config or KatranConfig()
@@ -54,9 +81,6 @@ class DeploymentSpec(TierConfigs):
     survive this down-scaling (DESIGN.md §6).
     """
 
-    seed: int = 0
-    bucket_width: float = 1.0
-
     # Tier sizes
     edge_proxies: int = 6
     origin_proxies: int = 4
@@ -66,34 +90,8 @@ class DeploymentSpec(TierConfigs):
     mqtt_client_hosts: int = 2
     quic_client_hosts: int = 1
 
-    # Addressing
     edge_vip_ip: str = "100.64.0.1"
-    origin_vip_ip: str = "100.64.1.1"
-    https_port: int = 443
-    mqtt_port: int = 8883
-    broker_port: int = 1883
 
-    # Machine shapes (cores × units/s per core)
-    proxy_cores: int = 4
-    proxy_core_speed: float = 20.0
-    app_cores: int = 4
-    app_core_speed: float = 25.0
-    client_cores: int = 64
-    client_core_speed: float = 1000.0
-
-    # Component configs (None → defaults)
-    edge_config: Optional[ProxygenConfig] = None
-    origin_config: Optional[ProxygenConfig] = None
-    app_config: Optional[AppServerConfig] = None
-    broker_config: Optional[BrokerConfig] = None
-    katran_config: Optional[KatranConfig] = None
-    #: L4LB routing policy (repro.lb.routers.ROUTER_SCHEMES); None keeps
-    #: katran_config's own scheme (historically the LRU hybrid).
-    lb_scheme: Optional[str] = None
-    #: Client arrival-rate shape over the run (repro.ops.load); None
-    #: keeps the historical constant-rate behaviour (or the run
-    #: options' shape, the CLI's ``--load-shape``).
-    load_shape: Optional[LoadShapeConfig] = None
     #: Cohort client layer (repro.cohorts); None keeps one SimProcess
     #: per client (or applies the run options' policy, the CLI's
     #: ``--cohorts``).  With a policy, each client host's workload

@@ -41,7 +41,6 @@ COHORT_FIDELITIES = ("auto", "condensed", "aggregate")
 class CohortPolicy:
     """Deployment-wide cohort configuration (the ``--cohorts`` knob)."""
 
-    enabled: bool = True
     #: Ladder rung for every cohort: ``auto`` picks per cohort size.
     fidelity: str = "auto"
     #: Client-count multiplier — the 100× knob.  Modeled cohort size is
@@ -77,8 +76,7 @@ class CohortPolicy:
     # -- serialization (fuzz scenarios embed policies as plain dicts) ----
 
     def to_dict(self) -> dict:
-        return {"enabled": self.enabled, "fidelity": self.fidelity,
-                "scale": self.scale,
+        return {"fidelity": self.fidelity, "scale": self.scale,
                 "flows_per_representative": self.flows_per_representative,
                 "min_representatives": self.min_representatives,
                 "condense_below": self.condense_below,

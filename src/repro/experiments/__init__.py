@@ -6,6 +6,7 @@ and scalars the paper's figure plots, plus shape claims the benchmarks
 assert.
 """
 
+from . import ablations
 from . import chaos
 from . import resilience
 from . import fig02_release_cadence
@@ -27,6 +28,7 @@ from . import shardscale
 from .common import ExperimentResult
 
 ALL_EXPERIMENTS = {
+    "ablations": ablations,
     "chaos": chaos,
     "resilience": resilience,
     "fig02": fig02_release_cadence,

@@ -27,7 +27,7 @@ from ..simkernel.core import Environment
 from ..simkernel.rng import RandomStreams
 from .common import ExperimentResult, build_deployment, sum_counter
 
-__all__ = ["run_lru_ablation", "run_drain_duration_sweep",
+__all__ = ["run", "run_lru_ablation", "run_drain_duration_sweep",
            "run_ppr_retry_budget"]
 
 
@@ -36,7 +36,7 @@ def run_lru_ablation(seed: int = 0, backends: int = 8,
     """§5.1: how many existing flows get remapped when a backend's
     health flaps, with and without the LRU connection table."""
 
-    def one_arm(use_lru: bool) -> float:
+    def one_arm(lb_scheme: str) -> float:
         env = Environment()
         streams = RandomStreams(seed)
         metrics = MetricsRegistry()
@@ -47,7 +47,7 @@ def run_lru_ablation(seed: int = 0, backends: int = 8,
         katran_host = Host(env, network, "katran", "10.0.0.200", "edge",
                            metrics)
         katran = Katran(katran_host, hosts, hc_port=443,
-                        config=KatranConfig(use_lru=use_lru))
+                        config=KatranConfig(lb_scheme=lb_scheme))
         flows_list = [FourTuple(Protocol.TCP,
                                 Endpoint("1.1.1.1", 1024 + i),
                                 Endpoint("100.64.0.1", 443))
@@ -68,8 +68,8 @@ def run_lru_ablation(seed: int = 0, backends: int = 8,
                             if during[f] != before[f])
         return remapped
 
-    with_lru = one_arm(True)
-    without_lru = one_arm(False)
+    with_lru = one_arm("lru")
+    without_lru = one_arm("stateless")
     result = ExperimentResult(
         name="ablation: Katran LRU connection table vs HC flaps",
         params={"backends": backends, "flows": flows, "flaps": flaps})
@@ -174,4 +174,17 @@ def run_ppr_retry_budget(seed: int = 0,
         "production_budget_never_fails":
             disrupted_by_budget[budgets[-1]][0] == 0,
     })
+    return result
+
+
+def run(seed: int = 0, flows: int = 3000,
+        drains: tuple = (3.0, 10.0, 40.0),
+        budgets: tuple = (0, 1, 10)) -> ExperimentResult:
+    """Composite runner: the three ablations, prefixed a_/b_/c_."""
+    result = ExperimentResult(name="ablations: LRU table, drain length, "
+                                   "PPR retry budget",
+                              params={"seed": seed})
+    result.absorb(run_lru_ablation(seed=seed, flows=flows), "a_")
+    result.absorb(run_drain_duration_sweep(seed=seed, drains=drains), "b_")
+    result.absorb(run_ppr_retry_budget(seed=seed, budgets=budgets), "c_")
     return result

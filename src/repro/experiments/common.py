@@ -68,6 +68,13 @@ class ExperimentResult:
     def all_claims_hold(self) -> bool:
         return all(self.claims.values())
 
+    def absorb(self, part: "ExperimentResult", prefix: str) -> None:
+        """Fold one arm of a composite run in, keys prefixed."""
+        for name in ("scalars", "claims", "series"):
+            getattr(self, name).update(
+                (prefix + key, value)
+                for key, value in getattr(part, name).items())
+
 
 def build_deployment(seed: int = 0,
                      edge_proxies: int = 4,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from ..clients.mqtt import MqttWorkloadConfig
 from ..clients.web import WebWorkloadConfig
+from ..netsim.cpu import CpuCosts
 from ..proxygen.config import ProxygenConfig
 from ..release.orchestrator import RollingRelease, RollingReleaseConfig
 from .common import ExperimentResult, build_deployment, mean, sum_counter
@@ -96,15 +97,14 @@ def run_handshake_cpu(seed: int = 0, origin_proxies: int = 10,
     def handshake_work() -> float:
         """Work units spent (re)building connection state, excluding the
         constant background of L4 health probes."""
-        costs = dep.spec.resolved_origin_config().costs
         total = 0.0
         # Edge TLS handshakes (clients re-establishing sessions).
         total += sum_counter(dep.edge_servers, "tls_handshakes") \
-            * costs.tls_handshake
+            * CpuCosts.tls_handshake
         for host in (dep.edge_hosts + dep.origin_hosts + dep.app_hosts
                      + dep.broker_hosts):
             by_source = host.counters.with_tag_prefix("tcp_accepted_from")
-            total += costs.tcp_handshake * sum(
+            total += CpuCosts.tcp_handshake * sum(
                 count for source, count in by_source.items()
                 if "katran" not in source)
         return total
@@ -157,11 +157,6 @@ def run(seed: int = 0) -> ExperimentResult:
     handshake = run_handshake_cpu(seed=seed)
     result = ExperimentResult(name="fig03: restart implications",
                               params={"seed": seed})
-    for src, prefix in ((capacity, "a_"), (handshake, "b_")):
-        for key, value in src.scalars.items():
-            result.scalars[prefix + key] = value
-        for key, ok in src.claims.items():
-            result.claims[prefix + key] = ok
-        for key, series in src.series.items():
-            result.series[prefix + key] = series
+    result.absorb(capacity, "a_")
+    result.absorb(handshake, "b_")
     return result

@@ -256,17 +256,8 @@ class FaultInjector:
         # already fnmatch sites, so this is host_crash at region scale.
         return self._inject_host_crash(spec, record)
 
-    def _all_katrans(self) -> list:
-        deployment = self.deployment
-        getter = getattr(deployment, "all_katrans", None)
-        if getter is not None:
-            return [k for k in getter() if k is not None]
-        return [k for k in (getattr(deployment, "edge_katran", None),
-                            getattr(deployment, "origin_katran", None))
-                if k is not None]
-
     def _inject_hc_flap(self, spec, record):
-        katrans = self._all_katrans()
+        katrans = self.deployment.all_katrans()
         probability = spec.params.get("fail_probability", 0.7)
         touched: list[tuple] = []
         backends = []

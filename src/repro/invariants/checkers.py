@@ -167,18 +167,8 @@ class RequestConservationChecker(InvariantChecker):
     def finalize(self) -> None:
         self._check()
 
-    def _populations(self) -> list:
-        deployment = self.deployment
-        populations = getattr(deployment, "web_populations", None)
-        if populations is None:
-            # Duck-typed test deployments predating the multi-region
-            # aggregate view.
-            population = getattr(deployment, "web_clients", None)
-            populations = [] if population is None else [population]
-        return populations
-
     def _check(self) -> None:
-        for population in self._populations():
+        for population in self.deployment.web_populations:
             counters = population.counters
             for kind, started_name, extra in (
                     ("get", "get_started", "request_conn_reset"),
@@ -428,18 +418,6 @@ class LbRoutingGuaranteeChecker(InvariantChecker):
 
     name = "lb-routing-guarantee"
 
-    def _katrans(self):
-        deployment = self.deployment
-        getter = getattr(deployment, "all_katrans", None)
-        if getter is not None:
-            yield from (k for k in getter() if k is not None)
-            return
-        # Duck-typed deployments without the aggregate view.
-        for attr in ("edge_katran", "origin_katran"):
-            katran = getattr(deployment, attr, None)
-            if katran is not None:
-                yield katran
-
     def sample(self) -> None:
         self._check()
 
@@ -447,7 +425,7 @@ class LbRoutingGuaranteeChecker(InvariantChecker):
         self._check()
 
     def _check(self) -> None:
-        for katran in self._katrans():
+        for katran in self.deployment.all_katrans():
             router = katran.router
             for message in router.check_invariants():
                 self.violation(
@@ -501,7 +479,7 @@ class AutoscalerDisciplineChecker(InvariantChecker):
         self._check_bounds()
 
     def _check_bounds(self) -> None:
-        for scaler in getattr(self.deployment, "autoscalers", []) or []:
+        for scaler in self.deployment.autoscalers:
             size = scaler.adapter.size()
             config = scaler.config
             if not config.min_size <= size <= config.max_size:
@@ -676,7 +654,7 @@ class CohortConservationChecker(InvariantChecker):
         self._check()
 
     def _check(self) -> None:
-        cohort_set = getattr(self.deployment, "cohort_set", None)
+        cohort_set = self.deployment.cohort_set
         if cohort_set is None:
             return
         totals: dict[str, dict[str, int]] = {}

@@ -28,6 +28,9 @@ from .routers import ROUTER_SCHEMES, FlowRouter, make_router
 
 __all__ = ["Katran", "KatranConfig", "BackendState"]
 
+#: Virtual nodes per backend on the consistent-hash ring.
+HASH_REPLICAS = 50
+
 
 @dataclass
 class KatranConfig:
@@ -39,12 +42,10 @@ class KatranConfig:
     down_threshold: int = 2
     #: Consecutive probe successes before it re-joins.
     up_threshold: int = 1
-    use_lru: bool = True
     lru_capacity: int = 100_000
-    hash_replicas: int = 50
-    #: Routing policy (see repro.lb.routers.ROUTER_SCHEMES).  None keeps
-    #: the historical behaviour: "lru" when use_lru else "stateless".
-    lb_scheme: Optional[str] = None
+    #: Routing policy (see repro.lb.routers.ROUTER_SCHEMES); the default
+    #: is the paper's §5.1 bounded-LRU hybrid.
+    lb_scheme: str = "lru"
     #: Idle expiry for per-flow state (stateful table entries, Concury
     #: version stamps).
     flow_ttl: float = 60.0
@@ -52,13 +53,10 @@ class KatranConfig:
     concury_max_versions: int = 8
 
     def resolved_scheme(self) -> str:
-        scheme = self.lb_scheme
-        if scheme is None:
-            return "lru" if self.use_lru else "stateless"
-        if scheme not in ROUTER_SCHEMES:
-            raise ValueError(f"unknown lb scheme {scheme!r}; "
+        if self.lb_scheme not in ROUTER_SCHEMES:
+            raise ValueError(f"unknown lb scheme {self.lb_scheme!r}; "
                              f"available: {ROUTER_SCHEMES}")
-        return scheme
+        return self.lb_scheme
 
 
 class BackendState:
@@ -98,7 +96,7 @@ class Katran:
         self.hc_port = hc_port
         self.counters = host.metrics.scoped_counters(f"{name}@{host.name}")
         ring: ConsistentHashRing[str] = ConsistentHashRing(
-            replicas=self.config.hash_replicas,
+            replicas=HASH_REPLICAS,
             salt=host.reuseport_salt)
         self.router: FlowRouter = make_router(
             self.config.resolved_scheme(), ring,

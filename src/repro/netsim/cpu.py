@@ -16,7 +16,7 @@ __all__ = ["CpuModel", "CpuCosts"]
 
 
 class CpuCosts:
-    """Work-unit prices for common operations (tunable per experiment).
+    """Work-unit prices for common operations: one shared table.
 
     Calibration anchor: one work unit ≈ the cost of serving one plain
     HTTP request, and a TLS handshake costs several times that — which
@@ -24,27 +24,16 @@ class CpuCosts:
     restarting burns ~20% of app-tier CPU on state rebuild).
     """
 
-    def __init__(self,
-                 http_request: float = 1.0,
-                 tcp_handshake: float = 0.4,
-                 tls_handshake: float = 4.0,
-                 relay_message: float = 0.08,
-                 mqtt_publish: float = 0.15,
-                 udp_packet: float = 0.05,
-                 post_byte: float = 2e-6,
-                 health_check: float = 0.02,
-                 process_spawn: float = 50.0,
-                 cache_priming: float = 400.0):
-        self.http_request = http_request
-        self.tcp_handshake = tcp_handshake
-        self.tls_handshake = tls_handshake
-        self.relay_message = relay_message
-        self.mqtt_publish = mqtt_publish
-        self.udp_packet = udp_packet
-        self.post_byte = post_byte
-        self.health_check = health_check
-        self.process_spawn = process_spawn
-        self.cache_priming = cache_priming
+    http_request = 1.0
+    tcp_handshake = 0.4
+    tls_handshake = 4.0
+    relay_message = 0.08
+    mqtt_publish = 0.15
+    udp_packet = 0.05
+    post_byte = 2e-6
+    health_check = 0.02
+    process_spawn = 50.0
+    cache_priming = 400.0
 
 
 class CpuModel:
@@ -62,10 +51,6 @@ class CpuModel:
         self.tracker = tracker or UtilizationTracker(
             bucket_width, capacity=cores)
         self.total_busy_seconds = 0.0
-
-    @property
-    def capacity_units_per_second(self) -> float:
-        return self.cores * self.speed
 
     def execute(self, work_units: float):
         """Generator: occupy one core for ``work_units / speed`` seconds.

@@ -8,16 +8,12 @@ delay and experiments can count bandwidth.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from .addresses import FourTuple
 
 __all__ = ["Datagram", "StreamMessage", "ControlType", "StreamControl"]
-
-_ids = itertools.count(1)
-
 
 @dataclass
 class Datagram:
@@ -28,7 +24,6 @@ class Datagram:
     size: int = 100
     #: Optional connection id (QUIC-style) readable by user-space routers.
     connection_id: Optional[int] = None
-    id: int = field(default_factory=lambda: next(_ids))
 
 
 @dataclass
@@ -37,7 +32,6 @@ class StreamMessage:
 
     payload: Any
     size: int = 100
-    id: int = field(default_factory=lambda: next(_ids))
 
 
 class ControlType:
@@ -52,4 +46,3 @@ class StreamControl:
     """A FIN or RST delivered in-order on a connection's receive queue."""
 
     kind: str
-    id: int = field(default_factory=lambda: next(_ids))

@@ -8,7 +8,6 @@ blocking calls (``yield sock.recv()``).
 
 from __future__ import annotations
 
-import itertools
 from typing import TYPE_CHECKING, Any, Optional
 
 from ..simkernel.resources import Store, StoreGetEvent
@@ -21,8 +20,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .process import SimProcess
 
 __all__ = ["TcpListenSocket", "TcpConnection", "TcpEndpoint", "UdpSocket"]
-
-_conn_ids = itertools.count(1)
 
 
 class TcpListenSocket:
@@ -88,7 +85,6 @@ class TcpConnection:
 
     def __init__(self, flow: FourTuple, client: "TcpEndpoint",
                  server: "TcpEndpoint"):
-        self.id = next(_conn_ids)
         self.flow = flow
         self.client = client
         self.server = server

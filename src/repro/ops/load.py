@@ -20,7 +20,7 @@ Shapes:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 __all__ = ["LOAD_SHAPE_KINDS", "LoadShape", "LoadShapeConfig",
@@ -288,9 +288,3 @@ def named_load_shape(name: str, horizon: float = 60.0) -> LoadShapeConfig:
             resolution=max(0.5, horizon / 60.0))
     raise ValueError(f"unknown load shape {name!r}; "
                      f"available: {LOAD_SHAPE_KINDS}")
-
-
-def scaled_to(config: LoadShapeConfig, horizon: float) -> LoadShapeConfig:
-    """``config`` with its timings re-derived for ``horizon`` (fuzz)."""
-    return replace(named_load_shape(config.kind, horizon),
-                   base_scale=config.base_scale)

@@ -25,14 +25,9 @@ __all__ = ["ID_ALLOCATORS", "full_snapshot", "reset_id_allocators"]
 #: (module, attribute, start) for every module-global ID allocator.
 ID_ALLOCATORS = [
     ("repro.protocols.http", "_request_ids", 1),
-    ("repro.protocols.tls", "_ids", 1),
     ("repro.protocols.quic", "_cid_counter", 0x1000),
     ("repro.protocols.quic", "_packet_numbers", 1),
-    ("repro.protocols.http2", "_frame_ids", 1),
-    ("repro.protocols.mqtt", "_packet_ids", 1),
     ("repro.netsim.process", "_pids", 100),
-    ("repro.netsim.sockets", "_conn_ids", 1),
-    ("repro.netsim.packet", "_ids", 1),
 ]
 
 

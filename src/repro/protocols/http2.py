@@ -10,8 +10,7 @@ Option-3).
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Optional
 
 from ..simkernel.resources import Store
@@ -41,9 +40,6 @@ class FrameType:
     PING = "PING"
 
 
-_frame_ids = itertools.count(1)
-
-
 @dataclass
 class H2Frame:
     """One HTTP/2 frame (simplified)."""
@@ -53,7 +49,6 @@ class H2Frame:
     payload: Any = None
     end_stream: bool = False
     size: int = 64
-    id: int = field(default_factory=lambda: next(_frame_ids))
 
 
 class H2Stream:

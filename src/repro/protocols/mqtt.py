@@ -18,7 +18,6 @@ infrastructure tiers* (not visible to end users):
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -33,9 +32,6 @@ MQTT_CONNECT_SIZE = 120
 MQTT_PUBLISH_BASE_SIZE = 60
 MQTT_PING_SIZE = 16
 
-_packet_ids = itertools.count(1)
-
-
 @dataclass
 class MqttConnect:
     """CONNECT from an end-user client; ``user_id`` is the globally
@@ -44,7 +40,6 @@ class MqttConnect:
     user_id: int
     client_id: str = ""
     clean_session: bool = False
-    id: int = field(default_factory=lambda: next(_packet_ids))
     #: Trace context (a ``repro.trace.Span``) carried tier to tier so
     #: tunnel spans parent under the client session span.
     trace: Any = field(default=None, repr=False, compare=False)
@@ -56,7 +51,6 @@ class MqttConnAck:
 
     user_id: int
     session_present: bool = False
-    id: int = field(default_factory=lambda: next(_packet_ids))
 
 
 @dataclass
@@ -67,25 +61,21 @@ class MqttPublish:
     topic: str
     seq: int
     size: int = MQTT_PUBLISH_BASE_SIZE
-    id: int = field(default_factory=lambda: next(_packet_ids))
 
 
 @dataclass
 class MqttPingReq:
     user_id: int
-    id: int = field(default_factory=lambda: next(_packet_ids))
 
 
 @dataclass
 class MqttPingResp:
     user_id: int
-    id: int = field(default_factory=lambda: next(_packet_ids))
 
 
 @dataclass
 class MqttDisconnect:
     user_id: int
-    id: int = field(default_factory=lambda: next(_packet_ids))
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +87,6 @@ class ReconnectSolicitation:
     """Origin proxy → Edge proxy: "I am restarting; re-home tunnels"."""
 
     origin_instance: str
-    id: int = field(default_factory=lambda: next(_packet_ids))
 
 
 @dataclass
@@ -105,7 +94,6 @@ class ReConnect:
     """Edge proxy → Origin tier: splice this user to its broker."""
 
     user_id: int
-    id: int = field(default_factory=lambda: next(_packet_ids))
     #: Trace context of the tunnel being rehomed (DCR §4.2).
     trace: Any = field(default=None, repr=False, compare=False)
 
@@ -115,7 +103,6 @@ class ConnectAck:
     """Broker accepted the re-connect: session context found."""
 
     user_id: int
-    id: int = field(default_factory=lambda: next(_packet_ids))
 
 
 @dataclass
@@ -124,4 +111,3 @@ class ConnectRefuse:
 
     user_id: int
     reason: str = "no_session"
-    id: int = field(default_factory=lambda: next(_packet_ids))

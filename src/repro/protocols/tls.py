@@ -15,12 +15,13 @@ on both peers.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from ..netsim.cpu import CpuCosts
+
 if TYPE_CHECKING:  # pragma: no cover
-    from ..netsim.cpu import CpuCosts, CpuModel
+    from ..netsim.cpu import CpuModel
     from ..netsim.sockets import TcpEndpoint
 
 __all__ = ["TlsClientHello", "TlsServerDone", "client_handshake",
@@ -29,26 +30,20 @@ __all__ = ["TlsClientHello", "TlsServerDone", "client_handshake",
 TLS_HELLO_SIZE = 320
 TLS_SERVER_FLIGHT_SIZE = 2800
 
-_ids = itertools.count(1)
-
-
 @dataclass
 class TlsClientHello:
     """First flight from the client."""
 
     resumption: bool = False
-    id: int = field(default_factory=lambda: next(_ids))
 
 
 @dataclass
 class TlsServerDone:
     """Server certificate + finished flight (collapsed)."""
 
-    id: int = field(default_factory=lambda: next(_ids))
-
 
 def client_handshake(conn: "TcpEndpoint", cpu: "CpuModel",
-                     costs: "CpuCosts", resumption: bool = False):
+                     resumption: bool = False):
     """Generator: run the client side of a TLS handshake on ``conn``.
 
     Sends ClientHello, burns client-side CPU, waits for the server
@@ -57,18 +52,18 @@ def client_handshake(conn: "TcpEndpoint", cpu: "CpuModel",
     takeover inflicts on clients).
     """
     conn.send(TlsClientHello(resumption=resumption), size=TLS_HELLO_SIZE)
-    yield from cpu.execute(costs.tls_handshake * 0.25)
+    yield from cpu.execute(CpuCosts.tls_handshake * 0.25)
     reply = yield conn.recv()
     return reply
 
 
 def server_handle_hello(hello: TlsClientHello, conn: "TcpEndpoint",
-                        cpu: "CpuModel", costs: "CpuCosts"):
+                        cpu: "CpuModel"):
     """Generator: server side — burn CPU, reply with the server flight.
 
     A resumed session costs ~1/10 of a full handshake.
     """
     factor = 0.1 if hello.resumption else 1.0
-    yield from cpu.execute(costs.tls_handshake * factor)
+    yield from cpu.execute(CpuCosts.tls_handshake * factor)
     if conn.alive:
         conn.send(TlsServerDone(), size=TLS_SERVER_FLIGHT_SIZE)

@@ -3,10 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from ..netsim.addresses import Endpoint, Protocol, VIP
-from ..netsim.cpu import CpuCosts
 from ..resilience.config import ResilienceConfig
 
 __all__ = ["ProxygenConfig", "default_vips"]
@@ -37,8 +35,6 @@ class ProxygenConfig:
     #: Seconds the old instance keeps serving existing connections
     #: (production: 20 minutes; experiments usually scale this down).
     drain_duration: float = 60.0
-    #: SO_REUSEPORT ring size per UDP VIP (worker sockets).
-    udp_sockets_per_vip: int = 4
     #: Socket Takeover on restart (False = HardRestart semantics).
     enable_takeover: bool = True
     #: Pass UDP FDs during takeover (False reproduces ring flux).
@@ -58,18 +54,11 @@ class ProxygenConfig:
     takeover_handshake_timeout: float = 30.0
     #: Seconds a cold process needs before it can bind (config load etc).
     spawn_delay: float = 2.0
-    #: CPU model prices.
-    costs: CpuCosts = field(default_factory=CpuCosts)
     #: Model memory footprint of one instance, and per connection.
     base_memory: float = 100.0
     memory_per_connection: float = 0.02
     #: Timeout a proxy waits on an upstream before failing a request.
     upstream_timeout: float = 15.0
-    #: Timeout on the Edge→Origin TCP dial itself.  A blackholed backend
-    #: (WAN partition, dead region) never refuses — without this bound
-    #: the dial would hang forever and the cross-region fallback tier
-    #: could never kick in.
-    upstream_dial_timeout: float = 5.0
     #: How many app servers a POST replay may try (§4.4: 10 in prod).
     ppr_max_retries: int = 10
     #: Local UDP port base for the user-space forwarding channel.
@@ -90,9 +79,5 @@ class ProxygenConfig:
             raise ValueError(f"bad mode {self.mode!r}")
         if self.drain_duration < 0 or self.spawn_delay < 0:
             raise ValueError("durations must be non-negative")
-        if self.udp_sockets_per_vip <= 0:
-            raise ValueError("need at least one UDP socket per VIP")
         if self.takeover_handshake_timeout <= 0:
             raise ValueError("takeover_handshake_timeout must be positive")
-        if self.upstream_dial_timeout <= 0:
-            raise ValueError("upstream_dial_timeout must be positive")

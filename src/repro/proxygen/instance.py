@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING, Optional
 
 from ..appserver.pool import UpstreamConnectionPool
 from ..netsim.addresses import Endpoint, Protocol
+from ..netsim.cpu import CpuCosts
 from ..netsim.errors import (
     ConnectionRefusedSim,
     ConnectionResetSim,
@@ -52,7 +53,13 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..netsim.sockets import TcpEndpoint, TcpListenSocket, UdpSocket
     from .server import ProxygenServer
 
-__all__ = ["ProxygenInstance"]
+__all__ = ["ProxygenInstance", "UDP_SOCKETS_PER_VIP"]
+
+#: SO_REUSEPORT ring size per UDP VIP (worker sockets).
+UDP_SOCKETS_PER_VIP = 4
+#: Total attempts an Origin makes per short request: the first try plus
+#: failover picks (budgeted and backed off under the resilience plane).
+SHORT_REQUEST_ATTEMPTS = 3
 
 
 class ProxygenInstance:
@@ -201,7 +208,7 @@ class ProxygenInstance:
     def _spawn_costs(self):
         """Process spawn: config load wall time + CPU burn (Fig 17's
         initial spike — the machine is busier while two instances run)."""
-        self.host.cpu.background(self.config.costs.process_spawn)
+        self.host.cpu.background(CpuCosts.process_spawn)
         yield self.host.env.timeout(self.config.spawn_delay)
 
     def _bind_all_fresh(self) -> None:
@@ -217,7 +224,7 @@ class ProxygenInstance:
         for vip in self.server.vips:
             if vip.protocol == Protocol.UDP:
                 sockets = []
-                for _ in range(self.config.udp_sockets_per_vip):
+                for _ in range(UDP_SOCKETS_PER_VIP):
                     _, sock = kernel.udp_bind(
                         self.process, vip.endpoint, reuseport=True)
                     sockets.append(sock)
@@ -337,12 +344,11 @@ class ProxygenInstance:
                 self.process.run(self._serve_origin_conn(conn))
 
     def _accept_costs(self):
-        yield from self.host.cpu.execute(self.config.costs.tcp_handshake)
+        yield from self.host.cpu.execute(CpuCosts.tcp_handshake)
 
     # -- edge ------------------------------------------------------------
 
     def _serve_edge_conn(self, conn: "TcpEndpoint"):
-        costs = self.config.costs
         yield from self._accept_costs()
         while conn.alive:
             item = yield conn.recv()
@@ -350,8 +356,7 @@ class ProxygenInstance:
                 return
             payload = item.payload
             if isinstance(payload, TlsClientHello):
-                yield from server_handle_hello(
-                    payload, conn, self.host.cpu, costs)
+                yield from server_handle_hello(payload, conn, self.host.cpu)
                 self._c_tls.inc()
             elif isinstance(payload, HttpRequest):
                 yield from self._edge_http(conn, payload)
@@ -384,15 +389,14 @@ class ProxygenInstance:
 
     def _edge_http_body(self, conn: "TcpEndpoint", request: HttpRequest):
         env = self.host.env
-        costs = self.config.costs
         self._c_rps.inc()
         self.host.metrics.series(f"rps/{self.server.name}").record(env.now)
         span = self._hop_span(request, "edge.http")
-        yield from self.host.cpu.execute(costs.relay_message)
+        yield from self.host.cpu.execute(CpuCosts.relay_message)
 
         if request.headers.get("cacheable") == "1":
             # Served from the edge cache (Direct Server Return, §2.2).
-            yield from self.host.cpu.execute(costs.http_request * 0.5)
+            yield from self.host.cpu.execute(CpuCosts.http_request * 0.5)
             if conn.alive:
                 response_size = 4000
                 conn.send(HttpResponse(STATUS_OK, request.id),
@@ -430,7 +434,7 @@ class ProxygenInstance:
                 # A spliced bulk chunk stands for ``chunk.chunks`` wire
                 # frames (repro.splice) — fold their relay cost exactly.
                 yield from self.host.cpu.execute(
-                    costs.relay_message * chunk.chunks)
+                    CpuCosts.relay_message * chunk.chunks)
                 try:
                     stream.send(chunk, size=chunk.data_size,
                                 end_stream=chunk.is_last)
@@ -563,14 +567,12 @@ class ProxygenInstance:
         plane = self.resilience
         pool = self.context.app_pool
         span = self._hop_span(request, "origin.short")
-        yield from self.host.cpu.execute(self.config.costs.relay_message)
+        yield from self.host.cpu.execute(CpuCosts.relay_message)
         if plane is not None:
             plane.note_request()
-        attempts = (plane.config.retry_max_attempts
-                    if plane is not None else 3)
         exclude: tuple[str, ...] = ()
         last_shed = None
-        for attempt in range(attempts):
+        for attempt in range(SHORT_REQUEST_ATTEMPTS):
             if attempt > 0 and plane is not None:
                 if not plane.spend_retry():
                     if span is not None:
@@ -664,8 +666,7 @@ class ProxygenInstance:
                 return "send_fail", None, None
 
         timeout = self.config.upstream_timeout
-        hedge_wanted = (plane is not None and plane.config.hedge_enabled
-                        and not request.streaming
+        hedge_wanted = (plane is not None and not request.streaming
                         and plane.config.hedge_delay < timeout)
         if hedge_wanted:
             outcome = yield from with_timeout(
@@ -816,12 +817,11 @@ class ProxygenInstance:
     def _origin_post(self, stream, request: HttpRequest):
         """Forward a streaming POST with Partial Post Replay (§4.3)."""
         env = self.host.env
-        costs = self.config.costs
         plane = self.resilience
         pool = self.context.app_pool
         span = self._hop_span(request, "origin.post")
         self.counters.inc("post_started")
-        yield from self.host.cpu.execute(costs.relay_message)
+        yield from self.host.cpu.execute(CpuCosts.relay_message)
         if plane is not None:
             plane.note_request()
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
+from ..netsim.cpu import CpuCosts
 from ..netsim.errors import (
     ConnectionRefusedSim,
     ConnectionResetSim,
@@ -79,7 +80,6 @@ class EdgeMqttTunnel:
         """Generator (runs in the connection's serve task): relay
         messages from the end user toward the broker."""
         instance = self.instance
-        costs = instance.config.costs
         governor = instance.host.metrics.splice
         while self.client_conn.alive and not self.closed:
             item = yield self.client_conn.recv()
@@ -91,11 +91,10 @@ class EdgeMqttTunnel:
             # mechanism window is open, relayed messages skip the
             # userspace CPU round trip — the kernel-splice framing of
             # §4.1.  Counters below are untouched either way.
-            if (governor is not None and governor.engaged
-                    and governor.config.tunnel_fastpath):
+            if governor is not None and governor.engaged:
                 governor.relay_fastpath += 1
             else:
-                yield from instance.host.cpu.execute(costs.relay_message)
+                yield from instance.host.cpu.execute(CpuCosts.relay_message)
             if self.stream is None or self.stream.reset or self.closed:
                 instance.counters.inc("mqtt_upstream_drop")
                 continue
@@ -113,7 +112,6 @@ class EdgeMqttTunnel:
 
     def _downstream_loop(self):
         instance = self.instance
-        costs = instance.config.costs
         governor = instance.host.metrics.splice
         while not self.closed:
             stream = self.stream
@@ -133,11 +131,10 @@ class EdgeMqttTunnel:
                     continue
                 # Without DCR support, ignore: the drain will kill us.
                 continue
-            if (governor is not None and governor.engaged
-                    and governor.config.tunnel_fastpath):
+            if governor is not None and governor.engaged:
                 governor.relay_fastpath += 1
             else:
-                yield from instance.host.cpu.execute(costs.relay_message)
+                yield from instance.host.cpu.execute(CpuCosts.relay_message)
             if not self.client_conn.alive:
                 self._teardown()
                 return
@@ -353,7 +350,6 @@ class OriginMqttTunnel:
     def _from_edge_loop(self):
         """Edge stream → broker conn (runs in the stream's serve task)."""
         instance = self.instance
-        costs = instance.config.costs
         governor = instance.host.metrics.splice
         while not self.closed:
             frame = yield self.stream.recv()
@@ -361,11 +357,10 @@ class OriginMqttTunnel:
                 self._teardown(close_broker=True)
                 return
             message = frame.payload
-            if (governor is not None and governor.engaged
-                    and governor.config.tunnel_fastpath):
+            if governor is not None and governor.engaged:
                 governor.relay_fastpath += 1
             else:
-                yield from instance.host.cpu.execute(costs.relay_message)
+                yield from instance.host.cpu.execute(CpuCosts.relay_message)
             if isinstance(message, MqttDisconnect) and frame.end_stream:
                 # Graceful hand-off (DCR re-home away from us) or client
                 # disconnect: stop relaying, release the broker conn.
@@ -381,7 +376,6 @@ class OriginMqttTunnel:
     def _from_broker_loop(self):
         """Broker conn → edge stream."""
         instance = self.instance
-        costs = instance.config.costs
         governor = instance.host.metrics.splice
         while not self.closed:
             item = yield self.broker_conn.recv()
@@ -391,11 +385,10 @@ class OriginMqttTunnel:
                 self._teardown(close_broker=False)
                 return
             message = item.payload
-            if (governor is not None and governor.engaged
-                    and governor.config.tunnel_fastpath):
+            if governor is not None and governor.engaged:
                 governor.relay_fastpath += 1
             else:
-                yield from instance.host.cpu.execute(costs.relay_message)
+                yield from instance.host.cpu.execute(CpuCosts.relay_message)
             if self.stream.reset or self.closed:
                 instance.counters.inc("mqtt_edge_drop")
                 continue

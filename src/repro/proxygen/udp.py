@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from ..netsim.addresses import Endpoint
+from ..netsim.cpu import CpuCosts
 from ..netsim.packet import Datagram
 from ..protocols.quic import QuicConnectionState, QuicPacket
 
@@ -85,7 +86,7 @@ class QuicService:
             packet = payload
         if not isinstance(packet, QuicPacket):
             return
-        yield from instance.host.cpu.execute(instance.config.costs.udp_packet)
+        yield from instance.host.cpu.execute(CpuCosts.udp_packet)
 
         states = instance.quic_states
         if states.owns(packet.connection_id):

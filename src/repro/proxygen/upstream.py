@@ -27,6 +27,12 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["UpstreamPool", "UpstreamUnavailable"]
 
+#: Timeout on the Edge→Origin TCP dial itself.  A blackholed backend
+#: (WAN partition, dead region) never refuses — without this bound the
+#: dial would hang forever and the cross-region fallback tier could
+#: never kick in.
+DIAL_TIMEOUT = 5.0
+
 
 class UpstreamUnavailable(Exception):
     """No Origin backend reachable right now."""
@@ -39,15 +45,12 @@ class UpstreamPool:
                  origin_vip: Endpoint,
                  origin_router: Callable[[FourTuple], Optional[str]],
                  dial_retries: int = 3,
-                 resilience: Optional["ResiliencePlane"] = None,
-                 dial_timeout: Optional[float] = None):
+                 resilience: Optional["ResiliencePlane"] = None):
         self.instance = instance
         self.origin_vip = origin_vip
         self.origin_router = origin_router
         self.dial_retries = dial_retries
         self.resilience = resilience
-        self.dial_timeout = (dial_timeout if dial_timeout is not None
-                             else instance.config.upstream_dial_timeout)
         # Cross-region fallback routers expose dial-outcome feedback;
         # plain katran routes don't — degrade to no-ops.
         self._note_failure = getattr(origin_router, "note_failure", None)
@@ -111,7 +114,7 @@ class UpstreamPool:
             attempt = host.kernel.tcp_connect(
                 instance.process, self.origin_vip, via_ip=backend_ip)
             outcome = yield from with_timeout(
-                host.env, attempt, self.dial_timeout)
+                host.env, attempt, DIAL_TIMEOUT)
         except ConnectionRefusedSim:
             instance.counters.inc("upstream_dial_refused")
             instance.counters.inc("upstream_dial_attempt", tag="refused")

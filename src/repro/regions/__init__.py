@@ -18,11 +18,10 @@ latency matrix, with:
 from .anycast import AnycastResolver, RegionTarget
 from .evacuate import EvacuationReport, evacuate_region, release_all_pops
 from .routing import FallbackOriginRouter
-from .spec import AnycastConfig, RegionalSpec, WanConfig
+from .spec import RegionalSpec
 from .topology import Region, RegionPoP, RegionalDeployment
 
 __all__ = [
-    "AnycastConfig",
     "AnycastResolver",
     "EvacuationReport",
     "FallbackOriginRouter",
@@ -31,7 +30,6 @@ __all__ = [
     "RegionTarget",
     "RegionalDeployment",
     "RegionalSpec",
-    "WanConfig",
     "evacuate_region",
     "release_all_pops",
 ]

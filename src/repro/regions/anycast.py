@@ -24,9 +24,19 @@ from ..netsim.host import Host
 from ..netsim.proc_utils import TIMED_OUT, with_timeout
 from ..resilience.config import ResilienceConfig
 from ..resilience.retry import BackoffPolicy
-from .spec import AnycastConfig
 
 __all__ = ["AnycastResolver", "RegionTarget"]
+
+# Health probing of each region from a resolver's vantage point.
+PROBE_INTERVAL = 1.0
+PROBE_TIMEOUT = 0.5
+#: Consecutive probe failures before a region is marked down, and
+#: consecutive successes before it is marked up again.
+DOWN_THRESHOLD = 2
+UP_THRESHOLD = 1
+#: Multiplicative jitter on every probe wait (desynchronizes the
+#: fleet's resolvers).
+PROBE_JITTER = 0.2
 
 
 class RegionTarget:
@@ -53,13 +63,11 @@ class AnycastResolver:
     """
 
     def __init__(self, host: Host, vip: Endpoint,
-                 config: Optional[AnycastConfig] = None,
                  resilience: Optional[ResilienceConfig] = None,
                  failover: bool = True,
                  name: str = "anycast-resolver"):
         self.host = host
         self.vip = vip
-        self.config = config or AnycastConfig()
         self.failover = failover
         self.name = name
         self.counters = host.metrics.scoped_counters(name)
@@ -121,23 +129,22 @@ class AnycastResolver:
 
     def _monitor(self, target: RegionTarget):
         env = self.host.env
-        config = self.config
         # Desynchronize the per-target probe loops.
-        yield env.timeout(self.rng.uniform(0.0, config.probe_interval))
+        yield env.timeout(self.rng.uniform(0.0, PROBE_INTERVAL))
         attempt = 0
         while self.process.alive:
             ok = yield from self._probe(target)
             self._mark(target, ok)
             if ok:
                 attempt = 0
-                delay = config.probe_interval
+                delay = PROBE_INTERVAL
             else:
                 # Down region: jittered exponential backoff between
                 # re-probes (the resilience plane's pricing).
                 attempt += 1
-                delay = config.probe_interval + self.backoff.delay(attempt)
+                delay = PROBE_INTERVAL + self.backoff.delay(attempt)
             yield env.timeout(
-                delay * (1.0 + self.rng.uniform(0.0, config.jitter)))
+                delay * (1.0 + self.rng.uniform(0.0, PROBE_JITTER)))
 
     def _probe(self, target: RegionTarget):
         """One TCP health probe into the region from our vantage point."""
@@ -152,7 +159,7 @@ class AnycastResolver:
             attempt = self.host.kernel.tcp_connect(
                 self.process, self.vip, via_ip=backend_ip)
             outcome = yield from with_timeout(
-                self.host.env, attempt, self.config.probe_timeout)
+                self.host.env, attempt, PROBE_TIMEOUT)
         except ConnectionRefusedSim:
             return False
         if outcome is TIMED_OUT or outcome is None:
@@ -169,18 +176,17 @@ class AnycastResolver:
         return True
 
     def _mark(self, target: RegionTarget, ok: bool) -> None:
-        config = self.config
         if ok:
             target.ok_streak += 1
             target.fail_streak = 0
             if (not target.healthy
-                    and target.ok_streak >= config.up_threshold):
+                    and target.ok_streak >= UP_THRESHOLD):
                 target.healthy = True
                 self.counters.inc("region_up", tag=target.region_name)
         else:
             target.fail_streak += 1
             target.ok_streak = 0
             if (target.healthy
-                    and target.fail_streak >= config.down_threshold):
+                    and target.fail_streak >= DOWN_THRESHOLD):
                 target.healthy = False
                 self.counters.inc("region_down", tag=target.region_name)

@@ -2,77 +2,48 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from ..appserver.brokers import BrokerConfig
-from ..appserver.config import AppServerConfig
 from ..clients.mqtt import MqttWorkloadConfig
 from ..clients.web import WebWorkloadConfig
 from ..cluster.spec import TierConfigs
-from ..lb.katran import KatranConfig
 from ..netsim.network import LinkProfile
-from ..proxygen.config import ProxygenConfig
 
-__all__ = ["AnycastConfig", "RegionalSpec", "WanConfig"]
+__all__ = ["RegionalSpec", "wan_distance", "wan_latency", "wan_profile",
+           "WAN_BANDWIDTH", "WAN_JITTER"]
 
-
-@dataclass(frozen=True)
-class WanConfig:
-    """Inter-region WAN geometry: a ring of regions, latency by hops.
-
-    Region *i* and *j* sit ``d = min(|i-j|, n-|i-j|)`` hops apart; the
-    one-way latency between their sites is ``base_latency +
-    hop_latency*d``.  This gives every client a deterministic nearest-
-    region order — the anycast map — purely from the topology.
-    """
-
-    base_latency: float = 0.035
-    hop_latency: float = 0.030
-    jitter: float = 0.004
-    bandwidth: float = 1.25e9
-
-    def distance(self, i: int, j: int, regions: int) -> int:
-        if regions <= 1:
-            return abs(i - j)
-        around = abs(i - j)
-        return min(around, regions - around)
-
-    def latency(self, hops: int) -> float:
-        return self.base_latency + self.hop_latency * hops
-
-    def profile(self, hops: int) -> LinkProfile:
-        return LinkProfile(latency=self.latency(hops), jitter=self.jitter,
-                           bandwidth=self.bandwidth)
+# Inter-region WAN geometry: a ring of regions, latency by hops.  This
+# gives every client a deterministic nearest-region order — the anycast
+# map — purely from the topology.
+WAN_BASE_LATENCY = 0.035
+WAN_HOP_LATENCY = 0.030
+WAN_JITTER = 0.004
+WAN_BANDWIDTH = 1.25e9
 
 
-@dataclass(frozen=True)
-class AnycastConfig:
-    """Health probing knobs for the client-side anycast resolvers."""
+def wan_distance(i: int, j: int, regions: int) -> int:
+    """Hops between regions *i* and *j*: ``min(|i-j|, n-|i-j|)``."""
+    if regions <= 1:
+        return abs(i - j)
+    around = abs(i - j)
+    return min(around, regions - around)
 
-    probe_interval: float = 1.0
-    probe_timeout: float = 0.5
-    #: Consecutive probe failures before a region is marked down.
-    down_threshold: int = 2
-    #: Consecutive probe successes before it is marked up again.
-    up_threshold: int = 1
-    #: Multiplicative jitter on every probe wait (desynchronizes the
-    #: fleet's resolvers).
-    jitter: float = 0.2
 
-    def validate(self) -> None:
-        if self.probe_interval <= 0 or self.probe_timeout <= 0:
-            raise ValueError("probe interval/timeout must be positive")
-        if self.down_threshold < 1 or self.up_threshold < 1:
-            raise ValueError("thresholds must be >= 1")
+def wan_latency(hops: int) -> float:
+    """One-way latency between two Origin sites ``hops`` apart."""
+    return WAN_BASE_LATENCY + WAN_HOP_LATENCY * hops
+
+
+def wan_profile(hops: int) -> LinkProfile:
+    return LinkProfile(latency=wan_latency(hops), jitter=WAN_JITTER,
+                       bandwidth=WAN_BANDWIDTH)
 
 
 @dataclass
 class RegionalSpec(TierConfigs):
     """Everything needed to build a :class:`RegionalDeployment`."""
 
-    seed: int = 0
-    bucket_width: float = 1.0
     # -- shape -----------------------------------------------------------
     regions: int = 2
     pops_per_region: int = 1
@@ -82,22 +53,10 @@ class RegionalSpec(TierConfigs):
     origin_proxies: int = 2
     app_servers: int = 2
     brokers: int = 1
-    # -- addressing ------------------------------------------------------
-    #: One anycast VIP announced by every region's PoPs.
+    #: One anycast VIP announced by every region's PoPs.  (The shared
+    #: ``origin_vip_ip`` is served by every region's Origin proxies, so
+    #: the cross-region fallback tier can dial any of them ``via_ip``.)
     anycast_vip_ip: str = "100.64.0.1"
-    #: One origin VIP served by every region's Origin proxies (so the
-    #: cross-region fallback tier can dial any of them ``via_ip``).
-    origin_vip_ip: str = "100.64.1.1"
-    https_port: int = 443
-    mqtt_port: int = 8883
-    broker_port: int = 1883
-    # -- machines --------------------------------------------------------
-    proxy_cores: int = 4
-    proxy_core_speed: float = 20.0
-    app_cores: int = 4
-    app_core_speed: float = 25.0
-    client_cores: int = 64
-    client_core_speed: float = 1000.0
     # -- clients ---------------------------------------------------------
     web_clients_per_pop: int = 6
     mqtt_users_per_pop: int = 5
@@ -119,16 +78,6 @@ class RegionalSpec(TierConfigs):
     #: so per-site streams are required for shard-count-independent
     #: results (and only for that — default runs keep their sequences).
     partition_network_rng: bool = False
-    anycast: AnycastConfig = field(default_factory=AnycastConfig)
-    wan: WanConfig = field(default_factory=WanConfig)
-    lb_scheme: Optional[str] = None
-    load_shape: Optional[object] = None
-    # -- per-tier configs (None = defaults) ------------------------------
-    edge_config: Optional[ProxygenConfig] = None
-    origin_config: Optional[ProxygenConfig] = None
-    app_config: Optional[AppServerConfig] = None
-    broker_config: Optional[BrokerConfig] = None
-    katran_config: Optional[KatranConfig] = None
     web_workload: Optional[WebWorkloadConfig] = None
     mqtt_workload: Optional[MqttWorkloadConfig] = None
 
@@ -141,7 +90,6 @@ class RegionalSpec(TierConfigs):
             raise ValueError("need at least one proxy per tier")
         if self.l4lbs_per_pop < 1:
             raise ValueError("need at least one L4LB per PoP")
-        self.anycast.validate()
 
     def resolved_web_workload(self) -> Optional[WebWorkloadConfig]:
         if self.web_clients_per_pop <= 0:

@@ -27,7 +27,8 @@ from ..appserver.brokers import MqttBroker
 from ..appserver.hhvm import AppServer
 from ..clients.mqtt import MqttClientPopulation
 from ..clients.web import WebClientPopulation
-from ..cluster.base import Region, RegionPoP, Topology
+from ..cluster.base import (
+    CLIENT_CORE_SPEED, CLIENT_CORES, Region, RegionPoP, Topology)
 from ..faults.plan import FaultPlan
 from ..lb.consistent_hash import ConsistentHashRing
 from ..lb.ecmp import EcmpRouter
@@ -38,7 +39,9 @@ from ..proxygen.server import ProxygenServer
 from ..simkernel.core import Environment
 from .anycast import AnycastResolver
 from .routing import FallbackOriginRouter
-from .spec import RegionalSpec
+from .spec import (
+    WAN_BANDWIDTH, WAN_JITTER, RegionalSpec, wan_distance, wan_latency,
+    wan_profile)
 
 __all__ = ["Region", "RegionPoP", "RegionalDeployment"]
 
@@ -69,7 +72,6 @@ class RegionalDeployment(Topology):
 
     def _build(self) -> None:
         spec = self.spec
-        wan = spec.wan
 
         # Pass 1: every region's Origin DC (brokers, apps, proxies, LB).
         for r in range(spec.regions):
@@ -90,10 +92,10 @@ class RegionalDeployment(Topology):
         for i, region in enumerate(self.regions):
             for j in range(i + 1, len(self.regions)):
                 other = self.regions[j]
-                hops = wan.distance(i, j, spec.regions)
+                hops = wan_distance(i, j, spec.regions)
                 self.network.add_profile(region.origin_site,
                                          other.origin_site,
-                                         wan.profile(hops))
+                                         wan_profile(hops))
         for i, region in enumerate(self.regions):
             router = FallbackOriginRouter(
                 self.env, self.streams.stream(f"xregion-{region.name}"),
@@ -103,7 +105,7 @@ class RegionalDeployment(Topology):
                             [h.ip for h in region.origin_hosts])
             alternates = sorted(
                 (other for other in self.regions if other is not region),
-                key=lambda o: (wan.distance(i, o.index, spec.regions),
+                key=lambda o: (wan_distance(i, o.index, spec.regions),
                                o.name))
             for other in alternates:
                 router.add_tier(other.name, other.origin_katran.route,
@@ -124,13 +126,13 @@ class RegionalDeployment(Topology):
                 for other in self.regions:
                     if other is region:
                         continue
-                    hops = wan.distance(r, other.index, spec.regions)
+                    hops = wan_distance(r, other.index, spec.regions)
                     self.network.add_profile(
                         pop.site, other.origin_site,
                         LinkProfile(
-                            latency=EDGE_ORIGIN.latency + wan.latency(hops),
-                            jitter=EDGE_ORIGIN.jitter + wan.jitter,
-                            bandwidth=wan.bandwidth))
+                            latency=EDGE_ORIGIN.latency + wan_latency(hops),
+                            jitter=EDGE_ORIGIN.jitter + WAN_JITTER,
+                            bandwidth=WAN_BANDWIDTH))
                 for i in range(spec.proxies_per_pop):
                     self._edge_proxy(pop, f"{pop.name}-edge-proxy-{i}")
                 for k in range(spec.l4lbs_per_pop):
@@ -147,8 +149,8 @@ class RegionalDeployment(Topology):
         for r, region in enumerate(self.regions):
             for p, pop in enumerate(region.pops):
                 for other in self.regions:
-                    hops = wan.distance(r, other.index, spec.regions)
-                    extra = 0.0 if other is region else wan.latency(hops)
+                    hops = wan_distance(r, other.index, spec.regions)
+                    extra = 0.0 if other is region else wan_latency(hops)
                     for opop in other.pops:
                         profile = (WAN_CLIENT_EDGE if extra == 0.0 else
                                    LinkProfile(
@@ -160,11 +162,9 @@ class RegionalDeployment(Topology):
                                                  opop.site, profile)
                 resolver_host = self._host(f"{pop.name}-resolver",
                                            pop.client_site,
-                                           spec.client_cores,
-                                           spec.client_core_speed)
+                                           CLIENT_CORES, CLIENT_CORE_SPEED)
                 resolver = AnycastResolver(
                     resolver_host, self.anycast_https,
-                    config=spec.anycast,
                     resilience=spec.resolved_edge_config().resilience,
                     failover=spec.failover,
                     name=f"anycast-{pop.name}")
@@ -172,20 +172,20 @@ class RegionalDeployment(Topology):
                     entry = other.pops[p % len(other.pops)]
                     resolver.add_target(
                         other.name, entry.ecmp.route,
-                        wan.distance(r, other.index, spec.regions))
+                        wan_distance(r, other.index, spec.regions))
                 pop.resolver = resolver
                 if web_workload is not None:
                     host = self._host(f"{pop.name}-web-clients",
-                                      pop.client_site, spec.client_cores,
-                                      spec.client_core_speed)
+                                      pop.client_site, CLIENT_CORES,
+                                      CLIENT_CORE_SPEED)
                     pop.web_clients = WebClientPopulation(
                         [host], self.anycast_https, resolver.route,
                         self.metrics, web_workload,
                         name=f"web-clients-{pop.name}")
                 if mqtt_workload is not None:
                     host = self._host(f"{pop.name}-mqtt-clients",
-                                      pop.client_site, spec.client_cores,
-                                      spec.client_core_speed)
+                                      pop.client_site, CLIENT_CORES,
+                                      CLIENT_CORE_SPEED)
                     pop.mqtt_clients = MqttClientPopulation(
                         [host], self.anycast_mqtt, resolver.route,
                         self.metrics, mqtt_workload,

@@ -41,19 +41,21 @@ L7LB_ROOT_CAUSES = (
 )
 
 
+#: The paper's measured release cadence (Fig 2a) and commits per
+#: release (Fig 2c).
+L7LB_RELEASES_PER_WEEK = 3.2
+APP_RELEASES_PER_WEEK = 100.0
+COMMITS_MIN, COMMITS_MAX = 10, 100
+#: Peak-hours window for Proxygen releases (local time, Fig 15) and the
+#: probability a release lands inside it.
+PROXYGEN_PEAK_START, PROXYGEN_PEAK_END = 12, 17
+PROXYGEN_PEAK_MASS = 0.62
+
+
 @dataclass
 class ReleaseTraceConfig:
     weeks: int = 13               # ~3 months
     clusters: int = 10
-    l7lb_releases_per_week: float = 3.2
-    app_releases_per_week: float = 100.0
-    commits_min: int = 10
-    commits_max: int = 100
-    #: Peak-hours window for Proxygen releases (local time, Fig 15).
-    proxygen_peak_start: int = 12
-    proxygen_peak_end: int = 17
-    #: Probability a Proxygen release lands inside the peak window.
-    proxygen_peak_mass: float = 0.62
 
 
 @dataclass
@@ -126,7 +128,7 @@ class ReleaseScheduleModel:
             for week in range(config.weeks):
                 # L7LB releases: Poisson around the weekly mean.
                 for _ in range(self._poisson(
-                        rng, config.l7lb_releases_per_week)):
+                        rng, L7LB_RELEASES_PER_WEEK)):
                     trace.events.append(ReleaseEvent(
                         cluster=cluster, tier="l7lb", week=week,
                         hour_of_day=self._proxygen_hour(rng),
@@ -134,7 +136,7 @@ class ReleaseScheduleModel:
                         commits=self._commits(rng)))
                 # App tier: high-frequency, continuous cycle.
                 for _ in range(self._poisson(
-                        rng, config.app_releases_per_week)):
+                        rng, APP_RELEASES_PER_WEEK)):
                     trace.events.append(ReleaseEvent(
                         cluster=cluster, tier="appserver", week=week,
                         hour_of_day=rng.uniform(0, 24),
@@ -142,20 +144,18 @@ class ReleaseScheduleModel:
                         commits=self._commits(rng)))
         return trace
 
-    def _proxygen_hour(self, rng) -> float:
+    @staticmethod
+    def _proxygen_hour(rng) -> float:
         """Peak-hour-biased release time (Fig 15)."""
-        config = self.config
-        if rng.random() < config.proxygen_peak_mass:
-            return rng.uniform(config.proxygen_peak_start,
-                               config.proxygen_peak_end)
+        if rng.random() < PROXYGEN_PEAK_MASS:
+            return rng.uniform(PROXYGEN_PEAK_START, PROXYGEN_PEAK_END)
         # Off-peak mass skews to the working day around the peak.
         return rng.uniform(8, 23)
 
-    def _commits(self, rng) -> int:
+    @staticmethod
+    def _commits(rng) -> int:
         """Log-uniform between the paper's 10 and 100 per release."""
-        config = self.config
-        log_value = rng.uniform(math.log(config.commits_min),
-                                math.log(config.commits_max))
+        log_value = rng.uniform(math.log(COMMITS_MIN), math.log(COMMITS_MAX))
         return int(round(math.exp(log_value)))
 
     @staticmethod

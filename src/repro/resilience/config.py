@@ -64,25 +64,15 @@ class ResilienceConfig:
     breaker_half_open_successes: int = 2
 
     # -- retry budget + jittered exponential backoff ---------------------
-    #: Total attempts per request (first try + budgeted retries).
-    retry_max_attempts: int = 3
     retry_base_delay: float = 0.05
     retry_backoff_factor: float = 2.0
     retry_max_delay: float = 2.0
     #: Jitter: the actual delay is uniform in [delay*(1-j), delay*(1+j)].
     retry_jitter: float = 0.5
-    #: Token-bucket budget: each request deposits this many tokens, each
-    #: retry withdraws 1.0 — i.e. at most ~ratio retries per request in
-    #: steady state, with a small floor for bursts.
-    retry_budget_ratio: float = 0.2
-    retry_budget_floor: float = 10.0
 
     # -- hedged requests (idempotent short requests only) ----------------
-    hedge_enabled: bool = True
     #: Fire a hedge to a second backend after this long without a reply.
     hedge_delay: float = 0.5
-    #: Hedge token-bucket ratio (hedges per request).
-    hedge_budget_ratio: float = 0.05
 
     # -- admission control / load shedding -------------------------------
     #: Concurrent in-flight requests one serving process accepts.
@@ -116,20 +106,14 @@ class ResilienceConfig:
             raise ValueError("breaker_window must cover breaker_min_requests")
         if self.breaker_open_duration <= 0:
             raise ValueError("breaker_open_duration must be positive")
-        if self.retry_max_attempts < 0:
-            raise ValueError("retry_max_attempts must be >= 0")
         if self.retry_base_delay < 0 or self.retry_max_delay < 0:
             raise ValueError("retry delays must be non-negative")
         if self.retry_backoff_factor < 1:
             raise ValueError("retry_backoff_factor must be >= 1")
         if not 0 <= self.retry_jitter < 1:
             raise ValueError("retry_jitter must be in [0, 1)")
-        if self.retry_budget_ratio < 0 or self.retry_budget_floor < 0:
-            raise ValueError("retry budget must be non-negative")
         if self.hedge_delay <= 0:
             raise ValueError("hedge_delay must be positive")
-        if self.hedge_budget_ratio < 0:
-            raise ValueError("hedge_budget_ratio must be non-negative")
         if self.max_inflight < 1:
             raise ValueError("max_inflight must be >= 1")
         if not 0 < self.drain_inflight_factor <= 1:

@@ -155,10 +155,6 @@ class OutlierTracker:
         self._inc("readmission_probe")
         return False
 
-    def ejected_keys(self) -> list[str]:
-        return [key for key, stat in self.stats.items()
-                if self._currently_ejected(stat)]
-
     def note_panic_pick(self) -> None:
         """The pool had only ejected candidates and served one anyway."""
         self._inc("panic_pick")

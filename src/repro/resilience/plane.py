@@ -16,6 +16,14 @@ from .retry import BackoffPolicy, RetryBudget
 
 __all__ = ["ResiliencePlane"]
 
+#: Token-bucket budgets: each request deposits ``ratio`` tokens, each
+#: retry (or hedge) withdraws 1.0 — i.e. at most ~ratio retries per
+#: request in steady state, with a small floor for bursts.
+RETRY_BUDGET_RATIO = 0.2
+RETRY_BUDGET_FLOOR = 10.0
+HEDGE_BUDGET_RATIO = 0.05
+HEDGE_BUDGET_FLOOR = 2.0
+
 
 class ResiliencePlane:
     """Breakers + budgets + backoff + admission for one proxy machine."""
@@ -29,11 +37,9 @@ class ResiliencePlane:
         self.breakers = BreakerBoard(config, env, rng, counters)
         self.backoff = BackoffPolicy(config, rng)
         self.retry_budget = RetryBudget(
-            config.retry_budget_ratio, config.retry_budget_floor,
-            counters, name="retry")
+            RETRY_BUDGET_RATIO, RETRY_BUDGET_FLOOR, counters, name="retry")
         self.hedge_budget = RetryBudget(
-            config.hedge_budget_ratio, max(2.0, config.retry_budget_floor / 5),
-            counters, name="hedge")
+            HEDGE_BUDGET_RATIO, HEDGE_BUDGET_FLOOR, counters, name="hedge")
         self.admission = AdmissionController(config, counters)
 
     # -- convenience -----------------------------------------------------

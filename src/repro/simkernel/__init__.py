@@ -16,7 +16,7 @@ from .events import (
     SimulationError,
     Timeout,
 )
-from .resources import Container, FilterStore, Resource, Store
+from .resources import Resource, Store
 from .rng import DistributionSampler, RandomStreams
 
 __all__ = [
@@ -31,9 +31,7 @@ __all__ = [
     "AnyOf",
     "SimulationError",
     "Store",
-    "FilterStore",
     "Resource",
-    "Container",
     "RandomStreams",
     "DistributionSampler",
 ]

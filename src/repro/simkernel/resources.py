@@ -4,10 +4,7 @@ These cover all the coordination patterns the network simulation needs:
 
 * :class:`Store` — an unbounded/bounded FIFO of items (socket receive
   queues, accept queues, message mailboxes).
-* :class:`FilterStore` — a store whose consumers can wait for items
-  matching a predicate (e.g. a specific connection's packets).
 * :class:`Resource` — a counted resource with FIFO waiters (CPU cores).
-* :class:`Container` — a continuous quantity (memory bytes).
 
 Fast path
 ---------
@@ -27,13 +24,13 @@ by the reference environment gets the matching frozen implementations.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any
 
 from .core import Environment
 from .events import NORMAL, PENDING, Event, _push
 
-__all__ = ["Store", "FilterStore", "Resource", "Container", "StorePutEvent",
-           "StoreGetEvent", "ResourceRequest"]
+__all__ = ["Store", "Resource", "StorePutEvent", "StoreGetEvent",
+           "ResourceRequest"]
 
 
 class StorePutEvent(Event):
@@ -64,33 +61,24 @@ class StorePutEvent(Event):
 class StoreGetEvent(Event):
     """Event returned by :meth:`Store.get`; succeeds with the item."""
 
-    __slots__ = ("filter_fn", "_cancelled")
+    __slots__ = ("_cancelled",)
 
-    def __init__(self, store: "Store", filter_fn: Optional[Callable[[Any], bool]] = None):
+    def __init__(self, store: "Store"):
         env = store.env
         self.env = env
         self.callbacks = []
         self._defused = False
-        self.filter_fn = filter_fn
         self._cancelled = False
         if not store._get_queue and not store._put_queue:
-            # Uncontended: serve a matching item immediately if present.
+            # Uncontended: serve the next item immediately if present.
             items = store.items
-            if filter_fn is None:
-                if items:
-                    self._ok = True
-                    self._value = items.pop(0)
-                    _push(env, self, NORMAL, env._now)
-                    return
-            else:
-                for i, item in enumerate(items):
-                    if filter_fn(item):
-                        self._ok = True
-                        self._value = items.pop(i)
-                        _push(env, self, NORMAL, env._now)
-                        return
-            # No match and both queues empty: the trigger scan would be
-            # a no-op, so just park.
+            if items:
+                self._ok = True
+                self._value = items.pop(0)
+                _push(env, self, NORMAL, env._now)
+                return
+            # Empty and both queues empty: the trigger scan would be a
+            # no-op, so just park.
             self._ok = None
             self._value = PENDING
             store._get_queue.append(self)
@@ -143,15 +131,6 @@ class Store:
 
     # -- internal -----------------------------------------------------------
 
-    def _match(self, event: StoreGetEvent) -> Optional[int]:
-        """Index of the first item satisfying ``event``, or ``None``."""
-        if event.filter_fn is None:
-            return 0 if self.items else None
-        for i, item in enumerate(self.items):
-            if event.filter_fn(item):
-                return i
-        return None
-
     def _trigger(self) -> None:
         items = self.items
         capacity = self.capacity
@@ -165,36 +144,19 @@ class Store:
                 items.append(put_event.item)
                 put_event.succeed()
                 progressed = True
-            # Serve pending gets that have a matching item.
+            # Serve pending gets while there are items.
             get_queue = self._get_queue
             if get_queue:
                 remaining: list[StoreGetEvent] = []
                 for get_event in get_queue:
                     if get_event._cancelled:
                         progressed = True
-                        continue
-                    filter_fn = get_event.filter_fn
-                    if filter_fn is None:
-                        idx = 0 if items else None
-                    else:
-                        idx = None
-                        for i, item in enumerate(items):
-                            if filter_fn(item):
-                                idx = i
-                                break
-                    if idx is None:
-                        remaining.append(get_event)
-                    else:
-                        get_event.succeed(items.pop(idx))
+                    elif items:
+                        get_event.succeed(items.pop(0))
                         progressed = True
+                    else:
+                        remaining.append(get_event)
                 self._get_queue = remaining
-
-
-class FilterStore(Store):
-    """A store whose consumers may wait for items matching a predicate."""
-
-    def get(self, filter_fn: Optional[Callable[[Any], bool]] = None) -> StoreGetEvent:
-        return StoreGetEvent(self, filter_fn)
 
 
 class ResourceRequest(Event):
@@ -285,64 +247,6 @@ class Resource:
             request.succeed()
 
 
-class Container:
-    """A continuous quantity with blocking get/put (e.g. memory, tokens)."""
-
-    def __init__(self, env: Environment, capacity: float = float("inf"),
-                 init: float = 0.0):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        if not 0 <= init <= capacity:
-            raise ValueError("init must be within [0, capacity]")
-        self.env = env
-        self.capacity = capacity
-        self._level = init
-        self._put_queue: list[tuple[Event, float]] = []
-        self._get_queue: list[tuple[Event, float]] = []
-
-    @property
-    def level(self) -> float:
-        """Current amount stored."""
-        return self._level
-
-    def put(self, amount: float) -> Event:
-        """Add ``amount``; blocks while it would exceed capacity."""
-        if amount < 0:
-            raise ValueError("amount must be non-negative")
-        event = Event(self.env)
-        self._put_queue.append((event, amount))
-        self._trigger()
-        return event
-
-    def get(self, amount: float) -> Event:
-        """Remove ``amount``; blocks while the level is insufficient."""
-        if amount < 0:
-            raise ValueError("amount must be non-negative")
-        event = Event(self.env)
-        self._get_queue.append((event, amount))
-        self._trigger()
-        return event
-
-    def _trigger(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            if self._put_queue:
-                event, amount = self._put_queue[0]
-                if self._level + amount <= self.capacity:
-                    self._put_queue.pop(0)
-                    self._level += amount
-                    event.succeed()
-                    progressed = True
-            if self._get_queue:
-                event, amount = self._get_queue[0]
-                if self._level >= amount:
-                    self._get_queue.pop(0)
-                    self._level -= amount
-                    event.succeed(amount)
-                    progressed = True
-
-
 # -- Environment factory methods -------------------------------------------
 #
 # Attached here (rather than defined on Environment) to avoid a circular
@@ -357,23 +261,10 @@ def _make_store(self: Environment, capacity: float = float("inf")) -> Store:
     return Store(self, capacity)
 
 
-def _make_filter_store(self: Environment, capacity: float = float("inf")) -> FilterStore:
-    """A :class:`FilterStore` bound to this environment's kernel."""
-    return FilterStore(self, capacity)
-
-
 def _make_resource(self: Environment, capacity: int = 1) -> Resource:
     """A :class:`Resource` bound to this environment's kernel."""
     return Resource(self, capacity)
 
 
-def _make_container(self: Environment, capacity: float = float("inf"),
-                    init: float = 0.0) -> Container:
-    """A :class:`Container` bound to this environment's kernel."""
-    return Container(self, capacity, init)
-
-
 Environment.make_store = _make_store  # type: ignore[attr-defined]
-Environment.make_filter_store = _make_filter_store  # type: ignore[attr-defined]
 Environment.make_resource = _make_resource  # type: ignore[attr-defined]
-Environment.make_container = _make_container  # type: ignore[attr-defined]

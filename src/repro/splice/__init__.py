@@ -46,26 +46,22 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Optional
 
 from ..release import orchestrator as release_orchestrator
 from ..simkernel.events import AnyOf
 
-__all__ = ["SpliceConfig", "SpliceGovernor"]
+__all__ = ["MIN_BULK_BYTES", "SpliceConfig", "SpliceGovernor"]
+
+
+#: Minimum body size (bytes) worth collapsing; tiny transfers do not
+#: amortize the bookkeeping.
+MIN_BULK_BYTES = 128_000
 
 
 @dataclass(frozen=True)
 class SpliceConfig:
-    """Opt-in switch + thresholds for the splice fast path."""
-
-    enabled: bool = True
-    #: Minimum body size (bytes) worth collapsing; tiny transfers do
-    #: not amortize the bookkeeping.
-    min_bulk_bytes: int = 128_000
-    #: Established-tunnel relays skip the per-message CPU scheduling
-    #: round trip (the kernel-splice framing: relayed bytes stop
-    #: touching proxy userspace).
-    tunnel_fastpath: bool = True
+    """Presence on a spec (or the run options) turns the splice fast
+    path on; ``None`` there keeps per-chunk fidelity everywhere."""
 
 
 class SpliceGovernor:
@@ -77,13 +73,11 @@ class SpliceGovernor:
     :meth:`wake` so a mechanism boundary de-splices them mid-flight.
     """
 
-    def __init__(self, env, config: Optional[SpliceConfig] = None):
+    def __init__(self, env):
         self.env = env
-        self.config = config or SpliceConfig()
-        self.enabled = self.config.enabled
         #: Open suspension windows by kind ("release", "fault", ...).
         self._suspended: dict[str, int] = {}
-        self.engaged = self.enabled
+        self.engaged = True
         self._wake = env.event()
         #: Plain-int statistics (never metrics counters — see module
         #: docstring).
@@ -174,7 +168,7 @@ class SpliceGovernor:
             self._suspended.pop(kind, None)
         else:
             self._suspended[kind] = count
-        self.engaged = self.enabled and not self._suspended
+        self.engaged = not self._suspended
 
     # -- observer wiring ---------------------------------------------------
 

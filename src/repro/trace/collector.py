@@ -57,7 +57,6 @@ class TraceConfig:
     ``max_traces``.
     """
 
-    enabled: bool = True
     sample_rate: float = 1.0
     keep_errors: bool = True
     max_traces: int = 250

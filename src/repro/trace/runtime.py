@@ -34,7 +34,7 @@ def install(deployment,
     phases land in the event log next to the spans they disrupt.
     """
     config = config if config is not None else deployment.options.trace
-    if config is None or not config.enabled:
+    if config is None:
         return None
     if deployment.metrics.tracing is not None:
         return deployment.metrics.tracing

@@ -94,6 +94,39 @@ def test_incomplete_replay_rejected_with_400(world):
     assert server.counters.get("posts_incomplete") == 1
 
 
+@pytest.mark.parametrize("end_drain", ["restart", "decommission"])
+def test_body_complete_post_is_answered_before_the_old_process_exits(
+        world, end_drain):
+    """The side effect of a body-complete POST already ran, so at drain
+    end it must get its 200 — not a 379 (the replay would apply it
+    twice) and not a bare reset."""
+    host, server = make_server(world, drain_duration=1.0,
+                               restart_downtime=1.0, enable_ppr=True)
+    client_host, proc, conn = connect(world, server)
+    got = []
+
+    def flow():
+        request = HttpRequest("POST", "/up", body_size=2000,
+                              streaming=True, version="2")
+        conn.send(request, size=300)
+        conn.send(BodyChunk(request.id, 1000, 1), size=1000)
+        world.env.process(getattr(server, end_drain)())
+        # The last chunk lands ~4 ms before the 1 s drain ends, so the
+        # 10 ms http_request charge ahead of the 200 straddles it.
+        yield world.env.timeout(1.0 - 0.005)
+        conn.send(BodyChunk(request.id, 1000, 2, is_last=True), size=1000)
+        item = yield conn.recv()
+        got.append(item if isinstance(item, StreamControl)
+                   else item.payload)
+
+    proc.run(flow())
+    world.env.run(until=world.env.now + 4)
+    assert isinstance(got[0], HttpResponse) and got[0].status == STATUS_OK
+    assert server.counters.get("posts_completed") == 1
+    assert server.counters.get("http_status", tag="379") == 0
+    assert not server.in_flight_posts
+
+
 def test_restart_sends_379_for_inflight_posts(world):
     host, server = make_server(world, drain_duration=1.0,
                                restart_downtime=1.0, enable_ppr=True)

@@ -90,9 +90,3 @@ def test_run_options_policy_applies_and_clears():
         assert deployment.cohort_set is not None
     assert current().cohorts is None
     assert Deployment(DeploymentSpec(seed=1)).cohort_set is None
-
-
-def test_spec_policy_wins_over_disabled():
-    deployment = Deployment(DeploymentSpec(
-        seed=0, cohorts=CohortPolicy(enabled=False)))
-    assert deployment.cohort_set is None

@@ -1,8 +1,9 @@
 """The CLI determinism contract, promoted from CI into the suite.
 
-CI has long double-run/byte-diffed ``opsloop`` and ``regionevac``
-through the real ``python -m repro.experiments`` entry point (shell
-``diff`` of the captured stdout).  That check only runs on CI machines;
+CI has long double-run/byte-diffed ``opsloop``, ``regionevac`` and
+``lbablation`` through the real ``python -m repro.experiments`` entry
+point (shell ``diff`` of the captured stdout).  That check only ran on
+CI machines;
 these tests run the identical comparison in-process via ``main()`` and
 ``capsys``, so `pytest` alone catches a determinism regression — a
 stray wall-clock read, an unseeded RNG, an ID allocator bleeding into
@@ -31,7 +32,7 @@ def _run_cli(argv, capsys):
     return code, _WALL.sub("", out)
 
 
-@pytest.mark.parametrize("figure", ["opsloop", "regionevac"])
+@pytest.mark.parametrize("figure", ["opsloop", "regionevac", "lbablation"])
 def test_cli_double_run_is_byte_identical(figure, capsys):
     argv = [figure, "--no-plots"]
     code_a, out_a = _run_cli(argv, capsys)

@@ -1,8 +1,8 @@
 """Experiment harness smoke tests (scaled-down parameters).
 
-The full-size paper-shape assertions live in ``benchmarks/``; here we
-verify the harnesses run, produce sane structures, and that the cheap
-ones hold their claims even at reduced scale.
+The full-size paper-shape assertions are ``python -m repro.experiments
+all``; here we verify the harnesses run, produce sane structures, and
+that the cheap ones hold their claims even at reduced scale.
 """
 
 import pytest
@@ -10,6 +10,7 @@ import pytest
 from repro.experiments import (
     ALL_EXPERIMENTS,
     ExperimentResult,
+    ablations,
     fig02_release_cadence,
     fig02d_misrouting,
     fig03_restart_implications,
@@ -23,8 +24,8 @@ from repro.experiments import (
 
 
 def test_registry_covers_every_figure():
-    expected = {"chaos", "resilience", "fig02", "fig02d", "fig03",
-                "fig08", "fig09",
+    expected = {"ablations", "chaos", "resilience", "fig02", "fig02d",
+                "fig03", "fig08", "fig09",
                 "fig10", "fig11", "fig12", "fig13", "fig15", "fig16",
                 "fig17", "lbablation", "opsloop", "regionevac",
                 "shardscale"}
@@ -42,6 +43,21 @@ def test_result_rows_and_printing(capsys):
     assert result.all_claims_hold
     result.claims["bad"] = False
     assert not result.all_claims_hold
+
+
+def test_ablations_small_claims_hold():
+    result = ablations.run(seed=1, flows=600, drains=(3.0, 40.0))
+    assert result.all_claims_hold
+    assert result.scalars["a_flows_remapped_with_lru"] == 0
+    assert result.scalars["b_sessions_broken_drain_40s"] == 0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_ppr_production_retry_budget_never_fails(seed):
+    """Seeds 0 and 3 used to lose one body-complete POST to the drain
+    end (a reset with neither a 200 nor a 379), whatever the budget."""
+    result = ablations.run_ppr_retry_budget(seed=seed, budgets=(0, 10))
+    assert result.all_claims_hold, result.scalars
 
 
 def test_fig02_small_trace_claims_hold():

@@ -92,7 +92,7 @@ def test_lru_pins_flow_across_ring_flap(world):
     flows keep landing on the same backend."""
     backends, listeners, kh = _pool(world, count=4)
     katran = Katran(kh, backends, hc_port=443,
-                    config=KatranConfig(use_lru=True))
+                    config=KatranConfig(lb_scheme="lru"))
     flows = [_flow(p) for p in range(3000, 3100)]
     before = {f: katran.route(f) for f in flows}
     # A backend flaps out and back (no LRU invalidation on flap).
@@ -117,7 +117,7 @@ def test_lru_pins_flow_across_ring_flap(world):
 def test_without_lru_flap_remaps_flows(world):
     backends, listeners, kh = _pool(world, count=4)
     katran = Katran(kh, backends, hc_port=443,
-                    config=KatranConfig(use_lru=False))
+                    config=KatranConfig(lb_scheme="stateless"))
     flows = [_flow(p) for p in range(4000, 4400)]
     before = {f: katran.route(f) for f in flows}
     victim_ip = backends[0].ip

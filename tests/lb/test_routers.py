@@ -48,7 +48,6 @@ def test_make_router_rejects_unknown_scheme():
 
 def test_katran_config_resolves_scheme():
     assert KatranConfig().resolved_scheme() == "lru"
-    assert KatranConfig(use_lru=False).resolved_scheme() == "stateless"
     assert KatranConfig(lb_scheme="concury").resolved_scheme() == "concury"
     with pytest.raises(ValueError):
         KatranConfig(lb_scheme="bogus").resolved_scheme()

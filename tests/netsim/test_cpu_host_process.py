@@ -84,7 +84,7 @@ def test_cpu_validation():
 
 
 def test_cpu_costs_defaults_sane():
-    costs = CpuCosts()
+    costs = CpuCosts
     assert costs.tls_handshake > costs.tcp_handshake
     assert costs.cache_priming > costs.process_spawn
     assert costs.relay_message < costs.http_request

@@ -6,7 +6,6 @@ from repro.netsim import Endpoint
 from repro.protocols import (
     ConnectAck,
     ConnectRefuse,
-    MqttConnect,
     MqttPublish,
     QuicConnectionState,
     QuicPacket,
@@ -22,12 +21,6 @@ from repro.protocols import (
 
 
 # -- MQTT -------------------------------------------------------------------
-
-def test_mqtt_packet_ids_unique():
-    a = MqttConnect(user_id=1)
-    b = MqttConnect(user_id=1)
-    assert a.id != b.id
-
 
 def test_mqtt_publish_defaults():
     publish = MqttPublish(user_id=7, topic="notify", seq=3)
@@ -88,20 +81,17 @@ def _tls_world(world):
 
 def test_tls_handshake_roundtrip(world):
     server, client, sproc, cproc, endpoint, listener = _tls_world(world)
-    from repro.netsim import CpuCosts
-    costs = CpuCosts()
     results = []
 
     def server_side():
         conn = yield listener.accept(sproc)
         item = yield conn.recv()
         assert isinstance(item.payload, TlsClientHello)
-        yield from server_handle_hello(item.payload, conn,
-                                       server.cpu, costs)
+        yield from server_handle_hello(item.payload, conn, server.cpu)
 
     def client_side():
         conn = yield client.kernel.tcp_connect(cproc, endpoint)
-        reply = yield from client_handshake(conn, client.cpu, costs)
+        reply = yield from client_handshake(conn, client.cpu)
         results.append(reply.payload)
 
     sproc.run(server_side())
@@ -114,8 +104,6 @@ def test_tls_handshake_roundtrip(world):
 
 def test_tls_resumption_is_cheaper(world):
     server, client, sproc, cproc, endpoint, listener = _tls_world(world)
-    from repro.netsim import CpuCosts
-    costs = CpuCosts()
 
     def serve_two():
         for _ in range(2):
@@ -124,17 +112,14 @@ def test_tls_resumption_is_cheaper(world):
 
     def handle(conn):
         item = yield conn.recv()
-        yield from server_handle_hello(item.payload, conn,
-                                       server.cpu, costs)
+        yield from server_handle_hello(item.payload, conn, server.cpu)
 
     def client_side():
         conn = yield client.kernel.tcp_connect(cproc, endpoint)
-        yield from client_handshake(conn, client.cpu, costs,
-                                    resumption=False)
+        yield from client_handshake(conn, client.cpu, resumption=False)
         full_cost = server.cpu.total_busy_seconds
         conn2 = yield client.kernel.tcp_connect(cproc, endpoint)
-        yield from client_handshake(conn2, client.cpu, costs,
-                                    resumption=True)
+        yield from client_handshake(conn2, client.cpu, resumption=True)
         resumed_cost = server.cpu.total_busy_seconds - full_cost
         assert resumed_cost < 0.2 * full_cost
 

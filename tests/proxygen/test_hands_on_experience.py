@@ -17,6 +17,7 @@ from repro.proxygen import (
     audit_orphaned_udp_sockets,
     force_close_orphans,
 )
+from repro.proxygen.instance import UDP_SOCKETS_PER_VIP
 from .conftest import MiniStack
 
 
@@ -94,7 +95,7 @@ def test_ignored_fds_leak_and_queue_packets(world):
 
     # The audit sees the orphans even before traffic arrives.
     orphans = audit_orphaned_udp_sockets(edge)
-    assert len(orphans) == edge.config.udp_sockets_per_vip
+    assert len(orphans) == UDP_SOCKETS_PER_VIP
     assert all(not o.socket.closed for o in orphans)
 
     _quic_blast(stack)
@@ -116,7 +117,7 @@ def test_force_close_orphans_heals_the_ring(world):
     stack.env.run(until=stack.env.now + 4)
 
     closed = force_close_orphans(edge)
-    assert closed == edge.config.udp_sockets_per_vip
+    assert closed == UDP_SOCKETS_PER_VIP
     ring = stack.edge_host.kernel.reuseport_ring(quic_vip)
     assert ring is None or len(ring) == 0
     assert audit_orphaned_udp_sockets(edge) == []

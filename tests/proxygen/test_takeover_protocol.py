@@ -3,6 +3,7 @@
 import pytest
 
 from repro.proxygen import ProxygenConfig, SocketMeta
+from repro.proxygen.instance import UDP_SOCKETS_PER_VIP
 from repro.proxygen.takeover import run_takeover_client
 from .conftest import MiniStack
 
@@ -34,8 +35,7 @@ def test_fd_bundle_contains_all_vips(world):
     # 2 TCP listeners (https + mqtt), 4 UDP sockets for the quic VIP.
     assert set(result.tcp_listener_fds) == {"https", "mqtt"}
     assert set(result.udp_socket_fds) == {"quic"}
-    assert len(result.udp_socket_fds["quic"]) == \
-        edge_instance.config.udp_sockets_per_vip
+    assert len(result.udp_socket_fds["quic"]) == UDP_SOCKETS_PER_VIP
     assert result.old_forward_port == edge_instance.forward_port
     assert result.drain_confirmed
     # The old instance is draining now (the shim "took over").

@@ -1,8 +1,8 @@
-"""Tests for Store / FilterStore / Resource / Container."""
+"""Tests for Store / Resource."""
 
 import pytest
 
-from repro.simkernel import Container, Environment, FilterStore, Resource, Store
+from repro.simkernel import Environment, Resource, Store
 
 
 def test_store_put_get_fifo():
@@ -82,32 +82,11 @@ def test_store_capacity_validation():
         Store(env, capacity=0)
 
 
-def test_filter_store_matches_predicate():
+def test_store_get_cancel():
     env = Environment()
-    store = FilterStore(env)
-    got = []
+    store = Store(env)
 
-    def consumer():
-        item = yield store.get(lambda x: x % 2 == 0)
-        got.append(item)
-
-    def producer():
-        yield store.put(1)
-        yield store.put(3)
-        yield store.put(4)
-
-    env.process(consumer())
-    env.process(producer())
-    env.run()
-    assert got == [4]
-    assert store.items == [1, 3]
-
-
-def test_filter_store_get_cancel():
-    env = Environment()
-    store = FilterStore(env)
-
-    get_event = store.get(lambda x: x == "never")
+    get_event = store.get()
     get_event.cancel()
     store.put("never")
     env.run()
@@ -184,56 +163,3 @@ def test_resource_counts():
     env.process(holder())
     env.run()
     assert cpu.count == 0
-
-
-def test_container_levels():
-    env = Environment()
-    tank = Container(env, capacity=100, init=50)
-    log = []
-
-    def consumer():
-        yield tank.get(30)
-        log.append(("got", env.now, tank.level))
-        yield tank.get(40)  # blocks until producer adds
-        log.append(("got", env.now, tank.level))
-
-    def producer():
-        yield env.timeout(5)
-        yield tank.put(25)
-
-    env.process(consumer())
-    env.process(producer())
-    env.run()
-    assert log == [("got", 0.0, 20.0), ("got", 5.0, 5.0)]
-
-
-def test_container_put_blocks_at_capacity():
-    env = Environment()
-    tank = Container(env, capacity=10, init=10)
-    times = []
-
-    def producer():
-        yield tank.put(5)
-        times.append(env.now)
-
-    def consumer():
-        yield env.timeout(3)
-        yield tank.get(5)
-
-    env.process(producer())
-    env.process(consumer())
-    env.run()
-    assert times == [3.0]
-
-
-def test_container_validation():
-    env = Environment()
-    with pytest.raises(ValueError):
-        Container(env, capacity=0)
-    with pytest.raises(ValueError):
-        Container(env, capacity=5, init=10)
-    tank = Container(env, capacity=5)
-    with pytest.raises(ValueError):
-        tank.put(-1)
-    with pytest.raises(ValueError):
-        tank.get(-1)
