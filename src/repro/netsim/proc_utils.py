@@ -32,23 +32,34 @@ def with_timeout(env: Environment, event: Event, timeout: float):
     event fails, its exception propagates to the caller.
     """
     deadline = env.timeout(timeout, value=TIMED_OUT)
-    race = AnyOf(env, [event, deadline])
-    result = yield race
-    if event in result:
-        # The event won: withdraw the losing deadline so the race does
-        # not leave a dead timeout behind in the heap (a relay loop
-        # calls this millions of times — leaked deadlines would come to
-        # dominate the schedule).  Detach the race's own callback first:
+    expire = getattr(event, "expire", None)
+    if expire is not None and not event.triggered:
+        # A pending store get: the caller owns it and it can be
+        # withdrawn, so park on the get itself and let the deadline
+        # expire it — no race event between the two.  An interrupt
+        # reaches the get through ``Process.target`` and withdraws it.
+        wait_on, waker = event, expire
+        deadline.callbacks.append(waker)
+    else:
+        wait_on = AnyOf(env, [event, deadline])
+        waker = wait_on._check
+    try:
+        result = yield wait_on
+    finally:
+        # Whoever won — or if the event failed, or we were interrupted
+        # — do not leave a dead deadline in the heap (a relay loop
+        # calls this millions of times; leaked deadlines would come to
+        # dominate the schedule).  Detach our callback first:
         # ``Timeout.cancel`` only tombstones a timeout nobody waits on.
         callbacks = deadline.callbacks
         if callbacks is not None:
-            try:
-                callbacks.remove(race._check)
-            except ValueError:  # pragma: no cover - defensive
-                pass
-        cancel = getattr(deadline, "cancel", None)
-        if cancel is not None:
-            cancel()
+            callbacks.remove(waker)
+            cancel = getattr(deadline, "cancel", None)
+            if cancel is not None:
+                cancel()
+    if wait_on is event:
+        return result
+    if event in result:
         return result[event]
     # Cancel the pending get if the event supports it, so an unread
     # queue item is not consumed later by a stale getter.

@@ -7,8 +7,9 @@ experiments end to end.  Every kernel-sensitive benchmark runs twice —
 once on the optimized live kernel and once on the frozen reference
 kernel (:mod:`repro.simkernel.reference`) — so the reported *speedup* is
 a machine-independent measure of the optimization work, and the two
-runs double as a coarse differential check (their simulated event
-counts must match exactly).
+runs double as a coarse differential check (completed work must match
+exactly, and the live kernel may schedule fewer events for it than the
+reference, never more).
 
 Run ``python -m repro.perf`` to execute the suite and write
 ``BENCH_kernel.json``/``BENCH_macro.json``; ``--check`` compares

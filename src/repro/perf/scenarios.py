@@ -6,7 +6,8 @@ runs it, and returns ``{"ops": int, "events": int}``.  There is no
 wall-clock access and no ``random`` usage here — timing lives in
 :mod:`repro.perf.harness`, randomness in the seeded simulation streams
 — so a scenario replays identically on both kernels, which is what
-makes the opt/ref speedup (and the event-count cross-check) meaningful.
+makes the opt/ref speedup (and the ops/event-count cross-check)
+meaningful.
 """
 
 from __future__ import annotations
@@ -324,13 +325,27 @@ def _macro_deployment(env_factory: Callable, *, edge_proxies: int,
     return deployment
 
 
+def _macro_stats(deployment) -> dict:
+    """``ops`` = client operations completed (GETs, POSTs, MQTT
+    publishes sent and received): the work the run did, which must be
+    equal on both kernels however many events each schedules for it."""
+    aggregate = deployment.metrics.aggregate
+    ops = sum(aggregate(name, scope_prefix=prefix)
+              for prefix, names in (
+                  ("web-clients", ("get_ok", "post_ok")),
+                  ("mqtt-clients", ("publishes_sent",
+                                    "publishes_received")))
+              for name in names)
+    return {"ops": int(ops), "events": deployment.env._eid}
+
+
 def fig13_timeline(env_factory: Callable, scale: float) -> dict:
     """Figure 13's ZDR timeline at 10× client scale (at ``scale=1.0``).
 
     The figure experiment runs 40 web clients and 40 MQTT users; the
     benchmark runs 400 of each against the same 10-proxy edge cluster,
-    restarts a 20% batch with ZDR mid-run, and reports simulated events
-    per wall second.
+    restarts a 20% batch with ZDR mid-run, and reports completed client
+    operations (and simulated events) per wall second.
     """
     from ..release.orchestrator import RollingRelease, RollingReleaseConfig
 
@@ -346,8 +361,7 @@ def fig13_timeline(env_factory: Callable, scale: float) -> dict:
                              RollingReleaseConfig(batch_fraction=1.0))
     deployment.env.process(release.execute())
     deployment.run(until=warmup + measure)
-    events = deployment.env._eid
-    return {"ops": events, "events": events}
+    return _macro_stats(deployment)
 
 
 def fig08_capacity(env_factory: Callable, scale: float) -> dict:
@@ -370,8 +384,7 @@ def fig08_capacity(env_factory: Callable, scale: float) -> dict:
                              RollingReleaseConfig(batch_fraction=0.2))
     deployment.env.process(release.execute())
     deployment.run(until=warmup + measure)
-    events = deployment.env._eid
-    return {"ops": events, "events": events}
+    return _macro_stats(deployment)
 
 
 def fig13_cohort_100x(env_factory: Callable, scale: float) -> dict:
@@ -411,8 +424,7 @@ def fig13_cohort_100x(env_factory: Callable, scale: float) -> dict:
     assert not violations, (
         f"invariants broke at 100× cohort scale: "
         f"{[v.checker for v in violations[:5]]}")
-    events = deployment.env._eid
-    return {"ops": events, "events": events}
+    return _macro_stats(deployment)
 
 
 def _splice_posts(splice: bool) -> Callable[[Callable, float], dict]:

@@ -17,7 +17,9 @@ draining same-time heap entries before the same-priority deque — and
 the URGENT lane before the NORMAL lane — reproduces heap order exactly.
 The pre-optimization implementation is frozen in
 :mod:`repro.simkernel.reference` and the differential tests in
-``tests/perf/`` prove the two are bit-identical.
+``tests/perf/`` prove the two produce identical runs (everything but
+the scheduled-event count, which is lower here: see
+:mod:`repro.simkernel.resources`).
 """
 
 from __future__ import annotations

@@ -33,9 +33,9 @@ smaller id than every deque entry at ``t`` (time is non-decreasing, so
 all pushes made while ``now < t`` precede all pushes made while
 ``now == t``).  The run loop therefore drains, at each ``t``: same-time
 URGENT heap entries, then the URGENT deque, then same-time NORMAL heap
-entries, then the NORMAL deque — exactly heap order.  The differential
-tests against the frozen single-heap reference kernel
-(:mod:`repro.simkernel.reference`) prove this bit-identical.
+entries, then the NORMAL deque — exactly heap order, which the
+differential tests against the frozen single-heap reference kernel
+(:mod:`repro.simkernel.reference`) check on whole runs.
 
 Triggering sites fall back to ``env.schedule`` when the environment has
 no deques (``AttributeError``): a live-hierarchy event driven by the
@@ -44,7 +44,10 @@ instead.
 
 The pre-optimization implementation is frozen verbatim in
 :mod:`repro.simkernel.reference`; ``tests/perf/test_differential.py``
-proves the two produce bit-identical runs.
+proves the two produce identical runs — every counter, series, tap
+ordering and the final clock.  The one thing that differs is the
+scheduled-event count: stores and resources here schedule only events
+some process waits on (see :mod:`repro.simkernel.resources`).
 """
 
 from __future__ import annotations

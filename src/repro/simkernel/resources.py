@@ -2,20 +2,30 @@
 
 These cover all the coordination patterns the network simulation needs:
 
-* :class:`Store` — an unbounded/bounded FIFO of items (socket receive
-  queues, accept queues, message mailboxes).
+* :class:`Store` — an unbounded FIFO of items (socket receive queues,
+  accept queues, message mailboxes).
 * :class:`Resource` — a counted resource with FIFO waiters (CPU cores).
 
-Fast path
----------
-Store and resource events are created once per packet/request, so the
-constructors here take the uncontended path inline: when no other
-operation is queued, a ``put``/``get``/``request`` resolves immediately
-without round-tripping through the trigger scan.  The succeed *ordering*
-is exactly what the scan would have produced (the fast-path guards are
-precisely the conditions under which the scan would resolve only this
-event), so runs are bit-identical to the frozen reference kernel in
-:mod:`repro.simkernel.reference` — see ``tests/perf/test_differential.py``.
+Only what somebody waits on is scheduled
+----------------------------------------
+Store and resource operations happen once per packet/request, so they
+schedule an event only where a process can be parked on it:
+
+* ``Store.put`` hands the item to the oldest parked getter (that *get*
+  event is scheduled) or appends it to ``items``; it returns nothing
+  and schedules nothing for itself.
+* A ``Resource.request`` that finds a free unit is born *processed*:
+  ``yield request`` falls straight through the process loop.  Only a
+  queued request is scheduled, when a release grants it.
+
+The frozen kernel in :mod:`repro.simkernel.reference` still schedules
+every put and every grant.  A put event had no waiter — it popped as a
+no-op — and removing a no-op from the schedule changes no other pop; a
+born-processed grant resumes its process one same-instant hop earlier,
+which could reorder something only through an exact float-time tie
+with a third event.  So a run here differs from a reference run in the
+scheduled-event count (``env._eid``) and in nothing a model observes:
+``tests/perf/test_differential.py`` holds every other field equal.
 
 Construct these through the :class:`~repro.simkernel.core.Environment`
 factory methods (``env.make_store()`` etc.) so that a simulation driven
@@ -29,33 +39,7 @@ from typing import Any
 from .core import Environment
 from .events import NORMAL, PENDING, Event, _push
 
-__all__ = ["Store", "Resource", "StorePutEvent", "StoreGetEvent",
-           "ResourceRequest"]
-
-
-class StorePutEvent(Event):
-    """Event returned by :meth:`Store.put`; succeeds when the item is stored."""
-
-    __slots__ = ("item",)
-
-    def __init__(self, store: "Store", item: Any):
-        env = store.env
-        self.env = env
-        self.callbacks = []
-        self._defused = False
-        self.item = item
-        items = store.items
-        if not store._put_queue and not store._get_queue and len(items) < store.capacity:
-            # Uncontended: the trigger scan would admit exactly this put.
-            items.append(item)
-            self._ok = True
-            self._value = None
-            _push(env, self, NORMAL, env._now)
-        else:
-            self._ok = None
-            self._value = PENDING
-            store._put_queue.append(self)
-            store._trigger()
+__all__ = ["Store", "Resource", "StoreGetEvent", "ResourceRequest"]
 
 
 class StoreGetEvent(Event):
@@ -69,53 +53,59 @@ class StoreGetEvent(Event):
         self.callbacks = []
         self._defused = False
         self._cancelled = False
-        if not store._get_queue and not store._put_queue:
-            # Uncontended: serve the next item immediately if present.
-            items = store.items
-            if items:
-                self._ok = True
-                self._value = items.pop(0)
-                _push(env, self, NORMAL, env._now)
-                return
-            # Empty and both queues empty: the trigger scan would be a
-            # no-op, so just park.
-            self._ok = None
-            self._value = PENDING
-            store._get_queue.append(self)
+        items = store.items
+        if items:
+            # ``put`` never leaves an item beside a live getter, so the
+            # head item is this getter's.
+            self._ok = True
+            self._value = items.pop(0)
+            _push(env, self, NORMAL, env._now)
             return
         self._ok = None
         self._value = PENDING
-        store._get_queue.append(self)
-        store._trigger()
+        get_queue = store._get_queue
+        # Withdrawn getters are dropped lazily; doing it here as well
+        # as in ``put`` bounds the queue of a store that is polled
+        # under a deadline but rarely fed.
+        while get_queue and get_queue[0]._cancelled:
+            get_queue.pop(0)
+        get_queue.append(self)
 
     def cancel(self) -> None:
         """Withdraw this get request if it has not yet been fulfilled."""
         if self._value is PENDING:
             self._cancelled = True
 
+    def expire(self, deadline: Event) -> None:
+        """Callback for a deadline event: if this get is still waiting,
+        withdraw it and wake its waiter with the deadline's value."""
+        if self._value is PENDING and not self._cancelled:
+            self._cancelled = True
+            self.succeed(deadline._value)
+
 
 class Store:
-    """A FIFO store of items with optional capacity.
+    """An unbounded FIFO store of items; ``get`` blocks while it is empty."""
 
-    ``put`` blocks (i.e. the returned event stays untriggered) while the
-    store is full; ``get`` blocks while it is empty.
-    """
-
-    def __init__(self, env: Environment, capacity: float = float("inf")):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
+    def __init__(self, env: Environment):
         self.env = env
-        self.capacity = capacity
         self.items: list[Any] = []
-        self._put_queue: list[StorePutEvent] = []
+        #: Parked getters, oldest first; withdrawn ones are dropped
+        #: lazily (see :meth:`put`).
         self._get_queue: list[StoreGetEvent] = []
 
     def __len__(self) -> int:
         return len(self.items)
 
-    def put(self, item: Any) -> StorePutEvent:
-        """Queue ``item`` for storage; returns an event."""
-        return StorePutEvent(self, item)
+    def put(self, item: Any) -> None:
+        """Hand ``item`` to the oldest parked getter, or store it."""
+        get_queue = self._get_queue
+        while get_queue:
+            get_event = get_queue.pop(0)
+            if not get_event._cancelled:
+                get_event.succeed(item)
+                return
+        self.items.append(item)
 
     def get(self) -> StoreGetEvent:
         """Request the next item; returns an event."""
@@ -123,40 +113,7 @@ class Store:
 
     def try_get(self) -> Any:
         """Synchronously pop the next item, or ``None`` if empty."""
-        if self.items:
-            item = self.items.pop(0)
-            self._trigger()
-            return item
-        return None
-
-    # -- internal -----------------------------------------------------------
-
-    def _trigger(self) -> None:
-        items = self.items
-        capacity = self.capacity
-        progressed = True
-        while progressed:
-            progressed = False
-            # Admit pending puts while there is room.
-            put_queue = self._put_queue
-            while put_queue and len(items) < capacity:
-                put_event = put_queue.pop(0)
-                items.append(put_event.item)
-                put_event.succeed()
-                progressed = True
-            # Serve pending gets while there are items.
-            get_queue = self._get_queue
-            if get_queue:
-                remaining: list[StoreGetEvent] = []
-                for get_event in get_queue:
-                    if get_event._cancelled:
-                        progressed = True
-                    elif items:
-                        get_event.succeed(items.pop(0))
-                        progressed = True
-                    else:
-                        remaining.append(get_event)
-                self._get_queue = remaining
+        return self.items.pop(0) if self.items else None
 
 
 class ResourceRequest(Event):
@@ -174,18 +131,20 @@ class ResourceRequest(Event):
     def __init__(self, resource: "Resource"):
         env = resource.env
         self.env = env
-        self.callbacks = []
         self._defused = False
         self.resource = resource
         self._released = False
         users = resource.users
         if not resource._queue and len(users) < resource.capacity:
-            # Uncontended: the grant loop would serve exactly this request.
+            # A free unit and nobody ahead: granted here and now, so
+            # the request is born processed and ``yield request`` does
+            # not park (nothing is scheduled).
             users.append(self)
             self._ok = True
             self._value = None
-            _push(env, self, NORMAL, env._now)
+            self.callbacks = None
         else:
+            self.callbacks = []
             self._ok = None
             self._value = PENDING
             resource._queue.append(self)
@@ -256,9 +215,9 @@ class Resource:
 # classes, which is how differential runs swap the *entire* kernel —
 # events, run loop, and resource machinery — in one place.
 
-def _make_store(self: Environment, capacity: float = float("inf")) -> Store:
+def _make_store(self: Environment) -> Store:
     """A :class:`Store` bound to this environment's kernel."""
-    return Store(self, capacity)
+    return Store(self)
 
 
 def _make_resource(self: Environment, capacity: int = 1) -> Resource:

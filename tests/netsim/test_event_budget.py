@@ -1,0 +1,193 @@
+"""Event budget: the hot primitives schedule only what somebody waits on.
+
+A figure-scale run is almost nothing but message hops, so the number of
+kernel events one hop costs is the simulator's unit price.  These tests
+pin that price by ``env._eid`` delta — per primitive and for one whole
+request/response round trip — so an extra hop (a put event nobody
+yields on, a grant for a core that was free, a race event around a
+single get) cannot quietly come back.  Same spirit as
+``tests/test_config_surface.py``: a ratchet, not a behaviour test; what
+each primitive *does* is pinned in ``tests/simkernel``.
+"""
+
+import pytest
+
+from repro.netsim import CpuModel, Endpoint, proc_utils
+from repro.netsim.proc_utils import TIMED_OUT, with_timeout
+from repro.simkernel import Environment, Store
+
+#: What a process schedules for itself: its Initialize and its own
+#: completion event.
+PROCESS = 2
+
+
+def test_round_trip_schedules_eight_events(world):
+    """One request/response on an established connection, both ends
+    under ``with_timeout``, one ``cpu.execute`` at the server and one
+    think ``timeout`` at the client:
+
+    client send (delivery timeout) + server get wakes + server execute
+    (its timeout; the core is free) + server send + client get wakes
+    + one deadline per ``with_timeout`` (two) + the think timeout = 8.
+    """
+    env = world.env
+    server_host, client_host = world.host("server"), world.host("client")
+    server_proc = server_host.spawn("srv")
+    client_proc = client_host.spawn("cli")
+    endpoint = Endpoint(server_host.ip, 443)
+    _, listener = server_host.kernel.tcp_listen(server_proc, endpoint)
+    marks = []
+
+    def server():
+        conn = yield listener.accept(server_proc)
+        while True:
+            request = yield from with_timeout(env, conn.recv(), 30.0)
+            assert request.payload == "ping"
+            yield from server_host.cpu.execute(1.0)
+            conn.send("pong", size=50)
+
+    def client():
+        conn = yield client_host.kernel.tcp_connect(client_proc, endpoint)
+        for _ in range(12):
+            marks.append(env._eid)
+            conn.send("ping", size=50)
+            reply = yield from with_timeout(env, conn.recv(), 30.0)
+            assert reply.payload == "pong"
+            yield env.timeout(0.5)
+        marks.append(env._eid)
+
+    server_proc.run(server())
+    client_proc.run(client())
+    env.run(until=20)
+    trips = [after - before for before, after in zip(marks, marks[1:])]
+    # The first trip overlaps connection set-up; the other eleven are
+    # steady state.
+    assert trips[1:] == [8] * 11
+
+
+def test_put_schedules_only_the_get_it_wakes():
+    env = Environment()
+    store = Store(env)
+
+    store.put("stored")  # nobody parked: stored, nothing scheduled
+    assert env._eid == 0
+    assert store.try_get() == "stored"
+
+    getter = store.get()  # parks: nothing scheduled either
+    assert env._eid == 0
+    store.put("handed")  # one event: the get it wakes
+    assert env._eid == 1
+    env.run()
+    assert getter.value == "handed"
+    assert not store.items
+
+
+def _cpu_workers(env, cpu, done, *jobs):
+    def worker(label, work):
+        yield from cpu.execute(work)
+        done.append((label, env.now))
+
+    return [env.process(worker(label, work)) for label, work in jobs]
+
+
+def test_execute_on_a_free_core_schedules_one_timeout():
+    env = Environment()
+    cpu = CpuModel(env, cores=1, speed=1.0)
+    done = []
+    _cpu_workers(env, cpu, done, ("a", 1.0))
+    env.run()
+    assert env._eid == PROCESS + 1
+    assert done == [("a", 1.0)]
+
+
+def test_execute_on_a_busy_core_schedules_the_grant_too():
+    env = Environment()
+    cpu = CpuModel(env, cores=1, speed=1.0, bucket_width=1.0)
+    done = []
+    _cpu_workers(env, cpu, done, ("a", 1.0), ("b", 1.0), ("c", 1.0))
+    env.run()
+    # a finds the core free (its timeout); b and c queue (a grant event
+    # on release, then their timeout).
+    assert env._eid == 3 * PROCESS + 1 + 2 + 2
+    # FIFO grant order and busy-time accounting are the queue's, as
+    # they always were.
+    assert done == [("a", 1.0), ("b", 2.0), ("c", 3.0)]
+    assert cpu.total_busy_seconds == pytest.approx(3.0)
+    assert cpu.utilization(0, 3) == [
+        (0.0, pytest.approx(1.0)), (1.0, pytest.approx(1.0)),
+        (2.0, pytest.approx(1.0))]
+    assert cpu.resource.count == 0 and cpu.resource.queue_length == 0
+
+
+def test_interrupt_mid_execute_hands_the_core_to_the_queued_waiter():
+    env = Environment()
+    cpu = CpuModel(env, cores=1, speed=1.0)
+    done = []
+    holder, _ = _cpu_workers(env, cpu, done, ("holder", 10.0),
+                             ("waiter", 1.0))
+
+    def interrupter():
+        yield env.timeout(2.0)
+        holder.interrupt("killed")
+
+    env.process(interrupter())
+    env.run()
+    assert done == [("waiter", 3.0)]
+    assert cpu.resource.count == 0 and cpu.resource.queue_length == 0
+
+
+def test_with_timeout_on_a_pending_get_builds_no_race(monkeypatch):
+    def no_race(*_args):
+        raise AssertionError(
+            "with_timeout built a Condition around a pending store get")
+
+    monkeypatch.setattr(proc_utils, "AnyOf", no_race)
+    env = Environment()
+    store = Store(env)
+    env.timeout(1.0).callbacks.append(lambda _event: store.put("item"))
+    marks, got = [], []
+
+    def waiter():
+        marks.append(env._eid)
+        got.append((yield from with_timeout(env, store.get(), 100.0)))
+        marks.append(env._eid)
+        got.append((yield from with_timeout(env, store.get(), 1.0)))
+        marks.append(env._eid)
+
+    env.process(waiter())
+    env.run(until=10.0)
+    assert got == ["item", TIMED_OUT]
+    # Event wins: the deadline and the get the put woke.  Deadline
+    # wins: the deadline and the get it expired.
+    assert [b - a for a, b in zip(marks, marks[1:])] == [2, 2]
+    # The losing deadline was tombstoned, not left to fire at t=101.
+    assert env._cancelled == 1
+    assert all(not entry[3].callbacks for entry in env._queue)
+    # The expired get was withdrawn: a later put is stored, not eaten.
+    store.put("late")
+    assert store.items == ["late"]
+    assert env._eid == marks[-1] + 1  # the waiter's completion; no put event
+
+
+def test_with_timeout_still_races_what_it_cannot_withdraw():
+    """An already-triggered get, a plain event and a process cannot be
+    parked on and expired; they keep the ``AnyOf`` race."""
+    env = Environment()
+    store = Store(env)
+    store.put("ready")
+    results = []
+
+    def child():
+        yield env.timeout(1.0)
+        return "child done"
+
+    def waiter():
+        for event, timeout in ((store.get(), 5.0),
+                               (env.timeout(1.0, "tick"), 5.0),
+                               (env.process(child()), 5.0),
+                               (env.event(), 1.0)):
+            results.append((yield from with_timeout(env, event, timeout)))
+
+    env.process(waiter())
+    env.run()
+    assert results == ["ready", "tick", "child done", TIMED_OUT]

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.netsim import TIMED_OUT, with_timeout
+from repro.netsim import (
+    TIMED_OUT,
+    ConnectionRefusedSim,
+    Endpoint,
+    with_timeout,
+)
 from repro.simkernel import (
     Environment,
     Interrupt,
@@ -101,15 +106,15 @@ def test_caught_interrupt_lets_process_continue():
     assert log == ["poke", 3.0]
 
 
-def test_interrupted_getter_does_not_eat_items():
-    """The zombie-getter regression: a task interrupted while blocked on
-    a store get must not consume items that arrive later."""
+def _interrupt_waiter_then_feed(wait):
+    """Interrupt a process blocked in ``wait(env, store)`` at t=1, start
+    a live consumer, put one item at t=2 → (what the consumer got, store)."""
     env = Environment()
     store = Store(env)
     got = []
 
     def blocked():
-        yield store.get()
+        yield from wait(env, store)
         pytest.fail("should have been interrupted")
 
     def live_consumer():
@@ -123,11 +128,32 @@ def test_interrupted_getter_does_not_eat_items():
         victim.interrupt("die")
         env.process(live_consumer())
         yield env.timeout(1)
-        yield store.put("precious")
+        store.put("precious")
 
     env.process(orchestrate())
     env.run()
+    return got, store
+
+
+def test_interrupted_getter_does_not_eat_items():
+    """The zombie-getter regression: a task interrupted while blocked on
+    a store get must not consume items that arrive later."""
+    def wait(env, store):
+        yield store.get()
+
+    got, _ = _interrupt_waiter_then_feed(wait)
     assert got == ["precious"]
+
+
+def test_interrupted_with_timeout_getter_does_not_eat_items():
+    """The same regression one layer up: the process is parked on the
+    get itself, so ``interrupt`` reaches it through ``with_timeout``."""
+    def wait(env, store):
+        yield from with_timeout(env, store.get(), 10)
+
+    got, store = _interrupt_waiter_then_feed(wait)
+    assert got == ["precious"]
+    assert not store._get_queue
 
 
 def test_with_timeout_returns_value_when_event_wins():
@@ -174,7 +200,7 @@ def test_with_timeout_cancels_losing_get():
         yield env.timeout(2)
         env.process(patient())
         yield env.timeout(1)
-        yield store.put("x")
+        store.put("x")
 
     env.process(impatient())
     env.process(producer())
@@ -197,3 +223,25 @@ def test_with_timeout_propagates_event_failure():
     env.process(proc())
     env.run()
     assert caught == ["bad"]
+
+
+def test_with_timeout_failed_event_leaves_no_live_deadline(world):
+    """A refused connect propagates through ``with_timeout`` and takes
+    its deadline with it: no callback is left waiting in the heap."""
+    env = world.env
+    server_host, client_host = world.host("server"), world.host("client")
+    client_proc = client_host.spawn("cli")
+    refused = []
+
+    def client():
+        attempt = client_host.kernel.tcp_connect(
+            client_proc, Endpoint(server_host.ip, 443))
+        try:
+            yield from with_timeout(env, attempt, 5.0)
+        except ConnectionRefusedSim:
+            refused.append(env.now)
+
+    client_proc.run(client())
+    env.run(until=1)
+    assert refused
+    assert all(not entry[3].callbacks for entry in env._queue)

@@ -1,7 +1,5 @@
 """Tests for Store / Resource."""
 
-import pytest
-
 from repro.simkernel import Environment, Resource, Store
 
 
@@ -12,7 +10,7 @@ def test_store_put_get_fifo():
 
     def producer():
         for i in range(3):
-            yield store.put(i)
+            store.put(i)
             yield env.timeout(1)
 
     def consumer():
@@ -37,33 +35,12 @@ def test_store_get_blocks_until_item():
 
     def producer():
         yield env.timeout(5)
-        yield store.put("late")
+        store.put("late")
 
     env.process(consumer())
     env.process(producer())
     env.run()
     assert got == [(5.0, "late")]
-
-
-def test_store_capacity_blocks_put():
-    env = Environment()
-    store = Store(env, capacity=1)
-    times = []
-
-    def producer():
-        yield store.put("a")
-        times.append(env.now)
-        yield store.put("b")  # blocks until consumer takes "a"
-        times.append(env.now)
-
-    def consumer():
-        yield env.timeout(10)
-        yield store.get()
-
-    env.process(producer())
-    env.process(consumer())
-    env.run()
-    assert times == [0.0, 10.0]
 
 
 def test_store_try_get():
@@ -76,12 +53,6 @@ def test_store_try_get():
     assert store.try_get() is None
 
 
-def test_store_capacity_validation():
-    env = Environment()
-    with pytest.raises(ValueError):
-        Store(env, capacity=0)
-
-
 def test_store_get_cancel():
     env = Environment()
     store = Store(env)
@@ -92,6 +63,54 @@ def test_store_get_cancel():
     env.run()
     # The cancelled getter must not consume the item.
     assert store.items == ["never"]
+
+
+def test_store_put_serves_parked_getters_fifo():
+    env = Environment()
+    store = Store(env)
+    got = []
+
+    def consumer(label):
+        item = yield store.get()
+        got.append((label, item))
+
+    for label in "abc":
+        env.process(consumer(label))
+
+    def producer():
+        yield env.timeout(1)
+        for item in (1, 2):
+            store.put(item)
+
+    env.process(producer())
+    env.run()
+    # Oldest getter first; the third stays parked, nothing is stored.
+    assert got == [("a", 1), ("b", 2)]
+    assert len(store._get_queue) == 1 and not store.items
+
+
+def test_store_put_skips_cancelled_getter_at_head():
+    env = Environment()
+    store = Store(env)
+
+    withdrawn, live = store.get(), store.get()
+    withdrawn.cancel()
+    store.put("first")
+    store.put("second")
+    env.run()
+    assert not withdrawn.triggered
+    assert live.value == "first"
+    # The withdrawn getter was dropped on the way, not left to be
+    # skipped again; with nobody parked the second item is stored.
+    assert store._get_queue == [] and store.items == ["second"]
+
+
+def test_store_polled_without_puts_does_not_collect_getters():
+    env = Environment()
+    store = Store(env)
+    for _ in range(5):
+        store.get().cancel()
+    assert len(store._get_queue) == 1
 
 
 def test_resource_serializes_users():

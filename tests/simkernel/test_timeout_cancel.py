@@ -26,7 +26,7 @@ def test_event_wins_do_not_grow_the_heap():
 
     def producer():
         while True:
-            yield store.put("item")
+            store.put("item")
             yield env.timeout(0.001)
 
     def consumer():
@@ -56,7 +56,7 @@ def test_timeout_win_still_returns_sentinel():
         results["first"] = out
         # The losing get must have been withdrawn: a later put may not
         # be consumed by the stale getter.
-        yield store.put("late")
+        store.put("late")
         results["second"] = yield from with_timeout(env, store.get(), 1.0)
 
     env.process(waiter())
