@@ -181,9 +181,3 @@ class UpstreamConnectionPool:
             conn.close()
             return
         bucket.append(conn)
-
-    def close_all(self) -> None:
-        for bucket in self._idle.values():
-            for conn in bucket:
-                conn.close()
-        self._idle.clear()

@@ -34,7 +34,6 @@ from ..proxygen.context import ProxyTierContext
 from ..proxygen.server import ProxygenServer
 from ..resilience.health import OutlierTracker
 from ..simkernel.core import Environment
-from ..simkernel.events import AllOf
 from ..simkernel.rng import RandomStreams
 
 __all__ = ["CLIENT_CORES", "CLIENT_CORE_SPEED", "PROXY_CORES",
@@ -140,6 +139,9 @@ class Topology:
             replicas=60, salt=spec.seed)
         #: Cohort client layer (repro.cohorts), single-cluster shape only.
         self.cohort_set = None
+        #: Splice governor (repro.splice), single-cluster shape only;
+        #: None leaves every layer on per-chunk fidelity.
+        self.splice = None
         #: Autoscalers attached to this deployment (repro.ops.autoscale)
         #: — the autoscaler-discipline invariant checker audits these.
         self.autoscalers: list = []
@@ -262,7 +264,7 @@ class Topology:
             for app in region.app_servers:
                 app.start()
         for tier in ("origin_servers", "edge_servers"):
-            yield AllOf(self.env, [self.env.process(server.start())
+            yield self.env.all_of([self.env.process(server.start())
                                    for region in regions
                                    for server in getattr(region, tier)])
         for region in regions:

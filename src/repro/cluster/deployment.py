@@ -43,12 +43,8 @@ class Deployment(Topology):
                  options: Optional[RunOptions] = None):
         super().__init__(spec, spec.edge_vip_ip, env, fault_plan, options)
         spec = self.spec
-        #: Splice fast path (repro.splice); None leaves every layer on
-        #: per-chunk fidelity.
-        self.splice: Optional[SpliceGovernor] = None
         if spec.splice is not None:
             self.splice = SpliceGovernor(self.env)
-            self.splice.attach(self)
             # Bound-handle rule: relays and clients reach the governor
             # through the registry they already hold.
             self.metrics.splice = self.splice

@@ -25,7 +25,6 @@ walks) trigger condensation on aggregate cohorts.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import replace
 from typing import Optional
 
@@ -173,14 +172,14 @@ class CohortSet:
         self.drivers = drivers
         self.policy = policy
         self.counters = deployment.metrics.scoped_counters("cohorts")
-        self._observer = None
 
     def start(self) -> None:
         for driver in self.drivers:
             driver.start()
         if (self.policy.condense_per_event > 0
                 and any(d.fidelity == "aggregate" for d in self.drivers)):
-            self._install_observer()
+            release_orchestrator.add_release_observer(
+                self.deployment.env, self._on_release)
 
     # -- views -----------------------------------------------------------
 
@@ -197,35 +196,9 @@ class CohortSet:
 
     # -- condensation trigger --------------------------------------------
 
-    def _install_observer(self) -> None:
-        """Watch the release orchestrator for walks touching us.
-
-        The observer holds only a weak reference: once the deployment
-        (and with it this set) is garbage, the next release event
-        unhooks the observer — module-global observer lists must not
-        accumulate dead sets across the hundreds of runs one test
-        process performs.
-        """
-        ref = weakref.ref(self)
-
-        def observer(phase: str, release) -> None:
-            cohort_set = ref()
-            if cohort_set is None:
-                release_orchestrator.remove_release_observer(observer)
-                return
-            cohort_set._on_release(phase, release)
-
-        self._observer = observer
-        release_orchestrator.add_release_observer(observer)
-
     def _on_release(self, phase: str, release) -> None:
+        """A release walk began in our environment: condense."""
         if phase != "begin":
-            return
-        deployment = self.deployment
-        ours = {id(s) for s in (deployment.edge_servers
-                                + deployment.origin_servers
-                                + deployment.app_servers)}
-        if not any(id(target) in ours for target in release.targets):
             return
         condensed = 0
         for driver in self.drivers:

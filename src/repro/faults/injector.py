@@ -85,7 +85,10 @@ class FaultInjector:
         record.injected_at = self.env.now
         record.state = "active"
         self.counters.inc("injected", tag=spec.kind)
-        _notify_fault_observers("inject", record)
+        # Bulk transfers run per-chunk while any fault window is open.
+        splice = self.deployment.splice
+        if splice is not None:
+            splice.suspend("fault")
         if spec.duration is None:
             return  # persists to the end of the run
         yield self.env.timeout(spec.duration)
@@ -93,7 +96,8 @@ class FaultInjector:
         record.cleared_at = self.env.now
         record.state = "cleared"
         self.counters.inc("cleared", tag=spec.kind)
-        _notify_fault_observers("clear", record)
+        if splice is not None:
+            splice.resume("fault")
 
     def _inject(self, record: FaultRecord) -> Optional[Callable[[], None]]:
         """Apply one fault; returns the clear callable (None = no target)."""
@@ -358,29 +362,3 @@ class FaultInjector:
                 for r in self.records
             ],
         }
-
-
-# -- fault-window observers --------------------------------------------------
-#
-# Notified as ``cb(phase, record)`` with phase "inject"/"clear" — the
-# splice governor de-splices bulk transfers for the duration of any
-# fault window (repro.splice), the same way cohort condensation watches
-# release walks.  Module-level because injectors are created per run
-# with no central object to hang a hook on.
-
-_fault_observers: list = []
-
-
-def add_fault_observer(callback) -> None:
-    if callback not in _fault_observers:
-        _fault_observers.append(callback)
-
-
-def remove_fault_observer(callback) -> None:
-    if callback in _fault_observers:
-        _fault_observers.remove(callback)
-
-
-def _notify_fault_observers(phase: str, record) -> None:
-    for callback in list(_fault_observers):
-        callback(phase, record)

@@ -116,18 +116,15 @@ class InvariantSuite:
             server.invariant_tap = self
         for server in deployment.app_servers:
             server.invariant_tap = self
-        release_orchestrator.add_release_observer(self._on_release)
+        release_orchestrator.add_release_observer(self.env, self._on_release)
         self.env.process(self._sample_loop())
         return self
 
     def _on_release(self, phase: str, release) -> None:
-        """Orchestrator hook: only releases touching *our* components."""
-        ours = {id(s) for s in (self.deployment.edge_servers
-                                + self.deployment.origin_servers
-                                + self.deployment.app_servers)}
-        if not any(id(target) in ours for target in release.targets):
-            return
-        self.record(f"release_{phase}", release=release)
+        """Orchestrator hook: every release run in our environment,
+        until the suite is finalized."""
+        if not self._finalized:
+            self.record(f"release_{phase}", release=release)
 
     def _sample_loop(self):
         while True:
@@ -146,10 +143,9 @@ class InvariantSuite:
             checker.sample()
 
     def finalize(self) -> list[InvariantViolation]:
-        """Run the end-of-run passes; detach; return all violations."""
+        """Run the end-of-run passes; return all violations."""
         if not self._finalized:
             self._finalized = True
-            release_orchestrator.remove_release_observer(self._on_release)
             for checker in self.checkers:
                 checker.finalize()
         return self.violations

@@ -27,7 +27,7 @@ def _quantile(sorted_values: Sequence[float], q: float) -> float:
 
 
 class Quantiles:
-    """Collects samples and reports p50/p90/p99/p99.9-style quantiles.
+    """Collects samples and reports p50/p99/p99.9-style quantiles.
 
     Insertion is cheap by default: ``add`` *is* ``list.append`` (bound at
     construction), and sortedness is tracked by comparing the list length
@@ -64,10 +64,6 @@ class Quantiles:
     @property
     def median(self) -> float:
         return self.quantile(0.5)
-
-    @property
-    def p90(self) -> float:
-        return self.quantile(0.90)
 
     @property
     def p99(self) -> float:

@@ -125,9 +125,6 @@ class IntervalAccumulator:
             if overlap > 0:
                 self._buckets[bucket] = self._buckets.get(bucket, 0.0) + rate * overlap
 
-    def value_at_bucket(self, bucket: int) -> float:
-        return self._buckets.get(bucket, 0.0)
-
     def series(self, start: float, end: float) -> list[tuple[float, float]]:
         first = int(math.floor(start / self.bucket_width))
         last = _last_bucket(end, self.bucket_width)

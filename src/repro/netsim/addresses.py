@@ -35,10 +35,6 @@ class FourTuple:
     src: Endpoint
     dst: Endpoint
 
-    def reversed(self) -> "FourTuple":
-        """The same flow seen from the other side."""
-        return FourTuple(self.protocol, self.dst, self.src)
-
     def __str__(self) -> str:
         return f"{self.protocol.value} {self.src} -> {self.dst}"
 

@@ -43,14 +43,6 @@ class LinkProfile:
     bandwidth: Optional[float] = None
     loss: float = 0.0
 
-    def delay(self, size: int, rng) -> float:
-        total = self.latency
-        if self.jitter > 0:
-            total += rng.uniform(0.0, self.jitter)
-        if self.bandwidth:
-            total += size / self.bandwidth
-        return total
-
 
 # Default link classes, loosely calibrated to the paper's setting: users
 # reach an Edge PoP over last-mile WAN (tens of ms), Edge PoPs reach the
@@ -219,9 +211,9 @@ class Network:
         else:
             profile = self._profiles.get((src.site, dst.site),
                                          self.default_profile)
-        # Inlined ``profile.delay`` — the rng draw order (jitter before
-        # the loss roll) must stay exactly as the frozen kernel era had
-        # it, or seeded runs diverge.
+        # The rng draw order (jitter before the loss roll) must stay
+        # exactly as the frozen kernel era had it, or seeded runs
+        # diverge.
         site_rngs = self._site_rngs
         if site_rngs is None:
             rng = self.rng

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from ..simkernel.core import Environment
-from ..simkernel.events import AnyOf, Event
+from ..simkernel.events import Event
 
 __all__ = ["with_timeout", "TimeoutResult", "TIMED_OUT", "is_timeout"]
 
@@ -37,11 +37,11 @@ def with_timeout(env: Environment, event: Event, timeout: float):
         # A pending store get: the caller owns it and it can be
         # withdrawn, so park on the get itself and let the deadline
         # expire it — no race event between the two.  An interrupt
-        # reaches the get through ``Process.target`` and withdraws it.
+        # finds the get as the process's wait target and withdraws it.
         wait_on, waker = event, expire
         deadline.callbacks.append(waker)
     else:
-        wait_on = AnyOf(env, [event, deadline])
+        wait_on = env.any_of([event, deadline])
         waker = wait_on._check
     try:
         result = yield wait_on

@@ -43,7 +43,6 @@ from ..protocols.http2 import FrameType, H2Connection, H2Error
 from ..protocols.mqtt import MqttConnect, ReConnect
 from ..protocols.quic import QuicStateTable
 from ..protocols.tls import TlsClientHello, server_handle_hello
-from ..simkernel.events import AnyOf
 from .takeover import run_takeover_client, run_takeover_server_session
 from .tunnels import EdgeMqttTunnel, OriginMqttTunnel
 from .udp import QuicService
@@ -490,8 +489,8 @@ class ProxygenInstance:
         try:
             while h2.alive:
                 accept_ev = h2.accept_stream()
-                result = yield AnyOf(self.host.env,
-                                     [accept_ev, h2.closed_event])
+                result = yield self.host.env.any_of(
+                    [accept_ev, h2.closed_event])
                 if accept_ev in result:
                     stream = result[accept_ev]
                     self.process.run(self._serve_origin_stream(stream))
@@ -760,7 +759,7 @@ class ProxygenInstance:
         waits = {name: pair[1].recv() for name, pair in legs.items()}
         deadline = env.timeout(remaining, value=TIMED_OUT)
         while waits:
-            result = yield AnyOf(env, list(waits.values()) + [deadline])
+            result = yield env.any_of(list(waits.values()) + [deadline])
             fired = [name for name in ("primary", "hedge")
                      if name in waits and waits[name] in result]
             if not fired:  # only the deadline fired
@@ -927,7 +926,7 @@ class ProxygenInstance:
                 else:
                     stream_ev = stream.recv()
                     conn_ev = conn.recv()
-                    result = yield AnyOf(env, [stream_ev, conn_ev])
+                    result = yield env.any_of([stream_ev, conn_ev])
                     arrivals = []
                     if stream_ev in result:
                         arrivals.append(("stream", result[stream_ev]))

@@ -122,9 +122,6 @@ class AnycastResolver:
         self.counters.inc("route_no_region")
         return None
 
-    def __call__(self, flow: FourTuple) -> Optional[str]:
-        return self.route(flow)
-
     # -- health probing ----------------------------------------------------
 
     def _monitor(self, target: RegionTarget):

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..release.orchestrator import RollingRelease, RollingReleaseConfig
-from ..simkernel.events import AllOf
 
 __all__ = ["EvacuationReport", "evacuate_region", "release_all_pops"]
 
@@ -123,7 +122,7 @@ def evacuate_region(deployment, region_name: str, grace: float = 1.0):
                 exits.append(instance.exited_event)
                 report.edge_drained += 1
     if exits:
-        yield AllOf(env, exits)
+        yield env.all_of(exits)
 
     # 3b. Origin drain, same shape.
     exits = []
@@ -136,7 +135,7 @@ def evacuate_region(deployment, region_name: str, grace: float = 1.0):
             exits.append(instance.exited_event)
             report.origin_drained += 1
     if exits:
-        yield AllOf(env, exits)
+        yield env.all_of(exits)
 
     # 3c. App servers leave the pool and see out their queues.
     drains = []
@@ -145,7 +144,7 @@ def evacuate_region(deployment, region_name: str, grace: float = 1.0):
         drains.append(env.process(server.decommission()))
         report.apps_decommissioned += 1
     if drains:
-        yield AllOf(env, drains)
+        yield env.all_of(drains)
 
     # 3d. The evacuated brokers finally shut down: terminate any tunnel
     # whose client never completed the solicited DCR splice (it may be
@@ -182,4 +181,4 @@ def release_all_pops(deployment, batch_fraction: float = 0.2,
                 for region in deployment.regions for pop in region.pops]
     tasks = [deployment.env.process(release.execute())
              for release in releases]
-    return releases, AllOf(deployment.env, tasks)
+    return releases, deployment.env.all_of(tasks)

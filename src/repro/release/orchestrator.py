@@ -16,39 +16,50 @@ already-released targets back in reverse order.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from ..netsim.proc_utils import TIMED_OUT, with_timeout
 from ..options import current
 from ..simkernel.core import Environment
-from ..simkernel.events import AllOf, Interrupt
+from ..simkernel.events import Interrupt
 
 __all__ = ["BatchRecord", "RollingRelease", "RollingReleaseConfig",
-           "add_release_observer", "remove_release_observer"]
+           "add_release_observer"]
 
-# Module-level observers, notified as ``cb(phase, release)`` with phase
-# in {"begin", "end"}.  Observers (the invariant suites) register here
-# because releases are constructed ad hoc by experiments and tests —
-# there is no central object to hang a hook on.  An observer never sees
-# a release it does not care about twice: "end" fires exactly once per
-# execute(), on every exit path.
-_observers: list = []
+# Release observers belong to the run they watch.  Releases are built ad
+# hoc by experiments and tests, but every one of them holds its
+# environment, so that is the object the hook hangs on: one list per
+# environment, notified in registration order as ``cb(phase, release)``
+# with phase in {"begin", "end"} for every release executed there —
+# "end" exactly once per execute(), on every exit path.  A release in
+# one environment cannot reach another run's observers.
+#
+# Both sides of the table are weak.  An observer is a method of
+# something its deployment owns (governor, suite, collector, cohort set)
+# and the deployment owns the environment, so a strong reference from
+# this module to either would keep every run of the process alive; held
+# weakly, an entry dies with its run and nobody unhooks.
+_observers_by_env: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def add_release_observer(callback) -> None:
-    if callback not in _observers:
-        _observers.append(callback)
+def add_release_observer(env: Environment, callback) -> None:
+    """Call ``callback(phase, release)`` for releases run in ``env``.
 
-
-def remove_release_observer(callback) -> None:
-    if callback in _observers:
-        _observers.remove(callback)
+    The callback is held weakly: its owner keeps it alive (a bound
+    method lives as long as its object, a function as long as the
+    caller's reference).
+    """
+    weak = weakref.WeakMethod if hasattr(callback, "__self__") else weakref.ref
+    _observers_by_env.setdefault(env, []).append(weak(callback))
 
 
 def _notify(phase: str, release: "RollingRelease") -> None:
-    for callback in list(_observers):
-        callback(phase, release)
+    for ref in _observers_by_env.get(release.env, ()):
+        callback = ref()
+        if callback is not None:
+            callback(phase, release)
 
 
 @dataclass
@@ -233,7 +244,7 @@ class RollingRelease:
                 # budget is provably blown, interrupt the rest of the
                 # batch instead of letting it keep restarting machines.
                 self._arm_budget_cut(tasks, outcomes)
-            waiter = AllOf(self.env, tasks)
+            waiter = self.env.all_of(tasks)
             if config.batch_timeout is not None:
                 outcome = yield from with_timeout(
                     self.env, waiter, config.batch_timeout)
@@ -245,7 +256,7 @@ class RollingRelease:
                     # Let the guards unwind (recording their outcomes)
                     # before we read them; interrupts land urgently, so
                     # this second wait completes at the same sim time.
-                    yield AllOf(self.env, tasks)
+                    yield self.env.all_of(tasks)
             else:
                 yield waiter
             still_failed = []
@@ -330,7 +341,7 @@ class RollingRelease:
                     self.env, task, config.batch_timeout)
                 if outcome is TIMED_OUT and task.is_alive:
                     task.interrupt("rollback_timeout")
-                    yield AllOf(self.env, [task])
+                    yield self.env.all_of([task])
             else:
                 yield task
             error = outcomes.get(name)

@@ -3,11 +3,10 @@
 Hot-path layout (see also :mod:`repro.simkernel.events`): the scheduler
 is *two-lane* — events triggered at the current simulation time live in
 plain FIFO deques (one per priority) and never touch the heap, while
-future events go through a binary heap with a monotonic append fast
-path.  The run loop inlines :meth:`Environment.step` so a
-multi-million-event run pays one Python frame per *run*, not per event,
-and dispatch short-circuits the overwhelmingly common single-callback
-case.
+future events go through a binary heap.  The run loop inlines
+:meth:`Environment.step` so a multi-million-event run pays one Python
+frame per *run*, not per event, and dispatch short-circuits the
+overwhelmingly common single-callback case.
 
 Pop order is the strict ``(time, priority, event id)`` order of the
 classic single-heap design: for any time ``t``, heap entries at ``t``
@@ -68,11 +67,6 @@ class Environment:
         self._ready: deque[Event] = deque()
         self._eid = 0
         self._active_process: Optional[Process] = None
-        #: Largest ``(time, priority)`` key ever heap-pushed; entries
-        #: sorting at-or-after it may be appended without a heap sift
-        #: (event ids are strictly increasing, so such entries sort
-        #: after every live heap entry).
-        self._maxkey: tuple[float, int] = (float("-inf"), -1)
         #: Cancelled future timeouts still sitting in the heap as
         #: tombstones (see :meth:`repro.simkernel.events.Timeout.cancel`).
         self._cancelled = 0
@@ -209,10 +203,7 @@ class Environment:
         stop_event = None
 
         if until is not None:
-            # ``callbacks`` identifies an event from either kernel
-            # hierarchy (the frozen reference kernel's events must be
-            # awaitable too); anything else is a time.
-            if isinstance(until, Event) or hasattr(until, "callbacks"):
+            if isinstance(until, Event):
                 stop_event = until
                 if stop_event.callbacks is None:
                     return stop_event.value

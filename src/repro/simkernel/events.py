@@ -17,10 +17,9 @@ here are optimized:
 * every kernel class declares ``__slots__`` (no per-event dict);
 * the environment runs a *two-lane* scheduler: events triggered at the
   current simulation time (``succeed``/``fail``/``_finish``/zero-delay
-  timeouts — the overwhelming majority) go into plain FIFO deques (one
-  per priority) with no heap entry, no key tuple and no sift, while
-  only *future* events touch the heap — and even those take a monotonic
-  append fast path when their key sorts after everything pushed so far;
+  timeouts — 40–50 % of all events on the ``bench/`` workloads) go
+  into plain FIFO deques (one per priority) with no heap entry, no key
+  tuple and no sift, while only *future* events touch the heap;
 * :meth:`Process._resume` keeps the generator drive loop free of
   redundant attribute lookups and re-checks.
 
@@ -37,10 +36,11 @@ entries, then the NORMAL deque — exactly heap order, which the
 differential tests against the frozen single-heap reference kernel
 (:mod:`repro.simkernel.reference`) check on whole runs.
 
-Triggering sites fall back to ``env.schedule`` when the environment has
-no deques (``AttributeError``): a live-hierarchy event driven by the
-frozen reference environment schedules through the reference heap
-instead.
+Every event is built by its environment (``env.timeout``,
+``env.process``, ``env.any_of``, ``env.make_store`` …; nothing outside
+this package constructs an event class by name), so the classes here
+only ever meet :class:`~repro.simkernel.core.Environment` and a run
+under the frozen reference environment contains none of them.
 
 The pre-optimization implementation is frozen verbatim in
 :mod:`repro.simkernel.reference`; ``tests/perf/test_differential.py``
@@ -111,33 +111,14 @@ def _push(env, event, priority: int, at: float) -> None:
 
     Same-time events go to the environment's FIFO deques (see the
     module docstring for the order-preservation argument); future
-    events go to the heap.  Event ids increase monotonically, so a heap
-    entry whose ``(time, priority)`` sorts at-or-after the largest key
-    pushed so far is guaranteed to sort after *every* live heap entry —
-    a plain ``list.append`` keeps the heap invariant and skips the
-    sift.  Pop order is unchanged either way: heap keys are unique (the
-    event id breaks ties), so ``heappop`` always yields the same total
-    order.
-
-    Works against the frozen reference environment too: it has no
-    deques, so same-time pushes fall back to its ``schedule``; the heap
-    branch is shared (the reference environment maintains ``_maxkey``
-    for exactly this reason).
+    events go to the heap.
     """
     if at == env._now:
-        try:
-            (env._ready if priority else env._urgent).append(event)
-            env._eid += 1
-        except AttributeError:
-            env.schedule(event, priority)
+        (env._ready if priority else env._urgent).append(event)
+        env._eid += 1
         return
     env._eid = eid = env._eid + 1
-    key = (at, priority)
-    if key >= env._maxkey:
-        env._maxkey = key
-        env._queue.append((at, priority, eid, event))
-    else:
-        heappush(env._queue, (at, priority, eid, event))
+    heappush(env._queue, (at, priority, eid, event))
 
 
 class Event:
@@ -170,13 +151,6 @@ class Event:
         return self.callbacks is None
 
     @property
-    def ok(self) -> bool:
-        """``True`` if the event succeeded.  Only valid once triggered."""
-        if self._ok is None:
-            raise SimulationError("Event has not yet been triggered")
-        return self._ok
-
-    @property
     def value(self) -> Any:
         """The event's value (or the exception it failed with)."""
         if self._value is PENDING:
@@ -197,11 +171,8 @@ class Event:
         self._ok = True
         self._value = value
         env = self.env
-        try:
-            env._ready.append(self)
-            env._eid += 1
-        except AttributeError:
-            env.schedule(self, NORMAL)
+        env._ready.append(self)
+        env._eid += 1
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -213,23 +184,9 @@ class Event:
         self._ok = False
         self._value = exception
         env = self.env
-        try:
-            env._ready.append(self)
-            env._eid += 1
-        except AttributeError:
-            env.schedule(self, NORMAL)
+        env._ready.append(self)
+        env._eid += 1
         return self
-
-    def trigger(self, event: "Event") -> None:
-        """Trigger this event with the state of another event (chaining)."""
-        self._ok = event._ok
-        self._value = event._value
-        env = self.env
-        try:
-            env._ready.append(self)
-            env._eid += 1
-        except AttributeError:
-            env.schedule(self, NORMAL)
 
     # -- composition ---------------------------------------------------
 
@@ -243,20 +200,6 @@ class Event:
         state = "processed" if self.processed else (
             "triggered" if self.triggered else "pending")
         return f"<{type(self).__name__} {state} at {id(self):#x}>"
-
-
-#: Event hierarchies the process loop accepts as yield targets.  The
-#: frozen reference kernel registers its own hierarchy here on import so
-#: mixed runs (reference environment driving shared store/socket events,
-#: or vice versa) interoperate.
-_EVENT_TYPES: tuple = (Event,)
-
-
-def register_event_type(cls: type) -> None:
-    """Register a foreign event hierarchy (used by the reference kernel)."""
-    global _EVENT_TYPES
-    if cls not in _EVENT_TYPES:
-        _EVENT_TYPES = _EVENT_TYPES + (cls,)
 
 
 class Timeout(Event):
@@ -274,10 +217,6 @@ class Timeout(Event):
         self._defused = False
         self._delay = delay
         _push(env, self, NORMAL, env._now + delay)
-
-    @property
-    def delay(self) -> float:
-        return self._delay
 
     def cancel(self) -> None:
         """Withdraw a timeout nobody is waiting on anymore.
@@ -304,11 +243,7 @@ class Timeout(Event):
         # entries only ever carry it through this method.
         self._defused = True
         if self._delay > 0:
-            env = self.env
-            try:
-                env._note_cancelled()
-            except AttributeError:
-                pass  # reference-style environment: tombstone just pops
+            self.env._note_cancelled()
 
 
 class Initialize(Event):
@@ -322,11 +257,8 @@ class Initialize(Event):
         self._value = None
         self._ok = True
         self._defused = False
-        try:
-            env._urgent.append(self)
-            env._eid += 1
-        except AttributeError:
-            env.schedule(self, URGENT)
+        env._urgent.append(self)
+        env._eid += 1
 
 
 class Process(Event):
@@ -345,11 +277,6 @@ class Process(Event):
         super().__init__(env)
         self._generator = generator
         self._target: Optional[Event] = Initialize(env, self)
-
-    @property
-    def target(self) -> Optional[Event]:
-        """The event this process is currently waiting for."""
-        return self._target
 
     @property
     def is_alive(self) -> bool:
@@ -385,11 +312,8 @@ class Process(Event):
         event._value = Interrupt(cause)
         event._defused = True
         event.callbacks.append(self._resume)
-        try:
-            env._urgent.append(event)
-            env._eid += 1
-        except AttributeError:
-            env.schedule(event, URGENT)
+        env._urgent.append(event)
+        env._eid += 1
 
     def _resume(self, event: Event) -> None:
         """Advance the generator with the value (or exception) of ``event``."""
@@ -430,7 +354,7 @@ class Process(Event):
                     self._finish(False, exc)
                     break
 
-            if not isinstance(next_target, _EVENT_TYPES):
+            if not isinstance(next_target, Event):
                 exc = SimulationError(
                     f"Process yielded a non-event: {next_target!r}")
                 try:
@@ -460,11 +384,8 @@ class Process(Event):
         self._ok = ok
         self._value = value
         env = self.env
-        try:
-            env._ready.append(self)
-            env._eid += 1
-        except AttributeError:
-            env.schedule(self, NORMAL)
+        env._ready.append(self)
+        env._eid += 1
         self._target = None
 
 

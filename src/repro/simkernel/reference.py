@@ -2,7 +2,7 @@
 
 This module is a verbatim snapshot of ``events.py`` + ``core.py`` as
 they stood *before* the fast-path optimizations (``__slots__``, inlined
-resume loop, monotonic append scheduling, single-callback dispatch)
+resume loop, two-lane scheduling, single-callback dispatch)
 landed.  It exists so that every optimization can be *proven*
 behavior-identical rather than eyeballed:
 
@@ -13,22 +13,25 @@ behavior-identical rather than eyeballed:
   reports the speedup; the committed ``BENCH_*.json`` baselines record
   the trajectory.
 
-DO NOT OPTIMIZE THIS FILE.  It is the oracle.  Two deliberate,
-behavior-preserving deviations from the historical text keep the
-kernels interoperable (code outside the kernel — stores, sockets,
-conditions built by shared modules — constructs events from the *live*
-class hierarchy, and those events may be driven by a reference
-environment):
+DO NOT OPTIMIZE THIS FILE.  It is the oracle, and its code is the
+historical text with no deviations: the two kernels never meet inside a
+run.  Model code builds every event through its environment
+(``env.timeout``, ``env.process``, ``env.any_of``/``env.all_of``,
+``env.make_store``, ``env.make_resource``), so a simulation handed a
+reference :class:`Environment` consists of the classes below and nothing
+else — ``Condition`` included — and the differential compares two whole
+kernels.  Only the sentinels and exception types are shared: model
+code catches ``Interrupt`` by class.
 
-* ``_EVENT_TYPES``: the reference process loop and run loop recognise
-  live-hierarchy instances as events too, and the live loop is taught
-  about this hierarchy via :func:`repro.simkernel.events.
-  register_event_type`.
-* ``_maxkey`` bookkeeping in :meth:`Environment.schedule`: live events
-  triggered under a reference environment push through the live
-  kernel's monotonic append fast path, which is only valid if the
-  environment tracks the largest key ever pushed.  The reference
-  scheduler itself still always uses :func:`heapq.heappush`.
+What this file no longer carries, and why it was not a reference for
+anything: the tuple naming both kernels' event classes and the
+largest-key bookkeeping in :meth:`Environment.schedule` (shims for
+live-hierarchy events driven by this environment, which no longer
+occur), and the filtering store, the continuous-quantity container and
+their factories (the live kernel lost those primitives, so nothing was
+compared against them).  ``Store`` keeps its capacity, put events and
+filter hook exactly as frozen: the live ``Store`` is compared against
+it.
 """
 
 from __future__ import annotations
@@ -49,14 +52,11 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "Store",
-    "FilterStore",
     "Resource",
-    "Container",
 ]
 
-# Re-use the live kernel's sentinels and exception types so that state
-# and errors are interchangeable between the two kernels (a reference
-# event handed to live code must look triggered/failed the same way).
+# Re-use the live kernel's sentinels and exception types: model code
+# catches ``Interrupt`` by class whichever kernel threw it.
 PENDING = _live.PENDING
 URGENT = _live.URGENT
 NORMAL = _live.NORMAL
@@ -158,14 +158,6 @@ class Event:
         state = "processed" if self.processed else (
             "triggered" if self.triggered else "pending")
         return f"<{type(self).__name__} {state} at {id(self):#x}>"
-
-
-#: Both kernels' event hierarchies (see the module docstring).
-_EVENT_TYPES = (Event, _live.Event)
-
-# Teach the live kernel's process loop about reference events, so a
-# live process driven inside a reference-kernel run can wait on them.
-_live.register_event_type(Event)
 
 
 class Timeout(Event):
@@ -287,7 +279,7 @@ class Process(Event):
                     self._finish(False, exc)
                     break
 
-            if not isinstance(next_target, _EVENT_TYPES):
+            if not isinstance(next_target, Event):
                 exc = SimulationError(
                     f"Process yielded a non-event: {next_target!r}")
                 try:
@@ -398,9 +390,6 @@ class Environment:
         self._queue: list[tuple[float, int, int, Event]] = []
         self._eid = 0
         self._active_process: Optional[Process] = None
-        # Interop bookkeeping only (see module docstring); the reference
-        # scheduler never takes the append fast path itself.
-        self._maxkey: tuple[float, int] = (float("-inf"), -1)
 
     # -- clock -----------------------------------------------------------
 
@@ -443,10 +432,7 @@ class Environment:
         if delay < 0:
             raise ValueError(f"Negative delay {delay}")
         self._eid += 1
-        at = self._now + delay
-        if (at, priority) > self._maxkey:
-            self._maxkey = (at, priority)
-        heapq.heappush(self._queue, (at, priority, self._eid, event))
+        heapq.heappush(self._queue, (self._now + delay, priority, self._eid, event))
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
@@ -482,7 +468,7 @@ class Environment:
         stop_event: Optional[Event] = None
 
         if until is not None:
-            if isinstance(until, _EVENT_TYPES):
+            if isinstance(until, Event):
                 stop_event = until
                 if stop_event.callbacks is None:
                     return stop_event.value
@@ -535,18 +521,9 @@ class Environment:
         """A frozen-kernel :class:`Store` bound to this environment."""
         return Store(self, capacity)
 
-    def make_filter_store(self, capacity: float = float("inf")) -> "FilterStore":
-        """A frozen-kernel :class:`FilterStore` bound to this environment."""
-        return FilterStore(self, capacity)
-
     def make_resource(self, capacity: int = 1) -> "Resource":
         """A frozen-kernel :class:`Resource` bound to this environment."""
         return Resource(self, capacity)
-
-    def make_container(self, capacity: float = float("inf"),
-                       init: float = 0.0) -> "Container":
-        """A frozen-kernel :class:`Container` bound to this environment."""
-        return Container(self, capacity, init)
 
 
 # -- frozen resource primitives ---------------------------------------------
@@ -648,13 +625,6 @@ class Store:
             self._get_queue = remaining
 
 
-class FilterStore(Store):
-    """A store whose consumers may wait for items matching a predicate."""
-
-    def get(self, filter_fn: Optional[Callable[[Any], bool]] = None) -> StoreGetEvent:
-        return StoreGetEvent(self, filter_fn)
-
-
 class ResourceRequest(Event):
     """A request for one unit of a :class:`Resource` (frozen kernel)."""
 
@@ -716,61 +686,3 @@ class Resource:
             request = self._queue.pop(0)
             self.users.append(request)
             request.succeed()
-
-
-class Container:
-    """A continuous quantity with blocking get/put (frozen kernel)."""
-
-    def __init__(self, env: Environment, capacity: float = float("inf"),
-                 init: float = 0.0):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        if not 0 <= init <= capacity:
-            raise ValueError("init must be within [0, capacity]")
-        self.env = env
-        self.capacity = capacity
-        self._level = init
-        self._put_queue: list[tuple[Event, float]] = []
-        self._get_queue: list[tuple[Event, float]] = []
-
-    @property
-    def level(self) -> float:
-        """Current amount stored."""
-        return self._level
-
-    def put(self, amount: float) -> Event:
-        """Add ``amount``; blocks while it would exceed capacity."""
-        if amount < 0:
-            raise ValueError("amount must be non-negative")
-        event = Event(self.env)
-        self._put_queue.append((event, amount))
-        self._trigger()
-        return event
-
-    def get(self, amount: float) -> Event:
-        """Remove ``amount``; blocks while the level is insufficient."""
-        if amount < 0:
-            raise ValueError("amount must be non-negative")
-        event = Event(self.env)
-        self._get_queue.append((event, amount))
-        self._trigger()
-        return event
-
-    def _trigger(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            if self._put_queue:
-                event, amount = self._put_queue[0]
-                if self._level + amount <= self.capacity:
-                    self._put_queue.pop(0)
-                    self._level += amount
-                    event.succeed()
-                    progressed = True
-            if self._get_queue:
-                event, amount = self._get_queue[0]
-                if self._level >= amount:
-                    self._get_queue.pop(0)
-                    self._level -= amount
-                    event.succeed(amount)
-                    progressed = True

@@ -28,8 +28,9 @@ scheduled-event count (``env._eid``) and in nothing a model observes:
 ``tests/perf/test_differential.py`` holds every other field equal.
 
 Construct these through the :class:`~repro.simkernel.core.Environment`
-factory methods (``env.make_store()`` etc.) so that a simulation driven
-by the reference environment gets the matching frozen implementations.
+factory methods (``env.make_store()``, ``env.make_resource()``), like
+every other event: a simulation driven by the reference environment
+then gets the frozen implementations and never meets these classes.
 """
 
 from __future__ import annotations
@@ -93,9 +94,6 @@ class Store:
         #: Parked getters, oldest first; withdrawn ones are dropped
         #: lazily (see :meth:`put`).
         self._get_queue: list[StoreGetEvent] = []
-
-    def __len__(self) -> int:
-        return len(self.items)
 
     def put(self, item: Any) -> None:
         """Hand ``item`` to the oldest parked getter, or store it."""

@@ -78,9 +78,6 @@ class DistributionSampler:
             value = min(value, cap)
         return value
 
-    def choice(self, items: Sequence):
-        return self.rng.choice(items)
-
     def weighted_choice(self, items: Sequence, weights: Sequence[float]):
         return self.rng.choices(list(items), weights=list(weights), k=1)[0]
 

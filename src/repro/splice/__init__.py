@@ -37,18 +37,18 @@ The governor deliberately keeps its own statistics as plain integers
 snapshot of a splice-on run must stay bit-identical to the splice-off
 run, so the fast path may not leave fingerprints there.
 
-Observer wiring reuses the condensation pattern of
-:mod:`repro.cohorts.drivers`: module-global observer lists hold only a
-weak reference to the governor, so dead deployments unhook themselves.
+The governor hears about its own run only: release walks through the
+per-environment observer list of :mod:`repro.release.orchestrator`,
+fault windows from the deployment's
+:class:`~repro.faults.injector.FaultInjector`, which calls
+:meth:`SpliceGovernor.suspend` / :meth:`~SpliceGovernor.resume` itself.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 from ..release import orchestrator as release_orchestrator
-from ..simkernel.events import AnyOf
 
 __all__ = ["MIN_BULK_BYTES", "SpliceConfig", "SpliceGovernor"]
 
@@ -68,8 +68,8 @@ class SpliceGovernor:
     """Deployment-scoped arbiter of when splicing is allowed.
 
     ``engaged`` is the one-attribute-read hot-path test; it is true only
-    while no release walk targets this deployment and no fault window is
-    open.  Components that parked a bulk transfer subscribe to
+    while no release walk runs in this environment and no fault window
+    is open.  Components that parked a bulk transfer subscribe to
     :meth:`wake` so a mechanism boundary de-splices them mid-flight.
     """
 
@@ -86,8 +86,7 @@ class SpliceGovernor:
         self.chunks_elided = 0
         self.desplices = 0
         self.relay_fastpath = 0
-        self._deployment_ref = None
-        self._release_observer = None
+        release_orchestrator.add_release_observer(env, self._on_release)
 
     # -- hot-path hooks ----------------------------------------------------
 
@@ -114,7 +113,7 @@ class SpliceGovernor:
         env = self.env
         pacing = env.timeout(delay)
         wake = self._wake
-        race = AnyOf(env, [pacing, wake])
+        race = env.any_of([pacing, wake])
         result = yield race
         if pacing in result:
             callbacks = wake.callbacks
@@ -170,52 +169,8 @@ class SpliceGovernor:
             self._suspended[kind] = count
         self.engaged = not self._suspended
 
-    # -- observer wiring ---------------------------------------------------
-
-    def attach(self, deployment) -> "SpliceGovernor":
-        """Watch release walks and fault windows touching ``deployment``."""
-        self._deployment_ref = weakref.ref(deployment)
-        ref = weakref.ref(self)
-
-        def release_observer(phase: str, release) -> None:
-            governor = ref()
-            if governor is None:
-                release_orchestrator.remove_release_observer(
-                    release_observer)
-                return
-            governor._on_release(phase, release)
-
-        self._release_observer = release_observer
-        release_orchestrator.add_release_observer(release_observer)
-
-        from ..faults import injector as fault_injector
-
-        def fault_observer(phase: str, record) -> None:
-            governor = ref()
-            if governor is None:
-                fault_injector.remove_fault_observer(fault_observer)
-                return
-            governor._on_fault(phase)
-
-        fault_injector.add_fault_observer(fault_observer)
-        return self
-
     def _on_release(self, phase: str, release) -> None:
-        deployment = (self._deployment_ref()
-                      if self._deployment_ref is not None else None)
-        if deployment is not None:
-            ours = {id(s) for s in (deployment.edge_servers
-                                    + deployment.origin_servers
-                                    + deployment.app_servers)}
-            if not any(id(target) in ours for target in release.targets):
-                return
         if phase == "begin":
             self.suspend("release")
         elif phase == "end":
             self.resume("release")
-
-    def _on_fault(self, phase: str) -> None:
-        if phase == "inject":
-            self.suspend("fault")
-        elif phase == "clear":
-            self.resume("fault")

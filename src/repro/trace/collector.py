@@ -241,6 +241,11 @@ class TraceCollector:
             record[key] = _json_value(value)
         self.events.append(record)
 
+    def on_release(self, phase: str, release) -> None:
+        """Release observer (see ``repro.release.orchestrator``)."""
+        self.event(f"release_{phase}", scope=release.name,
+                   targets=len(release.targets))
+
     # -- export -----------------------------------------------------------
 
     def _retained(self) -> Iterable[_Trace]:

@@ -13,14 +13,14 @@ instances spawned later.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from ..release import orchestrator as release_orchestrator
 from .collector import TraceCollector, TraceConfig
 
 __all__ = ["install", "uninstall", "drain"]
 
-_installed: list[tuple[TraceCollector, Callable]] = []
+_installed: list[TraceCollector] = []
 
 
 def install(deployment,
@@ -41,31 +41,20 @@ def install(deployment,
     collector = TraceCollector(deployment.env,
                                deployment.streams.stream("trace"), config)
     deployment.metrics.tracing = collector
-
-    def _on_release(phase: str, release) -> None:
-        if getattr(release, "env", None) is deployment.env:
-            collector.event(f"release_{phase}", scope=release.name,
-                            targets=len(release.targets))
-
-    release_orchestrator.add_release_observer(_on_release)
-    _installed.append((collector, _on_release))
+    release_orchestrator.add_release_observer(deployment.env,
+                                              collector.on_release)
+    _installed.append(collector)
     return collector
 
 
 def uninstall(collector: TraceCollector) -> None:
-    """Detach one collector (the fuzz runner detaches per scenario)."""
-    for entry in list(_installed):
-        if entry[0] is collector:
-            release_orchestrator.remove_release_observer(entry[1])
-            _installed.remove(entry)
+    """Forget one collector (the fuzz runner forgets per scenario)."""
+    if collector in _installed:
+        _installed.remove(collector)
 
 
 def drain() -> list[TraceCollector]:
-    """Detach and return every installed collector, in install order."""
-    collectors = []
-    while _installed:
-        collector, observer = _installed.pop()
-        release_orchestrator.remove_release_observer(observer)
-        collectors.append(collector)
-    collectors.reverse()
+    """Forget and return every installed collector, in install order."""
+    collectors = list(_installed)
+    _installed.clear()
     return collectors

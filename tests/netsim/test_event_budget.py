@@ -12,7 +12,7 @@ each primitive *does* is pinned in ``tests/simkernel``.
 
 import pytest
 
-from repro.netsim import CpuModel, Endpoint, proc_utils
+from repro.netsim import CpuModel, Endpoint
 from repro.netsim.proc_utils import TIMED_OUT, with_timeout
 from repro.simkernel import Environment, Store
 
@@ -141,7 +141,7 @@ def test_with_timeout_on_a_pending_get_builds_no_race(monkeypatch):
         raise AssertionError(
             "with_timeout built a Condition around a pending store get")
 
-    monkeypatch.setattr(proc_utils, "AnyOf", no_race)
+    monkeypatch.setattr(Environment, "any_of", no_race)
     env = Environment()
     store = Store(env)
     env.timeout(1.0).callbacks.append(lambda _event: store.put("item"))

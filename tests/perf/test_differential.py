@@ -1,8 +1,8 @@
 """Differential tests: the optimized kernel vs the frozen reference.
 
 The optimized kernel in :mod:`repro.simkernel` (two-lane deque
-scheduler, monotonic heap appends, slotted events, store hand-off,
-born-processed grants, race-free ``with_timeout``) must be
+scheduler, slotted events, store hand-off, born-processed grants,
+race-free ``with_timeout``) must be
 *observably identical* to the pre-optimization implementation frozen
 in :mod:`repro.simkernel.reference` — not statistically close: the
 same seeds must produce the same counters, the same event orderings
@@ -25,8 +25,15 @@ resource grant and a race event per ``with_timeout``; the live kernel
 schedules only the events some process waits on.  Everything else
 staying equal *is* the proof that the elided events were never
 observed.
+
+Each arm runs with the *other* kernel's event constructors and
+scheduler entry point booby-trapped (:func:`only_kernel`), so the
+comparison is between two whole kernels: a model call site that builds
+an event class by name instead of through its environment would put
+the same ``Condition`` in both arms, and fails here.
 """
 
+import contextlib
 import dataclasses
 
 import pytest
@@ -36,6 +43,8 @@ from repro.fuzz.scenario import generate_scenario
 from repro.invariants import checkers as checkers_mod
 from repro.invariants.base import InvariantChecker
 from repro.perf.differential import full_snapshot, reset_id_allocators
+from repro.simkernel import events as live_kernel
+from repro.simkernel import reference as reference_kernel
 from repro.simkernel.reference import Environment as ReferenceEnvironment
 
 #: ≥25 seeded scenarios, as the differential-coverage floor requires.
@@ -46,6 +55,39 @@ FUZZ_SEEDS = list(range(25))
 #: 2 s and ~40% of the horizon), so 12 s already exercises takeover,
 #: drain and fault paths while keeping 50 runs affordable.
 DURATION = 12.0
+
+
+@contextlib.contextmanager
+def only_kernel(env):
+    """Run one arm with the foreign kernel unusable.
+
+    ``env`` is the arm's environment argument (``None`` = live).  While
+    the block runs, building a ``Condition``/``Timeout``/``Process``/
+    plain ``Event`` of the other hierarchy, or scheduling through the
+    other kernel's entry point (``events._push`` / the reference
+    ``Environment.schedule``), records the offence and raises; the
+    record is asserted empty afterwards because model code may swallow
+    an exception raised inside a simulation process.
+    """
+    if env is None:
+        foreign, entry = reference_kernel, (ReferenceEnvironment, "schedule")
+    else:
+        foreign, entry = live_kernel, (live_kernel, "_push")
+    offences = []
+
+    def trap(subject, *_args, **_kwargs):
+        offences.append(type(subject).__name__)
+        raise AssertionError(
+            f"{offences[-1]} of the foreign kernel used in this arm")
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("Event", "Condition", "Timeout", "Process"):
+            patch.setattr(getattr(foreign, name), "__init__", trap)
+        patch.setattr(*entry, trap)
+        yield
+    assert not offences, (
+        f"foreign-kernel events in this arm: {sorted(set(offences))} "
+        f"x{len(offences)}")
 
 
 class TraceChecker(InvariantChecker):
@@ -85,7 +127,8 @@ def run_fuzz(seed: int, env=None):
     reset_id_allocators()
     TraceChecker.trace = []
     TraceChecker.snapshot = {}
-    result = run_scenario(scenario, checkers=["_trace"], env=env)
+    with only_kernel(env):
+        result = run_scenario(scenario, checkers=["_trace"], env=env)
     return result, TraceChecker.trace, TraceChecker.snapshot
 
 
@@ -102,6 +145,25 @@ def test_fuzz_scenario_bit_identical(seed):
     assert live_trace == ref_trace, (
         f"seed {seed}: invariant-tap event ordering diverged")
     assert live_result.stats == ref_result.stats
+
+
+def test_reference_arm_exercises_the_reference_condition():
+    """The oracle covers ``Condition``: under the reference environment
+    every race and barrier the model builds (``with_timeout``, the
+    origin POST select, the H2 accept loop, release batches) is a
+    *reference* condition — :func:`only_kernel` inside ``run_fuzz``
+    rules out a live one — and there are hundreds of them."""
+    built = []
+    original = reference_kernel.Condition.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(type(self).__name__)
+        original(self, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reference_kernel.Condition, "__init__", counting)
+        run_fuzz(3, env=ReferenceEnvironment())
+    assert len(built) > 100 and {"AnyOf", "AllOf"} <= set(built)
 
 
 def test_fuzz_corpus_is_not_vacuous():
@@ -132,22 +194,24 @@ def _figure_deployment(env=None):
                                             RollingReleaseConfig)
 
     reset_id_allocators()
-    deployment = build_deployment(
-        seed=5,
-        edge_proxies=4,
-        origin_proxies=2,
-        app_servers=2,
-        edge_config=ProxygenConfig(mode="edge", drain_duration=4.0,
-                                   enable_takeover=True,
-                                   spawn_delay=0.5),
-        web=WebWorkloadConfig(clients_per_host=8, think_time=0.8),
-        mqtt=MqttWorkloadConfig(users_per_host=6, publish_interval=3.0),
-        env=env)
-    deployment.run(until=6.0)
-    release = RollingRelease(deployment.env, deployment.edge_servers[:2],
-                             RollingReleaseConfig(batch_fraction=1.0))
-    deployment.env.process(release.execute())
-    deployment.run(until=20.0)
+    with only_kernel(env):
+        deployment = build_deployment(
+            seed=5,
+            edge_proxies=4,
+            origin_proxies=2,
+            app_servers=2,
+            edge_config=ProxygenConfig(mode="edge", drain_duration=4.0,
+                                       enable_takeover=True,
+                                       spawn_delay=0.5),
+            web=WebWorkloadConfig(clients_per_host=8, think_time=0.8),
+            mqtt=MqttWorkloadConfig(users_per_host=6, publish_interval=3.0),
+            env=env)
+        deployment.run(until=6.0)
+        release = RollingRelease(
+            deployment.env, deployment.edge_servers[:2],
+            RollingReleaseConfig(batch_fraction=1.0))
+        deployment.env.process(release.execute())
+        deployment.run(until=20.0)
     invariant_runtime.drain()
     return full_snapshot(deployment)
 

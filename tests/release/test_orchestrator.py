@@ -413,20 +413,16 @@ class _Observer:
 
 
 def _observed(env, release, expect_raises=None):
-    from repro.release.orchestrator import (add_release_observer,
-                                            remove_release_observer)
+    from repro.release.orchestrator import add_release_observer
 
     observer = _Observer()
-    add_release_observer(observer)
-    try:
-        process = env.process(release.execute())
-        if expect_raises is not None:
-            with pytest.raises(expect_raises):
-                env.run(until=process)
-        else:
+    add_release_observer(env, observer)
+    process = env.process(release.execute())
+    if expect_raises is not None:
+        with pytest.raises(expect_raises):
             env.run(until=process)
-    finally:
-        remove_release_observer(observer)
+    else:
+        env.run(until=process)
     return observer
 
 
@@ -476,6 +472,65 @@ def test_observer_end_fires_once_when_execute_raises_mid_fleet():
     assert len(release.batches) == 1
     assert observer.ends == [release]
     assert observer.begins == [release]
+
+
+def test_release_does_not_reach_another_environments_observer():
+    from repro.release.orchestrator import add_release_observer
+
+    env_a, env_b = Environment(), Environment()
+    mine, theirs = _Observer(), _Observer()
+    add_release_observer(env_a, mine)
+    add_release_observer(env_b, theirs)
+    release = RollingRelease(env_a, _targets(env_a, 2),
+                             RollingReleaseConfig(batch_fraction=1.0))
+    env_a.run(until=env_a.process(release.execute()))
+    assert mine.begins == [release] and mine.ends == [release]
+    assert theirs.begins == [] and theirs.ends == []
+
+
+def test_observers_run_in_registration_order():
+    from repro.release.orchestrator import add_release_observer
+
+    env = Environment()
+    calls = []
+    observers = [lambda phase, _release, tag=tag: calls.append((tag, phase))
+                 for tag in "abc"]
+    for observer in observers:
+        add_release_observer(env, observer)
+    release = RollingRelease(env, _targets(env, 1))
+    env.run(until=env.process(release.execute()))
+    assert calls == [(tag, phase) for phase in ("begin", "end")
+                     for tag in "abc"]
+
+
+def test_observer_dies_with_its_run_without_anyone_unhooking():
+    """The shape every real observer has — a method of an object that
+    holds the environment (suite, governor, collector, cohort set) —
+    must not be kept alive by the registry, and neither must the
+    environment."""
+    import gc
+    import weakref
+
+    from repro.release.orchestrator import add_release_observer
+
+    class Owner:
+        def __init__(self, env):
+            self.env = env
+            self.seen = []
+
+        def on_release(self, phase, release):
+            self.seen.append(phase)
+
+    env = Environment()
+    owner = Owner(env)
+    add_release_observer(env, owner.on_release)
+    release = RollingRelease(env, _targets(env, 1))
+    env.run(until=env.process(release.execute()))
+    assert owner.seen == ["begin", "end"]
+    env_ref, owner_ref = weakref.ref(env), weakref.ref(owner)
+    del env, owner, release
+    gc.collect()
+    assert env_ref() is None and owner_ref() is None
 
 
 def test_run_options_gate_factory_builds_gates_for_ungated_releases():

@@ -17,12 +17,16 @@ enforced here:
   in-flight bulk transfers to *de-splice*, so takeover runs against
   per-chunk fidelity while the splice-off arm sees the same mechanism
   totals.
+* **Fault windows de-splice too**: the governor disengages at the first
+  inject, stays disengaged until the last overlapping window clears,
+  and the counters still fold exactly.
 """
 
 import pytest
 
 from repro.clients.web import WebWorkloadConfig
 from repro.experiments.common import build_deployment
+from repro.faults import FaultPlan, FaultSpec
 from repro.invariants import runtime as invariant_runtime
 from repro.perf.differential import reset_id_allocators
 from repro.release.orchestrator import RollingRelease, RollingReleaseConfig
@@ -52,23 +56,32 @@ def _workload() -> WebWorkloadConfig:
                              max_requests=6)
 
 
-def _run(seed: int, splice: bool, release: bool = False):
+def _build(seed: int, splice: bool, fault_plan=None):
     reset_id_allocators()
-    deployment = build_deployment(
+    return build_deployment(
         seed=seed,
         edge_proxies=3,
         origin_proxies=2,
         app_servers=2,
         web=_workload(),
-        splice=SpliceConfig() if splice else None)
+        splice=SpliceConfig() if splice else None,
+        fault_plan=fault_plan)
+
+
+def _finish(deployment):
+    deployment.run(until=HORIZON)
+    verdicts = sorted(str(v) for v in invariant_runtime.drain())
+    return deployment, _aggregate(deployment.metrics), verdicts
+
+
+def _run(seed: int, splice: bool, release: bool = False):
+    deployment = _build(seed, splice)
     if release:
         deployment.run(until=3.0)
         walk = RollingRelease(deployment.env, deployment.edge_servers[:2],
                               RollingReleaseConfig(batch_fraction=1.0))
         deployment.env.process(walk.execute())
-    deployment.run(until=HORIZON)
-    verdicts = sorted(str(v) for v in invariant_runtime.drain())
-    return deployment, _aggregate(deployment.metrics), verdicts
+    return _finish(deployment)
 
 
 def _aggregate(metrics) -> dict:
@@ -122,3 +135,51 @@ def test_release_desplices_and_mechanisms_fold(monkeypatch=None):
         "the release never exercised socket takeover")
     assert on_verdicts == off_verdicts == []
     assert on == off, "aggregated counters diverged across a release"
+
+
+def _overlapping_fault_windows() -> FaultPlan:
+    """Two windows, [6, 10) and [8, 13), opening while uploads are
+    parked on the governor.  Slowed machines delay requests without
+    failing any, so both arms still finish all their work."""
+    return FaultPlan("splice-window", [
+        FaultSpec("slow_host", where="edge-proxy-*", at=6.0, duration=4.0,
+                  params={"speed_factor": 0.5}),
+        FaultSpec("slow_host", where="appserver-0", at=8.0, duration=5.0,
+                  params={"speed_factor": 0.5}),
+    ])
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_fault_window_desplices_and_counters_fold(seed):
+    deployment = _build(seed, splice=True,
+                        fault_plan=_overlapping_fault_windows())
+    governor = deployment.splice
+
+    deployment.run(until=5.9)
+    parked = governor.wake()
+    assert governor.engaged and governor.desplices == 0
+    assert parked.callbacks, "no upload in flight when the window opens"
+
+    deployment.run(until=6.1)  # first inject
+    assert not governor.engaged and governor.desplices == 1
+    assert parked.processed, "the parked uploads were not woken"
+    spliced_before_window = governor.bulk_transfers
+
+    deployment.run(until=9.0)  # both windows open
+    assert not governor.engaged
+    deployment.run(until=11.0)  # the first cleared, the second has not
+    assert not governor.engaged and governor.desplices == 1
+    assert governor.bulk_transfers == spliced_before_window
+    deployment.run(until=13.1)  # the last overlapping clear
+    assert governor.engaged
+
+    _, on, on_verdicts = _finish(deployment)
+    assert governor.bulk_transfers > spliced_before_window, (
+        "splicing never resumed after the windows closed")
+    assert [r.state for r in deployment.fault_injector.records] == \
+        ["cleared", "cleared"]
+
+    _, off, off_verdicts = _finish(_build(
+        seed, splice=False, fault_plan=_overlapping_fault_windows()))
+    assert on == off, f"seed {seed}: counters diverged across the window"
+    assert on_verdicts == off_verdicts == []

@@ -1,13 +1,17 @@
-"""Deterministic-RNG / monotonic-clock discipline, for every module.
+"""Deterministic-RNG / monotonic-clock / share-nothing discipline, for
+every module.
 
 Same-seed runs must replay bit-exact, so nothing under ``src/repro`` may
 draw from the global ``random`` module or read a host clock: randomness
 comes from an injected ``repro.simkernel`` stream, time from ``env.now``.
+And two runs in one process must not be able to reach each other, so
+process-global mutable state is a closed list that can only shrink.
 This walks every module with ``ast`` (so aliased imports are seen too)
 and carries the few exceptions explicitly.
 """
 
 import ast
+import functools
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "repro"
@@ -27,6 +31,50 @@ ALLOWED = {
 }
 
 
+#: Process-global mutable state: path relative to src/repro → {name:
+#: owner and why it survives}.  The lint fails on anything not listed
+#: *and* on a listed name that is gone, so this only ever shrinks.
+SHARED_STATE = {
+    "options.py": {
+        "_current": "the one sanctioned slot: use()/current()"},
+    "release/orchestrator.py": {
+        "_observers_by_env": "per-environment release observers; keys "
+                             "and callbacks weak, an entry dies with "
+                             "its run"},
+    "invariants/runtime.py": {
+        "_suites": "drain registry the tier-1 _invariant_guard reads",
+        "_enabled": "its on/off switch (conftest)"},
+    "trace/runtime.py": {
+        "_installed": "drain registry the CLI reads"},
+    # Cosmetic ID allocators; run-owned once there is a RunContext
+    # (ROADMAP 3e).  perf.differential.reset_id_allocators rewinds them.
+    "protocols/http.py": {"_request_ids": "ROADMAP 3(e)"},
+    "protocols/quic.py": {"_cid_counter": "ROADMAP 3(e)",
+                          "_packet_numbers": "ROADMAP 3(e)"},
+    "netsim/process.py": {"_pids": "ROADMAP 3(e)"},
+}
+
+#: Calls whose result is a mutable container (or a stateful iterator).
+MUTABLE_FACTORIES = {
+    "list", "dict", "set", "bytearray", "deque", "defaultdict",
+    "OrderedDict", "Counter", "count", "WeakKeyDictionary",
+    "WeakValueDictionary", "WeakSet"}
+MUTATORS = {
+    "append", "extend", "insert", "pop", "popitem", "remove", "clear",
+    "update", "setdefault", "add", "discard", "sort", "reverse"}
+
+
+@functools.cache
+def _modules() -> dict:
+    """Every module of the package, parsed once: relative path → tree."""
+    return {p.relative_to(PACKAGE).as_posix(): ast.parse(p.read_text())
+            for p in PACKAGE.rglob("*.py")}
+
+
+def _parse(source) -> ast.AST:
+    return source if isinstance(source, ast.AST) else ast.parse(source)
+
+
 def _allowed(relative: str) -> set:
     return set().union(*(what for prefix, what in ALLOWED.items()
                          if relative == prefix
@@ -34,10 +82,10 @@ def _allowed(relative: str) -> set:
                              and relative.startswith(prefix))))
 
 
-def violations(source: str) -> set:
+def violations(source) -> set:
     """What ``source`` uses: ``import random``, ``import time`` and/or
     the clock functions it reaches (through any alias)."""
-    tree = ast.parse(source)
+    tree = _parse(source)
     found = set()
     time_aliases = set()
     for node in ast.walk(tree):
@@ -64,14 +112,72 @@ def violations(source: str) -> set:
     return found
 
 
+def _is_constant_name(name: str) -> bool:
+    return name.startswith("__") or name.strip("_").isupper()
+
+
+def _is_mutable_value(node: ast.AST) -> bool:
+    if isinstance(node, (ast.List, ast.Dict, ast.Set, ast.ListComp,
+                         ast.DictComp, ast.SetComp)):
+        return True
+    if isinstance(node, ast.Call):
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) \
+            else getattr(func, "id", None)
+        return name in MUTABLE_FACTORIES
+    return False
+
+
+def shared_state(source) -> set:
+    """Names of the process-global mutable state ``source`` declares.
+
+    The rule: a module-level name bound to a list/dict/set display or
+    comprehension, to a mutable-container constructor call or to
+    ``itertools.count`` is shared state, and so is any name a
+    ``global`` statement rebinds.  Exempt are module *constants*:
+    tuples, frozensets and other immutable values by construction, and
+    ``__dunder__`` / ``UPPER_CASE`` names (``__all__``, lookup tables)
+    by convention — a convention this checks as far as the module
+    itself goes: a constant-named container its own module mutates
+    (``TABLE[k] = v``, ``TABLE.append(...)``) is reported too.
+    """
+    tree = _parse(source)
+    found, constants = set(), set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets = [node.target]
+        else:
+            continue
+        if not _is_mutable_value(node.value):
+            continue
+        for target in targets:
+            if isinstance(target, ast.Name):
+                (constants if _is_constant_name(target.id)
+                 else found).add(target.id)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Global):
+            found.update(node.names)
+        elif isinstance(node, ast.Subscript) \
+                and isinstance(node.ctx, (ast.Store, ast.Del)) \
+                and isinstance(node.value, ast.Name):
+            found.update({node.value.id} & constants)
+        elif isinstance(node, ast.Call) \
+                and isinstance(node.func, ast.Attribute) \
+                and node.func.attr in MUTATORS \
+                and isinstance(node.func.value, ast.Name):
+            found.update({node.func.value.id} & constants)
+    return found
+
+
 def test_no_global_random_or_host_clock():
-    modules = {p.relative_to(PACKAGE).as_posix(): p
-               for p in PACKAGE.rglob("*.py")}
+    modules = _modules()
     assert len(modules) > 100 and "options.py" in modules
     for prefix in ALLOWED:  # no stale allowlist entries
         assert any(n == prefix or n.startswith(prefix) for n in modules)
-    bad = {name: sorted(extra) for name, path in sorted(modules.items())
-           if (extra := violations(path.read_text()) - _allowed(name))}
+    bad = {name: sorted(extra) for name, tree in sorted(modules.items())
+           if (extra := violations(tree) - _allowed(name))}
     assert not bad, (
         f"{bad}: draw from an injected repro.simkernel RandomStreams "
         f"stream and read env.now instead (or extend ALLOWED, with a reason)")
@@ -87,3 +193,43 @@ def test_the_lint_sees_what_grep_could_not():
     assert violations("import time\ntime.sleep(1)") == {"import time"}
     assert violations("def f(env):\n    return env.time()") == set()
     assert violations("from .random import x\nfrom . import time") == set()
+
+
+def test_process_global_mutable_state_can_only_shrink():
+    found = {name: state for name, tree in _modules().items()
+             if (state := shared_state(tree))}
+    listed = {name: set(owners) for name, owners in SHARED_STATE.items()}
+    assert found == listed, (
+        "process-global mutable state changed: give new state to an "
+        "object its run owns (anything only in the first dict), and "
+        "drop allowlist entries that are gone (only in the second)")
+
+
+def test_the_shared_state_rule():
+    assert shared_state("_observers = []") == {"_observers"}
+    assert shared_state("_seen: set = set()") == {"_seen"}
+    assert shared_state("import weakref\n"
+                        "_by_env = weakref.WeakKeyDictionary()") == \
+        {"_by_env"}
+    assert shared_state("import itertools\n"
+                        "_ids = itertools.count(1)") == {"_ids"}
+    assert shared_state("from itertools import count\n"
+                        "_ids = count()") == {"_ids"}
+    assert shared_state("_slot = None\n"
+                        "def use(x):\n    global _slot\n    _slot = x") == \
+        {"_slot"}
+    assert shared_state("_TYPES = (int,)\n"
+                        "def register(t):\n    global _TYPES\n"
+                        "    _TYPES += (t,)") == {"_TYPES"}
+    # Constants, by construction or by (checked) convention.
+    assert shared_state("__all__ = ['a']\nTABLE = {'a': 1}\n"
+                        "_PAIRS = [(1, 2)]\nnames = ('a',)\n"
+                        "empty = frozenset()") == set()
+    assert shared_state("TABLE = {}\n"
+                        "def add(k):\n    TABLE[k] = 1") == {"TABLE"}
+    assert shared_state("ORDER = []\n"
+                        "def add(k):\n    ORDER.append(k)") == {"ORDER"}
+    # Function- and instance-level containers are not module state.
+    assert shared_state("def f():\n    local = []\n    return local\n"
+                        "class C:\n    def __init__(self):\n"
+                        "        self.items = {}") == set()
