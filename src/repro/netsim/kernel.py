@@ -113,7 +113,7 @@ class Kernel:
                 return
             dst_host.kernel._handle_syn(flow, client_end, src_host, result)
 
-        network.transmit(src_host, via, syn_arrives, size=SYN_SIZE)
+        network.transmit(src_host, via, _call, syn_arrives, size=SYN_SIZE)
         return result
 
     def _handle_syn(self, flow: FourTuple, client_end: TcpEndpoint,
@@ -123,7 +123,8 @@ class Kernel:
         network = self.host.network
 
         def reply(action) -> None:
-            network.transmit(self.host, src_host.ip, action, size=SYN_SIZE)
+            network.transmit(self.host, src_host.ip, _call, action,
+                             size=SYN_SIZE)
 
         if (listener is None or listener.closed or not listener.accepting
                 or listener.pending >= listener.backlog):
@@ -157,9 +158,8 @@ class Kernel:
             return
         size = item.size if isinstance(item, StreamMessage) else CONTROL_SIZE
         arrival = self.host.network.transmit(
-            self.host, endpoint.remote_host_ip,
-            lambda: peer.deliver(item), size=size,
-            not_before=endpoint.next_in_order_arrival)
+            self.host, endpoint.remote_host_ip, peer.deliver, item,
+            size=size, not_before=endpoint.next_in_order_arrival)
         endpoint.next_in_order_arrival = arrival + 1e-9
 
     # -- UDP -----------------------------------------------------------------------
@@ -197,16 +197,17 @@ class Kernel:
         return self.udp_groups.get(endpoint)
 
     def transmit_datagram(self, datagram: Datagram, via_ip: str) -> None:
-        network = self.host.network
         self._c_udp_sent.inc()
+        self.host.network.transmit(self.host, via_ip, self._datagram_arrives,
+                                   (datagram, via_ip), size=datagram.size)
 
-        def arrives() -> None:
-            dst_host = network.host(via_ip)
-            if dst_host is None:
-                return
+    def _datagram_arrives(self, arrival: Event) -> None:
+        """Sender-side delivery callback: the destination host is looked
+        up at arrival time (it may have gone since the send)."""
+        datagram, via_ip = arrival._value
+        dst_host = self.host.network.host(via_ip)
+        if dst_host is not None:
             dst_host.kernel._handle_datagram(datagram)
-
-        network.transmit(self.host, via_ip, arrives, size=datagram.size)
 
     def _handle_datagram(self, datagram: Datagram) -> None:
         group = self.udp_groups.get(datagram.flow.dst)
@@ -218,7 +219,13 @@ class Kernel:
             self._c_udp_closed.inc()
             return
         self._c_udp_delivered.inc()
-        sock.inbox.put(datagram)
+        sock.inbox_deliver(datagram)
+
+
+def _call(event: Event) -> None:
+    """Delivery callback for the handshake paths, whose item is a
+    closure (a few per connection; data and datagrams carry theirs)."""
+    event._value()
 
 
 def _fail_refused(result: Event) -> None:

@@ -16,10 +16,11 @@ restored bit-identically once the last override pops.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from ..metrics.counters import CounterSet
 from ..simkernel.core import Environment
+from ..simkernel.events import Event
 from ..simkernel.rng import RandomStreams
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -191,9 +192,13 @@ class Network:
         self.drop_counters.inc("dropped_cause", tag=cause)
 
     def transmit(self, src: "Host", dst_ip: str,
-                 deliver: Callable[[], None], size: int = 100,
-                 not_before: float = 0.0) -> float:
-        """Run ``deliver()`` after the link delay (or drop the message).
+                 receiver: Callable[[Event], None], item: Any,
+                 size: int = 100, not_before: float = 0.0) -> float:
+        """Hand ``item`` to ``receiver`` after the link delay (or drop it).
+
+        The delivery is one ``Timeout`` carrying ``item`` as its value
+        with ``receiver`` as its only callback, so ``receiver`` takes
+        the event and reads ``event._value``.
 
         ``not_before`` floors the arrival time — stream transports use it
         to keep per-connection delivery in order (a small message sent
@@ -224,7 +229,9 @@ class Network:
                     f"net/{src.site}")
         delay = profile.latency
         if profile.jitter > 0:
-            delay += rng.uniform(0.0, profile.jitter)
+            # ``rng.uniform(0.0, jitter)`` bit for bit (it computes
+            # ``0.0 + (jitter - 0.0) * random()``), minus its frame.
+            delay += profile.jitter * rng.random()
         if profile.bandwidth:
             delay += size / profile.bandwidth
         arrival = now + delay
@@ -233,8 +240,7 @@ class Network:
         if profile.loss > 0 and rng.random() < profile.loss:
             self._drop(src, dst, "loss")
             return arrival
-        timeout = env.timeout(arrival - now)
-        timeout.callbacks.append(lambda _ev: deliver())
+        env.timeout(arrival - now, item).callbacks.append(receiver)
         return arrival
 
     def rtt(self, src: "Host", dst: "Host") -> float:

@@ -15,7 +15,7 @@ from .addresses import FourTuple
 
 __all__ = ["Datagram", "StreamMessage", "ControlType", "StreamControl"]
 
-@dataclass
+@dataclass(slots=True)
 class Datagram:
     """A UDP datagram in flight."""
 
@@ -26,7 +26,7 @@ class Datagram:
     connection_id: Optional[int] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class StreamMessage:
     """One application message on an established TCP connection."""
 
@@ -41,7 +41,7 @@ class ControlType:
     RST = "RST"
 
 
-@dataclass
+@dataclass(slots=True)
 class StreamControl:
     """A FIN or RST delivered in-order on a connection's receive queue."""
 

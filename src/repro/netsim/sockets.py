@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Optional
 
+from ..simkernel.events import Event
 from ..simkernel.resources import Store, StoreGetEvent
 from .addresses import Endpoint, FourTuple, Protocol
 from .errors import ConnectionResetSim, SocketClosedSim
@@ -48,9 +49,10 @@ class TcpListenSocket:
         event = self.accept_queue.get()
 
         def _assign_owner(ev):
-            if ev._ok:
-                endpoint: TcpEndpoint = ev._value
-                endpoint.set_owner(process)
+            # A deadline (``with_timeout``) succeeds the get with its
+            # sentinel, which is no connection to adopt.
+            if ev._ok and isinstance(ev._value, TcpEndpoint):
+                ev._value.set_owner(process)
 
         event.callbacks.insert(0, _assign_owner)
         return event
@@ -113,6 +115,9 @@ class TcpEndpoint:
         #: VIP in ``remote`` when an L4LB routed the connection).
         self.remote_host_ip = remote_host_ip
         self.inbox: Store = kernel.env.make_store()
+        #: Arrival hand-off: wakes a parked reader in place where the
+        #: kernel can (the frozen reference store only has ``put``).
+        self.inbox_deliver = getattr(self.inbox, "deliver", self.inbox.put)
         self.owner: Optional["SimProcess"] = None
         self.conn: Optional[TcpConnection] = None
         self.peer: Optional["TcpEndpoint"] = None
@@ -185,14 +190,16 @@ class TcpEndpoint:
 
     # -- kernel-side receive ---------------------------------------------------
 
-    def deliver(self, item: Any) -> None:
-        """Called by the kernel when a message for this endpoint arrives."""
+    def deliver(self, arrival: Event) -> None:
+        """Delivery-timeout callback: the message ``arrival`` carries
+        has reached this endpoint."""
+        item = arrival._value
         if isinstance(item, StreamControl):
             if item.kind == ControlType.RST:
                 self.reset = True
             elif item.kind == ControlType.FIN:
                 self.fin_received = True
-            self.inbox.put(item)
+            self.inbox_deliver(item)
             return
         if self.closed or (self.owner is not None and not self.owner.alive):
             # Data for a dead endpoint: answer with RST.
@@ -201,7 +208,7 @@ class TcpEndpoint:
                 self.kernel.transmit_stream(
                     self, StreamControl(ControlType.RST), control=True)
             return
-        self.inbox.put(item)
+        self.inbox_deliver(item)
 
     def _detach(self) -> None:
         if self.owner is not None:
@@ -227,6 +234,8 @@ class UdpSocket:
         self.endpoint = endpoint
         self.reuseport = reuseport
         self.inbox: Store = kernel.env.make_store()
+        #: Arrival hand-off, as :attr:`TcpEndpoint.inbox_deliver`.
+        self.inbox_deliver = getattr(self.inbox, "deliver", self.inbox.put)
         self.closed = False
 
     def sendto(self, payload: Any, dst: Endpoint, size: int = 100,

@@ -58,7 +58,8 @@ def run_scenario(scenario: Scenario, mode: str) -> BenchResult:
         # Coarse differential check for free: a deterministic scenario
         # must complete the same work on both kernels.  The live kernel
         # schedules only events somebody waits on (no put events, no
-        # grants of a free unit, no race around a single store get), so
+        # grants of a free unit, no race around a single store get, no
+        # get event for a reader a network delivery wakes), so
         # it may schedule fewer events than the reference — never more,
         # and exactly as many where none of those is involved.
         if (ref.ops != opt.ops or opt.events > ref.events

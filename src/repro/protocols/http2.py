@@ -40,7 +40,7 @@ class FrameType:
     PING = "PING"
 
 
-@dataclass
+@dataclass(slots=True)
 class H2Frame:
     """One HTTP/2 frame (simplified)."""
 

@@ -216,7 +216,15 @@ class Timeout(Event):
         self._ok = True
         self._defused = False
         self._delay = delay
-        _push(env, self, NORMAL, env._now + delay)
+        # ``_push(env, self, NORMAL, at)``, inlined: one frame per timeout.
+        now = env._now
+        at = now + delay
+        if at == now:
+            env._ready.append(self)
+            env._eid += 1
+        else:
+            env._eid = eid = env._eid + 1
+            heappush(env._queue, (at, NORMAL, eid, self))
 
     def cancel(self) -> None:
         """Withdraw a timeout nobody is waiting on anymore.

@@ -17,14 +17,25 @@ schedule an event only where a process can be parked on it:
 * A ``Resource.request`` that finds a free unit is born *processed*:
   ``yield request`` falls straight through the process loop.  Only a
   queued request is scheduled, when a release grants it.
+* ``Store.deliver`` is ``put`` for a kernel callback that ends by
+  feeding a store — a network delivery timeout reaching a socket inbox:
+  the parked getter's callbacks run there and then, so the delivery
+  timeout itself is the reader's wake-up and the get is never
+  scheduled.  It falls back to ``put`` when a process is running
+  (``env._active_process``): resuming the waiter from inside another
+  generator would run it ahead of the caller's remaining code.
 
 The frozen kernel in :mod:`repro.simkernel.reference` still schedules
-every put and every grant.  A put event had no waiter — it popped as a
-no-op — and removing a no-op from the schedule changes no other pop; a
-born-processed grant resumes its process one same-instant hop earlier,
-which could reorder something only through an exact float-time tie
-with a third event.  So a run here differs from a reference run in the
-scheduled-event count (``env._eid``) and in nothing a model observes:
+every put, every grant and every get (its ``Store`` has no ``deliver``;
+callers bind ``getattr(store, "deliver", store.put)``).  A put event
+had no waiter — it popped as a no-op — and removing a no-op from the
+schedule changes no other pop; a born-processed grant, and a getter
+woken by ``deliver``, resume their process one same-instant hop
+earlier, which could reorder something only through an exact
+float-time tie with a third event (a delivery timeout that advances
+the clock pops with both same-instant lanes empty).  So a run here
+differs from a reference run in the scheduled-event count
+(``env._eid``) and in nothing a model observes:
 ``tests/perf/test_differential.py`` holds every other field equal.
 
 Construct these through the :class:`~repro.simkernel.core.Environment`
@@ -102,6 +113,34 @@ class Store:
             get_event = get_queue.pop(0)
             if not get_event._cancelled:
                 get_event.succeed(item)
+                return
+        self.items.append(item)
+
+    def deliver(self, item: Any) -> None:
+        """:meth:`put` for a kernel callback whose last act it is: the
+        oldest parked getter is resumed here and now, not scheduled.
+
+        Only from the run loop's callback dispatch, in tail position
+        (the waiter runs before ``deliver`` returns).  Called from
+        inside a running process it is :meth:`put`: resuming the waiter
+        there would nest generators and run it ahead of the caller's
+        remaining code.
+        """
+        if self.env._active_process is not None:
+            self.put(item)
+            return
+        get_queue = self._get_queue
+        while get_queue:
+            get_event = get_queue.pop(0)
+            if not get_event._cancelled:
+                # What the run loop would do on popping the get, minus
+                # the schedule entry (``env._eid`` does not move).
+                get_event._ok = True
+                get_event._value = item
+                callbacks = get_event.callbacks
+                get_event.callbacks = None
+                for callback in callbacks:
+                    callback(get_event)
                 return
         self.items.append(item)
 

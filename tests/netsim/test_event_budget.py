@@ -21,14 +21,15 @@ from repro.simkernel import Environment, Store
 PROCESS = 2
 
 
-def test_round_trip_schedules_eight_events(world):
+def test_round_trip_schedules_six_events(world):
     """One request/response on an established connection, both ends
     under ``with_timeout``, one ``cpu.execute`` at the server and one
     think ``timeout`` at the client:
 
-    client send (delivery timeout) + server get wakes + server execute
-    (its timeout; the core is free) + server send + client get wakes
-    + one deadline per ``with_timeout`` (two) + the think timeout = 8.
+    client send (delivery timeout, which is also the server's wake-up)
+    + server execute (its timeout; the core is free) + server send
+    (likewise the client's wake-up) + one deadline per ``with_timeout``
+    (two) + the think timeout = 6.
     """
     env = world.env
     server_host, client_host = world.host("server"), world.host("client")
@@ -62,7 +63,7 @@ def test_round_trip_schedules_eight_events(world):
     trips = [after - before for before, after in zip(marks, marks[1:])]
     # The first trip overlaps connection set-up; the other eleven are
     # steady state.
-    assert trips[1:] == [8] * 11
+    assert trips[1:] == [6] * 11
 
 
 def test_put_schedules_only_the_get_it_wakes():
@@ -80,6 +81,143 @@ def test_put_schedules_only_the_get_it_wakes():
     env.run()
     assert getter.value == "handed"
     assert not store.items
+
+
+def _at(env, delay, action):
+    """Run ``action()`` from a timeout callback, i.e. in kernel context."""
+    env.timeout(delay).callbacks.append(lambda _event: action())
+
+
+def test_deliver_wakes_a_parked_getter_in_place():
+    env = Environment()
+    store = Store(env)
+    log = []
+
+    def waiter():
+        log.append(("got", (yield store.get()), env.now))
+
+    def arrive():
+        before = env._eid
+        store.deliver("item")
+        # The waiter has already run — to completion here, which is the
+        # one event scheduled meanwhile; none for the get.
+        log.append(("delivered", env._eid - before))
+
+    env.process(waiter())
+    _at(env, 1.0, arrive)
+    env.run()
+    assert log == [("got", "item", 1.0), ("delivered", 1)]
+    assert env._eid == PROCESS + 1  # the waiter and the arrival timeout
+    assert not store.items and not store._get_queue
+
+
+def test_deliver_to_an_empty_store_stores_the_item():
+    env = Environment()
+    store = Store(env)
+    _at(env, 1.0, lambda: store.deliver("item"))
+    env.run()
+    assert store.items == ["item"]
+    assert env._eid == 1  # the arrival timeout alone
+
+
+def test_deliver_skips_and_drops_a_cancelled_getter():
+    env = Environment()
+    store = Store(env)
+    got = []
+
+    def waiter():
+        got.append((yield store.get()))
+
+    withdrawn = store.get()
+    env.process(waiter())
+    env.run()  # the waiter parks behind the getter withdrawn next
+    withdrawn.cancel()
+    assert len(store._get_queue) == 2
+    _at(env, 1.0, lambda: store.deliver("item"))
+    env.run()
+    assert got == ["item"]
+    assert not withdrawn.triggered
+    assert not store._get_queue and not store.items
+
+    # Interrupted while parked: withdrawn the same way, so the item
+    # that arrives later is stored, not fed to the dead waiter.
+    parked = env.process(waiter())
+    _at(env, 1.0, lambda: parked.interrupt("killed"))
+    _at(env, 2.0, lambda: store.deliver("late"))
+    env.run()
+    assert got == ["item"] and store.items == ["late"]
+    assert not store._get_queue
+
+
+def test_deliver_from_inside_a_process_is_put():
+    env = Environment()
+    store = Store(env)
+    log = []
+
+    def waiter():
+        log.append(("got", (yield store.get())))
+
+    def sender():
+        yield env.timeout(1.0)
+        before = env._eid
+        store.deliver("item")
+        # Scheduled, not run: the waiter resumes after this process
+        # yields, as with ``put``.
+        log.append(("sent", env._eid - before))
+
+    env.process(waiter())
+    env.process(sender())
+    env.run()
+    assert log == [("sent", 1), ("got", "item")]
+
+
+def test_deliver_runs_every_callback_of_the_getter_in_order():
+    env = Environment()
+    store = Store(env)
+    order = []
+
+    def waiter():
+        order.append(("waiter", (yield getter)))
+
+    getter = store.get()
+    env.process(waiter())
+    env.run()  # parks the waiter on the getter
+    getter.callbacks.insert(0, lambda event: order.append(
+        ("first", event._value)))
+    getter.callbacks.append(lambda event: order.append(
+        ("last", event._value)))
+    _at(env, 1.0, lambda: store.deliver("item"))
+    env.run()
+    assert order == [("first", "item"), ("waiter", "item"), ("last", "item")]
+    assert getter.processed
+
+
+def test_run_until_a_get_returns_the_delivered_item():
+    """``run(until=get)`` hangs its stop callback on the get, so the
+    in-place dispatch raises ``StopSimulation`` from inside the
+    delivery timeout's callback; it must reach the run loop as is."""
+    env = Environment()
+    store = Store(env)
+    _at(env, 1.0, lambda: store.deliver("item"))
+    env.timeout(5.0)
+    assert env.run(until=store.get()) == "item"
+    assert env.now == 1.0
+
+
+def test_with_timeout_get_satisfied_in_place_tombstones_its_deadline():
+    env = Environment()
+    store = Store(env)
+    got = []
+
+    def waiter():
+        got.append((yield from with_timeout(env, store.get(), 100.0)))
+
+    env.process(waiter())
+    _at(env, 1.0, lambda: store.deliver("item"))
+    env.run(until=10.0)
+    assert got == ["item"]
+    assert env._cancelled == 1
+    assert all(not entry[3].callbacks for entry in env._queue)
 
 
 def _cpu_workers(env, cpu, done, *jobs):

@@ -16,12 +16,17 @@ def make_world(profile=None, **profiles):
     return env, streams, metrics, network
 
 
+def _clock(env, log):
+    """A ``transmit`` receiver that logs when its message arrived."""
+    return lambda _arrival: log.append(env.now)
+
+
 def test_transmit_applies_latency():
     env, streams, metrics, network = make_world(LinkProfile(latency=0.5))
     a = Host(env, network, "a", "10.0.0.1", "x", metrics)
     b = Host(env, network, "b", "10.0.0.2", "y", metrics)
     arrivals = []
-    network.transmit(a, b.ip, lambda: arrivals.append(env.now), size=100)
+    network.transmit(a, b.ip, _clock(env, arrivals), None, size=100)
     env.run(until=1)
     assert arrivals == [0.5]
 
@@ -32,7 +37,7 @@ def test_transmit_bandwidth_serialization():
     a = Host(env, network, "a", "10.0.0.1", "x", metrics)
     b = Host(env, network, "b", "10.0.0.2", "y", metrics)
     arrivals = []
-    network.transmit(a, b.ip, lambda: arrivals.append(env.now), size=500)
+    network.transmit(a, b.ip, _clock(env, arrivals), None, size=500)
     env.run(until=2)
     assert arrivals == [pytest.approx(0.6)]  # 0.1 + 500/1000
 
@@ -41,7 +46,7 @@ def test_loopback_fast_path():
     env, streams, metrics, network = make_world(LinkProfile(latency=1.0))
     a = Host(env, network, "a", "10.0.0.1", "x", metrics)
     arrivals = []
-    network.transmit(a, a.ip, lambda: arrivals.append(env.now))
+    network.transmit(a, a.ip, _clock(env, arrivals), None)
     env.run(until=1)
     assert arrivals and arrivals[0] < 0.01
 
@@ -52,7 +57,7 @@ def test_site_profiles_override_default():
     a = Host(env, network, "a", "10.0.0.1", "edge", metrics)
     b = Host(env, network, "b", "10.0.0.2", "origin", metrics)
     arrivals = []
-    network.transmit(a, b.ip, lambda: arrivals.append(env.now))
+    network.transmit(a, b.ip, _clock(env, arrivals), None)
     env.run(until=1)
     assert arrivals == [0.25]
     # Symmetric by default.
@@ -62,7 +67,8 @@ def test_site_profiles_override_default():
 def test_unknown_destination_counts_drop():
     env, streams, metrics, network = make_world()
     a = Host(env, network, "a", "10.0.0.1", "x", metrics)
-    network.transmit(a, "10.9.9.9", lambda: pytest.fail("delivered"))
+    network.transmit(a, "10.9.9.9",
+                     lambda _arrival: pytest.fail("delivered"), None)
     env.run(until=1)
     assert network.dropped == 1
 
@@ -74,7 +80,7 @@ def test_lossy_link_drops_fraction():
     b = Host(env, network, "b", "10.0.0.2", "y", metrics)
     delivered = []
     for _ in range(400):
-        network.transmit(a, b.ip, lambda: delivered.append(1))
+        network.transmit(a, b.ip, _clock(env, delivered), None)
     env.run(until=1)
     assert 120 < len(delivered) < 280
     assert network.dropped == 400 - len(delivered)
@@ -86,9 +92,13 @@ def test_not_before_enforces_order():
     a = Host(env, network, "a", "10.0.0.1", "x", metrics)
     b = Host(env, network, "b", "10.0.0.2", "y", metrics)
     order = []
+
+    def receiver(arrival):
+        order.append(arrival._value)
+
     # Big message first (slow: 10s serialization), small one after.
-    t1 = network.transmit(a, b.ip, lambda: order.append("big"), size=1000)
-    t2 = network.transmit(a, b.ip, lambda: order.append("small"), size=10,
+    t1 = network.transmit(a, b.ip, receiver, "big", size=1000)
+    t2 = network.transmit(a, b.ip, receiver, "small", size=10,
                           not_before=t1 + 1e-9)
     env.run(until=20)
     assert order == ["big", "small"]
@@ -137,3 +147,37 @@ def test_tcp_stream_delivery_is_in_order(world):
     pa.run(client())
     world.env.run(until=20)
     assert got == ["huge", "tiny", "FIN"]
+
+
+def test_tcp_connect_event_cost_and_arrival_times_are_unchanged(world):
+    """The SYN / SYN-ACK paths kept their closures (behind one
+    trampoline) and the accept-queue ``put`` stayed a ``put`` ahead of
+    the SYN-ACK's jitter draw: same event count and, for a fixed seed,
+    bit-equal arrival times as before the delivery event carried its
+    item."""
+    from repro.netsim import Endpoint, LinkProfile as LP
+    world.network.add_profile("s", "s", LP(latency=0.01, jitter=0.005))
+    a = world.host("a", site="s")
+    b = world.host("b", site="s")
+    pa, pb = a.spawn("pa"), b.spawn("pb")
+    endpoint = Endpoint(b.ip, 80)
+    _, listener = b.kernel.tcp_listen(pb, endpoint)
+    env = world.env
+    log = []
+
+    def server():
+        yield listener.accept(pb)
+        log.append(("accepted", env.now.hex(), env._eid))
+
+    def client():
+        yield a.kernel.tcp_connect(pa, endpoint)
+        log.append(("connected", env.now.hex(), env._eid))
+
+    pb.run(server())
+    pa.run(client())
+    env.run(until=1)
+    # Two process starts, SYN, the accept get, server done, SYN-ACK,
+    # the connect result, client done.
+    assert env._eid == 8
+    assert log == [("accepted", "0x1.863fba9149fd2p-7", 5),
+                   ("connected", "0x1.69b500f417524p-6", 7)]

@@ -9,6 +9,7 @@ from repro.netsim import (
     StreamControl,
     StreamMessage,
 )
+from repro.netsim.proc_utils import TIMED_OUT, with_timeout
 
 
 def _listen(world, host, process, port=443):
@@ -222,6 +223,59 @@ def test_accept_assigns_ownership(world):
     world.env.run(until=1)
     assert conns[0].owner is server_proc
     assert server_proc.connection_count == 1
+
+
+def test_accept_under_a_deadline_that_wins(world):
+    """The deadline succeeds the accept with ``TIMED_OUT``, which is
+    not an endpoint to adopt; the connection that arrives afterwards
+    belongs to the next ``accept``."""
+    server_host = world.host("server")
+    client_host = world.host("client")
+    server_proc = server_host.spawn("srv")
+    client_proc = client_host.spawn("cli")
+    endpoint, _, listener = _listen(world, server_host, server_proc)
+    outcomes = []
+
+    def server():
+        outcomes.append((yield from with_timeout(
+            world.env, listener.accept(server_proc), 1.0)))
+        outcomes.append((yield from with_timeout(
+            world.env, listener.accept(server_proc), 5.0)))
+
+    def client():
+        yield world.env.timeout(2.0)
+        yield client_host.kernel.tcp_connect(client_proc, endpoint)
+
+    server_proc.run(server())
+    client_proc.run(client())
+    world.env.run(until=10)
+    assert outcomes[0] is TIMED_OUT
+    assert outcomes[1].owner is server_proc
+    assert server_proc.connection_count == 1
+    assert listener.pending == 0
+
+
+def test_accept_under_a_deadline_the_connection_wins(world):
+    server_host = world.host("server")
+    client_host = world.host("client")
+    server_proc = server_host.spawn("srv")
+    client_proc = client_host.spawn("cli")
+    endpoint, _, listener = _listen(world, server_host, server_proc)
+    owners = []
+
+    def server():
+        conn = yield from with_timeout(
+            world.env, listener.accept(server_proc), 5.0)
+        # Adopted before the acceptor resumed, not some time after.
+        owners.append((conn.owner, server_proc.connection_count))
+
+    def client():
+        yield client_host.kernel.tcp_connect(client_proc, endpoint)
+
+    server_proc.run(server())
+    client_proc.run(client())
+    world.env.run(until=10)
+    assert owners == [(server_proc, 1)]
 
 
 def test_messages_carry_sizes_and_latency(world):

@@ -2,7 +2,7 @@
 
 The optimized kernel in :mod:`repro.simkernel` (two-lane deque
 scheduler, slotted events, store hand-off, born-processed grants,
-race-free ``with_timeout``) must be
+race-free ``with_timeout``, in-place delivery wake-ups) must be
 *observably identical* to the pre-optimization implementation frozen
 in :mod:`repro.simkernel.reference` — not statistically close: the
 same seeds must produce the same counters, the same event orderings
@@ -21,8 +21,9 @@ compare:
 
 The one field that must differ is the number of scheduled events
 (``env._eid``): the reference kernel schedules every store put, every
-resource grant and a race event per ``with_timeout``; the live kernel
-schedules only the events some process waits on.  Everything else
+resource grant, a race event per ``with_timeout`` and the get each
+network delivery satisfies; the live kernel schedules only the events
+some process waits on.  Everything else
 staying equal *is* the proof that the elided events were never
 observed.
 

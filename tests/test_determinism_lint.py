@@ -6,6 +6,8 @@ draw from the global ``random`` module or read a host clock: randomness
 comes from an injected ``repro.simkernel`` stream, time from ``env.now``.
 And two runs in one process must not be able to reach each other, so
 process-global mutable state is a closed list that can only shrink.
+And the one order-sensitive store primitive, ``Store.deliver``, stays
+where its precondition (kernel context, tail position) was argued.
 This walks every module with ``ast`` (so aliased imports are seen too)
 and carries the few exceptions explicitly.
 """
@@ -53,6 +55,13 @@ SHARED_STATE = {
                           "_packet_numbers": "ROADMAP 3(e)"},
     "netsim/process.py": {"_pids": "ROADMAP 3(e)"},
 }
+
+#: Besides ``simkernel/resources.py``, which defines it, the modules
+#: that may name ``deliver``: the socket layer binds ``Store.deliver``
+#: once per socket and calls it last in a delivery timeout's callback.
+#: A new caller has to argue both in review (see the method's
+#: docstring), not discover a reordered run later.
+DELIVER_CALLERS = {"netsim/sockets.py", "netsim/kernel.py"}
 
 #: Calls whose result is a mutable container (or a stateful iterator).
 MUTABLE_FACTORIES = {
@@ -171,6 +180,20 @@ def shared_state(source) -> set:
     return found
 
 
+def names_deliver(source) -> bool:
+    """Whether ``source`` reaches for ``deliver``: as an attribute, or
+    by name through ``getattr(x, "deliver", ...)``."""
+    for node in ast.walk(_parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "deliver":
+            return True
+        if isinstance(node, ast.Call) \
+                and getattr(node.func, "id", None) == "getattr" \
+                and any(isinstance(arg, ast.Constant)
+                        and arg.value == "deliver" for arg in node.args):
+            return True
+    return False
+
+
 def test_no_global_random_or_host_clock():
     modules = _modules()
     assert len(modules) > 100 and "options.py" in modules
@@ -203,6 +226,22 @@ def test_process_global_mutable_state_can_only_shrink():
         "process-global mutable state changed: give new state to an "
         "object its run owns (anything only in the first dict), and "
         "drop allowlist entries that are gone (only in the second)")
+
+
+def test_deliver_stays_where_its_precondition_holds():
+    modules = _modules()
+    assert any(isinstance(node, ast.FunctionDef) and node.name == "deliver"
+               for node in ast.walk(modules["simkernel/resources.py"]))
+    found = {name for name, tree in modules.items()
+             if name != "simkernel/resources.py" and names_deliver(tree)}
+    assert found == DELIVER_CALLERS, (
+        "Store.deliver resumes the waiter before it returns: call it "
+        "only as the last act of a kernel (timeout) callback, and list "
+        "the module here with that argument made in review")
+    assert names_deliver("sock.inbox.deliver(item)")
+    assert names_deliver("wake = getattr(inbox, 'deliver', inbox.put)")
+    assert not names_deliver("def deliver(x): ...\ndeliver(1)\n"
+                             "delivered = 'deliver'")
 
 
 def test_the_shared_state_rule():
