@@ -47,10 +47,12 @@ def main(argv=None) -> int:
     parser.add_argument("--faults", metavar="PLAN", default=None,
                         help="rerun under a named fault plan "
                              "(see 'list' for the available plans)")
-    parser.add_argument("--faults-at", type=float, default=5.0,
-                        help="inject the plan this many sim-seconds in")
-    parser.add_argument("--faults-duration", type=float, default=30.0,
-                        help="clear the plan after this many sim-seconds")
+    parser.add_argument("--faults-at", type=float, default=None,
+                        help="with --faults: inject the plan this many "
+                             "sim-seconds in (default: 5.0)")
+    parser.add_argument("--faults-duration", type=float, default=None,
+                        help="with --faults: clear the plan after this "
+                             "many sim-seconds (default: 30.0)")
     parser.add_argument("--resilience", action="store_true",
                         help="enable the resilient data plane (outlier "
                              "ejection, breakers, retry budgets, load "
@@ -63,9 +65,9 @@ def main(argv=None) -> int:
                         default=None,
                         help="modulate every deployment's client arrival "
                              "rates with this load shape (repro.ops)")
-    parser.add_argument("--load-horizon", type=float, default=60.0,
+    parser.add_argument("--load-horizon", type=float, default=None,
                         help="with --load-shape: sim seconds the shape's "
-                             "timings are scaled to")
+                             "timings are scaled to (default: 60.0)")
     parser.add_argument("--cohorts", type=int, metavar="SCALE",
                         default=None,
                         help="drive clients through the cohort layer "
@@ -73,7 +75,7 @@ def main(argv=None) -> int:
                              "multiplier (1 = same size, 100 = the "
                              "100x fluid)")
     parser.add_argument("--cohort-fidelity", choices=list(COHORT_FIDELITIES),
-                        default="auto",
+                        default=None,
                         help="with --cohorts: fidelity ladder rung "
                              "(default: auto — condensed below 256 "
                              "modeled clients per cohort, aggregate "
@@ -136,21 +138,35 @@ def main(argv=None) -> int:
 
 def _run_options(args) -> RunOptions:
     """The one :class:`RunOptions` of this invocation; ValueError on a
-    bad value (unknown plan, cohort scale, shard count, --trace-json
-    without --trace)."""
-    if args.trace_json is not None and not args.trace:
-        raise ValueError("--trace-json requires --trace")
+    bad value (unknown plan, cohort scale, shard count) or a dependent
+    flag given without the flag it modifies."""
+    for flag, value, parent, parent_value in (
+            ("--trace-json", args.trace_json, "--trace", args.trace or None),
+            ("--faults-at", args.faults_at, "--faults", args.faults),
+            ("--faults-duration", args.faults_duration, "--faults",
+             args.faults),
+            ("--load-horizon", args.load_horizon, "--load-shape",
+             args.load_shape),
+            ("--cohort-fidelity", args.cohort_fidelity, "--cohorts",
+             args.cohorts)):
+        if value is not None and parent_value is None:
+            raise ValueError(f"{flag} requires {parent}")
     if args.shards is not None and args.shards < 1:
         raise ValueError("--shards must be >= 1")
     fault_plan = load_shape = cohorts = None
     if args.faults is not None:
-        fault_plan = builtin_plan(args.faults, at=args.faults_at,
-                                  duration=args.faults_duration)
+        fault_plan = builtin_plan(
+            args.faults,
+            at=5.0 if args.faults_at is None else args.faults_at,
+            duration=30.0 if args.faults_duration is None
+            else args.faults_duration)
     if args.load_shape is not None:
-        load_shape = named_load_shape(args.load_shape, args.load_horizon)
+        load_shape = named_load_shape(
+            args.load_shape,
+            60.0 if args.load_horizon is None else args.load_horizon)
         load_shape.validate()
     if args.cohorts is not None:
-        cohorts = CohortPolicy(fidelity=args.cohort_fidelity,
+        cohorts = CohortPolicy(fidelity=args.cohort_fidelity or "auto",
                                scale=args.cohorts)
         cohorts.validate()
     return RunOptions(

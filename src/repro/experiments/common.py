@@ -96,7 +96,7 @@ def build_deployment(seed: int = 0,
     injection for this run; without it, the run options' plan
     (:mod:`repro.options`, the CLI's ``--faults``) still applies.
     ``env`` swaps the simulation kernel (e.g. the frozen reference
-    kernel for differential testing and benchmarking).
+    kernel for differential testing).
     """
     spec = DeploymentSpec(
         seed=seed,

@@ -11,10 +11,9 @@ restarts), and an L4LB takeover, measuring
   genuinely down (required, not a bug);
 * **table memory** — the peak per-flow state the LB held, plus the
   scheme's other state (Concury version tables, client-carried stamps);
-* **pick cost** — a deterministic model of hash work per pick (wall-
-  clock pick *throughput* is measured by the ``lb_pick_*`` microbenches
-  in ``repro.perf``, which this report intentionally avoids so that the
-  same seed always produces the identical report).
+* **pick cost** — a deterministic model of hash work per pick (not
+  wall-clock pick throughput, so that the same seed always produces
+  the identical report).
 """
 
 from __future__ import annotations

@@ -117,3 +117,28 @@ class MetricsRegistry:
 
     def utilization_scopes(self, prefix: str = "") -> list[str]:
         return sorted(s for s in self._utilization if s.startswith(prefix))
+
+    # -- snapshot ------------------------------------------------------------
+
+    def snapshot(self) -> dict:
+        """Everything the run recorded, as plain data: copies, not
+        views, so it pickles and compares with ``==``.
+
+        ``series`` holds ``(sums, counts)`` bucket dicts per name;
+        ``quantiles`` holds the samples in *stored* order (a quantile
+        read sorts them in place, so this is insertion order only until
+        the first read); ``utilization`` holds busy-seconds buckets.
+        """
+        return {
+            "global": self.global_counters.snapshot(),
+            "scoped": {scope: self._scoped[scope].snapshot()
+                       for scope in self.scopes()},
+            "series": {name: (dict(series._sums), dict(series._counts))
+                       for name, series in sorted(self._series.items())},
+            "quantiles": {name: list(samples._values)
+                          for name, samples
+                          in sorted(self._quantiles.items())},
+            "utilization": {scope: dict(tracker.busy._buckets)
+                            for scope, tracker
+                            in sorted(self._utilization.items())},
+        }

@@ -88,12 +88,11 @@ def counters_snapshot(metrics) -> dict:
     pseudo-scope ``<global>`` — chosen because ``<`` cannot appear in a
     component scope name.
     """
-    snap = {scope: dict(metrics._scoped[scope].snapshot())
-            for scope in metrics.scopes()}
-    top = dict(metrics.global_counters.snapshot())
-    if top:
-        snap["<global>"] = top
-    return snap
+    snap = metrics.snapshot()
+    counters = snap["scoped"]
+    if snap["global"]:
+        counters["<global>"] = snap["global"]
+    return counters
 
 
 def merge_counters(snapshots: list) -> dict:

@@ -44,7 +44,7 @@ def _run_one(spec, until: float, region_names: Optional[list],
         "counters": counters_snapshot(deployment.metrics),
         "violations": sorted((v.checker, v.message) for v in violations),
         "stats": {"events": deployment.env._eid,
-                  "now": deployment.env._now},
+                  "now": deployment.env.now},
     }
 
 
@@ -83,8 +83,7 @@ def run_sharded(spec, until: float, shards: int = 1,
     options = options if options is not None else current()
     if options.fault_plan is not None:
         raise ValueError(
-            "fault plans do not shard: clear the ambient fault plan "
-            "before run_sharded()")
+            "fault plans do not shard: the run options carry a fault plan")
     plan = ShardPlan.for_spec(spec, shards)
     if shards == 1:
         report = _run_one(spec, until, None, check_invariants, options)

@@ -9,9 +9,9 @@ behavior-identical rather than eyeballed:
 * ``tests/perf/test_differential.py`` replays fuzz scenarios and figure
   experiments on both kernels and asserts bit-identical metrics
   snapshots and event-tap orderings.
-* ``python -m repro.perf`` runs the same benchmarks on both kernels and
-  reports the speedup; the committed ``BENCH_*.json`` baselines record
-  the trajectory.
+* ``tests/simkernel/test_kernel_properties.py`` drives property-drawn
+  micro programs through both and compares their event logs, scheduled-
+  event counts included.
 
 DO NOT OPTIMIZE THIS FILE.  It is the oracle, and its code is the
 historical text with no deviations: the two kernels never meet inside a

@@ -30,7 +30,7 @@ from repro.clients.web import WebWorkloadConfig
 from repro.cohorts import CohortPolicy
 from repro.experiments.common import build_deployment
 from repro.invariants import runtime as invariant_runtime
-from repro.perf.differential import reset_id_allocators
+from tests.differential import reset_id_allocators
 from repro.proxygen.config import ProxygenConfig
 from repro.release.orchestrator import RollingRelease, RollingReleaseConfig
 from repro.resilience import ResilienceConfig

@@ -31,7 +31,7 @@ from repro.clients.web import WebWorkloadConfig
 from repro.cohorts import CohortPolicy, modeled
 from repro.experiments.common import build_deployment
 from repro.invariants import runtime as invariant_runtime
-from repro.perf.differential import full_snapshot, reset_id_allocators
+from tests.differential import full_snapshot, reset_id_allocators
 from repro.proxygen.config import ProxygenConfig
 from repro.release.orchestrator import RollingRelease, RollingReleaseConfig
 

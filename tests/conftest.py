@@ -11,8 +11,8 @@ from repro.simkernel import Environment, RandomStreams
 class World:
     """A small test world: environment, network, and helper factories."""
 
-    def __init__(self, seed: int = 0):
-        self.env = Environment()
+    def __init__(self, seed: int = 0, environment=Environment):
+        self.env = environment()
         self.streams = RandomStreams(seed)
         self.metrics = MetricsRegistry()
         self.network = Network(self.env, self.streams,

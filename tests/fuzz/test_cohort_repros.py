@@ -20,7 +20,7 @@ import pytest
 
 from repro.fuzz.runner import run_scenario
 from repro.fuzz.scenario import Scenario
-from repro.perf.differential import reset_id_allocators
+from tests.differential import reset_id_allocators
 
 REPRO_DIR = pathlib.Path(__file__).parent / "repros"
 

@@ -1,8 +1,12 @@
 """MetricsRegistry: scoping, aggregation, series management."""
 
+import json
+import pickle
+
 import pytest
 
 from repro.metrics import MetricsRegistry
+from repro.shard import counters_snapshot, merge_counters
 
 
 def test_scoped_counters_are_cached():
@@ -76,3 +80,46 @@ def test_utilization_scopes():
     registry.utilization("host-2", capacity=8)
     assert registry.utilization_scopes() == ["host-1", "host-2"]
     assert registry.utilization("host-1").capacity == 4
+
+
+def test_snapshot_is_plain_data_copied_out():
+    registry = MetricsRegistry()
+    registry.scoped_counters("edge-2").inc("rps", 5)
+    registry.scoped_counters("edge-1").inc("http_status", 2, tag="500")
+    registry.series("errors").record(3.5, 2.0)
+    for sample in (3.0, 1.0, 2.0):
+        registry.quantiles("latency").add(sample)
+    registry.utilization("host-1").add_busy(0.25, 0.75)
+    snap = registry.snapshot()
+    assert snap == {
+        "global": {},
+        "scoped": {"edge-1": {"http_status:500": 2.0},
+                   "edge-2": {"rps": 5.0}},
+        "series": {"errors": ({3: 2.0}, {3: 1})},
+        "quantiles": {"latency": [3.0, 1.0, 2.0]},
+        "utilization": {"host-1": {0: 0.5}},
+    }
+    assert list(snap["scoped"]) == ["edge-1", "edge-2"]
+    assert pickle.loads(pickle.dumps(snap)) == snap
+    # JSON has no tuples and no integer keys; counters have neither.
+    assert json.loads(json.dumps(snap))["scoped"] == snap["scoped"]
+
+    # The shard merge's form of the same counters; ``<global>`` only
+    # once the unscoped set is non-empty (shardscale hashes this dict).
+    counters = counters_snapshot(registry)
+    assert counters == snap["scoped"]
+    assert merge_counters([counters]) == counters
+
+    # Copies, not views: later recording leaves a taken snapshot alone.
+    taken = pickle.dumps(snap)
+    registry.global_counters.inc("releases")
+    registry.scoped_counters("edge-1").inc("http_status", tag="500")
+    registry.series("errors").record(3.6)
+    registry.quantiles("latency").add(0.5)
+    assert registry.quantiles("latency").median == 1.5  # sorts in place
+    registry.utilization("host-1").add_busy(0.75, 1.0)
+    assert snap == pickle.loads(taken)
+    later = registry.snapshot()
+    assert later["quantiles"] == {"latency": [0.5, 1.0, 2.0, 3.0]}
+    assert counters_snapshot(registry) == {
+        **later["scoped"], "<global>": {"releases": 1.0}}

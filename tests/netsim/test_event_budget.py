@@ -2,8 +2,9 @@
 
 A figure-scale run is almost nothing but message hops, so the number of
 kernel events one hop costs is the simulator's unit price.  These tests
-pin that price by ``env._eid`` delta — per primitive and for one whole
-request/response round trip — so an extra hop (a put event nobody
+pin that price by ``env._eid`` delta — per primitive, for one whole
+request/response round trip and for one datagram (against the frozen
+kernel's price for it) — so an extra hop (a put event nobody
 yields on, a grant for a core that was free, a race event around a
 single get) cannot quietly come back.  Same spirit as
 ``tests/test_config_surface.py``: a ratchet, not a behaviour test; what
@@ -14,7 +15,8 @@ import pytest
 
 from repro.netsim import CpuModel, Endpoint
 from repro.netsim.proc_utils import TIMED_OUT, with_timeout
-from repro.simkernel import Environment, Store
+from repro.simkernel import Environment, Store, reference
+from tests.conftest import World
 
 #: What a process schedules for itself: its Initialize and its own
 #: completion event.
@@ -64,6 +66,55 @@ def test_round_trip_schedules_six_events(world):
     # The first trip overlaps connection set-up; the other eleven are
     # steady state.
     assert trips[1:] == [6] * 11
+
+
+def _datagram_prices(world):
+    """Two datagrams to a socket whose reader is parked, then two to a
+    socket nobody reads.  Returns what each scheduled, how many the
+    reader had seen once the delivery timeout's callbacks returned,
+    what it saw when, and the unread socket."""
+    env = world.env
+    server_host, client_host = world.host("server"), world.host("client")
+    server_proc = server_host.spawn("srv")
+    read_at, unread_at = (Endpoint(server_host.ip, port)
+                          for port in (443, 444))
+    _, read = server_host.kernel.udp_bind(server_proc, read_at)
+    _, unread = server_host.kernel.udp_bind(server_proc, unread_at)
+    _, sock = client_host.kernel.udp_bind_ephemeral(client_host.spawn("cli"))
+    prices, seen_in_step, seen = [], [], []
+
+    def reader():
+        while True:
+            seen.append(((yield read.recv()).payload, env.now))
+
+    server_proc.run(reader())
+    env.run(until=1.0)  # the reader is parked on its recv
+    for payload, dst in enumerate((read_at, read_at, unread_at, unread_at)):
+        before = env._eid
+        sock.sendto(payload, dst)
+        env.step()  # the delivery timeout
+        seen_in_step.append(len(seen))
+        env.run()
+        prices.append(env._eid - before)
+    return prices, seen_in_step, seen, unread
+
+
+def test_datagram_schedules_only_its_delivery_timeout(world):
+    prices, seen_in_step, seen, unread = _datagram_prices(world)
+    assert prices == [1, 1, 1, 1]
+    # The reader ran inside the delivery timeout's callback.
+    assert seen_in_step == [1, 2, 2, 2]
+    assert [payload for payload, _ in seen] == [0, 1]
+    assert [datagram.payload for datagram in unread.inbox.items] == [2, 3]
+
+    # The frozen kernel schedules the put, and the get it satisfies.
+    ref_prices, ref_seen_in_step, ref_seen, ref_unread = _datagram_prices(
+        World(environment=reference.Environment))
+    assert ref_prices == [3, 3, 2, 2]
+    assert ref_seen_in_step == [0, 1, 2, 2]
+    assert ref_seen == seen
+    assert [datagram.payload
+            for datagram in ref_unread.inbox.items] == [2, 3]
 
 
 def test_put_schedules_only_the_get_it_wakes():

@@ -43,7 +43,7 @@ from repro.fuzz.runner import run_scenario
 from repro.fuzz.scenario import generate_scenario
 from repro.invariants import checkers as checkers_mod
 from repro.invariants.base import InvariantChecker
-from repro.perf.differential import full_snapshot, reset_id_allocators
+from tests.differential import full_snapshot, reset_id_allocators
 from repro.simkernel import events as live_kernel
 from repro.simkernel import reference as reference_kernel
 from repro.simkernel.reference import Environment as ReferenceEnvironment

@@ -28,7 +28,7 @@ from repro.clients.web import WebWorkloadConfig
 from repro.experiments.common import build_deployment
 from repro.faults import FaultPlan, FaultSpec
 from repro.invariants import runtime as invariant_runtime
-from repro.perf.differential import reset_id_allocators
+from tests.differential import reset_id_allocators
 from repro.release.orchestrator import RollingRelease, RollingReleaseConfig
 from repro.shard import counters_snapshot
 from repro.splice import SpliceConfig

@@ -7,7 +7,8 @@ comes from an injected ``repro.simkernel`` stream, time from ``env.now``.
 And two runs in one process must not be able to reach each other, so
 process-global mutable state is a closed list that can only shrink.
 And the one order-sensitive store primitive, ``Store.deliver``, stays
-where its precondition (kernel context, tail position) was argued.
+where its precondition (kernel context, tail position) was argued, and
+the kernel's private event counter is read where it already was.
 This walks every module with ``ast`` (so aliased imports are seen too)
 and carries the few exceptions explicitly.
 """
@@ -24,8 +25,6 @@ CLOCKS = {"time", "perf_counter", "monotonic"}
 ALLOWED = {
     # The seeded stream factory wraps ``random.Random``.
     "simkernel/rng.py": {"import random"},
-    # Benchmark timers live here and nowhere else in repro.perf.
-    "perf/harness.py": {"import time", "perf_counter"},
     # Real sockets need real deadlines — monotonic ones only.
     "realnet/": {"import time", "monotonic"},
     # Human-facing "(1.2s wall)" print.
@@ -49,7 +48,7 @@ SHARED_STATE = {
     "trace/runtime.py": {
         "_installed": "drain registry the CLI reads"},
     # Cosmetic ID allocators; run-owned once there is a RunContext
-    # (ROADMAP 3e).  perf.differential.reset_id_allocators rewinds them.
+    # (ROADMAP 3e).  tests.differential.reset_id_allocators rewinds them.
     "protocols/http.py": {"_request_ids": "ROADMAP 3(e)"},
     "protocols/quic.py": {"_cid_counter": "ROADMAP 3(e)",
                           "_packet_numbers": "ROADMAP 3(e)"},
@@ -62,6 +61,11 @@ SHARED_STATE = {
 #: A new caller has to argue both in review (see the method's
 #: docstring), not discover a reordered run later.
 DELIVER_CALLERS = {"netsim/sockets.py", "netsim/kernel.py"}
+
+#: Outside ``simkernel/``, the modules that read the kernel's private
+#: scheduled-event counter.  Closed: it only shrinks, to nothing once
+#: ``Environment.stats()`` exists (ROADMAP item 4).
+EID_READERS = {"shard/runner.py"}
 
 #: Calls whose result is a mutable container (or a stateful iterator).
 MUTABLE_FACTORIES = {
@@ -242,6 +246,16 @@ def test_deliver_stays_where_its_precondition_holds():
     assert names_deliver("wake = getattr(inbox, 'deliver', inbox.put)")
     assert not names_deliver("def deliver(x): ...\ndeliver(1)\n"
                              "delivered = 'deliver'")
+
+
+def test_the_event_counter_is_read_in_a_closed_list():
+    found = {name for name, tree in _modules().items()
+             if not name.startswith("simkernel/")
+             and any(isinstance(node, ast.Attribute) and node.attr == "_eid"
+                     for node in ast.walk(tree))}
+    assert found == EID_READERS, (
+        "env._eid is the kernel's: report events through the run's own "
+        "result, and drop entries that are gone")
 
 
 def test_the_shared_state_rule():

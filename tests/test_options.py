@@ -216,8 +216,18 @@ def test_cli_early_exit_leaks_no_options(capsys):
     assert code == 2
     assert current() == RunOptions()
     for bad in (["fig09", "--faults", "no-such-plan"],
-                ["fig09", "--cohorts", "0"], ["fig09", "--shards", "0"],
-                ["fig09", "--trace-json", "x.json"]):
+                ["fig09", "--cohorts", "0"], ["fig09", "--shards", "0"]):
         assert main(bad) == 2
         assert current() == RunOptions()
     capsys.readouterr()
+    # A flag that only modifies another is rejected without it, not
+    # silently dropped.
+    for flag, value, parent in (("--trace-json", "x.json", "--trace"),
+                                ("--cohort-fidelity", "aggregate",
+                                 "--cohorts"),
+                                ("--faults-at", "3", "--faults"),
+                                ("--faults-duration", "10", "--faults"),
+                                ("--load-horizon", "10", "--load-shape")):
+        assert main(["fig09", flag, value]) == 2
+        assert capsys.readouterr().err == f"{flag} requires {parent}\n"
+        assert current() == RunOptions()
