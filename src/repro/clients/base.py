@@ -9,7 +9,7 @@ from ..metrics.registry import MetricsRegistry
 from ..netsim.addresses import Endpoint, FourTuple, Protocol
 from ..netsim.errors import ConnectionRefusedSim
 from ..netsim.host import Host
-from ..netsim.proc_utils import TIMED_OUT, with_timeout
+from ..netsim.proc_utils import TIMED_OUT
 from ..netsim.process import SimProcess
 
 __all__ = ["ClientBase", "Router"]
@@ -45,10 +45,8 @@ class ClientBase:
             self.counters.inc("connect_no_backend")
             return None
         try:
-            attempt = self.host.kernel.tcp_connect(
-                process, self.vip, via_ip=backend_ip)
-            outcome = yield from with_timeout(
-                self.host.env, attempt, timeout)
+            outcome = yield from self.host.kernel.tcp_connect_within(
+                process, self.vip, timeout, via_ip=backend_ip)
         except ConnectionRefusedSim:
             self.counters.inc("connect_refused")
             self.metrics.series("client/connect_refused").record(
@@ -58,9 +56,6 @@ class ClientBase:
             self.counters.inc("connect_timeout")
             self.metrics.series("client/connect_timeout").record(
                 self.host.env.now)
-            if not attempt.triggered and attempt.callbacks is not None:
-                attempt.callbacks.append(
-                    lambda ev: ev._value.close() if ev._ok else None)
             return None
         # Remember the L4LB pick so request traces can annotate which
         # backend Katran hashed this flow to.

@@ -3,14 +3,19 @@
 
 The paper's Figure 1 is one shape — clients → Edge PoP (Katran +
 Proxygen) → Origin DC (Proxygen → HHVM / MQTT brokers).  The two public
-builders differ in how many of each they wire together and in their IP
-scheme; everything else lives here: run-options resolution, the
-env/streams/metrics/network plumbing, the host factory, Origin-DC and
-Edge-proxy construction, start-up, and the aggregate views.
+builders are two *layouts* of it: how many regions and PoPs, what sites
+and hosts are called, how IPs are numbered, which router fronts a PoP,
+in what order its L4LBs start.  Everything a topology *does* lives
+here, once: run-options resolution, the env/streams/metrics/network
+plumbing, the host factory, Origin-DC and Edge-proxy construction, the
+client layer (populations or cohort drivers), the splice governor, the
+load controller, start-up, and the aggregate views — so a run option
+reaches every layout or none.
 
 Host names seed ``streams.fork(name)``, host IPs feed the hash rings and
 construction/start order fixes same-tick event order, so all three are
-part of each shape's observable behaviour — see ``_katran_start_order``.
+part of each layout's observable behaviour: a layout hands the shared
+builders its names and calls them in its own order.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from typing import Optional
 from ..appserver.brokers import MqttBroker
 from ..appserver.hhvm import AppServer
 from ..appserver.pool import AppServerPool
+from ..cohorts import CohortDriver, CohortSet, PROTOCOLS, compile_cohorts
 from ..faults.injector import FaultInjector
 from ..faults.plan import FaultPlan
 from ..lb.consistent_hash import ConsistentHashRing
@@ -35,6 +41,7 @@ from ..proxygen.server import ProxygenServer
 from ..resilience.health import OutlierTracker
 from ..simkernel.core import Environment
 from ..simkernel.rng import RandomStreams
+from ..splice import SpliceGovernor
 
 __all__ = ["CLIENT_CORES", "CLIENT_CORE_SPEED", "PROXY_CORES",
            "PROXY_CORE_SPEED", "Region", "RegionPoP", "Topology"]
@@ -64,6 +71,9 @@ class RegionPoP:
         self.web_clients = None
         self.mqtt_clients = None
         self.quic_clients = None
+        #: With a cohort policy the three above stay None and these
+        #: (repro.cohorts) drive this PoP's users instead.
+        self.cohort_drivers: list[CohortDriver] = []
 
 
 class Region:
@@ -137,11 +147,19 @@ class Topology:
         self.regions: list[Region] = []
         self.broker_ring: ConsistentHashRing[str] = ConsistentHashRing(
             replicas=60, salt=spec.seed)
-        #: Cohort client layer (repro.cohorts), single-cluster shape only.
-        self.cohort_set = None
-        #: Splice governor (repro.splice), single-cluster shape only;
-        #: None leaves every layer on per-chunk fidelity.
-        self.splice = None
+        #: Client hosts by protocol kind, every PoP's.
+        self.client_hosts: dict[str, list[Host]] = {}
+        #: Cohort client layer (repro.cohorts): every PoP's drivers.
+        self.cohort_set = (CohortSet(self, spec.cohorts)
+                           if spec.cohorts is not None else None)
+        #: Splice governor (repro.splice); None leaves every layer on
+        #: per-chunk fidelity.
+        self.splice: Optional[SpliceGovernor] = None
+        if spec.splice is not None:
+            self.splice = SpliceGovernor(self.env)
+            # Bound-handle rule: relays and clients reach the governor
+            # through the registry they already hold.
+            self.metrics.splice = self.splice
         #: Autoscalers attached to this deployment (repro.ops.autoscale)
         #: — the autoscaler-discipline invariant checker audits these.
         self.autoscalers: list = []
@@ -226,8 +244,51 @@ class Topology:
         pop.servers.append(server)
         return server
 
-    def _attach_load(self, targets: list) -> None:
+    def _build_clients(self, pop: RegionPoP, router, kind: str, workload,
+                       host_names: list[str], name: str,
+                       first_id: int = 1) -> int:
+        """``pop``'s ``kind`` users, one client host per name: a
+        population called ``name`` or, under a cohort policy, one driver
+        per host scoped ``<name>/c<i>``.  Ids run from ``first_id`` and
+        continue across cohorts (the condensed rung reproduces the
+        individual host-major spawn order exactly); returns the next
+        free id."""
+        if workload is None:
+            return first_id
+        cls, count_field, first_field = PROTOCOLS[kind]
+        # edge_vips is (https, quic, mqtt); QUIC shares https's endpoint.
+        vip = self.edge_vips[2 if kind == "mqtt" else 0].endpoint
+        hosts = [self._host(host_name, pop.client_site, CLIENT_CORES,
+                            CLIENT_CORE_SPEED) for host_name in host_names]
+        self.client_hosts.setdefault(kind, []).extend(hosts)
+        per_host = getattr(workload, count_field)
+        policy = self.spec.cohorts
+        if policy is None:
+            setattr(pop, f"{kind}_clients", cls(
+                hosts, vip, router, self.metrics, workload, name=name,
+                **{first_field: first_id}))
+            return first_id + per_host * len(hosts)
+        drivers = self.cohort_set.drivers
+        for host, cohort in zip(hosts, compile_cohorts(
+                policy, kind, per_host, len(hosts))):
+            driver = CohortDriver(
+                cohort, policy, host, vip, router, self.metrics, workload,
+                scope=f"{name}/{cohort.name}", first_id=first_id,
+                cohort_index=len(drivers))
+            first_id += driver.spawned
+            drivers.append(driver)
+            pop.cohort_drivers.append(driver)
+        return first_id
+
+    def _attach_load(self) -> None:
+        """Call once every PoP has its clients."""
         if self.spec.load_shape is not None:
+            # Cohort drivers carry ``kind`` like a population and fan
+            # the scale into their lanes.
+            targets = (self.cohort_set.drivers
+                       if self.cohort_set is not None else
+                       self.web_populations + self.mqtt_populations
+                       + self.quic_populations)
             self.load_controller = LoadController(
                 self.env, LoadShape(self.spec.load_shape), targets,
                 metrics=self.metrics)
@@ -270,14 +331,16 @@ class Topology:
         for region in regions:
             for katran in self._katran_start_order(region):
                 katran.start(katran.host.spawn(katran.name))
+        pops = [pop for region in regions for pop in region.pops]
         if self.cohort_set is not None:
-            self.cohort_set.start()
-        for region in regions:
-            for pop in region.pops:
-                for part in (pop.resolver, pop.web_clients,
-                             pop.mqtt_clients, pop.quic_clients):
-                    if part is not None:
-                        part.start()
+            self.cohort_set.arm(
+                [driver for pop in pops for driver in pop.cohort_drivers])
+        for pop in pops:
+            # A PoP's resolver is up before its clients dial.
+            for part in (pop.resolver, pop.web_clients, pop.mqtt_clients,
+                         pop.quic_clients, *pop.cohort_drivers):
+                if part is not None:
+                    part.start()
         if self.load_controller is not None:
             self.load_controller.start()
 
@@ -286,6 +349,23 @@ class Topology:
         self.env.run(until=until)
 
     # -- aggregate views ---------------------------------------------------
+
+    @property
+    def edge_servers(self) -> list[ProxygenServer]:
+        return [s for region in self.regions for s in region.edge_servers]
+
+    @property
+    def origin_servers(self) -> list[ProxygenServer]:
+        return [s for region in self.regions
+                for s in region.origin_servers]
+
+    @property
+    def app_servers(self) -> list[AppServer]:
+        return [s for region in self.regions for s in region.app_servers]
+
+    @property
+    def brokers(self) -> list[MqttBroker]:
+        return [b for region in self.regions for b in region.brokers]
 
     def _populations(self, kind: str) -> list:
         if self.cohort_set is not None:

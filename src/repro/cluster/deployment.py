@@ -11,10 +11,6 @@ from __future__ import annotations
 from typing import Optional
 
 from ..appserver.hhvm import AppServer
-from ..clients.mqtt import MqttClientPopulation
-from ..clients.quic import QuicClientPopulation
-from ..clients.web import WebClientPopulation
-from ..cohorts import CohortDriver, CohortSet, compile_cohorts
 from ..faults.plan import FaultPlan
 from ..lb.katran import Katran
 from ..netsim.host import Host
@@ -23,9 +19,7 @@ from ..options import RunOptions
 from ..proxygen.context import ProxyTierContext
 from ..proxygen.server import ProxygenServer
 from ..simkernel.core import Environment
-from ..splice import SpliceGovernor
-from .base import (
-    CLIENT_CORE_SPEED, CLIENT_CORES, Region, RegionPoP, Topology)
+from .base import Region, RegionPoP, Topology
 from .spec import DeploymentSpec
 
 __all__ = ["Deployment"]
@@ -34,8 +28,7 @@ __all__ = ["Deployment"]
 class Deployment(Topology):
     """One built (but not yet started) end-to-end deployment: a single
     Origin DC (``self.origin``) behind a single Edge PoP (``self.edge``),
-    whose lists the flat ``edge_*``/``origin_*``/``app_*`` attributes
-    alias."""
+    whose lists the flat ``*_hosts`` attributes alias."""
 
     def __init__(self, spec: DeploymentSpec,
                  env: Optional[Environment] = None,
@@ -43,27 +36,18 @@ class Deployment(Topology):
                  options: Optional[RunOptions] = None):
         super().__init__(spec, spec.edge_vip_ip, env, fault_plan, options)
         spec = self.spec
-        if spec.splice is not None:
-            self.splice = SpliceGovernor(self.env)
-            # Bound-handle rule: relays and clients reach the governor
-            # through the registry they already hold.
-            self.metrics.splice = self.splice
         self.network.add_profile("client", "edge", WAN_CLIENT_EDGE)
         self.network.add_profile("edge", "origin", EDGE_ORIGIN)
         self._ip_serial: dict[str, int] = {}
-        self.client_hosts: dict[str, list[Host]] = {}
 
         # Origin DC.
         self.origin = origin = Region("origin", 0, origin_site="origin")
         self.regions.append(origin)
         self._build_origin(origin, self.broker_ring)
         self.broker_hosts = origin.broker_hosts
-        self.brokers = origin.brokers
         self.app_hosts = origin.app_hosts
-        self.app_servers = origin.app_servers
         self.app_pool = origin.app_pool
         self.origin_hosts = origin.origin_hosts
-        self.origin_servers = origin.origin_servers
         self.origin_katran: Katran = origin.origin_katran
         self._app_serial = spec.app_servers
 
@@ -75,7 +59,6 @@ class Deployment(Topology):
                 origin_router=lambda flow: self.origin_katran.route(flow)))
         origin.pops.append(edge)
         self.edge_hosts = edge.hosts
-        self.edge_servers = edge.servers
         for i in range(spec.edge_proxies):
             self._edge_proxy(edge, f"edge-proxy-{i}")
         self._edge_serial = spec.edge_proxies
@@ -83,19 +66,21 @@ class Deployment(Topology):
             "edge-katran", "edge", edge.hosts, self.edge_vips[0].endpoint)
         edge.l4lbs.append(self.edge_katran)
 
-        self._build_clients()
-
-    @property
-    def web_clients(self) -> Optional[WebClientPopulation]:
-        return self.edge.web_clients
-
-    @property
-    def mqtt_clients(self) -> Optional[MqttClientPopulation]:
-        return self.edge.mqtt_clients
-
-    @property
-    def quic_clients(self) -> Optional[QuicClientPopulation]:
-        return self.edge.quic_clients
+        # Clients: every web host, then every MQTT host, then QUIC.
+        for kind, workload, host_count in (
+                ("web", spec.web_workload, spec.web_client_hosts),
+                ("mqtt", spec.mqtt_workload, spec.mqtt_client_hosts),
+                ("quic", spec.quic_workload, spec.quic_client_hosts)):
+            self._build_clients(
+                edge, self.edge_katran.route, kind, workload,
+                [f"{kind}-clients-{i}" for i in range(host_count)],
+                name=f"{kind}-clients")
+        #: The one PoP's populations (None without the workload, and
+        #: under a cohort policy: see ``web_populations`` etc.).
+        self.web_clients = edge.web_clients
+        self.mqtt_clients = edge.mqtt_clients
+        self.quic_clients = edge.quic_clients
+        self._attach_load()
 
     def _next_ip(self, site: str) -> str:
         block = {"edge": 1, "origin": 2, "client": 3}.get(site, 4)
@@ -105,60 +90,6 @@ class Deployment(Topology):
 
     def _katran_start_order(self, region: Region) -> list[Katran]:
         return [self.origin_katran, self.edge_katran]
-
-    def _build_clients(self) -> None:
-        """Client populations — or, with a cohort policy, cohort drivers
-        (repro.cohorts), in which case the three ``*_clients`` stay None
-        and lanes are reached through ``web_populations`` etc."""
-        spec = self.spec
-        cohort_policy = spec.cohorts
-        edge_route = lambda flow: self.edge_katran.route(flow)  # noqa: E731
-        https, _, mqtt = (vip.endpoint for vip in self.edge_vips)
-        workloads = (
-            ("web", spec.web_workload, spec.web_client_hosts,
-             "clients_per_host", https, WebClientPopulation),
-            ("mqtt", spec.mqtt_workload, spec.mqtt_client_hosts,
-             "users_per_host", mqtt, MqttClientPopulation),
-            ("quic", spec.quic_workload, spec.quic_client_hosts,
-             "flows_per_host", https, QuicClientPopulation),
-        )
-        drivers: list[CohortDriver] = []
-        cohort_index = 0
-        for kind, workload, host_count, count_field, vip, cls in workloads:
-            if workload is None:
-                continue
-            hosts = [self._host(f"{kind}-clients-{i}", "client",
-                                CLIENT_CORES, CLIENT_CORE_SPEED)
-                     for i in range(host_count)]
-            self.client_hosts[kind] = hosts
-            if cohort_policy is None:
-                setattr(self.edge, f"{kind}_clients",
-                        cls(hosts, vip, edge_route, self.metrics, workload))
-                continue
-            # Cohort mode: one cohort per client host, IDs continuing
-            # across cohorts so the condensed rung reproduces the
-            # individual host-major spawn order exactly.
-            first_id = 1
-            cohorts = compile_cohorts(cohort_policy, kind,
-                                      getattr(workload, count_field),
-                                      host_count)
-            for i, cohort in enumerate(cohorts):
-                driver = CohortDriver(
-                    cohort, cohort_policy, hosts[i], vip, edge_route,
-                    self.metrics, workload,
-                    scope=f"{kind}-clients/{cohort.name}",
-                    first_id=first_id, cohort_index=cohort_index)
-                first_id += driver.spawned
-                cohort_index += 1
-                drivers.append(driver)
-        if cohort_policy is not None:
-            self.cohort_set = CohortSet(self, drivers, cohort_policy)
-        # In cohort mode the load controller drives the cohort drivers
-        # directly (each fans the scale into its lanes).
-        self._attach_load(list(self.cohort_set.drivers)
-                          if self.cohort_set is not None
-                          else [self.web_clients, self.mqtt_clients,
-                                self.quic_clients])
 
     # -- dynamic membership (repro.ops.autoscale) ----------------------------
 
@@ -173,7 +104,7 @@ class Deployment(Topology):
         if self.invariant_suite is not None:
             server.invariant_tap = self.invariant_suite
         self.app_hosts.append(host)
-        self.app_servers.append(server)
+        self.origin.app_servers.append(server)
         self.app_pool.add(server)
         server.start()
         return server
@@ -186,8 +117,8 @@ class Deployment(Topology):
         already in flight.
         """
         self.app_pool.remove(server)
-        if server in self.app_servers:
-            self.app_servers.remove(server)
+        if server in self.origin.app_servers:
+            self.origin.app_servers.remove(server)
         if server.host in self.app_hosts:
             self.app_hosts.remove(server.host)
         yield from server.decommission()
@@ -208,8 +139,8 @@ class Deployment(Topology):
     def retire_edge_proxy(self, server: ProxygenServer):
         """Generator: drain one edge proxy out of the pool permanently."""
         self.edge_katran.remove_backend(server.host.ip)
-        if server in self.edge_servers:
-            self.edge_servers.remove(server)
+        if server in self.edge.servers:
+            self.edge.servers.remove(server)
         if server.host in self.edge_hosts:
             self.edge_hosts.remove(server.host)
         instance = server.active_instance

@@ -51,6 +51,16 @@ class TierConfigs:
     #: keeps the constant-rate behaviour (or the run options' shape, the
     #: CLI's ``--load-shape``).
     load_shape: Optional[LoadShapeConfig] = None
+    #: Cohort client layer (repro.cohorts); None keeps one SimProcess
+    #: per client (or applies the run options' policy, the CLI's
+    #: ``--cohorts``).  With a policy, each client host's workload
+    #: becomes one cohort scoped under ``<population>/c<i>``.
+    cohorts: Optional[CohortPolicy] = None
+    #: Splice fast path (repro.splice); None keeps per-chunk fidelity
+    #: everywhere (or applies the run options' config, the CLI's
+    #: ``--splice``).  With a config, established bulk transfers and
+    #: tunnel relays collapse to bulk events outside mechanism windows.
+    splice: Optional[SpliceConfig] = None
 
     def resolved_katran_config(self) -> KatranConfig:
         config = self.katran_config or KatranConfig()
@@ -91,17 +101,6 @@ class DeploymentSpec(TierConfigs):
     quic_client_hosts: int = 1
 
     edge_vip_ip: str = "100.64.0.1"
-
-    #: Cohort client layer (repro.cohorts); None keeps one SimProcess
-    #: per client (or applies the run options' policy, the CLI's
-    #: ``--cohorts``).  With a policy, each client host's workload
-    #: becomes one cohort scoped under ``<population>/c<i>``.
-    cohorts: Optional[CohortPolicy] = None
-    #: Splice fast path (repro.splice); None keeps per-chunk fidelity
-    #: everywhere (or applies the run options' config, the CLI's
-    #: ``--splice``).  With a config, established bulk transfers and
-    #: tunnel relays collapse to bulk events outside mechanism windows.
-    splice: Optional[SpliceConfig] = None
 
     # Workloads (None → population not started)
     web_workload: Optional[WebWorkloadConfig] = field(

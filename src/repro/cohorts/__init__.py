@@ -11,7 +11,7 @@ fidelity ladder.
 """
 
 from .aggregate import CohortAggregate, expand, fold, modeled
-from .drivers import CohortDriver, CohortSet
+from .drivers import PROTOCOLS, CohortDriver, CohortSet
 from .spec import (
     COHORT_FIDELITIES,
     CohortPolicy,
@@ -21,6 +21,6 @@ from .spec import (
 
 __all__ = [
     "COHORT_FIDELITIES", "CohortAggregate", "CohortDriver", "CohortPolicy",
-    "CohortSet", "CohortSpec", "compile_cohorts", "expand", "fold",
-    "modeled",
+    "CohortSet", "CohortSpec", "PROTOCOLS", "compile_cohorts", "expand",
+    "fold", "modeled",
 ]

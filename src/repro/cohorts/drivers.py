@@ -16,11 +16,12 @@ a parallel reimplementation):
   Created lazily on first condensation; empty on the condensed rung
   (condensation is a no-op there — parity again).
 
-The :class:`CohortSet` is the deployment-facing bundle: it starts the
-drivers, fans ``rate_scale`` updates from the
-:class:`repro.ops.load.LoadController` into every lane, and registers a
-release observer so takeover/DCR/PPR windows (which live inside release
-walks) trigger condensation on aggregate cohorts.
+The :class:`CohortSet` is the deployment-facing bundle: the views over
+every driver, and the condensation trigger — a release observer so
+takeover/DCR/PPR windows (which live inside release walks) condense
+aggregate cohorts, and :meth:`CohortSet.condense` for a mechanism that
+announces its own window (region evacuation).  ``cluster.base.Topology``
+builds the drivers and starts each in its PoP's turn.
 """
 
 from __future__ import annotations
@@ -35,10 +36,10 @@ from ..release import orchestrator as release_orchestrator
 from .aggregate import CohortAggregate
 from .spec import CohortPolicy, CohortSpec
 
-__all__ = ["CohortDriver", "CohortSet"]
+__all__ = ["CohortDriver", "CohortSet", "PROTOCOLS"]
 
 #: protocol → (population class, config count field, first-id kwarg).
-_PROTOCOLS = {
+PROTOCOLS = {
     "web": (WebClientPopulation, "clients_per_host", "first_client_id"),
     "mqtt": (MqttClientPopulation, "users_per_host", "first_user_id"),
     "quic": (QuicClientPopulation, "flows_per_host", "first_flow_id"),
@@ -75,7 +76,7 @@ class CohortDriver:
         else:
             self.spawned = cohort.representatives(policy)
             self.weight = cohort.size / self.spawned
-        cls, count_field, first_field = _PROTOCOLS[cohort.protocol]
+        cls, count_field, first_field = PROTOCOLS[cohort.protocol]
         self.population = cls(
             [host], vip, router, metrics,
             replace(workload, **{count_field: self.spawned}),
@@ -166,16 +167,19 @@ class CohortDriver:
 class CohortSet:
     """Every cohort of one deployment, plus the condensation trigger."""
 
-    def __init__(self, deployment, drivers: list[CohortDriver],
-                 policy: CohortPolicy):
+    def __init__(self, deployment, policy: CohortPolicy):
         self.deployment = deployment
-        self.drivers = drivers
+        #: Appended to by the topology as it builds each PoP's clients.
+        self.drivers: list[CohortDriver] = []
         self.policy = policy
         self.counters = deployment.metrics.scoped_counters("cohorts")
 
-    def start(self) -> None:
-        for driver in self.drivers:
-            driver.start()
+    def arm(self, drivers: list[CohortDriver]) -> None:
+        """Watch for mechanism windows on behalf of ``drivers``: the
+        cohorts this run animates (all, or a shard worker's own
+        regions'), which the topology starts PoP by PoP.  The rest leave
+        the set, so a window condenses only live fluids."""
+        self.drivers = drivers
         if (self.policy.condense_per_event > 0
                 and any(d.fidelity == "aggregate" for d in self.drivers)):
             release_orchestrator.add_release_observer(
@@ -198,8 +202,12 @@ class CohortSet:
 
     def _on_release(self, phase: str, release) -> None:
         """A release walk began in our environment: condense."""
-        if phase != "begin":
-            return
+        if phase == "begin":
+            self.condense()
+
+    def condense(self) -> None:
+        """A mechanism window opens: every aggregate cohort peels
+        ``condense_per_event`` weight-1 flows off its fluid."""
         condensed = 0
         for driver in self.drivers:
             condensed += driver.condense(self.policy.condense_per_event)

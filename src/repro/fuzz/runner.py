@@ -53,18 +53,15 @@ class FuzzRunResult:
         return {v.checker for v in self.violations}
 
 
-def _build_spec(scenario: Scenario) -> DeploymentSpec:
-    """The scenario's cluster, shrunk-friendly and fast to simulate."""
+def _shared_spec_kwargs(scenario: Scenario) -> dict:
+    """What the scenario gives either layout's spec alike — whatever a
+    spec field means on one it means on the other."""
     spawn_delay = 0.5
-    return DeploymentSpec(
+    return dict(
         seed=scenario.seed,
-        edge_proxies=scenario.edge_proxies,
         origin_proxies=scenario.origin_proxies,
         app_servers=scenario.app_servers,
         brokers=scenario.brokers,
-        web_client_hosts=1 if scenario.web_clients > 0 else 0,
-        mqtt_client_hosts=1 if scenario.mqtt_users > 0 else 0,
-        quic_client_hosts=1 if scenario.quic_flows > 0 else 0,
         edge_config=ProxygenConfig(
             mode="edge",
             enable_takeover=scenario.edge_takeover,
@@ -89,6 +86,17 @@ def _build_spec(scenario: Scenario) -> DeploymentSpec:
             think_time=1.0,
             request_timeout=8.0)
             if scenario.web_clients > 0 else None),
+    )
+
+
+def _build_spec(scenario: Scenario) -> DeploymentSpec:
+    """The scenario's cluster, shrunk-friendly and fast to simulate."""
+    return DeploymentSpec(
+        **_shared_spec_kwargs(scenario),
+        edge_proxies=scenario.edge_proxies,
+        web_client_hosts=1 if scenario.web_clients > 0 else 0,
+        mqtt_client_hosts=1 if scenario.mqtt_users > 0 else 0,
+        quic_client_hosts=1 if scenario.quic_flows > 0 else 0,
         mqtt_workload=(MqttWorkloadConfig(
             users_per_host=scenario.mqtt_users)
             if scenario.mqtt_users > 0 else None),
@@ -100,39 +108,13 @@ def _build_spec(scenario: Scenario) -> DeploymentSpec:
 
 def _build_regional_spec(scenario: Scenario) -> RegionalSpec:
     """Multi-region variant: per-pop counts reuse the scenario fields."""
-    spawn_delay = 0.5
     return RegionalSpec(
-        seed=scenario.seed,
+        **_shared_spec_kwargs(scenario),
         regions=scenario.regions,
         pops_per_region=1,
         proxies_per_pop=scenario.edge_proxies,
-        origin_proxies=scenario.origin_proxies,
-        app_servers=scenario.app_servers,
-        brokers=scenario.brokers,
         web_clients_per_pop=scenario.web_clients,
         mqtt_users_per_pop=scenario.mqtt_users,
-        edge_config=ProxygenConfig(
-            mode="edge",
-            enable_takeover=scenario.edge_takeover,
-            drain_duration=scenario.drain_duration,
-            spawn_delay=spawn_delay),
-        origin_config=ProxygenConfig(
-            mode="origin",
-            drain_duration=scenario.drain_duration,
-            spawn_delay=spawn_delay),
-        app_config=AppServerConfig(
-            drain_duration=min(3.0, scenario.drain_duration),
-            restart_downtime=2.0),
-        katran_config=KatranConfig(lb_scheme=scenario.lb_scheme),
-        load_shape=(named_load_shape(scenario.load_shape,
-                                     scenario.duration)
-                    if scenario.load_shape else None),
-        web_workload=(WebWorkloadConfig(
-            clients_per_host=scenario.web_clients,
-            post_fraction=scenario.post_fraction,
-            think_time=1.0,
-            request_timeout=8.0)
-            if scenario.web_clients > 0 else None),
         mqtt_workload=(MqttWorkloadConfig(
             users_per_host=scenario.mqtt_users,
             keepalive_timeout=20.0)

@@ -245,8 +245,8 @@ def generate_scenario(seed: int, planted: Optional[str] = None) -> Scenario:
     # Cohort draws come after the regions block (same LAST-draw rule):
     # every draw above is bit-identical to pre-cohort seeds.  Planted
     # faults stay on the individual-client path they were calibrated
-    # against, and regional deployments do not take a cohort policy yet.
-    if planted is None and scenario.regions == 1 and rng.random() < 0.35:
+    # against.
+    if planted is None and rng.random() < 0.35:
         scenario.cohorts = {
             "fidelity": rng.choice(("auto", "auto", "aggregate")),
             "scale": rng.choice((1, 1, 2, 4)),

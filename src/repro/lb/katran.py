@@ -21,7 +21,7 @@ from typing import Optional
 from ..netsim.addresses import Endpoint, FourTuple
 from ..netsim.errors import ConnectionRefusedSim
 from ..netsim.host import Host
-from ..netsim.proc_utils import TIMED_OUT, with_timeout
+from ..netsim.proc_utils import TIMED_OUT
 from ..netsim.process import SimProcess
 from .consistent_hash import ConsistentHashRing
 from .routers import ROUTER_SCHEMES, FlowRouter, make_router
@@ -215,25 +215,12 @@ class Katran:
     def _probe(self, process: SimProcess, state: BackendState):
         """One TCP health probe: connect within the timeout, then close."""
         try:
-            attempt = self.host.kernel.tcp_connect(
-                process, state.hc_endpoint, via_ip=state.host.ip)
-            outcome = yield from with_timeout(
-                self.host.env, attempt, self.config.hc_timeout)
+            outcome = yield from self.host.kernel.tcp_connect_within(
+                process, state.hc_endpoint, self.config.hc_timeout,
+                via_ip=state.host.ip)
         except ConnectionRefusedSim:
             return False
-        if outcome is TIMED_OUT or outcome is None:
-            if attempt.triggered:
-                # The handshake completed on the very tick the timeout
-                # fired: with_timeout reports TIMED_OUT, but the
-                # connection is established — close it, don't leak it.
-                if attempt._ok:
-                    attempt._value.close()
-            elif attempt.callbacks is not None:
-                # If the handshake completes after we gave up, close the
-                # stray connection instead of leaking it at the backend.
-                attempt.callbacks.append(
-                    lambda ev: ev._value.close() if ev._ok else None)
+        if outcome is TIMED_OUT:
             return False
-        conn = outcome
-        conn.close()
+        outcome.close()
         return True

@@ -9,6 +9,7 @@ from .addresses import Endpoint, FourTuple, Protocol
 from .errors import BindError, ConnectionRefusedSim
 from .packet import Datagram, StreamControl, StreamMessage
 from .filetable import FileDescription
+from .proc_utils import TIMED_OUT, with_timeout
 from .reuseport import ReusePortGroup
 from .sockets import TcpConnection, TcpEndpoint, TcpListenSocket, UdpSocket
 
@@ -115,6 +116,25 @@ class Kernel:
 
         network.transmit(src_host, via, _call, syn_arrives, size=SYN_SIZE)
         return result
+
+    def tcp_connect_within(self, process: "SimProcess", dst: Endpoint,
+                           timeout: float, via_ip: Optional[str] = None):
+        """Generator: :meth:`tcp_connect` with a deadline.
+
+        Returns the client :class:`TcpEndpoint` or ``TIMED_OUT``;
+        :class:`ConnectionRefusedSim` propagates.  A handshake that
+        completes after the deadline is closed, never leaked — also one
+        completing on the very tick it fired, which ``with_timeout``
+        already reports as ``TIMED_OUT``.
+        """
+        attempt = self.tcp_connect(process, dst, via_ip=via_ip)
+        outcome = yield from with_timeout(self.env, attempt, timeout)
+        if outcome is TIMED_OUT:
+            if attempt.triggered:
+                _close_if_established(attempt)
+            else:
+                attempt.callbacks.append(_close_if_established)
+        return outcome
 
     def _handle_syn(self, flow: FourTuple, client_end: TcpEndpoint,
                     src_host: "Host", result: Event) -> None:
@@ -226,6 +246,11 @@ def _call(event: Event) -> None:
     """Delivery callback for the handshake paths, whose item is a
     closure (a few per connection; data and datagrams carry theirs)."""
     event._value()
+
+
+def _close_if_established(attempt: Event) -> None:
+    if attempt._ok:
+        attempt._value.close()
 
 
 def _fail_refused(result: Event) -> None:

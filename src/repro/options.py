@@ -5,7 +5,9 @@ The experiments CLI (``--faults``, ``--resilience``, ``--lb-scheme``,
 ``--shards``, ``--trace``) builds one :class:`RunOptions` and runs the
 figure loop inside ``with use(options):``.  Topology builders resolve
 ``current()`` once, in ``__init__`` (see ``cluster.base.Topology``), and
-afterwards read only their resolved spec.
+afterwards read only their resolved spec.  Every spec field an option
+targets is declared on ``cluster.spec.TierConfigs``, the base of both
+specs, so :meth:`RunOptions.apply` treats every spec alike.
 
 This module imports nothing from ``repro`` so every layer may import it.
 """
@@ -49,12 +51,12 @@ class RunOptions:
         changes = {}
         if self.lb_scheme is not None:
             changes["lb_scheme"] = self.lb_scheme
-        for name in ("load_shape", "cohorts", "splice"):
-            value = getattr(self, name)
-            # A spec without the field (RegionalSpec has no cohorts or
-            # splice) reads back ``value`` itself, i.e. not None.
-            if value is not None and getattr(spec, name, value) is None:
-                changes[name] = value
+        if self.load_shape is not None and spec.load_shape is None:
+            changes["load_shape"] = self.load_shape
+        if self.cohorts is not None and spec.cohorts is None:
+            changes["cohorts"] = self.cohorts
+        if self.splice is not None and spec.splice is None:
+            changes["splice"] = self.splice
         if self.resilience is not None:
             for name in ("edge_config", "origin_config", "app_config"):
                 config = getattr(spec, "resolved_" + name)()

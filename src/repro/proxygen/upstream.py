@@ -111,10 +111,9 @@ class UpstreamPool:
                 self.current = None
                 return
         try:
-            attempt = host.kernel.tcp_connect(
-                instance.process, self.origin_vip, via_ip=backend_ip)
-            outcome = yield from with_timeout(
-                host.env, attempt, DIAL_TIMEOUT)
+            outcome = yield from host.kernel.tcp_connect_within(
+                instance.process, self.origin_vip, DIAL_TIMEOUT,
+                via_ip=backend_ip)
         except ConnectionRefusedSim:
             instance.counters.inc("upstream_dial_refused")
             instance.counters.inc("upstream_dial_attempt", tag="refused")
@@ -124,15 +123,9 @@ class UpstreamPool:
                 self._note_failure(backend_ip)
             self.current = None
             return
-        if outcome is TIMED_OUT or outcome is None:
-            # Blackholed backend (WAN partition, dead region): give up on
-            # this dial, but never leak a handshake that completes late.
-            if attempt.triggered:
-                if attempt._ok:
-                    attempt._value.close()
-            elif attempt.callbacks is not None:
-                attempt.callbacks.append(
-                    lambda ev: ev._value.close() if ev._ok else None)
+        if outcome is TIMED_OUT:
+            # Blackholed backend (WAN partition, dead region): give up
+            # on this dial.
             instance.counters.inc("upstream_dial_attempt", tag="timeout")
             if breaker is not None:
                 breaker.record_failure()

@@ -21,7 +21,7 @@ from typing import Callable, Optional
 from ..netsim.addresses import Endpoint, FourTuple, Protocol
 from ..netsim.errors import ConnectionRefusedSim
 from ..netsim.host import Host
-from ..netsim.proc_utils import TIMED_OUT, with_timeout
+from ..netsim.proc_utils import TIMED_OUT
 from ..resilience.config import ResilienceConfig
 from ..resilience.retry import BackoffPolicy
 
@@ -153,21 +153,11 @@ class AnycastResolver:
         if backend_ip is None:
             return False  # region has no routable backend at all
         try:
-            attempt = self.host.kernel.tcp_connect(
-                self.process, self.vip, via_ip=backend_ip)
-            outcome = yield from with_timeout(
-                self.host.env, attempt, PROBE_TIMEOUT)
+            outcome = yield from self.host.kernel.tcp_connect_within(
+                self.process, self.vip, PROBE_TIMEOUT, via_ip=backend_ip)
         except ConnectionRefusedSim:
             return False
-        if outcome is TIMED_OUT or outcome is None:
-            if attempt.triggered:
-                # Completed on the very tick the timeout fired: close
-                # the established connection, don't leak it.
-                if attempt._ok:
-                    attempt._value.close()
-            elif attempt.callbacks is not None:
-                attempt.callbacks.append(
-                    lambda ev: ev._value.close() if ev._ok else None)
+        if outcome is TIMED_OUT:
             return False
         outcome.close()
         return True

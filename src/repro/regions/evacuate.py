@@ -16,6 +16,11 @@ of the deployment keeps serving:
 
 The steps are deliberately ordered client-edge-inward so nothing is
 torn down while something upstream of it still routes traffic in.
+
+No :class:`RollingRelease` is involved, so no release observer hears
+of an evacuation: it announces its own mechanism window the way the
+fault injector does — the splice governor is suspended from withdraw
+to completion and the cohort set condenses once, as at a release begin.
 """
 
 from __future__ import annotations
@@ -65,6 +70,11 @@ def evacuate_region(deployment, region_name: str, grace: float = 1.0):
     if suite is not None:
         suite.record("evacuation_begin", region=region)
     counters.inc("evacuations_started", tag=region_name)
+    splice = deployment.splice
+    if splice is not None:
+        splice.suspend("evacuation")
+    if deployment.cohort_set is not None:
+        deployment.cohort_set.condense()
 
     # 1. Anycast withdraw: stop attracting new client flows.
     deployment.withdraw_region(region_name)
@@ -161,6 +171,8 @@ def evacuate_region(deployment, region_name: str, grace: float = 1.0):
                     report.tunnels_terminated += 1
                     counters.inc("tunnels_terminated", tag=region_name)
 
+    if splice is not None:
+        splice.resume("evacuation")
     region.evacuated = True
     report.finished_at = env.now
     if suite is not None:

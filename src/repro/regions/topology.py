@@ -24,9 +24,6 @@ from __future__ import annotations
 from typing import Optional
 
 from ..appserver.brokers import MqttBroker
-from ..appserver.hhvm import AppServer
-from ..clients.mqtt import MqttClientPopulation
-from ..clients.web import WebClientPopulation
 from ..cluster.base import (
     CLIENT_CORE_SPEED, CLIENT_CORES, Region, RegionPoP, Topology)
 from ..faults.plan import FaultPlan
@@ -35,7 +32,6 @@ from ..lb.ecmp import EcmpRouter
 from ..netsim.network import EDGE_ORIGIN, WAN_CLIENT_EDGE, LinkProfile
 from ..options import RunOptions
 from ..proxygen.context import ProxyTierContext
-from ..proxygen.server import ProxygenServer
 from ..simkernel.core import Environment
 from .anycast import AnycastResolver
 from .routing import FallbackOriginRouter
@@ -57,7 +53,6 @@ class RegionalDeployment(Topology):
         super().__init__(spec, spec.anycast_vip_ip, env, fault_plan, options,
                          partition_rng=spec.partition_network_rng)
         self.anycast_https = self.edge_vips[0].endpoint
-        self.anycast_mqtt = self.edge_vips[2].endpoint
         self._ip_serial = 0
         self._next_user = 1
         self._build()
@@ -174,45 +169,21 @@ class RegionalDeployment(Topology):
                         other.name, entry.ecmp.route,
                         wan_distance(r, other.index, spec.regions))
                 pop.resolver = resolver
-                if web_workload is not None:
-                    host = self._host(f"{pop.name}-web-clients",
-                                      pop.client_site, CLIENT_CORES,
-                                      CLIENT_CORE_SPEED)
-                    pop.web_clients = WebClientPopulation(
-                        [host], self.anycast_https, resolver.route,
-                        self.metrics, web_workload,
-                        name=f"web-clients-{pop.name}")
-                if mqtt_workload is not None:
-                    host = self._host(f"{pop.name}-mqtt-clients",
-                                      pop.client_site, CLIENT_CORES,
-                                      CLIENT_CORE_SPEED)
-                    pop.mqtt_clients = MqttClientPopulation(
-                        [host], self.anycast_mqtt, resolver.route,
-                        self.metrics, mqtt_workload,
-                        name=f"mqtt-clients-{pop.name}",
-                        first_user_id=self._next_user)
-                    self._next_user += mqtt_workload.users_per_host
+                self._build_clients(
+                    pop, resolver.route, "web", web_workload,
+                    [f"{pop.name}-web-clients"],
+                    name=f"web-clients-{pop.name}")
+                # MQTT user ids are global (they key broker sessions),
+                # so they continue across PoPs.
+                self._next_user = self._build_clients(
+                    pop, resolver.route, "mqtt", mqtt_workload,
+                    [f"{pop.name}-mqtt-clients"],
+                    name=f"mqtt-clients-{pop.name}",
+                    first_id=self._next_user)
 
-        self._attach_load(self.web_populations + self.mqtt_populations)
+        self._attach_load()
 
     # -- aggregate views ---------------------------------------------------
-
-    @property
-    def edge_servers(self) -> list[ProxygenServer]:
-        return [s for region in self.regions for s in region.edge_servers]
-
-    @property
-    def origin_servers(self) -> list[ProxygenServer]:
-        return [s for region in self.regions
-                for s in region.origin_servers]
-
-    @property
-    def app_servers(self) -> list[AppServer]:
-        return [s for region in self.regions for s in region.app_servers]
-
-    @property
-    def brokers(self) -> list[MqttBroker]:
-        return [b for region in self.regions for b in region.brokers]
 
     @property
     def resolvers(self) -> list[AnycastResolver]:

@@ -19,9 +19,10 @@ Fidelity rules
   relay increments per *request* or per *byte* is unchanged, and
   per-chunk CPU cost is folded into one scaled charge.
 * **Mechanism windows always see per-chunk fidelity.**  The governor
-  disengages while any release walk targets the deployment or any
-  fault window is open — takeover, DCR, PPR and fault injection
-  operate on exactly the event stream they were built against.
+  disengages while any release walk targets the deployment, any
+  fault window is open or a region is being evacuated — takeover,
+  DCR, PPR and fault injection operate on exactly the event stream
+  they were built against.
   In-flight bulk transfers *de-splice*: the governor's wake event
   interrupts them, the bytes virtually sent so far are flushed as one
   catch-up chunk, and the remainder streams per-chunk.
@@ -40,8 +41,9 @@ run, so the fast path may not leave fingerprints there.
 The governor hears about its own run only: release walks through the
 per-environment observer list of :mod:`repro.release.orchestrator`,
 fault windows from the deployment's
-:class:`~repro.faults.injector.FaultInjector`, which calls
-:meth:`SpliceGovernor.suspend` / :meth:`~SpliceGovernor.resume` itself.
+:class:`~repro.faults.injector.FaultInjector` and evacuations from
+:func:`repro.regions.evacuate_region`, which call
+:meth:`SpliceGovernor.suspend` / :meth:`~SpliceGovernor.resume` themselves.
 """
 
 from __future__ import annotations

@@ -10,6 +10,8 @@ from repro.clients import (
     WebClientPopulation,
     WebWorkloadConfig,
 )
+from repro.clients.base import ClientBase
+from repro.netsim import Endpoint
 from tests.proxygen.conftest import MiniStack
 
 
@@ -137,3 +139,31 @@ def test_quic_population_infinite_connections(world, stack):
     counters = world.metrics.scoped_counters("quic-clients")
     assert counters.get("connections_completed") == 0
     assert counters.get("packets_acked") > 50
+
+
+def test_connect_completing_on_the_deadline_tick_is_closed(world):
+    """Regression: ``ClientBase.connect_routed`` gave up on a dial whose
+    handshake completed on the very tick its deadline fired — and left
+    the established connection open, one per occurrence (the L4LB and
+    resolver probes and the upstream dial closed theirs).  The race
+    needs the deadline to equal one handshake RTT: 2 × the 1 ms test
+    link latency."""
+    server = world.host("server")
+    server_process = server.spawn("server")
+    vip = Endpoint(server.ip, 443)
+    server.kernel.tcp_listen(server_process, vip)
+    host = world.host("client")
+    process = host.spawn("client")
+    base = ClientBase(host, "clients", vip, lambda flow: server.ip,
+                      world.metrics)
+    outcomes = []
+
+    def dial():
+        outcomes.append((yield from base.connect_routed(process,
+                                                        timeout=0.002)))
+
+    process.run(dial())
+    world.env.run(until=1)
+    assert outcomes == [None]
+    assert base.counters.get("connect_timeout") == 1  # the race was hit
+    assert process.connection_count == 0

@@ -23,16 +23,20 @@ individual run's, and divergence is allowed only on the declared
 latency quantiles (fewer representative flows → coarser sampling).
 """
 
+import re
+
 import pytest
 
 from repro.clients.mqtt import MqttWorkloadConfig
 from repro.clients.quic import QuicWorkloadConfig
 from repro.clients.web import WebWorkloadConfig
 from repro.cohorts import CohortPolicy, modeled
-from repro.experiments.common import build_deployment
+from repro.experiments.common import (build_deployment,
+                                      build_regional_deployment)
 from repro.invariants import runtime as invariant_runtime
 from tests.differential import full_snapshot, reset_id_allocators
 from repro.proxygen.config import ProxygenConfig
+from repro.regions import evacuate_region
 from repro.release.orchestrator import RollingRelease, RollingReleaseConfig
 
 SEEDS = (0, 1, 2)
@@ -74,13 +78,18 @@ def _run(seed, cohorts=None, duration=16.0):
     return deployment, full_snapshot(deployment), verdicts
 
 
+#: A cohort lane's scope suffix: ``<population>/c<i>[/solo]``.
+LANE_SUFFIX = re.compile(r"/c\d+(/solo)?$")
+
+
 def _fold_client_scopes(snapshot):
     """Merge each client population's cohort lanes into one summed scope.
 
     ``web-clients/c0``, ``web-clients/c1``, ``web-clients/c0/solo`` ...
-    all fold into ``web-clients``.  Host scopes (``web-clients-0``) miss
-    the ``prefix + "/"`` rule and pass through untouched, so kernel
-    counters stay compared scope-by-scope.
+    all fold into ``web-clients`` (and ``web-clients-r0p0/c0`` into
+    ``web-clients-r0p0`` on the regional layout).  Host scopes
+    (``web-clients-0``) carry no lane suffix and pass through untouched,
+    so kernel counters stay compared scope-by-scope.
     """
     folded = {}
     for scope, counters in snapshot["scoped"].items():
@@ -88,12 +97,7 @@ def _fold_client_scopes(snapshot):
             # The layer's own bookkeeping (condensation counts) —
             # definitionally absent in individual mode.
             continue
-        target = scope
-        for prefix in CLIENT_PREFIXES:
-            if scope == prefix or scope.startswith(prefix + "/"):
-                target = prefix
-                break
-        merged = folded.setdefault(target, {})
+        merged = folded.setdefault(LANE_SUFFIX.sub("", scope), {})
         for name, value in counters.items():
             merged[name] = merged.get(name, 0) + value
     return {**snapshot, "scoped": folded}
@@ -157,6 +161,49 @@ def test_condensed_rung_is_not_vacuous():
     assert totals.get("mqtt-clients:sessions_established", 0) > 0
     assert totals.get("quic-clients:packets_sent", 0) > 0
     assert verdicts == [], f"invariants tripped: {verdicts}"
+
+
+# -- the regional layout: same proof, across an evacuation ---------------------
+
+
+def _run_regional(seed, cohorts=None):
+    """2 regions × 2 PoPs (MQTT user ids continue across four PoPs),
+    region r1 evacuated under load — cross-region DCR is the mechanism
+    the client code has to get identically right."""
+    reset_id_allocators()
+    deployment = build_regional_deployment(
+        seed=seed, regions=2, pops_per_region=2, proxies_per_pop=2,
+        edge_config=ProxygenConfig(mode="edge", drain_duration=2.0,
+                                   spawn_delay=0.5),
+        origin_config=ProxygenConfig(mode="origin", drain_duration=2.0,
+                                     spawn_delay=0.5),
+        cohorts=cohorts)
+    deployment.run(until=6.0)
+    evacuation = deployment.env.process(evacuate_region(deployment, "r1"))
+    deployment.run(until=30.0)
+    assert evacuation.triggered and evacuation.value.sessions_transferred
+    verdicts = sorted(str(v) for v in invariant_runtime.drain())
+    return deployment, full_snapshot(deployment), verdicts
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_condensed_rung_is_bit_identical_on_regions(seed):
+    _, individual, individual_verdicts = _run_regional(seed)
+    deployment, condensed, condensed_verdicts = _run_regional(
+        seed, cohorts=CohortPolicy(fidelity="condensed"))
+
+    drivers = deployment.cohort_set.drivers
+    assert len(drivers) == 8  # web + mqtt on each of four PoPs
+    assert {d.scope for d in drivers} >= {"web-clients-r0p0/c0",
+                                          "mqtt-clients-r1p1/c0"}
+    assert individual["eid"] == condensed["eid"]
+    assert individual["now"] == condensed["now"]
+    assert _mechanism_counts(individual) == _mechanism_counts(condensed)
+    assert _mechanism_counts(condensed).get("dcr_rehomed", 0) > 0
+    assert _fold_client_scopes(individual) == \
+        _fold_client_scopes(condensed), (
+        f"seed {seed}: full metrics snapshots diverged")
+    assert individual_verdicts == condensed_verdicts == []
 
 
 # -- aggregate rung: bounded divergence ---------------------------------------

@@ -40,6 +40,10 @@ def _run_cli(argv, capsys):
     # representative pacing, release-boundary condensation, aggregate
     # fold.
     ["fig13", "--cohorts", "100", "--cohort-fidelity", "aggregate"],
+    # The same fluid, and the splice fast path, on the regional layout
+    # across an evacuation.
+    ["regionevac", "--cohorts", "100", "--cohort-fidelity", "aggregate"],
+    ["regionevac", "--splice"],
 ], ids=" ".join)
 def test_cli_double_run_is_byte_identical(argv, capsys):
     code_a, out_a = _run_cli(argv, capsys)
@@ -48,6 +52,18 @@ def test_cli_double_run_is_byte_identical(argv, capsys):
     assert out_a == out_b, f"{argv}: CLI output differs between runs"
     assert "invariants: all checkers clean" in out_a
     assert "FAIL" not in out_a
+
+
+@pytest.mark.parametrize("flags", [
+    ["--cohorts", "100", "--cohort-fidelity", "aggregate"], ["--splice"],
+], ids=" ".join)
+def test_option_is_not_a_silent_noop_on_regions(flags, capsys):
+    """Both flags used to print the plain run's bytes on ``regionevac``:
+    the regional builder had no cohort layer and no splice governor, and
+    the options were dropped on the way to it."""
+    _, plain = _run_cli(["regionevac"], capsys)
+    code, out = _run_cli(["regionevac", *flags], capsys)
+    assert code == 0 and out != plain
 
 
 def test_cli_output_is_not_vacuous(capsys):

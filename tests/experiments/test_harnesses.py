@@ -144,6 +144,10 @@ def test_fig15_claims_hold_small():
 def test_fig16_model_claims_hold():
     result = fig16_completion_time.run(seed=1, samples=50)
     assert result.all_claims_hold
+    # The two DES harnesses are arms of run(), so the CLI executes them.
+    assert {"crosscheck.model_matches_des_within_20pct",
+            "global.global_is_parallel_not_serial",
+            "global.model_within_30pct"} <= set(result.claims)
     crosscheck = fig16_completion_time.run_des_crosscheck(
         seed=1, edge_proxies=3, drain=4.0)
     assert crosscheck.all_claims_hold

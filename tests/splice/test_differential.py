@@ -20,15 +20,20 @@ enforced here:
 * **Fault windows de-splice too**: the governor disengages at the first
   inject, stays disengaged until the last overlapping window clears,
   and the counters still fold exactly.
+* **So does a region evacuation** on the regional layout: it announces
+  its own window (no release walk is involved), the cross-region DCR
+  and the hard drains run per-chunk, and the counters fold exactly.
 """
 
 import pytest
 
 from repro.clients.web import WebWorkloadConfig
-from repro.experiments.common import build_deployment
+from repro.experiments.common import (build_deployment,
+                                      build_regional_deployment)
 from repro.faults import FaultPlan, FaultSpec
 from repro.invariants import runtime as invariant_runtime
 from tests.differential import reset_id_allocators
+from repro.regions import evacuate_region
 from repro.release.orchestrator import RollingRelease, RollingReleaseConfig
 from repro.shard import counters_snapshot
 from repro.splice import SpliceConfig
@@ -181,5 +186,48 @@ def test_fault_window_desplices_and_counters_fold(seed):
 
     _, off, off_verdicts = _finish(_build(
         seed, splice=False, fault_plan=_overlapping_fault_windows()))
+    assert on == off, f"seed {seed}: counters diverged across the window"
+    assert on_verdicts == off_verdicts == []
+
+
+#: Connection *establishment* is timing on the regional layout the way
+#: pool reuse is: resolvers probe every region all run long, and how
+#: many probes and re-dials meet the evacuated region mid-drain (a
+#: route with no backend, a RST, one more upstream dial) shifts with
+#: the coarser spliced clock.  Every request, byte, session and
+#: mechanism counter stays pinned.
+REGIONAL_CHURN = ("route_", "tcp_rst_sent", "upstream_dial")
+
+
+def _run_evacuation(seed: int, splice: bool):
+    """Two regions, r1 evacuated while uploads are parked on the
+    governor (default drains: long enough to see the in-flight work
+    out, so the run stays finite-work); MQTT users ride along so the
+    evacuation has sessions to re-home across regions."""
+    reset_id_allocators()
+    deployment = build_regional_deployment(
+        seed=seed, regions=2, proxies_per_pop=2, web_workload=_workload(),
+        splice=SpliceConfig() if splice else None)
+    deployment.run(until=6.0)
+    evacuation = deployment.env.process(evacuate_region(deployment, "r1"))
+    _, aggregate, verdicts = _finish(deployment)
+    assert evacuation.value.sessions_transferred > 0
+    return deployment, {key: value for key, value in aggregate.items()
+                        if not key.startswith(REGIONAL_CHURN)}, verdicts
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_evacuation_desplices_and_counters_fold_on_regions(seed):
+    on_deployment, on, on_verdicts = _run_evacuation(seed, splice=True)
+    _, off, off_verdicts = _run_evacuation(seed, splice=False)
+
+    governor = on_deployment.splice
+    assert governor.desplices >= 1, (
+        "the evacuation window never de-spliced the governor")
+    assert governor.engaged, "the evacuation window never closed"
+    assert governor.bulk_transfers > 0 and governor.chunks_elided > 0
+
+    assert _mechanisms(on) == _mechanisms(off)
+    assert _mechanisms(on).get("dcr_rehomed", 0) > 0
     assert on == off, f"seed {seed}: counters diverged across the window"
     assert on_verdicts == off_verdicts == []

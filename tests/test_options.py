@@ -6,6 +6,7 @@ from dataclasses import fields, replace
 
 import pytest
 
+from repro.clients.web import WebWorkloadConfig
 from repro.cohorts import CohortPolicy
 from repro.experiments.__main__ import main
 from repro.experiments.common import (build_deployment,
@@ -14,7 +15,7 @@ from repro.faults import builtin_plan
 from repro.ops import default_canary_gate, named_load_shape
 from repro.options import RunOptions, current, use
 from repro.proxygen import ProxygenConfig
-from repro.regions import RegionalDeployment, RegionalSpec
+from repro.regions import RegionalDeployment, RegionalSpec, evacuate_region
 from repro.release.orchestrator import RollingRelease, RollingReleaseConfig
 from repro.resilience import ResilienceConfig
 from repro.shard import run_sharded
@@ -23,22 +24,29 @@ from repro.trace import TraceConfig
 from repro.trace import runtime as trace_runtime
 
 FAST_EDGE = ProxygenConfig(mode="edge", drain_duration=1.0, spawn_delay=0.2)
+#: Every other request an upload past ``splice.MIN_BULK_BYTES``.
+BULKY_WEB = WebWorkloadConfig(clients_per_host=4, think_time=0.5,
+                              post_fraction=0.5, post_size_min=200_000,
+                              post_size_cap=1_000_000)
 
 
 def _single():
     return build_deployment(seed=0, edge_proxies=2, origin_proxies=1,
-                            app_servers=2, edge_config=FAST_EDGE)
+                            app_servers=2, edge_config=FAST_EDGE,
+                            web=BULKY_WEB)
 
 
 def _one_region_two_pops():
     return build_regional_deployment(seed=0, regions=1, pops_per_region=2,
                                      proxies_per_pop=2,
-                                     edge_config=FAST_EDGE)
+                                     edge_config=FAST_EDGE,
+                                     web_workload=BULKY_WEB)
 
 
 def _two_regions():
     return build_regional_deployment(seed=0, regions=2, proxies_per_pop=2,
-                                     edge_config=FAST_EDGE)
+                                     edge_config=FAST_EDGE,
+                                     web_workload=BULKY_WEB)
 
 
 TOPOLOGIES = {"single": _single, "1x2": _one_region_two_pops,
@@ -87,7 +95,45 @@ def _check_trace(dep, options):
     assert dep.metrics.tracing is not None
 
 
+def _run_through_a_window(dep):
+    """A short run with a mechanism window in it: an evacuation where
+    there is a region to spare, a one-proxy release where there is not."""
+    dep.run(until=4.0)
+    if len(dep.regions) > 1:
+        window = evacuate_region(dep, dep.regions[-1].name)
+    else:
+        window = RollingRelease(
+            dep.env, dep.edge_servers[:1],
+            RollingReleaseConfig(batch_fraction=1.0)).execute()
+    dep.env.run(until=dep.env.process(window))
+
+
+def _check_cohorts(dep, options):
+    """Not "the build took the policy": the fluid ran and condensed."""
+    pops = [pop for region in dep.regions for pop in region.pops]
+    assert all(pop.cohort_drivers and pop.web_clients is None
+               for pop in pops)
+    assert dep.cohort_set.drivers == [d for pop in pops
+                                      for d in pop.cohort_drivers]
+    _run_through_a_window(dep)
+    counters = dep.metrics.scoped_counters("cohorts")
+    assert counters.get("condensations") > 0
+    assert counters.get("condensed_flows") == sum(
+        d.condensed_flows for d in dep.cohort_set.drivers) > 0
+    assert dep.metrics.aggregate("get_ok", scope_prefix="web-clients") > 0
+
+
+def _check_splice(dep, options):
+    assert dep.metrics.splice is dep.splice is not None
+    _run_through_a_window(dep)
+    stats = dep.splice.stats()
+    assert stats["bulk_transfers"] > 0
+    assert stats["desplices"] >= 1
+    assert dep.splice.engaged  # the window closed again
+
+
 MATRIX = {
+    "cohorts": (lambda: CohortPolicy(fidelity="aggregate"), _check_cohorts),
     "fault_plan": (lambda: builtin_plan("hc-flap-storm", at=1.0,
                                         duration=2.0), _check_fault_plan),
     "resilience": (lambda: ResilienceConfig(enabled=True),
@@ -96,6 +142,7 @@ MATRIX = {
     "load_shape": (lambda: named_load_shape("diurnal", 20.0),
                    _check_load_shape),
     "release_gate": (lambda: _recording_gate, _check_release_gate),
+    "splice": (lambda: SpliceConfig(), _check_splice),
     "trace": (lambda: TraceConfig(), _check_trace),
 }
 
@@ -155,6 +202,10 @@ def test_apply_precedence_and_no_mutation():
     assert spec.edge_config is FAST_EDGE
     assert not FAST_EDGE.resilience.enabled
     assert RunOptions().apply(spec) is spec
+    # Every spec alike: no option is dropped for want of a field.
+    regional = replace(options, splice=SpliceConfig()).apply(RegionalSpec())
+    assert regional.cohorts == CohortPolicy(scale=2)
+    assert regional.splice == SpliceConfig()
 
 
 def test_spec_lb_scheme_reaches_every_katran_on_both_builders():
