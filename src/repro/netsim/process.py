@@ -51,6 +51,7 @@ class SimProcess:
         # would reorder the abort events from run to run.
         self._endpoints: dict["TcpEndpoint", None] = {}
         self._tasks: list[Process] = []
+        self._sweep_tasks_at = 64
         #: Resident memory attributable to this process (model units).
         self.base_memory = 0.0
         self.memory_per_connection = 0.0
@@ -63,6 +64,11 @@ class SimProcess:
             raise ProcessDeadError(f"{self.name} has exited")
         task = self.host.env.process(generator)
         self._tasks.append(task)
+        if len(self._tasks) > self._sweep_tasks_at:
+            # Sweep out finished tasks: amortised O(1), and no callback
+            # on the task — a finish somebody waits on is a scheduled event.
+            self._tasks = [t for t in self._tasks if t.is_alive]
+            self._sweep_tasks_at = max(64, 2 * len(self._tasks))
         return task
 
     # -- connection ownership ----------------------------------------------------

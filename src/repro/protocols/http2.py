@@ -6,6 +6,24 @@ property the paper leans on is **GOAWAY**: a draining proxy can tell its
 peer "open no new streams on this connection" while in-flight streams
 finish — graceful shutdown semantics that HTTP/1.1 and MQTT lack (§3,
 Option-3).
+
+Nobody runs a dispatcher: :meth:`H2Connection.start` rebinds the
+socket's arrival hand-off (``TcpEndpoint.inbox_deliver``) to
+:meth:`H2Connection._demux`, so a frame is routed inside the delivery
+timeout's callback, whose last act is ``Store.deliver`` on the stream's
+inbox (or the accept queue, for a new peer stream): the parked reader
+resumes there and then.  Transport death is an item in the accept queue,
+as FIN is in a socket inbox: ``accept_stream()`` yields ``None``.  The
+demux belongs to the OS process ``start`` was given:
+
+* once it has exited, arrivals reach nobody — the socket answers data
+  with RST before it gets here, and a late FIN/RST tears nothing down
+  (the process's tasks were interrupted; no one is left to tell);
+* ``close()`` is the socket's: with the process alive, a peer FIN still
+  breaks the connection, resets open streams and ends the accept loop;
+* frames the socket queued before ``start`` go through a one-shot task
+  — after the caller's code, at the same instant, in arrival order — so
+  ``start()`` then ``send_goaway()`` still refuses them.
 """
 
 from __future__ import annotations
@@ -95,7 +113,7 @@ class H2Stream:
             self.reset = True
         if frame.end_stream:
             self.remote_closed = True
-        self.inbox.put(frame)
+        self.conn._wake(self.inbox, frame)
 
 
 class H2Connection:
@@ -103,7 +121,7 @@ class H2Connection:
 
     Construct with ``role="client"`` (opens odd stream ids) or
     ``role="server"`` (even).  Call :meth:`start` with the owning OS
-    process to run the frame dispatcher.
+    process to begin demultiplexing arrivals (see the module docstring).
     """
 
     def __init__(self, endpoint: "TcpEndpoint", role: str):
@@ -121,14 +139,18 @@ class H2Connection:
         self.goaway_last_stream_id: Optional[int] = None
         self._highest_peer_stream = 0
         self.broken = False
-        #: Triggers when the underlying connection dies (FIN or RST).
-        self.closed_event = self.env.event()
+        #: ``Store.deliver`` (the frozen reference store only has ``put``).
+        store = type(self.incoming)
+        self._wake = getattr(store, "deliver", store.put)
 
     # -- lifecycle ------------------------------------------------------------
 
     def start(self, process: "SimProcess") -> None:
-        """Run the frame dispatcher as a task of ``process``."""
-        process.run(self._dispatch_loop())
+        """Demultiplex arrivals from now on, on behalf of ``process``."""
+        self._process = process
+        self.endpoint.inbox_deliver = self._demux
+        if self.endpoint.inbox.items:
+            process.run(self._demux_backlog())
 
     def close(self) -> None:
         """Close the underlying TCP connection (FIN)."""
@@ -152,7 +174,7 @@ class H2Connection:
         return stream
 
     def accept_stream(self):
-        """Event yielding the next peer-initiated :class:`H2Stream`."""
+        """Event: the next peer-opened :class:`H2Stream`; ``None`` if dead."""
         return self.incoming.get()
 
     def open_stream_count(self) -> int:
@@ -181,38 +203,46 @@ class H2Connection:
             raise H2Error("send on dead connection")
         self.endpoint.send(frame, size=frame.size)
 
-    def _dispatch_loop(self):
-        while True:
-            item = yield self.endpoint.recv()
-            if isinstance(item, StreamControl):
-                self._on_transport_down()
-                return
-            frame: H2Frame = item.payload
-            if frame.type == FrameType.GOAWAY:
-                self.goaway_received = True
-                self.goaway_last_stream_id = frame.payload
-                continue
-            if frame.stream_id == 0:
-                continue  # connection-level PING etc.
-            stream = self.streams.get(frame.stream_id)
-            if stream is None:
-                if self._is_peer_stream(frame.stream_id):
-                    if self.goaway_sent:
-                        # Raced with our GOAWAY: refuse the new stream.
-                        self.send_frame(H2Frame(
-                            stream_id=frame.stream_id,
-                            type=FrameType.RST_STREAM, size=32))
-                        continue
-                    stream = H2Stream(self, frame.stream_id)
-                    self.streams[frame.stream_id] = stream
-                    self._highest_peer_stream = max(
-                        self._highest_peer_stream, frame.stream_id)
-                    stream._deliver(frame)
-                    self.incoming.put(stream)
-                    continue
-                # Frame for a forgotten local stream: drop.
-                continue
+    def _demux_backlog(self):
+        """One-shot task: what the socket queued before :meth:`start`.
+        Its ``Initialize`` is urgent, so it runs ahead of any arrival;
+        in process context ``deliver`` is ``put``: readers are scheduled."""
+        items = self.endpoint.inbox.items
+        while items:
+            self._demux(items.pop(0))
+        yield from ()  # a task is a generator
+
+    def _demux(self, item) -> None:
+        """``endpoint.inbox_deliver``: route one arrival to its reader,
+        as the tail of the delivery timeout's callback."""
+        if self.broken or not self._process.alive:
+            return
+        if isinstance(item, StreamControl):
+            self._on_transport_down()
+            return
+        frame: H2Frame = item.payload
+        stream_id = frame.stream_id
+        if frame.type == FrameType.GOAWAY:
+            self.goaway_received = True
+            self.goaway_last_stream_id = frame.payload
+            return
+        if stream_id == 0:
+            return  # connection-level PING etc.
+        stream = self.streams.get(stream_id)
+        if stream is not None:
             stream._deliver(frame)
+        elif not self._is_peer_stream(stream_id):
+            return  # frame for a forgotten local stream: drop
+        elif self.goaway_sent:
+            # Raced with our GOAWAY: refuse the new stream.
+            self.send_frame(H2Frame(
+                stream_id=stream_id, type=FrameType.RST_STREAM, size=32))
+        else:
+            stream = self.streams[stream_id] = H2Stream(self, stream_id)
+            self._highest_peer_stream = max(
+                self._highest_peer_stream, stream_id)
+            stream._deliver(frame)  # nobody reads a stream this new
+            self._wake(self.incoming, stream)
 
     def _is_peer_stream(self, stream_id: int) -> bool:
         peer_parity = 0 if self.role == "client" else 1
@@ -220,10 +250,11 @@ class H2Connection:
 
     def _on_transport_down(self) -> None:
         self.broken = True
+        # ``put``, not ``deliver``: a handler resumed inside this loop
+        # could open a stream.  Readers wake in order, the accept loop last.
         for stream in self.streams.values():
             if not stream.closed:
                 stream.reset = True
                 stream.inbox.put(H2Frame(
                     stream_id=stream.id, type=FrameType.RST_STREAM, size=0))
-        if not self.closed_event.triggered:
-            self.closed_event.succeed()
+        self.incoming.put(None)

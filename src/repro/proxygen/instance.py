@@ -488,15 +488,10 @@ class ProxygenInstance:
             h2.send_goaway()
         try:
             while h2.alive:
-                accept_ev = h2.accept_stream()
-                result = yield self.host.env.any_of(
-                    [accept_ev, h2.closed_event])
-                if accept_ev in result:
-                    stream = result[accept_ev]
-                    self.process.run(self._serve_origin_stream(stream))
-                else:
-                    accept_ev.cancel()
+                stream = yield h2.accept_stream()
+                if stream is None:  # the transport died
                     return
+                self.process.run(self._serve_origin_stream(stream))
         finally:
             if h2 in self.edge_h2_conns:
                 self.edge_h2_conns.remove(h2)

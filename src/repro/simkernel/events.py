@@ -391,10 +391,15 @@ class Process(Event):
     def _finish(self, ok: bool, value: Any) -> None:
         self._ok = ok
         self._value = value
+        self._target = None
+        if ok and not self.callbacks:
+            # Nobody waits on it: born processed, nothing scheduled.
+            # (A failure always is, so that the run loop raises it.)
+            self.callbacks = None
+            return
         env = self.env
         env._ready.append(self)
         env._eid += 1
-        self._target = None
 
 
 class Condition(Event):

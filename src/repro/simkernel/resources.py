@@ -18,15 +18,18 @@ schedule an event only where a process can be parked on it:
   ``yield request`` falls straight through the process loop.  Only a
   queued request is scheduled, when a release grants it.
 * ``Store.deliver`` is ``put`` for a kernel callback that ends by
-  feeding a store — a network delivery timeout reaching a socket inbox:
-  the parked getter's callbacks run there and then, so the delivery
-  timeout itself is the reader's wake-up and the get is never
-  scheduled.  It falls back to ``put`` when a process is running
+  feeding a store — a network delivery timeout reaching a socket inbox,
+  or the HTTP/2 demux that socket hands its arrivals to (stream inbox,
+  accept queue): the parked getter's callbacks run there and then, so
+  the delivery timeout itself is the reader's wake-up and the get is
+  never scheduled.  It falls back to ``put`` when a process is running
   (``env._active_process``): resuming the waiter from inside another
   generator would run it ahead of the caller's remaining code.
+* Likewise a process that finishes successfully with no callback
+  registered is born processed (``events.Process._finish``).
 
 The frozen kernel in :mod:`repro.simkernel.reference` still schedules
-every put, every grant and every get (its ``Store`` has no ``deliver``;
+every put, grant, get and finish (its ``Store`` has no ``deliver``;
 callers bind ``getattr(store, "deliver", store.put)``).  A put event
 had no waiter — it popped as a no-op — and removing a no-op from the
 schedule changes no other pop; a born-processed grant, and a getter

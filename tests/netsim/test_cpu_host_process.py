@@ -3,7 +3,7 @@
 import pytest
 
 from repro.netsim import CpuCosts, CpuModel, ProcessDeadError
-from repro.simkernel import Environment
+from repro.simkernel import Environment, Interrupt
 
 
 def test_cpu_execute_takes_work_over_speed():
@@ -121,6 +121,40 @@ def test_process_exit_interrupts_tasks(world):
     proc.exit("shutdown")
     world.env.run(until=10)
     assert progress == [1.0, 2.0, 3.0]
+
+
+def test_finished_tasks_are_forgotten_and_exit_keeps_start_order(world):
+    """An origin proxy starts one task per stream it serves: ``run()``
+    may not remember every one of them until ``exit()``."""
+    env = world.env
+    proc = world.host("h").spawn("p")
+    interrupted = []
+
+    def short():
+        yield env.timeout(0.001)
+
+    def long(label):
+        try:
+            yield env.timeout(1000.0)
+        except Interrupt:
+            interrupted.append(label)
+
+    proc.run(long("a"))
+    for i in range(10_000):
+        proc.run(short())
+        if i == 5_000:
+            proc.run(long("b"))
+        if i % 100 == 0:
+            env.run(until=env.now + 0.01)
+    proc.run(long("c"))
+    env.run(until=env.now + 1)
+    assert sum(task.is_alive for task in proc._tasks) == 3
+    # Never more than a batch of short tasks and the long ones at once.
+    peak_live = 100 + 3
+    assert len(proc._tasks) <= 2 * peak_live + 64
+    proc.exit("shutdown")
+    env.run(until=env.now + 1)
+    assert interrupted == ["a", "b", "c"]
 
 
 def test_process_memory_model(world):

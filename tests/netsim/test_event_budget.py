@@ -18,9 +18,10 @@ from repro.netsim.proc_utils import TIMED_OUT, with_timeout
 from repro.simkernel import Environment, Store, reference
 from tests.conftest import World
 
-#: What a process schedules for itself: its Initialize and its own
-#: completion event.
-PROCESS = 2
+#: What a process nobody waits on schedules for itself: its Initialize.
+#: (Its successful finish is not scheduled; a finish somebody waits on,
+#: or a failure, is one more — pinned in ``tests/simkernel``.)
+PROCESS = 1
 
 
 def test_round_trip_schedules_six_events(world):
@@ -150,14 +151,14 @@ def test_deliver_wakes_a_parked_getter_in_place():
     def arrive():
         before = env._eid
         store.deliver("item")
-        # The waiter has already run — to completion here, which is the
-        # one event scheduled meanwhile; none for the get.
+        # The waiter has already run — to completion here — and
+        # nothing was scheduled: not the get, not the unwaited finish.
         log.append(("delivered", env._eid - before))
 
     env.process(waiter())
     _at(env, 1.0, arrive)
     env.run()
-    assert log == [("got", "item", 1.0), ("delivered", 1)]
+    assert log == [("got", "item", 1.0), ("delivered", 0)]
     assert env._eid == PROCESS + 1  # the waiter and the arrival timeout
     assert not store.items and not store._get_queue
 
@@ -355,7 +356,8 @@ def test_with_timeout_on_a_pending_get_builds_no_race(monkeypatch):
     # The expired get was withdrawn: a later put is stored, not eaten.
     store.put("late")
     assert store.items == ["late"]
-    assert env._eid == marks[-1] + 1  # the waiter's completion; no put event
+    # No put event, and none for the waiter's unwaited completion.
+    assert env._eid == marks[-1]
 
 
 def test_with_timeout_still_races_what_it_cannot_withdraw():

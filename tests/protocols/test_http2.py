@@ -1,14 +1,19 @@
-"""HTTP/2-lite: multiplexing, GOAWAY, transport failure propagation."""
+"""HTTP/2-lite: multiplexing, GOAWAY, transport failure propagation,
+and who demultiplexes frames when (the three ownership cases at the
+end hold whoever runs the demux: a dispatcher process or the delivery
+callback itself)."""
 
 import pytest
 
 from repro.netsim import Endpoint
 from repro.protocols import FrameType, GoAwayError, H2Connection, H2Error
+from repro.simkernel import Interrupt
+from tests.proxygen.conftest import MiniStack
 
 
 def _h2_pair(world):
-    """Build a connected (client_conn, server_conn) H2 pair with
-    dispatchers running; returns (client_conn, server_conn, procs)."""
+    """Build a connected, started (client_conn, server_conn) H2 pair;
+    returns (client_conn, server_conn, procs)."""
     server_host = world.host("server")
     client_host = world.host("client")
     sproc, cproc = server_host.spawn("s"), client_host.spawn("c")
@@ -180,3 +185,176 @@ def test_stream_end_stream_closes(world):
 
     cproc.run(flow())
     world.env.run(until=1)
+
+
+# -- what a stream costs ---------------------------------------------------------
+
+
+def test_a_frame_costs_its_delivery_and_a_new_stream_its_handler_too(world):
+    """Event prices by ``env._eid`` delta (as ``tests/netsim/
+    test_event_budget.py``): the delivery timeout is the reader's
+    wake-up, so no event exists only to move a frame along."""
+    client, server, (cproc, sproc) = _h2_pair(world)
+    env = world.env
+    accepted, seen = [], []
+
+    def handler(stream):
+        seen.append(stream.inbox.try_get().payload)
+        while True:
+            seen.append((yield stream.recv()).payload)
+
+    def accept_loop():
+        while True:
+            stream = yield server.accept_stream()
+            accepted.append(stream.id)
+            sproc.run(handler(stream))
+
+    sproc.run(accept_loop())
+    env.run(until=0.2)  # the accept loop is parked
+
+    before = env._eid
+    stream = client.open_stream()
+    stream.send("headers", frame_type=FrameType.HEADERS)
+    env.step()  # the delivery timeout: the accept loop ran inside it
+    assert accepted == [1] and seen == []
+    env.run(until=0.3)
+    assert seen == ["headers"]
+    assert env._eid - before == 2  # the delivery, the handler's Initialize
+
+    for payload in ("data-1", "data-2"):
+        before = env._eid
+        stream.send(payload)
+        env.step()  # the delivery timeout: the handler ran inside it
+        assert seen[-1] == payload
+        env.run(until=env.now + 0.1)
+        assert env._eid - before == 1
+
+
+# -- who owns the demux ---------------------------------------------------------
+
+
+def test_demux_dies_with_its_owning_process(world):
+    """The owning OS process exits with a stream open: data that was in
+    flight is answered by the socket layer (RST), and the FIN behind it
+    reaches nobody — the connection is not torn down a second time, no
+    handler is resumed and nothing is scheduled."""
+    client, server, (cproc, sproc) = _h2_pair(world)
+    env = world.env
+    log = []
+
+    def handler(stream):
+        stream.inbox.try_get()
+        try:
+            log.append((yield stream.recv()).type)
+        except Interrupt:
+            log.append("interrupted")
+
+    def accept_loop():
+        while True:
+            sproc.run(handler((yield server.accept_stream())))
+
+    sproc.run(accept_loop())
+    stream = client.open_stream()
+    stream.send("request", frame_type=FrameType.HEADERS)
+    env.run(until=0.2)
+    (server_stream,) = server.streams.values()
+
+    sproc.exit("killed")                # t=0.2; its RST lands at 0.201
+    env.run(until=0.2005)
+    assert log == ["interrupted"]
+    stream.send("body")                 # both land at the dead process
+    client.close()
+    env.run(until=0.2012)               # the client side has settled
+    assert client.broken
+    rst_sent = server.endpoint.kernel.host.counters
+    assert rst_sent.get("tcp_rst_sent", tag="data_after_close") == 0
+    scheduled = env._eid
+
+    env.run(until=1)
+    assert rst_sent.get("tcp_rst_sent", tag="data_after_close") == 1
+    assert env._eid == scheduled
+    assert log == ["interrupted"]
+    assert not server.broken and not server_stream.reset
+
+
+def test_peer_fin_after_local_close_still_ends_the_connection(world):
+    """``close()`` is the socket's, not the demux's: with the process
+    alive, the peer's FIN still breaks the connection, resets its open
+    streams and ends the accept loop."""
+    stack = MiniStack(world).start()
+    env = stack.env
+    edge, origin = stack.edge.active_instance, stack.origin.active_instance
+    opened = []
+
+    def flow():
+        stream = yield from edge.upstream.open_stream()
+        stream.send("opaque", frame_type=FrameType.HEADERS)
+        opened.append(stream)
+
+    edge.process.run(flow())
+    env.run(until=env.now + 0.5)
+    (h2,) = origin.edge_h2_conns
+    (origin_stream,) = h2.streams.values()
+    assert not origin_stream.closed
+
+    h2.close()
+    env.run(until=env.now + 0.5)
+    assert origin.process.alive and not h2.alive and not h2.broken
+    assert origin.edge_h2_conns == [h2]     # the loop is parked in accept
+
+    opened[0].conn.close()
+    env.run(until=env.now + 0.5)
+    assert h2.broken and origin_stream.reset
+    assert origin_stream.inbox.items[-1].type == FrameType.RST_STREAM
+    assert origin.edge_h2_conns == []
+
+
+@pytest.mark.parametrize("draining", [False, True])
+def test_frames_queued_before_start_wait_for_the_caller(world, draining):
+    """Frames that reached the socket before ``start()`` are handled
+    after the caller's remaining code, at the same instant, in arrival
+    order — so ``start()`` + ``send_goaway()`` still refuses them."""
+    env = world.env
+    server_host, client_host = world.host("server"), world.host("client")
+    sproc, cproc = server_host.spawn("s"), client_host.spawn("c")
+    endpoint = Endpoint(server_host.ip, 443)
+    _, listener = server_host.kernel.tcp_listen(sproc, endpoint)
+    log, refused = [], []
+
+    def server():
+        conn = yield listener.accept(sproc)
+        yield env.timeout(0.05)             # accept costs; frames queue
+        assert len(conn.inbox.items) == 2
+        h2 = H2Connection(conn, role="server")
+        h2.start(sproc)
+        if draining:
+            h2.send_goaway()
+        log.append(("caller done", len(h2.streams), env.now))
+        while True:
+            stream = yield h2.accept_stream()
+            log.append((stream.id, stream.inbox.try_get().payload, env.now))
+
+    def reader(stream):
+        refused.append((stream.id, (yield stream.recv()).type))
+
+    def client():
+        conn = yield client_host.kernel.tcp_connect(cproc, endpoint)
+        h2 = H2Connection(conn, role="client")
+        h2.start(cproc)
+        for payload in ("first", "second"):
+            stream = h2.open_stream()
+            stream.send(payload, frame_type=FrameType.HEADERS)
+            cproc.run(reader(stream))
+
+    sproc.run(server())
+    cproc.run(client())
+    env.run(until=1)
+    started = log[0][2]
+    if draining:
+        assert log == [("caller done", 0, started)]
+        assert refused == [(1, FrameType.RST_STREAM),
+                           (3, FrameType.RST_STREAM)]
+    else:
+        assert log == [("caller done", 0, started),
+                       (1, "first", started), (3, "second", started)]
+        assert refused == []

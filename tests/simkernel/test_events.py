@@ -172,6 +172,64 @@ def test_unhandled_process_failure_propagates_to_run():
         env.run()
 
 
+def _finish_price(env, body, waited):
+    """Events scheduled by the finish of a process running ``body``."""
+    marks = []
+
+    def proc():
+        yield env.timeout(1)
+        marks.append(env._eid)
+        return body()
+
+    process = env.process(proc())
+    if waited:
+        process.callbacks.append(lambda event: event.defused())
+    try:
+        env.run()
+    finally:
+        marks.append(env._eid)
+    return marks[1] - marks[0], process
+
+
+def _crash():
+    raise RuntimeError("crash")
+
+
+def test_only_a_finish_somebody_waits_on_is_scheduled():
+    env = Environment()
+    price, process = _finish_price(env, lambda: "done", waited=False)
+    assert price == 0
+    assert process.processed and process.value == "done"
+    price, process = _finish_price(env, lambda: "done", waited=True)
+    assert price == 1 and process.processed
+    # A failure is scheduled either way: the run loop is what raises it.
+    price, _ = _finish_price(env, _crash, waited=True)
+    assert price == 1
+    with pytest.raises(RuntimeError, match="crash"):
+        _finish_price(env, _crash, waited=False)
+
+
+def test_an_already_finished_unwaited_process_still_gives_its_value():
+    env = Environment()
+
+    def child():
+        yield env.timeout(1)
+        return 42
+
+    def late_waiter(results):
+        yield env.timeout(2)
+        results.append((yield finished))
+        results.append((yield env.all_of([finished])))
+        results.append((yield env.any_of([finished, env.event()])))
+
+    finished = env.process(child())
+    results = []
+    env.process(late_waiter(results))
+    env.run()
+    assert results == [42, {finished: 42}, {finished: 42}]
+    assert env.run(until=finished) == 42
+
+
 def test_yielding_non_event_is_an_error():
     env = Environment()
 

@@ -57,10 +57,16 @@ SHARED_STATE = {
 
 #: Besides ``simkernel/resources.py``, which defines it, the modules
 #: that may name ``deliver``: the socket layer binds ``Store.deliver``
-#: once per socket and calls it last in a delivery timeout's callback.
-#: A new caller has to argue both in review (see the method's
-#: docstring), not discover a reordered run later.
-DELIVER_CALLERS = {"netsim/sockets.py", "netsim/kernel.py"}
+#: once per socket and calls it last in a delivery timeout's callback;
+#: ``H2Connection._demux`` *is* that hand-off for an HTTP/2 socket and
+#: ends every branch with the one ``deliver`` that can find a reader (a
+#: stream it just created has none; its backlog task runs in process
+#: context, where ``deliver`` is ``put``; transport-down walks
+#: ``streams`` and uses ``put``).  A new caller has to argue both
+#: in review (see the method's docstring), not discover a reordered run
+#: later.
+DELIVER_CALLERS = {"netsim/sockets.py", "netsim/kernel.py",
+                   "protocols/http2.py"}
 
 #: Outside ``simkernel/``, the modules that read the kernel's private
 #: scheduled-event counter.  Closed: it only shrinks, to nothing once
@@ -240,8 +246,10 @@ def test_deliver_stays_where_its_precondition_holds():
              if name != "simkernel/resources.py" and names_deliver(tree)}
     assert found == DELIVER_CALLERS, (
         "Store.deliver resumes the waiter before it returns: call it "
-        "only as the last act of a kernel (timeout) callback, and list "
-        "the module here with that argument made in review")
+        "only as the last act of a kernel (timeout) callback — tail "
+        "position, once, never inside a loop over state the waiter may "
+        "change — and list the module here with that argument made in "
+        "review")
     assert names_deliver("sock.inbox.deliver(item)")
     assert names_deliver("wake = getattr(inbox, 'deliver', inbox.put)")
     assert not names_deliver("def deliver(x): ...\ndeliver(1)\n"
