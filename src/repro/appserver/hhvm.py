@@ -94,9 +94,10 @@ class AppServer:
         #: mid-body (the downstream proxy sees a reset, never a reply).
         self.fault_rogue_fraction: Optional[float] = None
         self.fault_truncate_fraction: float = 0.0
-        #: Invariant-checking hook (repro.invariants); ``None`` keeps the
-        #: hot paths to a single attribute read.
-        self.invariant_tap = None
+        #: The run's record and its TraceCollector (repro.run), cached
+        #: as ProxygenInstance caches them.
+        self.run_record = host.run_record
+        self.tracer = self.run_record.tracer
         #: Sim time the current drain began (None while serving).
         self.drain_started_at: Optional[float] = None
         #: Drain-aware concurrency gate (None = shedding disabled).
@@ -262,9 +263,8 @@ class AppServer:
     def _accept_loop(self, process: SimProcess, listener: TcpListenSocket):
         while process.alive and not listener.closed:
             conn = yield listener.accept(process)
-            tap = self.invariant_tap
-            if tap is not None:
-                tap.record("app_accept", server=self)
+            if self.run_record.listeners:
+                self.run_record.announce("app_accept", server=self)
             yield from self.host.cpu.execute(CpuCosts.tcp_handshake)
             process.run(self._serve_conn(process, conn))
 
@@ -297,13 +297,11 @@ class AppServer:
     def _request_span(self, request: HttpRequest, name: str):
         """Child span under the proxy's hop span.
 
-        The server is constructed before tracing is installed, so the
-        tracer is read per request (one attribute lookup when disabled).
         ``request.trace`` is *not* re-pointed: the same request object is
         re-sent on a PPR replay, and the origin proxy still owns its
         reference.
         """
-        tracer = self.host.metrics.tracing
+        tracer = self.tracer
         if tracer is None or request.trace is None:
             return None
         span = tracer.span(request.trace, name, scope=self.name)
@@ -399,10 +397,9 @@ class AppServer:
         if post.received_bytes >= request.body_size:
             # The full body landed — its side effect runs exactly here,
             # whatever the response path does next.
-            tap = self.invariant_tap
-            if tap is not None:
-                tap.record("post_applied", server=self,
-                           request_id=request.id)
+            if self.run_record.listeners:
+                self.run_record.announce("post_applied", server=self,
+                                         request_id=request.id)
         self._unanswered_posts[request.id] = post
         yield from self.host.cpu.execute(CpuCosts.http_request)
         del self._unanswered_posts[request.id]

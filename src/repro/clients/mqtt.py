@@ -108,7 +108,7 @@ class MqttClientPopulation:
         env = base.host.env
         config = self.config
         while process.alive:
-            tracer = self.metrics.tracing
+            tracer = base.host.run_record.tracer
             span = None
             if tracer is not None:
                 span = tracer.start_trace("client.mqtt", scope=self.name)

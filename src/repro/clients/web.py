@@ -186,7 +186,7 @@ class WebClientPopulation:
         request = HttpRequest(
             "GET", "/api/feed",
             headers={"cacheable": "1"} if cacheable else {})
-        span = self._start_request_trace(conn, request, kind="get")
+        span = self._start_request_trace(base, conn, request, kind="get")
         start = base.host.env.now
         self.counters.inc("get_started")
         try:
@@ -208,13 +208,13 @@ class WebClientPopulation:
                                   cap=config.post_size_cap))
         request = HttpRequest("POST", "/upload", body_size=size,
                               streaming=True)
-        span = self._start_request_trace(conn, request, kind="post")
+        span = self._start_request_trace(base, conn, request, kind="post")
         if span is not None:
             span.annotate("post.bytes", size)
         env = base.host.env
         start = env.now
         self.counters.inc("posts_started")
-        governor = self.metrics.splice
+        governor = base.host.run_record.splice
         try:
             conn.send(request, size=400)
             if (governor is not None and governor.engaged
@@ -317,10 +317,10 @@ class WebClientPopulation:
                 governor.note_bulk(flush, paced)
         return None  # pragma: no cover - loop exits via returns above
 
-    def _start_request_trace(self, conn, request: HttpRequest, kind: str):
-        """Root span for one request (None when tracing is disabled —
-        a single attribute read on the hot path)."""
-        tracer = self.metrics.tracing
+    def _start_request_trace(self, base: ClientBase, conn,
+                             request: HttpRequest, kind: str):
+        """Root span for one request (None when tracing is disabled)."""
+        tracer = base.host.run_record.tracer
         if tracer is None:
             return None
         span = tracer.start_trace(f"client.{kind}", scope=self.name)

@@ -39,9 +39,11 @@ from ..options import RunOptions, current
 from ..proxygen.context import ProxyTierContext
 from ..proxygen.server import ProxygenServer
 from ..resilience.health import OutlierTracker
+from ..run import run_of
 from ..simkernel.core import Environment
 from ..simkernel.rng import RandomStreams
 from ..splice import SpliceGovernor
+from ..trace.collector import TraceCollector
 
 __all__ = ["CLIENT_CORES", "CLIENT_CORE_SPEED", "PROXY_CORES",
            "PROXY_CORE_SPEED", "Region", "RegionPoP", "Topology"]
@@ -122,13 +124,27 @@ class Topology:
         self.options = options if options is not None else current()
         self.spec = spec = self.options.apply(spec)
         self.env = env or Environment()
+        #: What this run's components share (repro.run): its options,
+        #: tracer, splice governor and the channel every mechanism
+        #: window is announced on.  Complete before the first component
+        #: exists, so each may cache what it finds.
+        self.run_record = run = run_of(self.env)
+        run.options = self.options
         #: Explicit plan, else the run options' (the CLI's ``--faults``);
         #: attached when the deployment starts.
         self._fault_plan = fault_plan or self.options.fault_plan
         self.fault_injector: Optional[FaultInjector] = None
-        #: Set by repro.invariants when a suite attaches to us.
-        self.invariant_suite = None
         self.streams = RandomStreams(spec.seed)
+        # Listeners in this order: the governor de-splices before the
+        # cohort set (subscribed when armed, at start-up) condenses.
+        if spec.splice is not None:
+            run.splice = SpliceGovernor(self.env)
+            run.subscribe(run.splice.on_announce)
+        if self.options.trace is not None:
+            # Ids come from the seeded "trace" stream.
+            run.tracer = TraceCollector(
+                self.env, self.streams.stream("trace"), self.options.trace)
+            run.subscribe(run.tracer.on_announce)
         self.metrics = MetricsRegistry(bucket_width=spec.bucket_width)
         self.network = Network(self.env, self.streams,
                                default_profile=INTRA_DC,
@@ -152,14 +168,6 @@ class Topology:
         #: Cohort client layer (repro.cohorts): every PoP's drivers.
         self.cohort_set = (CohortSet(self, spec.cohorts)
                            if spec.cohorts is not None else None)
-        #: Splice governor (repro.splice); None leaves every layer on
-        #: per-chunk fidelity.
-        self.splice: Optional[SpliceGovernor] = None
-        if spec.splice is not None:
-            self.splice = SpliceGovernor(self.env)
-            # Bound-handle rule: relays and clients reach the governor
-            # through the registry they already hold.
-            self.metrics.splice = self.splice
         #: Autoscalers attached to this deployment (repro.ops.autoscale)
         #: — the autoscaler-discipline invariant checker audits these.
         self.autoscalers: list = []

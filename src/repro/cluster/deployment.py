@@ -101,8 +101,6 @@ class Deployment(Topology):
         host = self._host(name, "origin", spec.app_cores,
                           spec.app_core_speed)
         server = AppServer(host, spec.app_config)
-        if self.invariant_suite is not None:
-            server.invariant_tap = self.invariant_suite
         self.app_hosts.append(host)
         self.origin.app_servers.append(server)
         self.app_pool.add(server)
@@ -128,8 +126,6 @@ class Deployment(Topology):
         server = self._edge_proxy(self.edge,
                                   f"edge-proxy-{self._edge_serial}")
         self._edge_serial += 1
-        if self.invariant_suite is not None:
-            server.invariant_tap = self.invariant_suite
         yield from server.start()
         # Only a *serving* backend may enter the ring (Katran would
         # health-check it out again, but the window would misroute).

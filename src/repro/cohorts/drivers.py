@@ -17,10 +17,10 @@ a parallel reimplementation):
   (condensation is a no-op there — parity again).
 
 The :class:`CohortSet` is the deployment-facing bundle: the views over
-every driver, and the condensation trigger — a release observer so
-takeover/DCR/PPR windows (which live inside release walks) condense
-aggregate cohorts, and :meth:`CohortSet.condense` for a mechanism that
-announces its own window (region evacuation).  ``cluster.base.Topology``
+every driver, and the condensation trigger — it listens on the run's
+channel (:mod:`repro.run`) and condenses aggregate cohorts whenever a
+mechanism window opens: a release walk (takeover/DCR/PPR windows live
+inside one), a fault, a region evacuation.  ``cluster.base.Topology``
 builds the drivers and starts each in its PoP's turn.
 """
 
@@ -32,7 +32,7 @@ from typing import Optional
 from ..clients.mqtt import MqttClientPopulation
 from ..clients.quic import QuicClientPopulation
 from ..clients.web import WebClientPopulation
-from ..release import orchestrator as release_orchestrator
+from ..run import WINDOW_KINDS
 from .aggregate import CohortAggregate
 from .spec import CohortPolicy, CohortSpec
 
@@ -182,8 +182,7 @@ class CohortSet:
         self.drivers = drivers
         if (self.policy.condense_per_event > 0
                 and any(d.fidelity == "aggregate" for d in self.drivers)):
-            release_orchestrator.add_release_observer(
-                self.deployment.env, self._on_release)
+            self.deployment.run_record.subscribe(self._on_announce)
 
     # -- views -----------------------------------------------------------
 
@@ -200,9 +199,10 @@ class CohortSet:
 
     # -- condensation trigger --------------------------------------------
 
-    def _on_release(self, phase: str, release) -> None:
-        """A release walk began in our environment: condense."""
-        if phase == "begin":
+    def _on_announce(self, name: str, **_fields) -> None:
+        """A mechanism window opens in our run: condense."""
+        kind, _, edge = name.rpartition("_")
+        if edge == "begin" and kind in WINDOW_KINDS:
             self.condense()
 
     def condense(self) -> None:

@@ -138,8 +138,9 @@ def main(argv=None) -> int:
 
 def _run_options(args) -> RunOptions:
     """The one :class:`RunOptions` of this invocation; ValueError on a
-    bad value (unknown plan, cohort scale, shard count) or a dependent
-    flag given without the flag it modifies."""
+    bad value (unknown plan, cohort scale, shard count), a dependent
+    flag given without the flag it modifies or a pair that cannot work
+    together."""
     for flag, value, parent, parent_value in (
             ("--trace-json", args.trace_json, "--trace", args.trace or None),
             ("--faults-at", args.faults_at, "--faults", args.faults),
@@ -153,6 +154,9 @@ def _run_options(args) -> RunOptions:
             raise ValueError(f"{flag} requires {parent}")
     if args.shards is not None and args.shards < 1:
         raise ValueError("--shards must be >= 1")
+    if args.trace and (args.shards or 1) > 1:
+        # A forked worker's collector cannot be drained by this process.
+        raise ValueError("--trace requires --shards 1")
     fault_plan = load_shape = cohorts = None
     if args.faults is not None:
         fault_plan = builtin_plan(

@@ -118,10 +118,9 @@ def build_deployment(seed: int = 0,
     # Always-on invariant checking: every harness-built deployment runs
     # under the full checker suite (drained via invariant_runtime.drain()).
     invariant_runtime.install(deployment)
-    # Request tracing (the CLI's --trace): a no-op unless the run
-    # options carry a TraceConfig — must attach before start() so the
-    # instances' bound tracer handles see the collector.
-    trace_runtime.install(deployment)
+    # Request tracing (the CLI's --trace): hand the run's collector,
+    # if its options built one, to the CLI's drain.
+    trace_runtime.register(deployment)
     deployment.start()
     return deployment
 
@@ -129,8 +128,8 @@ def build_deployment(seed: int = 0,
 def build_regional_deployment(fault_plan=None, env=None,
                               **spec_kwargs) -> "RegionalDeployment":
     """A multi-region deployment with the same always-on harness wiring
-    as :func:`build_deployment` (invariants installed, tracing attached,
-    started).  ``spec_kwargs`` go straight into
+    as :func:`build_deployment` (invariants installed, collector
+    registered, started).  ``spec_kwargs`` go straight into
     :class:`repro.regions.RegionalSpec`.
     """
     from ..regions import RegionalDeployment, RegionalSpec
@@ -138,7 +137,7 @@ def build_regional_deployment(fault_plan=None, env=None,
     deployment = RegionalDeployment(RegionalSpec(**spec_kwargs), env=env,
                                     fault_plan=fault_plan)
     invariant_runtime.install(deployment)
-    trace_runtime.install(deployment)
+    trace_runtime.register(deployment)
     deployment.start()
     return deployment
 

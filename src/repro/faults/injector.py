@@ -85,10 +85,11 @@ class FaultInjector:
         record.injected_at = self.env.now
         record.state = "active"
         self.counters.inc("injected", tag=spec.kind)
-        # Bulk transfers run per-chunk while any fault window is open.
-        splice = self.deployment.splice
-        if splice is not None:
-            splice.suspend("fault")
+        # A fault window opens on the run's channel: bulk transfers run
+        # per-chunk and aggregate cohorts condense while it is open.
+        window = dict(record=record, kind=spec.kind, where=spec.where,
+                      targets=len(record.targets))
+        self.deployment.run_record.announce("fault_begin", **window)
         if spec.duration is None:
             return  # persists to the end of the run
         yield self.env.timeout(spec.duration)
@@ -96,8 +97,7 @@ class FaultInjector:
         record.cleared_at = self.env.now
         record.state = "cleared"
         self.counters.inc("cleared", tag=spec.kind)
-        if splice is not None:
-            splice.resume("fault")
+        self.deployment.run_record.announce("fault_end", **window)
 
     def _inject(self, record: FaultRecord) -> Optional[Callable[[], None]]:
         """Apply one fault; returns the clear callable (None = no target)."""

@@ -23,15 +23,21 @@ from ..cohorts import CohortPolicy
 from ..invariants import InvariantSuite, InvariantViolation, make_checkers
 from ..lb.katran import KatranConfig
 from ..ops.load import named_load_shape
+from ..options import RunOptions
 from ..proxygen.config import ProxygenConfig
 from ..regions import RegionalDeployment, RegionalSpec
 from ..release.orchestrator import RollingRelease, RollingReleaseConfig
 from ..trace import TraceConfig
-from ..trace import runtime as trace_runtime
 from .planted import planted_fault
 from .scenario import Scenario
 
 __all__ = ["FuzzRunResult", "run_scenario"]
+
+#: Tail-only tracing: no head sampling, keep errored/flagged requests —
+#: exactly what a repro file wants to embed.  The only option a fuzz run
+#: takes; everything else is the scenario's.
+FUZZ_OPTIONS = RunOptions(
+    trace=TraceConfig(sample_rate=0.0, keep_errors=True))
 
 
 @dataclass
@@ -160,17 +166,14 @@ def run_scenario(scenario: Scenario,
         if scenario.regions > 1:
             deployment = RegionalDeployment(
                 _build_regional_spec(scenario), env=env,
-                fault_plan=scenario.fault_plan())
+                fault_plan=scenario.fault_plan(), options=FUZZ_OPTIONS)
         else:
             deployment = Deployment(_build_spec(scenario), env=env,
-                                    fault_plan=scenario.fault_plan())
+                                    fault_plan=scenario.fault_plan(),
+                                    options=FUZZ_OPTIONS)
         suite = InvariantSuite(deployment,
                                checkers=make_checkers(checkers))
         suite.attach()
-        # Tail-only tracing: no head sampling, keep errored/flagged
-        # requests — exactly what a repro file wants to embed.
-        collector = trace_runtime.install(
-            deployment, TraceConfig(sample_rate=0.0, keep_errors=True))
         deployment.start()
         releases: list[RollingRelease] = []
         for entry in scenario.releases:
@@ -178,8 +181,6 @@ def run_scenario(scenario: Scenario,
                 _drive_release(deployment, entry, releases))
         deployment.run(until=scenario.duration)
         violations = suite.finalize()
-        if collector is not None:
-            trace_runtime.uninstall(collector)
 
     # Aggregated over every web population, so single- and multi-region
     # deployments report through the same keys.
@@ -208,8 +209,6 @@ def run_scenario(scenario: Scenario,
             {"kind": r.spec.kind, "state": r.state,
              "targets": list(r.targets)}
             for r in deployment.fault_injector.records]
-    trace = None
-    if violations and collector is not None:
-        trace = collector.to_dict()
+    trace = deployment.run_record.tracer.to_dict() if violations else None
     return FuzzRunResult(scenario=scenario, violations=violations,
                          stats=stats, trace=trace)

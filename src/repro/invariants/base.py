@@ -1,20 +1,18 @@
 """Checker protocol, violation records, and the per-deployment suite.
 
-The tap mechanism mirrors :mod:`repro.faults`: components carry an
-optional ``invariant_tap`` attribute (``None`` by default, so the hot
-paths pay one attribute read when no suite is attached); the suite sets
-itself as the tap on attach and receives events via :meth:`InvariantSuite
-.record`.  Checkers are plain objects — they keep whatever state they
-need, receive every event, get sampled on a fixed sim-time cadence, and
-run a final pass when the suite is finalized.
+Components announce what happens on their run's channel
+(:mod:`repro.run`; with nobody subscribed the hot paths pay one
+attribute read and a truth test); an attached suite is one subscriber,
+so it hears every component of its run — also one grown after it
+attached — and no other run's.  Checkers are plain objects — they keep
+whatever state they need, receive every event, get sampled on a fixed
+sim-time cadence, and run a final pass when the suite is finalized.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any, Optional
-
-from ..release import orchestrator as release_orchestrator
 
 __all__ = ["InvariantChecker", "InvariantSuite", "InvariantViolation"]
 
@@ -71,7 +69,7 @@ class InvariantChecker:
     # -- hooks -----------------------------------------------------------
 
     def on_event(self, event: str, **fields: Any) -> None:
-        """A tap fired somewhere in the deployment."""
+        """Something was announced on the deployment's run channel."""
 
     def sample(self) -> None:
         """Periodic whole-deployment inspection."""
@@ -106,25 +104,21 @@ class InvariantSuite:
     # -- wiring ----------------------------------------------------------
 
     def attach(self) -> "InvariantSuite":
-        """Install taps on every component; idempotent."""
+        """Subscribe to the run's channel and start sampling;
+        idempotent."""
         if self._attached:
             return self
         self._attached = True
-        deployment = self.deployment
-        deployment.invariant_suite = self
-        for server in deployment.edge_servers + deployment.origin_servers:
-            server.invariant_tap = self
-        for server in deployment.app_servers:
-            server.invariant_tap = self
-        release_orchestrator.add_release_observer(self.env, self._on_release)
+        self.deployment.run_record.subscribe(self._on_announce)
         self.env.process(self._sample_loop())
         return self
 
-    def _on_release(self, phase: str, release) -> None:
-        """Orchestrator hook: every release run in our environment,
-        until the suite is finalized."""
+    def _on_announce(self, event: str, **fields: Any) -> None:
+        """Channel listener, until the suite is finalized: a release
+        generator collected after its run still announces its
+        ``release_end``."""
         if not self._finalized:
-            self.record(f"release_{phase}", release=release)
+            self.record(event, **fields)
 
     def _sample_loop(self):
         while True:
@@ -134,7 +128,7 @@ class InvariantSuite:
     # -- event fan-out ----------------------------------------------------
 
     def record(self, event: str, **fields: Any) -> None:
-        """Dispatch one tap event to every checker."""
+        """Dispatch one announcement to every checker."""
         for checker in self.checkers:
             checker.on_event(event, **fields)
 

@@ -19,9 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..netsim.addresses import Endpoint, FourTuple
-from ..netsim.errors import ConnectionRefusedSim
 from ..netsim.host import Host
-from ..netsim.proc_utils import TIMED_OUT
 from ..netsim.process import SimProcess
 from .consistent_hash import ConsistentHashRing
 from .routers import ROUTER_SCHEMES, FlowRouter, make_router
@@ -199,7 +197,9 @@ class Katran:
         yield self.host.env.timeout(
             self.host.streams.stream("hc-phase").uniform(0, config.hc_interval))
         while process.alive and not state.decommissioned:
-            healthy = yield from self._probe(process, state)
+            healthy = yield from self.host.kernel.tcp_probe(
+                process, state.hc_endpoint, config.hc_timeout,
+                via_ip=state.host.ip)
             forced = self.forced_probe_failure.get(state.host.ip, 0.0)
             if healthy and forced > 0 and self._fault_rng.random() < forced:
                 healthy = False
@@ -211,16 +211,3 @@ class Katran:
             self._mark(state, healthy)
             self.counters.inc("hc_probe", tag="ok" if healthy else "fail")
             yield self.host.env.timeout(config.hc_interval)
-
-    def _probe(self, process: SimProcess, state: BackendState):
-        """One TCP health probe: connect within the timeout, then close."""
-        try:
-            outcome = yield from self.host.kernel.tcp_connect_within(
-                process, state.hc_endpoint, self.config.hc_timeout,
-                via_ip=state.host.ip)
-        except ConnectionRefusedSim:
-            return False
-        if outcome is TIMED_OUT:
-            return False
-        outcome.close()
-        return True

@@ -29,23 +29,12 @@ class MetricsRegistry:
     Components ask for scoped counter sets (one per instance) and shared
     time series; experiment harnesses read them back after the run.  This
     mirrors the paper's monitoring system that aggregates per-instance
-    signals cluster-wide.
+    signals cluster-wide.  It measures and nothing else: the run's
+    tracer and splice governor live on its :class:`repro.run.RunRecord`.
     """
 
     def __init__(self, bucket_width: float = 1.0):
         self.bucket_width = bucket_width
-        #: The run's :class:`repro.trace.TraceCollector`, installed by
-        #: ``repro.trace.runtime``; ``None`` keeps every traced call
-        #: site to a single attribute read + ``is not None`` test (the
-        #: bound-handle rule).
-        self.tracing = None
-        #: The run's :class:`repro.splice.SpliceGovernor`, installed by
-        #: the deployment when the splice fast path is enabled; ``None``
-        #: (the default) keeps every relay loop on per-chunk fidelity
-        #: with a single attribute read.  Same bound-handle rule as
-        #: ``tracing``: the registry is the one deployment-wide object
-        #: every layer already holds, so the governor rides on it.
-        self.splice = None
         self.global_counters = CounterSet()
         self._scoped: dict[str, CounterSet] = {}
         self._series: dict[str, TimeSeries] = {}

@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..metrics.registry import MetricsRegistry
+from ..run import run_of
 from ..simkernel.core import Environment
 from ..simkernel.rng import RandomStreams
 from .addresses import stable_hash
@@ -26,6 +27,10 @@ class Host:
                  cores: int = 8, core_speed: float = 100.0,
                  cpu_bucket_width: float = 1.0):
         self.env = env
+        #: What this run's components share (repro.run): the tracer, the
+        #: splice governor and the channel mechanism windows are
+        #: announced on.
+        self.run_record = run_of(env)
         self.network = network
         self.name = name
         self.ip = ip

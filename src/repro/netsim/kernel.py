@@ -136,6 +136,21 @@ class Kernel:
                 attempt.callbacks.append(_close_if_established)
         return outcome
 
+    def tcp_probe(self, process: "SimProcess", dst: Endpoint,
+                  timeout: float, via_ip: Optional[str] = None):
+        """Generator: one TCP health probe — connect within ``timeout``,
+        then close.  True iff the handshake completed in time (refused
+        and timed out are both a failed probe)."""
+        try:
+            outcome = yield from self.tcp_connect_within(
+                process, dst, timeout, via_ip=via_ip)
+        except ConnectionRefusedSim:
+            return False
+        if outcome is TIMED_OUT:
+            return False
+        outcome.close()
+        return True
+
     def _handle_syn(self, flow: FourTuple, client_end: TcpEndpoint,
                     src_host: "Host", result: Event) -> None:
         """Server-side SYN processing: accept-queue or RST."""

@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from ..run import run_of
+
 __all__ = ["AutoscalerConfig", "Autoscaler", "AppPoolAdapter",
            "EdgeProxyAdapter", "attach_app_autoscaler",
            "attach_edge_autoscaler"]
@@ -81,6 +83,8 @@ class Autoscaler:
     def __init__(self, env, adapter, config: Optional[AutoscalerConfig] = None,
                  metrics=None, name: Optional[str] = None):
         self.env = env
+        #: Every decision is announced on the run's channel (repro.run).
+        self.run_record = run_of(env)
         self.adapter = adapter
         self.config = config or AutoscalerConfig()
         self.config.validate()
@@ -170,14 +174,12 @@ class Autoscaler:
             utilization=utilization, queue_depth=queue_depth,
             target=target_name))
         self._inc(f"scale_{action}")
-        suite = getattr(self.adapter.deployment, "invariant_suite", None)
-        if suite is not None:
-            suite.record(
-                f"autoscale_{action}", autoscaler=self,
-                pool=self.adapter.tier, size_before=size_before,
-                size_after=size_after, min_size=self.config.min_size,
-                max_size=self.config.max_size, target=target,
-                target_state=target_state)
+        self.run_record.announce(
+            f"autoscale_{action}", autoscaler=self, scope=target_name,
+            pool=self.adapter.tier, reason=reason, size_before=size_before,
+            size_after=size_after, min_size=self.config.min_size,
+            max_size=self.config.max_size, target=target,
+            target_state=target_state)
 
 
 class AppPoolAdapter:

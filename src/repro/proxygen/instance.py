@@ -84,9 +84,11 @@ class ProxygenInstance:
         # Bound handles for the per-request hot path.
         self._c_rps = self.counters.bound("rps")
         self._c_tls = self.counters.bound("tls_handshakes")
-        #: The run's TraceCollector, cached at boot (bound-handle rule:
-        #: disabled tracing is one attribute read + None test per hop).
-        self.tracer = self.host.metrics.tracing
+        #: The run's record and its TraceCollector, cached at boot
+        #: (bound-handle rule: disabled tracing is one attribute read +
+        #: None test per hop).
+        self.run_record = self.host.run_record
+        self.tracer = self.run_record.tracer
         self.state = self.STATE_STARTING
         self.exited_event = self.host.env.event()
         #: Sim time the drain began (None while not draining) — lets the
@@ -276,9 +278,9 @@ class ProxygenInstance:
         self.drain_started_at = self.host.env.now
         self.drain_reason = reason
         self.counters.inc("drain_started", tag=reason)
-        if self.tracer is not None:
-            self.tracer.event("drain_begin", scope=self.server.name,
-                              generation=self.generation, reason=reason)
+        self.run_record.announce(
+            "drain_begin", scope=self.server.name,
+            generation=self.generation, reason=reason)
         if self._takeover_listener is not None:
             self._takeover_listener.close()
         if reason == "takeover":
@@ -330,9 +332,9 @@ class ProxygenInstance:
     def _accept_loop(self, vip_name: str, listener: "TcpListenSocket"):
         while self.serving and not listener.closed:
             conn = yield listener.accept(self.process)
-            tap = self.server.invariant_tap
-            if tap is not None:
-                tap.record("proxy_accept", instance=self, vip=vip_name)
+            if self.run_record.listeners:
+                self.run_record.announce("proxy_accept", instance=self,
+                                         vip=vip_name)
             # Spawn the serve task *immediately*: once accept() returned,
             # this connection belongs to our process and must be served
             # through the drain even if the loop is interrupted right

@@ -49,9 +49,6 @@ class ProxygenServer:
         #: UDP-socket leak per machine without mutating the shared config.
         self.takeover_fault: Optional[str] = None
         self.fault_ignore_udp_fds: bool = False
-        #: Invariant-checking hook (repro.invariants); ``None`` keeps the
-        #: hot paths to a single attribute read.
-        self.invariant_tap = None
         #: The machine-scoped resilience state (breakers, budgets,
         #: admission) — survives generation handovers so a takeover does
         #: not forget which upstreams were misbehaving.
@@ -110,13 +107,9 @@ class ProxygenServer:
         """Zero Downtime Restart: parallel instance + Socket Takeover."""
         old = self.active_instance
         new = self._new_instance()
-        tap = self.invariant_tap
-        tracer = self.host.metrics.tracing
-        if tap is not None:
-            tap.record("takeover_begin", server=self)
-        if tracer is not None:
-            tracer.event("takeover_begin", scope=self.name,
-                         generation=new.generation)
+        announce = self.host.run_record.announce
+        announce("takeover_begin", server=self, scope=self.name,
+                 generation=new.generation)
         # The takeover handshake itself flips ``old`` into draining
         # (steps D/E happen server-side inside the protocol).
         try:
@@ -127,19 +120,13 @@ class ProxygenServer:
             # it only starts draining on a *confirmed* handshake.
             self.counters.inc("takeover_failed")
             new.shutdown("takeover_failed")
-            if tap is not None:
-                tap.record("takeover_end", server=self, ok=False)
-            if tracer is not None:
-                tracer.event("takeover_end", scope=self.name,
-                             generation=new.generation, ok=False)
+            announce("takeover_end", server=self, scope=self.name,
+                     generation=new.generation, ok=False)
             raise
         self.draining_instance = old
         self.active_instance = new
-        if tap is not None:
-            tap.record("takeover_end", server=self, ok=True)
-        if tracer is not None:
-            tracer.event("takeover_end", scope=self.name,
-                         generation=new.generation, ok=True)
+        announce("takeover_end", server=self, scope=self.name,
+                 generation=new.generation, ok=True)
 
     def _release_hard(self):
         """Traditional restart: drain (failing HC) → kill → cold boot."""

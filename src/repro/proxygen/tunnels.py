@@ -80,7 +80,7 @@ class EdgeMqttTunnel:
         """Generator (runs in the connection's serve task): relay
         messages from the end user toward the broker."""
         instance = self.instance
-        governor = instance.host.metrics.splice
+        governor = instance.run_record.splice
         while self.client_conn.alive and not self.closed:
             item = yield self.client_conn.recv()
             if isinstance(item, StreamControl):
@@ -112,7 +112,7 @@ class EdgeMqttTunnel:
 
     def _downstream_loop(self):
         instance = self.instance
-        governor = instance.host.metrics.splice
+        governor = instance.run_record.splice
         while not self.closed:
             stream = self.stream
             frame = yield stream.recv()
@@ -350,7 +350,7 @@ class OriginMqttTunnel:
     def _from_edge_loop(self):
         """Edge stream → broker conn (runs in the stream's serve task)."""
         instance = self.instance
-        governor = instance.host.metrics.splice
+        governor = instance.run_record.splice
         while not self.closed:
             frame = yield self.stream.recv()
             if frame.type == FrameType.RST_STREAM or self.stream.reset:
@@ -376,7 +376,7 @@ class OriginMqttTunnel:
     def _from_broker_loop(self):
         """Broker conn → edge stream."""
         instance = self.instance
-        governor = instance.host.metrics.splice
+        governor = instance.run_record.splice
         while not self.closed:
             item = yield self.broker_conn.recv()
             if isinstance(item, StreamControl):

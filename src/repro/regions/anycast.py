@@ -19,9 +19,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from ..netsim.addresses import Endpoint, FourTuple, Protocol
-from ..netsim.errors import ConnectionRefusedSim
 from ..netsim.host import Host
-from ..netsim.proc_utils import TIMED_OUT
 from ..resilience.config import ResilienceConfig
 from ..resilience.retry import BackoffPolicy
 
@@ -152,15 +150,8 @@ class AnycastResolver:
         backend_ip = target.router(probe_flow)
         if backend_ip is None:
             return False  # region has no routable backend at all
-        try:
-            outcome = yield from self.host.kernel.tcp_connect_within(
-                self.process, self.vip, PROBE_TIMEOUT, via_ip=backend_ip)
-        except ConnectionRefusedSim:
-            return False
-        if outcome is TIMED_OUT:
-            return False
-        outcome.close()
-        return True
+        return (yield from self.host.kernel.tcp_probe(
+            self.process, self.vip, PROBE_TIMEOUT, via_ip=backend_ip))
 
     def _mark(self, target: RegionTarget, ok: bool) -> None:
         if ok:

@@ -17,10 +17,12 @@ of the deployment keeps serving:
 The steps are deliberately ordered client-edge-inward so nothing is
 torn down while something upstream of it still routes traffic in.
 
-No :class:`RollingRelease` is involved, so no release observer hears
-of an evacuation: it announces its own mechanism window the way the
-fault injector does — the splice governor is suspended from withdraw
-to completion and the cohort set condenses once, as at a release begin.
+No :class:`RollingRelease` is involved: an evacuation announces its own
+window on the run's channel (:mod:`repro.run`) the way the fault
+injector does — ``evacuation_begin`` at the withdraw,
+``evacuation_end`` at completion — so the splice governor stays
+suspended in between and aggregate cohorts condense once, as at a
+release begin.
 """
 
 from __future__ import annotations
@@ -64,17 +66,11 @@ def evacuate_region(deployment, region_name: str, grace: float = 1.0):
     env = deployment.env
     region = deployment.region(region_name)
     counters = deployment.metrics.scoped_counters("regions")
-    suite = deployment.invariant_suite
+    announce = deployment.run_record.announce
     report = EvacuationReport(region=region_name, started_at=env.now)
 
-    if suite is not None:
-        suite.record("evacuation_begin", region=region)
+    announce("evacuation_begin", region=region, scope=region_name)
     counters.inc("evacuations_started", tag=region_name)
-    splice = deployment.splice
-    if splice is not None:
-        splice.suspend("evacuation")
-    if deployment.cohort_set is not None:
-        deployment.cohort_set.condense()
 
     # 1. Anycast withdraw: stop attracting new client flows.
     deployment.withdraw_region(region_name)
@@ -108,11 +104,9 @@ def evacuate_region(deployment, region_name: str, grace: float = 1.0):
                 tunnel.solicit_reconnect()
                 report.tunnels_solicited += 1
                 counters.inc("tunnels_solicited", tag=region_name)
-    if suite is not None:
-        suite.record("broker_sessions_transferred",
-                     region=region_name,
-                     users=list(report.moved_users),
-                     source_brokers=[b.name for b in region.brokers])
+    announce("broker_sessions_transferred", region=region_name,
+             users=list(report.moved_users),
+             source_brokers=[b.name for b in region.brokers])
 
     # Anycast settling window: let resolvers finish re-routing new
     # flows away before the drains start tearing down what is left.
@@ -171,12 +165,11 @@ def evacuate_region(deployment, region_name: str, grace: float = 1.0):
                     report.tunnels_terminated += 1
                     counters.inc("tunnels_terminated", tag=region_name)
 
-    if splice is not None:
-        splice.resume("evacuation")
     region.evacuated = True
     report.finished_at = env.now
-    if suite is not None:
-        suite.record("evacuation_end", region=region)
+    announce("evacuation_end", region=region, scope=region_name,
+             sessions_transferred=report.sessions_transferred,
+             tunnels_terminated=report.tunnels_terminated)
     counters.inc("evacuations_completed", tag=region_name)
     return report
 

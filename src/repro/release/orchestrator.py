@@ -11,55 +11,25 @@ can be bounded by ``batch_timeout``, failed targets are retried with
 exponential backoff up to ``max_attempts``, and once permanent failures
 exceed ``error_budget`` the release aborts — optionally rolling the
 already-released targets back in reverse order.
+
+A release belongs to the run its environment drives (:mod:`repro.run`):
+``execute()`` announces ``release_begin`` / ``release_end`` on that
+run's channel and nowhere else, and a release built without a gate
+takes the gate factory from that run's options.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from ..netsim.proc_utils import TIMED_OUT, with_timeout
-from ..options import current
+from ..run import run_of
 from ..simkernel.core import Environment
 from ..simkernel.events import Interrupt
 
-__all__ = ["BatchRecord", "RollingRelease", "RollingReleaseConfig",
-           "add_release_observer"]
-
-# Release observers belong to the run they watch.  Releases are built ad
-# hoc by experiments and tests, but every one of them holds its
-# environment, so that is the object the hook hangs on: one list per
-# environment, notified in registration order as ``cb(phase, release)``
-# with phase in {"begin", "end"} for every release executed there —
-# "end" exactly once per execute(), on every exit path.  A release in
-# one environment cannot reach another run's observers.
-#
-# Both sides of the table are weak.  An observer is a method of
-# something its deployment owns (governor, suite, collector, cohort set)
-# and the deployment owns the environment, so a strong reference from
-# this module to either would keep every run of the process alive; held
-# weakly, an entry dies with its run and nobody unhooks.
-_observers_by_env: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def add_release_observer(env: Environment, callback) -> None:
-    """Call ``callback(phase, release)`` for releases run in ``env``.
-
-    The callback is held weakly: its owner keeps it alive (a bound
-    method lives as long as its object, a function as long as the
-    caller's reference).
-    """
-    weak = weakref.WeakMethod if hasattr(callback, "__self__") else weakref.ref
-    _observers_by_env.setdefault(env, []).append(weak(callback))
-
-
-def _notify(phase: str, release: "RollingRelease") -> None:
-    for ref in _observers_by_env.get(release.env, ()):
-        callback = ref()
-        if callback is not None:
-            callback(phase, release)
+__all__ = ["BatchRecord", "RollingRelease", "RollingReleaseConfig"]
 
 
 @dataclass
@@ -132,14 +102,18 @@ class RollingRelease:
                  config: Optional[RollingReleaseConfig] = None,
                  name: str = "release", gate=None):
         self.env = env
+        #: The run this release belongs to (repro.run): where its window
+        #: is announced and whose options it reads.
+        self.run_record = run_of(env)
         self.targets = list(targets)
         self.config = config or RollingReleaseConfig()
         self.name = name
         #: Release gate (e.g. repro.ops.canary.CanaryController): after
         #: each batch, ``gate.review(release, batch, record)`` runs as a
         #: sub-process and returns "proceed" or "abort".  None falls
-        #: back to the run options' factory (``RunOptions.release_gate``,
-        #: the CLI's ``--canary``), called at execute() time.
+        #: back to the factory in this run's own options
+        #: (``RunOptions.release_gate``, the CLI's ``--canary``),
+        #: called at execute() time.
         self.gate = gate
         self.batches: list[BatchRecord] = []
         self.started_at: Optional[float] = None
@@ -182,9 +156,11 @@ class RollingRelease:
         self.started_at = self.env.now
         batch_size = config.batches(len(self.targets))
         gate = self.gate
-        if gate is None and current().release_gate is not None:
-            gate = current().release_gate(self)
-        _notify("begin", self)
+        options = self.run_record.options
+        if (gate is None and options is not None
+                and options.release_gate is not None):
+            gate = options.release_gate(self)
+        self._announce("release_begin")
         try:
             # Walk the fleet in fixed order, batch_size at a time.
             for index, start in enumerate(range(0, len(self.targets),
@@ -219,7 +195,13 @@ class RollingRelease:
                     yield self.env.timeout(config.inter_batch_gap)
             self.finished_at = self.env.now
         finally:
-            _notify("end", self)
+            self._announce("release_end")
+
+    def _announce(self, name: str) -> None:
+        """The walk's window, on the run's channel: ``release_begin``
+        once per execute(), ``release_end`` once on every exit path."""
+        self.run_record.announce(name, release=self, scope=self.name,
+                                 targets=len(self.targets))
 
     def _run_batch(self, batch, record: BatchRecord):
         """Generator: one batch through up to ``max_attempts`` rounds."""

@@ -71,7 +71,7 @@ class ShardResult:
     #: ``(checker, message)`` pairs from every shard's invariant suite,
     #: sorted — empty on a healthy run.
     violations: list
-    #: Per-shard ``{"events": ..., "now": ...}`` kernel stats, in shard
+    #: Per-shard kernel stats (``Environment.stats()``), in shard
     #: order (informational; event ids are per-worker, not comparable
     #: across shard counts).
     shard_stats: list

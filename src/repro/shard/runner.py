@@ -15,6 +15,7 @@ from typing import Optional
 
 from ..invariants import runtime as invariant_runtime
 from ..options import RunOptions, current, use
+from ..trace import runtime as trace_runtime
 from . import ShardPlan, ShardResult, counters_snapshot, merge_counters
 
 __all__ = ["run_sharded"]
@@ -37,14 +38,17 @@ def _run_one(spec, until: float, region_names: Optional[list],
         deployment = RegionalDeployment(spec)
         suite = (invariant_runtime.install(deployment)
                  if check_invariants else None)
+        # As build_deployment does: the in-process arm's collector
+        # reaches the CLI's drain (a forked worker's cannot, which is
+        # why the CLI refuses --trace with --shards N > 1).
+        trace_runtime.register(deployment)
         deployment.start(only_regions=region_names)
         deployment.env.run(until=until)
     violations = suite.finalize() if suite is not None else []
     return {
         "counters": counters_snapshot(deployment.metrics),
         "violations": sorted((v.checker, v.message) for v in violations),
-        "stats": {"events": deployment.env._eid,
-                  "now": deployment.env.now},
+        "stats": deployment.env.stats(),
     }
 
 

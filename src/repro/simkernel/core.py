@@ -83,6 +83,14 @@ class Environment:
         """The process currently being resumed (or ``None``)."""
         return self._active_process
 
+    def stats(self) -> dict:
+        """The kernel's own counts, as of now: events scheduled so far,
+        the clock, future events on the heap and the timeouts cancelled
+        since its last compaction (a ceiling on the tombstones among
+        them: one popped at its expiry is not uncounted)."""
+        return {"events": self._eid, "now": self._now,
+                "heap": len(self._queue), "tombstones": self._cancelled}
+
     # -- event creation ----------------------------------------------------
 
     def event(self) -> Event:

@@ -38,19 +38,18 @@ The governor deliberately keeps its own statistics as plain integers
 snapshot of a splice-on run must stay bit-identical to the splice-off
 run, so the fast path may not leave fingerprints there.
 
-The governor hears about its own run only: release walks through the
-per-environment observer list of :mod:`repro.release.orchestrator`,
-fault windows from the deployment's
-:class:`~repro.faults.injector.FaultInjector` and evacuations from
-:func:`repro.regions.evacuate_region`, which call
-:meth:`SpliceGovernor.suspend` / :meth:`~SpliceGovernor.resume` themselves.
+The governor hears every mechanism window of its own run on the run's
+channel (:mod:`repro.run`): whatever announces ``release_*``,
+``fault_*`` or ``evacuation_*`` ``_begin`` / ``_end`` suspends and
+resumes it, and nothing outside this package calls
+:meth:`SpliceGovernor.suspend` / :meth:`~SpliceGovernor.resume`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..release import orchestrator as release_orchestrator
+from ..run import WINDOW_KINDS
 
 __all__ = ["MIN_BULK_BYTES", "SpliceConfig", "SpliceGovernor"]
 
@@ -88,7 +87,6 @@ class SpliceGovernor:
         self.chunks_elided = 0
         self.desplices = 0
         self.relay_fastpath = 0
-        release_orchestrator.add_release_observer(env, self._on_release)
 
     # -- hot-path hooks ----------------------------------------------------
 
@@ -171,8 +169,12 @@ class SpliceGovernor:
             self._suspended[kind] = count
         self.engaged = not self._suspended
 
-    def _on_release(self, phase: str, release) -> None:
-        if phase == "begin":
-            self.suspend("release")
-        elif phase == "end":
-            self.resume("release")
+    def on_announce(self, name: str, **_fields) -> None:
+        """Run-channel listener (whoever builds the governor subscribes
+        it): a mechanism window's two edges suspend and resume."""
+        kind, _, edge = name.rpartition("_")
+        if kind in WINDOW_KINDS:
+            if edge == "begin":
+                self.suspend(kind)
+            elif edge == "end":
+                self.resume(kind)

@@ -24,10 +24,11 @@ plus tail-based "always keep": traces flagged by an error or by a caller
 (``keep``) are retained even when the head decision said no, so a fuzz
 violation always has its trace.
 
-Overhead discipline: the collector hangs off ``MetricsRegistry.tracing``
-which defaults to ``None``; every call site guards with a single
-attribute read (the bound-handle rule from ``metrics/counters.py``), so
-disabled tracing costs one ``is not None`` test per hop.
+Overhead discipline: the collector is its run's ``RunRecord.tracer``
+(:mod:`repro.run`), which defaults to ``None``; every call site guards
+with a single attribute read (the bound-handle rule from
+``metrics/counters.py``), so disabled tracing costs one ``is not None``
+test per hop.
 """
 
 from __future__ import annotations
@@ -45,6 +46,11 @@ TRACE_FORMAT = 1
 #: traces (the paper's §4 machinery plus the resilience plane).
 MECHANISM_PREFIXES = ("takeover", "dcr", "ppr", "retry", "hedge",
                      "breaker", "shed")
+
+#: Run-channel announcements the event log keeps: every window, not the
+#: per-connection taps (``proxy_accept``, ``app_accept``, ...).
+LOGGED_ANNOUNCEMENTS = ("release_", "takeover_", "drain_", "fault_",
+                        "evacuation_", "autoscale_")
 
 
 @dataclass(slots=True)
@@ -144,17 +150,21 @@ class Span:
         }
 
 
+#: What an export holds as it is; anything else is stringified (an
+#: annotation) or dropped (an announcement's field).
+_SCALARS = (str, int, float, bool, type(None))
+
+
 def _json_value(value: Any) -> Any:
-    if value is None or isinstance(value, (str, int, float, bool)):
-        return value
-    return str(value)
+    return value if isinstance(value, _SCALARS) else str(value)
 
 
 class TraceCollector:
     """Per-run sink for traces and point events.
 
     Owns the sampling RNG (an injected ``SimRng`` stream) and the
-    retention bookkeeping.  Hangs off ``MetricsRegistry.tracing``.
+    retention bookkeeping.  Built by the topology from
+    ``RunOptions.trace`` as the run's ``RunRecord.tracer``.
     """
 
     def __init__(self, env, rng, config: Optional[TraceConfig] = None):
@@ -231,8 +241,7 @@ class TraceCollector:
 
     def event(self, name: str, scope: Optional[str] = None,
               **attrs: Any) -> None:
-        """A point-in-time event outside any single trace (takeover
-        begin/end, drain begin, release phases)."""
+        """A point-in-time event outside any single trace."""
         if len(self.events) >= self.config.max_events:
             self.dropped_events += 1
             return
@@ -241,10 +250,16 @@ class TraceCollector:
             record[key] = _json_value(value)
         self.events.append(record)
 
-    def on_release(self, phase: str, release) -> None:
-        """Release observer (see ``repro.release.orchestrator``)."""
-        self.event(f"release_{phase}", scope=release.name,
-                   targets=len(release.targets))
+    def on_announce(self, name: str, scope: Optional[str] = None,
+                    **fields: Any) -> None:
+        """Run-channel listener: every mechanism window lands in the
+        event log next to the spans it disrupts, with its scalar fields.
+        Object-valued fields are for checkers and are dropped, never
+        stringified (a ``repr`` carries an ``id()``)."""
+        if name.startswith(LOGGED_ANNOUNCEMENTS):
+            self.event(name, scope=scope, **{
+                key: value for key, value in fields.items()
+                if isinstance(value, _SCALARS)})
 
     # -- export -----------------------------------------------------------
 

@@ -143,7 +143,7 @@ def test_finalize_is_idempotent():
 def test_runtime_install_and_drain():
     deployment = Deployment(_tiny_spec())
     suite = invariant_runtime.install(deployment)
-    assert suite is deployment.invariant_suite
+    assert suite._on_announce in deployment.run_record.listeners
     assert suite in invariant_runtime.active_suites()
     deployment.start()
     deployment.run(until=3.0)

@@ -23,7 +23,6 @@ class FakeAdapter:
     """Scripted pool: utilization/queue are plain settable numbers."""
 
     tier = "fake"
-    deployment = None  # no invariant suite to tap
 
     def __init__(self, env, size=2):
         self.env = env
@@ -194,33 +193,25 @@ def test_config_validation():
             AutoscalerConfig(**bad).validate()
 
 
-class _RecordingSuite:
-    def __init__(self):
-        self.events = []
-
-    def record(self, event, **fields):
-        self.events.append((event, fields))
-
-
 def test_decisions_tap_the_invariant_suite():
+    """Every decision is announced on the run's channel, which is where
+    a suite listens: no deployment attribute is consulted."""
     env = Environment()
     adapter = FakeAdapter(env)
-
-    class _Deployment:
-        invariant_suite = _RecordingSuite()
-
-    adapter.deployment = _Deployment()
     scaler = _scaler(env, adapter, cooldown_in=0.0)
+    events = []
+    scaler.run_record.subscribe(
+        lambda event, **fields: events.append((event, fields)))
     adapter.cpu = 0.9
     _evaluate(env, scaler)
-    event, fields = adapter.deployment.invariant_suite.events[0]
+    event, fields = events[0]
     assert event == "autoscale_out"
     assert fields["pool"] == "fake"
     assert fields["size_after"] == 3
     adapter.cpu = 0.05
     env.run(until=100.0)
     _evaluate(env, scaler)
-    event, fields = adapter.deployment.invariant_suite.events[-1]
+    event, fields = events[-1]
     assert event == "autoscale_in"
     assert fields["target_state"] == "active"
 

@@ -397,7 +397,7 @@ def test_hardening_config_validated():
             env.run(until=env.process(release.execute()))
 
 
-# -- observers: "end" fires exactly once on every exit path -----------------
+# -- the run's channel: "release_end" exactly once on every exit path --------
 
 
 class _Observer:
@@ -405,18 +405,16 @@ class _Observer:
         self.begins = []
         self.ends = []
 
-    def __call__(self, phase, release):
-        if phase == "begin":
+    def __call__(self, name, release=None, **_fields):
+        if name == "release_begin":
             self.begins.append(release)
-        elif phase == "end":
+        elif name == "release_end":
             self.ends.append(release)
 
 
 def _observed(env, release, expect_raises=None):
-    from repro.release.orchestrator import add_release_observer
-
     observer = _Observer()
-    add_release_observer(env, observer)
+    release.run_record.subscribe(observer)
     process = env.process(release.execute())
     if expect_raises is not None:
         with pytest.raises(expect_raises):
@@ -475,62 +473,62 @@ def test_observer_end_fires_once_when_execute_raises_mid_fleet():
 
 
 def test_release_does_not_reach_another_environments_observer():
-    from repro.release.orchestrator import add_release_observer
+    from repro.run import run_of
 
     env_a, env_b = Environment(), Environment()
+    # Held here: the table from environment to record is weak.
+    run_a, run_b = run_of(env_a), run_of(env_b)
     mine, theirs = _Observer(), _Observer()
-    add_release_observer(env_a, mine)
-    add_release_observer(env_b, theirs)
+    run_a.subscribe(mine)
+    run_b.subscribe(theirs)
     release = RollingRelease(env_a, _targets(env_a, 2),
                              RollingReleaseConfig(batch_fraction=1.0))
+    assert release.run_record is run_a
     env_a.run(until=env_a.process(release.execute()))
     assert mine.begins == [release] and mine.ends == [release]
     assert theirs.begins == [] and theirs.ends == []
 
 
 def test_observers_run_in_registration_order():
-    from repro.release.orchestrator import add_release_observer
-
     env = Environment()
-    calls = []
-    observers = [lambda phase, _release, tag=tag: calls.append((tag, phase))
-                 for tag in "abc"]
-    for observer in observers:
-        add_release_observer(env, observer)
     release = RollingRelease(env, _targets(env, 1))
+    calls = []
+    for tag in "abc":
+        release.run_record.subscribe(
+            lambda name, tag=tag, **_fields: calls.append((tag, name)))
     env.run(until=env.process(release.execute()))
-    assert calls == [(tag, phase) for phase in ("begin", "end")
+    assert calls == [(tag, name)
+                     for name in ("release_begin", "release_end")
                      for tag in "abc"]
 
 
 def test_observer_dies_with_its_run_without_anyone_unhooking():
-    """The shape every real observer has — a method of an object that
+    """The shape every real listener has — a method of an object that
     holds the environment (suite, governor, collector, cohort set) —
-    must not be kept alive by the registry, and neither must the
-    environment."""
+    must not be kept alive by the table, and neither must the
+    environment or the record."""
     import gc
     import weakref
-
-    from repro.release.orchestrator import add_release_observer
 
     class Owner:
         def __init__(self, env):
             self.env = env
             self.seen = []
 
-        def on_release(self, phase, release):
-            self.seen.append(phase)
+        def on_announce(self, name, **_fields):
+            self.seen.append(name)
 
     env = Environment()
     owner = Owner(env)
-    add_release_observer(env, owner.on_release)
     release = RollingRelease(env, _targets(env, 1))
+    release.run_record.subscribe(owner.on_announce)
     env.run(until=env.process(release.execute()))
-    assert owner.seen == ["begin", "end"]
-    env_ref, owner_ref = weakref.ref(env), weakref.ref(owner)
+    assert owner.seen == ["release_begin", "release_end"]
+    refs = [weakref.ref(env), weakref.ref(owner),
+            weakref.ref(release.run_record)]
     del env, owner, release
     gc.collect()
-    assert env_ref() is None and owner_ref() is None
+    assert [ref() for ref in refs] == [None, None, None]
 
 
 def test_run_options_gate_factory_builds_gates_for_ungated_releases():
@@ -555,15 +553,17 @@ def test_run_options_gate_factory_builds_gates_for_ungated_releases():
     env = Environment()
     release = RollingRelease(env, _targets(env, 4),
                              RollingReleaseConfig(batch_fraction=0.5))
-    with use(RunOptions(release_gate=factory)):
-        assert current().release_gate is factory
-        env.run(until=env.process(release.execute()))
-    assert current().release_gate is None
+    # A release reads its own run's options (a topology sets them; a
+    # bare environment has none until somebody does).
+    release.run_record.options = RunOptions(release_gate=factory)
+    env.run(until=env.process(release.execute()))
     assert built and built[0][0] is release
     assert built[0][1].reviews == 2  # one review per batch
-    # Cleared: the next release builds no gate.
+    # Another run's release builds no gate, whatever is ambient.
     env2 = Environment()
     ungated = RollingRelease(env2, _targets(env2, 2),
                              RollingReleaseConfig(batch_fraction=1.0))
-    env2.run(until=env2.process(ungated.execute()))
+    with use(RunOptions(release_gate=factory)):
+        env2.run(until=env2.process(ungated.execute()))
+    assert current().release_gate is None
     assert len(built) == 1

@@ -41,9 +41,23 @@ def test_event_wins_do_not_grow_the_heap():
     assert done, "consumer did not finish its rounds"
     # 2000 event-wins left at most a bounded residue of tombstones:
     # compaction keeps dead deadlines from dominating the schedule.
-    assert len(env._queue) < ROUNDS / 4, (
-        f"heap holds {len(env._queue)} entries after {ROUNDS} "
+    stats = env.stats()
+    assert stats["tombstones"] <= stats["heap"] < ROUNDS / 4, (
+        f"heap holds {stats['heap']} entries after {ROUNDS} "
         f"event-wins — cancelled deadlines are not being reclaimed")
+
+
+def test_stats_report_the_kernels_own_counts():
+    env = Environment()
+    assert env.stats() == {"events": 0, "now": 0.0, "heap": 0,
+                           "tombstones": 0}
+    env.timeout(5.0)
+    env.timeout(7.0).cancel()
+    assert env.stats() == {"events": 2, "now": 0.0, "heap": 2,
+                           "tombstones": 1}
+    env.run(until=6.0)
+    assert env.stats() == {"events": 2, "now": 6.0, "heap": 1,
+                           "tombstones": 1}
 
 
 def test_timeout_win_still_returns_sentinel():

@@ -109,7 +109,7 @@ def test_splice_on_off_aggregates_identical(seed):
     on_deployment, on, on_verdicts = _run(seed, splice=True)
     _, off, off_verdicts = _run(seed, splice=False)
 
-    governor = on_deployment.splice
+    governor = on_deployment.run_record.splice
     assert governor is not None and governor.bulk_transfers > 0, (
         "the splice arm never engaged — the differential is vacuous")
     assert governor.chunks_elided > 0
@@ -130,7 +130,7 @@ def test_release_desplices_and_mechanisms_fold(monkeypatch=None):
                                           release=True)
     _, off, off_verdicts = _run(SEEDS[0], splice=False, release=True)
 
-    governor = on_deployment.splice
+    governor = on_deployment.run_record.splice
     assert governor.desplices > 0, (
         "the release window never de-spliced the governor")
     assert governor.bulk_transfers > 0
@@ -158,7 +158,7 @@ def _overlapping_fault_windows() -> FaultPlan:
 def test_fault_window_desplices_and_counters_fold(seed):
     deployment = _build(seed, splice=True,
                         fault_plan=_overlapping_fault_windows())
-    governor = deployment.splice
+    governor = deployment.run_record.splice
 
     deployment.run(until=5.9)
     parked = governor.wake()
@@ -221,7 +221,7 @@ def test_evacuation_desplices_and_counters_fold_on_regions(seed):
     on_deployment, on, on_verdicts = _run_evacuation(seed, splice=True)
     _, off, off_verdicts = _run_evacuation(seed, splice=False)
 
-    governor = on_deployment.splice
+    governor = on_deployment.run_record.splice
     assert governor.desplices >= 1, (
         "the evacuation window never de-spliced the governor")
     assert governor.engaged, "the evacuation window never closed"

@@ -7,8 +7,9 @@ comes from an injected ``repro.simkernel`` stream, time from ``env.now``.
 And two runs in one process must not be able to reach each other, so
 process-global mutable state is a closed list that can only shrink.
 And the one order-sensitive store primitive, ``Store.deliver``, stays
-where its precondition (kernel context, tail position) was argued, and
-the kernel's private event counter is read where it already was.
+where its precondition (kernel context, tail position) was argued, the
+kernel's private event counter is read nowhere outside the kernel, and
+a component finds its run's listeners one way, through ``repro.run``.
 This walks every module with ``ast`` (so aliased imports are seen too)
 and carries the few exceptions explicitly.
 """
@@ -38,10 +39,9 @@ ALLOWED = {
 SHARED_STATE = {
     "options.py": {
         "_current": "the one sanctioned slot: use()/current()"},
-    "release/orchestrator.py": {
-        "_observers_by_env": "per-environment release observers; keys "
-                             "and callbacks weak, an entry dies with "
-                             "its run"},
+    "run.py": {
+        "_records_by_env": "environment -> its run's record; keys and "
+                           "values weak, an entry dies with its run"},
     "invariants/runtime.py": {
         "_suites": "drain registry the tier-1 _invariant_guard reads",
         "_enabled": "its on/off switch (conftest)"},
@@ -69,9 +69,19 @@ DELIVER_CALLERS = {"netsim/sockets.py", "netsim/kernel.py",
                    "protocols/http2.py"}
 
 #: Outside ``simkernel/``, the modules that read the kernel's private
-#: scheduled-event counter.  Closed: it only shrinks, to nothing once
-#: ``Environment.stats()`` exists (ROADMAP item 4).
-EID_READERS = {"shard/runner.py"}
+#: scheduled-event counter: none, ``Environment.stats()`` reports it.
+EID_READERS = set()
+
+#: The ways a component used to find its run's listeners, each replaced
+#: by the run record (``repro.run``): nothing under ``src/repro`` may
+#: name them again.
+RETIRED_NAMES = {"invariant_tap", "invariant_suite",
+                 "add_release_observer"}
+#: A registry measures; it does not carry the tracer or the governor.
+REGISTRY_LOCATOR_ATTRS = {"tracing", "splice"}
+#: Windows reach the governor as announcements; only its own package
+#: calls these.
+GOVERNOR_WINDOW_CALLS = {"suspend", "resume"}
 
 #: Calls whose result is a mutable container (or a stateful iterator).
 MUTABLE_FACTORIES = {
@@ -204,6 +214,32 @@ def names_deliver(source) -> bool:
     return False
 
 
+def wiring_violations(source, in_splice: bool = False) -> set:
+    """Hand-wiring ``source`` does around the run record: a retired
+    name (identifier, attribute, keyword or string, so ``getattr`` by
+    name counts), ``.tracing`` / ``.splice`` read or written on
+    anything called ``metrics``, or — outside ``splice/`` — a call of
+    the governor's ``suspend`` / ``resume``."""
+    found = set()
+    for node in ast.walk(_parse(source)):
+        names = {getattr(node, field, None)
+                 for field in ("id", "attr", "arg", "name")}
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+        found.update(names & RETIRED_NAMES)
+        if isinstance(node, ast.Attribute):
+            owner = node.value
+            owner_name = getattr(owner, "attr", getattr(owner, "id", None))
+            if node.attr in REGISTRY_LOCATOR_ATTRS \
+                    and owner_name == "metrics":
+                found.add(f"metrics.{node.attr}")
+        if isinstance(node, ast.Call) and not in_splice \
+                and isinstance(node.func, ast.Attribute) \
+                and node.func.attr in GOVERNOR_WINDOW_CALLS:
+            found.add(f".{node.func.attr}()")
+    return found
+
+
 def test_no_global_random_or_host_clock():
     modules = _modules()
     assert len(modules) > 100 and "options.py" in modules
@@ -264,6 +300,36 @@ def test_the_event_counter_is_read_in_a_closed_list():
     assert found == EID_READERS, (
         "env._eid is the kernel's: report events through the run's own "
         "result, and drop entries that are gone")
+
+
+def test_one_way_to_the_runs_listeners():
+    modules = _modules()
+    registry = modules["metrics/registry.py"]
+    assert not any(isinstance(node, ast.Attribute)
+                   and node.attr in REGISTRY_LOCATOR_ATTRS
+                   for node in ast.walk(registry))
+    bad = {name: sorted(found) for name, tree in sorted(modules.items())
+           if (found := wiring_violations(
+               tree, in_splice=name.startswith("splice/")))}
+    assert not bad, (
+        f"{bad}: announce on the run record (repro.run) and let the "
+        f"listener subscribe there; nothing is wired by hand")
+    assert wiring_violations("server.invariant_tap = suite") == \
+        {"invariant_tap"}
+    assert wiring_violations(
+        "getattr(deployment, 'invariant_suite', None)") == \
+        {"invariant_suite"}
+    assert wiring_violations(
+        "from .orchestrator import add_release_observer") == \
+        {"add_release_observer"}
+    assert wiring_violations("t = self.host.metrics.tracing\n"
+                             "metrics.splice = governor") == \
+        {"metrics.tracing", "metrics.splice"}
+    assert wiring_violations("deployment.splice.suspend('fault')") == \
+        {".suspend()"}
+    assert wiring_violations("self.resume(kind)", in_splice=True) == set()
+    assert wiring_violations("spec.splice\nrun_record.splice\n"
+                             "options.trace\ninstance.tracer") == set()
 
 
 def test_the_shared_state_rule():

@@ -6,12 +6,13 @@ from dataclasses import fields, replace
 
 import pytest
 
+from repro import Deployment, DeploymentSpec
 from repro.clients.web import WebWorkloadConfig
 from repro.cohorts import CohortPolicy
 from repro.experiments.__main__ import main
 from repro.experiments.common import (build_deployment,
                                       build_regional_deployment)
-from repro.faults import builtin_plan
+from repro.faults import FaultPlan, FaultSpec, builtin_plan
 from repro.ops import default_canary_gate, named_load_shape
 from repro.options import RunOptions, current, use
 from repro.proxygen import ProxygenConfig
@@ -30,27 +31,40 @@ BULKY_WEB = WebWorkloadConfig(clients_per_host=4, think_time=0.5,
                               post_size_cap=1_000_000)
 
 
-def _single():
-    return build_deployment(seed=0, edge_proxies=2, origin_proxies=1,
-                            app_servers=2, edge_config=FAST_EDGE,
-                            web=BULKY_WEB)
+#: One description per layout, built two ways: by the harness builder
+#: under ambient options, or directly with ``options=`` and no ``use()``.
+SINGLE = dict(seed=0, edge_proxies=2, origin_proxies=1, app_servers=2,
+              edge_config=FAST_EDGE)
+REGIONAL = {
+    "1x2": dict(seed=0, regions=1, pops_per_region=2, proxies_per_pop=2,
+                edge_config=FAST_EDGE, web_workload=BULKY_WEB),
+    "2x1": dict(seed=0, regions=2, proxies_per_pop=2,
+                edge_config=FAST_EDGE, web_workload=BULKY_WEB),
+}
+TOPOLOGIES = ["1x2", "2x1", "single"]
 
 
-def _one_region_two_pops():
-    return build_regional_deployment(seed=0, regions=1, pops_per_region=2,
-                                     proxies_per_pop=2,
-                                     edge_config=FAST_EDGE,
-                                     web_workload=BULKY_WEB)
+def _through_the_harness(topology, options):
+    with use(options):
+        if topology == "single":
+            return build_deployment(web=BULKY_WEB, **SINGLE)
+        return build_regional_deployment(**REGIONAL[topology])
 
 
-def _two_regions():
-    return build_regional_deployment(seed=0, regions=2, proxies_per_pop=2,
-                                     edge_config=FAST_EDGE,
-                                     web_workload=BULKY_WEB)
+def _built_directly(topology, options):
+    if topology == "single":
+        dep = Deployment(DeploymentSpec(
+            brokers=1, web_client_hosts=1, web_workload=BULKY_WEB,
+            mqtt_workload=None, quic_workload=None, **SINGLE),
+            options=options)
+    else:
+        dep = RegionalDeployment(RegionalSpec(**REGIONAL[topology]),
+                                 options=options)
+    dep.start()
+    return dep
 
 
-TOPOLOGIES = {"single": _single, "1x2": _one_region_two_pops,
-              "2x1": _two_regions}
+BUILDS = {"ambient": _through_the_harness, "direct": _built_directly}
 
 _gates_built = []
 
@@ -92,7 +106,17 @@ def _check_release_gate(dep, options):
 
 
 def _check_trace(dep, options):
-    assert dep.metrics.tracing is not None
+    """Not "a collector exists": servers built before anyone could have
+    installed one hold it, and a request comes back traced."""
+    tracer = dep.run_record.tracer
+    assert tracer is not None and tracer.config is options.trace
+    assert all(s.tracer is tracer for s in dep.app_servers)
+    dep.run(until=6.0)
+    assert all(s.active_instance.tracer is tracer
+               for s in dep.edge_servers + dep.origin_servers)
+    assert any(span["name"] == "app.request" and span["scope"] == app.name
+               for trace in tracer.traces() for span in trace["spans"]
+               for app in dep.app_servers)
 
 
 def _run_through_a_window(dep):
@@ -124,12 +148,13 @@ def _check_cohorts(dep, options):
 
 
 def _check_splice(dep, options):
-    assert dep.metrics.splice is dep.splice is not None
+    governor = dep.run_record.splice
+    assert governor is not None
     _run_through_a_window(dep)
-    stats = dep.splice.stats()
+    stats = governor.stats()
     assert stats["bulk_transfers"] > 0
     assert stats["desplices"] >= 1
-    assert dep.splice.engaged  # the window closed again
+    assert governor.engaged  # the window closed again
 
 
 MATRIX = {
@@ -147,19 +172,48 @@ MATRIX = {
 }
 
 
-@pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
-@pytest.mark.parametrize("field", sorted(MATRIX))
-def test_option_reaches_every_component(field, topology):
+@pytest.mark.parametrize("field, topology, build", [
+    pytest.param(field, topology, build,
+                 id=f"{field}-{topology}" + suffix)
+    for build, suffix in (("ambient", ""), ("direct", "-direct"))
+    for field in sorted(MATRIX) for topology in TOPOLOGIES])
+def test_option_reaches_every_component(field, topology, build):
+    """However the deployment was built: by the harness under ambient
+    options, or directly with ``options=`` — everything checked runs
+    outside any ``use()`` block, so nothing may consult ``current()``
+    after construction."""
     make, check = MATRIX[field]
     options = RunOptions(**{field: make()})
     try:
-        with use(options):
-            dep = TOPOLOGIES[topology]()
-            assert dep.options is options
-            check(dep, options)
+        dep = BUILDS[build](topology, options)
         assert current() == RunOptions()
+        assert dep.options is dep.run_record.options is options
+        check(dep, options)
     finally:
         trace_runtime.drain()
+
+
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+def test_a_fault_window_condenses_aggregate_cohorts(topology):
+    """A fault is a mechanism window like a release walk or an
+    evacuation: the fluid condenses at the inject instant, with no
+    release anywhere in the run."""
+    options = RunOptions(
+        cohorts=CohortPolicy(fidelity="aggregate"),
+        fault_plan=FaultPlan("slow-apps", [FaultSpec(
+            kind="slow_host", where="*appserver-*", at=5.0, duration=2.0,
+            params={"speed_factor": 0.5})]))
+    dep = _through_the_harness(topology, options)
+    counters = dep.metrics.scoped_counters("cohorts")
+    dep.run(until=4.999)
+    assert counters.get("condensations") == 0
+    dep.run(until=5.001)
+    assert dep.fault_injector.records[0].injected_at == 5.0
+    assert counters.get("condensations") >= 1
+    assert counters.get("condensed_flows") == sum(
+        d.condensed_flows for d in dep.cohort_set.drivers) > 0
+    dep.run(until=9.0)  # the solo flows serve through the window
+    assert dep.metrics.aggregate("get_ok", scope_prefix="web-clients") > 0
 
 
 def test_use_restores_previous_options_on_exception():
@@ -250,7 +304,12 @@ def test_sharded_run_under_options_equals_single_shard():
     # Fault plans and load shapes do not shard; everything else crosses.
     options = replace(_full_options(), fault_plan=None, load_shape=None)
     one = run_sharded(spec, until=10.0, shards=1, options=options)
+    # The in-process arm hands its collector to the CLI's drain, as
+    # build_deployment does; a forked worker's stays in the worker.
+    (collector,) = trace_runtime.drain()
+    assert collector.config is options.trace and collector.traces()
     two = run_sharded(spec, until=10.0, shards=2, options=options)
+    assert trace_runtime.drain() == []
     assert two.counters == one.counters
     assert two.violations == one.violations == []
     # The options reached the workers: resilience scopes exist.
@@ -267,7 +326,8 @@ def test_cli_early_exit_leaks_no_options(capsys):
     assert code == 2
     assert current() == RunOptions()
     for bad in (["fig09", "--faults", "no-such-plan"],
-                ["fig09", "--cohorts", "0"], ["fig09", "--shards", "0"]):
+                ["fig09", "--cohorts", "0"], ["fig09", "--shards", "0"],
+                ["shardscale", "--trace", "--shards", "2"]):
         assert main(bad) == 2
         assert current() == RunOptions()
     capsys.readouterr()

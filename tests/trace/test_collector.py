@@ -159,6 +159,35 @@ def test_export_is_deterministic_for_same_seed():
     assert len(trace["trace_id"]) == 12  # 48-bit hex, zero-padded
 
 
+def test_announcements_are_logged_with_their_scalar_fields_only():
+    """Every window lands in the event log; an object handed to the
+    checkers never does (its repr would carry an ``id()``), and the
+    per-connection taps are not logged at all."""
+    collector = make_collector()
+    thing = object()
+    collector.env.now = 1.5
+    collector.on_announce("takeover_begin", server=thing, scope="edge-0",
+                          generation=2)
+    collector.on_announce("autoscale_in", autoscaler=thing, scope="app-3",
+                          pool="app", size_before=4, size_after=3,
+                          target=thing, target_state=None)
+    collector.on_announce("fault_begin", record=thing, kind="hc_flap",
+                          where="edge-*", targets=2)
+    collector.on_announce("proxy_accept", instance=thing, vip="https")
+    collector.on_announce("post_applied", server=thing, request_id=7)
+    collector.on_announce("broker_sessions_transferred", region="r1",
+                          users=[1, 2])
+    assert collector.events == [
+        {"at": 1.5, "name": "takeover_begin", "scope": "edge-0",
+         "generation": 2},
+        {"at": 1.5, "name": "autoscale_in", "scope": "app-3",
+         "pool": "app", "size_before": 4, "size_after": 3,
+         "target_state": None},
+        {"at": 1.5, "name": "fault_begin", "scope": None,
+         "kind": "hc_flap", "where": "edge-*", "targets": 2},
+    ]
+
+
 def test_annotation_summary_counts_keys():
     collector = make_collector()
     span = collector.start_trace("req")
