@@ -29,6 +29,7 @@ from ..protocols.mqtt import (
     ReConnect,
     MQTT_PUBLISH_BASE_SIZE,
 )
+from ..simkernel.rng import DistributionSampler
 
 __all__ = ["MqttBroker", "BrokerConfig", "BrokerSession"]
 
@@ -73,7 +74,7 @@ class MqttBroker:
         self.counters = host.metrics.scoped_counters(self.name)
         self.sessions: dict[int, BrokerSession] = {}
         self.process: Optional[SimProcess] = None
-        self._rng = host.streams.stream("broker")
+        self._sampler = DistributionSampler(host.streams.stream("broker"))
 
     def start(self) -> None:
         self.process = self.host.spawn("mqtt-broker")
@@ -193,19 +194,8 @@ class MqttBroker:
             yield env.timeout(config.publish_tick)
             rate = config.downstream_publish_rate * config.publish_tick
             for session in self.sessions.values():
-                count = self._poisson(rate)
-                for _ in range(count):
+                for _ in range(self._sampler.poisson(rate)):
                     self._publish_downstream(session)
-
-    def _poisson(self, lam: float) -> int:
-        # Tiny rates: a Bernoulli/inversion draw is plenty.
-        import math
-        threshold = math.exp(-lam)
-        k, product = 0, self._rng.random()
-        while product > threshold:
-            k += 1
-            product *= self._rng.random()
-        return k
 
     def _publish_downstream(self, session: BrokerSession) -> None:
         message = MqttPublish(session.user_id, topic="notify",

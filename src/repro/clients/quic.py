@@ -15,7 +15,7 @@ from ..netsim.addresses import Endpoint, FourTuple, Protocol
 from ..netsim.host import Host
 from ..netsim.proc_utils import TIMED_OUT, with_timeout
 from ..netsim.process import SimProcess
-from ..protocols.quic import QUIC_PACKET_SIZE, QuicPacket, allocate_connection_id
+from ..protocols.quic import QUIC_PACKET_SIZE, QuicPacket
 from ..simkernel.rng import DistributionSampler
 from .base import Router
 
@@ -87,7 +87,8 @@ class QuicClientPopulation:
         _, sock = host.kernel.udp_bind_ephemeral(process)
         # The L4LB pins this flow's packets to one edge host.
         flow = FourTuple(Protocol.UDP, sock.endpoint, self.vip)
-        cid = allocate_connection_id()
+        connection_ids = host.run_record.connection_ids
+        cid = next(connection_ids)
         first = True
         consecutive_losses = 0
         packets_left = self._draw_connection_length(sampler)
@@ -96,7 +97,7 @@ class QuicClientPopulation:
         while process.alive:
             if packets_left is not None and packets_left <= 0:
                 # Connection ends naturally; open a fresh one.
-                cid = allocate_connection_id()
+                cid = next(connection_ids)
                 first = True
                 consecutive_losses = 0
                 packets_left = self._draw_connection_length(sampler)
@@ -124,7 +125,7 @@ class QuicClientPopulation:
                 if consecutive_losses >= config.loss_threshold:
                     # Give up on this connection: fresh CID (and, with a
                     # fresh source port, likely a fresh L4 route).
-                    cid = allocate_connection_id()
+                    cid = next(connection_ids)
                     first = True
                     consecutive_losses = 0
                     self.counters.inc("connections_reestablished")

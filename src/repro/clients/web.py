@@ -185,7 +185,8 @@ class WebClientPopulation:
         cacheable = sampler.bernoulli(config.cacheable_fraction)
         request = HttpRequest(
             "GET", "/api/feed",
-            headers={"cacheable": "1"} if cacheable else {})
+            headers={"cacheable": "1"} if cacheable else {},
+            id=next(base.host.run_record.request_ids))
         span = self._start_request_trace(base, conn, request, kind="get")
         start = base.host.env.now
         self.counters.inc("get_started")
@@ -207,7 +208,8 @@ class WebClientPopulation:
         size = int(sampler.pareto(POST_SIZE_ALPHA, config.post_size_min,
                                   cap=config.post_size_cap))
         request = HttpRequest("POST", "/upload", body_size=size,
-                              streaming=True)
+                              streaming=True,
+                              id=next(base.host.run_record.request_ids))
         span = self._start_request_trace(base, conn, request, kind="post")
         if span is not None:
             span.annotate("post.bytes", size)

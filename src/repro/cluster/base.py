@@ -35,7 +35,7 @@ from ..netsim.addresses import Endpoint, Protocol, VIP
 from ..netsim.host import Host
 from ..netsim.network import INTRA_DC, Network
 from ..ops.load import LoadController, LoadShape
-from ..options import RunOptions, current
+from ..options import RunOptions, current, note_run
 from ..proxygen.context import ProxyTierContext
 from ..proxygen.server import ProxygenServer
 from ..resilience.health import OutlierTracker
@@ -127,9 +127,11 @@ class Topology:
         #: What this run's components share (repro.run): its options,
         #: tracer, splice governor and the channel every mechanism
         #: window is announced on.  Complete before the first component
-        #: exists, so each may cache what it finds.
+        #: exists, so each may cache what it finds; reported to every
+        #: open ``use()`` block.
         self.run_record = run = run_of(self.env)
         run.options = self.options
+        note_run(run)
         #: Explicit plan, else the run options' (the CLI's ``--faults``);
         #: attached when the deployment starts.
         self._fault_plan = fault_plan or self.options.fault_plan

@@ -22,7 +22,6 @@ import time
 
 from ..cohorts import COHORT_FIDELITIES, CohortPolicy
 from ..faults import BUILTIN_PLANS, builtin_plan
-from ..invariants import runtime as invariant_runtime
 from ..lb.routers import ROUTER_SCHEMES
 from ..metrics.report import render_faults, render_series
 from ..ops import LOAD_SHAPE_KINDS, default_canary_gate, named_load_shape
@@ -30,7 +29,6 @@ from ..options import RunOptions, use
 from ..resilience import ResilienceConfig
 from ..splice import SpliceConfig
 from ..trace import TraceConfig
-from ..trace import runtime as trace_runtime
 from ..trace.render import render_trace_report
 from . import ALL_EXPERIMENTS
 
@@ -126,13 +124,8 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
 
-    try:
-        with use(options):
-            oks = [_run_figure(name, args, multiple=len(names) > 1)
-                   for name in names]
-    finally:
-        trace_runtime.drain()
-        invariant_runtime.drain()  # reset registry for in-process callers
+    oks = [_run_figure(name, args, options, multiple=len(names) > 1)
+           for name in names]
     return 0 if all(oks) else 1
 
 
@@ -186,12 +179,17 @@ def _run_options(args) -> RunOptions:
         trace=TraceConfig() if args.trace else None)
 
 
-def _run_figure(name: str, args, multiple: bool) -> bool:
+def _run_figure(name: str, args, options: RunOptions,
+                multiple: bool) -> bool:
     """Run and print one figure; True iff every claim and checker held."""
     start = time.time()
-    result = ALL_EXPERIMENTS[name].run(seed=args.seed)
+    with use(options) as runs:
+        result = ALL_EXPERIMENTS[name].run(seed=args.seed)
     result.print()
-    violations = invariant_runtime.drain()
+    violations = sorted(
+        (v for run in runs if run.suite is not None
+         for v in run.suite.finalize()),
+        key=lambda v: (v.at, v.checker))
     if violations:
         broken = sorted({v.checker for v in violations})
         print(f"   INVARIANT VIOLATIONS ({len(violations)}) "
@@ -208,7 +206,9 @@ def _run_figure(name: str, args, multiple: bool) -> bool:
         for row in render_faults({"plan": args.faults}):
             print("   " + row)
     if args.trace:
-        _report_traces(name, args.trace_json, multiple=multiple)
+        _report_traces(name, [run.tracer for run in runs
+                              if run.tracer is not None],
+                       args.trace_json, multiple=multiple)
     if not args.no_plots:
         for series_name, series in sorted(result.series.items()):
             print("   " + render_series(series_name, series, width=56))
@@ -216,9 +216,9 @@ def _run_figure(name: str, args, multiple: bool) -> bool:
     return not violations and result.all_claims_hold
 
 
-def _report_traces(figure: str, json_path, multiple: bool) -> None:
+def _report_traces(figure: str, collectors: list, json_path,
+                   multiple: bool) -> None:
     """Print the span-tree report (and dump JSON) for one figure's run."""
-    collectors = trace_runtime.drain()
     for collector in collectors:
         doc = collector.to_dict()
         for row in render_trace_report(doc):

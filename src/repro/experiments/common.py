@@ -11,9 +11,8 @@ from ..clients.quic import QuicWorkloadConfig
 from ..clients.web import WebWorkloadConfig
 from ..cluster.deployment import Deployment
 from ..cluster.spec import DeploymentSpec
-from ..invariants import runtime as invariant_runtime
+from ..invariants import InvariantSuite
 from ..proxygen.config import ProxygenConfig
-from ..trace import runtime as trace_runtime
 
 __all__ = ["ExperimentResult", "build_deployment",
            "build_regional_deployment", "fault_summary",
@@ -114,30 +113,26 @@ def build_deployment(seed: int = 0,
         mqtt_workload=mqtt,
         quic_workload=quic,
         **spec_kwargs)
-    deployment = Deployment(spec, env=env, fault_plan=fault_plan)
-    # Always-on invariant checking: every harness-built deployment runs
-    # under the full checker suite (drained via invariant_runtime.drain()).
-    invariant_runtime.install(deployment)
-    # Request tracing (the CLI's --trace): hand the run's collector,
-    # if its options built one, to the CLI's drain.
-    trace_runtime.register(deployment)
-    deployment.start()
-    return deployment
+    return _started(Deployment(spec, env=env, fault_plan=fault_plan))
 
 
 def build_regional_deployment(fault_plan=None, env=None,
                               **spec_kwargs) -> "RegionalDeployment":
     """A multi-region deployment with the same always-on harness wiring
-    as :func:`build_deployment` (invariants installed, collector
-    registered, started).  ``spec_kwargs`` go straight into
-    :class:`repro.regions.RegionalSpec`.
+    as :func:`build_deployment` (invariant suite attached, started).
+    ``spec_kwargs`` go straight into :class:`repro.regions.RegionalSpec`.
     """
     from ..regions import RegionalDeployment, RegionalSpec
 
-    deployment = RegionalDeployment(RegionalSpec(**spec_kwargs), env=env,
-                                    fault_plan=fault_plan)
-    invariant_runtime.install(deployment)
-    trace_runtime.register(deployment)
+    return _started(RegionalDeployment(RegionalSpec(**spec_kwargs),
+                                       env=env, fault_plan=fault_plan))
+
+
+def _started(deployment):
+    # Always-on invariant checking: the full checker suite rides on the
+    # run's record, where whoever opened the ``options.use()`` block the
+    # deployment was built in (the CLI, the tier-1 guard) finalizes it.
+    deployment.run_record.suite = InvariantSuite(deployment).attach()
     deployment.start()
     return deployment
 

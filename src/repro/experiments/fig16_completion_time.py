@@ -24,7 +24,8 @@ from ..proxygen.config import ProxygenConfig
 from ..release.orchestrator import RollingRelease, RollingReleaseConfig
 from ..release.schedule import completion_time_model
 from ..simkernel.rng import RandomStreams
-from .common import ExperimentResult, build_deployment
+from .common import (ExperimentResult, build_deployment,
+                     build_regional_deployment)
 
 __all__ = ["run", "run_des_crosscheck", "run_global_des"]
 
@@ -93,10 +94,10 @@ def run_global_des(seed: int = 0, pops: int = 3, proxies_per_pop: int = 4,
     releases concurrently (the paper's world-wide push), each batch
     waiting out its drain.  Completion = slowest PoP."""
     from ..clients.web import WebWorkloadConfig
-    from ..regions import RegionalDeployment, RegionalSpec, release_all_pops
+    from ..regions import release_all_pops
 
     # "N PoPs → one Origin DC" is the regional shape with one region.
-    dep = RegionalDeployment(RegionalSpec(
+    dep = build_regional_deployment(
         seed=seed, regions=1, pops_per_region=pops,
         proxies_per_pop=proxies_per_pop, origin_proxies=3, app_servers=4,
         brokers=1, mqtt_users_per_pop=0,
@@ -105,8 +106,7 @@ def run_global_des(seed: int = 0, pops: int = 3, proxies_per_pop: int = 4,
         origin_config=ProxygenConfig(mode="origin", drain_duration=8.0,
                                      spawn_delay=1.0),
         web_workload=WebWorkloadConfig(clients_per_host=6,
-                                       think_time=1.0)))
-    dep.start()
+                                       think_time=1.0))
     dep.run(until=15)
     releases, done = release_all_pops(dep, batch_fraction=0.25,
                                       post_batch_wait=drain)

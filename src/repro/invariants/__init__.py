@@ -7,15 +7,18 @@ disconnect during DCR (§4.2), exactly-once POST side effects under PPR
 bookkeeping they rest on) into machine-checked invariants that run
 continuously against any :class:`~repro.cluster.deployment.Deployment`:
 
-* :class:`InvariantSuite` attaches :class:`~repro.faults.injector.
-  FaultInjector`-style event taps to the proxy tiers, app servers and
-  release orchestrator, samples the deployment on a fixed cadence, and
-  collects :class:`InvariantViolation` records.
+* :class:`InvariantSuite` subscribes to its run's announcement channel
+  (:mod:`repro.run`) — releases, takeovers, drains, faults, accepts —
+  samples the deployment on a fixed cadence, and collects
+  :class:`InvariantViolation` records.
 * :mod:`repro.invariants.checkers` holds the concrete checkers; see
   ``CHECKERS`` for the registry.
-* :mod:`repro.invariants.runtime` wires the suite into every deployment
-  the experiment harnesses build (always-on mode), so the tier-1 tests
-  double as invariant tests.
+
+Always-on mode: the experiment harness builders put a suite on every
+deployment's ``RunRecord.suite``; whoever opened the ``options.use()``
+block the run was built in finalizes it — the experiments CLI per
+figure, the tier-1 ``_invariant_guard`` per test — so the tier-1 tests
+double as invariant tests.
 """
 
 from .base import InvariantChecker, InvariantSuite, InvariantViolation

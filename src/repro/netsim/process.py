@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 from typing import TYPE_CHECKING, Generator, Optional
 
 from ..simkernel.events import Process
@@ -14,8 +13,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .sockets import TcpEndpoint
 
 __all__ = ["SimProcess", "ProcessExit"]
-
-_pids = itertools.count(100)
 
 
 class ProcessExit:
@@ -42,7 +39,6 @@ class SimProcess:
     def __init__(self, host: "Host", name: str):
         self.host = host
         self.name = name
-        self.pid = next(_pids)
         self.alive = True
         self.exit_reason: Optional[str] = None
         self.fd_table = FileTable()
@@ -117,4 +113,4 @@ class SimProcess:
 
     def __repr__(self) -> str:
         state = "alive" if self.alive else f"dead({self.exit_reason})"
-        return f"<SimProcess {self.name} pid={self.pid} {state}>"
+        return f"<SimProcess {self.name} {state}>"

@@ -2,12 +2,15 @@
 
 The experiments CLI (``--faults``, ``--resilience``, ``--lb-scheme``,
 ``--load-shape``, ``--cohorts``, ``--splice``, ``--canary``,
-``--shards``, ``--trace``) builds one :class:`RunOptions` and runs the
-figure loop inside ``with use(options):``.  Topology builders resolve
+``--shards``, ``--trace``) builds one :class:`RunOptions` and runs each
+figure inside ``with use(options) as runs:``.  Topology builders resolve
 ``current()`` once, in ``__init__`` (see ``cluster.base.Topology``), and
-afterwards read only their resolved spec.  Every spec field an option
-targets is declared on ``cluster.spec.TierConfigs``, the base of both
-specs, so :meth:`RunOptions.apply` treats every spec alike.
+afterwards read only their resolved spec; they also hand their run's
+record to the open blocks, so ``runs`` is what the figure built (the
+CLI reads each run's invariant suite and tracer from it).  Every spec
+field an option targets is declared on ``cluster.spec.TierConfigs``,
+the base of both specs, so :meth:`RunOptions.apply` treats every spec
+alike.
 
 This module imports nothing from ``repro`` so every layer may import it.
 """
@@ -18,7 +21,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Optional
 
-__all__ = ["RunOptions", "current", "use"]
+__all__ = ["RunOptions", "current", "note_run", "use"]
 
 
 @dataclass(frozen=True)
@@ -28,8 +31,8 @@ class RunOptions:
     Precedence against a spec (:meth:`apply`): ``resilience`` and
     ``lb_scheme`` override the spec's; ``load_shape``, ``cohorts`` and
     ``splice`` apply only where the spec leaves the field ``None``.  An
-    explicit ``fault_plan=`` constructor argument, ``RollingRelease(gate=)``
-    and ``trace.runtime.install(dep, config)`` beat the options.
+    explicit ``fault_plan=`` or ``options=`` constructor argument and
+    ``RollingRelease(gate=)`` beat the options in force.
     """
 
     fault_plan: Any = None                    # faults.FaultPlan
@@ -64,21 +67,34 @@ class RunOptions:
         return replace(spec, **changes) if changes else spec
 
 
-_current = RunOptions()
+#: The options in force and the run lists of the open :func:`use`
+#: blocks, innermost last.
+_current: tuple = (RunOptions(), ())
 
 
 def current() -> RunOptions:
     """The options in force (all-``None`` outside any :func:`use`)."""
-    return _current
+    return _current[0]
+
+
+def note_run(record) -> None:
+    """Hand a just-built run's record to every open :func:`use` block
+    (outside all of them nobody collects, and nothing is kept)."""
+    for runs in _current[1]:
+        runs.append(record)
 
 
 @contextmanager
 def use(options: RunOptions):
-    """Run the block under ``options``; restores the previous value on
-    exit, exception or not."""
+    """Run the block under ``options``; yields the list of the run
+    records (``repro.run.RunRecord``) of the topologies built inside it,
+    nested blocks included, in build order.  Restores the previous
+    options on exit, exception or not."""
     global _current
-    previous, _current = _current, options
+    previous = _current
+    runs: list = []
+    _current = (options, previous[1] + (runs,))
     try:
-        yield options
+        yield runs
     finally:
         _current = previous

@@ -36,7 +36,6 @@ from .quic import (
     QuicConnectionState,
     QuicPacket,
     QuicStateTable,
-    allocate_connection_id,
 )
 from .tls import (
     TlsClientHello,
@@ -57,6 +56,6 @@ __all__ = [
     "ReConnect", "ReconnectSolicitation",
     "PostForwardingState",
     "QUIC_PACKET_SIZE", "QuicConnectionState", "QuicPacket",
-    "QuicStateTable", "allocate_connection_id",
+    "QuicStateTable",
     "TlsClientHello", "TlsServerDone", "client_handshake", "server_handle_hello",
 ]

@@ -16,7 +16,6 @@ Two layers live here:
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass, field
 from typing import Any, Optional
@@ -59,8 +58,6 @@ PARTIAL_POST_STATUS_MESSAGE = "PartialPOST"
 #: proxy can rebuild the original request (§5.2, "pseudo echo path").
 PSEUDO_ECHO_PREFIX = "pseudo-echo-"
 
-_request_ids = itertools.count(1)
-
 
 @dataclass
 class HttpRequest:
@@ -76,7 +73,9 @@ class HttpRequest:
     #: True when the body arrives as separate BodyChunk messages.
     streaming: bool = False
     user_id: Optional[int] = None
-    id: int = field(default_factory=lambda: next(_request_ids))
+    #: Unique within one run: a client draws it from its run's counter,
+    #: ``next(host.run_record.request_ids)``.
+    id: int = field(kw_only=True)
     #: Trace context (a ``repro.trace.Span``), or None when untraced.
     #: Each hop re-points this at its own span before forwarding, so
     #: the next tier parents correctly.  Excluded from comparison: two

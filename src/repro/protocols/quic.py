@@ -11,32 +11,26 @@ The only QUIC properties the paper's mechanisms need are modelled:
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 __all__ = ["QuicPacket", "QuicConnectionState", "QuicStateTable",
-           "allocate_connection_id", "QUIC_PACKET_SIZE"]
+           "QUIC_PACKET_SIZE"]
 
 QUIC_PACKET_SIZE = 1200
-
-_cid_counter = itertools.count(0x1000)
-_packet_numbers = itertools.count(1)
-
-
-def allocate_connection_id() -> int:
-    """A fresh, globally unique connection ID."""
-    return next(_cid_counter)
 
 
 @dataclass
 class QuicPacket:
-    """A QUIC packet as carried in a simulated UDP datagram payload."""
+    """A QUIC packet as carried in a simulated UDP datagram payload.
+
+    ``connection_id`` is unique within one run: a client draws it from
+    its run's counter, ``next(host.run_record.connection_ids)``.
+    """
 
     connection_id: int
     payload: object = None
     is_initial: bool = False
-    packet_number: int = field(default_factory=lambda: next(_packet_numbers))
 
 
 @dataclass

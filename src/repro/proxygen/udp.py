@@ -126,7 +126,7 @@ class QuicService:
         if reply_sock is not None and not reply_sock.closed:
             reply_sock.sendto(
                 QuicPacket(connection_id=packet.connection_id,
-                           payload=("ack", packet.packet_number)),
+                           payload="ack"),
                 client_src, size=64)
 
     def _vip_reply_socket(self) -> Optional["UdpSocket"]:

@@ -216,7 +216,7 @@ class RollingRelease:
             tasks = [
                 self.env.process(
                     self._guarded(target, self._restart_generator(target),
-                                  outcomes))
+                                  outcomes, self._released))
                 for target in pending
             ]
             if (config.error_budget is not None
@@ -278,8 +278,12 @@ class RollingRelease:
         for task in tasks:
             task.callbacks.append(_maybe_cut)
 
-    def _guarded(self, target, generator, outcomes: dict):
-        """Generator: run one restart, mapping its fate into ``outcomes``.
+    def _guarded(self, target, generator, outcomes: dict,
+                 released: Optional[list] = None):
+        """Generator: run one restart, mapping its fate into ``outcomes``
+        and, on success, appending ``target`` to ``released`` — here, in
+        completion order, which is the order a rollback undoes.  A
+        rollback passes none: it must not count a target released again.
 
         The guard never fails its process — a raising target must not
         tear down the whole batch's AllOf.
@@ -294,7 +298,8 @@ class RollingRelease:
             outcomes[name] = f"{type(exc).__name__}: {exc}"
             return
         outcomes[name] = None
-        self._released.append(target)
+        if released is not None:
+            released.append(target)
 
     def _rollback(self):
         """Generator: re-release completed targets, newest first.
@@ -317,7 +322,7 @@ class RollingRelease:
                 continue
             outcomes: dict[str, Optional[str]] = {}
             task = self.env.process(
-                self._guarded_rollback(target, generator, outcomes))
+                self._guarded(target, generator, outcomes))
             if config.batch_timeout is not None:
                 outcome = yield from with_timeout(
                     self.env, task, config.batch_timeout)
@@ -332,21 +337,6 @@ class RollingRelease:
                 self.rollback_failed.append(name)
             else:
                 self.rolled_back.append(name)
-
-    def _guarded_rollback(self, target, generator, outcomes: dict):
-        """Like :meth:`_guarded`, but never touches ``_released`` — a
-        successful rollback must not count the target as released
-        again."""
-        name = self._target_name(target)
-        try:
-            yield from generator
-        except Interrupt as exc:
-            outcomes[name] = f"interrupted: {exc.cause}"
-            return
-        except Exception as exc:
-            outcomes[name] = f"{type(exc).__name__}: {exc}"
-            return
-        outcomes[name] = None
 
     def summary(self) -> dict:
         """Compact dict for the metrics report's ``release`` section."""

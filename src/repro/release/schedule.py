@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..simkernel.rng import RandomStreams
+from ..simkernel.rng import DistributionSampler, RandomStreams
 
 __all__ = ["ReleaseTraceConfig", "ReleaseEvent", "ReleaseTrace",
            "ReleaseScheduleModel", "completion_time_model",
@@ -122,21 +122,20 @@ class ReleaseScheduleModel:
     def generate(self) -> ReleaseTrace:
         config = self.config
         rng = self.streams.stream("schedule")
+        poisson = DistributionSampler(rng).poisson
         trace = ReleaseTrace(config)
         causes, weights = zip(*L7LB_ROOT_CAUSES)
         for cluster in range(config.clusters):
             for week in range(config.weeks):
                 # L7LB releases: Poisson around the weekly mean.
-                for _ in range(self._poisson(
-                        rng, L7LB_RELEASES_PER_WEEK)):
+                for _ in range(poisson(L7LB_RELEASES_PER_WEEK)):
                     trace.events.append(ReleaseEvent(
                         cluster=cluster, tier="l7lb", week=week,
                         hour_of_day=self._proxygen_hour(rng),
                         cause=rng.choices(causes, weights=weights)[0],
                         commits=self._commits(rng)))
                 # App tier: high-frequency, continuous cycle.
-                for _ in range(self._poisson(
-                        rng, APP_RELEASES_PER_WEEK)):
+                for _ in range(poisson(APP_RELEASES_PER_WEEK)):
                     trace.events.append(ReleaseEvent(
                         cluster=cluster, tier="appserver", week=week,
                         hour_of_day=rng.uniform(0, 24),
@@ -157,17 +156,6 @@ class ReleaseScheduleModel:
         """Log-uniform between the paper's 10 and 100 per release."""
         log_value = rng.uniform(math.log(COMMITS_MIN), math.log(COMMITS_MAX))
         return int(round(math.exp(log_value)))
-
-    @staticmethod
-    def _poisson(rng, lam: float) -> int:
-        if lam > 50:
-            return max(0, round(rng.gauss(lam, math.sqrt(lam))))
-        threshold = math.exp(-lam)
-        k, product = 0, rng.random()
-        while product > threshold:
-            k += 1
-            product *= rng.random()
-        return k
 
 
 def batch_fraction_for_load(scale: float, base_fraction: float,

@@ -13,9 +13,8 @@ from __future__ import annotations
 import multiprocessing
 from typing import Optional
 
-from ..invariants import runtime as invariant_runtime
+from ..invariants import InvariantSuite
 from ..options import RunOptions, current, use
-from ..trace import runtime as trace_runtime
 from . import ShardPlan, ShardResult, counters_snapshot, merge_counters
 
 __all__ = ["run_sharded"]
@@ -36,12 +35,13 @@ def _run_one(spec, until: float, region_names: Optional[list],
     # never fork-copied module state.
     with use(options):
         deployment = RegionalDeployment(spec)
-        suite = (invariant_runtime.install(deployment)
-                 if check_invariants else None)
-        # As build_deployment does: the in-process arm's collector
-        # reaches the CLI's drain (a forked worker's cannot, which is
-        # why the CLI refuses --trace with --shards N > 1).
-        trace_runtime.register(deployment)
+        # On the record, as build_deployment does: the in-process arm's
+        # suite and collector reach the caller's use() block; a forked
+        # worker's verdicts travel back in its report.
+        suite = None
+        if check_invariants:
+            suite = deployment.run_record.suite = \
+                InvariantSuite(deployment).attach()
         deployment.start(only_regions=region_names)
         deployment.env.run(until=until)
     violations = suite.finalize() if suite is not None else []
@@ -55,10 +55,6 @@ def _run_one(spec, until: float, region_names: Optional[list],
 def _worker_main(pipe, spec, until: float, region_names: list,
                  check_invariants: bool, options: RunOptions) -> None:
     try:
-        # The fork inherited the parent's module state: drop any suites
-        # a previous parent run registered (they belong to deployments
-        # this worker never sees) before installing our own.
-        invariant_runtime.drain()
         pipe.send(("ok", _run_one(spec, until, region_names,
                                   check_invariants, options)))
     except BaseException as exc:  # noqa: BLE001 - reported, then re-raised

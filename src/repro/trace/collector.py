@@ -15,9 +15,9 @@ Determinism rules (same as the rest of the tree):
 * trace ids are drawn from an injected ``SimRng`` stream, never the wall
   clock or ``uuid`` — same seed, same ids;
 * span times are sim times (``env.now``);
-* exports never embed the process-global message ids
-  (``HttpRequest.id`` and friends come from an ``itertools.count`` that
-  is *not* reset between runs in one process).
+* exports never embed message ids (``HttpRequest.id``, QUIC connection
+  ids): those number a run's requests (``RunRecord.request_ids``); a
+  trace is named by its own seeded id.
 
 Sampling is head-based (the decision is drawn when the root span opens)
 plus tail-based "always keep": traces flagged by an error or by a caller

@@ -43,7 +43,7 @@ def test_short_request_served(world):
     got = []
 
     def flow():
-        conn.send(HttpRequest("GET", "/api"), size=300)
+        conn.send(HttpRequest("GET", "/api", id=1), size=300)
         item = yield conn.recv()
         got.append(item.payload)
 
@@ -59,7 +59,8 @@ def test_streaming_post_completes(world):
     got = []
 
     def flow():
-        request = HttpRequest("POST", "/up", body_size=3000, streaming=True)
+        request = HttpRequest("POST", "/up", body_size=3000, streaming=True,
+                              id=1)
         conn.send(request, size=300)
         for seq in range(1, 4):
             conn.send(BodyChunk(request.id, 1000, seq, is_last=(seq == 3)),
@@ -82,7 +83,8 @@ def test_incomplete_replay_rejected_with_400(world):
     got = []
 
     def flow():
-        request = HttpRequest("POST", "/up", body_size=5000, streaming=True)
+        request = HttpRequest("POST", "/up", body_size=5000, streaming=True,
+                              id=1)
         conn.send(request, size=300)
         conn.send(BodyChunk(request.id, 1000, 1, is_last=True), size=1000)
         item = yield conn.recv()
@@ -107,7 +109,7 @@ def test_body_complete_post_is_answered_before_the_old_process_exits(
 
     def flow():
         request = HttpRequest("POST", "/up", body_size=2000,
-                              streaming=True, version="2")
+                              streaming=True, version="2", id=1)
         conn.send(request, size=300)
         conn.send(BodyChunk(request.id, 1000, 1), size=1000)
         world.env.process(getattr(server, end_drain)())
@@ -135,7 +137,7 @@ def test_restart_sends_379_for_inflight_posts(world):
 
     def flow():
         request = HttpRequest("POST", "/up", body_size=10_000_000,
-                              streaming=True, version="2")
+                              streaming=True, version="2", id=1)
         conn.send(request, size=300)
         conn.send(BodyChunk(request.id, 5000, 1), size=5000)
         conn.send(BodyChunk(request.id, 5000, 2), size=5000)
@@ -164,7 +166,7 @@ def test_restart_sends_500_without_ppr(world):
 
     def flow():
         request = HttpRequest("POST", "/up", body_size=10_000_000,
-                              streaming=True)
+                              streaming=True, id=1)
         conn.send(request, size=300)
         conn.send(BodyChunk(request.id, 5000, 1), size=5000)
         yield world.env.timeout(0.5)

@@ -29,8 +29,6 @@ from repro.clients.quic import QuicWorkloadConfig
 from repro.clients.web import WebWorkloadConfig
 from repro.cohorts import CohortPolicy
 from repro.experiments.common import build_deployment
-from repro.invariants import runtime as invariant_runtime
-from tests.differential import reset_id_allocators
 from repro.proxygen.config import ProxygenConfig
 from repro.release.orchestrator import RollingRelease, RollingReleaseConfig
 from repro.resilience import ResilienceConfig
@@ -143,13 +141,13 @@ def _client_totals(deployment, prefix):
 
 
 def _run_case(case, cohorts):
-    reset_id_allocators()
     deployment = build_deployment(cohorts=cohorts, **case.build)
     if case.stress is not None:
         deployment.run(until=case.stress_at)
         case.stress(deployment)
     deployment.run(until=case.until)
-    verdicts = sorted(str(v) for v in invariant_runtime.drain())
+    verdicts = sorted(
+        str(v) for v in deployment.run_record.suite.finalize())
     mechanisms = {
         name: deployment.metrics.aggregate(name)
         for name in case.server_mechanisms}

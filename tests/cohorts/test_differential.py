@@ -33,8 +33,7 @@ from repro.clients.web import WebWorkloadConfig
 from repro.cohorts import CohortPolicy, modeled
 from repro.experiments.common import (build_deployment,
                                       build_regional_deployment)
-from repro.invariants import runtime as invariant_runtime
-from tests.differential import full_snapshot, reset_id_allocators
+from tests.differential import full_snapshot
 from repro.proxygen.config import ProxygenConfig
 from repro.regions import evacuate_region
 from repro.release.orchestrator import RollingRelease, RollingReleaseConfig
@@ -57,7 +56,6 @@ LATENCY_QUANTILES = ("client/get_latency", "client/post_latency")
 
 def _run(seed, cohorts=None, duration=16.0):
     """One figure-shaped run; returns (deployment, snapshot, verdicts)."""
-    reset_id_allocators()
     deployment = build_deployment(
         seed=seed,
         edge_proxies=3,
@@ -74,7 +72,8 @@ def _run(seed, cohorts=None, duration=16.0):
                              RollingReleaseConfig(batch_fraction=1.0))
     deployment.env.process(release.execute())
     deployment.run(until=duration)
-    verdicts = sorted(str(v) for v in invariant_runtime.drain())
+    verdicts = sorted(
+        str(v) for v in deployment.run_record.suite.finalize())
     return deployment, full_snapshot(deployment), verdicts
 
 
@@ -170,7 +169,6 @@ def _run_regional(seed, cohorts=None):
     """2 regions × 2 PoPs (MQTT user ids continue across four PoPs),
     region r1 evacuated under load — cross-region DCR is the mechanism
     the client code has to get identically right."""
-    reset_id_allocators()
     deployment = build_regional_deployment(
         seed=seed, regions=2, pops_per_region=2, proxies_per_pop=2,
         edge_config=ProxygenConfig(mode="edge", drain_duration=2.0,
@@ -182,7 +180,8 @@ def _run_regional(seed, cohorts=None):
     evacuation = deployment.env.process(evacuate_region(deployment, "r1"))
     deployment.run(until=30.0)
     assert evacuation.triggered and evacuation.value.sessions_transferred
-    verdicts = sorted(str(v) for v in invariant_runtime.drain())
+    verdicts = sorted(
+        str(v) for v in deployment.run_record.suite.finalize())
     return deployment, full_snapshot(deployment), verdicts
 
 

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.invariants import runtime as invariant_runtime
 from repro.metrics import MetricsRegistry
 from repro.netsim import Host, LinkProfile, Network
+from repro.options import current, use
 from repro.simkernel import Environment, RandomStreams
 
 
@@ -37,11 +37,13 @@ def _invariant_guard():
     Any test that builds a deployment through the experiment harness
     (``experiments.common.build_deployment``) silently runs under the
     full invariant suite; a violation fails the test here even if its
-    own assertions passed.
+    own assertions passed.  The test runs in one ``use()`` block, which
+    hands back every run built in it.
     """
-    invariant_runtime.drain()  # a prior test may have left suites behind
-    yield
-    violations = invariant_runtime.drain()
+    with use(current()) as runs:
+        yield
+    violations = [v for run in runs if run.suite is not None
+                  for v in run.suite.finalize()]
     assert not violations, (
         "invariant violations during test: "
         + "; ".join(str(v) for v in violations[:5]))

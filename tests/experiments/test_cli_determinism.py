@@ -6,27 +6,29 @@ CI has long double-run/byte-diffed ``opsloop``, ``regionevac``,
 captured stdout).  That check only ran on CI machines;
 these tests run the identical comparison in-process via ``main()`` and
 ``capsys``, so `pytest` alone catches a determinism regression — a
-stray wall-clock read, an unseeded RNG, an ID allocator bleeding into
-printed output — before it lands.
+stray wall-clock read, an unseeded RNG, one run's state bleeding into
+the next one's printed output — before it lands.
 
 Only the ``(X.Xs wall)`` timing line is stripped (the one intentional
 wall-clock read); everything else must match byte for byte, including
 the sparkline-free rows, claim verdicts, and invariant summaries.
 """
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.experiments.__main__ import main
-from tests.differential import reset_id_allocators
 
 #: The deliberately-nondeterministic output: the wall-time footer.
 _WALL = re.compile(r"^\s*\(\d+\.\d+s wall\)\s*$", re.MULTILINE)
 
 
 def _run_cli(argv, capsys):
-    reset_id_allocators()
     code = main([*argv, "--no-plots"])
     out = capsys.readouterr().out
     return code, _WALL.sub("", out)
@@ -71,3 +73,19 @@ def test_cli_output_is_not_vacuous(capsys):
     _, out = _run_cli(["opsloop"], capsys)
     assert "== " in out and " = " in out, "no result rows printed"
     assert _WALL.search(out) is None, "wall-time line survived stripping"
+
+
+def test_a_figure_after_another_prints_its_standalone_bytes(capsys):
+    """What ``all`` relies on: nothing is reset between two figures in
+    one process, and the second prints what it prints in a fresh
+    interpreter.  Both draw request and QUIC connection ids (fig13's
+    mix, fig10's flows), and each run counts its own from the start."""
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    standalone = subprocess.run(
+        [sys.executable, "-m", "repro.experiments", "fig10", "--no-plots"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src}).stdout
+    _run_cli(["fig13"], capsys)
+    code, after = _run_cli(["fig10"], capsys)
+    assert code == 0
+    assert after == _WALL.sub("", standalone)

@@ -10,8 +10,8 @@ aggregate-fidelity cohort policy and must stay clean.
 Replaying each file twice in one process and comparing stats is exactly
 the guarantee ``python -m repro.fuzz --repro FILE`` sells: a repro file
 is a *complete* description of its run, with no hidden state bleeding
-between runs (module-global ID allocators are the classic leak — which
-is why :func:`reset_id_allocators` exists and is part of the contract).
+between runs: each run draws its request and connection ids from its
+own record, so nothing is rewound in between.
 """
 
 import pathlib
@@ -20,7 +20,6 @@ import pytest
 
 from repro.fuzz.runner import run_scenario
 from repro.fuzz.scenario import Scenario
-from tests.differential import reset_id_allocators
 
 REPRO_DIR = pathlib.Path(__file__).parent / "repros"
 
@@ -34,7 +33,6 @@ REPROS = {
 
 def _replay(path):
     scenario = Scenario.from_json(path.read_text())
-    reset_id_allocators()
     return run_scenario(scenario)
 
 

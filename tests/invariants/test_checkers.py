@@ -11,9 +11,10 @@ from repro.invariants import (
     InvariantSuite,
     make_checkers,
 )
-from repro.invariants import runtime as invariant_runtime
 from repro.cluster.deployment import Deployment
 from repro.cluster.spec import DeploymentSpec
+from repro.experiments.common import build_deployment
+from repro.options import RunOptions, use
 from repro.release.orchestrator import RollingRelease, RollingReleaseConfig
 
 
@@ -141,22 +142,16 @@ def test_finalize_is_idempotent():
 
 
 def test_runtime_install_and_drain():
-    deployment = Deployment(_tiny_spec())
-    suite = invariant_runtime.install(deployment)
-    assert suite._on_announce in deployment.run_record.listeners
-    assert suite in invariant_runtime.active_suites()
-    deployment.start()
+    """A harness-built run carries its suite on its record, and the
+    ``use()`` block it was built in hands that record back."""
+    with use(RunOptions()) as runs:
+        deployment = build_deployment(edge_proxies=1, origin_proxies=1,
+                                      app_servers=1)
+    (run,) = runs
+    assert run is deployment.run_record
+    assert run.suite._on_announce in run.listeners
     deployment.run(until=3.0)
-    assert invariant_runtime.drain() == []
-    assert invariant_runtime.active_suites() == []
-
-
-def test_runtime_can_be_disabled():
-    previous = invariant_runtime.set_enabled(False)
-    try:
-        assert invariant_runtime.install(Deployment(_tiny_spec())) is None
-    finally:
-        invariant_runtime.set_enabled(previous)
+    assert run.suite.finalize() == []
 
 
 # -- planted faults are caught ----------------------------------------------

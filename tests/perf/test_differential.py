@@ -43,7 +43,7 @@ from repro.fuzz.runner import run_scenario
 from repro.fuzz.scenario import generate_scenario
 from repro.invariants import checkers as checkers_mod
 from repro.invariants.base import InvariantChecker
-from tests.differential import full_snapshot, reset_id_allocators
+from tests.differential import full_snapshot
 from repro.simkernel import events as live_kernel
 from repro.simkernel import reference as reference_kernel
 from repro.simkernel.reference import Environment as ReferenceEnvironment
@@ -125,7 +125,6 @@ def _register_trace_checker():
 def run_fuzz(seed: int, env=None):
     scenario = dataclasses.replace(generate_scenario(seed),
                                    duration=DURATION)
-    reset_id_allocators()
     TraceChecker.trace = []
     TraceChecker.snapshot = {}
     with only_kernel(env):
@@ -189,12 +188,10 @@ def _figure_deployment(env=None):
     from repro.clients.mqtt import MqttWorkloadConfig
     from repro.clients.web import WebWorkloadConfig
     from repro.experiments.common import build_deployment
-    from repro.invariants import runtime as invariant_runtime
     from repro.proxygen.config import ProxygenConfig
     from repro.release.orchestrator import (RollingRelease,
                                             RollingReleaseConfig)
 
-    reset_id_allocators()
     with only_kernel(env):
         deployment = build_deployment(
             seed=5,
@@ -213,7 +210,6 @@ def _figure_deployment(env=None):
             RollingReleaseConfig(batch_fraction=1.0))
         deployment.env.process(release.execute())
         deployment.run(until=20.0)
-    invariant_runtime.drain()
     return full_snapshot(deployment)
 
 

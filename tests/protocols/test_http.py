@@ -15,16 +15,21 @@ from repro.protocols import (
     is_valid_ppr_response,
     recover_pseudo_headers,
 )
+from repro.run import RunRecord
 
 
 def test_request_ids_unique():
-    a = HttpRequest("GET", "/")
-    b = HttpRequest("GET", "/")
-    assert a.id != b.id
+    """Unique within one run; the next run counts from 1 again."""
+    run = RunRecord()
+    a = HttpRequest("GET", "/", id=next(run.request_ids))
+    b = HttpRequest("GET", "/", id=next(run.request_ids))
+    assert (a.id, b.id) == (1, 2)
+    assert next(RunRecord().request_ids) == 1
 
 
 def test_clone_for_replay_keeps_identity():
-    original = HttpRequest("POST", "/upload", body_size=1000, user_id=5)
+    original = HttpRequest("POST", "/upload", body_size=1000, user_id=5,
+                           id=7)
     clone = original.clone_for_replay()
     assert clone.id == original.id
     assert clone.body_size == 1000
@@ -48,7 +53,7 @@ def test_ppr_response_strict_validation():
 
 
 def test_pseudo_header_echo_roundtrip():
-    request = HttpRequest("POST", "/upload/video", version="2")
+    request = HttpRequest("POST", "/upload/video", version="2", id=1)
     echoed = echo_pseudo_headers(request)
     assert echoed == {"pseudo-echo-method": "POST",
                       "pseudo-echo-path": "/upload/video"}

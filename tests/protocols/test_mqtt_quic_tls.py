@@ -8,16 +8,15 @@ from repro.protocols import (
     ConnectRefuse,
     MqttPublish,
     QuicConnectionState,
-    QuicPacket,
     QuicStateTable,
     ReConnect,
     ReconnectSolicitation,
     TlsClientHello,
     TlsServerDone,
-    allocate_connection_id,
     client_handshake,
     server_handle_hello,
 )
+from repro.run import RunRecord
 
 
 # -- MQTT -------------------------------------------------------------------
@@ -38,14 +37,11 @@ def test_dcr_messages_carry_user_ids():
 # -- QUIC -------------------------------------------------------------------
 
 def test_connection_ids_unique():
-    ids = {allocate_connection_id() for _ in range(100)}
-    assert len(ids) == 100
-
-
-def test_quic_packet_numbers_increase():
-    a = QuicPacket(connection_id=1)
-    b = QuicPacket(connection_id=1)
-    assert b.packet_number > a.packet_number
+    """Unique within one run; the next run counts from 0x1000 again."""
+    run = RunRecord()
+    ids = {next(run.connection_ids) for _ in range(100)}
+    assert len(ids) == 100 and min(ids) == 0x1000
+    assert next(RunRecord().connection_ids) == 0x1000
 
 
 def test_state_table_ownership():

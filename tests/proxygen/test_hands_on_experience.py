@@ -33,7 +33,7 @@ def test_rogue_379_not_trusted(world):
         conn = yield host.kernel.tcp_connect(proc, stack.edge_https,
                                              via_ip=stack.edge_host.ip)
         request = HttpRequest("POST", "/up", body_size=1000,
-                              streaming=True)
+                              streaming=True, id=1)
         conn.send(request, size=300)
         conn.send(BodyChunk(request.id, 1000, 1, is_last=True), size=1000)
         item = yield conn.recv()
@@ -57,7 +57,7 @@ def test_rogue_status_on_gets_passes_through(world):
     def flow():
         conn = yield host.kernel.tcp_connect(proc, stack.edge_https,
                                              via_ip=stack.edge_host.ip)
-        conn.send(HttpRequest("GET", "/api"), size=300)
+        conn.send(HttpRequest("GET", "/api", id=1), size=300)
         item = yield conn.recv()
         got.append(item.payload)
 

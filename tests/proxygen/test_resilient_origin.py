@@ -48,7 +48,7 @@ def _gets(stack, count, settle=12.0):
         conn = yield host.kernel.tcp_connect(proc, stack.edge_https,
                                              via_ip=stack.edge_host.ip)
         for _ in range(count):
-            conn.send(HttpRequest("GET", "/api/feed"), size=300)
+            conn.send(HttpRequest("GET", "/api/feed", id=1), size=300)
             item = yield conn.recv()
             got.append(item.payload)
 
@@ -118,7 +118,7 @@ def _occupy_only_slot(stack, server):
     def flow():
         conn = yield host.kernel.tcp_connect(proc, server.endpoint)
         request = HttpRequest("POST", "/up", body_size=10_000_000,
-                              streaming=True)
+                              streaming=True, id=1)
         conn.send(request, size=300)
         conn.send(BodyChunk(request.id, 1000, 1), size=1000)
 

@@ -23,7 +23,7 @@ def test_cacheable_request_served_at_edge(stack):
         conn = yield host.kernel.tcp_connect(proc, stack.edge_https,
                                              via_ip=stack.edge_host.ip)
         conn.send(HttpRequest("GET", "/static/logo",
-                              headers={"cacheable": "1"}), size=300)
+                              headers={"cacheable": "1"}, id=1), size=300)
         item = yield conn.recv()
         got.append(item.payload)
 
@@ -43,7 +43,7 @@ def test_dynamic_request_forwarded_to_app(stack):
     def flow():
         conn = yield host.kernel.tcp_connect(proc, stack.edge_https,
                                              via_ip=stack.edge_host.ip)
-        conn.send(HttpRequest("GET", "/api/feed"), size=300)
+        conn.send(HttpRequest("GET", "/api/feed", id=1), size=300)
         item = yield conn.recv()
         got.append(item.payload)
 
@@ -65,7 +65,8 @@ def test_tls_then_request(stack):
         conn.send(TlsClientHello(), size=320)
         hello = yield conn.recv()
         got.append(hello.payload)
-        conn.send(HttpRequest("GET", "/x", headers={"cacheable": "1"}),
+        conn.send(HttpRequest("GET", "/x", headers={"cacheable": "1"},
+                              id=1),
                   size=300)
         item = yield conn.recv()
         got.append(item.payload)
@@ -85,7 +86,7 @@ def test_streaming_post_end_to_end(stack):
         conn = yield host.kernel.tcp_connect(proc, stack.edge_https,
                                              via_ip=stack.edge_host.ip)
         request = HttpRequest("POST", "/upload", body_size=3000,
-                              streaming=True)
+                              streaming=True, id=1)
         conn.send(request, size=300)
         for seq in (1, 2, 3):
             conn.send(BodyChunk(request.id, 1000, seq, is_last=(seq == 3)),
@@ -132,7 +133,7 @@ def test_request_with_all_apps_down_gets_500(stack):
     def flow():
         conn = yield host.kernel.tcp_connect(proc, stack.edge_https,
                                              via_ip=stack.edge_host.ip)
-        conn.send(HttpRequest("GET", "/api"), size=300)
+        conn.send(HttpRequest("GET", "/api", id=1), size=300)
         item = yield conn.recv()
         got.append(item.payload)
 
@@ -158,7 +159,7 @@ def test_app_restart_midrequest_retried_transparently(stack):
         conn = yield host.kernel.tcp_connect(proc, stack.edge_https,
                                              via_ip=stack.edge_host.ip)
         for i in range(8):
-            conn.send(HttpRequest("GET", f"/api/{i}"), size=300)
+            conn.send(HttpRequest("GET", f"/api/{i}", id=i + 1), size=300)
             item = yield conn.recv()
             got.append(item.payload.status)
             yield stack.env.timeout(0.1)

@@ -31,8 +31,6 @@ from repro.clients.web import WebWorkloadConfig
 from repro.experiments.common import (build_deployment,
                                       build_regional_deployment)
 from repro.faults import FaultPlan, FaultSpec
-from repro.invariants import runtime as invariant_runtime
-from tests.differential import reset_id_allocators
 from repro.regions import evacuate_region
 from repro.release.orchestrator import RollingRelease, RollingReleaseConfig
 from repro.shard import counters_snapshot
@@ -62,7 +60,6 @@ def _workload() -> WebWorkloadConfig:
 
 
 def _build(seed: int, splice: bool, fault_plan=None):
-    reset_id_allocators()
     return build_deployment(
         seed=seed,
         edge_proxies=3,
@@ -75,7 +72,8 @@ def _build(seed: int, splice: bool, fault_plan=None):
 
 def _finish(deployment):
     deployment.run(until=HORIZON)
-    verdicts = sorted(str(v) for v in invariant_runtime.drain())
+    verdicts = sorted(
+        str(v) for v in deployment.run_record.suite.finalize())
     return deployment, _aggregate(deployment.metrics), verdicts
 
 
@@ -204,7 +202,6 @@ def _run_evacuation(seed: int, splice: bool):
     governor (default drains: long enough to see the in-flight work
     out, so the run stays finite-work); MQTT users ride along so the
     evacuation has sessions to re-home across regions."""
-    reset_id_allocators()
     deployment = build_regional_deployment(
         seed=seed, regions=2, proxies_per_pop=2, web_workload=_workload(),
         splice=SpliceConfig() if splice else None)

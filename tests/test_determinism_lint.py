@@ -38,21 +38,11 @@ ALLOWED = {
 #: *and* on a listed name that is gone, so this only ever shrinks.
 SHARED_STATE = {
     "options.py": {
-        "_current": "the one sanctioned slot: use()/current()"},
+        "_current": "the one sanctioned slot: the options in force and "
+                    "the run lists of the open use() blocks"},
     "run.py": {
         "_records_by_env": "environment -> its run's record; keys and "
                            "values weak, an entry dies with its run"},
-    "invariants/runtime.py": {
-        "_suites": "drain registry the tier-1 _invariant_guard reads",
-        "_enabled": "its on/off switch (conftest)"},
-    "trace/runtime.py": {
-        "_installed": "drain registry the CLI reads"},
-    # Cosmetic ID allocators; run-owned once there is a RunContext
-    # (ROADMAP 3e).  tests.differential.reset_id_allocators rewinds them.
-    "protocols/http.py": {"_request_ids": "ROADMAP 3(e)"},
-    "protocols/quic.py": {"_cid_counter": "ROADMAP 3(e)",
-                          "_packet_numbers": "ROADMAP 3(e)"},
-    "netsim/process.py": {"_pids": "ROADMAP 3(e)"},
 }
 
 #: Besides ``simkernel/resources.py``, which defines it, the modules

@@ -22,7 +22,6 @@ from repro.resilience import ResilienceConfig
 from repro.shard import run_sharded
 from repro.splice import SpliceConfig
 from repro.trace import TraceConfig
-from repro.trace import runtime as trace_runtime
 
 FAST_EDGE = ProxygenConfig(mode="edge", drain_duration=1.0, spawn_delay=0.2)
 #: Every other request an upload past ``splice.MIN_BULK_BYTES``.
@@ -184,13 +183,10 @@ def test_option_reaches_every_component(field, topology, build):
     after construction."""
     make, check = MATRIX[field]
     options = RunOptions(**{field: make()})
-    try:
-        dep = BUILDS[build](topology, options)
-        assert current() == RunOptions()
-        assert dep.options is dep.run_record.options is options
-        check(dep, options)
-    finally:
-        trace_runtime.drain()
+    dep = BUILDS[build](topology, options)
+    assert current() == RunOptions()
+    assert dep.options is dep.run_record.options is options
+    check(dep, options)
 
 
 @pytest.mark.parametrize("topology", TOPOLOGIES)
@@ -225,6 +221,21 @@ def test_use_restores_previous_options_on_exception():
                 raise RuntimeError("boom")
         assert current() is outer
     assert current() == RunOptions()
+
+
+def test_use_hands_back_the_runs_built_in_it():
+    """Every open block hears of each topology built inside it, nested
+    blocks included, in build order — however the options reach it."""
+    with use(RunOptions(lb_scheme="stateful")) as outer:
+        single = Deployment(DeploymentSpec(edge_config=FAST_EDGE))
+        with use(RunOptions()) as inner:
+            regional = RegionalDeployment(
+                RegionalSpec(regions=1),
+                options=RunOptions(lb_scheme="concury"))
+    assert outer == [single.run_record, regional.run_record]
+    assert inner == [regional.run_record]
+    assert single.run_record.options.lb_scheme == "stateful"
+    assert regional.run_record.options.lb_scheme == "concury"
 
 
 def test_explicit_options_argument_beats_current():
@@ -303,13 +314,17 @@ def test_sharded_run_under_options_equals_single_shard():
                         partition_network_rng=True)
     # Fault plans and load shapes do not shard; everything else crosses.
     options = replace(_full_options(), fault_plan=None, load_shape=None)
-    one = run_sharded(spec, until=10.0, shards=1, options=options)
-    # The in-process arm hands its collector to the CLI's drain, as
-    # build_deployment does; a forked worker's stays in the worker.
-    (collector,) = trace_runtime.drain()
-    assert collector.config is options.trace and collector.traces()
-    two = run_sharded(spec, until=10.0, shards=2, options=options)
-    assert trace_runtime.drain() == []
+    with use(options) as runs:
+        one = run_sharded(spec, until=10.0, shards=1, options=options)
+    # The in-process arm's run reaches the enclosing block, suite and
+    # collector on its record, as build_deployment's does; a forked
+    # worker's stays in the worker.
+    (run,) = runs
+    assert run.suite is not None
+    assert run.tracer.config is options.trace and run.tracer.traces()
+    with use(options) as runs:
+        two = run_sharded(spec, until=10.0, shards=2, options=options)
+    assert runs == []
     assert two.counters == one.counters
     assert two.violations == one.violations == []
     # The options reached the workers: resilience scopes exist.

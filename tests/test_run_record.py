@@ -7,7 +7,9 @@ component to a listener, and no two runs can hear each other.
 import gc
 import weakref
 
-from repro import Deployment, DeploymentSpec
+from repro import Deployment, DeploymentSpec, options
+from repro.clients.quic import QuicWorkloadConfig
+from repro.clients.web import WebWorkloadConfig
 from repro.invariants import InvariantChecker, InvariantSuite
 from repro.metrics.registry import MetricsRegistry
 from repro.netsim.host import Host
@@ -103,7 +105,12 @@ def test_an_entry_dies_with_its_run():
     assert [ref() for ref in refs] == [None, None, None]
 
 
-def test_a_whole_deployment_dies_with_its_run():
+def test_a_whole_deployment_dies_with_its_run(monkeypatch):
+    """Outside every ``use()`` block, as the bench runs: nothing but the
+    run's own objects holds it.  (Inside one, the block's run list does
+    — that is what the block is for — so the test steps out of the
+    guard's.)"""
+    monkeypatch.setattr(options, "_current", (options.current(), ()))
     dep = Deployment(_tiny_spec())
     InvariantSuite(dep, checkers=[_Recorder()]).attach()
     dep.start()
@@ -141,6 +148,42 @@ def test_a_listener_subscribed_after_the_build_is_heard():
     assert names[0] == "release_begin" and names[-1] == "release_end"
     assert "takeover_begin" in names and "takeover_end" in names
     assert "drain_begin" in names
+
+
+def _ids_a_run_draws():
+    """Request ids of the POSTs the app tier applied and the QUIC
+    connection ids the edge tier owns, after a short run."""
+    dep = Deployment(_tiny_spec(
+        web_client_hosts=1, quic_client_hosts=1,
+        web_workload=WebWorkloadConfig(clients_per_host=4, think_time=0.5,
+                                       post_fraction=1.0,
+                                       post_size_min=1000,
+                                       post_size_cap=2000),
+        quic_workload=QuicWorkloadConfig(flows_per_host=4)))
+    posts = []
+
+    def note_post(name, **fields):
+        if name == "post_applied":
+            posts.append(fields["request_id"])
+
+    dep.run_record.subscribe(note_post)
+    dep.start()
+    dep.run(until=8.0)
+    cids = sorted(cid for server in dep.edge_servers
+                  for cid in server.active_instance.quic_states
+                  .connection_ids())
+    return posts, cids
+
+
+def test_a_runs_ids_are_its_own():
+    """Two runs in one process, nothing rewound in between: each draws
+    request ids from 1 and connection ids from 0x1000."""
+    first = _ids_a_run_draws()
+    second = _ids_a_run_draws()
+    posts, cids = first
+    assert posts and cids
+    assert min(posts) == 1 and min(cids) == 0x1000
+    assert second == first
 
 
 def test_a_grown_edge_proxy_is_heard_with_no_wiring():

@@ -2,7 +2,7 @@
 
 These are the load-bearing properties of the tracing subsystem: a traced
 run must replay exactly (trace ids from the seeded stream, span times
-from the sim clock, no process-global message ids in the export), and a
+from the sim clock, no message ids in the export), and a
 fuzz repro file must round-trip the trace of the violating run.
 """
 
@@ -21,7 +21,6 @@ from repro.regions import evacuate_region
 from repro.release.orchestrator import RollingRelease, RollingReleaseConfig
 from repro.trace import TraceConfig
 from repro.options import RunOptions, use
-from repro.trace import runtime as trace_runtime
 
 
 def _traced_run(seed: int) -> str:
@@ -34,33 +33,27 @@ def _traced_run(seed: int) -> str:
         description="deterministic slowdown")
     options = RunOptions(trace=TraceConfig(sample_rate=1.0,
                                            max_traces=500))
-    try:
-        with use(options):
-            deployment = build_deployment(
-                seed=seed, edge_proxies=2, origin_proxies=1,
-                app_servers=2,
-                edge_config=ProxygenConfig(mode="edge", drain_duration=3.0,
-                                           spawn_delay=0.5),
-                web=WebWorkloadConfig(clients_per_host=6, think_time=0.6,
-                                      post_fraction=0.2),
-                mqtt=MqttWorkloadConfig(users_per_host=4,
-                                        publish_interval=2.0),
-                fault_plan=plan)
-        deployment.run(until=6.0)
-        release = RollingRelease(deployment.env, deployment.edge_servers,
-                                 RollingReleaseConfig(batch_fraction=0.5))
-        deployment.env.process(release.execute())
-        deployment.run(until=16.0)
-        (collector,) = trace_runtime.drain()
-        return collector.to_json()
-    finally:
-        trace_runtime.drain()
+    with use(options):
+        deployment = build_deployment(
+            seed=seed, edge_proxies=2, origin_proxies=1,
+            app_servers=2,
+            edge_config=ProxygenConfig(mode="edge", drain_duration=3.0,
+                                       spawn_delay=0.5),
+            web=WebWorkloadConfig(clients_per_host=6, think_time=0.6,
+                                  post_fraction=0.2),
+            mqtt=MqttWorkloadConfig(users_per_host=4,
+                                    publish_interval=2.0),
+            fault_plan=plan)
+    deployment.run(until=6.0)
+    release = RollingRelease(deployment.env, deployment.edge_servers,
+                             RollingReleaseConfig(batch_fraction=0.5))
+    deployment.env.process(release.execute())
+    deployment.run(until=16.0)
+    return deployment.run_record.tracer.to_json()
 
 
 def test_same_seed_runs_export_byte_identical_json():
-    # Two runs in the same process: the process-global message counters
-    # (HttpRequest.id etc.) have advanced between them, so equality here
-    # proves those ids never leak into the export.
+    # Two runs in the same process, nothing reset in between.
     first = _traced_run(5)
     second = _traced_run(5)
     assert first == second
@@ -80,13 +73,9 @@ def _window_run(build, drive) -> dict:
     exported twice over (the export is what must be byte-equal)."""
     exports = []
     for _ in range(2):
-        try:
-            deployment = build()
-            drive(deployment)
-            (collector,) = trace_runtime.drain()
-            exports.append(collector.to_json())
-        finally:
-            trace_runtime.drain()
+        deployment = build()
+        drive(deployment)
+        exports.append(deployment.run_record.tracer.to_json())
     assert exports[0] == exports[1]
     # Scalars only: an object's repr would carry an ``id()``.
     assert " at 0x" not in exports[0]
