@@ -106,6 +106,11 @@ class TcpEndpoint:
     instance terminated" into user-visible connection resets.
     """
 
+    __slots__ = ("kernel", "local", "remote", "remote_host_ip", "inbox",
+                 "inbox_deliver", "owner", "conn", "peer", "closed", "reset",
+                 "fin_received", "bytes_sent", "next_in_order_arrival",
+                 "app_state")
+
     def __init__(self, kernel: "Kernel", local: Endpoint, remote: Endpoint,
                  remote_host_ip: str):
         self.kernel = kernel

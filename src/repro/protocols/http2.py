@@ -24,6 +24,20 @@ demux belongs to the OS process ``start`` was given:
 * frames the socket queued before ``start`` go through a one-shot task
   — after the caller's code, at the same instant, in arrival order — so
   ``start()`` then ``send_goaway()`` still refuses them.
+
+A stream lives in :attr:`H2Connection.streams` only while it is open.
+It leaves the moment it closes — both halves ended (``end_stream`` sent
+and received, in either order) or reset (either side's RST_STREAM, or
+the transport's death) — so a long-lived Edge↔Origin connection holds
+what it carries now, not every request it ever carried; whoever still
+holds the stream keeps reading its inbox.  A late frame for a forgotten
+stream is dropped, as HTTP/2 ignores frames on a closed stream.  For a
+*peer* stream that needs an id guard: a peer opens its stream ids in
+increasing order (every caller sends on a stream as it opens it), so a
+peer id at or below the highest one accepted is a stream we already
+knew.  Without the guard, a late DATA frame — one that crossed our
+RST_STREAM, say — would be accepted as a brand-new stream, or refused
+with an RST_STREAM of its own once GOAWAY was sent.
 """
 
 from __future__ import annotations
@@ -70,7 +84,10 @@ class H2Frame:
 
 
 class H2Stream:
-    """One multiplexed stream."""
+    """One multiplexed stream; its connection forgets it once closed."""
+
+    __slots__ = ("conn", "id", "inbox", "local_closed", "remote_closed",
+                 "reset")
 
     def __init__(self, conn: "H2Connection", stream_id: int):
         self.conn = conn
@@ -93,6 +110,8 @@ class H2Stream:
             raise H2Error(f"stream {self.id} closed locally")
         if end_stream:
             self.local_closed = True
+            if self.remote_closed:
+                self.conn.streams.pop(self.id, None)
         self.conn.send_frame(H2Frame(
             stream_id=self.id, type=frame_type, payload=payload,
             end_stream=end_stream, size=size))
@@ -105,6 +124,7 @@ class H2Stream:
         """Abort the stream (RST_STREAM)."""
         if not self.reset:
             self.reset = True
+            self.conn.streams.pop(self.id, None)
             self.conn.send_frame(H2Frame(
                 stream_id=self.id, type=FrameType.RST_STREAM, size=32))
 
@@ -113,6 +133,8 @@ class H2Stream:
             self.reset = True
         if frame.end_stream:
             self.remote_closed = True
+        if self.closed:
+            self.conn.streams.pop(self.id, None)
         self.conn._wake(self.inbox, frame)
 
 
@@ -130,6 +152,7 @@ class H2Connection:
         self.endpoint = endpoint
         self.env = endpoint.kernel.env
         self.role = role
+        #: Open streams only, in open order (see the module docstring).
         self.streams: dict[int, H2Stream] = {}
         #: New streams opened by the peer, awaiting accept_stream().
         self.incoming: Store = self.env.make_store()
@@ -231,16 +254,16 @@ class H2Connection:
         stream = self.streams.get(stream_id)
         if stream is not None:
             stream._deliver(frame)
-        elif not self._is_peer_stream(stream_id):
-            return  # frame for a forgotten local stream: drop
+        elif (not self._is_peer_stream(stream_id)
+                or stream_id <= self._highest_peer_stream):
+            return  # frame for a forgotten stream: drop
         elif self.goaway_sent:
             # Raced with our GOAWAY: refuse the new stream.
             self.send_frame(H2Frame(
                 stream_id=stream_id, type=FrameType.RST_STREAM, size=32))
         else:
             stream = self.streams[stream_id] = H2Stream(self, stream_id)
-            self._highest_peer_stream = max(
-                self._highest_peer_stream, stream_id)
+            self._highest_peer_stream = stream_id
             stream._deliver(frame)  # nobody reads a stream this new
             self._wake(self.incoming, stream)
 
@@ -251,10 +274,11 @@ class H2Connection:
     def _on_transport_down(self) -> None:
         self.broken = True
         # ``put``, not ``deliver``: a handler resumed inside this loop
-        # could open a stream.  Readers wake in order, the accept loop last.
+        # could open a stream.  Readers wake in order, the accept loop last;
+        # every stream still known is open, and every one is reset now.
         for stream in self.streams.values():
-            if not stream.closed:
-                stream.reset = True
-                stream.inbox.put(H2Frame(
-                    stream_id=stream.id, type=FrameType.RST_STREAM, size=0))
+            stream.reset = True
+            stream.inbox.put(H2Frame(
+                stream_id=stream.id, type=FrameType.RST_STREAM, size=0))
+        self.streams.clear()
         self.incoming.put(None)

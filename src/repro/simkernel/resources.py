@@ -102,6 +102,8 @@ class StoreGetEvent(Event):
 class Store:
     """An unbounded FIFO store of items; ``get`` blocks while it is empty."""
 
+    __slots__ = ("env", "items", "_get_queue")
+
     def __init__(self, env: Environment):
         self.env = env
         self.items: list[Any] = []

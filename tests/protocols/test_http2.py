@@ -1,5 +1,6 @@
 """HTTP/2-lite: multiplexing, GOAWAY, transport failure propagation,
-and who demultiplexes frames when (the three ownership cases at the
+what a closed stream leaves behind (nothing in ``streams``), and who
+demultiplexes frames when (the three ownership cases at the
 end hold whoever runs the demux: a dispatcher process or the delivery
 callback itself)."""
 
@@ -228,6 +229,151 @@ def test_a_frame_costs_its_delivery_and_a_new_stream_its_handler_too(world):
         assert seen[-1] == payload
         env.run(until=env.now + 0.1)
         assert env._eid - before == 1
+
+
+# -- what a closed stream leaves behind ------------------------------------------
+
+
+def test_finished_exchanges_leave_no_stream_behind(world):
+    client, server, (cproc, sproc) = _h2_pair(world)
+    replies = []
+
+    def accept_loop():
+        while True:
+            stream = yield server.accept_stream()
+            request = stream.inbox.try_get()
+            stream.send(f"re: {request.payload}", end_stream=True)
+
+    def client_logic():
+        for i in range(50):
+            stream = client.open_stream()
+            stream.send(f"req-{i}", frame_type=FrameType.HEADERS,
+                        end_stream=True)
+            replies.append((yield stream.recv()).payload)
+
+    sproc.run(accept_loop())
+    cproc.run(client_logic())
+    world.env.run(until=2)
+    assert replies == [f"re: req-{i}" for i in range(50)]
+    assert client.streams == {} and server.streams == {}
+
+
+def _open_accepted(client, server, env):
+    """One client stream with HEADERS sent, and the server's side of it."""
+    stream = client.open_stream()
+    stream.send("headers", frame_type=FrameType.HEADERS)
+    env.run(until=env.now + 0.01)
+    peer = server.incoming.try_get()
+    assert peer.id == stream.id and peer.inbox.try_get().payload == "headers"
+    return stream, peer
+
+
+#: How the client's stream gets closed: (stream, peer) -> None steps.
+CLOSING_PATHS = {
+    "sent_then_received": (lambda s, p: s.send("last", end_stream=True),
+                           lambda s, p: p.send("reply", end_stream=True)),
+    "received_then_sent": (lambda s, p: p.send("reply", end_stream=True),
+                           lambda s, p: s.send("last", end_stream=True)),
+    "local_rst": (lambda s, p: s.rst(),),
+    "peer_rst": (lambda s, p: p.rst(),),
+}
+
+
+@pytest.mark.parametrize("path", list(CLOSING_PATHS))
+def test_each_closing_path_forgets_the_stream(world, path):
+    """The client's stream leaves ``client.streams`` once the last step
+    of its closing path has landed, and not before."""
+    client, server, _ = _h2_pair(world)
+    env = world.env
+    stream, peer = _open_accepted(client, server, env)
+    *first, last = CLOSING_PATHS[path]
+    for step in first:
+        step(stream, peer)
+        env.run(until=env.now + 0.01)
+        assert list(client.streams) == [stream.id] and not stream.closed
+    last(stream, peer)
+    env.run(until=env.now + 0.01)
+    assert stream.closed and peer.closed
+    assert client.streams == {} and server.streams == {}
+
+
+def test_a_half_closed_stream_stays_until_its_other_half_closes(world):
+    client, server, _ = _h2_pair(world)
+    env = world.env
+    stream, peer = _open_accepted(client, server, env)
+    stream.send("last", end_stream=True)
+    env.run(until=env.now + 1)
+    assert stream.local_closed and peer.remote_closed
+    assert client.streams == {stream.id: stream}
+    assert server.streams == {peer.id: peer}
+    assert client.open_stream_count() == server.open_stream_count() == 1
+
+    peer.send("reply", end_stream=True)
+    assert server.streams == {}         # both halves closed here and now
+    env.run(until=env.now + 0.01)
+    assert client.streams == {}
+    assert stream.inbox.try_get().payload == "reply"  # still readable
+
+
+@pytest.mark.parametrize("draining", [False, True])
+def test_a_late_frame_for_a_forgotten_peer_stream_is_dropped(world, draining):
+    """The server resets stream 1 while the client's DATA on it is in
+    flight.  That DATA reaches a server that has forgotten the stream:
+    it must not come back as a new stream (accept queue) nor, after
+    GOAWAY, be refused with an RST_STREAM of its own."""
+    client, server, _ = _h2_pair(world)
+    env = world.env
+    stream, peer = _open_accepted(client, server, env)
+    if draining:
+        server.send_goaway()
+    peer.rst()
+    stream.send("late body")            # crosses the RST_STREAM
+    sent = server.endpoint.bytes_sent
+    snapshot = world.metrics.snapshot()
+    env.run(until=env.now + 0.1)
+    assert stream.reset and client.streams == {}
+    assert server.streams == {} and server.incoming.items == []
+    assert server.endpoint.bytes_sent == sent
+    assert world.metrics.snapshot() == snapshot
+
+
+def test_transport_death_resets_exactly_the_open_streams_in_open_order(world):
+    """Of five streams, 3 is reset and 5 finished both ways (forgotten);
+    1 and 7 are open and 9 is half-closed.  The server dying resets 1, 7
+    and 9, waking their readers in open order and the accept loop last,
+    and leaves the closed streams' inboxes alone."""
+    client, server, (cproc, sproc) = _h2_pair(world)
+    env = world.env
+    streams = {}
+    for _ in range(5):
+        stream, peer = _open_accepted(client, server, env)
+        streams[stream.id] = (stream, peer)
+    streams[3][0].rst()
+    streams[5][0].send("last", end_stream=True)
+    streams[5][1].send("reply", end_stream=True)
+    streams[9][0].send("last", end_stream=True)
+    env.run(until=env.now + 0.01)
+    assert list(client.streams) == [1, 7, 9]
+    woke = []
+
+    def reader(stream):
+        woke.append((stream.id, (yield stream.recv()).type))
+
+    def accept_loop():
+        woke.append(("accept", (yield client.accept_stream())))
+
+    cproc.run(accept_loop())
+    for stream_id in (9, 7, 1):         # parked in reverse: order is open order
+        cproc.run(reader(client.streams[stream_id]))
+    env.run(until=env.now + 0.01)
+    sproc.exit("killed")
+    env.run(until=env.now + 0.1)
+    assert woke == [(1, FrameType.RST_STREAM), (7, FrameType.RST_STREAM),
+                    (9, FrameType.RST_STREAM), ("accept", None)]
+    assert client.broken and client.streams == {}
+    assert all(streams[i][0].reset for i in (1, 7, 9))
+    assert streams[3][0].inbox.items == []
+    assert [f.payload for f in streams[5][0].inbox.items] == ["reply"]
 
 
 # -- who owns the demux ---------------------------------------------------------
