@@ -5,12 +5,36 @@ priming) is expressed in *work units*; a host executes
 ``cores × speed`` units per second.  Busy time is recorded into a
 :class:`~repro.metrics.timeline.UtilizationTracker` so experiments can
 read cluster idle-CPU exactly the way the paper does.
+
+A core is a counter
+-------------------
+:class:`CpuModel` owns its cores: ``busy`` counts the cores held and
+``_waiters`` holds one plain ``env.event()`` grant per execution that
+found every core busy.  ``execute`` schedules only its work timeout
+when a core is free; only a queued execution costs one more event, its
+grant.  A finishing execution hands its core to the oldest waiter
+(``succeed()``, FIFO) or frees it.  An interrupt (or ``GeneratorExit``)
+is handled where it lands:
+
+* while queued, before the grant: the waiter leaves the queue;
+* after the grant was scheduled but before the waiter resumed: it
+  holds the core already, so it passes it on to the next waiter;
+* mid-work: the core is handed on and no busy time is recorded.
+
+The busy interval goes straight into the tracker's bucket dict when it
+lies in one bucket (the same ``floor`` / ``_last_bucket`` arithmetic as
+``IntervalAccumulator.add``, so the sums are the same floats); an
+interval across a bucket edge goes through ``add_busy``.
 """
 
 from __future__ import annotations
 
+import math
+from collections import deque
+
 from ..metrics.timeline import UtilizationTracker
 from ..simkernel.core import Environment
+from ..simkernel.events import Event
 
 __all__ = ["CpuModel", "CpuCosts"]
 
@@ -39,18 +63,37 @@ class CpuCosts:
 class CpuModel:
     """A host's CPU: ``cores`` parallel servers of ``speed`` units/sec."""
 
+    __slots__ = ("env", "cores", "speed", "busy", "_waiters", "tracker",
+                 "_buckets", "_bucket_width", "total_busy_seconds")
+
     def __init__(self, env: Environment, cores: int = 8, speed: float = 100.0,
-                 tracker: UtilizationTracker | None = None,
                  bucket_width: float = 1.0):
         if cores <= 0 or speed <= 0:
             raise ValueError("cores and speed must be positive")
         self.env = env
         self.cores = cores
         self.speed = speed
-        self.resource = env.make_resource(capacity=cores)
-        self.tracker = tracker or UtilizationTracker(
-            bucket_width, capacity=cores)
+        #: Cores held, including ones handed to a waiter that has not
+        #: resumed yet.
+        self.busy = 0
+        #: Grants of the work waiting for a core, oldest first.
+        self._waiters: deque[Event] = deque()
+        self.tracker = UtilizationTracker(bucket_width, capacity=cores)
+        self._buckets = self.tracker.busy._buckets
+        self._bucket_width = bucket_width
         self.total_busy_seconds = 0.0
+
+    @property
+    def queue_length(self) -> int:
+        """Number of executions waiting for a core."""
+        return len(self._waiters)
+
+    def _release(self) -> None:
+        """Hand the core to the oldest waiter, or free it."""
+        if self._waiters:
+            self._waiters.popleft().succeed()
+        else:
+            self.busy -= 1
 
     def execute(self, work_units: float):
         """Generator: occupy one core for ``work_units / speed`` seconds.
@@ -60,12 +103,41 @@ class CpuModel:
         """
         if work_units <= 0:
             return
-        with self.resource.request() as request:
-            yield request
-            start = self.env.now
-            yield self.env.timeout(work_units / self.speed)
-            self.tracker.add_busy(start, self.env.now)
-            self.total_busy_seconds += self.env.now - start
+        env = self.env
+        if self.busy < self.cores:
+            self.busy += 1
+        else:
+            grant = env.event()
+            self._waiters.append(grant)
+            try:
+                yield grant
+            except BaseException:
+                if grant.triggered:
+                    self._release()
+                else:
+                    self._waiters.remove(grant)
+                raise
+        start = env._now
+        try:
+            yield env.timeout(work_units / self.speed)
+        except BaseException:
+            self._release()
+            raise
+        end = env._now
+        busy = end - start
+        width = self._bucket_width
+        # ``IntervalAccumulator.add`` for the one-bucket case, inline.
+        first = math.floor(start / width)
+        last = math.floor(end / width)
+        if last * width >= end:
+            last -= 1
+        if first == last and busy:
+            buckets = self._buckets
+            buckets[first] = buckets.get(first, 0.0) + busy
+        else:
+            self.tracker.add_busy(start, end)
+        self.total_busy_seconds += busy
+        self._release()
 
     def background(self, work_units: float) -> None:
         """Fire-and-forget CPU burn (e.g. cache priming of a new instance)."""

@@ -16,7 +16,7 @@ from .events import (
     SimulationError,
     Timeout,
 )
-from .resources import Resource, Store
+from .resources import Store
 from .rng import DistributionSampler, RandomStreams
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "AnyOf",
     "SimulationError",
     "Store",
-    "Resource",
     "RandomStreams",
     "DistributionSampler",
 ]

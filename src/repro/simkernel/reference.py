@@ -17,7 +17,7 @@ DO NOT OPTIMIZE THIS FILE.  It is the oracle, and its code is the
 historical text with no deviations: the two kernels never meet inside a
 run.  Model code builds every event through its environment
 (``env.timeout``, ``env.process``, ``env.any_of``/``env.all_of``,
-``env.make_store``, ``env.make_resource``), so a simulation handed a
+``env.make_store``), so a simulation handed a
 reference :class:`Environment` consists of the classes below and nothing
 else — ``Condition`` included — and the differential compares two whole
 kernels.  Only the sentinels and exception types are shared: model
@@ -27,11 +27,12 @@ What this file no longer carries, and why it was not a reference for
 anything: the tuple naming both kernels' event classes and the
 largest-key bookkeeping in :meth:`Environment.schedule` (shims for
 live-hierarchy events driven by this environment, which no longer
-occur), and the filtering store, the continuous-quantity container and
-their factories (the live kernel lost those primitives, so nothing was
-compared against them).  ``Store`` keeps its capacity, put events and
-filter hook exactly as frozen: the live ``Store`` is compared against
-it.
+occur), and the filtering store, the continuous-quantity container,
+the counted resource and their factories (the live kernel lost those
+primitives, so nothing was compared against them; a host's cores are
+model code, ``netsim.cpu.CpuModel``, the same on both kernels).
+``Store`` keeps its capacity, put events and filter hook exactly as
+frozen: the live ``Store`` is compared against it.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "Store",
-    "Resource",
 ]
 
 # Re-use the live kernel's sentinels and exception types: model code
@@ -512,7 +512,7 @@ class Environment:
         raise StopSimulation(event)
 
     # -- resource factories --------------------------------------------------
-    # The frozen counterparts of ``Environment.make_store`` etc. (attached
+    # The frozen counterpart of ``Environment.make_store`` (attached
     # to the live Environment by ``repro.simkernel.resources``).  A
     # simulation built against a reference environment therefore uses the
     # frozen resource machinery end to end.
@@ -520,10 +520,6 @@ class Environment:
     def make_store(self, capacity: float = float("inf")) -> "Store":
         """A frozen-kernel :class:`Store` bound to this environment."""
         return Store(self, capacity)
-
-    def make_resource(self, capacity: int = 1) -> "Resource":
-        """A frozen-kernel :class:`Resource` bound to this environment."""
-        return Resource(self, capacity)
 
 
 # -- frozen resource primitives ---------------------------------------------
@@ -623,66 +619,3 @@ class Store:
                     get_event.succeed(item)
                     progressed = True
             self._get_queue = remaining
-
-
-class ResourceRequest(Event):
-    """A request for one unit of a :class:`Resource` (frozen kernel)."""
-
-    def __init__(self, resource: "Resource"):
-        super().__init__(resource.env)
-        self.resource = resource
-        self._released = False
-        resource._queue.append(self)
-        resource._trigger()
-
-    def release(self) -> None:
-        """Release the unit held (or withdraw the pending request)."""
-        if self._released:
-            return
-        self._released = True
-        self.resource._release(self)
-
-    def __enter__(self) -> "ResourceRequest":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.release()
-
-
-class Resource:
-    """A counted resource (e.g. CPU cores) with FIFO waiters (frozen kernel)."""
-
-    def __init__(self, env: Environment, capacity: int = 1):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.env = env
-        self.capacity = capacity
-        self.users: list[ResourceRequest] = []
-        self._queue: list[ResourceRequest] = []
-
-    @property
-    def count(self) -> int:
-        """Number of units currently in use."""
-        return len(self.users)
-
-    @property
-    def queue_length(self) -> int:
-        """Number of requests still waiting."""
-        return len(self._queue)
-
-    def request(self) -> ResourceRequest:
-        """Request one unit; returns an event that succeeds on grant."""
-        return ResourceRequest(self)
-
-    def _release(self, request: ResourceRequest) -> None:
-        if request in self.users:
-            self.users.remove(request)
-        elif request in self._queue:
-            self._queue.remove(request)
-        self._trigger()
-
-    def _trigger(self) -> None:
-        while self._queue and len(self.users) < self.capacity:
-            request = self._queue.pop(0)
-            self.users.append(request)
-            request.succeed()

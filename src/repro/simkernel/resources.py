@@ -1,22 +1,18 @@
-"""Shared-resource primitives: stores (queues) and capacity resources.
+"""The kernel's one shared-resource primitive: the store.
 
-These cover all the coordination patterns the network simulation needs:
-
-* :class:`Store` — an unbounded FIFO of items (socket receive queues,
-  accept queues, message mailboxes).
-* :class:`Resource` — a counted resource with FIFO waiters (CPU cores).
+:class:`Store` is an unbounded FIFO of items (socket receive queues,
+accept queues, message mailboxes).  It covers every coordination
+pattern the network simulation needs; a host's cores are a counter its
+:class:`~repro.netsim.cpu.CpuModel` keeps itself.
 
 Only what somebody waits on is scheduled
 ----------------------------------------
-Store and resource operations happen once per packet/request, so they
-schedule an event only where a process can be parked on it:
+Store operations happen once per packet/request, so they schedule an
+event only where a process can be parked on it:
 
 * ``Store.put`` hands the item to the oldest parked getter (that *get*
   event is scheduled) or appends it to ``items``; it returns nothing
   and schedules nothing for itself.
-* A ``Resource.request`` that finds a free unit is born *processed*:
-  ``yield request`` falls straight through the process loop.  Only a
-  queued request is scheduled, when a release grants it.
 * ``Store.deliver`` is ``put`` for a kernel callback that ends by
   feeding a store — a network delivery timeout reaching a socket inbox,
   or the HTTP/2 demux that socket hands its arrivals to (stream inbox,
@@ -29,22 +25,22 @@ schedule an event only where a process can be parked on it:
   registered is born processed (``events.Process._finish``).
 
 The frozen kernel in :mod:`repro.simkernel.reference` still schedules
-every put, grant, get and finish (its ``Store`` has no ``deliver``;
-callers bind ``getattr(store, "deliver", store.put)``).  A put event
-had no waiter — it popped as a no-op — and removing a no-op from the
-schedule changes no other pop; a born-processed grant, and a getter
-woken by ``deliver``, resume their process one same-instant hop
-earlier, which could reorder something only through an exact
-float-time tie with a third event (a delivery timeout that advances
-the clock pops with both same-instant lanes empty).  So a run here
-differs from a reference run in the scheduled-event count
+every put, get and finish (its ``Store`` has no ``deliver``; callers
+bind ``getattr(store, "deliver", store.put)``).  A put event had no
+waiter — it popped as a no-op — and removing a no-op from the schedule
+changes no other pop; a getter woken by ``deliver`` resumes its process
+one same-instant hop earlier, which could reorder something only
+through an exact float-time tie with a third event (a delivery timeout
+that advances the clock pops with both same-instant lanes empty).  So a
+run here differs from a reference run in the scheduled-event count
 (``env._eid``) and in nothing a model observes:
 ``tests/perf/test_differential.py`` holds every other field equal.
 
-Construct these through the :class:`~repro.simkernel.core.Environment`
-factory methods (``env.make_store()``, ``env.make_resource()``), like
-every other event: a simulation driven by the reference environment
-then gets the frozen implementations and never meets these classes.
+Construct a store through the
+:class:`~repro.simkernel.core.Environment` factory method
+(``env.make_store()``), like every other event: a simulation driven by
+the reference environment then gets the frozen implementation and
+never meets these classes.
 """
 
 from __future__ import annotations
@@ -54,7 +50,7 @@ from typing import Any
 from .core import Environment
 from .events import NORMAL, PENDING, Event, _push
 
-__all__ = ["Store", "Resource", "StoreGetEvent", "ResourceRequest"]
+__all__ = ["Store", "StoreGetEvent"]
 
 
 class StoreGetEvent(Event):
@@ -158,114 +154,18 @@ class Store:
         return self.items.pop(0) if self.items else None
 
 
-class ResourceRequest(Event):
-    """A request for one unit of a :class:`Resource`.
-
-    Usable as a context manager inside a process::
-
-        with cpu.request() as req:
-            yield req
-            yield env.timeout(work)
-    """
-
-    __slots__ = ("resource", "_released")
-
-    def __init__(self, resource: "Resource"):
-        env = resource.env
-        self.env = env
-        self._defused = False
-        self.resource = resource
-        self._released = False
-        users = resource.users
-        if not resource._queue and len(users) < resource.capacity:
-            # A free unit and nobody ahead: granted here and now, so
-            # the request is born processed and ``yield request`` does
-            # not park (nothing is scheduled).
-            users.append(self)
-            self._ok = True
-            self._value = None
-            self.callbacks = None
-        else:
-            self.callbacks = []
-            self._ok = None
-            self._value = PENDING
-            resource._queue.append(self)
-            resource._trigger()
-
-    def release(self) -> None:
-        """Release the unit held (or withdraw the pending request)."""
-        if self._released:
-            return
-        self._released = True
-        self.resource._release(self)
-
-    def __enter__(self) -> "ResourceRequest":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.release()
-
-
-class Resource:
-    """A counted resource (e.g. CPU cores) with FIFO waiters."""
-
-    def __init__(self, env: Environment, capacity: int = 1):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.env = env
-        self.capacity = capacity
-        self.users: list[ResourceRequest] = []
-        self._queue: list[ResourceRequest] = []
-
-    @property
-    def count(self) -> int:
-        """Number of units currently in use."""
-        return len(self.users)
-
-    @property
-    def queue_length(self) -> int:
-        """Number of requests still waiting."""
-        return len(self._queue)
-
-    def request(self) -> ResourceRequest:
-        """Request one unit; returns an event that succeeds on grant."""
-        return ResourceRequest(self)
-
-    def _release(self, request: ResourceRequest) -> None:
-        if request in self.users:
-            self.users.remove(request)
-        elif request in self._queue:
-            self._queue.remove(request)
-        self._trigger()
-
-    def _trigger(self) -> None:
-        queue = self._queue
-        users = self.users
-        capacity = self.capacity
-        while queue and len(users) < capacity:
-            request = queue.pop(0)
-            users.append(request)
-            request.succeed()
-
-
-# -- Environment factory methods -------------------------------------------
+# -- Environment factory method --------------------------------------------
 #
 # Attached here (rather than defined on Environment) to avoid a circular
 # import; ``repro.simkernel.__init__`` imports this module, so the
-# factories exist whenever the package is in use.  The frozen reference
-# environment defines its own factories returning the frozen resource
-# classes, which is how differential runs swap the *entire* kernel —
-# events, run loop, and resource machinery — in one place.
+# factory exists whenever the package is in use.  The frozen reference
+# environment defines its own factory returning the frozen store, which
+# is how differential runs swap the *entire* kernel — events, run loop
+# and store — in one place.
 
 def _make_store(self: Environment) -> Store:
     """A :class:`Store` bound to this environment's kernel."""
     return Store(self)
 
 
-def _make_resource(self: Environment, capacity: int = 1) -> Resource:
-    """A :class:`Resource` bound to this environment's kernel."""
-    return Resource(self, capacity)
-
-
 Environment.make_store = _make_store  # type: ignore[attr-defined]
-Environment.make_resource = _make_resource  # type: ignore[attr-defined]

@@ -20,6 +20,7 @@ from repro.experiments import (
     fig15_release_hours,
     fig16_completion_time,
     lb_ablation,
+    resilience,
 )
 from repro.options import current, use
 
@@ -59,6 +60,20 @@ def test_ppr_production_retry_budget_never_fails(seed):
     end (a reset with neither a 200 nor a 379), whatever the budget."""
     result = ablations.run_ppr_retry_budget(seed=seed, budgets=(0, 10))
     assert result.all_claims_hold, result.scalars
+
+
+def test_resilience_baseline_discards_stale_pooled_connections():
+    """A pooled Origin→App connection to the crash-rebooted app server
+    is stale whether or not the data plane is on: the discard-and-redial
+    is the pool's, not a resilience decision.  At seed 1 the baseline
+    arm discards one, which used to fail ``baseline_untouched``."""
+    off = resilience.run_arm(False, seed=1)["decisions"]
+    assert off["idle_discarded"] > 0
+    assert all(count == 0 for name, count in off.items()
+               if name != "idle_discarded")
+    result = resilience.run(seed=1)
+    assert result.all_claims_hold, result.claims
+    assert "idle_discarded" in result.resilience
 
 
 def test_fig02_small_trace_claims_hold():

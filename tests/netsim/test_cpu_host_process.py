@@ -1,7 +1,10 @@
 """CPU model, host plumbing and OS-process lifecycle."""
 
+import random
+
 import pytest
 
+from repro.metrics.timeline import UtilizationTracker
 from repro.netsim import CpuCosts, CpuModel, ProcessDeadError
 from repro.simkernel import Environment, Interrupt
 
@@ -88,6 +91,169 @@ def test_cpu_costs_defaults_sane():
     assert costs.tls_handshake > costs.tcp_handshake
     assert costs.cache_priming > costs.process_spawn
     assert costs.relay_message < costs.http_request
+
+
+# -- the core pool: a counter and a FIFO of grants ---------------------------
+
+
+def test_cpu_serializes_executions():
+    env = Environment()
+    cpu = CpuModel(env, cores=1, speed=1.0)
+    spans = []
+
+    def worker(label):
+        start = env.now
+        yield from cpu.execute(10.0)
+        spans.append((label, start, env.now))
+
+    env.process(worker("a"))
+    env.process(worker("b"))
+    env.run()
+    assert spans == [("a", 0.0, 10.0), ("b", 0.0, 20.0)]
+
+
+def test_cpu_capacity_two_runs_parallel():
+    env = Environment()
+    cpu = CpuModel(env, cores=2, speed=1.0)
+    finished = []
+
+    def worker(label):
+        yield from cpu.execute(10.0)
+        finished.append((label, env.now))
+
+    for label in "abc":
+        env.process(worker(label))
+    env.run(until=5)
+    assert (cpu.busy, cpu.queue_length) == (2, 1)
+    env.run()
+    assert finished == [("a", 10.0), ("b", 10.0), ("c", 20.0)]
+
+
+def test_cpu_interrupted_waiter_leaves_the_queue():
+    env = Environment()
+    cpu = CpuModel(env, cores=1, speed=1.0)
+    env.process(cpu.execute(100.0))
+    impatient = env.process(cpu.execute(1.0))
+
+    def interrupter():
+        yield env.timeout(1)
+        impatient.interrupt("gives up")  # while still queued
+
+    env.process(interrupter())
+    env.run(until=5)
+    assert cpu.queue_length == 0
+    assert cpu.busy == 1
+
+
+def test_cpu_counts():
+    env = Environment()
+    cpu = CpuModel(env, cores=1, speed=1.0)
+    cpu.background(1.0)
+    env.run(until=0.5)
+    assert cpu.busy == 1 and cpu.queue_length == 0
+    env.run()
+    assert cpu.busy == 0 and cpu.queue_length == 0
+
+
+def _queued_trio(env, cpu, done):
+    """A holder of the only core for 10 s, then two waiters of 1 s."""
+    def worker(label, work):
+        yield from cpu.execute(work)
+        done.append((label, env.now))
+
+    return [env.process(worker(label, work))
+            for label, work in (("holder", 10.0), ("first", 1.0),
+                                ("second", 1.0))]
+
+
+def test_cpu_waiter_interrupted_before_its_grant_is_withdrawn():
+    env = Environment()
+    cpu = CpuModel(env, cores=1, speed=1.0)
+    done = []
+    _, first, _ = _queued_trio(env, cpu, done)
+
+    def interrupter():
+        yield env.timeout(2.0)
+        first.interrupt("killed")
+
+    env.process(interrupter())
+    env.run(until=5)
+    assert (cpu.busy, cpu.queue_length) == (1, 1)
+    env.run()
+    # The next waiter gets the core when the holder frees it.
+    assert done == [("holder", 10.0), ("second", 11.0)]
+    assert cpu.total_busy_seconds == 11.0
+    assert cpu.busy == 0 and cpu.queue_length == 0
+
+
+def test_cpu_waiter_interrupted_after_its_grant_passes_the_core_on():
+    env = Environment()
+    cpu = CpuModel(env, cores=1, speed=1.0)
+    done = []
+    waiters = []
+
+    def holder():
+        yield from cpu.execute(10.0)
+        # The release just scheduled the first waiter's grant; it has
+        # not popped, so the waiter holds the core without running.
+        assert (cpu.busy, cpu.queue_length) == (1, 1)
+        waiters[0].interrupt("killed")
+
+    def worker(label):
+        yield from cpu.execute(1.0)
+        done.append((label, env.now))
+
+    env.process(holder())
+    waiters.extend(env.process(worker(label)) for label in ("first", "second"))
+    env.run()
+    assert done == [("second", 11.0)]
+    assert cpu.total_busy_seconds == 11.0
+    assert cpu.busy == 0 and cpu.queue_length == 0
+
+
+def test_cpu_busy_buckets_equal_add_busy_exactly():
+    """The inlined one-bucket accounting builds the very dict
+    ``UtilizationTracker.add_busy`` builds from the same intervals."""
+    rng = random.Random(7)
+    width = 0.5
+    intervals = []
+    for _ in range(400):
+        kind = rng.randrange(4)
+        if kind == 0:       # inside one bucket
+            start = rng.uniform(0, 50)
+            duration = rng.uniform(0, 0.3) * width
+        elif kind == 1:     # across one or more bucket edges
+            start = rng.uniform(0, 50)
+            duration = rng.uniform(width, 3 * width)
+        elif kind == 2:     # ends exactly on a bucket edge
+            duration = rng.choice((0.125, 0.25, 0.375, 0.5)) * width
+            start = rng.randrange(1, 100) * width - duration
+        else:               # starts exactly on a bucket edge
+            start = rng.randrange(0, 100) * width
+            duration = rng.choice((0.125, 0.25, 1.5)) * width
+        intervals.append((start, duration))
+
+    env = Environment()
+    cpu = CpuModel(env, cores=len(intervals), speed=1.0, bucket_width=width)
+    finished = []
+
+    def worker(start, duration):
+        yield env.timeout(start)
+        begun = env.now
+        yield from cpu.execute(duration)
+        finished.append((begun, env.now))
+
+    for start, duration in intervals:
+        env.process(worker(start, duration))
+    env.run()
+
+    expected = UtilizationTracker(width, capacity=len(intervals))
+    total = 0.0
+    for start, end in finished:   # the order the model accounted them
+        expected.add_busy(start, end)
+        total += end - start
+    assert cpu.tracker.busy._buckets == expected.busy._buckets
+    assert cpu.total_busy_seconds == total
 
 
 def test_process_exit_is_idempotent(world):

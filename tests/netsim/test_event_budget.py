@@ -306,7 +306,7 @@ def test_execute_on_a_busy_core_schedules_the_grant_too():
     assert cpu.utilization(0, 3) == [
         (0.0, pytest.approx(1.0)), (1.0, pytest.approx(1.0)),
         (2.0, pytest.approx(1.0))]
-    assert cpu.resource.count == 0 and cpu.resource.queue_length == 0
+    assert cpu.busy == 0 and cpu.queue_length == 0
 
 
 def test_interrupt_mid_execute_hands_the_core_to_the_queued_waiter():
@@ -323,7 +323,9 @@ def test_interrupt_mid_execute_hands_the_core_to_the_queued_waiter():
     env.process(interrupter())
     env.run()
     assert done == [("waiter", 3.0)]
-    assert cpu.resource.count == 0 and cpu.resource.queue_length == 0
+    # The killed holder's two seconds on the core are not accounted.
+    assert cpu.total_busy_seconds == 1.0
+    assert cpu.busy == 0 and cpu.queue_length == 0
 
 
 def test_with_timeout_on_a_pending_get_builds_no_race(monkeypatch):

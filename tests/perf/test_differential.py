@@ -1,8 +1,8 @@
 """Differential tests: the optimized kernel vs the frozen reference.
 
 The optimized kernel in :mod:`repro.simkernel` (two-lane deque
-scheduler, slotted events, store hand-off, born-processed grants,
-race-free ``with_timeout``, in-place delivery wake-ups) must be
+scheduler, slotted events, store hand-off, race-free
+``with_timeout``, in-place delivery wake-ups) must be
 *observably identical* to the pre-optimization implementation frozen
 in :mod:`repro.simkernel.reference` — not statistically close: the
 same seeds must produce the same counters, the same event orderings
@@ -20,10 +20,12 @@ compare:
   in, not just their aggregate effect.
 
 The one field that must differ is the number of scheduled events
-(``env._eid``): the reference kernel schedules every store put, every
-resource grant, a race event per ``with_timeout`` and the get each
-network delivery satisfies; the live kernel schedules only the events
-some process waits on.  Everything else
+(``env._eid``): the reference kernel schedules every store put, a
+race event per ``with_timeout`` and the get each network delivery
+satisfies; the live kernel schedules only the events some process
+waits on.  A host's cores are not kernel code: ``CpuModel`` keeps them
+as a counter and queues ``env.event()`` grants, the same way on both
+kernels.  Everything else
 staying equal *is* the proof that the elided events were never
 observed.
 

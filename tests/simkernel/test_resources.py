@@ -1,6 +1,6 @@
-"""Tests for Store / Resource."""
+"""Tests for Store."""
 
-from repro.simkernel import Environment, Resource, Store
+from repro.simkernel import Environment, Store
 
 
 def test_store_put_get_fifo():
@@ -112,73 +112,3 @@ def test_store_polled_without_puts_does_not_collect_getters():
         store.get().cancel()
     assert len(store._get_queue) == 1
 
-
-def test_resource_serializes_users():
-    env = Environment()
-    cpu = Resource(env, capacity=1)
-    spans = []
-
-    def worker(label):
-        with cpu.request() as req:
-            yield req
-            start = env.now
-            yield env.timeout(10)
-            spans.append((label, start, env.now))
-
-    env.process(worker("a"))
-    env.process(worker("b"))
-    env.run()
-    assert spans == [("a", 0.0, 10.0), ("b", 10.0, 20.0)]
-
-
-def test_resource_capacity_two_runs_parallel():
-    env = Environment()
-    cpu = Resource(env, capacity=2)
-    finished = []
-
-    def worker(label):
-        with cpu.request() as req:
-            yield req
-            yield env.timeout(10)
-            finished.append((label, env.now))
-
-    for label in "abc":
-        env.process(worker(label))
-    env.run()
-    assert finished == [("a", 10.0), ("b", 10.0), ("c", 20.0)]
-
-
-def test_resource_release_pending_request():
-    env = Environment()
-    cpu = Resource(env, capacity=1)
-
-    def holder():
-        with cpu.request() as req:
-            yield req
-            yield env.timeout(100)
-
-    def impatient():
-        request = cpu.request()
-        yield env.timeout(1)
-        request.release()  # gives up while still queued
-
-    env.process(holder())
-    env.process(impatient())
-    env.run(until=5)
-    assert cpu.queue_length == 0
-    assert cpu.count == 1
-
-
-def test_resource_counts():
-    env = Environment()
-    cpu = Resource(env, capacity=1)
-
-    def holder():
-        with cpu.request() as req:
-            yield req
-            assert cpu.count == 1
-            yield env.timeout(1)
-
-    env.process(holder())
-    env.run()
-    assert cpu.count == 0
