@@ -43,6 +43,7 @@ with an RST_STREAM of its own once GOAWAY was sent.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MethodType
 from typing import TYPE_CHECKING, Any, Optional
 
 from ..simkernel.resources import Store
@@ -117,8 +118,45 @@ class H2Stream:
             end_stream=end_stream, size=size))
 
     def recv(self):
-        """Event yielding the next :class:`H2Frame` on this stream."""
+        """Event yielding the next :class:`H2Frame` on this stream (or,
+        while it holds a socket's arrivals, that socket's next item)."""
         return self.inbox.get()
+
+    def take_arrivals(self, endpoint: "TcpEndpoint") -> None:
+        """Have ``endpoint``'s arrivals land on this stream's inbox too,
+        until :meth:`return_arrivals`.
+
+        A relay that must notice a reply from ``endpoint`` while it
+        forwards this stream's frames to it (the Origin's POST relay,
+        §4.3) then waits on one store, and each arrival wakes it in
+        place as a frame does: the socket's hand-off is rebound to this
+        connection's ``_wake`` on this inbox.  The reader tells the two
+        apart by type — only frames are :class:`H2Frame`.  Items the
+        socket had queued already move over now, behind the frames the
+        stream holds.
+        """
+        inbox = self.inbox
+        queued = endpoint.inbox.items
+        while queued:
+            inbox.put(queued.pop(0))
+        endpoint.inbox_deliver = MethodType(self.conn._wake, inbox)
+
+    def return_arrivals(self, endpoint: "TcpEndpoint") -> None:
+        """Undo :meth:`take_arrivals`; calling it again changes nothing.
+
+        The socket wakes its own readers again, and the socket's items
+        this inbox still holds go back to the socket's inbox, in order,
+        where ``recv`` and a scan of ``inbox.items`` find them.
+        """
+        socket_inbox = endpoint.inbox
+        endpoint.inbox_deliver = MethodType(self.conn._wake, socket_inbox)
+        frames = []
+        for item in self.inbox.items:
+            if isinstance(item, H2Frame):
+                frames.append(item)
+            else:
+                socket_inbox.put(item)
+        self.inbox.items[:] = frames
 
     def rst(self) -> None:
         """Abort the stream (RST_STREAM)."""

@@ -39,7 +39,7 @@ from ..protocols.http import (
     is_valid_ppr_response,
     shed_response,
 )
-from ..protocols.http2 import FrameType, H2Connection, H2Error
+from ..protocols.http2 import FrameType, H2Connection, H2Error, H2Frame
 from ..protocols.mqtt import MqttConnect, ReConnect
 from ..protocols.quic import QuicStateTable
 from ..protocols.tls import TlsClientHello, server_handle_hello
@@ -811,7 +811,23 @@ class ProxygenInstance:
         return None
 
     def _origin_post(self, stream, request: HttpRequest):
-        """Forward a streaming POST with Partial Post Replay (§4.3)."""
+        """Forward a streaming POST with Partial Post Replay (§4.3).
+
+        While the body streams, the relay forwards every chunk and
+        watches the app server for a reply (a 379 mid-body) at the same
+        time, by reading one inbox: ``stream.take_arrivals(conn)`` lands
+        the app socket's arrivals on the Edge stream's inbox, so one
+        ``yield stream.recv()`` returns whichever came first — an
+        :class:`H2Frame` from the Edge, a ``StreamMessage`` /
+        ``StreamControl`` from the app — and each arrival wakes the
+        relay in place, with no race event around it.
+        ``stream.return_arrivals(conn)`` undoes that once the last chunk
+        is forwarded (the reply then comes under a deadline, from the
+        socket's own inbox), before a late reply is looked for
+        (``give_up_on_server``) and on every way out of an attempt; app
+        items still queued on the stream go back to the socket's inbox,
+        in order.
+        """
         env = self.host.env
         plane = self.resilience
         pool = self.context.app_pool
@@ -899,6 +915,7 @@ class ProxygenInstance:
             def give_up_on_server(conn=conn) -> str:
                 """The server stopped taking our bytes: look for a late
                 response (likely the 379) before switching away."""
+                stream.return_arrivals(conn)
                 late = self._pending_upstream_response(conn)
                 if late is not None and is_valid_ppr_response(late):
                     # A clean drain handoff — not a health demerit.
@@ -910,34 +927,23 @@ class ProxygenInstance:
                 return "switch"
 
             switch_server = False
-            while not switch_server:
-                if last_seen:
-                    outcome = yield from with_timeout(
-                        env, conn.recv(), self.config.upstream_timeout)
-                    if outcome is TIMED_OUT:
-                        conn.abort(reason="upstream_timeout")
-                        blame(server.host.ip)
-                        self._fail_post(stream, request, "write_timeout")
-                        return
-                    arrivals = [("conn", outcome)]
-                else:
-                    stream_ev = stream.recv()
-                    conn_ev = conn.recv()
-                    result = yield env.any_of([stream_ev, conn_ev])
-                    arrivals = []
-                    if stream_ev in result:
-                        arrivals.append(("stream", result[stream_ev]))
+            if not last_seen:
+                stream.take_arrivals(conn)
+            try:
+                while not switch_server:
+                    if last_seen:
+                        item = yield from with_timeout(
+                            env, conn.recv(), self.config.upstream_timeout)
+                        if item is TIMED_OUT:
+                            conn.abort(reason="upstream_timeout")
+                            blame(server.host.ip)
+                            self._fail_post(stream, request, "write_timeout")
+                            return
                     else:
-                        stream_ev.cancel()
-                    if conn_ev in result:
-                        arrivals.append(("conn", result[conn_ev]))
-                    else:
-                        conn_ev.cancel()
+                        item = yield stream.recv()
 
-                for source, item in arrivals:
-                    if source == "stream":
-                        if (getattr(item, "type", None) == FrameType.RST_STREAM
-                                or stream.reset):
+                    if isinstance(item, H2Frame):  # from the Edge
+                        if item.type == FrameType.RST_STREAM or stream.reset:
                             conn.abort(reason="edge_gone")
                             self.counters.inc("post_edge_gone")
                             if span is not None:
@@ -948,6 +954,7 @@ class ProxygenInstance:
                             continue
                         if chunk.is_last:
                             last_seen = True
+                            stream.return_arrivals(conn)
                         sent = False
                         if conn.alive:
                             try:
@@ -964,57 +971,58 @@ class ProxygenInstance:
                                                 "upstream_error")
                                 return
                             switch_server = True
-                    else:
-                        if isinstance(item, StreamControl):
-                            exclude += (server.host.ip,)
-                            verdict = give_up_on_server()
-                            if verdict == "fail":
-                                self._fail_post(stream, request,
-                                                "upstream_error")
-                                return
-                            if (item.kind == ControlType.RST
-                                    and replay_bytes < forwarded):
-                                # Hard death without a (readable) 379: no
-                                # echoed body, nothing safe to replay.
-                                self._fail_post(stream, request,
-                                                "server_reset")
-                                return
-                            switch_server = True
-                            continue
-                        response: HttpResponse = item.payload
-                        if response.status == STATUS_OK:
-                            pool.record_success(server.host.ip)
-                            if plane is not None:
-                                plane.breakers.get(
-                                    f"app:{server.host.ip}").record_success()
-                            self.conn_pool.checkin(conn)
-                            if span is not None:
-                                span.finish("ok")
-                            self._stream_reply(stream, response, size=600)
-                            self.counters.inc("post_completed")
+                        continue
+
+                    # From the app server: every reply ends this attempt.
+                    if isinstance(item, StreamControl):
+                        exclude += (server.host.ip,)
+                        if give_up_on_server() == "fail":
+                            self._fail_post(stream, request, "upstream_error")
                             return
-                        if is_valid_ppr_response(response):
-                            absorb_ppr(response)
-                            exclude += (server.host.ip,)
-                            switch_server = True
-                            continue
-                        if response.status == STATUS_PARTIAL_POST_REPLAY:
-                            # A 379 without the PartialPOST message: do
-                            # NOT trust it (§5.2).
-                            self.counters.inc("ppr_379_invalid")
-                            blame(server.host.ip)
-                            self._fail_post(stream, request, "invalid_379")
+                        if (item.kind == ControlType.RST
+                                and replay_bytes < forwarded):
+                            # Hard death without a (readable) 379: no
+                            # echoed body, nothing safe to replay.
+                            self._fail_post(stream, request, "server_reset")
                             return
-                        # 500 and friends: propagate (a completed POST is
-                        # not safe to replay) but demerit the backend so
-                        # future picks route around it.
-                        blame(server.host.ip)
+                        switch_server = True
+                        continue
+                    response: HttpResponse = item.payload
+                    if response.status == STATUS_OK:
+                        pool.record_success(server.host.ip)
+                        if plane is not None:
+                            plane.breakers.get(
+                                f"app:{server.host.ip}").record_success()
+                        self.conn_pool.checkin(conn)
                         if span is not None:
-                            span.fail(f"status_{response.status}")
-                        self._stream_reply(stream, response, size=200)
-                        self.counters.inc("post_failed_upstream")
-                        self.counters.inc("post_disrupted")
+                            span.finish("ok")
+                        self._stream_reply(stream, response, size=600)
+                        self.counters.inc("post_completed")
                         return
+                    if is_valid_ppr_response(response):
+                        absorb_ppr(response)
+                        exclude += (server.host.ip,)
+                        switch_server = True
+                        continue
+                    if response.status == STATUS_PARTIAL_POST_REPLAY:
+                        # A 379 without the PartialPOST message: do NOT
+                        # trust it (§5.2).
+                        self.counters.inc("ppr_379_invalid")
+                        blame(server.host.ip)
+                        self._fail_post(stream, request, "invalid_379")
+                        return
+                    # 500 and friends: propagate (a completed POST is not
+                    # safe to replay) but demerit the backend so future
+                    # picks route around it.
+                    blame(server.host.ip)
+                    if span is not None:
+                        span.fail(f"status_{response.status}")
+                    self._stream_reply(stream, response, size=200)
+                    self.counters.inc("post_failed_upstream")
+                    self.counters.inc("post_disrupted")
+                    return
+            finally:
+                stream.return_arrivals(conn)
             # switch_server: fall through to the next pick
         self._fail_post(stream, request, "retries_exhausted")
 

@@ -462,6 +462,12 @@ class Condition(Event):
             self.fail(event._value)
         elif self._evaluate(self._events, self._count):
             self.succeed(self._collect_values())
+        else:
+            return
+        # Decided: nothing reads the children again.  A loser still
+        # holds this check in its callbacks; letting go of the loser
+        # here leaves no cycle, so refcounting frees both.
+        self._events = None
 
 
 class AllOf(Condition):

@@ -3,10 +3,11 @@
 A figure-scale run is almost nothing but message hops, so the number of
 kernel events one hop costs is the simulator's unit price.  These tests
 pin that price by ``env._eid`` delta — per primitive, for one whole
-request/response round trip and for one datagram (against the frozen
-kernel's price for it) — so an extra hop (a put event nobody
-yields on, a grant for a core that was free, a race event around a
-single get) cannot quietly come back.  Same spirit as
+request/response round trip, for one datagram (against the frozen
+kernel's price for it) and for one POST body chunk through the Origin
+relay — so an extra hop (a put event nobody yields on, a grant for a
+core that was free, a race event around a single get or per chunk)
+cannot quietly come back.  Same spirit as
 ``tests/test_config_surface.py``: a ratchet, not a behaviour test; what
 each primitive *does* is pinned in ``tests/simkernel``.
 """
@@ -17,6 +18,7 @@ from repro.netsim import CpuModel, Endpoint
 from repro.netsim.proc_utils import TIMED_OUT, with_timeout
 from repro.simkernel import Environment, Store, reference
 from tests.conftest import World
+from tests.proxygen.conftest import OriginRelay
 
 #: What a process nobody waits on schedules for itself: its Initialize.
 #: (Its successful finish is not scheduled; a finish somebody waits on,
@@ -360,6 +362,30 @@ def test_with_timeout_on_a_pending_get_builds_no_race(monkeypatch):
     assert store.items == ["late"]
     # No put event, and none for the waiter's unwaited completion.
     assert env._eid == marks[-1]
+
+
+def test_a_chunk_through_the_origin_relay_costs_its_deliveries(
+        world, monkeypatch):
+    """Edge → Origin, then Origin → app: one delivery timeout each.  The
+    relay reads the Edge stream and the app socket from one inbox, so
+    the first delivery wakes it in place and it builds no race (a race
+    per chunk cost one ``AnyOf`` more: 3)."""
+    relay = OriginRelay(world)
+    env = world.env
+
+    def no_race(*_args):
+        raise AssertionError("the POST relay raced its two sources")
+
+    monkeypatch.setattr(Environment, "any_of", no_race)
+    prices = []
+    for sequence in range(1, 6):
+        before = env._eid
+        relay.chunk(sequence)
+        env.run(until=env.now + 0.1)  # clear of the proxy's own timers
+        prices.append(env._eid - before)
+    assert prices == [2] * 5
+    assert [item.payload.sequence
+            for item in relay.upstream[1:]] == [1, 2, 3, 4, 5]
 
 
 def test_with_timeout_still_races_what_it_cannot_withdraw():

@@ -1,8 +1,12 @@
 """Hand-wired mini-stack fixtures for proxygen unit tests.
 
 Avoids the full Deployment: one origin proxy (backed by real app servers
-and a broker) plus one edge proxy routed straight at it.
+and a broker) plus one edge proxy routed straight at it — or, for the
+Origin's POST relay, one origin proxy between a hand-played Edge and a
+hand-played app server.
 """
+
+from types import SimpleNamespace
 
 import pytest
 
@@ -15,6 +19,7 @@ from repro.appserver import (
 )
 from repro.lb import ConsistentHashRing
 from repro.netsim import Endpoint, Protocol, VIP
+from repro.protocols import BodyChunk, FrameType, H2Connection, HttpRequest
 from repro.proxygen import ProxygenConfig, ProxygenServer, ProxyTierContext
 
 
@@ -91,3 +96,67 @@ class MiniStack:
 @pytest.fixture
 def stack(world):
     return MiniStack(world).start()
+
+
+class OriginRelay:
+    """One Origin proxy whose neighbours the test plays by hand.
+
+    The test holds the Edge's end of one streaming POST (``stream``) and
+    the app server's accepted socket (``app_conn``), so it picks the
+    instant of every chunk and every reply.  The world's links have one
+    latency and no jitter: two messages sent at one instant arrive at
+    one instant, in the order they were sent.  ``upstream`` is what the
+    app server has read, in order.
+    """
+
+    def __init__(self, world):
+        self.env = env = world.env
+        app_host = world.host("app")
+        origin_host = world.host("origin-proxy")
+        edge_host = world.host("edge-proxy")
+        app = SimpleNamespace(host=app_host, accepting=True,
+                              endpoint=Endpoint(app_host.ip, 8080))
+        vip = Endpoint("100.64.9.1", 443)
+        self.origin = ProxygenServer(
+            origin_host,
+            ProxygenConfig(mode="origin", drain_duration=5.0,
+                           spawn_delay=0.5),
+            ProxyTierContext(app_pool=AppServerPool([app])),
+            vips=[VIP("https", vip, Protocol.TCP)])
+        env.run(until=env.process(self.origin.start()))
+        app_proc, edge_proc = app_host.spawn("app"), edge_host.spawn("edge")
+        _, listener = app_host.kernel.tcp_listen(app_proc, app.endpoint)
+        self.request = HttpRequest("POST", "/upload", body_size=10_000,
+                                   streaming=True, id=1)
+        self.upstream = []
+
+        def app_server():
+            self.app_conn = yield listener.accept(app_proc)
+            while True:
+                self.upstream.append((yield self.app_conn.recv()))
+
+        def edge():
+            conn = yield edge_host.kernel.tcp_connect(
+                edge_proc, vip, via_ip=origin_host.ip)
+            h2 = H2Connection(conn, role="client")
+            h2.start(edge_proc)
+            self.stream = h2.open_stream()
+            self.stream.send(self.request, size=400,
+                             frame_type=FrameType.HEADERS)
+
+        app_proc.run(app_server())
+        edge_proc.run(edge())
+        env.run(until=env.now + 1.0)
+        assert [item.payload.method for item in self.upstream] == ["POST"]
+
+    def chunk(self, sequence: int, is_last: bool = False) -> None:
+        self.stream.send(BodyChunk(self.request.id, 1_000, sequence,
+                                   is_last=is_last),
+                         size=1_000, end_stream=is_last)
+
+    def reply(self, response) -> None:
+        self.app_conn.send(response, size=600)
+
+    def replies(self) -> list:
+        """What the Edge's stream has received."""
+        return [frame.payload for frame in self.stream.inbox.items]

@@ -1,5 +1,7 @@
 """Tests for the event primitives and the environment run loop."""
 
+import gc
+
 import pytest
 
 from repro.simkernel import (
@@ -369,3 +371,35 @@ def test_peek_reports_next_event_time():
 def test_peek_empty_is_infinite():
     env = Environment()
     assert env.peek() == float("inf")
+
+
+def test_a_decided_race_is_freed_by_refcount():
+    """A decided condition lets go of its children: the losing get
+    still holds the condition's check in its callbacks, so if the
+    condition held the loser as well the pair would be a cycle that
+    only the collector could free."""
+    env = Environment()
+    fast, slow = env.make_store(), env.make_store()
+    got = []
+
+    def racer():
+        loser = slow.get()
+        result = yield env.any_of([fast.get(), loser])
+        loser.cancel()
+        got.extend(result.values())
+
+    while gc.collect():  # what earlier tests left; a finalizer run in
+        pass             # one pass can leave more for the next
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        env.process(racer())
+        env.timeout(1.0).callbacks.append(lambda _event: fast.put("won"))
+        env.run()
+        slow.put("later")  # the store drops its withdrawn getter
+        gc.collect()
+        garbage = sorted(type(obj).__name__ for obj in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert got == ["won"] and slow.items == ["later"]
+    assert garbage == []

@@ -10,6 +10,8 @@ And the one order-sensitive store primitive, ``Store.deliver``, stays
 where its precondition (kernel context, tail position) was argued, the
 kernel's private event counter is read nowhere outside the kernel, and
 a component finds its run's listeners one way, through ``repro.run``.
+Nor does any module touch the garbage collector: fewer collections must
+come from less cyclic garbage, not from collector settings.
 This walks every module with ``ast`` (so aliased imports are seen too)
 and carries the few exceptions explicitly.
 """
@@ -52,7 +54,9 @@ SHARED_STATE = {
 #: ends every branch with the one ``deliver`` that can find a reader (a
 #: stream it just created has none; its backlog task runs in process
 #: context, where ``deliver`` is ``put``; transport-down walks
-#: ``streams`` and uses ``put``).  A new caller has to argue both
+#: ``streams`` and uses ``put``).  ``H2Stream.take_arrivals`` binds the
+#: same ``deliver`` as a plain socket's hand-off, aimed at a stream's
+#: inbox, so it is still the socket's last act.  A new caller has to argue both
 #: in review (see the method's docstring), not discover a reordered run
 #: later.
 DELIVER_CALLERS = {"netsim/sockets.py", "netsim/kernel.py",
@@ -280,6 +284,30 @@ def test_deliver_stays_where_its_precondition_holds():
     assert names_deliver("wake = getattr(inbox, 'deliver', inbox.put)")
     assert not names_deliver("def deliver(x): ...\ndeliver(1)\n"
                              "delivered = 'deliver'")
+
+
+def imports_gc(source) -> bool:
+    """Whether ``source`` imports the garbage collector's module."""
+    for node in ast.walk(_parse(source)):
+        if isinstance(node, ast.Import) and any(
+                alias.name == "gc" for alias in node.names):
+            return True
+        if isinstance(node, ast.ImportFrom) and node.level == 0 \
+                and node.module == "gc":
+            return True
+    return False
+
+
+def test_fewer_collections_come_from_less_garbage():
+    """No ``gc.disable``, ``gc.freeze`` or threshold tuning: a run
+    collects less because it leaves fewer cycles behind."""
+    found = {name for name, tree in _modules().items() if imports_gc(tree)}
+    assert not found, (
+        f"{sorted(found)} import gc: break the cycle instead of tuning "
+        "the collector")
+    assert imports_gc("import gc") and imports_gc("import os, gc as g")
+    assert imports_gc("from gc import freeze")
+    assert not imports_gc("from . import gc\nimport gcx")
 
 
 def test_the_event_counter_is_read_in_a_closed_list():
