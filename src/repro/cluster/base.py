@@ -27,7 +27,6 @@ from ..appserver.hhvm import AppServer
 from ..appserver.pool import AppServerPool
 from ..cohorts import CohortDriver, CohortSet, PROTOCOLS, compile_cohorts
 from ..faults.injector import FaultInjector
-from ..faults.plan import FaultPlan
 from ..lb.consistent_hash import ConsistentHashRing
 from ..lb.katran import Katran
 from ..metrics.registry import MetricsRegistry
@@ -35,7 +34,7 @@ from ..netsim.addresses import Endpoint, Protocol, VIP
 from ..netsim.host import Host
 from ..netsim.network import INTRA_DC, Network
 from ..ops.load import LoadController, LoadShape
-from ..options import RunOptions, current, note_run
+from ..options import RunOptions
 from ..proxygen.context import ProxyTierContext
 from ..proxygen.server import ProxygenServer
 from ..resilience.health import OutlierTracker
@@ -117,24 +116,20 @@ class Topology:
 
     def __init__(self, spec, edge_vip_ip: str,
                  env: Optional[Environment] = None,
-                 fault_plan: Optional[FaultPlan] = None,
-                 options: Optional[RunOptions] = None,
+                 options: RunOptions = RunOptions(),
                  partition_rng: bool = False):
-        #: Resolved once, here; afterwards only ``self.spec`` is read.
-        self.options = options if options is not None else current()
-        self.spec = spec = self.options.apply(spec)
+        #: Folded into the spec once, here; afterwards only
+        #: ``self.spec`` is read (``options.fault_plan`` is attached
+        #: when the deployment starts).
+        self.options = options
+        self.spec = spec = options.apply(spec)
         self.env = env or Environment()
         #: What this run's components share (repro.run): its options,
         #: tracer, splice governor and the channel every mechanism
         #: window is announced on.  Complete before the first component
-        #: exists, so each may cache what it finds; reported to every
-        #: open ``use()`` block.
+        #: exists, so each may cache what it finds.
         self.run_record = run = run_of(self.env)
-        run.options = self.options
-        note_run(run)
-        #: Explicit plan, else the run options' (the CLI's ``--faults``);
-        #: attached when the deployment starts.
-        self._fault_plan = fault_plan or self.options.fault_plan
+        run.options = options
         self.fault_injector: Optional[FaultInjector] = None
         self.streams = RandomStreams(spec.seed)
         # Listeners in this order: the governor de-splices before the
@@ -311,9 +306,9 @@ class Topology:
         (region names) starts a subset — a shard worker (repro.shard)
         builds the *full* topology (identical IPs, names and rings
         everywhere) but animates only its own regions."""
-        if self._fault_plan is not None and self.fault_injector is None:
-            self.fault_injector = FaultInjector(
-                self, self._fault_plan).attach()
+        plan = self.options.fault_plan
+        if plan is not None and self.fault_injector is None:
+            self.fault_injector = FaultInjector(self, plan).attach()
         return self.env.process(self._startup(only_regions))
 
     def _katran_start_order(self, region: Region) -> list[Katran]:

@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Optional
 
 from ..appserver.hhvm import AppServer
-from ..faults.plan import FaultPlan
 from ..lb.katran import Katran
 from ..netsim.host import Host
 from ..netsim.network import EDGE_ORIGIN, WAN_CLIENT_EDGE
@@ -32,9 +31,8 @@ class Deployment(Topology):
 
     def __init__(self, spec: DeploymentSpec,
                  env: Optional[Environment] = None,
-                 fault_plan: Optional[FaultPlan] = None,
-                 options: Optional[RunOptions] = None):
-        super().__init__(spec, spec.edge_vip_ip, env, fault_plan, options)
+                 options: RunOptions = RunOptions()):
+        super().__init__(spec, spec.edge_vip_ip, env, options)
         spec = self.spec
         self.network.add_profile("client", "edge", WAN_CLIENT_EDGE)
         self.network.add_profile("edge", "origin", EDGE_ORIGIN)

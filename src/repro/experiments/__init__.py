@@ -1,9 +1,12 @@
 """Per-figure experiment harnesses (see DESIGN.md §4 for the index).
 
-Each module exposes ``run(seed=..., ...) -> ExperimentResult`` which
-builds the right deployment, drives the scenario, and returns the series
-and scalars the paper's figure plots, plus shape claims the benchmarks
-assert.
+Each module exposes ``run(seed=..., options=RunOptions(), ...) ->
+ExperimentResult`` which builds the right deployments under ``options``,
+drives the scenario, and returns the series and scalars the paper's
+figure plots, the shape claims the benchmarks assert and the records of
+the runs it built (``result.runs``).  ``fig02``, ``fig02d``, ``fig15``
+and ``lbablation`` build no topology: they take ``options`` so the CLI
+calls every harness alike, and nothing reads it.
 """
 
 from . import ablations

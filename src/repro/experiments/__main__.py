@@ -25,7 +25,7 @@ from ..faults import BUILTIN_PLANS, builtin_plan
 from ..lb.routers import ROUTER_SCHEMES
 from ..metrics.report import render_faults, render_series
 from ..ops import LOAD_SHAPE_KINDS, default_canary_gate, named_load_shape
-from ..options import RunOptions, use
+from ..options import RunOptions
 from ..resilience import ResilienceConfig
 from ..splice import SpliceConfig
 from ..trace import TraceConfig
@@ -183,11 +183,10 @@ def _run_figure(name: str, args, options: RunOptions,
                 multiple: bool) -> bool:
     """Run and print one figure; True iff every claim and checker held."""
     start = time.time()
-    with use(options) as runs:
-        result = ALL_EXPERIMENTS[name].run(seed=args.seed)
+    result = ALL_EXPERIMENTS[name].run(seed=args.seed, options=options)
     result.print()
     violations = sorted(
-        (v for run in runs if run.suite is not None
+        (v for run in result.runs if run.suite is not None
          for v in run.suite.finalize()),
         key=lambda v: (v.at, v.checker))
     if violations:
@@ -206,7 +205,7 @@ def _run_figure(name: str, args, options: RunOptions,
         for row in render_faults({"plan": args.faults}):
             print("   " + row)
     if args.trace:
-        _report_traces(name, [run.tracer for run in runs
+        _report_traces(name, [run.tracer for run in result.runs
                               if run.tracer is not None],
                        args.trace_json, multiple=multiple)
     if not args.no_plots:

@@ -21,6 +21,7 @@ from ..metrics.registry import MetricsRegistry
 from ..netsim.addresses import Endpoint, FourTuple, Protocol
 from ..netsim.host import Host
 from ..netsim.network import LinkProfile, Network
+from ..options import RunOptions
 from ..proxygen.config import ProxygenConfig
 from ..release.orchestrator import RollingRelease, RollingReleaseConfig
 from ..simkernel.core import Environment
@@ -89,7 +90,9 @@ def run_lru_ablation(seed: int = 0, backends: int = 8,
 
 def run_drain_duration_sweep(seed: int = 0,
                              drains: tuple = (3.0, 10.0, 40.0),
-                             measure: float = 30.0) -> ExperimentResult:
+                             measure: float = 30.0,
+                             options: RunOptions = RunOptions()
+                             ) -> ExperimentResult:
     """Longer drains postpone (and, for work that ends naturally, avoid)
     the drain-end kill.
 
@@ -113,7 +116,9 @@ def run_drain_duration_sweep(seed: int = 0,
             web=None, quic=None,
             mqtt=MqttWorkloadConfig(
                 users_per_host=30, publish_interval=3.0,
-                supports_reconnect_solicitation=False))
+                supports_reconnect_solicitation=False),
+            options=options)
+        result.runs.append(dep.run_record)
         dep.run(until=15)
         release = RollingRelease(dep.env, dep.edge_servers,
                                  RollingReleaseConfig(batch_fraction=0.34))
@@ -136,7 +141,9 @@ def run_drain_duration_sweep(seed: int = 0,
 
 
 def run_ppr_retry_budget(seed: int = 0,
-                         budgets: tuple = (0, 1, 10)) -> ExperimentResult:
+                         budgets: tuple = (0, 1, 10),
+                         options: RunOptions = RunOptions()
+                         ) -> ExperimentResult:
     """§4.4: with enough retries, a replay always finds a healthy
     server; with budget 0, every 379 becomes a user-visible failure."""
     result = ExperimentResult(
@@ -157,7 +164,8 @@ def run_ppr_retry_budget(seed: int = 0,
                                   post_size_min=300_000,
                                   post_size_cap=3_000_000,
                                   upload_bandwidth=150_000.0),
-            mqtt=None, quic=None)
+            mqtt=None, quic=None, options=options)
+        result.runs.append(dep.run_record)
         dep.run(until=20)
         release = RollingRelease(dep.env, dep.app_servers,
                                  RollingReleaseConfig(batch_fraction=0.34,
@@ -179,12 +187,15 @@ def run_ppr_retry_budget(seed: int = 0,
 
 def run(seed: int = 0, flows: int = 3000,
         drains: tuple = (3.0, 10.0, 40.0),
-        budgets: tuple = (0, 1, 10)) -> ExperimentResult:
+        budgets: tuple = (0, 1, 10),
+        options: RunOptions = RunOptions()) -> ExperimentResult:
     """Composite runner: the three ablations, prefixed a_/b_/c_."""
     result = ExperimentResult(name="ablations: LRU table, drain length, "
                                    "PPR retry budget",
                               params={"seed": seed})
     result.absorb(run_lru_ablation(seed=seed, flows=flows), "a_")
-    result.absorb(run_drain_duration_sweep(seed=seed, drains=drains), "b_")
-    result.absorb(run_ppr_retry_budget(seed=seed, budgets=budgets), "c_")
+    result.absorb(run_drain_duration_sweep(seed=seed, drains=drains,
+                                           options=options), "b_")
+    result.absorb(run_ppr_retry_budget(seed=seed, budgets=budgets,
+                                       options=options), "c_")
     return result

@@ -12,10 +12,13 @@ itself is misbehaving.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from ..appserver.config import AppServerConfig
 from ..clients.mqtt import MqttWorkloadConfig
 from ..clients.web import WebWorkloadConfig
 from ..faults import builtin_plan
+from ..options import RunOptions
 from ..proxygen.config import ProxygenConfig
 from ..release.orchestrator import RollingRelease, RollingReleaseConfig
 from .common import ExperimentResult, build_deployment, fault_summary, \
@@ -27,7 +30,8 @@ __all__ = ["run", "run_arm"]
 def run_arm(zdr: bool, plan_name: str = "hc-flap-storm", seed: int = 0,
             warmup: float = 20.0, measure: float = 80.0,
             drain: float = 10.0, fault_at: float = 8.0,
-            fault_duration: float = 45.0) -> dict:
+            fault_duration: float = 45.0,
+            options: RunOptions = RunOptions()) -> dict:
     """One release arm (ZDR or HardRestart) under the named fault plan.
 
     The fault window opens ``fault_at`` seconds into the measurement
@@ -55,7 +59,7 @@ def run_arm(zdr: bool, plan_name: str = "hc-flap-storm", seed: int = 0,
                               post_size_cap=2_000_000,
                               upload_bandwidth=200_000.0),
         mqtt=MqttWorkloadConfig(users_per_host=25, publish_interval=4.0),
-        fault_plan=plan)
+        options=replace(options, fault_plan=plan))
     dep.run(until=warmup)
 
     # The hardened orchestrator: bounded batches, retries with backoff,
@@ -94,17 +98,19 @@ def run_arm(zdr: bool, plan_name: str = "hc-flap-storm", seed: int = 0,
         "forced_probe_fails": sum_counter(
             [dep.edge_katran, dep.origin_katran], "hc_probe_forced_fail"),
         "faults": fault_summary(dep),
+        "run": dep.run_record,
     }
 
 
-def run(seed: int = 0, plan_name: str = "hc-flap-storm") -> ExperimentResult:
-    zdr = run_arm(True, plan_name=plan_name, seed=seed)
-    hard = run_arm(False, plan_name=plan_name, seed=seed)
+def run(seed: int = 0, plan_name: str = "hc-flap-storm",
+        options: RunOptions = RunOptions()) -> ExperimentResult:
+    zdr = run_arm(True, plan_name=plan_name, seed=seed, options=options)
+    hard = run_arm(False, plan_name=plan_name, seed=seed, options=options)
 
     result = ExperimentResult(
         name=f"chaos: edge release under fault plan '{plan_name}'",
         params={"seed": seed, "plan": plan_name},
-        faults=zdr["faults"])
+        faults=zdr["faults"], runs=[zdr["run"], hard["run"]])
     for label, arm in (("zdr", zdr), ("hard", hard)):
         result.scalars[f"errors_{label}"] = arm["errors"]
         result.scalars[f"requests_ok_{label}"] = arm["requests_ok"]

@@ -12,6 +12,7 @@ from ..clients.web import WebWorkloadConfig
 from ..cluster.deployment import Deployment
 from ..cluster.spec import DeploymentSpec
 from ..invariants import InvariantSuite
+from ..options import RunOptions
 from ..proxygen.config import ProxygenConfig
 
 __all__ = ["ExperimentResult", "build_deployment",
@@ -28,7 +29,9 @@ class ExperimentResult:
     paper-shape checks the benchmark asserts; ``faults`` carries the
     injector summary when the run executed under a fault plan (see
     :mod:`repro.faults`), so a figure rerun under chaos is labelled as
-    such.
+    such; ``runs`` hands back the record (:class:`repro.run.RunRecord`)
+    of every topology the harness built, in build order — the CLI
+    finalizes their invariant suites and prints their tracers.
     """
 
     name: str
@@ -40,6 +43,7 @@ class ExperimentResult:
     #: Resilience decision counters (mechanism → count) when the run
     #: exercised the resilient data plane (repro.resilience).
     resilience: dict[str, float] = field(default_factory=dict)
+    runs: list = field(default_factory=list)
 
     def rows(self) -> list[str]:
         """Human-readable result rows (what the bench prints)."""
@@ -73,6 +77,7 @@ class ExperimentResult:
             getattr(self, name).update(
                 (prefix + key, value)
                 for key, value in getattr(part, name).items())
+        self.runs += part.runs
 
 
 def build_deployment(seed: int = 0,
@@ -86,16 +91,14 @@ def build_deployment(seed: int = 0,
                      web: Optional[WebWorkloadConfig] = None,
                      mqtt: Optional[MqttWorkloadConfig] = None,
                      quic: Optional[QuicWorkloadConfig] = None,
-                     fault_plan=None,
                      env=None,
+                     options: RunOptions = RunOptions(),
                      **spec_kwargs) -> Deployment:
     """A deployment sized for experiment runtime (seconds, not minutes).
 
-    ``fault_plan`` (a :class:`repro.faults.FaultPlan`) attaches fault
-    injection for this run; without it, the run options' plan
-    (:mod:`repro.options`, the CLI's ``--faults``) still applies.
-    ``env`` swaps the simulation kernel (e.g. the frozen reference
-    kernel for differential testing).
+    ``options`` are the run's (:mod:`repro.options`: the CLI's flags,
+    ``options.fault_plan`` included).  ``env`` swaps the simulation
+    kernel (e.g. the frozen reference kernel for differential testing).
     """
     spec = DeploymentSpec(
         seed=seed,
@@ -113,10 +116,10 @@ def build_deployment(seed: int = 0,
         mqtt_workload=mqtt,
         quic_workload=quic,
         **spec_kwargs)
-    return _started(Deployment(spec, env=env, fault_plan=fault_plan))
+    return _started(Deployment(spec, env=env, options=options))
 
 
-def build_regional_deployment(fault_plan=None, env=None,
+def build_regional_deployment(env=None, options: RunOptions = RunOptions(),
                               **spec_kwargs) -> "RegionalDeployment":
     """A multi-region deployment with the same always-on harness wiring
     as :func:`build_deployment` (invariant suite attached, started).
@@ -125,13 +128,13 @@ def build_regional_deployment(fault_plan=None, env=None,
     from ..regions import RegionalDeployment, RegionalSpec
 
     return _started(RegionalDeployment(RegionalSpec(**spec_kwargs),
-                                       env=env, fault_plan=fault_plan))
+                                       env=env, options=options))
 
 
 def _started(deployment):
     # Always-on invariant checking: the full checker suite rides on the
-    # run's record, where whoever opened the ``options.use()`` block the
-    # deployment was built in (the CLI, the tier-1 guard) finalizes it.
+    # run's record, which the harness hands back on its result for the
+    # CLI to finalize.
     deployment.run_record.suite = InvariantSuite(deployment).attach()
     deployment.start()
     return deployment

@@ -13,13 +13,15 @@ Paper observations to reproduce (shape, from §2.4):
 from __future__ import annotations
 
 from ..metrics.quantiles import summarize
+from ..options import RunOptions
 from ..release.schedule import ReleaseScheduleModel, ReleaseTraceConfig
 from .common import ExperimentResult
 
 __all__ = ["run"]
 
 
-def run(seed: int = 0, weeks: int = 13, clusters: int = 10) -> ExperimentResult:
+def run(seed: int = 0, weeks: int = 13, clusters: int = 10,
+        options: RunOptions = RunOptions()) -> ExperimentResult:
     model = ReleaseScheduleModel(
         ReleaseTraceConfig(weeks=weeks, clusters=clusters), seed=seed)
     trace = model.generate()

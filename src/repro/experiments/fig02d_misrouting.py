@@ -16,6 +16,7 @@ from ..metrics.registry import MetricsRegistry
 from ..netsim.addresses import Endpoint
 from ..netsim.host import Host
 from ..netsim.network import LinkProfile, Network
+from ..options import RunOptions
 from ..simkernel.core import Environment
 from ..simkernel.rng import RandomStreams
 from .common import ExperimentResult
@@ -122,7 +123,8 @@ def _drive(pass_fds: bool, seed: int, flows: int, sockets_per_ring: int,
 
 def run(seed: int = 0, flows: int = 150, sockets_per_ring: int = 4,
         packets_per_flow_per_sec: float = 5.0, duration: float = 20.0,
-        restart_at: float = 8.0, old_exit_at: float = 14.0) -> ExperimentResult:
+        restart_at: float = 8.0, old_exit_at: float = 14.0,
+        options: RunOptions = RunOptions()) -> ExperimentResult:
     args = dict(seed=seed, flows=flows, sockets_per_ring=sockets_per_ring,
                 packets_per_flow_per_sec=packets_per_flow_per_sec,
                 duration=duration, restart_at=restart_at,

@@ -14,6 +14,7 @@ from __future__ import annotations
 from ..clients.mqtt import MqttWorkloadConfig
 from ..clients.web import WebWorkloadConfig
 from ..netsim.cpu import CpuCosts
+from ..options import RunOptions
 from ..proxygen.config import ProxygenConfig
 from ..release.orchestrator import RollingRelease, RollingReleaseConfig
 from .common import ExperimentResult, build_deployment, mean, sum_counter
@@ -23,7 +24,8 @@ __all__ = ["run", "run_capacity", "run_handshake_cpu"]
 
 def run_capacity(seed: int = 0, edge_proxies: int = 10,
                  batch_fraction: float = 0.2, drain: float = 10.0,
-                 gap: float = 4.0) -> ExperimentResult:
+                 gap: float = 4.0,
+                 options: RunOptions = RunOptions()) -> ExperimentResult:
     """Fig 3a: Katran-visible capacity during a rolling HardRestart."""
     dep = build_deployment(
         seed=seed, edge_proxies=edge_proxies,
@@ -31,7 +33,7 @@ def run_capacity(seed: int = 0, edge_proxies: int = 10,
                                    enable_takeover=False, enable_dcr=False,
                                    spawn_delay=2.0),
         web=WebWorkloadConfig(clients_per_host=10, think_time=1.0),
-        mqtt=None, quic=None)
+        mqtt=None, quic=None, options=options)
     dep.run(until=15)
 
     capacity: list[tuple[float, float]] = []
@@ -57,7 +59,8 @@ def run_capacity(seed: int = 0, edge_proxies: int = 10,
     result = ExperimentResult(
         name="fig03a: cluster capacity during rolling HardRestart",
         params={"edge_proxies": edge_proxies,
-                "batch_fraction": batch_fraction, "drain": drain})
+                "batch_fraction": batch_fraction, "drain": drain},
+        runs=[dep.run_record])
     result.series["capacity"] = capacity
     result.scalars.update({
         "min_capacity_during_release": min(during),
@@ -75,7 +78,8 @@ def run_capacity(seed: int = 0, edge_proxies: int = 10,
 
 def run_handshake_cpu(seed: int = 0, origin_proxies: int = 10,
                       restart_fraction: float = 0.1,
-                      window: float = 20.0) -> ExperimentResult:
+                      window: float = 20.0,
+                      options: RunOptions = RunOptions()) -> ExperimentResult:
     """Fig 3b: reconnect-storm CPU after hard Origin restarts.
 
     We measure the work-units burned on TCP/TLS handshakes across the
@@ -90,7 +94,8 @@ def run_handshake_cpu(seed: int = 0, origin_proxies: int = 10,
                                      enable_dcr=False, spawn_delay=2.0),
         web=WebWorkloadConfig(clients_per_host=25, think_time=1.0,
                               cacheable_fraction=0.2),
-        mqtt=MqttWorkloadConfig(users_per_host=30, publish_interval=4.0))
+        mqtt=MqttWorkloadConfig(users_per_host=30, publish_interval=4.0),
+        options=options)
     warmup = 25.0
     dep.run(until=warmup)
 
@@ -134,7 +139,8 @@ def run_handshake_cpu(seed: int = 0, origin_proxies: int = 10,
     result = ExperimentResult(
         name="fig03b: reconnect CPU after hard Origin restarts",
         params={"origin_proxies": origin_proxies,
-                "restart_fraction": restart_fraction, "window": window})
+                "restart_fraction": restart_fraction, "window": window},
+        runs=[dep.run_record])
     result.scalars.update({
         "handshake_work_restart_window": storm_work,
         "handshake_work_control_window": control_window_work,
@@ -151,10 +157,11 @@ def run_handshake_cpu(seed: int = 0, origin_proxies: int = 10,
     return result
 
 
-def run(seed: int = 0) -> ExperimentResult:
+def run(seed: int = 0,
+        options: RunOptions = RunOptions()) -> ExperimentResult:
     """Composite runner (capacity claims are primary)."""
-    capacity = run_capacity(seed=seed)
-    handshake = run_handshake_cpu(seed=seed)
+    capacity = run_capacity(seed=seed, options=options)
+    handshake = run_handshake_cpu(seed=seed, options=options)
     result = ExperimentResult(name="fig03: restart implications",
                               params={"seed": seed})
     result.absorb(capacity, "a_")

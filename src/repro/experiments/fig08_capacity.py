@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from ..clients.mqtt import MqttWorkloadConfig
 from ..clients.web import WebWorkloadConfig
+from ..options import RunOptions
 from ..proxygen.config import ProxygenConfig
 from ..release.orchestrator import RollingRelease, RollingReleaseConfig
 from .common import ExperimentResult, build_deployment, mean
@@ -25,14 +26,16 @@ __all__ = ["run", "run_arm"]
 
 def run_arm(takeover: bool, batch_fraction: float, seed: int = 0,
             edge_proxies: int = 10, drain: float = 12.0,
-            measure: float = 30.0) -> dict:
+            measure: float = 30.0,
+            options: RunOptions = RunOptions()) -> dict:
     config = ProxygenConfig(mode="edge", drain_duration=drain,
                             enable_takeover=takeover,
                             enable_dcr=takeover, spawn_delay=2.0)
     dep = build_deployment(
         seed=seed, edge_proxies=edge_proxies, edge_config=config,
         web=WebWorkloadConfig(clients_per_host=40, think_time=0.8),
-        mqtt=MqttWorkloadConfig(users_per_host=25, publish_interval=4.0))
+        mqtt=MqttWorkloadConfig(users_per_host=25, publish_interval=4.0),
+        options=options)
     warmup = 20.0
     dep.run(until=warmup)
 
@@ -72,21 +75,24 @@ def run_arm(takeover: bool, batch_fraction: float, seed: int = 0,
         "series": series,
         "min_normalized_idle": min(v for _, v in series),
         "mean_normalized_idle": mean(v for _, v in series),
+        "run": dep.run_record,
     }
 
 
-def run(seed: int = 0, edge_proxies: int = 10) -> ExperimentResult:
+def run(seed: int = 0, edge_proxies: int = 10,
+        options: RunOptions = RunOptions()) -> ExperimentResult:
     arms = {
         "zdr_20pct": run_arm(True, 0.20, seed=seed,
-                             edge_proxies=edge_proxies),
+                             edge_proxies=edge_proxies, options=options),
         "hard_5pct": run_arm(False, 0.05, seed=seed,
-                             edge_proxies=edge_proxies),
+                             edge_proxies=edge_proxies, options=options),
         "hard_20pct": run_arm(False, 0.20, seed=seed,
-                              edge_proxies=edge_proxies),
+                              edge_proxies=edge_proxies, options=options),
     }
     result = ExperimentResult(
         name="fig08b: idle CPU during draining (ZDR vs HardRestart)",
-        params={"edge_proxies": edge_proxies, "seed": seed})
+        params={"edge_proxies": edge_proxies, "seed": seed},
+        runs=[data["run"] for data in arms.values()])
     for arm, data in arms.items():
         result.series[arm] = data["series"]
         result.scalars[f"{arm}_min"] = data["min_normalized_idle"]

@@ -10,6 +10,7 @@ Origin proxies and end users never notice.
 from __future__ import annotations
 
 from ..clients.mqtt import MqttWorkloadConfig
+from ..options import RunOptions
 from ..proxygen.config import ProxygenConfig
 from ..release.orchestrator import RollingRelease, RollingReleaseConfig
 from .common import ExperimentResult, build_deployment, mean, sum_counter
@@ -19,7 +20,8 @@ __all__ = ["run", "run_arm"]
 
 def run_arm(enable_dcr: bool, seed: int = 0, users: int = 60,
             warmup: float = 25.0, measure: float = 45.0,
-            drain: float = 10.0) -> dict:
+            drain: float = 10.0,
+            options: RunOptions = RunOptions()) -> dict:
     dep = build_deployment(
         seed=seed, edge_proxies=3, origin_proxies=3, brokers=2,
         origin_config=ProxygenConfig(mode="origin", drain_duration=drain,
@@ -29,7 +31,8 @@ def run_arm(enable_dcr: bool, seed: int = 0, users: int = 60,
         web=None, quic=None,
         mqtt=MqttWorkloadConfig(users_per_host=users,
                                 publish_interval=2.0,
-                                ping_interval=10.0))
+                                ping_interval=10.0),
+        options=options)
     dep.run(until=warmup)
 
     connack_before = sum_counter(dep.brokers, "mqtt_connack_sent")
@@ -67,16 +70,19 @@ def run_arm(enable_dcr: bool, seed: int = 0, users: int = 60,
             "mqtt-clients").get("session_broken"),
         "rehomed": sum_counter(dep.edge_servers, "dcr_rehomed"),
         "connack_series": connack_series,
+        "run": dep.run_record,
     }
 
 
-def run(seed: int = 0, users: int = 60) -> ExperimentResult:
-    with_dcr = run_arm(True, seed=seed, users=users)
-    without_dcr = run_arm(False, seed=seed, users=users)
+def run(seed: int = 0, users: int = 60,
+        options: RunOptions = RunOptions()) -> ExperimentResult:
+    with_dcr = run_arm(True, seed=seed, users=users, options=options)
+    without_dcr = run_arm(False, seed=seed, users=users, options=options)
 
     result = ExperimentResult(
         name="fig09: MQTT publishes and CONNACKs across Origin restart",
-        params={"users": users, "seed": seed})
+        params={"users": users, "seed": seed},
+        runs=[with_dcr["run"], without_dcr["run"]])
     result.series["publish_with_dcr"] = with_dcr["publish_series"]
     result.series["publish_without_dcr"] = without_dcr["publish_series"]
     result.series["connacks_without_dcr"] = without_dcr["connack_series"]

@@ -17,6 +17,7 @@ old flows finish.
 from __future__ import annotations
 
 from ..clients.quic import QuicWorkloadConfig
+from ..options import RunOptions
 from ..proxygen.config import ProxygenConfig
 from ..release.orchestrator import RollingRelease, RollingReleaseConfig
 from .common import ExperimentResult, build_deployment, sum_counter
@@ -26,7 +27,8 @@ __all__ = ["run", "run_arm"]
 
 def run_arm(cid_routing: bool, seed: int = 0, flows: int = 60,
             warmup: float = 20.0, measure: float = 50.0,
-            drain: float = 32.0) -> dict:
+            drain: float = 32.0,
+            options: RunOptions = RunOptions()) -> dict:
     # Flows last a few seconds on average while the drain is 32 s: like
     # the paper's production setting (20-minute drains), almost every
     # flow ends naturally inside the drain window.
@@ -40,7 +42,8 @@ def run_arm(cid_routing: bool, seed: int = 0, flows: int = 60,
         quic=QuicWorkloadConfig(flows_per_host=flows,
                                 packet_interval=0.25,
                                 loss_threshold=6,
-                                mean_packets_per_connection=12.0))
+                                mean_packets_per_connection=12.0),
+        options=options)
     dep.run(until=warmup)
 
     release = RollingRelease(dep.env, dep.edge_servers,
@@ -62,16 +65,19 @@ def run_arm(cid_routing: bool, seed: int = 0, flows: int = 60,
             "quic-clients").get("packets_lost"),
         "packets_sent": dep.metrics.scoped_counters(
             "quic-clients").get("packets_sent"),
+        "run": dep.run_record,
     }
 
 
-def run(seed: int = 0, flows: int = 60) -> ExperimentResult:
-    zdr = run_arm(True, seed=seed, flows=flows)
-    traditional = run_arm(False, seed=seed, flows=flows)
+def run(seed: int = 0, flows: int = 60,
+        options: RunOptions = RunOptions()) -> ExperimentResult:
+    zdr = run_arm(True, seed=seed, flows=flows, options=options)
+    traditional = run_arm(False, seed=seed, flows=flows, options=options)
 
     result = ExperimentResult(
         name="fig10: UDP misrouting (CID routing vs traditional)",
-        params={"flows_per_host": flows, "seed": seed})
+        params={"flows_per_host": flows, "seed": seed},
+        runs=[zdr["run"], traditional["run"]])
     result.series["misrouted_zdr"] = zdr["misrouted_series"]
     result.series["misrouted_traditional"] = traditional["misrouted_series"]
     ratio = (traditional["misrouted_total"]

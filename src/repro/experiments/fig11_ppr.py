@@ -15,6 +15,7 @@ from __future__ import annotations
 from ..appserver.config import AppServerConfig
 from ..clients.web import WebWorkloadConfig
 from ..metrics.quantiles import summarize
+from ..options import RunOptions
 from ..release.orchestrator import RollingRelease, RollingReleaseConfig
 from .common import ExperimentResult, build_deployment, sum_counter
 
@@ -22,7 +23,8 @@ __all__ = ["run", "run_arm"]
 
 
 def run_arm(enable_ppr: bool, seed: int = 0, restarts: int = 6,
-            warmup: float = 20.0, spacing: float = 18.0) -> dict:
+            warmup: float = 20.0, spacing: float = 18.0,
+            options: RunOptions = RunOptions()) -> dict:
     dep = build_deployment(
         seed=seed, edge_proxies=2, origin_proxies=2, app_servers=4,
         app_config=AppServerConfig(drain_duration=2.0,
@@ -33,7 +35,7 @@ def run_arm(enable_ppr: bool, seed: int = 0, restarts: int = 6,
                               post_size_min=300_000,
                               post_size_cap=4_000_000,
                               upload_bandwidth=150_000.0),
-        mqtt=None, quic=None)
+        mqtt=None, quic=None, options=options)
     dep.run(until=warmup)
 
     per_restart_rescued: list[float] = []
@@ -61,12 +63,14 @@ def run_arm(enable_ppr: bool, seed: int = 0, restarts: int = 6,
         "client_posts_ok": clients.get("post_ok"),
         "replayed_bytes": sum_counter(dep.origin_servers,
                                       "ppr_bytes_replayed"),
+        "run": dep.run_record,
     }
 
 
-def run(seed: int = 0, restarts: int = 6) -> ExperimentResult:
-    ppr = run_arm(True, seed=seed, restarts=restarts)
-    noppr = run_arm(False, seed=seed, restarts=restarts)
+def run(seed: int = 0, restarts: int = 6,
+        options: RunOptions = RunOptions()) -> ExperimentResult:
+    ppr = run_arm(True, seed=seed, restarts=restarts, options=options)
+    noppr = run_arm(False, seed=seed, restarts=restarts, options=options)
 
     rescued_fraction = [r / max(1.0, ppr["posts_started"])
                         for r in ppr["per_restart_rescued"]]
@@ -74,7 +78,8 @@ def run(seed: int = 0, restarts: int = 6) -> ExperimentResult:
 
     result = ExperimentResult(
         name="fig11: POST disruptions across app-tier restarts (PPR)",
-        params={"restarts": restarts, "seed": seed})
+        params={"restarts": restarts, "seed": seed},
+        runs=[ppr["run"], noppr["run"]])
     result.scalars.update({
         "ppr_rescued_total": ppr["rescued_total"],
         "ppr_rescued_fraction_median": rescue_summary.get("p50", 0.0),

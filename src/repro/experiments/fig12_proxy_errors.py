@@ -18,6 +18,7 @@ from __future__ import annotations
 from ..appserver.config import AppServerConfig
 from ..clients.mqtt import MqttWorkloadConfig
 from ..clients.web import WebWorkloadConfig
+from ..options import RunOptions
 from ..proxygen.config import ProxygenConfig
 from ..release.orchestrator import RollingRelease, RollingReleaseConfig
 from .common import ExperimentResult, build_deployment, sum_counter
@@ -26,7 +27,8 @@ __all__ = ["run", "run_arm"]
 
 
 def run_arm(zdr: bool, seed: int = 0, warmup: float = 25.0,
-            measure: float = 70.0, drain: float = 12.0) -> dict:
+            measure: float = 70.0, drain: float = 12.0,
+            options: RunOptions = RunOptions()) -> dict:
     edge_config = ProxygenConfig(
         mode="edge", drain_duration=drain, enable_takeover=zdr,
         enable_dcr=zdr, spawn_delay=2.0)
@@ -43,7 +45,8 @@ def run_arm(zdr: bool, seed: int = 0, warmup: float = 25.0,
                               post_size_min=200_000,
                               post_size_cap=2_000_000,
                               upload_bandwidth=200_000.0),
-        mqtt=MqttWorkloadConfig(users_per_host=25, publish_interval=4.0))
+        mqtt=MqttWorkloadConfig(users_per_host=25, publish_interval=4.0),
+        options=options)
     dep.run(until=warmup)
 
     # Release everything: edge tier, then origin tier, then app tier —
@@ -85,16 +88,18 @@ def run_arm(zdr: bool, seed: int = 0, warmup: float = 25.0,
         # dragging the tail of successful-request latency.
         "latency_p99": dep.metrics.quantiles("client/get_latency").p99,
         "latency_p50": dep.metrics.quantiles("client/get_latency").median,
+        "run": dep.run_record,
     }
 
 
-def run(seed: int = 0) -> ExperimentResult:
-    zdr = run_arm(True, seed=seed)
-    traditional = run_arm(False, seed=seed)
+def run(seed: int = 0,
+        options: RunOptions = RunOptions()) -> ExperimentResult:
+    zdr = run_arm(True, seed=seed, options=options)
+    traditional = run_arm(False, seed=seed, options=options)
 
     result = ExperimentResult(
         name="fig12: proxy errors, traditional vs Zero Downtime Release",
-        params={"seed": seed})
+        params={"seed": seed}, runs=[zdr["run"], traditional["run"]])
     classes = ("conn_rst", "stream_abort", "timeout", "write_timeout")
     total_traditional = 0.0
     total_zdr = 0.0

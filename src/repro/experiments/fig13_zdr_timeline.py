@@ -13,6 +13,7 @@ from __future__ import annotations
 from ..appserver.config import AppServerConfig
 from ..clients.mqtt import MqttWorkloadConfig
 from ..clients.web import WebWorkloadConfig
+from ..options import RunOptions
 from ..proxygen.config import ProxygenConfig
 from ..release.orchestrator import RollingRelease, RollingReleaseConfig
 from .common import ExperimentResult, build_deployment, mean
@@ -21,7 +22,8 @@ __all__ = ["run"]
 
 
 def run(seed: int = 0, edge_proxies: int = 10, drain: float = 15.0,
-        warmup: float = 25.0, measure: float = 40.0) -> ExperimentResult:
+        warmup: float = 25.0, measure: float = 40.0,
+        options: RunOptions = RunOptions()) -> ExperimentResult:
     dep = build_deployment(
         seed=seed, edge_proxies=edge_proxies, origin_proxies=3,
         app_servers=4,
@@ -39,7 +41,8 @@ def run(seed: int = 0, edge_proxies: int = 10, drain: float = 15.0,
                               post_fraction=0.15,
                               post_size_min=150_000,
                               upload_bandwidth=150_000.0),
-        mqtt=MqttWorkloadConfig(users_per_host=40, publish_interval=4.0))
+        mqtt=MqttWorkloadConfig(users_per_host=40, publish_interval=4.0),
+        options=options)
 
     batch = max(1, int(edge_proxies * 0.2))
     gr_servers = dep.edge_servers[:batch]
@@ -113,7 +116,8 @@ def run(seed: int = 0, edge_proxies: int = 10, drain: float = 15.0,
     result = ExperimentResult(
         name="fig13: cluster timeline through a 20% ZDR batch",
         params={"edge_proxies": edge_proxies, "batch": batch,
-                "drain": drain, "seed": seed})
+                "drain": drain, "seed": seed},
+        runs=[dep.run_record])
     result.series["cluster_rps"] = group_series(all_names, "rps")
     result.series["cluster_throughput"] = group_series(
         all_names, "throughput")

@@ -8,13 +8,15 @@ continuously around the clock (its release PDF is flat).
 
 from __future__ import annotations
 
+from ..options import RunOptions
 from ..release.schedule import ReleaseScheduleModel, ReleaseTraceConfig
 from .common import ExperimentResult, mean
 
 __all__ = ["run"]
 
 
-def run(seed: int = 0, weeks: int = 13, clusters: int = 10) -> ExperimentResult:
+def run(seed: int = 0, weeks: int = 13, clusters: int = 10,
+        options: RunOptions = RunOptions()) -> ExperimentResult:
     model = ReleaseScheduleModel(
         ReleaseTraceConfig(weeks=weeks, clusters=clusters), seed=seed)
     trace = model.generate()

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from ..appserver.config import AppServerConfig
 from ..metrics.quantiles import summarize
+from ..options import RunOptions
 from ..proxygen.config import ProxygenConfig
 from ..release.orchestrator import RollingRelease, RollingReleaseConfig
 from ..release.schedule import completion_time_model
@@ -39,7 +40,8 @@ APP_OVERHEAD = 55.0              # restart downtime + verification
 
 
 def run(seed: int = 0, samples: int = 400,
-        machines_per_cluster: int = 100) -> ExperimentResult:
+        machines_per_cluster: int = 100,
+        options: RunOptions = RunOptions()) -> ExperimentResult:
     rng = RandomStreams(seed).stream("completion")
     proxygen_minutes = []
     app_minutes = []
@@ -83,13 +85,14 @@ def run(seed: int = 0, samples: int = 400,
         "appserver_much_faster_than_proxygen":
             app_summary["p50"] < 0.5 * proxygen_summary["p50"],
     })
-    result.absorb(run_des_crosscheck(seed), "crosscheck.")
-    result.absorb(run_global_des(seed), "global.")
+    result.absorb(run_des_crosscheck(seed, options=options), "crosscheck.")
+    result.absorb(run_global_des(seed, options=options), "global.")
     return result
 
 
 def run_global_des(seed: int = 0, pops: int = 3, proxies_per_pop: int = 4,
-                   drain: float = 6.0) -> ExperimentResult:
+                   drain: float = 6.0,
+                   options: RunOptions = RunOptions()) -> ExperimentResult:
     """A *global* roll-out as a real simulation: every PoP's fleet
     releases concurrently (the paper's world-wide push), each batch
     waiting out its drain.  Completion = slowest PoP."""
@@ -106,7 +109,8 @@ def run_global_des(seed: int = 0, pops: int = 3, proxies_per_pop: int = 4,
         origin_config=ProxygenConfig(mode="origin", drain_duration=8.0,
                                      spawn_delay=1.0),
         web_workload=WebWorkloadConfig(clients_per_host=6,
-                                       think_time=1.0))
+                                       think_time=1.0),
+        options=options)
     dep.run(until=15)
     releases, done = release_all_pops(dep, batch_fraction=0.25,
                                       post_batch_wait=drain)
@@ -121,7 +125,8 @@ def run_global_des(seed: int = 0, pops: int = 3, proxies_per_pop: int = 4,
     result = ExperimentResult(
         name="fig16-global: concurrent multi-PoP roll-out (DES)",
         params={"pops": pops, "proxies_per_pop": proxies_per_pop,
-                "drain": drain, "seed": seed})
+                "drain": drain, "seed": seed},
+        runs=[dep.run_record])
     result.scalars.update({
         "global_duration": global_duration,
         "slowest_pop_duration": max(durations),
@@ -139,13 +144,15 @@ def run_global_des(seed: int = 0, pops: int = 3, proxies_per_pop: int = 4,
 
 
 def run_des_crosscheck(seed: int = 0, edge_proxies: int = 5,
-                       drain: float = 10.0) -> ExperimentResult:
+                       drain: float = 10.0,
+                       options: RunOptions = RunOptions()
+                       ) -> ExperimentResult:
     """A real orchestrated release must match the analytic model."""
     dep = build_deployment(
         seed=seed, edge_proxies=edge_proxies,
         edge_config=ProxygenConfig(mode="edge", drain_duration=drain,
                                    enable_takeover=True, spawn_delay=1.0),
-        web=None, mqtt=None, quic=None)
+        web=None, mqtt=None, quic=None, options=options)
     dep.run(until=10)
     # Wait out each batch's drain, as production does.
     release = RollingRelease(
@@ -160,7 +167,8 @@ def run_des_crosscheck(seed: int = 0, edge_proxies: int = 5,
 
     result = ExperimentResult(
         name="fig16-crosscheck: DES release duration vs analytic model",
-        params={"edge_proxies": edge_proxies, "drain": drain})
+        params={"edge_proxies": edge_proxies, "drain": drain},
+        runs=[dep.run_record])
     result.scalars.update({
         "des_duration": release.duration,
         "model_duration": predicted,

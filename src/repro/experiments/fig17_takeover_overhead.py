@@ -12,6 +12,7 @@ from __future__ import annotations
 from ..clients.mqtt import MqttWorkloadConfig
 from ..clients.web import WebWorkloadConfig
 from ..metrics.quantiles import summarize
+from ..options import RunOptions
 from ..proxygen.config import ProxygenConfig
 from ..release.orchestrator import RollingRelease, RollingReleaseConfig
 from .common import ExperimentResult, build_deployment, mean
@@ -20,14 +21,16 @@ __all__ = ["run"]
 
 
 def run(seed: int = 0, drain: float = 20.0, warmup: float = 30.0,
-        edge_proxies: int = 3) -> ExperimentResult:
+        edge_proxies: int = 3,
+        options: RunOptions = RunOptions()) -> ExperimentResult:
     dep = build_deployment(
         seed=seed, edge_proxies=edge_proxies,
         edge_config=ProxygenConfig(mode="edge", drain_duration=drain,
                                    enable_takeover=True, enable_dcr=True,
                                    spawn_delay=2.0),
         web=WebWorkloadConfig(clients_per_host=35, think_time=0.7),
-        mqtt=MqttWorkloadConfig(users_per_host=30, publish_interval=3.0))
+        mqtt=MqttWorkloadConfig(users_per_host=30, publish_interval=3.0),
+        options=options)
     target = dep.edge_servers[0]
     host = dep.edge_hosts[0]
 
@@ -75,7 +78,7 @@ def run(seed: int = 0, drain: float = 20.0, warmup: float = 30.0,
 
     result = ExperimentResult(
         name="fig17: Socket Takeover system overheads",
-        params={"drain": drain, "seed": seed})
+        params={"drain": drain, "seed": seed}, runs=[dep.run_record])
     result.series["cpu_normalized"] = [
         (t, v / cpu_baseline) for t, v in cpu]
     result.series["memory_normalized"] = [

@@ -24,6 +24,7 @@ from ..metrics.registry import MetricsRegistry
 from ..netsim.addresses import Endpoint, FourTuple, Protocol
 from ..netsim.host import Host
 from ..netsim.network import LinkProfile, Network
+from ..options import RunOptions
 from ..simkernel.core import Environment
 from ..simkernel.rng import RandomStreams
 from .common import ExperimentResult
@@ -137,7 +138,8 @@ class _Arm:
 
 def run(seed: int = 0, backends: int = 10, flows: int = 1500,
         churn_rounds: int = 4, release_batches: int = 5,
-        schemes: tuple = ROUTER_SCHEMES) -> ExperimentResult:
+        schemes: tuple = ROUTER_SCHEMES,
+        options: RunOptions = RunOptions()) -> ExperimentResult:
     """Drive every scheme through churn → release wave → takeover."""
     result = ExperimentResult(
         name="ablation: LB design space (stateless/stateful/LRU/Concury)",

@@ -33,6 +33,7 @@ from ..ops import (
     attach_app_autoscaler,
     plan_release_waves,
 )
+from ..options import RunOptions
 from ..release.orchestrator import RollingRelease, RollingReleaseConfig
 from .common import ExperimentResult, aggregate_series, build_deployment
 
@@ -80,7 +81,8 @@ class VersionedTarget:
 
 def run_arm(gated: bool, seed: int = 0, day_length: float = 120.0,
             app_servers: int = 6, rogue_fraction: float = 0.7,
-            warmup: float = 10.0) -> dict:
+            warmup: float = 10.0,
+            options: RunOptions = RunOptions()) -> dict:
     """One diurnal day with a bad release; ``gated`` adds the canary."""
     shape_config = LoadShapeConfig(kind="diurnal", day_length=day_length,
                                    trough_scale=0.4, peak_scale=1.8,
@@ -96,7 +98,7 @@ def run_arm(gated: bool, seed: int = 0, day_length: float = 120.0,
         # Right-sized app hosts: the diurnal swing moves CPU through a
         # realistic 0.13–0.32 band the autoscaler can react to, with
         # enough headroom that a healthy release costs no requests.
-        app_cores=2, app_core_speed=8.0)
+        app_cores=2, app_core_speed=8.0, options=options)
     autoscaler = attach_app_autoscaler(deployment, AutoscalerConfig(
         min_size=app_servers, max_size=app_servers + 4,
         evaluate_interval=5.0, signal_window=5.0,
@@ -174,18 +176,21 @@ def run_arm(gated: bool, seed: int = 0, day_length: float = 120.0,
 
 
 def run(seed: int = 0, day_length: float = 120.0,
-        app_servers: int = 6) -> ExperimentResult:
+        app_servers: int = 6,
+        options: RunOptions = RunOptions()) -> ExperimentResult:
     closed = run_arm(True, seed=seed, day_length=day_length,
-                     app_servers=app_servers)
+                     app_servers=app_servers, options=options)
     open_ = run_arm(False, seed=seed, day_length=day_length,
-                    app_servers=app_servers)
+                    app_servers=app_servers, options=options)
 
     result = ExperimentResult(
         name="opsloop: canary-gated release vs open loop over a "
              "diurnal day",
         params={"seed": seed, "day_length": day_length,
                 "app_servers": app_servers,
-                "error_budget": ERROR_BUDGET})
+                "error_budget": ERROR_BUDGET},
+        runs=[closed["deployment"].run_record,
+              open_["deployment"].run_record])
     for label, arm in (("closed", closed), ("open", open_)):
         release = arm["release"]
         result.scalars[f"errors_{label}"] = arm["errors"]

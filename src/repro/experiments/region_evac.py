@@ -25,11 +25,13 @@ both arms.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from ..clients.web import WebWorkloadConfig
 from ..faults.plan import FaultPlan, FaultSpec
 from ..lb.katran import KatranConfig
 from ..lb.routers import ROUTER_SCHEMES
-from ..options import current
+from ..options import RunOptions
 from ..proxygen.config import ProxygenConfig
 from ..regions import evacuate_region
 from .common import ExperimentResult, build_regional_deployment, \
@@ -53,9 +55,10 @@ def _origin_config() -> ProxygenConfig:
                           spawn_delay=0.5)
 
 
-def _build(seed: int, **overrides):
+def _build(seed: int, options: RunOptions, **overrides):
     kwargs = dict(
         seed=seed,
+        options=options,
         regions=2,
         pops_per_region=1,
         proxies_per_pop=3,
@@ -115,9 +118,10 @@ def _stranded_tunnels(deployment, evacuated_ips: set) -> int:
     return stranded
 
 
-def _evacuation_arm(seed: int, scheme: str) -> dict:
+def _evacuation_arm(seed: int, scheme: str, options: RunOptions) -> dict:
     """Evacuate r1 under live load with one L4LB scheme."""
-    deployment = _build(seed, katran_config=KatranConfig(lb_scheme=scheme))
+    deployment = _build(seed, options,
+                        katran_config=KatranConfig(lb_scheme=scheme))
     deployment.run(until=EVENT_AT)
     survivor_ok_before = _web_ok(deployment, region="r0")
     victim = deployment.region("r1")
@@ -138,10 +142,11 @@ def _evacuation_arm(seed: int, scheme: str) -> dict:
         "failovers": _sum_with_tags(deployment.metrics, "anycast-r1",
                                     "failover_route"),
         "faults": fault_summary(deployment),
+        "run": deployment.run_record,
     }
 
 
-def _partition_arm(seed: int, failover: bool) -> dict:
+def _partition_arm(seed: int, failover: bool, options: RunOptions) -> dict:
     """Black-hole every r0 link for 12s, with/without anycast failover."""
     plan = FaultPlan(
         name="regionevac-partition",
@@ -149,7 +154,7 @@ def _partition_arm(seed: int, failover: bool) -> dict:
                          duration=PARTITION_DURATION)],
         description="black-hole region r0's WAN links")
     deployment = _build(
-        seed, failover=failover, fault_plan=plan,
+        seed, replace(options, fault_plan=plan), failover=failover,
         # A short request timeout sharpens the arms' contrast: stranded
         # r0 clients burn timeouts instead of idling out the partition.
         web_workload=WebWorkloadConfig(clients_per_host=6,
@@ -167,18 +172,20 @@ def _partition_arm(seed: int, failover: bool) -> dict:
         "tagged_drops": _sum_with_tags(metrics, "net", "dropped"),
         "drop_causes": _sum_with_tags(metrics, "net", "dropped_cause"),
         "faults": fault_summary(deployment),
+        "run": deployment.run_record,
     }
 
 
-def run(seed: int = 0) -> ExperimentResult:
-    chaos = current().fault_plan is not None
+def run(seed: int = 0,
+        options: RunOptions = RunOptions()) -> ExperimentResult:
+    chaos = options.fault_plan is not None
     result = ExperimentResult(
         name="region_evac: evacuation under load + anycast failover",
         params={"seed": seed, "regions": 2, "event_at": EVENT_AT,
                 "horizon": HORIZON, "chaos": chaos})
 
     # -- part 1: live evacuation, once per L4LB scheme -------------------
-    evac_arms = [_evacuation_arm(seed, scheme)
+    evac_arms = [_evacuation_arm(seed, scheme, options)
                  for scheme in sorted(ROUTER_SCHEMES)]
     for arm in evac_arms:
         tag = arm["scheme"]
@@ -204,8 +211,8 @@ def run(seed: int = 0) -> ExperimentResult:
             a["survivor_served_after"] > 0 for a in evac_arms)
 
     # -- part 2: WAN partition, failover on vs off -----------------------
-    on = _partition_arm(seed, failover=True)
-    off = _partition_arm(seed, failover=False)
+    on = _partition_arm(seed, failover=True, options=options)
+    off = _partition_arm(seed, failover=False, options=options)
     result.scalars["partition.on.ok"] = on["ok"]
     result.scalars["partition.off.ok"] = off["ok"]
     result.scalars["partition.on.errors"] = on["errors"]
@@ -215,8 +222,8 @@ def run(seed: int = 0) -> ExperimentResult:
     result.scalars["partition.on.tagged_drops"] = on["tagged_drops"]
     result.claims["partition_drops_are_tagged"] = (
         on["tagged_drops"] > 0 and on["drop_causes"] > 0)
-    # The partition arms attach an explicit plan (which supersedes any
-    # run-options chaos plan), so their comparative claims always hold.
+    # The partition arms run their own plan in place of any chaos plan,
+    # so their comparative claims always hold.
     result.claims["failover_rerouting_only_when_enabled"] = (
         on["failover_routes"] > 0 and off["failover_routes"] == 0)
     result.claims["failover_serves_more_than_ablation"] = (
@@ -232,4 +239,5 @@ def run(seed: int = 0) -> ExperimentResult:
                   on["faults"])
     if faults:
         result.faults = faults
+    result.runs = [arm["run"] for arm in evac_arms + [on, off]]
     return result

@@ -13,9 +13,12 @@ hedge / shed decision visible as a counter.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from ..appserver.config import AppServerConfig
 from ..clients.web import WebWorkloadConfig
 from ..faults.plan import FaultPlan, FaultSpec
+from ..options import RunOptions
 from ..proxygen.config import ProxygenConfig
 from ..resilience import ResilienceConfig
 from .common import ExperimentResult, build_deployment, fault_summary, \
@@ -92,7 +95,8 @@ def _shed_total(components) -> float:
 
 
 def run_arm(resilience_on: bool, seed: int = 0, warmup: float = 10.0,
-            measure: float = 70.0) -> dict:
+            measure: float = 70.0,
+            options: RunOptions = RunOptions()) -> dict:
     """One arm of the ablation; faults start when measurement does."""
     off = ResilienceConfig(enabled=False)
     proxy_res = _proxy_resilience() if resilience_on else off
@@ -107,7 +111,7 @@ def run_arm(resilience_on: bool, seed: int = 0, warmup: float = 10.0,
                               post_size_min=100_000,
                               post_size_cap=1_000_000,
                               request_timeout=8.0),
-        fault_plan=_fault_plan(at=warmup))
+        options=replace(options, fault_plan=_fault_plan(at=warmup)))
     dep.run(until=warmup + measure)
 
     clients = dep.metrics.prefix_counters("web-clients")
@@ -149,21 +153,25 @@ def run_arm(resilience_on: bool, seed: int = 0, warmup: float = 10.0,
         "sheds_seen_by_clients": sheds_seen,
         "decisions": decisions,
         "faults": fault_summary(dep),
+        "run": dep.run_record,
     }
 
 
-def run(seed: int = 0) -> ExperimentResult:
-    on = run_arm(True, seed=seed)
-    off = run_arm(False, seed=seed)
+def run(seed: int = 0,
+        options: RunOptions = RunOptions()) -> ExperimentResult:
+    on = run_arm(True, seed=seed, options=options)
+    off = run_arm(False, seed=seed, options=options)
     # Determinism: the resilient arm replayed under the same seed must
     # reproduce every scalar and every decision counter exactly.
-    rerun = run_arm(True, seed=seed)
+    rerun = run_arm(True, seed=seed, options=options)
 
     result = ExperimentResult(
         name="resilience ablation: data plane vs slow+rogue backends",
         params={"seed": seed},
         faults=on["faults"],
-        resilience=on["decisions"])
+        resilience=on["decisions"],
+        # Popped: what is left of the arms must compare equal.
+        runs=[arm.pop("run") for arm in (on, off, rerun)])
     for label, arm in (("on", on), ("off", off)):
         result.scalars[f"errors_{label}"] = arm["errors"]
         result.scalars[f"requests_ok_{label}"] = arm["requests_ok"]

@@ -23,7 +23,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import replace
 
-from ..options import current
+from ..options import RunOptions
 from ..regions import RegionalSpec
 from ..shard import run_sharded
 from .common import ExperimentResult
@@ -56,10 +56,9 @@ def _digest(counters: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
-def run(seed: int = 0, shards: int | None = None) -> ExperimentResult:
-    options = current()
-    if shards is None:
-        shards = options.shards or 1
+def run(seed: int = 0,
+        options: RunOptions = RunOptions()) -> ExperimentResult:
+    shards = options.shards or 1
     spec = RegionalSpec(
         seed=seed,
         regions=REGIONS,
@@ -78,7 +77,8 @@ def run(seed: int = 0, shards: int | None = None) -> ExperimentResult:
         name="shardscale: sharded regions merge bit-identically",
         params={"seed": seed, "regions": REGIONS, "horizon": HORIZON,
                 "shards": shards,
-                "counters_sha256": _digest(counters)})
+                "counters_sha256": _digest(counters)},
+        runs=outcome.runs)
     if options.fault_plan is not None:
         result.params["faults"] = "skipped (fault plans do not shard)"
 

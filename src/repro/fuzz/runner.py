@@ -10,7 +10,7 @@ the scenario, which is what makes repro files replay exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from ..appserver.config import AppServerConfig
@@ -35,7 +35,8 @@ __all__ = ["FuzzRunResult", "run_scenario"]
 
 #: Tail-only tracing: no head sampling, keep errored/flagged requests —
 #: exactly what a repro file wants to embed.  The only option a fuzz run
-#: takes; everything else is the scenario's.
+#: takes besides its scenario's fault plan; everything else is the
+#: scenario's.
 FUZZ_OPTIONS = RunOptions(
     trace=TraceConfig(sample_rate=0.0, keep_errors=True))
 
@@ -162,15 +163,14 @@ def run_scenario(scenario: Scenario,
     :class:`repro.simkernel.reference.Environment` for differential
     testing); ``None`` uses the optimized live kernel.
     """
+    options = replace(FUZZ_OPTIONS, fault_plan=scenario.fault_plan())
     with planted_fault(scenario.planted):
         if scenario.regions > 1:
             deployment = RegionalDeployment(
-                _build_regional_spec(scenario), env=env,
-                fault_plan=scenario.fault_plan(), options=FUZZ_OPTIONS)
+                _build_regional_spec(scenario), env=env, options=options)
         else:
             deployment = Deployment(_build_spec(scenario), env=env,
-                                    fault_plan=scenario.fault_plan(),
-                                    options=FUZZ_OPTIONS)
+                                    options=options)
         suite = InvariantSuite(deployment,
                                checkers=make_checkers(checkers))
         suite.attach()

@@ -15,10 +15,11 @@ continuously against any :class:`~repro.cluster.deployment.Deployment`:
   ``CHECKERS`` for the registry.
 
 Always-on mode: the experiment harness builders put a suite on every
-deployment's ``RunRecord.suite``; whoever opened the ``options.use()``
-block the run was built in finalizes it — the experiments CLI per
-figure, the tier-1 ``_invariant_guard`` per test — so the tier-1 tests
-double as invariant tests.
+deployment's ``RunRecord.suite``, and the harness hands the record back
+on ``ExperimentResult.runs``, where the experiments CLI finalizes it
+per figure.  The tier-1 ``_invariant_guard`` (``tests/conftest.py``)
+sees every topology a test builds and finalizes the same suites, so
+the tier-1 tests double as invariant tests.
 """
 
 from .base import InvariantChecker, InvariantSuite, InvariantViolation

@@ -2,26 +2,23 @@
 
 The experiments CLI (``--faults``, ``--resilience``, ``--lb-scheme``,
 ``--load-shape``, ``--cohorts``, ``--splice``, ``--canary``,
-``--shards``, ``--trace``) builds one :class:`RunOptions` and runs each
-figure inside ``with use(options) as runs:``.  Topology builders resolve
-``current()`` once, in ``__init__`` (see ``cluster.base.Topology``), and
-afterwards read only their resolved spec; they also hand their run's
-record to the open blocks, so ``runs`` is what the figure built (the
-CLI reads each run's invariant suite and tracer from it).  Every spec
-field an option targets is declared on ``cluster.spec.TierConfigs``,
-the base of both specs, so :meth:`RunOptions.apply` treats every spec
-alike.
+``--shards``, ``--trace``) builds one :class:`RunOptions` and passes it
+to each figure's ``run(seed=..., options=...)``, which passes it down to
+every topology it builds.  A topology (see ``cluster.base.Topology``)
+folds its options into its spec once, in ``__init__``, and afterwards
+reads only the resolved spec.  Every spec field an option targets is
+declared on ``cluster.spec.TierConfigs``, the base of both specs, so
+:meth:`RunOptions.apply` treats every spec alike.
 
 This module imports nothing from ``repro`` so every layer may import it.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Optional
 
-__all__ = ["RunOptions", "current", "note_run", "use"]
+__all__ = ["RunOptions"]
 
 
 @dataclass(frozen=True)
@@ -30,9 +27,8 @@ class RunOptions:
 
     Precedence against a spec (:meth:`apply`): ``resilience`` and
     ``lb_scheme`` override the spec's; ``load_shape``, ``cohorts`` and
-    ``splice`` apply only where the spec leaves the field ``None``.  An
-    explicit ``fault_plan=`` or ``options=`` constructor argument and
-    ``RollingRelease(gate=)`` beat the options in force.
+    ``splice`` apply only where the spec leaves the field ``None``.
+    ``RollingRelease(gate=)`` beats ``release_gate``.
     """
 
     fault_plan: Any = None                    # faults.FaultPlan
@@ -65,36 +61,3 @@ class RunOptions:
                 config = getattr(spec, "resolved_" + name)()
                 changes[name] = replace(config, resilience=self.resilience)
         return replace(spec, **changes) if changes else spec
-
-
-#: The options in force and the run lists of the open :func:`use`
-#: blocks, innermost last.
-_current: tuple = (RunOptions(), ())
-
-
-def current() -> RunOptions:
-    """The options in force (all-``None`` outside any :func:`use`)."""
-    return _current[0]
-
-
-def note_run(record) -> None:
-    """Hand a just-built run's record to every open :func:`use` block
-    (outside all of them nobody collects, and nothing is kept)."""
-    for runs in _current[1]:
-        runs.append(record)
-
-
-@contextmanager
-def use(options: RunOptions):
-    """Run the block under ``options``; yields the list of the run
-    records (``repro.run.RunRecord``) of the topologies built inside it,
-    nested blocks included, in build order.  Restores the previous
-    options on exit, exception or not."""
-    global _current
-    previous = _current
-    runs: list = []
-    _current = (options, previous[1] + (runs,))
-    try:
-        yield runs
-    finally:
-        _current = previous

@@ -26,7 +26,6 @@ from typing import Optional
 from ..appserver.brokers import MqttBroker
 from ..cluster.base import (
     CLIENT_CORE_SPEED, CLIENT_CORES, Region, RegionPoP, Topology)
-from ..faults.plan import FaultPlan
 from ..lb.consistent_hash import ConsistentHashRing
 from ..lb.ecmp import EcmpRouter
 from ..netsim.network import EDGE_ORIGIN, WAN_CLIENT_EDGE, LinkProfile
@@ -47,10 +46,9 @@ class RegionalDeployment(Topology):
 
     def __init__(self, spec: RegionalSpec,
                  env: Optional[Environment] = None,
-                 fault_plan: Optional[FaultPlan] = None,
-                 options: Optional[RunOptions] = None):
+                 options: RunOptions = RunOptions()):
         spec.validate()
-        super().__init__(spec, spec.anycast_vip_ip, env, fault_plan, options,
+        super().__init__(spec, spec.anycast_vip_ip, env, options,
                          partition_rng=spec.partition_network_rng)
         self.anycast_https = self.edge_vips[0].endpoint
         self._ip_serial = 0

@@ -16,9 +16,9 @@ collector, splice governor, cohort set) hears it through one
 server grown mid-run announces to the same record as the ones built
 first.
 
-``cluster.base.Topology`` creates the record before any component and
-hands it to every open ``options.use()`` block; a bare test world gets
-one on first use, with no options in force.
+The record lives on its environment (``env.run_record``), so the two
+die together.  ``cluster.base.Topology`` creates it before any
+component; a bare test world gets one on first use, with no options.
 
 This module imports nothing from ``repro`` so every layer may import it.
 """
@@ -26,7 +26,6 @@ This module imports nothing from ``repro`` so every layer may import it.
 from __future__ import annotations
 
 import itertools
-import weakref
 from typing import Any, Callable
 
 __all__ = ["WINDOW_KINDS", "RunRecord", "run_of"]
@@ -36,20 +35,13 @@ __all__ = ["WINDOW_KINDS", "RunRecord", "run_of"]
 #: de-splices, aggregate cohorts condense).
 WINDOW_KINDS = ("release", "fault", "evacuation")
 
-# Both sides are weak.  A record holds its listeners, tracer and
-# governor, each of which holds the environment, so a strong value would
-# pin its own key (and with it every run of the process); held weakly,
-# an entry dies with its run and nobody unhooks.  The run's own objects
-# keep the record alive: every host, release and listener holds it.
-_records_by_env: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
 
 class RunRecord:
     """Options, tracer, splice governor, invariant suite, id counters
     and event channel of one run."""
 
     __slots__ = ("options", "tracer", "splice", "suite", "listeners",
-                 "request_ids", "connection_ids", "__weakref__")
+                 "request_ids", "connection_ids")
 
     def __init__(self) -> None:
         #: The run's resolved RunOptions (None in a bare test world).
@@ -59,8 +51,8 @@ class RunRecord:
         #: The run's repro.splice.SpliceGovernor, or None.
         self.splice = None
         #: The always-on repro.invariants.InvariantSuite a harness
-        #: builder attached, or None; finalized by whoever opened the
-        #: ``options.use()`` block the run was built in.
+        #: builder attached, or None; finalized by whoever the harness
+        #: hands the record back to (``ExperimentResult.runs``).
         self.suite = None
         #: Called as ``listener(name, **fields)`` in subscription order.
         #: Per-connection announcers test this list first, so with
@@ -88,11 +80,8 @@ class RunRecord:
 
 
 def run_of(env) -> RunRecord:
-    """The record of the run ``env`` drives, created on first use.
-    Hold what you get: the table does not."""
-    ref = _records_by_env.get(env)
-    record = ref() if ref is not None else None
+    """The record of the run ``env`` drives, created on first use."""
+    record = getattr(env, "run_record", None)
     if record is None:
-        record = RunRecord()
-        _records_by_env[env] = weakref.ref(record)
+        record = env.run_record = RunRecord()
     return record

@@ -26,7 +26,7 @@ every worker inject the same fault once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 __all__ = ["ShardPlan", "ShardResult", "counters_snapshot",
            "merge_counters", "run_sharded"]
@@ -75,6 +75,9 @@ class ShardResult:
     #: order (informational; event ids are per-worker, not comparable
     #: across shard counts).
     shard_stats: list
+    #: The record (``repro.run.RunRecord``) of the in-process run of a
+    #: 1-shard call; a forked worker's record stays in the worker.
+    runs: list = field(default_factory=list)
 
     @property
     def events(self) -> int:

@@ -10,7 +10,7 @@ from repro.cohorts import (
     CohortSpec,
     compile_cohorts,
 )
-from repro.options import RunOptions, current, use
+from repro.options import RunOptions
 
 
 # -- policy ------------------------------------------------------------------
@@ -83,10 +83,9 @@ def test_compile_cohorts_skips_empty_workloads():
 
 
 def test_run_options_policy_applies_and_clears():
-    with use(RunOptions(cohorts=CohortPolicy(scale=2))):
-        assert current().cohorts == CohortPolicy(scale=2)
-        deployment = Deployment(DeploymentSpec(
-            seed=0, quic_workload=None, quic_client_hosts=0))
-        assert deployment.cohort_set is not None
-    assert current().cohorts is None
+    deployment = Deployment(
+        DeploymentSpec(seed=0, quic_workload=None, quic_client_hosts=0),
+        options=RunOptions(cohorts=CohortPolicy(scale=2)))
+    assert deployment.cohort_set is not None
+    assert deployment.spec.cohorts == CohortPolicy(scale=2)
     assert Deployment(DeploymentSpec(seed=1)).cohort_set is None

@@ -4,7 +4,8 @@ import pytest
 
 from repro.metrics import MetricsRegistry
 from repro.netsim import Host, LinkProfile, Network
-from repro.options import current, use
+from repro.cluster.base import Topology
+from repro.experiments import ALL_EXPERIMENTS
 from repro.simkernel import Environment, RandomStreams
 
 
@@ -30,19 +31,47 @@ def world():
     return World()
 
 
+@pytest.fixture
+def built_runs(monkeypatch):
+    """The records of every topology the test builds, in build order:
+    ``Topology.__init__`` is hooked for the test's duration."""
+    runs = []
+    build = Topology.__init__
+
+    def hooked(self, *args, **kwargs):
+        build(self, *args, **kwargs)
+        runs.append(self.run_record)
+
+    monkeypatch.setattr(Topology, "__init__", hooked)
+    return runs
+
+
+@pytest.fixture
+def handed_back(monkeypatch):
+    """Every run the test's harness calls hand back on ``result.runs``,
+    in call order (each ``ALL_EXPERIMENTS`` module's ``run`` is wrapped,
+    so a CLI ``main`` call counts too)."""
+    runs = []
+    for module in ALL_EXPERIMENTS.values():
+        def run(*args, _run=module.run, **kwargs):
+            result = _run(*args, **kwargs)
+            runs.extend(result.runs)
+            return result
+        monkeypatch.setattr(module, "run", run)
+    return runs
+
+
 @pytest.fixture(autouse=True)
-def _invariant_guard():
+def _invariant_guard(built_runs):
     """Always-on invariant checking for harness-built deployments.
 
     Any test that builds a deployment through the experiment harness
     (``experiments.common.build_deployment``) silently runs under the
     full invariant suite; a violation fails the test here even if its
-    own assertions passed.  The test runs in one ``use()`` block, which
-    hands back every run built in it.
+    own assertions passed.
     """
-    with use(current()) as runs:
-        yield
-    violations = [v for run in runs if run.suite is not None
+    yield
+    violations = [v for run in built_runs if run.suite is not None
                   for v in run.suite.finalize()]
     assert not violations, (
         "invariant violations during test: "

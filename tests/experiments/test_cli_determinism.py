@@ -47,9 +47,12 @@ def _run_cli(argv, capsys):
     ["regionevac", "--cohorts", "100", "--cohort-fidelity", "aggregate"],
     ["regionevac", "--splice"],
 ], ids=" ".join)
-def test_cli_double_run_is_byte_identical(argv, capsys):
+def test_cli_double_run_is_byte_identical(argv, capsys, built_runs,
+                                          handed_back):
     code_a, out_a = _run_cli(argv, capsys)
     code_b, out_b = _run_cli(argv, capsys)
+    # What the CLI finalized is every run the harness built.
+    assert handed_back == built_runs
     assert code_a == code_b == 0
     assert out_a == out_b, f"{argv}: CLI output differs between runs"
     assert "invariants: all checkers clean" in out_a

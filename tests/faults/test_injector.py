@@ -14,7 +14,7 @@ from repro.faults import (
     FaultPlan,
     FaultSpec,
 )
-from repro.options import RunOptions, current, use
+from repro.options import RunOptions
 from repro.proxygen.config import ProxygenConfig
 
 
@@ -25,7 +25,7 @@ def _deployment(plan=None, seed=0, **spec_kwargs):
         web_workload=None, mqtt_workload=None, quic_workload=None)
     kwargs.update(spec_kwargs)
     spec = DeploymentSpec(seed=seed, **kwargs)
-    dep = Deployment(spec, fault_plan=plan)
+    dep = Deployment(spec, options=RunOptions(fault_plan=plan))
     dep.start()
     return dep
 
@@ -199,13 +199,10 @@ def test_summary_shape():
 def test_run_options_plan_attaches_on_start():
     plan = _plan(FaultSpec("slow_host", where="appserver-*", at=1.0,
                            duration=2.0))
-    with use(RunOptions(fault_plan=plan)):
-        assert current().fault_plan is plan
-        dep = _deployment()  # no explicit plan
-        assert dep.fault_injector is not None
-        assert dep.fault_injector.plan is plan
-    assert current().fault_plan is None
-    # Outside the block, new deployments run fault-free.
+    dep = _deployment(plan)
+    assert dep.options.fault_plan is plan
+    assert dep.fault_injector.plan is plan
+    # Another run, built without the plan, runs fault-free.
     assert _deployment().fault_injector is None
 
 
@@ -217,16 +214,6 @@ def test_attach_is_idempotent():
     original = dep.app_hosts[0].cpu.speed
     dep.run(until=1.5)
     assert dep.app_hosts[0].cpu.speed == pytest.approx(original * 0.25)
-
-
-def test_explicit_plan_beats_run_options():
-    explicit = _plan(FaultSpec("slow_host", where="appserver-0", at=1.0),
-                     name="explicit")
-    optional = _plan(FaultSpec("slow_host", where="appserver-1", at=1.0),
-                     name="options")
-    with use(RunOptions(fault_plan=optional)):
-        dep = _deployment(explicit)
-        assert dep.fault_injector.plan.name == "explicit"
 
 
 def test_takeover_stall_fails_release_then_retry_succeeds():

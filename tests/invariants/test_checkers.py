@@ -14,7 +14,6 @@ from repro.invariants import (
 from repro.cluster.deployment import Deployment
 from repro.cluster.spec import DeploymentSpec
 from repro.experiments.common import build_deployment
-from repro.options import RunOptions, use
 from repro.release.orchestrator import RollingRelease, RollingReleaseConfig
 
 
@@ -141,13 +140,12 @@ def test_finalize_is_idempotent():
 # -- always-on runtime -------------------------------------------------------
 
 
-def test_runtime_install_and_drain():
-    """A harness-built run carries its suite on its record, and the
-    ``use()`` block it was built in hands that record back."""
-    with use(RunOptions()) as runs:
-        deployment = build_deployment(edge_proxies=1, origin_proxies=1,
-                                      app_servers=1)
-    (run,) = runs
+def test_runtime_install_and_drain(built_runs):
+    """A harness-built run carries its suite on its record, where the
+    tier-1 guard finds it."""
+    deployment = build_deployment(edge_proxies=1, origin_proxies=1,
+                                  app_servers=1)
+    (run,) = built_runs
     assert run is deployment.run_record
     assert run.suite._on_announce in run.listeners
     deployment.run(until=3.0)

@@ -13,7 +13,7 @@ from repro.lb import (
     StatelessRouter,
     make_router,
 )
-from repro.options import RunOptions, current, use
+from repro.options import RunOptions
 
 
 def _key(i):
@@ -56,13 +56,14 @@ def test_katran_config_resolves_scheme():
 def test_run_options_scheme_set_and_clear():
     from repro import Deployment, DeploymentSpec
 
-    assert current().lb_scheme is None
-    with use(RunOptions(lb_scheme="stateful")):
-        assert current().lb_scheme == "stateful"
-        with use(RunOptions(lb_scheme="bogus")), pytest.raises(ValueError):
-            Deployment(DeploymentSpec(seed=0))
-        assert current().lb_scheme == "stateful"
-    assert current().lb_scheme is None
+    dep = Deployment(DeploymentSpec(seed=0),
+                     options=RunOptions(lb_scheme="stateful"))
+    assert {k.router.scheme for k in dep.all_katrans()} == {"stateful"}
+    with pytest.raises(ValueError):
+        Deployment(DeploymentSpec(seed=0),
+                   options=RunOptions(lb_scheme="bogus"))
+    dep = Deployment(DeploymentSpec(seed=0))
+    assert {k.router.scheme for k in dep.all_katrans()} == {"lru"}
 
 
 # -- common routing contract -------------------------------------------------

@@ -12,7 +12,7 @@ from repro.ops.load import (
     LoadShapeConfig,
     named_load_shape,
 )
-from repro.options import RunOptions, current, use
+from repro.options import RunOptions
 from repro.simkernel import Environment
 
 
@@ -297,9 +297,7 @@ def test_deployment_wires_spec_load_shape_into_clients():
 
 
 def test_run_options_load_shape_applies_and_clears():
-    with use(RunOptions(load_shape=_diurnal())):
-        assert current().load_shape is not None
-        deployment = Deployment(_spec())
-        assert deployment.load_controller is not None
-    assert current().load_shape is None
+    deployment = Deployment(_spec(),
+                            options=RunOptions(load_shape=_diurnal()))
+    assert deployment.load_controller is not None
     assert Deployment(_spec(seed=1)).load_controller is None

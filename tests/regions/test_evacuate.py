@@ -4,6 +4,7 @@ import pytest
 
 from repro.faults import FaultPlan, FaultSpec
 from repro.invariants import InvariantSuite
+from repro.options import RunOptions
 from repro.proxygen.config import ProxygenConfig
 from repro.regions import RegionalDeployment, RegionalSpec, \
     evacuate_region
@@ -99,7 +100,7 @@ def test_partitioned_clients_get_their_tunnels_terminated():
         "strand-r0",
         [FaultSpec("wan_partition", where="r0-*:*", at=5.0,
                    duration=None)])
-    dep = RegionalDeployment(_spec(), fault_plan=plan)
+    dep = RegionalDeployment(_spec(), options=RunOptions(fault_plan=plan))
     suite = InvariantSuite(dep)
     suite.attach()
     report = _evacuate(dep)

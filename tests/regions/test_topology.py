@@ -4,6 +4,7 @@ import pytest
 
 from repro.clients.web import WebWorkloadConfig
 from repro.faults import FaultPlan, FaultSpec
+from repro.options import RunOptions
 from repro.proxygen.config import ProxygenConfig
 from repro.regions import RegionalDeployment, RegionalSpec
 
@@ -94,7 +95,7 @@ def test_anycast_fails_over_when_home_region_is_partitioned():
         _spec(web_workload=WebWorkloadConfig(clients_per_host=4,
                                              think_time=1.0,
                                              request_timeout=3.0)),
-        fault_plan=_partition_plan())
+        options=RunOptions(fault_plan=_partition_plan()))
     dep.start()
     dep.run(until=20.0)
     resolver = dep.regions[0].pops[0].resolver
@@ -111,7 +112,7 @@ def test_failover_disabled_strands_partitioned_clients():
               web_workload=WebWorkloadConfig(clients_per_host=4,
                                              think_time=1.0,
                                              request_timeout=3.0)),
-        fault_plan=_partition_plan())
+        options=RunOptions(fault_plan=_partition_plan()))
     dep.start()
     dep.run(until=20.0)
     pop = dep.regions[0].pops[0]
@@ -121,7 +122,8 @@ def test_failover_disabled_strands_partitioned_clients():
 
 
 def test_partition_drops_are_tagged_by_site_pair_and_cause():
-    dep = RegionalDeployment(_spec(), fault_plan=_partition_plan())
+    dep = RegionalDeployment(
+        _spec(), options=RunOptions(fault_plan=_partition_plan()))
     dep.start()
     dep.run(until=20.0)
     net = dep.metrics.scoped_counters("net")

@@ -505,10 +505,17 @@ def test_observers_run_in_registration_order():
 def test_observer_dies_with_its_run_without_anyone_unhooking():
     """The shape every real listener has — a method of an object that
     holds the environment (suite, governor, collector, cohort set) —
-    must not be kept alive by the table, and neither must the
-    environment or the record."""
+    must not be kept alive by anything outside the run, and neither
+    must the environment or the record."""
     import gc
     import weakref
+
+    from repro.run import RunRecord
+
+    def record_alive(record_id):
+        gc.collect()
+        return any(id(obj) == record_id and type(obj) is RunRecord
+                   for obj in gc.get_objects())
 
     class Owner:
         def __init__(self, env):
@@ -524,15 +531,15 @@ def test_observer_dies_with_its_run_without_anyone_unhooking():
     release.run_record.subscribe(owner.on_announce)
     env.run(until=env.process(release.execute()))
     assert owner.seen == ["release_begin", "release_end"]
-    refs = [weakref.ref(env), weakref.ref(owner),
-            weakref.ref(release.run_record)]
+    refs = [weakref.ref(env), weakref.ref(owner)]
+    record_id = id(release.run_record)
     del env, owner, release
-    gc.collect()
-    assert [ref() for ref in refs] == [None, None, None]
+    assert not record_alive(record_id)
+    assert [ref() for ref in refs] == [None, None]
 
 
 def test_run_options_gate_factory_builds_gates_for_ungated_releases():
-    from repro.options import RunOptions, current, use
+    from repro.options import RunOptions
 
     class CountingGate:
         def __init__(self):
@@ -559,11 +566,9 @@ def test_run_options_gate_factory_builds_gates_for_ungated_releases():
     env.run(until=env.process(release.execute()))
     assert built and built[0][0] is release
     assert built[0][1].reviews == 2  # one review per batch
-    # Another run's release builds no gate, whatever is ambient.
+    # Another run's release builds no gate.
     env2 = Environment()
     ungated = RollingRelease(env2, _targets(env2, 2),
                              RollingReleaseConfig(batch_fraction=1.0))
-    with use(RunOptions(release_gate=factory)):
-        env2.run(until=env2.process(ungated.execute()))
-    assert current().release_gate is None
+    env2.run(until=env2.process(ungated.execute()))
     assert len(built) == 1

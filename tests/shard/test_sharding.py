@@ -13,7 +13,7 @@ for figure-scale sweeps at all.
 import pytest
 
 from repro.faults import builtin_plan
-from repro.options import RunOptions, use
+from repro.options import RunOptions
 from repro.regions import RegionalSpec
 from repro.shard import ShardPlan, run_sharded
 
@@ -97,5 +97,3 @@ def test_run_options_fault_plan_is_rejected():
         fault_plan=builtin_plan("hc-flap-storm", at=1.0, duration=5.0))
     with pytest.raises(ValueError, match="do not shard"):
         run_sharded(_spec(0), until=5.0, shards=2, options=options)
-    with use(options), pytest.raises(ValueError, match="do not shard"):
-        run_sharded(_spec(0), until=5.0, shards=2)

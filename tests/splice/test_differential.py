@@ -31,6 +31,7 @@ from repro.clients.web import WebWorkloadConfig
 from repro.experiments.common import (build_deployment,
                                       build_regional_deployment)
 from repro.faults import FaultPlan, FaultSpec
+from repro.options import RunOptions
 from repro.regions import evacuate_region
 from repro.release.orchestrator import RollingRelease, RollingReleaseConfig
 from repro.shard import counters_snapshot
@@ -67,7 +68,7 @@ def _build(seed: int, splice: bool, fault_plan=None):
         app_servers=2,
         web=_workload(),
         splice=SpliceConfig() if splice else None,
-        fault_plan=fault_plan)
+        options=RunOptions(fault_plan=fault_plan))
 
 
 def _finish(deployment):

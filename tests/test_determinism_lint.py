@@ -5,7 +5,8 @@ Same-seed runs must replay bit-exact, so nothing under ``src/repro`` may
 draw from the global ``random`` module or read a host clock: randomness
 comes from an injected ``repro.simkernel`` stream, time from ``env.now``.
 And two runs in one process must not be able to reach each other, so
-process-global mutable state is a closed list that can only shrink.
+there is no process-global mutable state at all: no mutable module or
+class attribute, no mutable default argument.
 And the one order-sensitive store primitive, ``Store.deliver``, stays
 where its precondition (kernel context, tail position) was argued, the
 kernel's private event counter is read nowhere outside the kernel, and
@@ -34,18 +35,6 @@ ALLOWED = {
     "experiments/__main__.py": {"import time", "time"},
 }
 
-
-#: Process-global mutable state: path relative to src/repro → {name:
-#: owner and why it survives}.  The lint fails on anything not listed
-#: *and* on a listed name that is gone, so this only ever shrinks.
-SHARED_STATE = {
-    "options.py": {
-        "_current": "the one sanctioned slot: the options in force and "
-                    "the run lists of the open use() blocks"},
-    "run.py": {
-        "_records_by_env": "environment -> its run's record; keys and "
-                           "values weak, an entry dies with its run"},
-}
 
 #: Besides ``simkernel/resources.py``, which defines it, the modules
 #: that may name ``deliver``: the socket layer binds ``Store.deliver``
@@ -151,36 +140,53 @@ def _is_mutable_value(node: ast.AST) -> bool:
     return False
 
 
-def shared_state(source) -> set:
-    """Names of the process-global mutable state ``source`` declares.
-
-    The rule: a module-level name bound to a list/dict/set display or
-    comprehension, to a mutable-container constructor call or to
-    ``itertools.count`` is shared state, and so is any name a
-    ``global`` statement rebinds.  Exempt are module *constants*:
-    tuples, frozensets and other immutable values by construction, and
-    ``__dunder__`` / ``UPPER_CASE`` names (``__all__``, lookup tables)
-    by convention — a convention this checks as far as the module
-    itself goes: a constant-named container its own module mutates
-    (``TABLE[k] = v``, ``TABLE.append(...)``) is reported too.
-    """
-    tree = _parse(source)
-    found, constants = set(), set()
-    for node in tree.body:
+def _mutable_bindings(body: list):
+    """``(name, is_constant)`` of every name a statement of ``body``
+    binds to a mutable value."""
+    for node in body:
         if isinstance(node, ast.Assign):
             targets = node.targets
         elif isinstance(node, ast.AnnAssign) and node.value is not None:
             targets = [node.target]
         else:
             continue
-        if not _is_mutable_value(node.value):
-            continue
-        for target in targets:
-            if isinstance(target, ast.Name):
-                (constants if _is_constant_name(target.id)
-                 else found).add(target.id)
+        if _is_mutable_value(node.value):
+            yield from ((target.id, _is_constant_name(target.id))
+                        for target in targets
+                        if isinstance(target, ast.Name))
+
+
+def shared_state(source) -> set:
+    """Names of the process-global mutable state ``source`` declares.
+
+    The rule: a module-level name bound to a list/dict/set display or
+    comprehension, to a mutable-container constructor call or to
+    ``itertools.count`` is shared state, and so is any name a
+    ``global`` statement rebinds, a class attribute bound to such a
+    value in its class body (``C.cache``: every instance and every run
+    shares it) and a function with such a default argument (``f()``:
+    every call shares it).  Exempt are *constants*: tuples, frozensets
+    and other immutable values by construction (a frozen
+    ``RunOptions()`` default included), and ``__dunder__`` /
+    ``UPPER_CASE`` names (``__all__``, lookup tables) by convention — a
+    convention this checks as far as the module itself goes: a
+    constant-named module-level container its own module mutates
+    (``TABLE[k] = v``, ``TABLE.append(...)``) is reported too.
+    """
+    tree = _parse(source)
+    found, constants = set(), set()
+    for name, constant in _mutable_bindings(tree.body):
+        (constants if constant else found).add(name)
     for node in ast.walk(tree):
-        if isinstance(node, ast.Global):
+        if isinstance(node, ast.ClassDef):
+            found.update(f"{node.name}.{name}" for name, constant
+                         in _mutable_bindings(node.body) if not constant)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                               ast.Lambda)) and any(
+                map(_is_mutable_value,
+                    node.args.defaults + node.args.kw_defaults)):
+            found.add(f"{getattr(node, 'name', 'lambda')}()")
+        elif isinstance(node, ast.Global):
             found.update(node.names)
         elif isinstance(node, ast.Subscript) \
                 and isinstance(node.ctx, (ast.Store, ast.Del)) \
@@ -259,13 +265,11 @@ def test_the_lint_sees_what_grep_could_not():
 
 
 def test_process_global_mutable_state_can_only_shrink():
-    found = {name: state for name, tree in _modules().items()
+    found = {name: sorted(state) for name, tree in _modules().items()
              if (state := shared_state(tree))}
-    listed = {name: set(owners) for name, owners in SHARED_STATE.items()}
-    assert found == listed, (
-        "process-global mutable state changed: give new state to an "
-        "object its run owns (anything only in the first dict), and "
-        "drop allowlist entries that are gone (only in the second)")
+    assert not found, (
+        f"{found}: process-global mutable state — give it to an object "
+        f"its run owns, or hand it over as an argument")
 
 
 def test_deliver_stays_where_its_precondition_holds():
@@ -378,3 +382,19 @@ def test_the_shared_state_rule():
     assert shared_state("def f():\n    local = []\n    return local\n"
                         "class C:\n    def __init__(self):\n"
                         "        self.items = {}") == set()
+    # A class body is built once, like a module: its containers are
+    # shared by every instance, nested classes included.
+    assert shared_state("class C:\n    cache = {}\n"
+                        "    class Inner:\n        seen: set = set()") == \
+        {"C.cache", "Inner.seen"}
+    assert shared_state("class C:\n    __slots__ = ['a']\n"
+                        "    KINDS = ['a']\n    order = ('a',)") == set()
+    # So is a default argument: one container for every call.
+    assert shared_state("def f(x=[]):\n    pass\n"
+                        "def g(*, n=1, seen=set()):\n    pass\n"
+                        "async def h(a, b={}):\n    pass\n"
+                        "k = lambda acc=[]: acc") == \
+        {"f()", "g()", "h()", "lambda()"}
+    assert shared_state("def run(seed=0, options=RunOptions(),\n"
+                        "        kinds=('a',), plan=None):\n    pass") == \
+        set()

@@ -1,5 +1,6 @@
-"""``repro.options``: one RunOptions reaches every component of both
-topology shapes, restores itself, pickles, and crosses shard workers."""
+"""``repro.options``: one RunOptions, handed to a topology as an
+argument, reaches every component of both topology shapes, pickles,
+crosses shard workers, and reaches no other run."""
 
 import pickle
 from dataclasses import fields, replace
@@ -14,7 +15,7 @@ from repro.experiments.common import (build_deployment,
                                       build_regional_deployment)
 from repro.faults import FaultPlan, FaultSpec, builtin_plan
 from repro.ops import default_canary_gate, named_load_shape
-from repro.options import RunOptions, current, use
+from repro.options import RunOptions
 from repro.proxygen import ProxygenConfig
 from repro.regions import RegionalDeployment, RegionalSpec, evacuate_region
 from repro.release.orchestrator import RollingRelease, RollingReleaseConfig
@@ -31,7 +32,7 @@ BULKY_WEB = WebWorkloadConfig(clients_per_host=4, think_time=0.5,
 
 
 #: One description per layout, built two ways: by the harness builder
-#: under ambient options, or directly with ``options=`` and no ``use()``.
+#: or directly by the topology class, ``options=`` either way.
 SINGLE = dict(seed=0, edge_proxies=2, origin_proxies=1, app_servers=2,
               edge_config=FAST_EDGE)
 REGIONAL = {
@@ -44,10 +45,9 @@ TOPOLOGIES = ["1x2", "2x1", "single"]
 
 
 def _through_the_harness(topology, options):
-    with use(options):
-        if topology == "single":
-            return build_deployment(web=BULKY_WEB, **SINGLE)
-        return build_regional_deployment(**REGIONAL[topology])
+    if topology == "single":
+        return build_deployment(web=BULKY_WEB, options=options, **SINGLE)
+    return build_regional_deployment(options=options, **REGIONAL[topology])
 
 
 def _built_directly(topology, options):
@@ -63,7 +63,7 @@ def _built_directly(topology, options):
     return dep
 
 
-BUILDS = {"ambient": _through_the_harness, "direct": _built_directly}
+BUILDS = {"harness": _through_the_harness, "direct": _built_directly}
 
 _gates_built = []
 
@@ -174,17 +174,14 @@ MATRIX = {
 @pytest.mark.parametrize("field, topology, build", [
     pytest.param(field, topology, build,
                  id=f"{field}-{topology}" + suffix)
-    for build, suffix in (("ambient", ""), ("direct", "-direct"))
+    for build, suffix in (("harness", ""), ("direct", "-direct"))
     for field in sorted(MATRIX) for topology in TOPOLOGIES])
 def test_option_reaches_every_component(field, topology, build):
-    """However the deployment was built: by the harness under ambient
-    options, or directly with ``options=`` — everything checked runs
-    outside any ``use()`` block, so nothing may consult ``current()``
-    after construction."""
+    """However the deployment was built: by the harness builder or
+    directly by the topology class."""
     make, check = MATRIX[field]
     options = RunOptions(**{field: make()})
     dep = BUILDS[build](topology, options)
-    assert current() == RunOptions()
     assert dep.options is dep.run_record.options is options
     check(dep, options)
 
@@ -212,37 +209,34 @@ def test_a_fault_window_condenses_aggregate_cohorts(topology):
     assert dep.metrics.aggregate("get_ok", scope_prefix="web-clients") > 0
 
 
-def test_use_restores_previous_options_on_exception():
-    outer = RunOptions(lb_scheme="stateful")
-    with use(outer):
-        with pytest.raises(RuntimeError):
-            with use(RunOptions(shards=2)):
-                assert current().shards == 2
-                raise RuntimeError("boom")
-        assert current() is outer
-    assert current() == RunOptions()
+def test_two_runs_with_different_options_share_nothing():
+    """Built and stepped in turn in one process, each run ends exactly
+    where it ends alone: its options are an argument, and there is
+    nowhere else a component could look for them."""
+    arms = {"concury": RunOptions(lb_scheme="concury"),
+            "splice": RunOptions(lb_scheme="stateless",
+                                 splice=SpliceConfig())}
 
+    def build(name):
+        return build_deployment(web=BULKY_WEB, options=arms[name], **SINGLE)
 
-def test_use_hands_back_the_runs_built_in_it():
-    """Every open block hears of each topology built inside it, nested
-    blocks included, in build order — however the options reach it."""
-    with use(RunOptions(lb_scheme="stateful")) as outer:
-        single = Deployment(DeploymentSpec(edge_config=FAST_EDGE))
-        with use(RunOptions()) as inner:
-            regional = RegionalDeployment(
-                RegionalSpec(regions=1),
-                options=RunOptions(lb_scheme="concury"))
-    assert outer == [single.run_record, regional.run_record]
-    assert inner == [regional.run_record]
-    assert single.run_record.options.lb_scheme == "stateful"
-    assert regional.run_record.options.lb_scheme == "concury"
+    def end_state(dep):
+        return dep.metrics.snapshot(), dep.env.stats()
 
-
-def test_explicit_options_argument_beats_current():
-    with use(RunOptions(lb_scheme="stateful")):
-        dep = RegionalDeployment(RegionalSpec(regions=1),
-                                 options=RunOptions(lb_scheme="concury"))
-    assert {k.router.scheme for k in dep.all_katrans()} == {"concury"}
+    alone = {}
+    for name in arms:
+        dep = build(name)
+        dep.run(until=8.0)
+        alone[name] = end_state(dep)
+    assert alone["concury"] != alone["splice"]
+    together = {name: build(name) for name in arms}
+    for step in range(1, 17):
+        for dep in together.values():
+            dep.run(until=step * 0.5)
+    for name, dep in together.items():
+        assert end_state(dep) == alone[name], name
+    assert together["splice"].run_record.splice.bulk_transfers > 0
+    assert together["concury"].run_record.splice is None
 
 
 def test_apply_precedence_and_no_mutation():
@@ -314,37 +308,28 @@ def test_sharded_run_under_options_equals_single_shard():
                         partition_network_rng=True)
     # Fault plans and load shapes do not shard; everything else crosses.
     options = replace(_full_options(), fault_plan=None, load_shape=None)
-    with use(options) as runs:
-        one = run_sharded(spec, until=10.0, shards=1, options=options)
-    # The in-process arm's run reaches the enclosing block, suite and
+    one = run_sharded(spec, until=10.0, shards=1, options=options)
+    # The in-process arm's run comes back to the caller, suite and
     # collector on its record, as build_deployment's does; a forked
     # worker's stays in the worker.
-    (run,) = runs
+    (run,) = one.runs
     assert run.suite is not None
     assert run.tracer.config is options.trace and run.tracer.traces()
-    with use(options) as runs:
-        two = run_sharded(spec, until=10.0, shards=2, options=options)
-    assert runs == []
+    two = run_sharded(spec, until=10.0, shards=2, options=options)
+    assert two.runs == []
     assert two.counters == one.counters
     assert two.violations == one.violations == []
     # The options reached the workers: resilience scopes exist.
     assert any(s.startswith("resilience-app-r") for s in two.counters)
-    assert current() == RunOptions()
 
 
-def test_cli_early_exit_leaks_no_options(capsys):
-    """``main`` used to arm --faults/--resilience/--lb-scheme before
-    rejecting an unknown figure, leaving them set for the next caller."""
-    code = main(["nope", "--faults", "hc-flap-storm", "--resilience",
-                 "--lb-scheme", "stateless"])
-    capsys.readouterr()
-    assert code == 2
-    assert current() == RunOptions()
-    for bad in (["fig09", "--faults", "no-such-plan"],
+def test_cli_rejects_bad_arguments(capsys):
+    for bad in (["nope", "--faults", "hc-flap-storm", "--resilience",
+                 "--lb-scheme", "stateless"],
+                ["fig09", "--faults", "no-such-plan"],
                 ["fig09", "--cohorts", "0"], ["fig09", "--shards", "0"],
                 ["shardscale", "--trace", "--shards", "2"]):
         assert main(bad) == 2
-        assert current() == RunOptions()
     capsys.readouterr()
     # A flag that only modifies another is rejected without it, not
     # silently dropped.
@@ -356,4 +341,3 @@ def test_cli_early_exit_leaks_no_options(capsys):
                                 ("--load-horizon", "10", "--load-shape")):
         assert main(["fig09", flag, value]) == 2
         assert capsys.readouterr().err == f"{flag} requires {parent}\n"
-        assert current() == RunOptions()

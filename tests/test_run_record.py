@@ -7,7 +7,7 @@ component to a listener, and no two runs can hear each other.
 import gc
 import weakref
 
-from repro import Deployment, DeploymentSpec, options
+from repro import Deployment, DeploymentSpec
 from repro.clients.quic import QuicWorkloadConfig
 from repro.clients.web import WebWorkloadConfig
 from repro.invariants import InvariantChecker, InvariantSuite
@@ -81,9 +81,19 @@ def test_two_environments_never_hear_each_other():
     assert heard_b == []
 
 
+def _record_alive(record_id: int) -> bool:
+    """Whether the record whose ``id`` that was is alive (a record takes
+    no weak reference, so the test looks among what the collector
+    tracks)."""
+    gc.collect()
+    return any(id(obj) == record_id and type(obj) is RunRecord
+               for obj in gc.get_objects())
+
+
 def test_an_entry_dies_with_its_run():
-    """No strong reference from the table to the environment, a listener
-    or the record: dropping the run's own objects frees all three."""
+    """The environment holds its record, the record its listeners and
+    each listener the environment: a cycle nothing outside the run
+    holds, so dropping the run's own objects frees all three."""
 
     class Listener:
         def __init__(self, env):
@@ -99,27 +109,29 @@ def test_an_entry_dies_with_its_run():
     record.subscribe(listener)
     record.announce("evacuation_begin")
     assert listener.heard == ["evacuation_begin"]
-    refs = [weakref.ref(env), weakref.ref(record), weakref.ref(listener)]
+    assert env.run_record is record and _record_alive(id(record))
+    refs = [weakref.ref(env), weakref.ref(listener)]
+    record_id = id(record)
     del env, record, listener
-    gc.collect()
-    assert [ref() for ref in refs] == [None, None, None]
+    assert not _record_alive(record_id)
+    assert [ref() for ref in refs] == [None, None]
 
 
-def test_a_whole_deployment_dies_with_its_run(monkeypatch):
-    """Outside every ``use()`` block, as the bench runs: nothing but the
-    run's own objects holds it.  (Inside one, the block's run list does
-    — that is what the block is for — so the test steps out of the
-    guard's.)"""
-    monkeypatch.setattr(options, "_current", (options.current(), ()))
+def test_a_whole_deployment_dies_with_its_run(built_runs):
+    """As the bench runs it: nothing but the run's own objects holds
+    it.  (The tier-1 guard holds the record of every topology a test
+    builds — that is what it is for — so the test lets go of this one.)"""
     dep = Deployment(_tiny_spec())
+    assert built_runs == [dep.run_record]
+    built_runs.clear()
     InvariantSuite(dep, checkers=[_Recorder()]).attach()
     dep.start()
     dep.run(until=2.0)
-    refs = [weakref.ref(dep), weakref.ref(dep.env),
-            weakref.ref(dep.run_record)]
+    refs = [weakref.ref(dep), weakref.ref(dep.env)]
+    record_id = id(dep.run_record)
     del dep
-    gc.collect()
-    assert [ref() for ref in refs] == [None, None, None]
+    assert not _record_alive(record_id)
+    assert [ref() for ref in refs] == [None, None]
 
 
 def test_subscription_order_is_call_order():

@@ -20,7 +20,7 @@ from repro.proxygen.config import ProxygenConfig
 from repro.regions import evacuate_region
 from repro.release.orchestrator import RollingRelease, RollingReleaseConfig
 from repro.trace import TraceConfig
-from repro.options import RunOptions, use
+from repro.options import RunOptions
 
 
 def _traced_run(seed: int) -> str:
@@ -32,18 +32,18 @@ def _traced_run(seed: int) -> str:
                          duration=3.0, params={"speed_factor": 0.5})],
         description="deterministic slowdown")
     options = RunOptions(trace=TraceConfig(sample_rate=1.0,
-                                           max_traces=500))
-    with use(options):
-        deployment = build_deployment(
-            seed=seed, edge_proxies=2, origin_proxies=1,
-            app_servers=2,
-            edge_config=ProxygenConfig(mode="edge", drain_duration=3.0,
-                                       spawn_delay=0.5),
-            web=WebWorkloadConfig(clients_per_host=6, think_time=0.6,
-                                  post_fraction=0.2),
-            mqtt=MqttWorkloadConfig(users_per_host=4,
-                                    publish_interval=2.0),
-            fault_plan=plan)
+                                           max_traces=500),
+                         fault_plan=plan)
+    deployment = build_deployment(
+        seed=seed, edge_proxies=2, origin_proxies=1,
+        app_servers=2,
+        edge_config=ProxygenConfig(mode="edge", drain_duration=3.0,
+                                   spawn_delay=0.5),
+        web=WebWorkloadConfig(clients_per_host=6, think_time=0.6,
+                              post_fraction=0.2),
+        mqtt=MqttWorkloadConfig(users_per_host=4,
+                                publish_interval=2.0),
+        options=options)
     deployment.run(until=6.0)
     release = RollingRelease(deployment.env, deployment.edge_servers,
                              RollingReleaseConfig(batch_fraction=0.5))
@@ -62,7 +62,7 @@ def test_same_seed_runs_export_byte_identical_json():
     assert doc["traces"], "a traced run must retain traces"
     event_names = {event["name"] for event in doc["events"]}
     # Every window of the run feeds the event log: the release walk,
-    # its takeovers and drains, and the explicit fault plan's window.
+    # its takeovers and drains, and the fault plan's window.
     assert {"release_begin", "release_end", "takeover_begin",
             "takeover_end", "drain_begin", "fault_begin",
             "fault_end"} <= event_names
@@ -89,10 +89,10 @@ def test_fault_windows_land_in_the_event_log_deterministically():
         fault_plan=builtin_plan("hc-flap-storm", at=3.0, duration=4.0))
 
     def build():
-        with use(options):
-            return build_deployment(
-                seed=3, edge_proxies=2, origin_proxies=1, app_servers=2,
-                web=WebWorkloadConfig(clients_per_host=4, think_time=0.6))
+        return build_deployment(
+            seed=3, edge_proxies=2, origin_proxies=1, app_servers=2,
+            web=WebWorkloadConfig(clients_per_host=4, think_time=0.6),
+            options=options)
 
     doc = _window_run(build, lambda deployment: deployment.run(until=9.0))
     faults = [e for e in doc["events"] if e["name"].startswith("fault_")]
@@ -105,13 +105,13 @@ def test_fault_windows_land_in_the_event_log_deterministically():
 def test_an_evacuation_lands_in_the_event_log_deterministically():
     """``regionevac``'s shape: a region walks out under live load."""
     def build():
-        with use(RunOptions(trace=TraceConfig())):
-            return build_regional_deployment(
-                seed=3, regions=2, proxies_per_pop=2,
-                edge_config=ProxygenConfig(mode="edge", drain_duration=1.0,
-                                           spawn_delay=0.2),
-                web_workload=WebWorkloadConfig(clients_per_host=4,
-                                               think_time=0.6))
+        return build_regional_deployment(
+            seed=3, regions=2, proxies_per_pop=2,
+            edge_config=ProxygenConfig(mode="edge", drain_duration=1.0,
+                                       spawn_delay=0.2),
+            web_workload=WebWorkloadConfig(clients_per_host=4,
+                                           think_time=0.6),
+            options=RunOptions(trace=TraceConfig()))
 
     def drive(deployment):
         deployment.run(until=4.0)
