@@ -72,6 +72,7 @@ def main() -> None:
     print(f"gen1 is draining (stopped accepting) at "
           f"{results['ok']} requests; gen2 owns the socket now")
     gen1.stop(close_listener=True)
+    takeover_srv.stop()
     print("gen1 process state torn down completely (listener FD closed)")
 
     # Keep hammering the restarted server for a while, then stop the

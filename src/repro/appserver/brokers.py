@@ -22,7 +22,6 @@ from ..protocols.mqtt import (
     ConnectRefuse,
     MqttConnAck,
     MqttConnect,
-    MqttDisconnect,
     MqttPingReq,
     MqttPingResp,
     MqttPublish,
@@ -104,8 +103,6 @@ class MqttBroker:
                 self._on_publish(message)
             elif isinstance(message, MqttPingReq):
                 conn.send(MqttPingResp(message.user_id), size=16)
-            elif isinstance(message, MqttDisconnect):
-                self._on_disconnect(message)
 
     def _on_connect(self, conn: TcpEndpoint, message: MqttConnect) -> None:
         session = self.sessions.get(message.user_id)
@@ -141,11 +138,6 @@ class MqttBroker:
         self.counters.inc("publish_received")
         self.host.metrics.series("mqtt/publish_received").record(
             self.host.env.now)
-
-    def _on_disconnect(self, message: MqttDisconnect) -> None:
-        session = self.sessions.get(message.user_id)
-        if session is not None:
-            session.path = None
 
     # -- session transfer (region evacuation) ---------------------------------
 

@@ -30,11 +30,6 @@ class AppServerConfig:
     #: Model memory: resident set.
     base_memory: float = 400.0
     memory_per_connection: float = 0.01
-    #: Chaos mode reproducing the §5.2 production incident: a buggy
-    #: upstream (memory corruption) returns *randomized* HTTP status
-    #: codes — including bare 379s without the PartialPOST message —
-    #: for this fraction of responses.  The proxy must not trust them.
-    rogue_status_fraction: float = 0.0
     #: Resilient-data-plane knobs; only the admission-control fields
     #: apply server-side (disabled by default).
     resilience: ResilienceConfig = field(default_factory=ResilienceConfig)

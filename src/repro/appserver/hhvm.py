@@ -31,7 +31,6 @@ from ..protocols.http import (
     STATUS_INTERNAL_ERROR,
     STATUS_OK,
     STATUS_PARTIAL_POST_REPLAY,
-    echo_pseudo_headers,
     shed_response,
 )
 from ..resilience.admission import AdmissionController
@@ -88,8 +87,10 @@ class AppServer:
         #: Body-complete POSTs whose response is still queued on the CPU.
         self._unanswered_posts: dict[int, InFlightPost] = {}
         self._rng = host.streams.stream("appserver")
-        #: Fault-injection overrides (repro.faults).  ``fault_rogue_fraction``
-        #: overrides the config's §5.2 rogue-status chaos flag per server;
+        #: Fault-injection switches (repro.faults).  ``fault_rogue_fraction``
+        #: reproduces the §5.2 incident: a buggy upstream (memory
+        #: corruption) returns *randomized* HTTP status codes — bare 379s
+        #: included — for this fraction of responses (None = off);
         #: ``fault_truncate_fraction`` makes this server cut responses off
         #: mid-body (the downstream proxy sees a reset, never a reply).
         self.fault_rogue_fraction: Optional[float] = None
@@ -111,13 +112,6 @@ class AppServer:
     @property
     def accepting(self) -> bool:
         return self.state == self.STATE_ACTIVE
-
-    @property
-    def effective_rogue_fraction(self) -> float:
-        """The §5.2 rogue-status probability, fault override included."""
-        if self.fault_rogue_fraction is not None:
-            return self.fault_rogue_fraction
-        return self.config.rogue_status_fraction
 
     def start(self) -> None:
         """Boot the first generation (synchronous bind)."""
@@ -228,12 +222,11 @@ class AppServer:
         self.counters.inc("reboots")
 
     def _reply_partial_post(self, post: InFlightPost) -> None:
-        """The 379 path: echo partial body + pseudo-headers downstream."""
+        """The 379 path: echo the partial body's size downstream."""
         response = HttpResponse(
             status=STATUS_PARTIAL_POST_REPLAY,
             request_id=post.request.id,
             status_message=PARTIAL_POST_STATUS_MESSAGE,
-            headers=echo_pseudo_headers(post.request),
             partial_body_size=post.received_bytes,
             partial_chunks=post.received_chunks,
         )
@@ -338,7 +331,7 @@ class AppServer:
             if span is not None:
                 span.fail("truncated")
             return
-        rogue = self.effective_rogue_fraction
+        rogue = self.fault_rogue_fraction or 0.0
         if rogue > 0 and self._rng.random() < rogue:
             # §5.2 incident mode: memory corruption produced random
             # status codes — sometimes exactly 379, but never with the
@@ -422,7 +415,7 @@ class AppServer:
             if post.span is not None:
                 post.span.fail("incomplete_body")
             return
-        rogue = self.effective_rogue_fraction
+        rogue = self.fault_rogue_fraction or 0.0
         if rogue > 0 and self._rng.random() < rogue:
             # §5.2 incident: a bare 379 (no PartialPOST message) on the
             # POST path — the case that forced the strict check.

@@ -112,7 +112,11 @@ class Region:
 
 
 class Topology:
-    """A built (but not yet started) set of regions."""
+    """A built (but not yet started) set of regions.
+
+    Each layout supplies ``_next_ip(site)``, its IP scheme (IPs feed the
+    hash rings).
+    """
 
     def __init__(self, spec, edge_vip_ip: str,
                  env: Optional[Environment] = None,
@@ -172,10 +176,6 @@ class Topology:
         self.load_controller: Optional[LoadController] = None
 
     # -- construction ------------------------------------------------------
-
-    def _next_ip(self, site: str) -> str:
-        """The shape's IP scheme (IPs feed the hash rings)."""
-        raise NotImplementedError
 
     def _host(self, name: str, site: str, cores: int,
               core_speed: float) -> Host:

@@ -12,11 +12,9 @@ from typing import Optional
 
 from ..appserver.hhvm import AppServer
 from ..lb.katran import Katran
-from ..netsim.host import Host
 from ..netsim.network import EDGE_ORIGIN, WAN_CLIENT_EDGE
 from ..options import RunOptions
 from ..proxygen.context import ProxyTierContext
-from ..proxygen.server import ProxygenServer
 from ..simkernel.core import Environment
 from .base import Region, RegionPoP, Topology
 from .spec import DeploymentSpec
@@ -59,7 +57,6 @@ class Deployment(Topology):
         self.edge_hosts = edge.hosts
         for i in range(spec.edge_proxies):
             self._edge_proxy(edge, f"edge-proxy-{i}")
-        self._edge_serial = spec.edge_proxies
         self.edge_katran = self._katran(
             "edge-katran", "edge", edge.hosts, self.edge_vips[0].endpoint)
         edge.l4lbs.append(self.edge_katran)
@@ -118,39 +115,3 @@ class Deployment(Topology):
         if server.host in self.app_hosts:
             self.app_hosts.remove(server.host)
         yield from server.decommission()
-
-    def grow_edge_proxy(self):
-        """Generator: boot one new edge proxy and join the Katran pool."""
-        server = self._edge_proxy(self.edge,
-                                  f"edge-proxy-{self._edge_serial}")
-        self._edge_serial += 1
-        yield from server.start()
-        # Only a *serving* backend may enter the ring (Katran would
-        # health-check it out again, but the window would misroute).
-        self.edge_katran.add_backend(server.host)
-        return server
-
-    def retire_edge_proxy(self, server: ProxygenServer):
-        """Generator: drain one edge proxy out of the pool permanently."""
-        self.edge_katran.remove_backend(server.host.ip)
-        if server in self.edge.servers:
-            self.edge.servers.remove(server)
-        if server.host in self.edge_hosts:
-            self.edge_hosts.remove(server.host)
-        instance = server.active_instance
-        if instance is not None and instance.alive:
-            instance.begin_drain(reason="decommission")
-            yield instance.exited_event
-
-    # -- convenience views -------------------------------------------------------
-
-    def total_idle_cpu(self, start: float, end: float,
-                       hosts: Optional[list[Host]] = None) -> list[tuple[float, float]]:
-        """Cluster-wide idle CPU fraction per bucket (the §6.1.2 metric)."""
-        hosts = hosts if hosts is not None else self.edge_hosts
-        series = [host.cpu.idle(start, end) for host in hosts]
-        out = []
-        for samples in zip(*series):
-            time = samples[0][0]
-            out.append((time, sum(v for _, v in samples) / len(samples)))
-        return out

@@ -194,9 +194,6 @@ class CohortSet:
                 if kind is None or driver.kind == kind
                 for lane in driver.populations]
 
-    def aggregates(self) -> list[CohortAggregate]:
-        return [driver.aggregate() for driver in self.drivers]
-
     # -- condensation trigger --------------------------------------------
 
     def _on_announce(self, name: str, **_fields) -> None:

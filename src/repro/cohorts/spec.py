@@ -75,13 +75,6 @@ class CohortPolicy:
 
     # -- serialization (fuzz scenarios embed policies as plain dicts) ----
 
-    def to_dict(self) -> dict:
-        return {"fidelity": self.fidelity, "scale": self.scale,
-                "flows_per_representative": self.flows_per_representative,
-                "min_representatives": self.min_representatives,
-                "condense_below": self.condense_below,
-                "condense_per_event": self.condense_per_event}
-
     @classmethod
     def from_dict(cls, data: dict) -> "CohortPolicy":
         policy = cls(**data)

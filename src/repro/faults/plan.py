@@ -91,12 +91,6 @@ class FaultPlan:
         for spec in self.specs:
             spec.validate()
 
-    def __iter__(self):
-        return iter(self.specs)
-
-    def __len__(self) -> int:
-        return len(self.specs)
-
 
 # -- built-in plans ---------------------------------------------------------
 #

@@ -64,7 +64,7 @@ class Scenario:
     #: client/proxy counts reuse the single-region fields above).
     regions: int = 1
     #: Cohort client layer: :class:`repro.cohorts.CohortPolicy` kwargs
-    #: (``to_dict`` form), or None for one SimProcess per client.
+    #: (``from_dict`` form), or None for one SimProcess per client.
     cohorts: Optional[dict] = None
 
     # -- serialization ---------------------------------------------------

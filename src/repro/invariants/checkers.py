@@ -102,7 +102,7 @@ class FdConservationChecker(InvariantChecker):
 class ReuseportStabilityChecker(InvariantChecker):
     """§4.1: passing UDP FDs keeps the SO_REUSEPORT ring stable.
 
-    With ``pass_udp_fds`` the new generation serves the *same* sockets,
+    The new generation serves the *same* sockets (their FDs are passed),
     so the kernel ring must not churn across a completed takeover —
     churn is exactly what misroutes QUIC flows in the Fig 2d ablation.
     """
@@ -118,8 +118,7 @@ class ReuseportStabilityChecker(InvariantChecker):
     def on_event(self, event: str, **fields) -> None:
         if event == "takeover_begin":
             server = fields["server"]
-            if not (server.config.enable_takeover
-                    and server.config.pass_udp_fds):
+            if not server.config.enable_takeover:
                 return
             kernel = server.host.kernel
             self._windows[server.name] = {

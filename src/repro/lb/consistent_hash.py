@@ -118,18 +118,3 @@ class ConsistentHashRing(Generic[Node]):
             index = 0
         return self._point_node[self._points[index]]
 
-    def lookup_chain(self, *key_parts, count: int = 2) -> list[Node]:
-        """The first ``count`` *distinct* nodes clockwise from the key —
-        used for fallback picks (e.g. retry a different backend)."""
-        if not self._points:
-            return []
-        key = self._hash("chash-key", self.salt, *key_parts)
-        start = bisect.bisect_right(self._points, key)
-        seen: list[Node] = []
-        for step in range(len(self._points)):
-            node = self._point_node[self._points[(start + step) % len(self._points)]]
-            if node not in seen:
-                seen.append(node)
-                if len(seen) >= count:
-                    break
-        return seen

@@ -179,10 +179,6 @@ class Katran:
         key = (flow.protocol.value, flow.src, flow.dst)
         return self.router.route(key)
 
-    def flow_done(self, flow: FourTuple) -> None:
-        """Tell the router this flow closed (explicit state expiry)."""
-        self.router.flow_done((flow.protocol.value, flow.src, flow.dst))
-
     # -- health checking -------------------------------------------------------------
 
     def start(self, process: SimProcess) -> None:

@@ -63,9 +63,6 @@ class LruConnectionTable(Generic[Key, Value]):
             self.evictions += 1
         self._table[key] = value
 
-    def invalidate(self, key: Key) -> None:
-        self._table.pop(key, None)
-
     def invalidate_value(self, value: Value) -> int:
         """Drop every flow pinned to ``value`` (a dead backend)."""
         stale = [k for k, v in self._table.items() if v == value]

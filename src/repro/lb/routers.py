@@ -9,10 +9,10 @@ the whole spectrum under identical churn:
 * ``stateless`` — pure consistent hashing.  Zero per-flow memory, and
   any L4LB replica picks identically, but every ring change remaps the
   flows that hashed onto the changed node.
-* ``stateful``  — a full per-flow table with explicit flow expiry
-  (``flow_done`` + TTL sweep).  Perfect connection consistency while a
-  flow's entry lives, at one table entry per live flow, and the table is
-  local: a takeover by a fresh L4LB instance starts empty.
+* ``stateful``  — a full per-flow table with TTL expiry.  Perfect
+  connection consistency while a flow's entry lives, at one table entry
+  per live flow, and the table is local: a takeover by a fresh L4LB
+  instance starts empty.
 * ``lru``       — the paper's bounded-LRU hybrid: consistent hashing
   with a most-recent-flows cache pinning existing flows through
   momentary ring shuffles.  Bounded memory, but evicted or post-takeover
@@ -50,6 +50,7 @@ ROUTER_SCHEMES = ("stateless", "stateful", "lru", "concury")
 class FlowRouter:
     """Routing policy behind one L4LB: flow key → backend ip.
 
+    Each scheme implements ``route(key)`` (a backend ip, or None).
     Membership changes arrive as events (``backend_added`` /
     ``backend_up`` / ``backend_down`` / ``backend_removed``); the router
     owns the consistent-hash ring mutations so every implementation sees
@@ -101,14 +102,6 @@ class FlowRouter:
 
     def drop_backend_state(self, ip: str) -> None:
         """Hook: forget any per-flow state pinned to ``ip``."""
-
-    # -- routing -----------------------------------------------------------
-
-    def route(self, key: Hashable) -> Optional[str]:
-        raise NotImplementedError
-
-    def flow_done(self, key: Hashable) -> None:
-        """Explicit flow expiry (connection closed)."""
 
     # -- introspection ------------------------------------------------------
 
@@ -167,12 +160,12 @@ class StatelessRouter(FlowRouter):
 
 
 class StatefulRouter(FlowRouter):
-    """Full per-flow table with explicit expiry.
+    """Full per-flow table with TTL expiry.
 
     Every admitted flow gets a table entry; packets of a known flow go
     to its recorded backend even while that backend is flapping — the
     strongest consistency, at one entry per live flow.  Entries die via
-    ``flow_done``, the TTL sweep, or backend decommission.
+    the TTL sweep or backend decommission.
     """
 
     scheme = "stateful"
@@ -213,10 +206,6 @@ class StatefulRouter(FlowRouter):
             self.peak_entries = len(self._table)
         self._inc("route_hash")
         return choice
-
-    def flow_done(self, key: Hashable) -> None:
-        if self._table.pop(key, None) is not None:
-            self._inc("flow_done")
 
     def drop_backend_state(self, ip: str) -> None:
         stale = [k for k, (backend, _) in self._table.items()
@@ -276,9 +265,6 @@ class LruHybridRouter(FlowRouter):
         self.lru.put(key, choice)
         self._inc("route_hash")
         return choice
-
-    def flow_done(self, key: Hashable) -> None:
-        self.lru.invalidate(key)
 
     def drop_backend_state(self, ip: str) -> None:
         self.lru.invalidate_value(ip)
@@ -420,10 +406,6 @@ class ConcuryRouter(FlowRouter):
         self._flow_version[key] = (self._head.vid, now)
         self._inc("route_hash")
         return backend
-
-    def flow_done(self, key: Hashable) -> None:
-        if self._flow_version.pop(key, None) is not None:
-            self._inc("flow_done")
 
     def drop_backend_state(self, ip: str) -> None:
         # No LB-side per-flow state to drop: stamped flows whose version

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Optional
 
 __all__ = ["Counter", "CounterSet"]
@@ -113,10 +112,3 @@ class CounterSet:
         """A plain-dict copy of every counter value."""
         return {key: counter.value for key, counter in self._counters.items()}
 
-    def merged(self, others: list["CounterSet"]) -> dict[str, float]:
-        """Sum this counter set with ``others`` into one dict."""
-        total: dict[str, float] = defaultdict(float)
-        for counters in [self, *others]:
-            for key, value in counters.snapshot().items():
-                total[key] += value
-        return dict(total)

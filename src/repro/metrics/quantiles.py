@@ -46,9 +46,6 @@ class Quantiles:
         #: Per-sample fast path: a bound ``list.append``.
         self.add = self._values.append
 
-    def extend(self, values: Iterable[float]) -> None:
-        self._values.extend(values)
-
     def __len__(self) -> int:
         return len(self._values)
 
@@ -68,26 +65,6 @@ class Quantiles:
     @property
     def p99(self) -> float:
         return self.quantile(0.99)
-
-    @property
-    def p999(self) -> float:
-        return self.quantile(0.999)
-
-    @property
-    def mean(self) -> float:
-        if not self._values:
-            raise ValueError("no values")
-        return sum(self._values) / len(self._values)
-
-    @property
-    def max(self) -> float:
-        self._ensure_sorted()
-        return self._values[-1]
-
-    @property
-    def min(self) -> float:
-        self._ensure_sorted()
-        return self._values[0]
 
 
 def summarize(values: Iterable[float],

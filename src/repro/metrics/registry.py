@@ -6,7 +6,7 @@ from typing import Optional
 
 from .counters import CounterSet
 from .quantiles import Quantiles
-from .timeline import TimeSeries, UtilizationTracker
+from .timeline import TimeSeries
 
 __all__ = ["MetricsRegistry", "PrefixCounterView"]
 
@@ -39,7 +39,6 @@ class MetricsRegistry:
         self._scoped: dict[str, CounterSet] = {}
         self._series: dict[str, TimeSeries] = {}
         self._quantiles: dict[str, Quantiles] = {}
-        self._utilization: dict[str, UtilizationTracker] = {}
 
     # -- counters -----------------------------------------------------------
 
@@ -94,19 +93,6 @@ class MetricsRegistry:
             self._quantiles[name] = Quantiles()
         return self._quantiles[name]
 
-    # -- utilization ---------------------------------------------------------
-
-    def utilization(self, scope: str, capacity: float = 1.0,
-                    bucket_width: Optional[float] = None) -> UtilizationTracker:
-        """Per-host CPU utilization tracker."""
-        if scope not in self._utilization:
-            self._utilization[scope] = UtilizationTracker(
-                bucket_width or self.bucket_width, capacity=capacity)
-        return self._utilization[scope]
-
-    def utilization_scopes(self, prefix: str = "") -> list[str]:
-        return sorted(s for s in self._utilization if s.startswith(prefix))
-
     # -- snapshot ------------------------------------------------------------
 
     def snapshot(self) -> dict:
@@ -116,7 +102,7 @@ class MetricsRegistry:
         ``series`` holds ``(sums, counts)`` bucket dicts per name;
         ``quantiles`` holds the samples in *stored* order (a quantile
         read sorts them in place, so this is insertion order only until
-        the first read); ``utilization`` holds busy-seconds buckets.
+        the first read).
         """
         return {
             "global": self.global_counters.snapshot(),
@@ -127,7 +113,4 @@ class MetricsRegistry:
             "quantiles": {name: list(samples._values)
                           for name, samples
                           in sorted(self._quantiles.items())},
-            "utilization": {scope: dict(tracker.busy._buckets)
-                            for scope, tracker
-                            in sorted(self._utilization.items())},
         }

@@ -74,22 +74,6 @@ class TimeSeries:
     def values(self, start: float, end: float, default: float = 0.0) -> list[float]:
         return [value for _, value in self.series(start, end, default)]
 
-    def normalized(self, start: float, end: float,
-                   baseline: Optional[float] = None) -> list[tuple[float, float]]:
-        """Series divided by a baseline (default: the first bucket's value).
-
-        This mirrors the paper's figures, where every metric is
-        "normalized by the value right before the restart".
-        """
-        raw = self.series(start, end)
-        if not raw:
-            return []
-        if baseline is None:
-            baseline = raw[0][1]
-        if baseline == 0:
-            baseline = 1.0
-        return [(t, value / baseline) for t, value in raw]
-
 
 class IntervalAccumulator:
     """Accumulates busy time over (possibly overlapping) intervals.

@@ -28,7 +28,7 @@ from .network import (
     Network,
 )
 from .packet import ControlType, Datagram, StreamControl, StreamMessage
-from .proc_utils import TIMED_OUT, is_timeout, with_timeout
+from .proc_utils import TIMED_OUT, with_timeout
 from .process import ProcessExit, SimProcess
 from .reuseport import ReusePortGroup
 from .sockets import TcpConnection, TcpEndpoint, TcpListenSocket, UdpSocket
@@ -44,7 +44,7 @@ __all__ = [
     "LinkProfile", "Network",
     "WAN_CLIENT_EDGE", "EDGE_ORIGIN", "INTRA_DC", "LOOPBACK",
     "ControlType", "Datagram", "StreamControl", "StreamMessage",
-    "TIMED_OUT", "is_timeout", "with_timeout",
+    "TIMED_OUT", "with_timeout",
     "ProcessExit", "SimProcess",
     "ReusePortGroup",
     "TcpConnection", "TcpEndpoint", "TcpListenSocket", "UdpSocket",

@@ -90,10 +90,6 @@ class FileTable:
         """The kernel object behind ``fd``."""
         return self.description(fd).resource
 
-    def dup(self, fd: int) -> int:
-        """``dup(2)``: new FD for the same open-file-description."""
-        return self.install(self.description(fd))
-
     def close(self, fd: int) -> None:
         """Close one FD (drops a reference)."""
         description = self._fds.pop(fd, None)

@@ -124,11 +124,6 @@ class Network:
         return self._profiles.get((src_site, dst_site),
                                   self.default_profile)
 
-    def profile_between(self, src: "Host", dst: "Host") -> LinkProfile:
-        if src is dst:
-            return self.local_profile
-        return self._profiles.get((src.site, dst.site), self.default_profile)
-
     # -- link overrides (fault injection) -------------------------------------
 
     def push_link_override(self, src_site: str, dst_site: str,
@@ -242,7 +237,3 @@ class Network:
             return arrival
         env.timeout(arrival - now, item).callbacks.append(receiver)
         return arrival
-
-    def rtt(self, src: "Host", dst: "Host") -> float:
-        """Nominal round-trip (no jitter, no serialization)."""
-        return 2 * self.profile_between(src, dst).latency

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Optional
 
 from ..simkernel.core import Environment
 from ..simkernel.events import Event
 
-__all__ = ["with_timeout", "TimeoutResult", "TIMED_OUT", "is_timeout"]
+__all__ = ["with_timeout", "TimeoutResult", "TIMED_OUT"]
 
 
 class TimeoutResult:
@@ -67,8 +67,3 @@ def with_timeout(env: Environment, event: Event, timeout: float):
     if cancel is not None:
         cancel()
     return TIMED_OUT
-
-
-def is_timeout(value: Any) -> bool:
-    """True if ``value`` is the :func:`with_timeout` sentinel."""
-    return isinstance(value, TimeoutResult)

@@ -61,9 +61,6 @@ class TcpListenSocket:
         """Refuse new SYNs (reply RST) without closing the socket."""
         self.accepting = False
 
-    def resume_accepting(self) -> None:
-        self.accepting = True
-
     @property
     def pending(self) -> int:
         """Connections accepted by the kernel but not by the application."""
@@ -264,14 +261,9 @@ class UdpSocket:
             raise SocketClosedSim(f"recv on closed socket {self.endpoint}")
         return self.inbox.get()
 
-    @property
-    def queued(self) -> int:
-        """Datagrams delivered but not yet read."""
-        return len(self.inbox.items)
-
     def on_last_close(self) -> None:
         self.closed = True
         self.kernel.unbind_udp(self)
 
     def __repr__(self) -> str:
-        return f"<UdpSocket {self.endpoint} queued={self.queued}>"
+        return f"<UdpSocket {self.endpoint}>"

@@ -8,7 +8,7 @@ three feedback loops the paper's operators rely on:
   flash crowds, post-outage thundering herds) that modulate every client
   population's arrival rate over the sim horizon;
 * :mod:`repro.ops.autoscale` — a reactive autoscaler growing/shrinking
-  the app-server pool and proxy tiers from utilization/queue signals,
+  the app-server pool from utilization/queue signals,
   with cooldowns, min/max bounds and drain-respecting scale-in;
 * :mod:`repro.ops.canary` — canary analysis over the first release
   batch, driving :class:`repro.release.orchestrator.RollingRelease`
@@ -25,9 +25,7 @@ from .autoscale import (
     AppPoolAdapter,
     Autoscaler,
     AutoscalerConfig,
-    EdgeProxyAdapter,
     attach_app_autoscaler,
-    attach_edge_autoscaler,
 )
 from .canary import (CanaryConfig, CanaryController, default_canary_gate,
                      judge_window)
@@ -41,8 +39,8 @@ from .load import (
 from .scheduler import ReleaseWave, WavePlanConfig, plan_release_waves
 
 __all__ = [
-    "AppPoolAdapter", "Autoscaler", "AutoscalerConfig", "EdgeProxyAdapter",
-    "attach_app_autoscaler", "attach_edge_autoscaler",
+    "AppPoolAdapter", "Autoscaler", "AutoscalerConfig",
+    "attach_app_autoscaler",
     "CanaryConfig", "CanaryController", "default_canary_gate",
     "judge_window",
     "LOAD_SHAPE_KINDS", "LoadController", "LoadShape", "LoadShapeConfig",

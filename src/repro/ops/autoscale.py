@@ -1,4 +1,4 @@
-"""Reactive autoscaling of the app-server pool and proxy tiers.
+"""Reactive autoscaling of the app-server pool.
 
 The :class:`Autoscaler` periodically evaluates a pool through a small
 adapter (size, CPU utilization, queue depth, grow, shrink) and scales
@@ -8,10 +8,6 @@ removed from rotation first and then drained to completion, never
 killed — and the adapter only ever nominates a machine that is actively
 serving (the autoscaler-discipline invariant checker audits exactly
 this).
-
-New proxies enter (and retiring proxies leave) the L4LB via Katran's
-existing ``add_backend``/``remove_backend`` paths, so flow routing sees
-membership changes the same way operators' tooling drives them.
 """
 
 from __future__ import annotations
@@ -22,8 +18,7 @@ from typing import Optional
 from ..run import run_of
 
 __all__ = ["AutoscalerConfig", "Autoscaler", "AppPoolAdapter",
-           "EdgeProxyAdapter", "attach_app_autoscaler",
-           "attach_edge_autoscaler"]
+           "attach_app_autoscaler"]
 
 
 @dataclass
@@ -223,50 +218,6 @@ class AppPoolAdapter:
         yield from self.deployment.retire_app_server(server)
 
 
-class EdgeProxyAdapter:
-    """Autoscaler view of the edge Proxygen tier (behind Katran)."""
-
-    tier = "edge"
-
-    def __init__(self, deployment):
-        self.deployment = deployment
-
-    def size(self) -> int:
-        return len(self.deployment.edge_servers)
-
-    def utilization(self, window: float) -> float:
-        hosts = [s.host for s in self.deployment.edge_servers]
-        return _mean_cpu(self.deployment.env, hosts, window)
-
-    def queue_depth(self) -> float:
-        servers = self.deployment.edge_servers
-        if not servers:
-            return 0.0
-        return (sum(s.connection_count() for s in servers)
-                / len(servers))
-
-    def member_state(self, server) -> str:
-        instance = server.active_instance
-        if instance is None or not instance.alive:
-            return "down"
-        return instance.state
-
-    def pick_scale_in(self):
-        for server in reversed(self.deployment.edge_servers):
-            instance = server.active_instance
-            if (instance is not None and instance.alive
-                    and instance.state == instance.STATE_ACTIVE):
-                return server
-        return None
-
-    def scale_out(self):
-        server = yield from self.deployment.grow_edge_proxy()
-        return server
-
-    def scale_in(self, server):
-        yield from self.deployment.retire_edge_proxy(server)
-
-
 def _mean_cpu(env, hosts, window: float) -> float:
     """Mean busy fraction over the trailing ``window`` across hosts."""
     if not hosts:
@@ -292,12 +243,3 @@ def attach_app_autoscaler(deployment,
     deployment.autoscalers.append(scaler)
     return scaler.start()
 
-
-def attach_edge_autoscaler(deployment,
-                           config: Optional[AutoscalerConfig] = None
-                           ) -> Autoscaler:
-    """Build, register and start an edge-proxy autoscaler."""
-    scaler = Autoscaler(deployment.env, EdgeProxyAdapter(deployment),
-                        config, metrics=deployment.metrics)
-    deployment.autoscalers.append(scaler)
-    return scaler.start()

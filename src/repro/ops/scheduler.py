@@ -60,9 +60,6 @@ class ReleaseWave:
     batch_fraction: float
     load_scale: float
 
-    def batch_size(self, targets: int) -> int:
-        return max(1, math.ceil(self.batch_fraction * targets))
-
 
 def plan_release_waves(shape, start: float, horizon: float, targets: int,
                        config: Optional[WavePlanConfig] = None

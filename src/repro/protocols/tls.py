@@ -24,8 +24,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..netsim.cpu import CpuModel
     from ..netsim.sockets import TcpEndpoint
 
-__all__ = ["TlsClientHello", "TlsServerDone", "client_handshake",
-           "server_handle_hello", "TLS_HELLO_SIZE", "TLS_SERVER_FLIGHT_SIZE"]
+__all__ = ["TlsClientHello", "TlsServerDone", "server_handle_hello",
+           "TLS_HELLO_SIZE", "TLS_SERVER_FLIGHT_SIZE"]
 
 TLS_HELLO_SIZE = 320
 TLS_SERVER_FLIGHT_SIZE = 2800
@@ -40,21 +40,6 @@ class TlsClientHello:
 @dataclass
 class TlsServerDone:
     """Server certificate + finished flight (collapsed)."""
-
-
-def client_handshake(conn: "TcpEndpoint", cpu: "CpuModel",
-                     resumption: bool = False):
-    """Generator: run the client side of a TLS handshake on ``conn``.
-
-    Sends ClientHello, burns client-side CPU, waits for the server
-    flight.  Raises whatever the transport raises if the connection dies
-    mid-handshake (which is exactly what a restarting proxy without
-    takeover inflicts on clients).
-    """
-    conn.send(TlsClientHello(resumption=resumption), size=TLS_HELLO_SIZE)
-    yield from cpu.execute(CpuCosts.tls_handshake * 0.25)
-    reply = yield conn.recv()
-    return reply
 
 
 def server_handle_hello(hello: TlsClientHello, conn: "TcpEndpoint",

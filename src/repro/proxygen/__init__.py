@@ -5,9 +5,8 @@ user-space connection-ID routing), Downstream Connection Reuse for MQTT
 tunnels, and the proxy side of Partial Post Replay.
 """
 
-from .config import ProxygenConfig, default_vips
+from .config import ProxygenConfig
 from .context import ProxyTierContext
-from .ops import OrphanReport, audit_orphaned_udp_sockets, force_close_orphans
 from .instance import ProxygenInstance
 from .server import ProxygenServer
 from .takeover import SocketMeta, TakeoverFailed, TakeoverResult
@@ -29,8 +28,4 @@ __all__ = [
     "QuicService",
     "UpstreamPool",
     "UpstreamUnavailable",
-    "default_vips",
-    "OrphanReport",
-    "audit_orphaned_udp_sockets",
-    "force_close_orphans",
 ]

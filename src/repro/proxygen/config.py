@@ -1,23 +1,12 @@
-"""Proxygen configuration: VIPs, draining, takeover and routing knobs."""
+"""Proxygen configuration: draining, takeover and routing knobs."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..netsim.addresses import Endpoint, Protocol, VIP
 from ..resilience.config import ResilienceConfig
 
-__all__ = ["ProxygenConfig", "default_vips"]
-
-
-def default_vips(host_ip: str) -> list[VIP]:
-    """The standard VIP set every Proxygen serves: HTTPS (TCP), QUIC
-    (UDP) and MQTT (TCP)."""
-    return [
-        VIP("https", Endpoint(host_ip, 443), Protocol.TCP),
-        VIP("quic", Endpoint(host_ip, 443), Protocol.UDP),
-        VIP("mqtt", Endpoint(host_ip, 8883), Protocol.TCP),
-    ]
+__all__ = ["ProxygenConfig"]
 
 
 @dataclass
@@ -26,7 +15,6 @@ class ProxygenConfig:
 
     The ablation flags map to the paper's comparison arms:
 
-    * ``pass_udp_fds=False`` → the naive SO_REUSEPORT rebind of Fig 2d;
     * ``enable_cid_routing=False`` → the "traditional" arm of Fig 10;
     * ``enable_dcr=False`` → the woutDCR arm of Fig 9.
     """
@@ -37,8 +25,6 @@ class ProxygenConfig:
     drain_duration: float = 60.0
     #: Socket Takeover on restart (False = HardRestart semantics).
     enable_takeover: bool = True
-    #: Pass UDP FDs during takeover (False reproduces ring flux).
-    pass_udp_fds: bool = True
     #: User-space connection-ID routing of UDP packets to the draining
     #: instance over the host-local forwarding address.
     enable_cid_routing: bool = True
@@ -63,12 +49,6 @@ class ProxygenConfig:
     ppr_max_retries: int = 10
     #: Local UDP port base for the user-space forwarding channel.
     forward_port_base: int = 19000
-    #: Chaos flag reproducing the §5.1 leak: the new instance receives
-    #: the UDP FDs but "erroneously ignores" them — neither reading nor
-    #: closing.  The orphaned sockets keep their ring share and queue
-    #: packets forever (user-facing timeouts) until an operator runs
-    #: :func:`repro.proxygen.ops.force_close_orphans`.
-    buggy_ignore_received_udp_fds: bool = False
     #: Resilient-data-plane knobs (disabled by default: the baseline
     #: keeps the paper-faithful bare retry loops and blind round-robin).
     resilience: ResilienceConfig = field(default_factory=ResilienceConfig)

@@ -109,9 +109,6 @@ class ProxygenInstance:
 
         self.quic_states = QuicStateTable(owner=self.name)
         self.quic = QuicService(self)
-        #: ids() of UDP sockets this instance is actively reading —
-        #: consumed by the §5.1 orphan audit (repro.proxygen.ops).
-        self.udp_reading: set[int] = set()
         self.mqtt_tunnels: dict[int, object] = {}
         self._serving_tasks: list = []
         self._takeover_listener = None
@@ -190,14 +187,8 @@ class ProxygenInstance:
         table = self.process.fd_table
         for vip_name, fd in result.tcp_listener_fds.items():
             self.tcp_listeners[vip_name] = table.resource(fd)
-        if self.config.pass_udp_fds:
-            for vip_name, fds in result.udp_socket_fds.items():
-                self.udp_sockets[vip_name] = [table.resource(fd)
-                                              for fd in fds]
-        else:
-            # Ablation (Fig 2d): bind our own SO_REUSEPORT sockets; the
-            # kernel ring now contains old + new entries -> flux.
-            self._bind_udp_fresh()
+        for vip_name, fds in result.udp_socket_fds.items():
+            self.udp_sockets[vip_name] = [table.resource(fd) for fd in fds]
         self.sibling_forward_port = result.old_forward_port
         self._bind_forward_socket()
         self._start_takeover_server()
@@ -251,8 +242,7 @@ class ProxygenInstance:
         for vip_name, listener in self.tcp_listeners.items():
             self._serving_tasks.append(
                 run(self._accept_loop(vip_name, listener)))
-        if not (self.config.buggy_ignore_received_udp_fds
-                or self.server.fault_ignore_udp_fds):
+        if not self.server.fault_ignore_udp_fds:
             for vip_name, sockets in self.udp_sockets.items():
                 for sock in sockets:
                     self._serving_tasks.append(

@@ -18,7 +18,7 @@ from typing import Optional
 from ..netsim.addresses import VIP
 from ..netsim.host import Host
 from ..resilience.plane import ResiliencePlane
-from .config import ProxygenConfig, default_vips
+from .config import ProxygenConfig
 from .context import ProxyTierContext
 from .instance import ProxygenInstance
 
@@ -30,13 +30,13 @@ class ProxygenServer:
 
     def __init__(self, host: Host, config: ProxygenConfig,
                  context: ProxyTierContext,
-                 vips: Optional[list[VIP]] = None,
+                 vips: list[VIP],
                  name: Optional[str] = None):
         config.validate()
         self.host = host
         self.config = config
         self.context = context
-        self.vips = vips or default_vips(host.ip)
+        self.vips = vips
         self.name = name or f"proxygen@{host.name}"
         self.counters = host.metrics.scoped_counters(self.name)
         self.generation = 0
@@ -69,11 +69,6 @@ class ProxygenServer:
 
     def memory_usage(self) -> float:
         return sum(inst.process.memory_usage()
-                   for inst in (self.active_instance, self.draining_instance)
-                   if inst is not None and inst.alive)
-
-    def connection_count(self) -> int:
-        return sum(inst.process.connection_count
                    for inst in (self.active_instance, self.draining_instance)
                    if inst is not None and inst.alive)
 

@@ -135,14 +135,13 @@ def _collect_fd_bundle(instance: "ProxygenInstance"):
             continue
         meta.append(SocketMeta(vip_name, "tcp", 0))
         fds.append(fd)
-    if instance.config.pass_udp_fds:
-        for vip_name, sockets in instance.udp_sockets.items():
-            for index, sock in enumerate(sockets):
-                fd = table.find_fd(sock)
-                if fd is None:
-                    continue
-                meta.append(SocketMeta(vip_name, "udp", index))
-                fds.append(fd)
+    for vip_name, sockets in instance.udp_sockets.items():
+        for index, sock in enumerate(sockets):
+            fd = table.find_fd(sock)
+            if fd is None:
+                continue
+            meta.append(SocketMeta(vip_name, "udp", index))
+            fds.append(fd)
     return meta, fds
 
 

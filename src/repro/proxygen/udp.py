@@ -53,13 +53,9 @@ class QuicService:
     def vip_socket_loop(self, sock: "UdpSocket"):
         """Generator: serve one SO_REUSEPORT VIP socket."""
         instance = self.instance
-        instance.udp_reading.add(id(sock))
-        try:
-            while instance.serving and not sock.closed:
-                datagram = yield sock.recv()
-                yield from self.handle_datagram(datagram, forwarded=False)
-        finally:
-            instance.udp_reading.discard(id(sock))
+        while instance.serving and not sock.closed:
+            datagram = yield sock.recv()
+            yield from self.handle_datagram(datagram, forwarded=False)
 
     def forward_socket_loop(self, sock: "UdpSocket"):
         """Generator: serve the host-local forwarding inbox.

@@ -51,10 +51,6 @@ class UpstreamPool:
         self.origin_router = origin_router
         self.dial_retries = dial_retries
         self.resilience = resilience
-        # Cross-region fallback routers expose dial-outcome feedback;
-        # plain katran routes don't — degrade to no-ops.
-        self._note_failure = getattr(origin_router, "note_failure", None)
-        self._note_success = getattr(origin_router, "note_success", None)
         self.current: Optional[H2Connection] = None
         self.dials = 0
 
@@ -119,8 +115,6 @@ class UpstreamPool:
             instance.counters.inc("upstream_dial_attempt", tag="refused")
             if breaker is not None:
                 breaker.record_failure()
-            if self._note_failure is not None:
-                self._note_failure(backend_ip)
             self.current = None
             return
         if outcome is TIMED_OUT:
@@ -129,16 +123,12 @@ class UpstreamPool:
             instance.counters.inc("upstream_dial_attempt", tag="timeout")
             if breaker is not None:
                 breaker.record_failure()
-            if self._note_failure is not None:
-                self._note_failure(backend_ip)
             self.current = None
             return
         endpoint = outcome
         self.dials += 1
         if breaker is not None:
             breaker.record_success()
-        if self._note_success is not None:
-            self._note_success(backend_ip)
         conn = H2Connection(endpoint, role="client")
         conn.start(instance.process)
         self.current = conn

@@ -1,16 +1,13 @@
 """Edge→Origin routing with a cross-region fallback tier.
 
 Each region's Edge PoPs normally dial their own Origin's L4LB.  When the
-home Origin stops completing dials (dead, partitioned, evacuated), the
-Edge would otherwise hard-fail every request — the fallback router
-instead marks the home tier *suspect* after a streak of dial failures
-and routes new upstream connections to the next-nearest region's Origin
-for a jittered cooldown, retrying home afterwards.
+home Origin's L4LB has no healthy backend left (dead, partitioned,
+evacuated), the Edge would otherwise hard-fail every request — the
+fallback router instead routes new upstream connections to the
+next-nearest region's Origin.
 
 The router implements the same ``flow → backend ip`` callable protocol
-as a bare Katran route, plus ``note_failure``/``note_success`` feedback
-the :class:`~repro.proxygen.upstream.UpstreamPool` calls with dial
-outcomes (discovered via ``getattr``, so plain routers keep working).
+as a bare Katran route.
 """
 
 from __future__ import annotations
@@ -23,45 +20,26 @@ __all__ = ["FallbackOriginRouter"]
 
 
 class _Tier:
-    def __init__(self, region_name: str, router: Callable,
-                 backend_ips: frozenset):
+    def __init__(self, region_name: str, router: Callable):
         self.region_name = region_name
         self.router = router
-        self.backend_ips = backend_ips
 
 
 class FallbackOriginRouter:
-    """Home-Origin-first router with suspicion-based cross-region spill."""
+    """Home-Origin-first router with cross-region spill."""
 
-    def __init__(self, env, rng, counters, failover: bool = True,
-                 fail_threshold: int = 3, cooldown_base: float = 4.0,
-                 cooldown_cap: float = 30.0, jitter: float = 0.25):
-        self.env = env
-        self.rng = rng
+    def __init__(self, counters, failover: bool = True):
         self.counters = counters
         self.failover = failover
-        self.fail_threshold = fail_threshold
-        self.cooldown_base = cooldown_base
-        self.cooldown_cap = cooldown_cap
-        self.jitter = jitter
         #: Home first, then alternates ordered by WAN distance.
         self.tiers: list[_Tier] = []
-        self._fail_streak = 0
-        self._suspect_rounds = 0
-        self._suspect_until = 0.0
 
-    def add_tier(self, region_name: str, router: Callable,
-                 backend_ips) -> None:
-        self.tiers.append(_Tier(region_name, router,
-                                frozenset(backend_ips)))
+    def add_tier(self, region_name: str, router: Callable) -> None:
+        self.tiers.append(_Tier(region_name, router))
 
     @property
     def home(self) -> Optional[_Tier]:
         return self.tiers[0] if self.tiers else None
-
-    @property
-    def home_suspect(self) -> bool:
-        return self.env.now < self._suspect_until
 
     # -- routing -----------------------------------------------------------
 
@@ -69,10 +47,9 @@ class FallbackOriginRouter:
         home = self.home
         if home is None:
             return None
-        if not self.home_suspect:
-            backend_ip = home.router(flow)
-            if backend_ip is not None:
-                return backend_ip
+        backend_ip = home.router(flow)
+        if backend_ip is not None:
+            return backend_ip
         if not self.failover:
             return None
         for tier in self.tiers[1:]:
@@ -85,29 +62,3 @@ class FallbackOriginRouter:
 
     def __call__(self, flow: FourTuple) -> Optional[str]:
         return self.route(flow)
-
-    # -- dial feedback (UpstreamPool) --------------------------------------
-
-    def note_failure(self, backend_ip: str) -> None:
-        home = self.home
-        if home is None or backend_ip not in home.backend_ips:
-            return
-        self._fail_streak += 1
-        if self._fail_streak < self.fail_threshold:
-            return
-        self._fail_streak = 0
-        self._suspect_rounds += 1
-        cooldown = min(self.cooldown_cap,
-                       self.cooldown_base
-                       * (2 ** (self._suspect_rounds - 1)))
-        cooldown *= 1.0 + self.rng.uniform(0.0, self.jitter)
-        self._suspect_until = self.env.now + cooldown
-        self.counters.inc("home_origin_suspected", tag=home.region_name)
-
-    def note_success(self, backend_ip: str) -> None:
-        home = self.home
-        if home is None or backend_ip not in home.backend_ips:
-            return
-        self._fail_streak = 0
-        self._suspect_rounds = 0
-        self._suspect_until = 0.0

@@ -91,18 +91,15 @@ class RegionalDeployment(Topology):
                                          wan_profile(hops))
         for i, region in enumerate(self.regions):
             router = FallbackOriginRouter(
-                self.env, self.streams.stream(f"xregion-{region.name}"),
                 self.metrics.scoped_counters(f"xregion-{region.name}"),
                 failover=spec.failover)
-            router.add_tier(region.name, region.origin_katran.route,
-                            [h.ip for h in region.origin_hosts])
+            router.add_tier(region.name, region.origin_katran.route)
             alternates = sorted(
                 (other for other in self.regions if other is not region),
                 key=lambda o: (wan_distance(i, o.index, spec.regions),
                                o.name))
             for other in alternates:
-                router.add_tier(other.name, other.origin_katran.route,
-                                [h.ip for h in other.origin_hosts])
+                router.add_tier(other.name, other.origin_katran.route)
             region.origin_router = router
 
         # Pass 3: Edge PoPs (proxies + ECMP'd L4LBs) and their links.

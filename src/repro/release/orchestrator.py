@@ -338,19 +338,6 @@ class RollingRelease:
             else:
                 self.rolled_back.append(name)
 
-    def summary(self) -> dict:
-        """Compact dict for the metrics report's ``release`` section."""
-        return {
-            "batches": len(self.batches),
-            "attempts": sum(b.attempts for b in self.batches),
-            "timed_out_batches": sum(1 for b in self.batches if b.timed_out),
-            "failed_targets": list(self.failed_targets),
-            "aborted": self.aborted,
-            "abort_reason": self.abort_reason,
-            "rolled_back": list(self.rolled_back),
-            "rollback_failed": list(self.rollback_failed),
-        }
-
     @property
     def duration(self) -> float:
         """Wall time of the whole release (valid after execute())."""

@@ -79,10 +79,6 @@ class ShardResult:
     #: 1-shard call; a forked worker's record stays in the worker.
     runs: list = field(default_factory=list)
 
-    @property
-    def events(self) -> int:
-        return sum(s["events"] for s in self.shard_stats)
-
 
 def counters_snapshot(metrics) -> dict:
     """Every counter of a run as ``{scope: {key: value}}``.

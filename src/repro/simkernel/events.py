@@ -188,14 +188,6 @@ class Event:
         env._eid += 1
         return self
 
-    # -- composition ---------------------------------------------------
-
-    def __and__(self, other: "Event") -> "Condition":
-        return Condition(self.env, Condition.all_events, [self, other])
-
-    def __or__(self, other: "Event") -> "Condition":
-        return Condition(self.env, Condition.any_event, [self, other])
-
     def __repr__(self) -> str:
         state = "processed" if self.processed else (
             "triggered" if self.triggered else "pending")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from typing import Optional, Sequence
+from typing import Optional
 
 __all__ = ["RandomStreams", "DistributionSampler"]
 
@@ -60,16 +60,6 @@ class DistributionSampler:
     def uniform(self, low: float, high: float) -> float:
         return self.rng.uniform(low, high)
 
-    def lognormal(self, median: float, sigma: float,
-                  cap: Optional[float] = None) -> float:
-        """Lognormal parameterized by its median; optionally capped."""
-        if median <= 0:
-            return 0.0
-        value = self.rng.lognormvariate(math.log(median), sigma)
-        if cap is not None:
-            value = min(value, cap)
-        return value
-
     def pareto(self, alpha: float, minimum: float,
                cap: Optional[float] = None) -> float:
         """Bounded Pareto: heavy-tailed sizes with a floor and optional cap."""
@@ -77,9 +67,6 @@ class DistributionSampler:
         if cap is not None:
             value = min(value, cap)
         return value
-
-    def weighted_choice(self, items: Sequence, weights: Sequence[float]):
-        return self.rng.choices(list(items), weights=list(weights), k=1)[0]
 
     def poisson(self, lam: float) -> int:
         """Poisson draw via inversion (fine for the small lambdas we use)."""

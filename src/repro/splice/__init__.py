@@ -90,15 +90,6 @@ class SpliceGovernor:
 
     # -- hot-path hooks ----------------------------------------------------
 
-    def wake(self):
-        """Event that fires at the next mechanism boundary.
-
-        Bulk transfers race their completion timeout against this so a
-        beginning release/fault window pulls them back to per-chunk
-        fidelity immediately, not at the next transfer.
-        """
-        return self._wake
-
     def bulk_wait(self, delay: float):
         """Wait ``delay`` sim-seconds unless a de-splice arrives first.
 
@@ -138,15 +129,6 @@ class SpliceGovernor:
         self.bulk_transfers += 1
         self.bulk_bytes += size
         self.chunks_elided += max(0, chunks - 1)
-
-    def stats(self) -> dict[str, int]:
-        return {
-            "bulk_transfers": self.bulk_transfers,
-            "bulk_bytes": self.bulk_bytes,
-            "chunks_elided": self.chunks_elided,
-            "desplices": self.desplices,
-            "relay_fastpath": self.relay_fastpath,
-        }
 
     # -- suspension windows ------------------------------------------------
 

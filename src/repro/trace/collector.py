@@ -117,9 +117,6 @@ class Span:
         if len(self.annotations) < self.collector.config.max_annotations:
             self.annotations.append((self.collector.env.now, key, value))
 
-    def child(self, name: str, scope: Optional[str] = None) -> "Span":
-        return self.collector.span(self, name, scope=scope)
-
     def finish(self, status: str = "ok") -> None:
         """Close the span (idempotent; the first close wins)."""
         if self.end is not None:
@@ -219,11 +216,6 @@ class TraceCollector:
         the head sampling decision."""
         span.trace.keep = True
 
-    def error(self, span: Span) -> None:
-        """Flag the trace as errored without closing ``span``."""
-        if self.config.keep_errors:
-            span.trace.error = True
-
     def _finish_trace(self, trace: _Trace) -> None:
         self._live.pop(trace.trace_id, None)
         if trace.keep or trace.error:
@@ -290,15 +282,6 @@ class TraceCollector:
 
     def traces(self) -> list[dict]:
         return [self._trace_dict(trace) for trace in self._retained()]
-
-    def annotation_summary(self) -> dict[str, int]:
-        """Annotation key → occurrence count over retained traces."""
-        counts: dict[str, int] = {}
-        for trace in self._retained():
-            for span in trace.spans:
-                for _at, key, _value in span.annotations:
-                    counts[key] = counts.get(key, 0) + 1
-        return counts
 
     def to_dict(self) -> dict:
         return {

@@ -79,15 +79,6 @@ def test_origin_router_routes_flows():
     assert backend in {h.ip for h in dep.origin_hosts}
 
 
-def test_total_idle_cpu_reports_buckets():
-    dep = Deployment(tiny_spec())
-    dep.start()
-    dep.run(until=10)
-    idle = dep.total_idle_cpu(5, 10)
-    assert len(idle) == 5
-    assert all(0 <= v <= 1.0001 for _, v in idle)
-
-
 def test_deterministic_same_seed():
     def build_and_measure(seed):
         dep = Deployment(tiny_spec(

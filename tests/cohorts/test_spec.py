@@ -29,7 +29,9 @@ def test_policy_validation():
 def test_policy_dict_round_trip():
     policy = CohortPolicy(fidelity="aggregate", scale=100,
                           flows_per_representative=25)
-    assert CohortPolicy.from_dict(policy.to_dict()) == policy
+    assert CohortPolicy.from_dict(
+        {"fidelity": "aggregate", "scale": 100,
+         "flows_per_representative": 25}) == policy
     # Partial dicts (fuzz scenarios) fill in the defaults.
     assert CohortPolicy.from_dict({"scale": 4}).scale == 4
 

@@ -135,7 +135,6 @@ def test_per_server_fault_attributes_flip_and_clear():
     assert dep.edge_servers[0].fault_ignore_udp_fds
     assert not dep.edge_servers[1].fault_ignore_udp_fds
     assert all(a.fault_rogue_fraction == 0.4 for a in dep.app_servers)
-    assert all(a.effective_rogue_fraction == 0.4 for a in dep.app_servers)
     assert dep.app_servers[1].fault_truncate_fraction == 0.9
     assert dep.app_servers[0].fault_truncate_fraction == 0.0
     dep.run(until=6.0)

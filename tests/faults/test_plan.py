@@ -53,8 +53,8 @@ def test_builtin_plans_all_valid():
         plan = builtin_plan(name, at=3.0, duration=10.0)
         assert plan.name == name
         assert plan.description
-        assert len(plan) >= 1
-        for spec in plan:
+        assert len(plan.specs) >= 1
+        for spec in plan.specs:
             assert spec.kind in FAULT_KINDS
             assert spec.at == 3.0
 

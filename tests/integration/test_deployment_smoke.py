@@ -98,8 +98,9 @@ def test_tls_handshakes_happened(deployment):
 
 
 def test_cpu_accounting_nonzero(deployment):
-    idle = deployment.total_idle_cpu(10, 40)
+    idle = [value for host in deployment.edge_hosts
+            for _, value in host.cpu.idle(10, 40)]
     assert idle, "expected idle-CPU samples"
     # Hosts did some work but are not saturated.
-    mean_idle = sum(v for _, v in idle) / len(idle)
+    mean_idle = sum(idle) / len(idle)
     assert 0.05 < mean_idle < 1.0

@@ -19,7 +19,6 @@ def _ring(nodes, replicas=100):
 def test_empty_ring_returns_none():
     ring = ConsistentHashRing()
     assert ring.lookup("anything") is None
-    assert ring.lookup_chain("anything") == []
 
 
 def test_single_node_gets_everything():
@@ -79,19 +78,6 @@ def test_remove_absent_node_noop():
     ring = _ring(["a"])
     ring.remove("ghost")
     assert len(ring) == 1
-
-
-def test_lookup_chain_distinct_fallbacks():
-    ring = _ring([f"n{i}" for i in range(5)])
-    chain = ring.lookup_chain("user-42", count=3)
-    assert len(chain) == 3
-    assert len(set(chain)) == 3
-    assert chain[0] == ring.lookup("user-42")
-
-
-def test_lookup_chain_capped_by_ring_size():
-    ring = _ring(["a", "b"])
-    assert len(ring.lookup_chain("k", count=10)) == 2
 
 
 def test_replicas_validation():
@@ -164,56 +150,6 @@ def test_lookup_reduces_key_into_point_space():
         key = ring._hash("chash-key", ring.salt, f"key-{i}")
         clockwise = next((p for p in points if p > key), points[0])
         assert ring.lookup(f"key-{i}") == ring._point_node[clockwise]
-
-
-def test_lookup_chain_reduces_key_into_point_space():
-    ring = ConsistentHashRing(replicas=8, point_space=97)
-    for node in ("a", "b", "c", "d"):
-        ring.add(node)
-    starts = {ring.lookup_chain(f"key-{i}", count=2)[0]
-              for i in range(300)}
-    assert len(starts) > 1
-    for i in range(50):
-        chain = ring.lookup_chain(f"key-{i}", count=3)
-        assert chain[0] == ring.lookup(f"key-{i}")
-
-
-def test_lookup_chain_distinct_nodes_under_point_collisions():
-    """A tiny point space forces replica collisions; the chain must
-    still never repeat a node."""
-    ring = ConsistentHashRing(replicas=6, point_space=11)
-    for node in ("a", "b", "c", "d", "e"):
-        ring.add(node)
-    for i in range(100):
-        chain = ring.lookup_chain(f"k{i}", count=3)
-        assert len(chain) == len(set(chain))
-        assert len(chain) == min(3, ring.point_count, len(ring))
-
-
-def test_lookup_chain_wraps_past_the_last_point():
-    ring = ConsistentHashRing(replicas=4, point_space=50)
-    for node in ("a", "b", "c"):
-        ring.add(node)
-    top = max(ring._point_node)
-    # A key landing strictly after the last point wraps to point 0's
-    # owner, and its chain walks on from there.
-    key = next(f"w{i}" for i in range(10_000)
-               if ring._hash("chash-key", ring.salt, f"w{i}") > top)
-    points = sorted(ring._point_node)
-    assert ring.lookup(key) == ring._point_node[points[0]]
-    chain = ring.lookup_chain(key, count=2)
-    assert chain[0] == ring._point_node[points[0]]
-    assert len(set(chain)) == 2
-
-
-def test_lookup_chain_shorter_than_count_when_ring_small():
-    ring = ConsistentHashRing(replicas=8, point_space=13)
-    ring.add("a")
-    ring.add("b")
-    chain = ring.lookup_chain("k", count=5)
-    assert chain == list(dict.fromkeys(chain))
-    assert set(chain) <= {"a", "b"}
-    assert len(chain) == 2
 
 
 def test_point_space_validation():

@@ -82,7 +82,7 @@ def test_backend_recovers_after_resume(world):
     listeners[0].pause_accepting()
     world.env.run(until=6)
     assert backends[0].ip not in katran.healthy_backends()
-    listeners[0].resume_accepting()
+    listeners[0].accepting = True
     world.env.run(until=10)
     assert backends[0].ip in katran.healthy_backends()
 

@@ -92,11 +92,3 @@ def test_invalidate_value_drops_all_pinned_flows():
     assert table.invalidate_value("backend-a") == 0
     # Invalidation is not an eviction.
     assert table.evictions == 0
-
-
-def test_invalidate_single_key():
-    table = LruConnectionTable(capacity=4)
-    table.put("k", "v")
-    table.invalidate("k")
-    assert "k" not in table
-    table.invalidate("k")  # absent key: no error

@@ -145,13 +145,11 @@ def test_stateless_holds_no_state():
     assert router.memory_stats() == {"table_entries": 0.0}
 
 
-def test_stateful_expires_by_ttl_and_flow_done():
+def test_stateful_readmits_an_expired_flow_by_ring():
     router, clock = _router("stateful", flow_ttl=10.0)
     first = router.route(_key(0))
     router.route(_key(1))
     assert router.table_entries() == 2
-    router.flow_done(_key(1))
-    assert router.table_entries() == 1
     clock[0] = 11.0
     # The expired entry is dropped and the flow re-admitted via the ring
     # (same membership, so the same backend).

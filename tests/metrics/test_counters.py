@@ -42,16 +42,6 @@ def test_counterset_prefix():
     assert counters.snapshot() == {"edge-1/rps": 1.0}
 
 
-def test_counterset_merged():
-    a = CounterSet()
-    b = CounterSet()
-    a.inc("errors", 2)
-    b.inc("errors", 3)
-    b.inc("timeouts")
-    merged = a.merged([b])
-    assert merged == {"errors": 5.0, "timeouts": 1.0}
-
-
 def test_get_missing_allocates_nothing():
     """``get`` on a never-incremented counter returns 0.0 without
     creating the counter (the old implementation allocated a throwaway

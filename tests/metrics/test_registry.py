@@ -71,15 +71,7 @@ def test_quantiles_accessor():
     registry = MetricsRegistry()
     registry.quantiles("latency").add(1.0)
     registry.quantiles("latency").add(3.0)
-    assert registry.quantiles("latency").mean == 2.0
-
-
-def test_utilization_scopes():
-    registry = MetricsRegistry()
-    registry.utilization("host-1", capacity=4)
-    registry.utilization("host-2", capacity=8)
-    assert registry.utilization_scopes() == ["host-1", "host-2"]
-    assert registry.utilization("host-1").capacity == 4
+    assert registry.quantiles("latency").median == 2.0
 
 
 def test_snapshot_is_plain_data_copied_out():
@@ -89,7 +81,6 @@ def test_snapshot_is_plain_data_copied_out():
     registry.series("errors").record(3.5, 2.0)
     for sample in (3.0, 1.0, 2.0):
         registry.quantiles("latency").add(sample)
-    registry.utilization("host-1").add_busy(0.25, 0.75)
     snap = registry.snapshot()
     assert snap == {
         "global": {},
@@ -97,7 +88,6 @@ def test_snapshot_is_plain_data_copied_out():
                    "edge-2": {"rps": 5.0}},
         "series": {"errors": ({3: 2.0}, {3: 1})},
         "quantiles": {"latency": [3.0, 1.0, 2.0]},
-        "utilization": {"host-1": {0: 0.5}},
     }
     assert list(snap["scoped"]) == ["edge-1", "edge-2"]
     assert pickle.loads(pickle.dumps(snap)) == snap
@@ -117,7 +107,6 @@ def test_snapshot_is_plain_data_copied_out():
     registry.series("errors").record(3.6)
     registry.quantiles("latency").add(0.5)
     assert registry.quantiles("latency").median == 1.5  # sorts in place
-    registry.utilization("host-1").add_busy(0.75, 1.0)
     assert snap == pickle.loads(taken)
     later = registry.snapshot()
     assert later["quantiles"] == {"latency": [0.5, 1.0, 2.0, 3.0]}

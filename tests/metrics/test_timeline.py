@@ -63,20 +63,6 @@ def test_timeseries_non_aligned_end_includes_partial_bucket():
     assert series.values(0.0, 25.1) == [0.0, 0.0, 1.0]
 
 
-def test_timeseries_normalized_by_first_bucket():
-    series = TimeSeries(bucket_width=1)
-    for t, v in [(0, 100), (1, 50), (2, 200)]:
-        series.record(t, v)
-    normalized = [v for _, v in series.normalized(0, 3)]
-    assert normalized == [1.0, 0.5, 2.0]
-
-
-def test_timeseries_normalized_explicit_baseline():
-    series = TimeSeries(bucket_width=1)
-    series.record(0, 10)
-    assert series.normalized(0, 1, baseline=20) == [(0.0, 0.5)]
-
-
 def test_timeseries_invalid_args():
     with pytest.raises(ValueError):
         TimeSeries(bucket_width=0)

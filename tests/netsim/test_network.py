@@ -61,7 +61,7 @@ def test_site_profiles_override_default():
     env.run(until=1)
     assert arrivals == [0.25]
     # Symmetric by default.
-    assert network.profile_between(b, a).latency == 0.25
+    assert network.get_profile(b.site, a.site).latency == 0.25
 
 
 def test_unknown_destination_counts_drop():
@@ -110,13 +110,6 @@ def test_duplicate_host_ip_rejected():
     Host(env, network, "a", "10.0.0.1", "x", metrics)
     with pytest.raises(ValueError):
         Host(env, network, "b", "10.0.0.1", "x", metrics)
-
-
-def test_rtt_helper():
-    env, streams, metrics, network = make_world(LinkProfile(latency=0.04))
-    a = Host(env, network, "a", "10.0.0.1", "x", metrics)
-    b = Host(env, network, "b", "10.0.0.2", "y", metrics)
-    assert network.rtt(a, b) == pytest.approx(0.08)
 
 
 def test_tcp_stream_delivery_is_in_order(world):

@@ -150,8 +150,8 @@ def test_orphaned_socket_queues_grow(world):
         _, sock_i = client.kernel.udp_bind_ephemeral(cproc)
         sock_i.sendto(f"pkt{i}", endpoint)
     world.env.run(until=1)
-    assert all(s.queued > 0 for s in socks)
-    assert sum(s.queued for s in socks) == 200
+    assert all(len(s.inbox.items) > 0 for s in socks)
+    assert sum(len(s.inbox.items) for s in socks) == 200
 
 
 def test_closed_socket_share_is_dropped(world):

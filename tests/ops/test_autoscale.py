@@ -8,7 +8,6 @@ from repro.ops.autoscale import (
     Autoscaler,
     AutoscalerConfig,
     attach_app_autoscaler,
-    attach_edge_autoscaler,
 )
 from repro.simkernel import Environment
 
@@ -244,33 +243,14 @@ def test_grow_and_retire_app_server_round_trip():
     assert server.state == server.STATE_DOWN
 
 
-def test_grow_edge_proxy_joins_katran_only_once_serving():
-    deployment = Deployment(_spec())
-    deployment.start()
-    deployment.run(until=2.0)
-    before = set(deployment.edge_katran.backends)
-    grown = deployment.env.process(deployment.grow_edge_proxy())
-    deployment.env.run(until=grown)
-    after = set(deployment.edge_katran.backends)
-    server = deployment.edge_servers[-1]
-    assert after - before == {server.host.ip}
-    # Retire pulls it back out of the ring before draining.
-    done = deployment.env.process(deployment.retire_edge_proxy(server))
-    deployment.env.run(until=done)
-    assert set(deployment.edge_katran.backends) == before
-    assert server not in deployment.edge_servers
-
-
 def test_attach_helpers_register_and_start():
     deployment = Deployment(_spec())
-    # min_size pinned to the current fleet so the idle pools hold still.
+    # min_size pinned to the current fleet so the idle pool holds still.
     app = attach_app_autoscaler(deployment,
                                 AutoscalerConfig(min_size=2, max_size=3))
-    edge = attach_edge_autoscaler(deployment,
-                                  AutoscalerConfig(min_size=2, max_size=3))
-    assert deployment.autoscalers == [app, edge]
-    assert app.process is not None and edge.process is not None
-    assert (app.adapter.tier, edge.adapter.tier) == ("app", "edge")
+    assert deployment.autoscalers == [app]
+    assert app.process is not None
+    assert app.adapter.tier == "app"
     deployment.start()
     deployment.run(until=12.0)  # idle loops tick but hold at the floor
     assert len(app.size_series) >= 2

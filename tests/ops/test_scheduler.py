@@ -4,7 +4,6 @@ import pytest
 
 from repro.ops.load import LoadShape, LoadShapeConfig
 from repro.ops.scheduler import (
-    ReleaseWave,
     WavePlanConfig,
     plan_release_waves,
 )
@@ -92,12 +91,6 @@ def test_budget_fitting_stops_at_the_floor():
                             error_budget=1.0)  # unsatisfiable
     waves = plan_release_waves(_diurnal_shape(), 0.0, 100.0, 8, config)
     assert all(w.batch_fraction == pytest.approx(0.1) for w in waves)
-
-
-def test_wave_batch_size_rounds_up_and_floors_at_one():
-    wave = ReleaseWave(start=0.0, batch_fraction=0.26, load_scale=1.0)
-    assert wave.batch_size(10) == 3
-    assert ReleaseWave(0.0, 0.01, 1.0).batch_size(10) == 1
 
 
 def test_planner_input_validation():

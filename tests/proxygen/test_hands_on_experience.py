@@ -1,31 +1,29 @@
-"""§5 "Hands-on Experience": the production pitfalls and remediations.
+"""§5 "Hands-on Experience": the production pitfalls.
 
 * the §5.2 memory-corruption incident — a buggy upstream emitting bare
   379s must not trigger Partial Post Replay;
 * the §5.1 orphaned-FD leak — ignored received FDs queue packets
-  forever; the audit finds them and the external close command heals
-  the ring.
+  forever.
 """
 
-import pytest
-
-from repro.appserver import AppServerConfig
-from repro.netsim import Endpoint
 from repro.protocols import BodyChunk, HttpRequest, QuicPacket
-from repro.proxygen import (
-    ProxygenConfig,
-    audit_orphaned_udp_sockets,
-    force_close_orphans,
-)
+from repro.proxygen import ProxygenConfig
 from repro.proxygen.instance import UDP_SOCKETS_PER_VIP
 from .conftest import MiniStack
+
+
+def _rogue_stack(world, app_servers):
+    """A stack whose every app server answers with random status codes."""
+    stack = MiniStack(world, app_servers=app_servers)
+    for server in stack.app_servers:
+        server.fault_rogue_fraction = 1.0
+    return stack.start()
 
 
 def test_rogue_379_not_trusted(world):
     """A 379 without the PartialPOST status message must fail the
     request with a standard 500, not enter the replay loop."""
-    stack = MiniStack(world, app_servers=2, app_config=AppServerConfig(
-        rogue_status_fraction=1.0)).start()
+    stack = _rogue_stack(world, app_servers=2)
     host, proc = stack.client()
     got = []
 
@@ -49,8 +47,7 @@ def test_rogue_379_not_trusted(world):
 def test_rogue_status_on_gets_passes_through(world):
     """Random codes on non-POST requests just flow to the client —
     no PPR machinery involved."""
-    stack = MiniStack(world, app_servers=1, app_config=AppServerConfig(
-        rogue_status_fraction=1.0)).start()
+    stack = _rogue_stack(world, app_servers=1)
     host, proc = stack.client()
     got = []
 
@@ -85,49 +82,22 @@ def _quic_blast(stack, count=60):
 
 
 def test_ignored_fds_leak_and_queue_packets(world):
+    """§5.1: received UDP FDs that nobody reads stay alive in the ring
+    and the packets hashed to them sit unprocessed on their queues."""
     stack = MiniStack(world, edge_config=ProxygenConfig(
-        mode="edge", drain_duration=2.0, spawn_delay=0.3,
-        buggy_ignore_received_udp_fds=True)).start()
+        mode="edge", drain_duration=2.0, spawn_delay=0.3))
     edge = stack.edge
+    edge.fault_ignore_udp_fds = True
+    stack.start()
     done = stack.env.process(edge.release())
     stack.env.run(until=done)
     stack.env.run(until=stack.env.now + 4)   # old drained away
 
-    # The audit sees the orphans even before traffic arrives.
-    orphans = audit_orphaned_udp_sockets(edge)
-    assert len(orphans) == UDP_SOCKETS_PER_VIP
-    assert all(not o.socket.closed for o in orphans)
+    sockets = edge.active_instance.udp_sockets["quic"]
+    assert len(sockets) == UDP_SOCKETS_PER_VIP
+    assert all(not sock.closed for sock in sockets)
 
     _quic_blast(stack)
     stack.env.run(until=stack.env.now + 3)
-    orphans = audit_orphaned_udp_sockets(edge)
-    # Packets sit unprocessed on the leaked sockets' queues (§5.1).
-    assert sum(o.queued_datagrams for o in orphans) > 0
+    assert sum(len(sock.inbox.items) for sock in sockets) > 0
     assert edge.counters.get("quic_conn_created") == 0
-
-
-def test_force_close_orphans_heals_the_ring(world):
-    stack = MiniStack(world, edge_config=ProxygenConfig(
-        mode="edge", drain_duration=2.0, spawn_delay=0.3,
-        buggy_ignore_received_udp_fds=True)).start()
-    edge = stack.edge
-    quic_vip = stack.edge_vips[1].endpoint
-    done = stack.env.process(edge.release())
-    stack.env.run(until=done)
-    stack.env.run(until=stack.env.now + 4)
-
-    closed = force_close_orphans(edge)
-    assert closed == UDP_SOCKETS_PER_VIP
-    ring = stack.edge_host.kernel.reuseport_ring(quic_vip)
-    assert ring is None or len(ring) == 0
-    assert audit_orphaned_udp_sockets(edge) == []
-
-
-def test_healthy_takeover_has_no_orphans(world):
-    stack = MiniStack(world).start()
-    edge = stack.edge
-    done = stack.env.process(edge.release())
-    stack.env.run(until=done)
-    assert audit_orphaned_udp_sockets(edge) == []
-    stack.env.run(until=stack.env.now + 8)
-    assert audit_orphaned_udp_sockets(edge) == []

@@ -55,26 +55,6 @@ def test_takeover_shares_listeners_and_udp_rings(world):
     _assert_no_fd_leak(stack.edge_host)
 
 
-def test_takeover_without_udp_fds_rebinds(world):
-    stack = MiniStack(world, edge_config=ProxygenConfig(
-        mode="edge", drain_duration=5.0, spawn_delay=0.5,
-        pass_udp_fds=False)).start()
-    edge = stack.edge
-    quic_vip = stack.edge_vips[1].endpoint
-    ring = stack.edge_host.kernel.reuseport_ring(quic_vip)
-    version_before = ring.version
-    size_before = len(ring)
-
-    done = stack.env.process(edge.release())
-    stack.env.run(until=done)
-    # Ring in flux: old + new entries while draining...
-    assert len(ring) == 2 * size_before
-    assert ring.version > version_before
-    stack.env.run(until=stack.env.now + 7)
-    # ...then the old entries purge at drain end.
-    assert len(ring) == size_before
-
-
 def test_drain_end_exits_old_process(world):
     stack = MiniStack(world, edge_config=ProxygenConfig(
         mode="edge", drain_duration=2.0, spawn_delay=0.5)).start()

@@ -222,7 +222,6 @@ def test_error_budget_aborts_release():
     assert release.aborted
     assert release.failed_targets == ["bad0"]
     assert not targets[2].restarts
-    assert release.summary()["aborted"] is True
 
 
 def test_rollback_rereleases_completed_in_reverse():
@@ -275,7 +274,6 @@ def test_hung_rollback_is_bounded_by_batch_timeout():
     assert release.rolled_back == []
     assert release.rollback_failed == ["hung"]
     assert release.errors["hung"].startswith("rollback: interrupted")
-    assert release.summary()["rollback_failed"] == ["hung"]
     # Bounded: abort at t=3 (1 + attempt 1 + budget check... ) plus one
     # rollback deadline — nowhere near "forever".
     assert release.finished_at is not None

@@ -318,21 +318,6 @@ def test_any_of_triggers_on_first():
     assert got == [["fast"]]
 
 
-def test_and_or_operators():
-    env = Environment()
-    done = []
-
-    def proc():
-        yield env.timeout(1) & env.timeout(3)
-        done.append(env.now)
-        yield env.timeout(10) | env.timeout(2)
-        done.append(env.now)
-
-    env.process(proc())
-    env.run(until=20)
-    assert done == [3.0, 5.0]
-
-
 def test_condition_on_already_processed_event():
     env = Environment()
     got = []

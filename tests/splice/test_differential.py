@@ -160,7 +160,7 @@ def test_fault_window_desplices_and_counters_fold(seed):
     governor = deployment.run_record.splice
 
     deployment.run(until=5.9)
-    parked = governor.wake()
+    parked = governor._wake
     assert governor.engaged and governor.desplices == 0
     assert parked.callbacks, "no upload in flight when the window opens"
 

@@ -185,8 +185,8 @@ def test_the_post_relay_leaves_no_race_for_the_collector(bulk_posts):
     "endpoints have fin_received set and are not closed, every one with "
     "a Katran host as peer; they stay in SimProcess._endpoints, keep 792 "
     "of the run's 872 dead endpoints alive through .peer, count in "
-    "connection_count() (read by ops/autoscale.py and fig17's memory "
-    "model) and are aborted at drain end as tcp_rst_sent{process_exit}. "
+    "connection_count() (read by fig17's memory model) and are "
+    "aborted at drain end as tcp_rst_sent{process_exit}. "
     "Closing them on FIN moves those counters, so it is its own change."))
 def test_a_health_probe_connection_is_closed_by_the_proxy(released):
     deployment, _, _ = released

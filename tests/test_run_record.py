@@ -198,20 +198,22 @@ def test_a_runs_ids_are_its_own():
     assert second == first
 
 
-def test_a_grown_edge_proxy_is_heard_with_no_wiring():
+def test_a_grown_app_server_is_heard_with_no_wiring():
     dep = Deployment(_tiny_spec())
     recorder = _Recorder()
     InvariantSuite(dep, checkers=[recorder]).attach()
     dep.start()
     dep.run(until=2.0)
-    grown = dep.env.process(dep.grow_edge_proxy())
-    dep.env.run(until=grown)
-    server = grown.value
+    server = dep.grow_app_server()
     assert server.host.run_record is dep.run_record
-    dep.env.run(until=dep.env.process(server.release()))
-    takeovers = [(event, fields) for event, fields in recorder.events
-                 if event.startswith("takeover_")]
-    assert [event for event, _ in takeovers] == ["takeover_begin",
-                                                 "takeover_end"]
-    assert all(fields["server"] is server for _, fields in takeovers)
-    assert takeovers[-1][1]["ok"] is True
+    client = dep.origin_hosts[0]
+    proc = client.spawn("dialer")
+
+    def dial():
+        yield client.kernel.tcp_connect(proc, server.endpoint)
+
+    proc.run(dial())
+    dep.run(until=3.0)
+    accepts = [fields["server"] for event, fields in recorder.events
+               if event == "app_accept"]
+    assert accepts == [server]

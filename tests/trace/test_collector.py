@@ -61,7 +61,7 @@ def test_tail_keep_overrides_head_decision():
 def test_fail_flags_trace_for_retention():
     collector = make_collector(TraceConfig(sample_rate=0.0))
     span = collector.start_trace("req")
-    child = span.child("hop")
+    child = collector.span(span, "hop")
     child.fail("conn_gone")
     span.finish("ok")
     (trace,) = collector.traces()
@@ -142,7 +142,7 @@ def test_export_is_deterministic_for_same_seed():
         collector = make_collector(seed=seed)
         root = collector.start_trace("req", scope="edge")
         collector.env.now = 0.25
-        hop = root.child("hop", scope="origin")
+        hop = collector.span(root, "hop", scope="origin")
         hop.annotate("takeover.crossed")
         hop.finish("ok")
         collector.env.now = 0.5
@@ -188,24 +188,13 @@ def test_announcements_are_logged_with_their_scalar_fields_only():
     ]
 
 
-def test_annotation_summary_counts_keys():
-    collector = make_collector()
-    span = collector.start_trace("req")
-    span.annotate("retry.attempt", 1)
-    span.annotate("retry.attempt", 2)
-    span.annotate("dcr.rehomed")
-    span.finish("ok")
-    assert collector.annotation_summary() == {"retry.attempt": 2,
-                                              "dcr.rehomed": 1}
-
-
 def test_render_trace_tree_and_critical_path():
     collector = make_collector()
     root = collector.start_trace("client.request", scope="client-0")
-    edge = root.child("edge.request", scope="edge-proxy-0")
+    edge = collector.span(root, "edge.request", scope="edge-proxy-0")
     edge.annotate("takeover.crossed")
     collector.env.now = 0.2
-    origin = edge.child("origin.get", scope="origin-proxy-0")
+    origin = collector.span(edge, "origin.get", scope="origin-proxy-0")
     collector.env.now = 0.3
     origin.finish("ok")
     edge.finish("ok")
