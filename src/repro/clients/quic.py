@@ -139,10 +139,18 @@ class QuicClientPopulation:
         return max(1, round(sampler.exponential(mean)))
 
     def _await_ack(self, sock, packet: QuicPacket):
-        outcome = yield from with_timeout(
-            sock.kernel.env, sock.recv(), self.config.ack_timeout)
-        if outcome is TIMED_OUT:
-            return False
-        reply = outcome.payload
-        return (isinstance(reply, QuicPacket)
-                and reply.connection_id == packet.connection_id)
+        """True iff an ack for ``packet``'s connection ID arrives within
+        ``ack_timeout``.  An ack that outlived its own timeout answers an
+        ID this flow has since rotated away from: it is discarded and
+        the wait goes on, to the same deadline."""
+        env = sock.kernel.env
+        deadline = env.now + self.config.ack_timeout
+        while True:
+            outcome = yield from with_timeout(env, sock.recv(),
+                                              deadline - env.now)
+            if outcome is TIMED_OUT:
+                return False
+            reply = outcome.payload
+            if (isinstance(reply, QuicPacket)
+                    and reply.connection_id == packet.connection_id):
+                return True

@@ -12,6 +12,7 @@ from repro.clients import (
 )
 from repro.clients.base import ClientBase
 from repro.netsim import Endpoint
+from repro.protocols import QuicPacket
 from tests.proxygen.conftest import MiniStack
 
 
@@ -139,6 +140,43 @@ def test_quic_population_infinite_connections(world, stack):
     counters = world.metrics.scoped_counters("quic-clients")
     assert counters.get("connections_completed") == 0
     assert counters.get("packets_acked") > 50
+
+
+def test_a_late_ack_is_not_taken_for_the_next_connections(world):
+    """An ack that arrives after its packet timed out stays queued on the
+    client's socket.  The flow has rotated to a fresh connection ID by
+    then, so that ack answers no packet of the new connection: taking it
+    for one counted a phantom loss, the phantom loss rotated the ID
+    again, and every rotation after it found the previous ID's ack
+    first.  One late ack, one loss, one rotation — the rest is acked."""
+    server = world.host("server")
+    server_process = server.spawn("server")
+    vip = Endpoint(server.ip, 443)
+    _, server_sock = server.kernel.udp_bind(server_process, vip)
+
+    def acker():
+        late = True
+        while True:
+            datagram = yield server_sock.recv()
+            if late:  # the first ack misses the client's 1 s timeout
+                late = False
+                yield world.env.timeout(1.2)
+            cid = datagram.payload.connection_id
+            server_sock.sendto(QuicPacket(connection_id=cid),
+                               datagram.flow.src, connection_id=cid)
+
+    server_process.run(acker())
+    population = QuicClientPopulation(
+        _client_hosts(world), vip, lambda flow: server.ip, world.metrics,
+        QuicWorkloadConfig(flows_per_host=1, packet_interval=0.5,
+                           ack_timeout=1.0, loss_threshold=1,
+                           mean_packets_per_connection=None))
+    population.start()
+    world.env.run(until=20)
+    counters = world.metrics.scoped_counters("quic-clients")
+    assert counters.get("packets_lost") == 1
+    assert counters.get("connections_reestablished") == 1
+    assert counters.get("packets_acked") == counters.get("packets_sent") - 1
 
 
 def test_connect_completing_on_the_deadline_tick_is_closed(world):
