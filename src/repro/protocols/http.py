@@ -9,8 +9,9 @@ in production.
 
 Partial Post Replay is modeled at message granularity: a 379 carries the
 size and chunk count of the body the server received, and the proxy
-replays its own copy of the request head (:meth:`HttpRequest.clone_for_replay`).
-There is no byte-level chunked codec.
+replays its own copy of the request head
+(:meth:`HttpRequest.clone_for_replay`).  There is no byte-level chunked
+codec.
 """
 
 from __future__ import annotations
