@@ -120,7 +120,7 @@ class UpstreamConnectionPool:
     new one; ``checkin`` returns it for reuse.  Dead connections are
     discarded on checkout — but a peer that closed *after* check-in may
     still look alive here (its FIN/RST has not arrived yet), so every
-    checked-out connection is tagged ``pool_reused`` in ``app_state``
+    checked-out connection carries a ``pool_reused`` flag
     and callers discard-and-redial via :meth:`note_stale_reuse` +
     :meth:`checkout_fresh` on the first write error instead of failing
     the backend over.
@@ -148,7 +148,7 @@ class UpstreamConnectionPool:
             conn = idle.pop()
             if conn.alive and not conn.fin_received:
                 self.reuses += 1
-                conn.app_state["pool_reused"] = True
+                conn.pool_reused = True
                 return conn
         return (yield from self.checkout_fresh(ip, port))
 
@@ -158,12 +158,12 @@ class UpstreamConnectionPool:
         conn = yield self.host.kernel.tcp_connect(
             self.process, Endpoint(ip, port))
         self.dials += 1
-        conn.app_state["pool_reused"] = False
+        conn.pool_reused = False
         return conn
 
     @staticmethod
     def was_reused(conn: TcpEndpoint) -> bool:
-        return bool(conn.app_state.get("pool_reused"))
+        return conn.pool_reused
 
     def note_stale_reuse(self, conn: TcpEndpoint) -> None:
         """A reused connection died on first use: count and bury it."""

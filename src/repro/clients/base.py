@@ -59,5 +59,5 @@ class ClientBase:
             return None
         # Remember the L4LB pick so request traces can annotate which
         # backend Katran hashed this flow to.
-        outcome.app_state["l4lb_backend"] = backend_ip
+        outcome.l4lb_backend = backend_ip
         return outcome

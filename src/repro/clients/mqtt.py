@@ -16,7 +16,7 @@ from ..netsim.addresses import Endpoint
 from ..netsim.errors import ConnectionResetSim, SocketClosedSim
 from ..netsim.host import Host
 from ..netsim.packet import StreamControl
-from ..netsim.proc_utils import TIMED_OUT, with_timeout
+from ..netsim.proc_utils import TIMED_OUT
 from ..netsim.process import SimProcess
 from ..protocols.mqtt import (
     MqttConnAck,
@@ -148,7 +148,7 @@ class MqttClientPopulation:
         if conn is None:
             return None
         if span is not None:
-            backend = conn.app_state.get("l4lb_backend")
+            backend = conn.l4lb_backend
             if backend is not None:
                 span.annotate("katran.backend", backend)
         # Real MQTT clients speak TLS to the edge; re-handshakes are what
@@ -157,8 +157,7 @@ class MqttClientPopulation:
             conn.send(TlsClientHello(), size=320)
         except (SocketClosedSim, ConnectionResetSim):
             return None
-        outcome = yield from with_timeout(
-            base.host.env, conn.recv(), self.config.connect_timeout)
+        outcome = yield conn.recv(self.config.connect_timeout)
         if (outcome is TIMED_OUT or isinstance(outcome, StreamControl)
                 or not isinstance(outcome.payload, TlsServerDone)):
             self.counters.inc("tls_failed")
@@ -169,8 +168,7 @@ class MqttClientPopulation:
             conn.send(MqttConnect(user_id, trace=span), size=120)
         except (SocketClosedSim, ConnectionResetSim):
             return None
-        outcome = yield from with_timeout(
-            base.host.env, conn.recv(), self.config.connect_timeout)
+        outcome = yield conn.recv(self.config.connect_timeout)
         if (outcome is TIMED_OUT or isinstance(outcome, StreamControl)
                 or not isinstance(outcome.payload, MqttConnAck)):
             self.counters.inc("connect_failed")
@@ -192,7 +190,7 @@ class MqttClientPopulation:
         while conn.alive:
             wake = min(next_publish, next_ping)
             delay = max(0.0, wake - env.now)
-            outcome = yield from with_timeout(env, conn.recv(), delay or 1e-4)
+            outcome = yield conn.recv(delay or 1e-4)
             if outcome is TIMED_OUT:
                 if (config.keepalive_timeout is not None
                         and env.now - last_inbound

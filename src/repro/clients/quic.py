@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from ..metrics.registry import MetricsRegistry
 from ..netsim.addresses import Endpoint, FourTuple, Protocol
 from ..netsim.host import Host
-from ..netsim.proc_utils import TIMED_OUT, with_timeout
+from ..netsim.proc_utils import TIMED_OUT
 from ..netsim.process import SimProcess
 from ..protocols.quic import QUIC_PACKET_SIZE, QuicPacket
 from ..simkernel.rng import DistributionSampler
@@ -146,8 +146,7 @@ class QuicClientPopulation:
         env = sock.kernel.env
         deadline = env.now + self.config.ack_timeout
         while True:
-            outcome = yield from with_timeout(env, sock.recv(),
-                                              deadline - env.now)
+            outcome = yield sock.recv(deadline - env.now)
             if outcome is TIMED_OUT:
                 return False
             reply = outcome.payload

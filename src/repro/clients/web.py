@@ -16,7 +16,7 @@ from ..netsim.addresses import Endpoint
 from ..netsim.errors import ConnectionResetSim, SocketClosedSim
 from ..netsim.host import Host
 from ..netsim.packet import ControlType, StreamControl
-from ..netsim.proc_utils import TIMED_OUT, with_timeout
+from ..netsim.proc_utils import TIMED_OUT
 from ..netsim.process import SimProcess
 from ..protocols.http import (
     BodyChunk,
@@ -170,7 +170,7 @@ class WebClientPopulation:
         if conn is None:
             return None
         conn.send(TlsClientHello(), size=320)
-        outcome = yield from with_timeout(base.host.env, conn.recv(), 5.0)
+        outcome = yield conn.recv(5.0)
         if outcome is TIMED_OUT or isinstance(outcome, StreamControl) \
                 or not isinstance(outcome.payload, TlsServerDone):
             self.counters.inc("tls_failed")
@@ -197,8 +197,7 @@ class WebClientPopulation:
             if span is not None:
                 span.fail("conn_reset")
             return False
-        outcome = yield from with_timeout(
-            base.host.env, conn.recv(), config.request_timeout)
+        outcome = yield conn.recv(config.request_timeout)
         return self._digest_response(base, outcome, start, kind="get",
                                      span=span)
 
@@ -241,8 +240,7 @@ class WebClientPopulation:
             if span is not None:
                 span.fail("conn_reset")
             return False
-        outcome = yield from with_timeout(
-            env, conn.recv(), config.request_timeout)
+        outcome = yield conn.recv(config.request_timeout)
         return self._digest_response(base, outcome, start, kind="post",
                                      span=span)
 
@@ -326,7 +324,7 @@ class WebClientPopulation:
         if tracer is None:
             return None
         span = tracer.start_trace(f"client.{kind}", scope=self.name)
-        backend = conn.app_state.get("l4lb_backend")
+        backend = conn.l4lb_backend
         if backend is not None:
             span.annotate("katran.backend", backend)
         request.trace = span

@@ -2,22 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..simkernel.core import Environment
-from ..simkernel.events import Event
+from ..simkernel.events import TIMED_OUT, Event, TimeoutResult
 
 __all__ = ["with_timeout", "TimeoutResult", "TIMED_OUT"]
-
-
-class TimeoutResult:
-    """Sentinel returned by :func:`with_timeout` when the deadline won."""
-
-    def __repr__(self) -> str:  # pragma: no cover - trivial
-        return "<timed out>"
-
-
-TIMED_OUT = TimeoutResult()
 
 
 def with_timeout(env: Environment, event: Event, timeout: float):
@@ -25,40 +13,33 @@ def with_timeout(env: Environment, event: Event, timeout: float):
 
     Usage::
 
-        outcome = yield from with_timeout(env, conn.recv(), 5.0)
+        outcome = yield from with_timeout(env, attempt, 5.0)
         if outcome is TIMED_OUT: ...
 
     Returns the event's value, or the :data:`TIMED_OUT` sentinel.  If the
     event fails, its exception propagates to the caller.
+
+    This races ``event`` against a fresh timeout, so it suits an event
+    other parties also decide or wait on (a connect attempt, a process,
+    a condition).  A wait on the caller's own event — a receive — takes
+    its deadline as an argument instead (``recv(timeout=...)``,
+    ``env.within``): no race, and one timer per process.
     """
     deadline = env.timeout(timeout, value=TIMED_OUT)
-    expire = getattr(event, "expire", None)
-    if expire is not None and not event.triggered:
-        # A pending store get: the caller owns it and it can be
-        # withdrawn, so park on the get itself and let the deadline
-        # expire it — no race event between the two.  An interrupt
-        # finds the get as the process's wait target and withdraws it.
-        wait_on, waker = event, expire
-        deadline.callbacks.append(waker)
-    else:
-        wait_on = env.any_of([event, deadline])
-        waker = wait_on._check
+    race = env.any_of([event, deadline])
     try:
-        result = yield wait_on
+        result = yield race
     finally:
         # Whoever won — or if the event failed, or we were interrupted
-        # — do not leave a dead deadline in the heap (a relay loop
-        # calls this millions of times; leaked deadlines would come to
-        # dominate the schedule).  Detach our callback first:
-        # ``Timeout.cancel`` only tombstones a timeout nobody waits on.
+        # — do not leave a dead deadline in the heap.  Detach our
+        # callback first: ``Timeout.cancel`` only tombstones a timeout
+        # nobody waits on (the reference kernel's cannot be cancelled).
         callbacks = deadline.callbacks
         if callbacks is not None:
-            callbacks.remove(waker)
+            callbacks.remove(race._check)
             cancel = getattr(deadline, "cancel", None)
             if cancel is not None:
                 cancel()
-    if wait_on is event:
-        return result
     if event in result:
         return result[event]
     # Cancel the pending get if the event supports it, so an unread

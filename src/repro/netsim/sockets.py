@@ -49,10 +49,7 @@ class TcpListenSocket:
         event = self.accept_queue.get()
 
         def _assign_owner(ev):
-            # A deadline (``with_timeout``) succeeds the get with its
-            # sentinel, which is no connection to adopt.
-            if ev._ok and isinstance(ev._value, TcpEndpoint):
-                ev._value.set_owner(process)
+            ev._value.set_owner(process)
 
         event.callbacks.insert(0, _assign_owner)
         return event
@@ -106,7 +103,7 @@ class TcpEndpoint:
     __slots__ = ("kernel", "local", "remote", "remote_host_ip", "inbox",
                  "inbox_deliver", "owner", "conn", "peer", "closed", "reset",
                  "fin_received", "bytes_sent", "next_in_order_arrival",
-                 "app_state")
+                 "l4lb_backend", "pool_reused")
 
     def __init__(self, kernel: "Kernel", local: Endpoint, remote: Endpoint,
                  remote_host_ip: str):
@@ -129,7 +126,10 @@ class TcpEndpoint:
         self.bytes_sent = 0
         #: Ordering clock for in-order delivery toward the peer.
         self.next_in_order_arrival = 0.0
-        self.app_state: dict[str, Any] = {}
+        #: The backend an L4LB picked for this (client) connection.
+        self.l4lb_backend: Optional[str] = None
+        #: Checked out of an upstream pool a second time or more.
+        self.pool_reused = False
 
     # -- ownership --------------------------------------------------------
 
@@ -160,9 +160,10 @@ class TcpEndpoint:
         message = StreamMessage(payload=payload, size=size)
         self.kernel.transmit_stream(self, message)
 
-    def recv(self) -> StoreGetEvent:
-        """Event yielding the next StreamMessage or StreamControl."""
-        return self.inbox.get()
+    def recv(self, timeout: Optional[float] = None) -> StoreGetEvent:
+        """Event yielding the next StreamMessage or StreamControl — or,
+        with a ``timeout``, ``TIMED_OUT`` if none arrives in time."""
+        return self.inbox.get(timeout)
 
     def close(self) -> None:
         """Graceful close: FIN to the peer, stop using the endpoint."""
@@ -255,11 +256,12 @@ class UdpSocket:
                             connection_id=connection_id)
         self.kernel.transmit_datagram(datagram, via_ip or dst.ip)
 
-    def recv(self) -> StoreGetEvent:
-        """Event yielding the next :class:`Datagram`."""
+    def recv(self, timeout: Optional[float] = None) -> StoreGetEvent:
+        """Event yielding the next :class:`Datagram` — or, with a
+        ``timeout``, ``TIMED_OUT`` if none arrives in time."""
         if self.closed:
             raise SocketClosedSim(f"recv on closed socket {self.endpoint}")
-        return self.inbox.get()
+        return self.inbox.get(timeout)
 
     def on_last_close(self) -> None:
         self.closed = True

@@ -90,17 +90,21 @@ class UnixChannelEnd:
         timeout = self.host.env.timeout(LOCAL_IPC_DELAY)
         timeout.callbacks.append(lambda _ev: peer.inbox.put(message))
 
-    def recv(self) -> Event:
-        """``recvmsg``: event yielding ``(payload, [new_fds])``.
+    def recv(self, timeout: Optional[float] = None) -> Event:
+        """``recvmsg``: event yielding ``(payload, [new_fds])`` — or,
+        with a ``timeout``, ``TIMED_OUT`` if nothing arrives in time.
 
         Received descriptions are installed into the receiving process's
         file table before the caller resumes (dup semantics); the
-        in-flight references are dropped.
+        in-flight references are dropped.  The read stays posted after
+        a timeout: a late message is still taken off the channel, and
+        dropped if the channel is closed by then.
         """
         if self.closed:
             raise SocketClosedSim("recv on closed unix channel")
         raw = self.inbox.get()
-        result = self.host.env.event()
+        env = self.host.env
+        result = env.event()
 
         def _install(ev) -> None:
             message: UnixMessage = ev._value
@@ -117,10 +121,11 @@ class UnixChannelEnd:
             for description in message.descriptions:
                 new_fds.append(self.process.fd_table.install(description))
                 description.decref()  # consume the in-flight reference
-            result.succeed((message.payload, new_fds))
+            if not result.triggered:  # else the deadline passed first
+                result.succeed((message.payload, new_fds))
 
         raw.callbacks.append(_install)
-        return result
+        return result if timeout is None else env.within(result, timeout)
 
     def close(self) -> None:
         self.closed = True

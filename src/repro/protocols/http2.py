@@ -117,10 +117,11 @@ class H2Stream:
             stream_id=self.id, type=frame_type, payload=payload,
             end_stream=end_stream, size=size))
 
-    def recv(self):
+    def recv(self, timeout: Optional[float] = None):
         """Event yielding the next :class:`H2Frame` on this stream (or,
-        while it holds a socket's arrivals, that socket's next item)."""
-        return self.inbox.get()
+        while it holds a socket's arrivals, that socket's next item) —
+        or, with a ``timeout``, ``TIMED_OUT`` if none arrives in time."""
+        return self.inbox.get(timeout)
 
     def take_arrivals(self, endpoint: "TcpEndpoint") -> None:
         """Have ``endpoint``'s arrivals land on this stream's inbox too,

@@ -26,7 +26,7 @@ from ..netsim.errors import (
     SocketClosedSim,
 )
 from ..netsim.packet import ControlType, StreamControl
-from ..netsim.proc_utils import TIMED_OUT, with_timeout
+from ..netsim.proc_utils import TIMED_OUT
 from ..protocols.http import (
     BodyChunk,
     HttpRequest,
@@ -435,8 +435,7 @@ class ProxygenInstance:
                 if chunk.is_last:
                     break
 
-        outcome = yield from with_timeout(
-            env, stream.recv(), self.config.upstream_timeout)
+        outcome = yield stream.recv(self.config.upstream_timeout)
         if outcome is TIMED_OUT:
             kind = "write_timeout" if request.streaming else "timeout"
             self._edge_http_error(conn, request, kind)
@@ -627,7 +626,6 @@ class ProxygenInstance:
         whose peer closed after check-in is discarded and redialled once
         instead of blaming the backend (``idle_discarded``).
         """
-        env = self.host.env
         plane = self.resilience
         ip, port = server.host.ip, server.endpoint.port
         try:
@@ -655,8 +653,7 @@ class ProxygenInstance:
         hedge_wanted = (plane is not None and not request.streaming
                         and plane.config.hedge_delay < timeout)
         if hedge_wanted:
-            outcome = yield from with_timeout(
-                env, conn.recv(), plane.config.hedge_delay)
+            outcome = yield conn.recv(plane.config.hedge_delay)
             remaining = timeout - plane.config.hedge_delay
             if outcome is TIMED_OUT:
                 hedge = yield from self._launch_hedge(
@@ -664,10 +661,9 @@ class ProxygenInstance:
                 if hedge is not None:
                     return (yield from self._hedge_race(
                         conn, server, hedge[0], hedge[1], remaining))
-                outcome = yield from with_timeout(
-                    env, conn.recv(), remaining)
+                outcome = yield conn.recv(remaining)
         else:
-            outcome = yield from with_timeout(env, conn.recv(), timeout)
+            outcome = yield conn.recv(timeout)
 
         if outcome is TIMED_OUT:
             conn.abort(reason="upstream_timeout")
@@ -683,7 +679,7 @@ class ProxygenInstance:
                 except (ConnectionRefusedSim, SocketClosedSim,
                         ConnectionResetSim):
                     return "send_fail", None, None
-                outcome = yield from with_timeout(env, conn.recv(), timeout)
+                outcome = yield conn.recv(timeout)
                 if outcome is TIMED_OUT:
                     conn.abort(reason="upstream_timeout")
                     return "timeout", None, None
@@ -818,7 +814,6 @@ class ProxygenInstance:
         items still queued on the stream go back to the socket's inbox,
         in order.
         """
-        env = self.host.env
         plane = self.resilience
         pool = self.context.app_pool
         span = self._hop_span(request, "origin.post")
@@ -922,8 +917,7 @@ class ProxygenInstance:
             try:
                 while not switch_server:
                     if last_seen:
-                        item = yield from with_timeout(
-                            env, conn.recv(), self.config.upstream_timeout)
+                        item = yield conn.recv(self.config.upstream_timeout)
                         if item is TIMED_OUT:
                             conn.abort(reason="upstream_timeout")
                             blame(server.host.ip)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from ..netsim.proc_utils import TIMED_OUT, with_timeout
+from ..netsim.proc_utils import TIMED_OUT
 
 if TYPE_CHECKING:  # pragma: no cover
     from .instance import ProxygenInstance
@@ -68,7 +68,7 @@ def run_takeover_server_session(instance: "ProxygenInstance", channel):
     """
     env = instance.host.env
     timeout = instance.config.takeover_handshake_timeout
-    outcome = yield from with_timeout(env, channel.recv(), timeout)
+    outcome = yield channel.recv(timeout)
     if outcome is TIMED_OUT:
         instance.counters.inc("takeover_session_timeout")
         channel.close()
@@ -105,7 +105,7 @@ def run_takeover_server_session(instance: "ProxygenInstance", channel):
         fds=tuple(fds),
     )
 
-    outcome = yield from with_timeout(env, channel.recv(), timeout)
+    outcome = yield channel.recv(timeout)
     if outcome is TIMED_OUT:
         # The successor took the FDs and vanished.  Do NOT drain: no
         # confirm means nobody promised to serve; our references keep
@@ -167,7 +167,7 @@ def run_takeover_client(instance: "ProxygenInstance"):
     channel = yield host.unix_connect(instance.process,
                                       instance.config.takeover_path)
     channel.send({"type": "request_fds"})
-    outcome = yield from with_timeout(host.env, channel.recv(), timeout)
+    outcome = yield channel.recv(timeout)
     if outcome is TIMED_OUT:
         # A late FD bundle must not leak: closing the channel makes the
         # in-flight install path drop its references instead.
@@ -192,7 +192,7 @@ def run_takeover_client(instance: "ProxygenInstance"):
             udp_fds.setdefault(entry.vip_name, []).append(fd)
 
     channel.send({"type": "confirm"})
-    outcome = yield from with_timeout(host.env, channel.recv(), timeout)
+    outcome = yield channel.recv(timeout)
     if outcome is TIMED_OUT:
         # We already hold the FDs and sent confirm — the takeover stands
         # even if the drain ack never arrives (the old instance may have

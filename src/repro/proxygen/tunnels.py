@@ -19,7 +19,7 @@ from ..netsim.errors import (
     SocketClosedSim,
 )
 from ..netsim.packet import StreamControl
-from ..netsim.proc_utils import TIMED_OUT, with_timeout
+from ..netsim.proc_utils import TIMED_OUT
 from ..protocols.http2 import FrameType, H2Error, H2Stream
 from ..protocols.mqtt import (
     ConnectAck,
@@ -169,8 +169,7 @@ class EdgeMqttTunnel:
                 break
             candidate.send(ReConnect(self.user_id, trace=self.span), size=64,
                            frame_type=FrameType.HEADERS)
-            outcome = yield from with_timeout(
-                instance.host.env, candidate.recv(), 5.0)
+            outcome = yield candidate.recv(5.0)
             if (outcome is not TIMED_OUT and not candidate.reset
                     and isinstance(getattr(outcome, "payload", None),
                                    ConnectAck)):
@@ -218,8 +217,7 @@ class EdgeMqttTunnel:
         env = instance.host.env
         deadline = env.now + grace
         while env.now < deadline and not old_stream.reset:
-            outcome = yield from with_timeout(
-                env, old_stream.recv(), max(deadline - env.now, 1e-4))
+            outcome = yield old_stream.recv(max(deadline - env.now, 1e-4))
             if outcome is TIMED_OUT:
                 return
             frame = outcome

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 from ..netsim.addresses import Endpoint, FourTuple, Protocol
 from ..netsim.errors import ConnectionRefusedSim
-from ..netsim.proc_utils import TIMED_OUT, with_timeout
+from ..netsim.proc_utils import TIMED_OUT
 from ..protocols.http2 import GoAwayError, H2Connection, H2Error, H2Stream
 
 if TYPE_CHECKING:  # pragma: no cover

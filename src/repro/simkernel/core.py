@@ -29,6 +29,7 @@ from typing import Any, Generator, Optional
 
 from .events import (
     NORMAL,
+    PENDING,
     AllOf,
     AnyOf,
     Event,
@@ -70,6 +71,9 @@ class Environment:
         #: Cancelled future timeouts still sitting in the heap as
         #: tombstones (see :meth:`repro.simkernel.events.Timeout.cancel`).
         self._cancelled = 0
+        #: The last heap key a deferred deadline reserved (see
+        #: :meth:`repro.simkernel.events.Process._bound`).
+        self._deferred_key = -1.0
 
     # -- clock -----------------------------------------------------------
 
@@ -113,6 +117,25 @@ class Environment:
         """Condition event that triggers once any of ``events`` succeeds."""
         return AnyOf(self, events)
 
+    def within(self, event: Event, timeout: float) -> Event:
+        """What the running process yields to wait on ``event`` for at
+        most ``timeout``: ``event``'s value, or ``TIMED_OUT``.
+
+        ``event`` must be the caller's own — a store get it made, or an
+        event only it waits on and whose producer tolerates it being
+        decided early — because a deadline that passes first succeeds
+        ``event`` itself with ``TIMED_OUT`` (a store get is withdrawn
+        too).  Its process's one timer carries the deadline: no race
+        event, no timeout per wait (see ``Process._bound``).
+        """
+        if event._value is PENDING:
+            process = self._active_process
+            if process is None:
+                raise SimulationError("only a running process can wait "
+                                      "under a deadline")
+            process._bound(event, timeout)
+        return event
+
     # -- scheduling ---------------------------------------------------------
 
     def schedule(self, event: Event, priority: int = NORMAL, delay: float = 0.0) -> None:
@@ -130,7 +153,8 @@ class Environment:
     def _note_cancelled(self) -> None:
         """Count a heap tombstone; reclaim in bulk when they dominate.
 
-        Called by :meth:`repro.simkernel.events.Timeout.cancel`.  The
+        Called by :meth:`repro.simkernel.events.Timeout.cancel` and for
+        a tombstoned :class:`~repro.simkernel.events.Deadline`.  The
         threshold keeps compaction amortized O(1) per cancellation, and
         the floor keeps tiny simulations from ever paying a heapify.
         """
@@ -142,9 +166,10 @@ class Environment:
         """Drop cancelled-timeout tombstones from the future heap.
 
         A tombstone is a *succeeded* event with no callbacks left that
-        was explicitly defused by ``Timeout.cancel`` — popping it would
-        be a no-op, so removing it early changes neither pop order
-        (heap keys are unique) nor event ids (cancel never pushes).
+        was explicitly defused by ``Timeout.cancel`` or by a process
+        that dropped its armed deadline timer — popping it would be a
+        no-op, so removing it early changes neither pop order (heap
+        keys are unique) nor event ids (cancel never pushes).
         """
         queue = self._queue
         live = [entry for entry in queue

@@ -21,7 +21,13 @@ here are optimized:
   into plain FIFO deques (one per priority) with no heap entry, no key
   tuple and no sift, while only *future* events touch the heap;
 * :meth:`Process._resume` keeps the generator drive loop free of
-  redundant attribute lookups and re-checks.
+  redundant attribute lookups and re-checks;
+* a wait under a deadline (``Store.get(timeout=...)``,
+  ``env.within``) parks the process on its own event and the
+  process's one :class:`Deadline` carries the deadline: armed at the
+  first one, re-armed from there, so waits whose deadline does not fire
+  push no timeout each, build no race and leave no tombstone
+  (:meth:`Process._bound`).
 
 Why the deques are order-preserving: the total order is ``(time,
 priority, event id)`` with ids strictly increasing.  A deque holds only
@@ -47,7 +53,8 @@ The pre-optimization implementation is frozen verbatim in
 proves the two produce identical runs — every counter, series, tap
 ordering and the final clock.  The one thing that differs is the
 scheduled-event count: stores and resources here schedule only events
-some process waits on (see :mod:`repro.simkernel.resources`).
+some process waits on (see :mod:`repro.simkernel.resources`), and a
+deadline is pushed once per timer period, not once per wait.
 """
 
 from __future__ import annotations
@@ -59,8 +66,10 @@ __all__ = [
     "PENDING",
     "URGENT",
     "NORMAL",
+    "TIMED_OUT",
     "Event",
     "Timeout",
+    "Deadline",
     "Process",
     "Interrupt",
     "Condition",
@@ -84,6 +93,21 @@ PENDING = _Pending()
 URGENT = 0
 #: Scheduling priority for ordinary events such as timeouts.
 NORMAL = 1
+
+
+class TimeoutResult:
+    """Type of :data:`TIMED_OUT`."""
+
+    def __repr__(self) -> str:  # pragma: no cover - trivial
+        return "<timed out>"
+
+
+#: What a wait under a deadline yields when the deadline passed first.
+TIMED_OUT = TimeoutResult()
+
+#: Spacing of the heap keys a deferred deadline reserves between two
+#: event ids (see :meth:`Process._bound`).
+_KEY_STEP = 2.0 ** -24
 
 
 class SimulationError(RuntimeError):
@@ -188,6 +212,11 @@ class Event:
         env._eid += 1
         return self
 
+    def _expire(self) -> None:
+        """The waiter's deadline passed first: succeed with
+        :data:`TIMED_OUT` (see :meth:`Process._bound`)."""
+        self.succeed(TIMED_OUT)
+
     def __repr__(self) -> str:
         state = "processed" if self.processed else (
             "triggered" if self.triggered else "pending")
@@ -246,6 +275,34 @@ class Timeout(Event):
             self.env._note_cancelled()
 
 
+class Deadline(Event):
+    """A process's one timer (see :meth:`Process._bound`).
+
+    ``_at`` is when its schedule entry pops, ``_until`` the deadline of
+    the wait it bounds, ``_event`` that wait's event.  ``_key`` is None
+    when the entry is the deadline's own; otherwise the deadline was
+    deferred behind an earlier entry and ``_key`` is the heap key it
+    reserved when it was set.
+    """
+
+    __slots__ = ("_at", "_until", "_key", "_event")
+
+    def __init__(self, env: "Environment"):  # noqa: F821
+        self.env = env
+        self.callbacks = None
+        self._value = None
+        self._ok = True
+        self._defused = False
+
+    def _tombstone(self) -> None:
+        """Withdraw the armed entry: it pops (or is compacted) as a
+        no-op and holds neither its process nor the wait's event."""
+        self.callbacks = []
+        self._event = None
+        self._defused = True
+        self.env._note_cancelled()
+
+
 class Initialize(Event):
     """Internal event used to start a new :class:`Process`."""
 
@@ -269,7 +326,7 @@ class Process(Event):
     generator raised.
     """
 
-    __slots__ = ("_generator", "_target")
+    __slots__ = ("_generator", "_target", "_timer")
 
     def __init__(self, env: "Environment", generator: Generator):  # noqa: F821
         if not hasattr(generator, "throw"):
@@ -277,6 +334,7 @@ class Process(Event):
         super().__init__(env)
         self._generator = generator
         self._target: Optional[Event] = Initialize(env, self)
+        self._timer: Optional[Deadline] = None
 
     @property
     def is_alive(self) -> bool:
@@ -314,6 +372,80 @@ class Process(Event):
         event.callbacks.append(self._resume)
         env._urgent.append(event)
         env._eid += 1
+
+    def _bound(self, event: Event, delay: float) -> None:
+        """Bound the wait this process is about to make on ``event`` by
+        ``delay``: if ``event`` is still pending then, it is expired
+        (:meth:`Event._expire`) and the process wakes with
+        :data:`TIMED_OUT`.  The process must park on ``event`` next;
+        parking on anything else ends the bound.
+
+        The process owns one :class:`Deadline`, armed at its first
+        deadline as a ``Timeout`` would be (``now + delay``, the next
+        event id).  While it is armed no later than a new deadline,
+        nothing is pushed: the new deadline reserves a heap key between
+        the last event id and the next one — where a timeout pushed now
+        would sort — and the timer, on firing early, re-arms at that
+        time with that key.  A deadline earlier than the armed entry
+        tombstones it and arms afresh.  So a deadline pops at the time
+        and in the order a timeout pushed per wait would, and a process
+        that waits under deadlines which do not fire pushes one entry
+        per deadline period instead of one per wait.
+        """
+        if delay < 0:
+            raise ValueError(f"Negative delay {delay}")
+        env = self.env
+        now = env._now
+        until = now + delay
+        timer = self._timer
+        if timer is not None and timer.callbacks:
+            if timer._at <= until and now < until:
+                eid = env._eid
+                last = env._deferred_key
+                key = (last if last > eid else eid) + _KEY_STEP
+                if last < key < eid + 1:
+                    env._deferred_key = timer._key = key
+                    timer._until = until
+                    timer._event = event
+                    return
+            # The armed entry pops too late (or no key is left between
+            # two event ids).
+            timer._tombstone()
+            timer = None
+        if timer is None:
+            timer = self._timer = Deadline(env)
+        timer.callbacks = [self._on_deadline]
+        timer._at = timer._until = until
+        timer._key = None
+        timer._event = event
+        # ``_push(env, timer, NORMAL, until)``, inlined.
+        if until == now:
+            env._ready.append(timer)
+            env._eid += 1
+        else:
+            env._eid = eid = env._eid + 1
+            heappush(env._queue, (until, NORMAL, eid, timer))
+
+    def _on_deadline(self, timer: Deadline) -> None:
+        """The timer popped: expire the bounded wait, re-arm at its
+        deferred deadline, or — the wait is over — stay disarmed."""
+        event = timer._event
+        if event is None or event._value is not PENDING:
+            # The process parked on something else since (which let go
+            # of the event), or the event was decided this instant.
+            timer._event = None
+            return
+        key = timer._key
+        if key is None:
+            timer._event = None
+            event._expire()
+            return
+        env = self.env
+        timer._key = None
+        timer._at = until = timer._until
+        timer.callbacks = [self._on_deadline]
+        env._eid += 1
+        heappush(env._queue, (until, NORMAL, key, timer))
 
     def _resume(self, event: Event) -> None:
         """Advance the generator with the value (or exception) of ``event``."""
@@ -374,6 +506,11 @@ class Process(Event):
                 # Target not yet processed: park until it triggers.
                 callbacks.append(self._resume)
                 self._target = next_target
+                timer = self._timer
+                if timer is not None and timer._event is not next_target:
+                    # The bounded wait is over: let go of its event
+                    # (and the item it holds) before the timer pops.
+                    timer._event = None
                 break
             # Target already processed: loop immediately with its value.
             event = next_target
@@ -384,6 +521,13 @@ class Process(Event):
         self._ok = ok
         self._value = value
         self._target = None
+        timer = self._timer
+        if timer is not None:
+            self._timer = None
+            if timer.callbacks:
+                # Armed: the schedule must not keep this process alive
+                # until the entry pops.
+                timer._tombstone()
         if ok and not self.callbacks:
             # Nobody waits on it: born processed, nothing scheduled.
             # (A failure always is, so that the run loop raises it.)

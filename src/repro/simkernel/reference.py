@@ -33,6 +33,11 @@ primitives, so nothing was compared against them; a host's cores are
 model code, ``netsim.cpu.CpuModel``, the same on both kernels).
 ``Store`` keeps its capacity, put events and filter hook exactly as
 frozen: the live ``Store`` is compared against it.
+
+What it carries that the historical text did not: a wait under a
+deadline (``env.within``, ``Store.get(timeout=...)``) is the race the
+model once built around each such wait (:class:`Within`), so the live
+kernel's one timer per process is compared against it.
 """
 
 from __future__ import annotations
@@ -52,6 +57,7 @@ __all__ = [
     "Condition",
     "AllOf",
     "AnyOf",
+    "Within",
     "Store",
 ]
 
@@ -60,6 +66,7 @@ __all__ = [
 PENDING = _live.PENDING
 URGENT = _live.URGENT
 NORMAL = _live.NORMAL
+TIMED_OUT = _live.TIMED_OUT
 SimulationError = _live.SimulationError
 Interrupt = _live.Interrupt
 
@@ -377,6 +384,42 @@ class AnyOf(Condition):
         super().__init__(env, Condition.any_event, events)
 
 
+class Within(AnyOf):
+    """``event`` raced against a deadline, exactly as the model's
+    ``with_timeout`` helper raced it before a wait carried its deadline.
+
+    Not historical text: it puts that race behind the live kernel's
+    ``env.within`` / ``Store.get(timeout=...)``.  Its first callback
+    turns the race's value into what the helper returned — ``event``'s
+    value, or ``TIMED_OUT`` with ``event`` withdrawn if it can be — and
+    detaches the race from the deadline, as the helper's ``finally``
+    did; an interrupt does that detaching through :meth:`cancel`.
+    """
+
+    def __init__(self, env: "Environment", event: Event, timeout: float):
+        self._event = event
+        self._deadline = Timeout(env, timeout, TIMED_OUT)
+        super().__init__(env, [event, self._deadline])
+        self.callbacks.append(self._unwrap)
+
+    def cancel(self) -> None:
+        callbacks = self._deadline.callbacks
+        if callbacks is not None and self._check in callbacks:
+            callbacks.remove(self._check)
+
+    def _unwrap(self, _event: Event) -> None:
+        self.cancel()
+        if not self._ok:
+            return
+        if self._event in self._value:
+            self._value = self._value[self._event]
+            return
+        cancel = getattr(self._event, "cancel", None)
+        if cancel is not None:
+            cancel()
+        self._value = TIMED_OUT
+
+
 class Environment:
     """The pure (pre-optimization) deterministic simulation environment.
 
@@ -424,6 +467,10 @@ class Environment:
     def any_of(self, events) -> AnyOf:
         """Condition event that triggers once any of ``events`` succeeds."""
         return AnyOf(self, events)
+
+    def within(self, event: Event, timeout: float) -> Within:
+        """``event``'s value, or ``TIMED_OUT`` after ``timeout``: the race."""
+        return Within(self, event, timeout)
 
     # -- scheduling ---------------------------------------------------------
 
@@ -572,9 +619,12 @@ class Store:
         """Queue ``item`` for storage; returns an event."""
         return StorePutEvent(self, item)
 
-    def get(self) -> StoreGetEvent:
-        """Request the next item; returns an event."""
-        return StoreGetEvent(self)
+    def get(self, timeout: Optional[float] = None) -> Event:
+        """Request the next item; returns an event (raced against
+        ``timeout`` if given: :class:`Within`)."""
+        if timeout is None:
+            return StoreGetEvent(self)
+        return self.env.within(StoreGetEvent(self), timeout)
 
     def try_get(self) -> Any:
         """Synchronously pop the next item, or ``None`` if empty."""

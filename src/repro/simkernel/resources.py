@@ -23,10 +23,16 @@ event only where a process can be parked on it:
   generator would run it ahead of the caller's remaining code.
 * Likewise a process that finishes successfully with no callback
   registered is born processed (``events.Process._finish``).
+* ``Store.get(timeout=...)`` schedules nothing for its deadline unless
+  the waiting process's one timer is unarmed (or armed too late): the
+  timer re-arms itself at the deadline it defers to, and expires the
+  get (withdrawn, succeeded with ``TIMED_OUT``) only if it is still
+  pending then (``events.Process._bound``).
 
 The frozen kernel in :mod:`repro.simkernel.reference` still schedules
 every put, get and finish (its ``Store`` has no ``deliver``; callers
-bind ``getattr(store, "deliver", store.put)``).  A put event had no
+bind ``getattr(store, "deliver", store.put)``), and races each get
+under a deadline against a timeout of its own.  A put event had no
 waiter — it popped as a no-op — and removing a no-op from the schedule
 changes no other pop; a getter woken by ``deliver`` resumes its process
 one same-instant hop earlier, which could reorder something only
@@ -45,10 +51,10 @@ never meets these classes.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Optional
 
 from .core import Environment
-from .events import NORMAL, PENDING, Event, _push
+from .events import NORMAL, PENDING, TIMED_OUT, Event, _push
 
 __all__ = ["Store", "StoreGetEvent"]
 
@@ -87,12 +93,12 @@ class StoreGetEvent(Event):
         if self._value is PENDING:
             self._cancelled = True
 
-    def expire(self, deadline: Event) -> None:
-        """Callback for a deadline event: if this get is still waiting,
-        withdraw it and wake its waiter with the deadline's value."""
-        if self._value is PENDING and not self._cancelled:
+    def _expire(self) -> None:
+        """The waiter's deadline passed first: withdraw this get and
+        wake the waiter with ``TIMED_OUT``."""
+        if not self._cancelled:
             self._cancelled = True
-            self.succeed(deadline._value)
+            self.succeed(TIMED_OUT)
 
 
 class Store:
@@ -145,9 +151,17 @@ class Store:
                 return
         self.items.append(item)
 
-    def get(self) -> StoreGetEvent:
-        """Request the next item; returns an event."""
-        return StoreGetEvent(self)
+    def get(self, timeout: Optional[float] = None) -> StoreGetEvent:
+        """Request the next item; returns an event.
+
+        With a ``timeout`` the running process waits at most that long:
+        the event yields the item, or ``TIMED_OUT`` and the get is
+        withdrawn (:meth:`Environment.within`).
+        """
+        event = StoreGetEvent(self)
+        if timeout is None:
+            return event
+        return self.env.within(event, timeout)
 
     def try_get(self) -> Any:
         """Synchronously pop the next item, or ``None`` if empty."""

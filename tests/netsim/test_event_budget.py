@@ -26,15 +26,17 @@ from tests.proxygen.conftest import OriginRelay
 PROCESS = 1
 
 
-def test_round_trip_schedules_six_events(world):
+def test_round_trip_schedules_four_events(world):
     """One request/response on an established connection, both ends
-    under ``with_timeout``, one ``cpu.execute`` at the server and one
-    think ``timeout`` at the client:
+    receiving under a 30 s deadline, one ``cpu.execute`` at the server
+    and one think ``timeout`` at the client:
 
     client send (delivery timeout, which is also the server's wake-up)
     + server execute (its timeout; the core is free) + server send
-    (likewise the client's wake-up) + one deadline per ``with_timeout``
-    (two) + the think timeout = 6.
+    (likewise the client's wake-up) + the think timeout = 4.  Each
+    end's first receive armed its process's timer; no deadline fires
+    in this run, so no later receive pushes one (a deadline per receive
+    made it 6).
     """
     env = world.env
     server_host, client_host = world.host("server"), world.host("client")
@@ -47,7 +49,7 @@ def test_round_trip_schedules_six_events(world):
     def server():
         conn = yield listener.accept(server_proc)
         while True:
-            request = yield from with_timeout(env, conn.recv(), 30.0)
+            request = yield conn.recv(30.0)
             assert request.payload == "ping"
             yield from server_host.cpu.execute(1.0)
             conn.send("pong", size=50)
@@ -57,7 +59,7 @@ def test_round_trip_schedules_six_events(world):
         for _ in range(12):
             marks.append(env._eid)
             conn.send("ping", size=50)
-            reply = yield from with_timeout(env, conn.recv(), 30.0)
+            reply = yield conn.recv(30.0)
             assert reply.payload == "pong"
             yield env.timeout(0.5)
         marks.append(env._eid)
@@ -66,9 +68,9 @@ def test_round_trip_schedules_six_events(world):
     client_proc.run(client())
     env.run(until=20)
     trips = [after - before for before, after in zip(marks, marks[1:])]
-    # The first trip overlaps connection set-up; the other eleven are
-    # steady state.
-    assert trips[1:] == [6] * 11
+    # The first trip overlaps connection set-up and arms the client's
+    # timer; the other eleven are steady state.
+    assert trips[1:] == [4] * 11
 
 
 def _datagram_prices(world):
@@ -330,38 +332,44 @@ def test_interrupt_mid_execute_hands_the_core_to_the_queued_waiter():
     assert cpu.busy == 0 and cpu.queue_length == 0
 
 
-def test_with_timeout_on_a_pending_get_builds_no_race(monkeypatch):
+def test_receives_under_one_deadline_push_one_timer(monkeypatch):
+    """Five receives under a deadline that never fires push one timer
+    between them, build no race and leave no tombstone; a deadline that
+    does fire costs its timer and the get it expires."""
     def no_race(*_args):
-        raise AssertionError(
-            "with_timeout built a Condition around a pending store get")
+        raise AssertionError("a receive under a deadline built a race")
 
     monkeypatch.setattr(Environment, "any_of", no_race)
     env = Environment()
     store = Store(env)
-    env.timeout(1.0).callbacks.append(lambda _event: store.put("item"))
+    for item in range(5):
+        env.timeout(1.0 + item).callbacks.append(
+            lambda _event, item=item: store.put(item))
     marks, got = [], []
 
     def waiter():
-        marks.append(env._eid)
-        got.append((yield from with_timeout(env, store.get(), 100.0)))
-        marks.append(env._eid)
-        got.append((yield from with_timeout(env, store.get(), 1.0)))
-        marks.append(env._eid)
+        marks.append((env._eid, env._cancelled))
+        for _ in range(5):
+            got.append((yield store.get(timeout=100.0)))
+        marks.append((env._eid, env._cancelled))
+        got.append((yield store.get(timeout=1.0)))
+        marks.append((env._eid, env._cancelled))
 
     env.process(waiter())
     env.run(until=10.0)
-    assert got == ["item", TIMED_OUT]
-    # Event wins: the deadline and the get the put woke.  Deadline
-    # wins: the deadline and the get it expired.
-    assert [b - a for a, b in zip(marks, marks[1:])] == [2, 2]
-    # The losing deadline was tombstoned, not left to fire at t=101.
-    assert env._cancelled == 1
+    assert got == [0, 1, 2, 3, 4, TIMED_OUT]
+    (start, _), (received, none), (expired, one) = marks
+    # One timer, and the five gets the puts woke; nothing tombstoned.
+    assert (received - start, none) == (1 + 5, 0)
+    # The earlier deadline tombstones the armed entry (t = 101) and
+    # arms afresh; it fires, and expires the get.
+    assert (expired - received, one) == (1 + 1, 1)
     assert all(not entry[3].callbacks for entry in env._queue)
     # The expired get was withdrawn: a later put is stored, not eaten.
     store.put("late")
     assert store.items == ["late"]
     # No put event, and none for the waiter's unwaited completion.
-    assert env._eid == marks[-1]
+    assert env._eid == expired
 
 
 def test_a_chunk_through_the_origin_relay_costs_its_deliveries(
@@ -389,8 +397,9 @@ def test_a_chunk_through_the_origin_relay_costs_its_deliveries(
 
 
 def test_with_timeout_still_races_what_it_cannot_withdraw():
-    """An already-triggered get, a plain event and a process cannot be
-    parked on and expired; they keep the ``AnyOf`` race."""
+    """``with_timeout`` races whatever it is given against a fresh
+    timeout — an already-triggered get, a plain event, a process — for
+    the events a deadline may not decide (``env.within`` does that)."""
     env = Environment()
     store = Store(env)
     store.put("ready")

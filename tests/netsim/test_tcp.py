@@ -226,9 +226,9 @@ def test_accept_assigns_ownership(world):
 
 
 def test_accept_under_a_deadline_that_wins(world):
-    """The deadline succeeds the accept with ``TIMED_OUT``, which is
-    not an endpoint to adopt; the connection that arrives afterwards
-    belongs to the next ``accept``."""
+    """The deadline withdraws the accept, so nothing is adopted; the
+    connection that arrives afterwards belongs to the next
+    ``accept``."""
     server_host = world.host("server")
     client_host = world.host("client")
     server_proc = server_host.spawn("srv")

@@ -146,10 +146,11 @@ def test_interrupted_getter_does_not_eat_items():
 
 
 def test_interrupted_with_timeout_getter_does_not_eat_items():
-    """The same regression one layer up: the process is parked on the
-    get itself, so ``interrupt`` reaches it through ``with_timeout``."""
+    """The same regression under a deadline: the process is parked on
+    the get itself (its timer carries the deadline), so ``interrupt``
+    withdraws it."""
     def wait(env, store):
-        yield from with_timeout(env, store.get(), 10)
+        yield store.get(timeout=10)
 
     got, store = _interrupt_waiter_then_feed(wait)
     assert got == ["precious"]
