@@ -36,14 +36,15 @@ __all__ = ["MqttBroker", "BrokerConfig", "BrokerSession"]
 #: relay path is briefly absent (a DCR splice in progress).
 MAX_QUEUED_PER_SESSION = 50
 
+#: Downstream publishes per session per second (notifications).
+DOWNSTREAM_PUBLISH_RATE = 0.5
+#: How often the publisher loop scans sessions.
+PUBLISH_TICK = 1.0
+
 
 @dataclass
 class BrokerConfig:
     port: int = 1883
-    #: Downstream publishes per session per second (notifications).
-    downstream_publish_rate: float = 0.5
-    #: How often the publisher loop scans sessions.
-    publish_tick: float = 1.0
 
 
 @dataclass
@@ -180,11 +181,10 @@ class MqttBroker:
 
     def _publisher_loop(self):
         """Generate notification publishes toward connected users."""
-        config = self.config
         env = self.host.env
         while self.process.alive:
-            yield env.timeout(config.publish_tick)
-            rate = config.downstream_publish_rate * config.publish_tick
+            yield env.timeout(PUBLISH_TICK)
+            rate = DOWNSTREAM_PUBLISH_RATE * PUBLISH_TICK
             for session in self.sessions.values():
                 for _ in range(self._sampler.poisson(rate)):
                     self._publish_downstream(session)

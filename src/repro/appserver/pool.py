@@ -90,7 +90,7 @@ class AppServerPool:
         if self.health is not None:
             # Panic mode: everything in rotation is ejected — serving a
             # possibly-bad backend beats serving nobody (the tracker's
-            # max_ejected_fraction makes this rare).
+            # MAX_EJECTED_FRACTION makes this rare).
             for offset in range(count):
                 index = (start + offset) % count
                 server = self.servers[index]

@@ -39,6 +39,12 @@ POST_SIZE_ALPHA = 1.3
 #: failed connect.
 RECONNECT_BACKOFF = 1.0
 
+#: Stop each client after this many requests (None = run forever).
+#: Finite-work runs are what the splice differential suite compares:
+#: with every request completed well before the horizon, counters are
+#: independent of the (intentionally coarser) spliced timing.
+MAX_REQUESTS: int | None = None
+
 
 @dataclass
 class WebWorkloadConfig:
@@ -57,11 +63,6 @@ class WebWorkloadConfig:
     upload_bandwidth: float = 250_000.0
     post_chunk_size: int = 64_000
     request_timeout: float = 20.0
-    #: Stop each client after this many requests (None = run forever).
-    #: Finite-work runs are what the splice differential suite compares:
-    #: with every request completed well before the horizon, counters
-    #: are independent of the (intentionally coarser) spliced timing.
-    max_requests: int | None = None
 
 
 class WebClientPopulation:
@@ -126,8 +127,7 @@ class WebClientPopulation:
         conn = None
         requests_done = 0
         while process.alive:
-            if (config.max_requests is not None
-                    and requests_done >= config.max_requests):
+            if MAX_REQUESTS is not None and requests_done >= MAX_REQUESTS:
                 # Finite-work mode: this client is done for good.
                 if conn is not None and conn.alive:
                     conn.close()

@@ -74,7 +74,7 @@ class CohortDriver:
             self.spawned = cohort.size
             self.weight = 1.0
         else:
-            self.spawned = cohort.representatives(policy)
+            self.spawned = cohort.representatives()
             self.weight = cohort.size / self.spawned
         cls, count_field, first_field = PROTOCOLS[cohort.protocol]
         self.population = cls(

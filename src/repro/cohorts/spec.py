@@ -19,7 +19,7 @@ cohorts and decides where each one sits on the fidelity ladder:
   (a release's takeover/DCR/PPR window — see
   :class:`repro.cohorts.drivers.CohortSet`).
 
-``auto`` resolves per cohort: condensed below ``condense_below``
+``auto`` resolves per cohort: condensed below :data:`CONDENSE_BELOW`
 modeled clients, aggregate at or above it — so small runs keep exact
 per-flow fidelity by default and only genuinely large cohorts go fluid.
 """
@@ -36,6 +36,14 @@ __all__ = ["COHORT_FIDELITIES", "CohortPolicy", "CohortSpec",
 #: ``cohorts=None`` on the deployment spec, so it never appears here).
 COHORT_FIDELITIES = ("auto", "condensed", "aggregate")
 
+#: ``auto`` threshold: cohorts strictly smaller stay condensed.
+CONDENSE_BELOW = 256
+#: Aggregate rung: modeled flows one representative stands for.
+FLOWS_PER_REPRESENTATIVE = 50
+#: Aggregate rung: floor on representatives per cohort, so tiny cohorts
+#: still sample more than one flow.
+MIN_REPRESENTATIVES = 4
+
 
 @dataclass(frozen=True)
 class CohortPolicy:
@@ -46,13 +54,6 @@ class CohortPolicy:
     #: Client-count multiplier — the 100× knob.  Modeled cohort size is
     #: the workload's per-host count times this.
     scale: int = 1
-    #: Aggregate rung: modeled flows one representative stands for.
-    flows_per_representative: int = 50
-    #: Aggregate rung: floor on representatives per cohort, so tiny
-    #: cohorts still sample more than one flow.
-    min_representatives: int = 4
-    #: ``auto`` threshold: cohorts strictly smaller stay condensed.
-    condense_below: int = 256
     #: Solo flows each aggregate cohort condenses out per release
     #: event (takeover/DCR/PPR live inside release windows); 0 disables
     #: event-driven condensation.
@@ -64,12 +65,6 @@ class CohortPolicy:
                              f"available: {COHORT_FIDELITIES}")
         if self.scale < 1:
             raise ValueError("cohort scale must be >= 1")
-        if self.flows_per_representative < 1:
-            raise ValueError("flows_per_representative must be >= 1")
-        if self.min_representatives < 1:
-            raise ValueError("min_representatives must be >= 1")
-        if self.condense_below < 1:
-            raise ValueError("condense_below must be >= 1")
         if self.condense_per_event < 0:
             raise ValueError("condense_per_event must be >= 0")
 
@@ -99,13 +94,12 @@ class CohortSpec:
         """Where this cohort sits on the ladder under ``policy``."""
         if policy.fidelity != "auto":
             return policy.fidelity
-        return ("condensed" if self.size < policy.condense_below
-                else "aggregate")
+        return "condensed" if self.size < CONDENSE_BELOW else "aggregate"
 
-    def representatives(self, policy: CohortPolicy) -> int:
+    def representatives(self) -> int:
         """Flow processes the aggregate rung runs for this cohort."""
-        reps = max(policy.min_representatives,
-                   math.ceil(self.size / policy.flows_per_representative))
+        reps = max(MIN_REPRESENTATIVES,
+                   math.ceil(self.size / FLOWS_PER_REPRESENTATIVE))
         return min(self.size, reps)
 
 

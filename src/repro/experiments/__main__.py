@@ -32,6 +32,13 @@ from ..trace import TraceConfig
 from ..trace.render import render_trace_report
 from . import ALL_EXPERIMENTS
 
+#: ``--faults``: sim-seconds in at which the plan is injected, and how
+#: long it lasts.
+FAULTS_AT = 5.0
+FAULTS_DURATION = 30.0
+#: ``--load-shape``: sim seconds the shape's timings are scaled to.
+LOAD_HORIZON = 60.0
+
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
@@ -45,12 +52,6 @@ def main(argv=None) -> int:
     parser.add_argument("--faults", metavar="PLAN", default=None,
                         help="rerun under a named fault plan "
                              "(see 'list' for the available plans)")
-    parser.add_argument("--faults-at", type=float, default=None,
-                        help="with --faults: inject the plan this many "
-                             "sim-seconds in (default: 5.0)")
-    parser.add_argument("--faults-duration", type=float, default=None,
-                        help="with --faults: clear the plan after this "
-                             "many sim-seconds (default: 30.0)")
     parser.add_argument("--resilience", action="store_true",
                         help="enable the resilient data plane (outlier "
                              "ejection, breakers, retry budgets, load "
@@ -63,9 +64,6 @@ def main(argv=None) -> int:
                         default=None,
                         help="modulate every deployment's client arrival "
                              "rates with this load shape (repro.ops)")
-    parser.add_argument("--load-horizon", type=float, default=None,
-                        help="with --load-shape: sim seconds the shape's "
-                             "timings are scaled to (default: 60.0)")
     parser.add_argument("--cohorts", type=int, metavar="SCALE",
                         default=None,
                         help="drive clients through the cohort layer "
@@ -136,11 +134,6 @@ def _run_options(args) -> RunOptions:
     together."""
     for flag, value, parent, parent_value in (
             ("--trace-json", args.trace_json, "--trace", args.trace or None),
-            ("--faults-at", args.faults_at, "--faults", args.faults),
-            ("--faults-duration", args.faults_duration, "--faults",
-             args.faults),
-            ("--load-horizon", args.load_horizon, "--load-shape",
-             args.load_shape),
             ("--cohort-fidelity", args.cohort_fidelity, "--cohorts",
              args.cohorts)):
         if value is not None and parent_value is None:
@@ -152,15 +145,10 @@ def _run_options(args) -> RunOptions:
         raise ValueError("--trace requires --shards 1")
     fault_plan = load_shape = cohorts = None
     if args.faults is not None:
-        fault_plan = builtin_plan(
-            args.faults,
-            at=5.0 if args.faults_at is None else args.faults_at,
-            duration=30.0 if args.faults_duration is None
-            else args.faults_duration)
+        fault_plan = builtin_plan(args.faults, at=FAULTS_AT,
+                                  duration=FAULTS_DURATION)
     if args.load_shape is not None:
-        load_shape = named_load_shape(
-            args.load_shape,
-            60.0 if args.load_horizon is None else args.load_horizon)
+        load_shape = named_load_shape(args.load_shape, LOAD_HORIZON)
         load_shape.validate()
     if args.cohorts is not None:
         cohorts = CohortPolicy(fidelity=args.cohort_fidelity or "auto",

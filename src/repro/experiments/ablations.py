@@ -16,7 +16,7 @@ from __future__ import annotations
 from ..appserver.config import AppServerConfig
 from ..clients.mqtt import MqttWorkloadConfig
 from ..clients.web import WebWorkloadConfig
-from ..lb.katran import Katran, KatranConfig
+from ..lb.katran import DOWN_THRESHOLD, UP_THRESHOLD, Katran, KatranConfig
 from ..metrics.registry import MetricsRegistry
 from ..netsim.addresses import Endpoint, FourTuple, Protocol
 from ..netsim.host import Host
@@ -60,10 +60,10 @@ def run_lru_ablation(seed: int = 0, backends: int = 8,
             victim_ip = rng.choice(list(katran.backends))
             state = katran.backends[victim_ip]
             # Momentary flap: down for a beat, then back.
-            for _ in range(katran.config.down_threshold):
+            for _ in range(DOWN_THRESHOLD):
                 katran._mark(state, healthy=False)
             during = {f: katran.route(f) for f in flows_list}
-            for _ in range(katran.config.up_threshold):
+            for _ in range(UP_THRESHOLD):
                 katran._mark(state, healthy=True)
             remapped += sum(1 for f in flows_list
                             if during[f] != before[f])
@@ -187,7 +187,6 @@ def run_ppr_retry_budget(seed: int = 0,
 
 def run(seed: int = 0, flows: int = 3000,
         drains: tuple = (3.0, 10.0, 40.0),
-        budgets: tuple = (0, 1, 10),
         options: RunOptions = RunOptions()) -> ExperimentResult:
     """Composite runner: the three ablations, prefixed a_/b_/c_."""
     result = ExperimentResult(name="ablations: LRU table, drain length, "
@@ -196,6 +195,5 @@ def run(seed: int = 0, flows: int = 3000,
     result.absorb(run_lru_ablation(seed=seed, flows=flows), "a_")
     result.absorb(run_drain_duration_sweep(seed=seed, drains=drains,
                                            options=options), "b_")
-    result.absorb(run_ppr_retry_budget(seed=seed, budgets=budgets,
-                                       options=options), "c_")
+    result.absorb(run_ppr_retry_budget(seed=seed, options=options), "c_")
     return result

@@ -26,19 +26,22 @@ from .common import ExperimentResult, build_deployment, fault_summary, \
 
 __all__ = ["run", "run_arm"]
 
+#: The fault plan both arms run under (see ``repro.faults``).
+PLAN_NAME = "hc-flap-storm"
 
-def run_arm(zdr: bool, plan_name: str = "hc-flap-storm", seed: int = 0,
+
+def run_arm(zdr: bool, seed: int = 0,
             warmup: float = 20.0, measure: float = 80.0,
             drain: float = 10.0, fault_at: float = 8.0,
             fault_duration: float = 45.0,
             options: RunOptions = RunOptions()) -> dict:
-    """One release arm (ZDR or HardRestart) under the named fault plan.
+    """One release arm (ZDR or HardRestart) under :data:`PLAN_NAME`.
 
     The fault window opens ``fault_at`` seconds into the measurement
     phase, so the release (which starts at its beginning) runs right
     through it.
     """
-    plan = builtin_plan(plan_name, at=warmup + fault_at,
+    plan = builtin_plan(PLAN_NAME, at=warmup + fault_at,
                         duration=fault_duration)
     edge_config = ProxygenConfig(
         mode="edge", drain_duration=drain, enable_takeover=zdr,
@@ -102,14 +105,14 @@ def run_arm(zdr: bool, plan_name: str = "hc-flap-storm", seed: int = 0,
     }
 
 
-def run(seed: int = 0, plan_name: str = "hc-flap-storm",
+def run(seed: int = 0,
         options: RunOptions = RunOptions()) -> ExperimentResult:
-    zdr = run_arm(True, plan_name=plan_name, seed=seed, options=options)
-    hard = run_arm(False, plan_name=plan_name, seed=seed, options=options)
+    zdr = run_arm(True, seed=seed, options=options)
+    hard = run_arm(False, seed=seed, options=options)
 
     result = ExperimentResult(
-        name=f"chaos: edge release under fault plan '{plan_name}'",
-        params={"seed": seed, "plan": plan_name},
+        name=f"chaos: edge release under fault plan '{PLAN_NAME}'",
+        params={"seed": seed, "plan": PLAN_NAME},
         faults=zdr["faults"], runs=[zdr["run"], hard["run"]])
     for label, arm in (("zdr", zdr), ("hard", hard)):
         result.scalars[f"errors_{label}"] = arm["errors"]

@@ -23,9 +23,13 @@ from .common import ExperimentResult
 
 __all__ = ["run"]
 
+#: UDP sockets each process binds into the reuseport ring, and the
+#: packet rate of every flow.
+SOCKETS_PER_RING = 4
+PACKETS_PER_FLOW_PER_SEC = 5.0
 
-def _drive(pass_fds: bool, seed: int, flows: int, sockets_per_ring: int,
-           packets_per_flow_per_sec: float, duration: float,
+
+def _drive(pass_fds: bool, seed: int, flows: int, duration: float,
            restart_at: float, old_exit_at: float):
     """One arm; returns (misrouted_timeline, total_misrouted, total_sent)."""
     env = Environment()
@@ -41,7 +45,7 @@ def _drive(pass_fds: bool, seed: int, flows: int, sockets_per_ring: int,
 
     old_proc = server.spawn("old")
     ring_socks = []
-    for _ in range(sockets_per_ring):
+    for _ in range(SOCKETS_PER_RING):
         _, sock = server.kernel.udp_bind(old_proc, vip, reuseport=True)
         ring_socks.append(sock)
     ring = server.kernel.reuseport_ring(vip)
@@ -59,7 +63,7 @@ def _drive(pass_fds: bool, seed: int, flows: int, sockets_per_ring: int,
 
     def sender():
         rng = streams.stream("arrivals")
-        interval = 1.0 / packets_per_flow_per_sec
+        interval = 1.0 / PACKETS_PER_FLOW_PER_SEC
         while env.now < duration:
             for i, sock in enumerate(flow_sockets):
                 sock.sendto(("flow", i), vip, size=200)
@@ -101,7 +105,7 @@ def _drive(pass_fds: bool, seed: int, flows: int, sockets_per_ring: int,
                 new_proc.run(watch(sock))
         else:
             # Naive restart: the new process binds its own ring entries.
-            for _ in range(sockets_per_ring):
+            for _ in range(SOCKETS_PER_RING):
                 _, sock = server.kernel.udp_bind(new_proc, vip,
                                                  reuseport=True)
                 socket_owner[id(sock)] = "new"
@@ -121,20 +125,18 @@ def _drive(pass_fds: bool, seed: int, flows: int, sockets_per_ring: int,
     return sorted(timeline.items()), len(state["misrouted"]), state["sent"]
 
 
-def run(seed: int = 0, flows: int = 150, sockets_per_ring: int = 4,
-        packets_per_flow_per_sec: float = 5.0, duration: float = 20.0,
+def run(seed: int = 0, flows: int = 150, duration: float = 20.0,
         restart_at: float = 8.0, old_exit_at: float = 14.0,
         options: RunOptions = RunOptions()) -> ExperimentResult:
-    args = dict(seed=seed, flows=flows, sockets_per_ring=sockets_per_ring,
-                packets_per_flow_per_sec=packets_per_flow_per_sec,
-                duration=duration, restart_at=restart_at,
-                old_exit_at=old_exit_at)
+    args = dict(seed=seed, flows=flows, duration=duration,
+                restart_at=restart_at, old_exit_at=old_exit_at)
     naive_tl, naive_total, sent = _drive(pass_fds=False, **args)
     fd_tl, fd_total, _ = _drive(pass_fds=True, **args)
 
     result = ExperimentResult(
         name="fig02d: UDP misrouting during socket handover",
-        params=args)
+        params=dict(args, sockets_per_ring=SOCKETS_PER_RING,
+                    packets_per_flow_per_sec=PACKETS_PER_FLOW_PER_SEC))
     result.series["misrouted_naive"] = [(t, float(v)) for t, v in naive_tl]
     result.series["misrouted_fd_passing"] = [(t, float(v)) for t, v in fd_tl]
     result.scalars.update({

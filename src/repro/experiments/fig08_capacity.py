@@ -23,16 +23,18 @@ from .common import ExperimentResult, build_deployment, mean
 
 __all__ = ["run", "run_arm"]
 
+#: Edge fleet every arm releases.
+EDGE_PROXIES = 10
+
 
 def run_arm(takeover: bool, batch_fraction: float, seed: int = 0,
-            edge_proxies: int = 10, drain: float = 12.0,
-            measure: float = 30.0,
+            drain: float = 12.0, measure: float = 30.0,
             options: RunOptions = RunOptions()) -> dict:
     config = ProxygenConfig(mode="edge", drain_duration=drain,
                             enable_takeover=takeover,
                             enable_dcr=takeover, spawn_delay=2.0)
     dep = build_deployment(
-        seed=seed, edge_proxies=edge_proxies, edge_config=config,
+        seed=seed, edge_proxies=EDGE_PROXIES, edge_config=config,
         web=WebWorkloadConfig(clients_per_host=40, think_time=0.8),
         mqtt=MqttWorkloadConfig(users_per_host=25, publish_interval=4.0),
         options=options)
@@ -40,7 +42,7 @@ def run_arm(takeover: bool, batch_fraction: float, seed: int = 0,
     dep.run(until=warmup)
 
     # Track which hosts are serving (have any live proxygen instance).
-    availability: dict[int, list[float]] = {i: [] for i in range(edge_proxies)}
+    availability: dict[int, list[float]] = {i: [] for i in range(EDGE_PROXIES)}
 
     def monitor():
         while True:
@@ -79,19 +81,16 @@ def run_arm(takeover: bool, batch_fraction: float, seed: int = 0,
     }
 
 
-def run(seed: int = 0, edge_proxies: int = 10,
+def run(seed: int = 0,
         options: RunOptions = RunOptions()) -> ExperimentResult:
     arms = {
-        "zdr_20pct": run_arm(True, 0.20, seed=seed,
-                             edge_proxies=edge_proxies, options=options),
-        "hard_5pct": run_arm(False, 0.05, seed=seed,
-                             edge_proxies=edge_proxies, options=options),
-        "hard_20pct": run_arm(False, 0.20, seed=seed,
-                              edge_proxies=edge_proxies, options=options),
+        "zdr_20pct": run_arm(True, 0.20, seed=seed, options=options),
+        "hard_5pct": run_arm(False, 0.05, seed=seed, options=options),
+        "hard_20pct": run_arm(False, 0.20, seed=seed, options=options),
     }
     result = ExperimentResult(
         name="fig08b: idle CPU during draining (ZDR vs HardRestart)",
-        params={"edge_proxies": edge_proxies, "seed": seed},
+        params={"edge_proxies": EDGE_PROXIES, "seed": seed},
         runs=[data["run"] for data in arms.values()])
     for arm, data in arms.items():
         result.series[arm] = data["series"]

@@ -17,8 +17,11 @@ from .common import ExperimentResult, build_deployment, mean, sum_counter
 
 __all__ = ["run", "run_arm"]
 
+#: MQTT users per client host.
+USERS = 60
 
-def run_arm(enable_dcr: bool, seed: int = 0, users: int = 60,
+
+def run_arm(enable_dcr: bool, seed: int = 0, users: int = USERS,
             warmup: float = 25.0, measure: float = 45.0,
             drain: float = 10.0,
             options: RunOptions = RunOptions()) -> dict:
@@ -74,14 +77,14 @@ def run_arm(enable_dcr: bool, seed: int = 0, users: int = 60,
     }
 
 
-def run(seed: int = 0, users: int = 60,
+def run(seed: int = 0,
         options: RunOptions = RunOptions()) -> ExperimentResult:
-    with_dcr = run_arm(True, seed=seed, users=users, options=options)
-    without_dcr = run_arm(False, seed=seed, users=users, options=options)
+    with_dcr = run_arm(True, seed=seed, options=options)
+    without_dcr = run_arm(False, seed=seed, options=options)
 
     result = ExperimentResult(
         name="fig09: MQTT publishes and CONNACKs across Origin restart",
-        params={"users": users, "seed": seed},
+        params={"users": USERS, "seed": seed},
         runs=[with_dcr["run"], without_dcr["run"]])
     result.series["publish_with_dcr"] = with_dcr["publish_series"]
     result.series["publish_without_dcr"] = without_dcr["publish_series"]
@@ -106,14 +109,14 @@ def run(seed: int = 0, users: int = 60,
         "without_dcr_dips_deeper":
             without_dcr["min_normalized_publish_rate"]
             < with_dcr["min_normalized_publish_rate"],
-        "dcr_rehomes_tunnels": with_dcr["rehomed"] >= users // 2,
+        "dcr_rehomes_tunnels": with_dcr["rehomed"] >= USERS // 2,
         "dcr_no_reconnect_spike": (with_dcr["connacks_during_release"]
-                                   <= 0.1 * users),
+                                   <= 0.1 * USERS),
         "without_dcr_reconnect_spike": (
-            without_dcr["connacks_during_release"] >= 0.5 * users),
+            without_dcr["connacks_during_release"] >= 0.5 * USERS),
         "without_dcr_sessions_break": (
-            without_dcr["sessions_broken"] >= 0.5 * users),
+            without_dcr["sessions_broken"] >= 0.5 * USERS),
         "dcr_sessions_survive": (with_dcr["sessions_broken"]
-                                 <= 0.1 * users),
+                                 <= 0.1 * USERS),
     })
     return result

@@ -20,14 +20,20 @@ from .common import ExperimentResult, build_deployment, mean
 
 __all__ = ["run"]
 
+#: Edge fleet (the restarted batch is 20% of it) and its drain.
+EDGE_PROXIES = 10
+DRAIN = 15.0
+#: Sim seconds before the release starts, and measured after it.
+WARMUP = 25.0
+MEASURE = 40.0
 
-def run(seed: int = 0, edge_proxies: int = 10, drain: float = 15.0,
-        warmup: float = 25.0, measure: float = 40.0,
+
+def run(seed: int = 0,
         options: RunOptions = RunOptions()) -> ExperimentResult:
     dep = build_deployment(
-        seed=seed, edge_proxies=edge_proxies, origin_proxies=3,
+        seed=seed, edge_proxies=EDGE_PROXIES, origin_proxies=3,
         app_servers=4,
-        edge_config=ProxygenConfig(mode="edge", drain_duration=drain,
+        edge_config=ProxygenConfig(mode="edge", drain_duration=DRAIN,
                                    enable_takeover=True, enable_dcr=True,
                                    spawn_delay=2.0),
         origin_config=ProxygenConfig(mode="origin", drain_duration=8.0,
@@ -44,7 +50,7 @@ def run(seed: int = 0, edge_proxies: int = 10, drain: float = 15.0,
         mqtt=MqttWorkloadConfig(users_per_host=40, publish_interval=4.0),
         options=options)
 
-    batch = max(1, int(edge_proxies * 0.2))
+    batch = max(1, int(EDGE_PROXIES * 0.2))
     gr_servers = dep.edge_servers[:batch]
     gnr_servers = dep.edge_servers[batch:]
     gr_hosts = dep.edge_hosts[:batch]
@@ -70,12 +76,12 @@ def run(seed: int = 0, edge_proxies: int = 10, drain: float = 15.0,
             yield dep.env.timeout(1.0)
 
     dep.env.process(monitor())
-    dep.run(until=warmup)
+    dep.run(until=WARMUP)
     release = RollingRelease(dep.env, gr_servers,
                              RollingReleaseConfig(batch_fraction=1.0))
     dep.env.process(release.execute())
-    dep.run(until=warmup + drain + 3)
-    # Mechanism coda, outside the claims window ([warmup+3, warmup+drain]
+    dep.run(until=WARMUP + DRAIN + 3)
+    # Mechanism coda, outside the claims window ([WARMUP+3, WARMUP+DRAIN]
     # is what the shape checks below average over): roll one Origin proxy
     # (tunnels re-home via DCR) and restart one app server (incomplete
     # POSTs come back as 379 PartialPOST and get replayed), so a --trace
@@ -84,12 +90,12 @@ def run(seed: int = 0, edge_proxies: int = 10, drain: float = 15.0,
                           RollingReleaseConfig(batch_fraction=1.0))
     dep.env.process(coda.execute())
     dep.env.process(dep.app_servers[0].restart())
-    dep.run(until=warmup + measure)
+    dep.run(until=WARMUP + MEASURE)
 
     def group_series(names: list[str], metric: str) -> list[tuple[float, float]]:
         """Sum a per-server time series over a group, normalized by the
         pre-restart value."""
-        window = (warmup - 10, warmup + measure)
+        window = (WARMUP - 10, WARMUP + MEASURE)
         merged: dict[float, float] = {}
         for name in names:
             key = f"{metric}/{name}"
@@ -98,7 +104,7 @@ def run(seed: int = 0, edge_proxies: int = 10, drain: float = 15.0,
             for t, v in dep.metrics.series(key).series(*window):
                 merged[t] = merged.get(t, 0.0) + v
         series = sorted(merged.items())
-        baseline = mean(v for t, v in series if t < warmup) or 1.0
+        baseline = mean(v for t, v in series if t < WARMUP) or 1.0
         return [(t, v / baseline) for t, v in series]
 
     gr_names = [s.name for s in gr_servers]
@@ -106,17 +112,17 @@ def run(seed: int = 0, edge_proxies: int = 10, drain: float = 15.0,
     all_names = gr_names + gnr_names
 
     def cpu_series(hosts) -> list[tuple[float, float]]:
-        per_host = [host.cpu.utilization(warmup - 10, warmup + measure)
+        per_host = [host.cpu.utilization(WARMUP - 10, WARMUP + MEASURE)
                     for host in hosts]
         merged = [(samples[0][0], mean(v for _, v in samples))
                   for samples in zip(*per_host)]
-        baseline = mean(v for t, v in merged if t < warmup) or 1.0
+        baseline = mean(v for t, v in merged if t < WARMUP) or 1.0
         return [(t, v / baseline) for t, v in merged]
 
     result = ExperimentResult(
         name="fig13: cluster timeline through a 20% ZDR batch",
-        params={"edge_proxies": edge_proxies, "batch": batch,
-                "drain": drain, "seed": seed},
+        params={"edge_proxies": EDGE_PROXIES, "batch": batch,
+                "drain": DRAIN, "seed": seed},
         runs=[dep.run_record])
     result.series["cluster_rps"] = group_series(all_names, "rps")
     result.series["cluster_throughput"] = group_series(
@@ -130,7 +136,7 @@ def run(seed: int = 0, edge_proxies: int = 10, drain: float = 15.0,
         result.series[key] = samples[key]
 
     def post_restart_mean(series):
-        return mean(v for t, v in series if warmup + 3 <= t <= warmup + drain)
+        return mean(v for t, v in series if WARMUP + 3 <= t <= WARMUP + DRAIN)
 
     # Cluster-wide MQTT connection count (the paper's §6.2.1 point: the
     # cluster-wide average shows virtually no change — tunnels that move
@@ -139,7 +145,7 @@ def run(seed: int = 0, edge_proxies: int = 10, drain: float = 15.0,
         (t, gr + gnr) for (t, gr), (_, gnr) in zip(
             samples["gr_mqtt_conns"], samples["gnr_mqtt_conns"])]
     mqtt_baseline = mean(v for t, v in cluster_mqtt
-                         if warmup - 10 <= t < warmup) or 1.0
+                         if WARMUP - 10 <= t < WARMUP) or 1.0
     cluster_mqtt_norm = [(t, v / mqtt_baseline) for t, v in cluster_mqtt]
     result.series["cluster_mqtt_conns"] = cluster_mqtt_norm
 
@@ -150,7 +156,7 @@ def run(seed: int = 0, edge_proxies: int = 10, drain: float = 15.0,
     # The GR CPU bump is sharpest right after the parallel instances
     # spawn (§6.3's initial spike).
     gr_cpu_peak = max((v for t, v in result.series["gr_cpu"]
-                       if warmup <= t <= warmup + 8), default=0.0)
+                       if WARMUP <= t <= WARMUP + 8), default=0.0)
 
     result.scalars.update({
         "cluster_rps_normalized_after": cluster_rps_after,

@@ -37,22 +37,22 @@ PROXYGEN_OVERHEAD = 90.0         # spawn/takeover/verification per batch
 APP_DRAIN = 12.0                 # 10–15 s drains
 APP_BATCH_FRACTION = 0.05        # small batches, many of them
 APP_OVERHEAD = 55.0              # restart downtime + verification
+MACHINES_PER_CLUSTER = 100       # Proxygen machines; 4x as many app servers
 
 
 def run(seed: int = 0, samples: int = 400,
-        machines_per_cluster: int = 100,
         options: RunOptions = RunOptions()) -> ExperimentResult:
     rng = RandomStreams(seed).stream("completion")
     proxygen_minutes = []
     app_minutes = []
     for _ in range(samples):
         proxygen_minutes.append(completion_time_model(
-            machines=machines_per_cluster,
+            machines=MACHINES_PER_CLUSTER,
             batch_fraction=PROXYGEN_BATCH_FRACTION,
             drain_duration=PROXYGEN_DRAIN,
             restart_overhead=PROXYGEN_OVERHEAD, rng=rng) / 60.0)
         app_minutes.append(completion_time_model(
-            machines=machines_per_cluster * 4,
+            machines=MACHINES_PER_CLUSTER * 4,
             batch_fraction=APP_BATCH_FRACTION,
             drain_duration=APP_DRAIN,
             restart_overhead=APP_OVERHEAD, rng=rng) / 60.0)
@@ -63,7 +63,7 @@ def run(seed: int = 0, samples: int = 400,
     result = ExperimentResult(
         name="fig16: global release completion times",
         params={"samples": samples,
-                "machines_per_cluster": machines_per_cluster, "seed": seed})
+                "machines_per_cluster": MACHINES_PER_CLUSTER, "seed": seed})
     result.scalars.update({
         "proxygen_median_minutes": proxygen_summary["p50"],
         "proxygen_p99_minutes": proxygen_summary["p99"],

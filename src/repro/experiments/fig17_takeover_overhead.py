@@ -19,13 +19,18 @@ from .common import ExperimentResult, build_deployment, mean
 
 __all__ = ["run"]
 
+#: Edge fleet, the restarted machine's drain, and the sim seconds
+#: before it restarts.
+EDGE_PROXIES = 3
+DRAIN = 20.0
+WARMUP = 30.0
 
-def run(seed: int = 0, drain: float = 20.0, warmup: float = 30.0,
-        edge_proxies: int = 3,
+
+def run(seed: int = 0,
         options: RunOptions = RunOptions()) -> ExperimentResult:
     dep = build_deployment(
-        seed=seed, edge_proxies=edge_proxies,
-        edge_config=ProxygenConfig(mode="edge", drain_duration=drain,
+        seed=seed, edge_proxies=EDGE_PROXIES,
+        edge_config=ProxygenConfig(mode="edge", drain_duration=DRAIN,
                                    enable_takeover=True, enable_dcr=True,
                                    spawn_delay=2.0),
         web=WebWorkloadConfig(clients_per_host=35, think_time=0.7),
@@ -42,16 +47,16 @@ def run(seed: int = 0, drain: float = 20.0, warmup: float = 30.0,
             yield dep.env.timeout(0.5)
 
     dep.env.process(monitor())
-    dep.run(until=warmup)
+    dep.run(until=WARMUP)
     done = dep.env.process(target.release())
     dep.env.run(until=done)
-    dep.run(until=warmup + drain + 15)
+    dep.run(until=WARMUP + DRAIN + 15)
 
-    restart_at = warmup
-    drain_end = warmup + 2.0 + drain  # spawn_delay + drain
+    restart_at = WARMUP
+    drain_end = WARMUP + 2.0 + DRAIN  # spawn_delay + drain
 
     # CPU: utilization per bucket, normalized by the pre-restart mean.
-    cpu = host.cpu.utilization(warmup - 15, warmup + drain + 10)
+    cpu = host.cpu.utilization(WARMUP - 15, WARMUP + DRAIN + 10)
     cpu_baseline = mean(v for t, v in cpu if t < restart_at) or 1e-9
     cpu_during = [v / cpu_baseline for t, v in cpu
                   if restart_at <= t <= drain_end]
@@ -69,7 +74,7 @@ def run(seed: int = 0, drain: float = 20.0, warmup: float = 30.0,
     throughput_during = []
     if dep.metrics.has_series(series_name):
         tput = dep.metrics.series(series_name).series(
-            warmup - 15, warmup + drain + 10)
+            WARMUP - 15, WARMUP + DRAIN + 10)
         tput_baseline = mean(v for t, v in tput if t < restart_at) or 1e-9
         throughput_during = [v / tput_baseline for t, v in tput
                              if restart_at <= t <= drain_end]
@@ -78,7 +83,7 @@ def run(seed: int = 0, drain: float = 20.0, warmup: float = 30.0,
 
     result = ExperimentResult(
         name="fig17: Socket Takeover system overheads",
-        params={"drain": drain, "seed": seed}, runs=[dep.run_record])
+        params={"drain": DRAIN, "seed": seed}, runs=[dep.run_record])
     result.series["cpu_normalized"] = [
         (t, v / cpu_baseline) for t, v in cpu]
     result.series["memory_normalized"] = [

@@ -18,7 +18,7 @@ restarts), and an L4LB takeover, measuring
 
 from __future__ import annotations
 
-from ..lb.katran import Katran, KatranConfig
+from ..lb.katran import DOWN_THRESHOLD, UP_THRESHOLD, Katran, KatranConfig
 from ..lb.routers import ROUTER_SCHEMES, ConcuryRouter
 from ..metrics.registry import MetricsRegistry
 from ..netsim.addresses import Endpoint, FourTuple, Protocol
@@ -122,9 +122,7 @@ class _Arm:
 
     def flap(self, victim_ip: str, down: bool) -> None:
         state = self.katran.backends[victim_ip]
-        marks = (self.katran.config.down_threshold if down
-                 else self.katran.config.up_threshold)
-        for _ in range(marks):
+        for _ in range(DOWN_THRESHOLD if down else UP_THRESHOLD):
             self.katran._mark(state, healthy=not down)
 
     def advance(self, dt: float) -> None:
@@ -138,7 +136,6 @@ class _Arm:
 
 def run(seed: int = 0, backends: int = 10, flows: int = 1500,
         churn_rounds: int = 4, release_batches: int = 5,
-        schemes: tuple = ROUTER_SCHEMES,
         options: RunOptions = RunOptions()) -> ExperimentResult:
     """Drive every scheme through churn → release wave → takeover."""
     result = ExperimentResult(
@@ -148,7 +145,7 @@ def run(seed: int = 0, backends: int = 10, flows: int = 1500,
                 "release_batches": release_batches, "seed": seed})
 
     by_scheme: dict[str, _Arm] = {}
-    for scheme in schemes:
+    for scheme in ROUTER_SCHEMES:
         arm = _Arm(scheme, seed, backends, flows)
         # Every arm draws its victims from an identical stream.
         rng = RandomStreams(seed).stream("lb-ablation-victims")

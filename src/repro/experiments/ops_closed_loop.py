@@ -46,6 +46,10 @@ __all__ = ["run", "run_arm", "VersionedTarget"]
 #: binary burns straight past.
 ERROR_BUDGET = 150.0
 
+#: Sim seconds of the diurnal day, and the app pool it starts with.
+DAY_LENGTH = 120.0
+APP_SERVERS = 6
+
 
 class VersionedTarget:
     """Release target deploying a candidate binary onto an AppServer.
@@ -79,17 +83,16 @@ class VersionedTarget:
             self.candidate_live = True
 
 
-def run_arm(gated: bool, seed: int = 0, day_length: float = 120.0,
-            app_servers: int = 6, rogue_fraction: float = 0.7,
+def run_arm(gated: bool, seed: int = 0, rogue_fraction: float = 0.7,
             warmup: float = 10.0,
             options: RunOptions = RunOptions()) -> dict:
     """One diurnal day with a bad release; ``gated`` adds the canary."""
-    shape_config = LoadShapeConfig(kind="diurnal", day_length=day_length,
+    shape_config = LoadShapeConfig(kind="diurnal", day_length=DAY_LENGTH,
                                    trough_scale=0.4, peak_scale=1.8,
                                    peak_at=0.5, resolution=2.0)
     deployment = build_deployment(
         seed=seed, edge_proxies=3, origin_proxies=2,
-        app_servers=app_servers,
+        app_servers=APP_SERVERS,
         app_config=AppServerConfig(drain_duration=1.0,
                                    restart_downtime=2.0),
         web=WebWorkloadConfig(clients_per_host=30, think_time=0.5,
@@ -100,7 +103,7 @@ def run_arm(gated: bool, seed: int = 0, day_length: float = 120.0,
         # enough headroom that a healthy release costs no requests.
         app_cores=2, app_core_speed=8.0, options=options)
     autoscaler = attach_app_autoscaler(deployment, AutoscalerConfig(
-        min_size=app_servers, max_size=app_servers + 4,
+        min_size=APP_SERVERS, max_size=APP_SERVERS + 4,
         evaluate_interval=5.0, signal_window=5.0,
         scale_out_utilization=0.29, scale_in_utilization=0.16,
         cooldown_out=10.0, cooldown_in=35.0))
@@ -111,11 +114,11 @@ def run_arm(gated: bool, seed: int = 0, day_length: float = 120.0,
     plan_config = WavePlanConfig(
         waves=3, base_batch_fraction=0.34, min_batch_fraction=0.17,
         max_batch_fraction=0.34,
-        disruption_per_target=ERROR_BUDGET / (2.0 * app_servers),
+        disruption_per_target=ERROR_BUDGET / (2.0 * APP_SERVERS),
         error_budget=ERROR_BUDGET)
     waves = plan_release_waves(shape, start=warmup,
-                               horizon=day_length - warmup,
-                               targets=app_servers, config=plan_config)
+                               horizon=DAY_LENGTH - warmup,
+                               targets=APP_SERVERS, config=plan_config)
     first_wave = waves[0]
 
     targets = [VersionedTarget(server, rogue_fraction)
@@ -141,7 +144,7 @@ def run_arm(gated: bool, seed: int = 0, day_length: float = 120.0,
         yield from release.execute()
 
     deployment.env.process(_start_at_wave())
-    deployment.run(until=day_length)
+    deployment.run(until=DAY_LENGTH)
 
     clients = deployment.metrics.prefix_counters("web-clients")
     errors = (clients.get("get_error") + clients.get("post_error")
@@ -171,23 +174,20 @@ def run_arm(gated: bool, seed: int = 0, day_length: float = 120.0,
             1 for d in autoscaler.decisions if d.action == "in"),
         "peak_pool": max(size for _, size in autoscaler.size_series),
         "error_series": aggregate_series(
-            deployment.metrics, "client/requests_error", 0.0, day_length),
+            deployment.metrics, "client/requests_error", 0.0, DAY_LENGTH),
     }
 
 
-def run(seed: int = 0, day_length: float = 120.0,
-        app_servers: int = 6,
+def run(seed: int = 0,
         options: RunOptions = RunOptions()) -> ExperimentResult:
-    closed = run_arm(True, seed=seed, day_length=day_length,
-                     app_servers=app_servers, options=options)
-    open_ = run_arm(False, seed=seed, day_length=day_length,
-                    app_servers=app_servers, options=options)
+    closed = run_arm(True, seed=seed, options=options)
+    open_ = run_arm(False, seed=seed, options=options)
 
     result = ExperimentResult(
         name="opsloop: canary-gated release vs open loop over a "
              "diurnal day",
-        params={"seed": seed, "day_length": day_length,
-                "app_servers": app_servers,
+        params={"seed": seed, "day_length": DAY_LENGTH,
+                "app_servers": APP_SERVERS,
                 "error_budget": ERROR_BUDGET},
         runs=[closed["deployment"].run_record,
               open_["deployment"].run_record])
@@ -236,7 +236,7 @@ def run(seed: int = 0, day_length: float = 120.0,
         # day's error budget; the closed loop stayed inside it.
         "open_loop_released_everything":
             not release_open.aborted
-            and len(release_open.completed_targets) == app_servers,
+            and len(release_open.completed_targets) == APP_SERVERS,
         "open_loop_burns_error_budget": open_["errors"] > ERROR_BUDGET,
         "closed_loop_stays_in_budget": closed["errors"] < ERROR_BUDGET,
         "closed_beats_open_on_bad_responses":
@@ -245,7 +245,7 @@ def run(seed: int = 0, day_length: float = 120.0,
         # The supporting loops did real work, visibly.
         "autoscaler_grew_into_the_peak": closed["scale_outs"] > 0,
         "load_shape_updates_bounded_by_table":
-            0 < closed["rate_updates"] <= day_length / 2.0 + 1,
+            0 < closed["rate_updates"] <= DAY_LENGTH / 2.0 + 1,
         "scheduler_shrinks_batches_at_peak":
             peak_wave.batch_fraction <= trough_wave.batch_fraction
             and waves[0].load_scale < shape_peak(closed),

@@ -3,13 +3,12 @@
 Usage::
 
     python -m repro.fuzz --seed 0 --runs 25
-    python -m repro.fuzz --seed 7 --runs 1 --checkers drain-monotonicity
     python -m repro.fuzz --planted skip_drain_gate --runs 5
     python -m repro.fuzz --repro fuzz-repros/repro-seed-12.json
     python -m repro.fuzz list
 
-Each seed generates one scenario, runs it under the selected invariant
-checkers and, on violation, delta-debugs it down to a minimal repro
+Each seed generates one scenario, runs it under every invariant
+checker and, on violation, delta-debugs it down to a minimal repro
 written as JSON under ``--out`` (replayable exactly via ``--repro``).
 Exit status is 0 only when every run was violation-free.
 """
@@ -28,6 +27,9 @@ from .scenario import Scenario, generate_scenario
 from .shrink import shrink
 
 __all__ = ["main"]
+
+#: Max probe runs the shrinker may spend on one violating scenario.
+SHRINK_BUDGET = 40
 
 
 def _print_result(label: str, result: FuzzRunResult) -> None:
@@ -70,8 +72,6 @@ def main(argv=None) -> int:
                         help="first seed of the range")
     parser.add_argument("--runs", type=int, default=25,
                         help="number of consecutive seeds to run")
-    parser.add_argument("--checkers", default=None,
-                        help="comma-separated checker names (default: all)")
     parser.add_argument("--planted", default=None,
                         help="apply a planted code fault to every run "
                              "(see 'list')")
@@ -79,8 +79,6 @@ def main(argv=None) -> int:
                         help="directory for shrunken repro JSON files")
     parser.add_argument("--no-shrink", action="store_true",
                         help="emit the original scenario, skip shrinking")
-    parser.add_argument("--shrink-budget", type=int, default=40,
-                        help="max probe runs the shrinker may spend")
     parser.add_argument("--repro", metavar="FILE", default=None,
                         help="replay one repro JSON file instead of "
                              "generating scenarios")
@@ -99,19 +97,10 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
 
-    checkers = None
-    if args.checkers is not None:
-        checkers = [c.strip() for c in args.checkers.split(",") if c.strip()]
-        unknown = [c for c in checkers if c not in CHECKERS]
-        if unknown:
-            print(f"unknown checkers: {', '.join(unknown)}",
-                  file=sys.stderr)
-            return 2
-
     if args.repro is not None:
         with open(args.repro, "r", encoding="utf-8") as handle:
             scenario = Scenario.from_json(handle.read())
-        result = run_scenario(scenario, checkers=checkers)
+        result = run_scenario(scenario)
         _print_result(f"repro {args.repro}", result)
         return 0 if result.ok else 1
 
@@ -123,7 +112,7 @@ def main(argv=None) -> int:
     failures = 0
     for seed in range(args.seed, args.seed + args.runs):
         scenario = generate_scenario(seed, planted=args.planted)
-        result = run_scenario(scenario, checkers=checkers)
+        result = run_scenario(scenario)
         _print_result(f"seed {seed}", result)
         if result.ok:
             continue
@@ -133,14 +122,14 @@ def main(argv=None) -> int:
         if not args.no_shrink:
             shrunk = shrink(scenario,
                             target_checkers=result.violated_checkers(),
-                            run_budget=args.shrink_budget)
+                            run_budget=SHRINK_BUDGET)
             emitted = shrunk.scenario
             print(f"    shrunk in {shrunk.runs} probe runs: "
                   f"[{emitted.describe()}]")
             if emitted is not scenario:
                 # The embedded trace must match the scenario the file
                 # replays, so re-run the shrunken one to capture it.
-                trace = run_scenario(emitted, checkers=checkers).trace
+                trace = run_scenario(emitted).trace
         path = _write_repro(args.out, emitted, f"seed-{seed}", trace=trace)
         print(f"    repro written: {path}")
 

@@ -29,17 +29,19 @@ __all__ = ["Katran", "KatranConfig", "BackendState"]
 #: Virtual nodes per backend on the consistent-hash ring.
 HASH_REPLICAS = 50
 
+#: Seconds between health probes of one backend, and a probe's timeout.
+HC_INTERVAL = 1.0
+HC_TIMEOUT = 0.5
+#: Consecutive probe failures before a backend leaves the ring.
+DOWN_THRESHOLD = 2
+#: Consecutive probe successes before it re-joins.
+UP_THRESHOLD = 1
+
 
 @dataclass
 class KatranConfig:
-    """Tunables for health checking and flow caching."""
+    """Tunables for flow routing and caching."""
 
-    hc_interval: float = 1.0
-    hc_timeout: float = 0.5
-    #: Consecutive probe failures before a backend leaves the ring.
-    down_threshold: int = 2
-    #: Consecutive probe successes before it re-joins.
-    up_threshold: int = 1
     lru_capacity: int = 100_000
     #: Routing policy (see repro.lb.routers.ROUTER_SCHEMES); the default
     #: is the paper's §5.1 bounded-LRU hybrid.
@@ -155,7 +157,7 @@ class Katran:
             state.consecutive_successes += 1
             state.consecutive_failures = 0
             if (not state.healthy
-                    and state.consecutive_successes >= self.config.up_threshold):
+                    and state.consecutive_successes >= UP_THRESHOLD):
                 state.healthy = True
                 self.router.backend_up(state.host.ip)
                 self.counters.inc("backend_up")
@@ -163,7 +165,7 @@ class Katran:
             state.consecutive_failures += 1
             state.consecutive_successes = 0
             if (state.healthy
-                    and state.consecutive_failures >= self.config.down_threshold):
+                    and state.consecutive_failures >= DOWN_THRESHOLD):
                 state.healthy = False
                 self.router.backend_down(state.host.ip)
                 self.counters.inc("backend_down")
@@ -188,13 +190,12 @@ class Katran:
             process.run(self._health_check_loop(process, state))
 
     def _health_check_loop(self, process: SimProcess, state: BackendState):
-        config = self.config
         # De-synchronize probe phases across backends.
         yield self.host.env.timeout(
-            self.host.streams.stream("hc-phase").uniform(0, config.hc_interval))
+            self.host.streams.stream("hc-phase").uniform(0, HC_INTERVAL))
         while process.alive and not state.decommissioned:
             healthy = yield from self.host.kernel.tcp_probe(
-                process, state.hc_endpoint, config.hc_timeout,
+                process, state.hc_endpoint, HC_TIMEOUT,
                 via_ip=state.host.ip)
             forced = self.forced_probe_failure.get(state.host.ip, 0.0)
             if healthy and forced > 0 and self._fault_rng.random() < forced:
@@ -206,4 +207,4 @@ class Katran:
                 return
             self._mark(state, healthy)
             self.counters.inc("hc_probe", tag="ok" if healthy else "fail")
-            yield self.host.env.timeout(config.hc_interval)
+            yield self.host.env.timeout(HC_INTERVAL)

@@ -21,6 +21,13 @@ __all__ = ["AutoscalerConfig", "Autoscaler", "AppPoolAdapter",
            "attach_app_autoscaler"]
 
 
+#: Optional queue-depth trip wire (adapter-defined units); ``None``
+#: disables the queue signal.
+QUEUE_DEPTH_HIGH: Optional[float] = None
+#: Machines added per scale-out decision.
+SCALE_OUT_STEP = 1
+
+
 @dataclass
 class AutoscalerConfig:
     """Policy knobs for one autoscaled pool."""
@@ -37,11 +44,6 @@ class AutoscalerConfig:
     scale_out_utilization: float = 0.75
     #: ...and at/below which it shrinks.
     scale_in_utilization: float = 0.30
-    #: Optional queue-depth trip wire (adapter-defined units); ``None``
-    #: disables the queue signal.
-    queue_depth_high: Optional[float] = None
-    #: Machines added per scale-out decision.
-    step: int = 1
     #: Minimum spacing between same-direction decisions.
     cooldown_out: float = 10.0
     cooldown_in: float = 20.0
@@ -54,8 +56,6 @@ class AutoscalerConfig:
         if not 0 <= self.scale_in_utilization <= self.scale_out_utilization:
             raise ValueError(
                 "need 0 <= scale_in_utilization <= scale_out_utilization")
-        if self.step < 1:
-            raise ValueError("step must be >= 1")
 
 
 @dataclass
@@ -113,8 +113,8 @@ class Autoscaler:
         self.size_series.append((now, size))
         self._inc("evaluations")
 
-        queue_hot = (config.queue_depth_high is not None
-                     and queue_depth >= config.queue_depth_high)
+        queue_hot = (QUEUE_DEPTH_HIGH is not None
+                     and queue_depth >= QUEUE_DEPTH_HIGH)
         pressured = utilization >= config.scale_out_utilization or queue_hot
         idle = (utilization <= config.scale_in_utilization and not queue_hot)
 
@@ -123,7 +123,7 @@ class Autoscaler:
                 self._inc("held_cooldown")
                 return
             reason = "queue" if queue_hot else "utilization"
-            for _ in range(min(config.step, config.max_size - size)):
+            for _ in range(min(SCALE_OUT_STEP, config.max_size - size)):
                 target = yield from self.adapter.scale_out()
                 size += 1
                 self._record("out", reason, size - 1, size, utilization,

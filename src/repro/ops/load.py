@@ -32,22 +32,23 @@ LOAD_SHAPE_KINDS = ("diurnal", "flash_crowd", "post_outage_herd")
 #: client loop forever, which is a different scenario (an outage fault).
 MIN_SCALE = 0.01
 
+#: Multiplier everything else in a shape scales relative to.
+BASE_SCALE = 1.0
+
+#: Which client populations a shape drives, by protocol kind (``web`` |
+#: ``mqtt`` | ``quic``); ``None`` drives every population.  A diurnal
+#: shape on web traffic must not scale MQTT herds — rate scales are
+#: per-population, and this is the selector.
+APPLIES_TO: Optional[str] = None
+
 
 @dataclass(frozen=True)
 class LoadShapeConfig:
     """Parameters of one load shape (all times in sim seconds)."""
 
     kind: str = "diurnal"
-    #: Multiplier everything else scales relative to.
-    base_scale: float = 1.0
     #: Table bucket width: the controller re-samples at this cadence.
     resolution: float = 1.0
-    #: Which client populations the shape drives, by protocol kind
-    #: (``web`` | ``mqtt`` | ``quic``); ``None`` drives every
-    #: population, the historical behaviour.  A diurnal shape on web
-    #: traffic must not scale MQTT herds — rate scales are
-    #: per-population, and this is the selector.
-    applies_to: Optional[str] = None
 
     # -- diurnal -----------------------------------------------------------
     day_length: float = 120.0
@@ -74,14 +75,8 @@ class LoadShapeConfig:
         if self.kind not in LOAD_SHAPE_KINDS:
             raise ValueError(f"unknown load shape {self.kind!r}; "
                              f"available: {LOAD_SHAPE_KINDS}")
-        if self.applies_to not in (None, "web", "mqtt", "quic"):
-            raise ValueError(
-                f"applies_to must be None, 'web', 'mqtt' or 'quic', "
-                f"not {self.applies_to!r}")
         if self.resolution <= 0:
             raise ValueError("resolution must be positive")
-        if self.base_scale <= 0:
-            raise ValueError("base_scale must be positive")
         if self.kind == "diurnal":
             if self.day_length <= 0:
                 raise ValueError("day_length must be positive")
@@ -127,7 +122,7 @@ class LoadShape:
     def _analytic(self, t: float) -> float:
         """The continuous curve the table discretizes."""
         config = self.config
-        base = config.base_scale
+        base = BASE_SCALE
         if config.kind == "diurnal":
             phase = t / config.day_length - config.peak_at
             blend = 0.5 * (1.0 + math.cos(2 * math.pi * phase))
@@ -227,9 +222,9 @@ class LoadController:
                  metrics=None, name: str = "ops-load"):
         self.env = env
         self.shape = shape
-        applies_to = shape.config.applies_to
+        applies_to = APPLIES_TO
         #: Rate scales are per-population: only populations whose
-        #: protocol ``kind`` matches the shape's ``applies_to`` selector
+        #: protocol ``kind`` matches the :data:`APPLIES_TO` selector
         #: are driven; the rest keep their own scale untouched (a web
         #: diurnal must not scale MQTT herds).  Cohort drivers
         #: (repro.cohorts) carry ``kind`` too and fan the scale into

@@ -20,7 +20,6 @@ from typing import Callable, Optional
 
 from ..netsim.addresses import Endpoint, FourTuple, Protocol
 from ..netsim.host import Host
-from ..resilience.config import ResilienceConfig
 from ..resilience.retry import BackoffPolicy
 
 __all__ = ["AnycastResolver", "RegionTarget"]
@@ -61,7 +60,6 @@ class AnycastResolver:
     """
 
     def __init__(self, host: Host, vip: Endpoint,
-                 resilience: Optional[ResilienceConfig] = None,
                  failover: bool = True,
                  name: str = "anycast-resolver"):
         self.host = host
@@ -70,8 +68,7 @@ class AnycastResolver:
         self.name = name
         self.counters = host.metrics.scoped_counters(name)
         self.rng = host.streams.stream("anycast")
-        self.backoff = BackoffPolicy(resilience or ResilienceConfig(),
-                                     self.rng)
+        self.backoff = BackoffPolicy(self.rng)
         #: Nearest first; index 0 is the home region.
         self.targets: list[RegionTarget] = []
         self.process = None

@@ -48,8 +48,6 @@ class RegionalSpec(TierConfigs):
     regions: int = 2
     pops_per_region: int = 1
     proxies_per_pop: int = 3
-    #: L4LBs fronting each PoP; client flows spread over them via ECMP.
-    l4lbs_per_pop: int = 1
     origin_proxies: int = 2
     app_servers: int = 2
     brokers: int = 1
@@ -88,8 +86,6 @@ class RegionalSpec(TierConfigs):
             raise ValueError("need at least one PoP per region")
         if self.proxies_per_pop < 1 or self.origin_proxies < 1:
             raise ValueError("need at least one proxy per tier")
-        if self.l4lbs_per_pop < 1:
-            raise ValueError("need at least one L4LB per PoP")
 
     def resolved_web_workload(self) -> Optional[WebWorkloadConfig]:
         if self.web_clients_per_pop <= 0:

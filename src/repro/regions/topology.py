@@ -3,7 +3,7 @@
 Topology (the paper's Fig. 1, regionalized): ``regions`` Origin DCs sit
 on a WAN ring; each has ``pops_per_region`` Edge PoPs and its own app
 pool and MQTT brokers.  Every PoP announces the *same* anycast VIP
-behind ``l4lbs_per_pop`` ECMP'd Katrans; every Origin serves the same
+behind :data:`L4LBS_PER_POP` ECMP'd Katrans; every Origin serves the same
 origin VIP, which is what lets an Edge dial a remote region's Origin
 ``via_ip`` when its own is gone.
 
@@ -39,6 +39,9 @@ from .spec import (
     wan_profile)
 
 __all__ = ["Region", "RegionPoP", "RegionalDeployment"]
+
+#: L4LBs fronting each PoP; client flows spread over them via ECMP.
+L4LBS_PER_POP = 1
 
 
 class RegionalDeployment(Topology):
@@ -125,7 +128,7 @@ class RegionalDeployment(Topology):
                             bandwidth=WAN_BANDWIDTH))
                 for i in range(spec.proxies_per_pop):
                     self._edge_proxy(pop, f"{pop.name}-edge-proxy-{i}")
-                for k in range(spec.l4lbs_per_pop):
+                for k in range(L4LBS_PER_POP):
                     pop.l4lbs.append(self._katran(
                         f"{pop.name}-katran-{k}", pop.site, pop.hosts,
                         self.anycast_https))
@@ -155,7 +158,6 @@ class RegionalDeployment(Topology):
                                            CLIENT_CORES, CLIENT_CORE_SPEED)
                 resolver = AnycastResolver(
                     resolver_host, self.anycast_https,
-                    resilience=spec.resolved_edge_config().resilience,
                     failover=spec.failover,
                     name=f"anycast-{pop.name}")
                 for other in self.regions:

@@ -11,6 +11,9 @@ from __future__ import annotations
 
 __all__ = ["AdmissionController"]
 
+#: A draining generation shrinks its intake to this fraction.
+DRAIN_INFLIGHT_FACTOR = 0.25
+
 
 class AdmissionController:
     """A concurrency-limit gate for one serving process."""
@@ -27,7 +30,7 @@ class AdmissionController:
     def limit(self, draining: bool = False) -> int:
         base = self.config.max_inflight
         if draining:
-            return max(1, int(base * self.config.drain_inflight_factor))
+            return max(1, int(base * DRAIN_INFLIGHT_FACTOR))
         return base
 
     def try_acquire(self, draining: bool = False) -> bool:

@@ -14,6 +14,17 @@ from collections import deque
 
 __all__ = ["CircuitBreaker", "BreakerBoard"]
 
+#: Error ratio over the rolling window that trips a breaker.
+ERROR_RATIO = 0.6
+#: Rolling outcome-window size for the ratio condition.
+WINDOW = 20
+#: Outcomes required in the window before the ratio may trip.
+MIN_REQUESTS = 10
+#: ± fraction of the open duration applied as deterministic jitter.
+OPEN_JITTER = 0.25
+#: Successful half-open probes required to close again.
+HALF_OPEN_SUCCESSES = 2
+
 
 class CircuitBreaker:
     """One destination's breaker.  All timing via the sim clock."""
@@ -30,7 +41,7 @@ class CircuitBreaker:
         self.key = key
         self.state = self.CLOSED
         self.consecutive_failures = 0
-        self.window: deque[bool] = deque(maxlen=config.breaker_window)
+        self.window: deque[bool] = deque(maxlen=WINDOW)
         self.opened_until = 0.0
         self.half_open_successes = 0
         self.times_opened = 0
@@ -55,8 +66,7 @@ class CircuitBreaker:
         self.consecutive_failures = 0
         if self.state == self.HALF_OPEN:
             self.half_open_successes += 1
-            if (self.half_open_successes
-                    >= self.config.breaker_half_open_successes):
+            if self.half_open_successes >= HALF_OPEN_SUCCESSES:
                 self.state = self.CLOSED
                 self.window.clear()
                 self._inc("breaker_closed")
@@ -71,20 +81,19 @@ class CircuitBreaker:
             self._trip()
 
     def _should_trip(self) -> bool:
-        config = self.config
-        if self.consecutive_failures >= config.breaker_consecutive_failures:
+        if (self.consecutive_failures
+                >= self.config.breaker_consecutive_failures):
             return True
-        if len(self.window) >= config.breaker_min_requests:
+        if len(self.window) >= MIN_REQUESTS:
             failures = sum(1 for ok in self.window if not ok)
-            return failures / len(self.window) >= config.breaker_error_ratio
+            return failures / len(self.window) >= ERROR_RATIO
         return False
 
     def _trip(self) -> None:
-        config = self.config
-        duration = config.breaker_open_duration
-        jitter = config.breaker_open_jitter
-        if jitter:
-            duration *= self.rng.uniform(1.0 - jitter, 1.0 + jitter)
+        duration = self.config.breaker_open_duration
+        if OPEN_JITTER:
+            duration *= self.rng.uniform(1.0 - OPEN_JITTER,
+                                         1.0 + OPEN_JITTER)
         self.state = self.OPEN
         self.opened_until = self.env.now + duration
         self.consecutive_failures = 0

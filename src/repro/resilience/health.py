@@ -19,6 +19,18 @@ from typing import Callable, Optional
 
 __all__ = ["BackendStats", "OutlierTracker"]
 
+#: EWMA smoothing factor for per-backend latency and error rate.
+EWMA_ALPHA = 0.3
+#: EWMA latency (seconds) above which a backend is an outlier.
+LATENCY_THRESHOLD = 1.5
+#: Samples required before a backend may be ejected.
+MIN_SAMPLES = 5
+#: ± fraction of the ejection duration applied as deterministic jitter
+#: so re-admission probes from many balancers do not synchronize.
+EJECTION_JITTER = 0.25
+#: Never hold more than this fraction of the pool ejected at once.
+MAX_EJECTED_FRACTION = 0.5
+
 
 @dataclass
 class BackendStats:
@@ -41,7 +53,7 @@ class OutlierTracker:
     """Per-backend EWMA health with temporary ejection + re-admission.
 
     ``membership`` (a zero-arg callable) reports the current pool size so
-    the ``max_ejected_fraction`` guard never ejects the majority of a
+    the :data:`MAX_EJECTED_FRACTION` guard never ejects the majority of a
     shrinking pool.
     """
 
@@ -74,7 +86,7 @@ class OutlierTracker:
     def _record(self, key: str, error: float,
                 latency: Optional[float]) -> None:
         stat = self._stat(key)
-        alpha = self.config.ewma_alpha
+        alpha = EWMA_ALPHA
         if stat.samples == 0:
             stat.ewma_error_rate = error
             if latency is not None:
@@ -98,9 +110,9 @@ class OutlierTracker:
     # -- ejection ---------------------------------------------------------
 
     def _is_outlier(self, stat: BackendStats) -> bool:
-        if stat.samples < self.config.min_samples:
+        if stat.samples < MIN_SAMPLES:
             return False
-        return (stat.ewma_latency > self.config.latency_threshold
+        return (stat.ewma_latency > LATENCY_THRESHOLD
                 or stat.ewma_error_rate > self.config.error_rate_threshold)
 
     def _ejection_allowed(self) -> bool:
@@ -110,7 +122,7 @@ class OutlierTracker:
             return False
         ejected = 1 + sum(1 for s in self.stats.values()
                           if self._currently_ejected(s))
-        return ejected / total <= self.config.max_ejected_fraction
+        return ejected / total <= MAX_EJECTED_FRACTION
 
     def _eject(self, stat: BackendStats) -> None:
         if not self._ejection_allowed():
@@ -120,16 +132,16 @@ class OutlierTracker:
         duration = min(
             config.ejection_duration * (2 ** stat.ejection_streak),
             config.ejection_max_duration)
-        jitter = config.ejection_jitter
-        if jitter:
-            duration *= self.rng.uniform(1.0 - jitter, 1.0 + jitter)
+        if EJECTION_JITTER:
+            duration *= self.rng.uniform(1.0 - EJECTION_JITTER,
+                                         1.0 + EJECTION_JITTER)
         stat.ejected_until = self.env.now + duration
         stat.ejection_streak += 1
         stat.ejections += 1
         # Fresh slate for the probe verdict: keep latency memory but
         # forget the error streak that got it ejected.
         stat.ewma_error_rate = 0.0
-        stat.samples = max(stat.samples, self.config.min_samples)
+        stat.samples = max(stat.samples, MIN_SAMPLES)
         self._inc("ejected")
 
     def _currently_ejected(self, stat: BackendStats) -> bool:

@@ -35,7 +35,7 @@ class ResiliencePlane:
         self.rng = rng
         self.counters = counters
         self.breakers = BreakerBoard(config, env, rng, counters)
-        self.backoff = BackoffPolicy(config, rng)
+        self.backoff = BackoffPolicy(rng)
         self.retry_budget = RetryBudget(
             RETRY_BUDGET_RATIO, RETRY_BUDGET_FLOOR, counters, name="retry")
         self.hedge_budget = RetryBudget(

@@ -13,27 +13,30 @@ from __future__ import annotations
 
 __all__ = ["BackoffPolicy", "RetryBudget"]
 
+#: Seconds before the first retry; each later one waits
+#: ``BACKOFF_FACTOR`` times longer, up to ``MAX_DELAY``.
+BASE_DELAY = 0.05
+BACKOFF_FACTOR = 2.0
+MAX_DELAY = 2.0
+#: The actual delay is uniform in [delay*(1-j), delay*(1+j)].
+JITTER = 0.5
+
 
 class BackoffPolicy:
     """Jittered exponential backoff over an injected RNG stream."""
 
-    def __init__(self, config, rng):
-        self.config = config
+    def __init__(self, rng):
         self.rng = rng
 
     def delay(self, attempt: int) -> float:
         """Seconds to wait before retry number ``attempt`` (1-based)."""
         if attempt < 1:
             return 0.0
-        config = self.config
-        base = min(
-            config.retry_base_delay
-            * (config.retry_backoff_factor ** (attempt - 1)),
-            config.retry_max_delay)
-        jitter = config.retry_jitter
-        if not jitter:
+        base = min(BASE_DELAY * (BACKOFF_FACTOR ** (attempt - 1)),
+                   MAX_DELAY)
+        if not JITTER:
             return base
-        return base * self.rng.uniform(1.0 - jitter, 1.0 + jitter)
+        return base * self.rng.uniform(1.0 - JITTER, 1.0 + JITTER)
 
 
 class RetryBudget:

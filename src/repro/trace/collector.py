@@ -52,6 +52,12 @@ MECHANISM_PREFIXES = ("takeover", "dcr", "ppr", "retry", "hedge",
 LOGGED_ANNOUNCEMENTS = ("release_", "takeover_", "drain_", "fault_",
                         "evacuation_", "autoscale_")
 
+#: Retained traces per category (head-sampled, tail-kept), point events
+#: and annotations per span; past a cap the rest are dropped.
+MAX_TRACES = 250
+MAX_EVENTS = 2000
+MAX_ANNOTATIONS = 64
+
 
 @dataclass(slots=True)
 class TraceConfig:
@@ -60,14 +66,11 @@ class TraceConfig:
     ``sample_rate`` is the head-based probability that a new trace is
     retained when it finishes cleanly; errored or explicitly-kept traces
     are retained regardless (tail-based), each category capped at
-    ``max_traces``.
+    :data:`MAX_TRACES`.
     """
 
     sample_rate: float = 1.0
     keep_errors: bool = True
-    max_traces: int = 250
-    max_events: int = 2000
-    max_annotations: int = 64
 
 
 class _Trace:
@@ -114,7 +117,7 @@ class Span:
 
     def annotate(self, key: str, value: Any = True) -> None:
         """Attach ``key=value`` at the current sim time (bounded)."""
-        if len(self.annotations) < self.collector.config.max_annotations:
+        if len(self.annotations) < MAX_ANNOTATIONS:
             self.annotations.append((self.collector.env.now, key, value))
 
     def finish(self, status: str = "ok") -> None:
@@ -219,11 +222,11 @@ class TraceCollector:
     def _finish_trace(self, trace: _Trace) -> None:
         self._live.pop(trace.trace_id, None)
         if trace.keep or trace.error:
-            if self._flagged_kept < self.config.max_traces:
+            if self._flagged_kept < MAX_TRACES:
                 self._flagged_kept += 1
                 self._finished.append(trace)
                 return
-        elif trace.sampled and self._sampled_kept < self.config.max_traces:
+        elif trace.sampled and self._sampled_kept < MAX_TRACES:
             self._sampled_kept += 1
             self._finished.append(trace)
             return
@@ -234,7 +237,7 @@ class TraceCollector:
     def event(self, name: str, scope: Optional[str] = None,
               **attrs: Any) -> None:
         """A point-in-time event outside any single trace."""
-        if len(self.events) >= self.config.max_events:
+        if len(self.events) >= MAX_EVENTS:
             self.dropped_events += 1
             return
         record = {"at": self.env.now, "name": name, "scope": scope}

@@ -6,9 +6,9 @@ from repro.appserver import (
     AppServer,
     AppServerConfig,
     AppServerPool,
-    BrokerConfig,
     MqttBroker,
     UpstreamConnectionPool,
+    brokers,
 )
 from repro.netsim import Endpoint
 from repro.protocols import (
@@ -131,10 +131,10 @@ def test_conn_pool_caps_idle(world):
 
 # -- MqttBroker -----------------------------------------------------------------
 
-def _broker_and_conn(world):
+def _broker_and_conn(world, monkeypatch):
+    monkeypatch.setattr(brokers, "DOWNSTREAM_PUBLISH_RATE", 0.0)
     broker_host = world.host("broker")
-    broker = MqttBroker(broker_host, BrokerConfig(
-        downstream_publish_rate=0.0))
+    broker = MqttBroker(broker_host)
     broker.start()
     origin_host = world.host("origin")
     proc = origin_host.spawn("relay")
@@ -149,8 +149,8 @@ def _broker_and_conn(world):
     return broker, origin_host, proc, result["conn"]
 
 
-def test_broker_connack_and_session(world):
-    broker, origin_host, proc, conn = _broker_and_conn(world)
+def test_broker_connack_and_session(world, monkeypatch):
+    broker, origin_host, proc, conn = _broker_and_conn(world, monkeypatch)
     got = []
 
     def flow():
@@ -166,8 +166,8 @@ def test_broker_connack_and_session(world):
     assert broker.counters.get("mqtt_connack_sent") == 1
 
 
-def test_broker_session_present_on_reconnect(world):
-    broker, origin_host, proc, conn = _broker_and_conn(world)
+def test_broker_session_present_on_reconnect(world, monkeypatch):
+    broker, origin_host, proc, conn = _broker_and_conn(world, monkeypatch)
     got = []
 
     def flow():
@@ -182,8 +182,8 @@ def test_broker_session_present_on_reconnect(world):
     assert got[0].session_present
 
 
-def test_broker_dcr_reconnect_accept_and_refuse(world):
-    broker, origin_host, proc, conn = _broker_and_conn(world)
+def test_broker_dcr_reconnect_accept_and_refuse(world, monkeypatch):
+    broker, origin_host, proc, conn = _broker_and_conn(world, monkeypatch)
     got = []
 
     def flow():
@@ -204,8 +204,8 @@ def test_broker_dcr_reconnect_accept_and_refuse(world):
     assert broker.counters.get("dcr_refused") == 1
 
 
-def test_broker_ping_and_publish(world):
-    broker, origin_host, proc, conn = _broker_and_conn(world)
+def test_broker_ping_and_publish(world, monkeypatch):
+    broker, origin_host, proc, conn = _broker_and_conn(world, monkeypatch)
     got = []
 
     def flow():
@@ -223,8 +223,8 @@ def test_broker_ping_and_publish(world):
     assert broker.sessions[2].publishes_from_user == 1
 
 
-def test_broker_publish_without_session_dropped(world):
-    broker, origin_host, proc, conn = _broker_and_conn(world)
+def test_broker_publish_without_session_dropped(world, monkeypatch):
+    broker, origin_host, proc, conn = _broker_and_conn(world, monkeypatch)
 
     def flow():
         conn.send(MqttPublish(user_id=404, topic="t", seq=1), size=60)
@@ -235,10 +235,11 @@ def test_broker_publish_without_session_dropped(world):
     assert broker.counters.get("publish_no_session") == 1
 
 
-def test_broker_downstream_publishing_and_path_loss(world):
+def test_broker_downstream_publishing_and_path_loss(world, monkeypatch):
     broker_host = world.host("broker")
-    broker = MqttBroker(broker_host, BrokerConfig(
-        downstream_publish_rate=5.0, publish_tick=0.5))
+    monkeypatch.setattr(brokers, "DOWNSTREAM_PUBLISH_RATE", 5.0)
+    monkeypatch.setattr(brokers, "PUBLISH_TICK", 0.5)
+    broker = MqttBroker(broker_host)
     broker.start()
     origin_host = world.host("origin")
     proc = origin_host.spawn("relay")
@@ -297,23 +298,24 @@ def test_pool_draining_server_does_not_bias_rotation(world):
                                            servers[3])) == [3, 3, 3]
 
 
-def _health_pool(world, count, **overrides):
-    from repro.resilience import OutlierTracker, ResilienceConfig
+def _health_pool(world, count, monkeypatch):
+    from repro.resilience import OutlierTracker, ResilienceConfig, health
     from repro.simkernel import RandomStreams
 
+    monkeypatch.setattr(health, "MIN_SAMPLES", 3)
+    monkeypatch.setattr(health, "EJECTION_JITTER", 0.0)
+    monkeypatch.setattr(health, "MAX_EJECTED_FRACTION", 1.0)
     pool, servers = _pool_of(world, count)
-    base = dict(enabled=True, min_samples=3, error_rate_threshold=0.5,
-                ejection_duration=10.0, ejection_jitter=0.0,
-                max_ejected_fraction=1.0)
-    base.update(overrides)
-    tracker = OutlierTracker(ResilienceConfig(**base), world.env,
-                             RandomStreams(1).stream("t"))
+    tracker = OutlierTracker(
+        ResilienceConfig(enabled=True, error_rate_threshold=0.5,
+                         ejection_duration=10.0),
+        world.env, RandomStreams(1).stream("t"))
     pool.attach_health(tracker)
     return pool, servers, tracker
 
 
-def test_pool_healthy_excludes_ejected(world):
-    pool, servers, tracker = _health_pool(world, 3)
+def test_pool_healthy_excludes_ejected(world, monkeypatch):
+    pool, servers, tracker = _health_pool(world, 3, monkeypatch)
     bad_ip = servers[0].host.ip
     for _ in range(3):
         pool.record_failure(bad_ip)
@@ -326,8 +328,8 @@ def test_pool_healthy_excludes_ejected(world):
     assert servers[0] not in picks
 
 
-def test_pool_panic_pick_when_all_ejected(world):
-    pool, servers, tracker = _health_pool(world, 2)
+def test_pool_panic_pick_when_all_ejected(world, monkeypatch):
+    pool, servers, tracker = _health_pool(world, 2, monkeypatch)
     for server in servers:
         for _ in range(3):
             pool.record_failure(server.host.ip)
@@ -338,8 +340,8 @@ def test_pool_panic_pick_when_all_ejected(world):
                               servers[1].host.ip)) is None
 
 
-def test_pool_ejected_server_returns_after_expiry(world):
-    pool, servers, tracker = _health_pool(world, 3)
+def test_pool_ejected_server_returns_after_expiry(world, monkeypatch):
+    pool, servers, tracker = _health_pool(world, 3, monkeypatch)
     bad_ip = servers[0].host.ip
     for _ in range(3):
         pool.record_failure(bad_ip)

@@ -17,7 +17,7 @@ from tests.proxygen.conftest import MiniStack
 
 
 @pytest.fixture
-def stack(world):
+def stack(world, quiet_brokers):
     return MiniStack(world).start()
 
 

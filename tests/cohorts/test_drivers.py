@@ -38,15 +38,13 @@ def test_condensed_driver_runs_every_modeled_client():
 
 
 def test_aggregate_driver_weights_representatives():
-    policy = CohortPolicy(fidelity="aggregate", scale=100,
-                          flows_per_representative=50)
-    deployment = _deployment(policy)
+    deployment = _deployment(CohortPolicy(fidelity="aggregate", scale=100))
     web = deployment.cohort_set.drivers_of("web")
     assert web, "no web cohorts compiled"
     per_host = deployment.spec.web_workload.clients_per_host
     for driver in web:
         assert driver.cohort.size == 100 * per_host
-        assert driver.spawned == driver.cohort.representatives(policy)
+        assert driver.spawned == driver.cohort.representatives()
         assert driver.weight * driver.spawned == driver.cohort.size
 
 

@@ -10,6 +10,7 @@ from repro.cohorts import (
     CohortSpec,
     compile_cohorts,
 )
+from repro.cohorts import spec as cohort_spec
 from repro.options import RunOptions
 
 
@@ -19,8 +20,6 @@ from repro.options import RunOptions
 def test_policy_validation():
     CohortPolicy().validate()
     for bad in (dict(fidelity="exact"), dict(scale=0),
-                dict(flows_per_representative=0),
-                dict(min_representatives=0), dict(condense_below=0),
                 dict(condense_per_event=-1)):
         with pytest.raises(ValueError):
             CohortPolicy(**bad).validate()
@@ -28,10 +27,10 @@ def test_policy_validation():
 
 def test_policy_dict_round_trip():
     policy = CohortPolicy(fidelity="aggregate", scale=100,
-                          flows_per_representative=25)
+                          condense_per_event=0)
     assert CohortPolicy.from_dict(
         {"fidelity": "aggregate", "scale": 100,
-         "flows_per_representative": 25}) == policy
+         "condense_per_event": 0}) == policy
     # Partial dicts (fuzz scenarios) fill in the defaults.
     assert CohortPolicy.from_dict({"scale": 4}).scale == 4
 
@@ -40,7 +39,7 @@ def test_policy_dict_round_trip():
 
 
 def test_auto_resolves_by_size():
-    policy = CohortPolicy(fidelity="auto", condense_below=256)
+    policy = CohortPolicy(fidelity="auto")  # CONDENSE_BELOW = 256
     small = CohortSpec(name="c0", protocol="web", size=255)
     large = CohortSpec(name="c1", protocol="web", size=256)
     assert small.resolved_fidelity(policy) == "condensed"
@@ -56,14 +55,14 @@ def test_forced_fidelity_wins_over_size():
 
 
 def test_representatives_floor_and_cap():
-    policy = CohortPolicy(flows_per_representative=50,
-                          min_representatives=4)
+    assert (cohort_spec.FLOWS_PER_REPRESENTATIVE,
+            cohort_spec.MIN_REPRESENTATIVES) == (50, 4)
     # ceil(4000 / 50) = 80 representatives.
-    assert CohortSpec("c0", "web", 4000).representatives(policy) == 80
+    assert CohortSpec("c0", "web", 4000).representatives() == 80
     # The floor kicks in for small cohorts ...
-    assert CohortSpec("c0", "web", 100).representatives(policy) == 4
+    assert CohortSpec("c0", "web", 100).representatives() == 4
     # ... but never exceeds the cohort itself.
-    assert CohortSpec("c0", "web", 3).representatives(policy) == 3
+    assert CohortSpec("c0", "web", 3).representatives() == 3
 
 
 # -- compilation --------------------------------------------------------------

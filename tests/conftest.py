@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.appserver import brokers
 from repro.metrics import MetricsRegistry
 from repro.netsim import Host, LinkProfile, Network
 from repro.cluster.base import Topology
@@ -29,6 +30,13 @@ class World:
 @pytest.fixture
 def world():
     return World()
+
+
+@pytest.fixture
+def quiet_brokers(monkeypatch):
+    """Brokers publish nothing downstream on their own (what the
+    hand-wired mini-stacks of ``tests/proxygen`` run with)."""
+    monkeypatch.setattr(brokers, "DOWNSTREAM_PUBLISH_RATE", 0.0)
 
 
 @pytest.fixture

@@ -44,7 +44,7 @@ def test_hc_flap_takes_backends_down_and_recovers():
     dep.run(until=12.0)  # all probes forced to fail since t=6
     assert dep.edge_katran.healthy_backends() == []
     assert dep.edge_katran.counters.get("hc_probe_forced_fail") > 0
-    dep.run(until=25.0)  # cleared at t=14; up_threshold=1 re-adds
+    dep.run(until=25.0)  # cleared at t=14; UP_THRESHOLD=1 re-adds
     assert len(dep.edge_katran.healthy_backends()) == 3
     assert dep.edge_katran.forced_probe_failure == {}
     faults = dep.metrics.scoped_counters("faults")

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.lb import Katran, KatranConfig, LruConnectionTable
+from repro.lb import katran as l4lb
 from repro.netsim import Endpoint, FourTuple, Protocol
 
 
@@ -46,20 +47,20 @@ def test_route_empty_pool_returns_none(world):
     assert katran.route(_flow(1)) is None
 
 
-def test_health_check_keeps_accepting_backend_up(world):
+def test_health_check_keeps_accepting_backend_up(world, monkeypatch):
     backends, _, kh = _pool(world, count=2)
-    katran = Katran(kh, backends, hc_port=443,
-                    config=KatranConfig(hc_interval=0.5))
+    monkeypatch.setattr(l4lb, "HC_INTERVAL", 0.5)
+    katran = Katran(kh, backends, hc_port=443)
     proc = kh.spawn("katran")
     katran.start(proc)
     world.env.run(until=5)
     assert katran.healthy_backends() == [b.ip for b in backends]
 
 
-def test_health_check_removes_draining_backend(world):
+def test_health_check_removes_draining_backend(world, monkeypatch):
     backends, listeners, kh = _pool(world, count=3)
-    katran = Katran(kh, backends, hc_port=443,
-                    config=KatranConfig(hc_interval=0.5, down_threshold=2))
+    monkeypatch.setattr(l4lb, "HC_INTERVAL", 0.5)
+    katran = Katran(kh, backends, hc_port=443)
     proc = kh.spawn("katran")
     katran.start(proc)
     world.env.run(until=3)
@@ -72,10 +73,10 @@ def test_health_check_removes_draining_backend(world):
     assert backends[0].ip not in routed
 
 
-def test_backend_recovers_after_resume(world):
+def test_backend_recovers_after_resume(world, monkeypatch):
     backends, listeners, kh = _pool(world, count=2)
-    katran = Katran(kh, backends, hc_port=443,
-                    config=KatranConfig(hc_interval=0.5, up_threshold=1))
+    monkeypatch.setattr(l4lb, "HC_INTERVAL", 0.5)
+    katran = Katran(kh, backends, hc_port=443)
     proc = kh.spawn("katran")
     katran.start(proc)
     world.env.run(until=2)
@@ -138,21 +139,22 @@ def test_without_lru_flap_remaps_flows(world):
     assert moved == sum(1 for f in flows if before[f] == victim_ip) > 0
 
 
-def test_probe_completing_on_timeout_tick_is_closed(world):
+def test_probe_completing_on_timeout_tick_is_closed(world, monkeypatch):
     """Regression: when the handshake completed on the very tick the
     probe timeout fired, ``with_timeout`` reported TIMED_OUT but the
     attempt event had already triggered — the close-on-late-completion
     callback was never attached and the established connection leaked,
     one per probe, forever.
 
-    The race needs hc_timeout == exactly one handshake RTT (2 × the
+    The race needs HC_TIMEOUT == exactly one handshake RTT (2 × the
     1ms test link latency) so both events land on the same tick.
     """
     backends, _, kh = _pool(world, count=1)
     fd_before = [p.fd_table.live_count()
                  for p in backends[0].live_processes()]
-    katran = Katran(kh, backends, hc_port=443,
-                    config=KatranConfig(hc_interval=0.5, hc_timeout=0.002))
+    monkeypatch.setattr(l4lb, "HC_INTERVAL", 0.5)
+    monkeypatch.setattr(l4lb, "HC_TIMEOUT", 0.002)
+    katran = Katran(kh, backends, hc_port=443)
     proc = kh.spawn("katran")
     katran.start(proc)
     world.env.run(until=20)
@@ -165,10 +167,10 @@ def test_probe_completing_on_timeout_tick_is_closed(world):
             for p in backends[0].live_processes()] == fd_before
 
 
-def test_remove_backend_decommissions_for_good(world):
+def test_remove_backend_decommissions_for_good(world, monkeypatch):
     backends, _, kh = _pool(world, count=4)
-    katran = Katran(kh, backends, hc_port=443,
-                    config=KatranConfig(hc_interval=0.5))
+    monkeypatch.setattr(l4lb, "HC_INTERVAL", 0.5)
+    katran = Katran(kh, backends, hc_port=443)
     proc = kh.spawn("katran")
     katran.start(proc)
     world.env.run(until=3)

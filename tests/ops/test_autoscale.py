@@ -4,6 +4,7 @@ import pytest
 
 from repro.cluster.deployment import Deployment
 from repro.cluster.spec import DeploymentSpec
+from repro.ops import autoscale
 from repro.ops.autoscale import (
     Autoscaler,
     AutoscalerConfig,
@@ -86,10 +87,11 @@ def test_scales_out_under_cpu_pressure():
     assert decision.size_before == 2 and decision.size_after == 3
 
 
-def test_queue_depth_trips_scale_out_at_low_cpu():
+def test_queue_depth_trips_scale_out_at_low_cpu(monkeypatch):
+    monkeypatch.setattr(autoscale, "QUEUE_DEPTH_HIGH", 5.0)
     env = Environment()
     adapter = FakeAdapter(env)
-    scaler = _scaler(env, adapter, queue_depth_high=5.0)
+    scaler = _scaler(env, adapter)
     adapter.cpu = 0.1
     adapter.queue = 9.0
     _evaluate(env, scaler)
@@ -102,10 +104,11 @@ def test_queue_depth_trips_scale_out_at_low_cpu():
     assert all(d.action == "out" for d in scaler.decisions)
 
 
-def test_scale_out_respects_max_size_and_step():
+def test_scale_out_respects_max_size_and_step(monkeypatch):
+    monkeypatch.setattr(autoscale, "SCALE_OUT_STEP", 5)
     env = Environment()
     adapter = FakeAdapter(env, size=3)
-    scaler = _scaler(env, adapter, max_size=4, step=5)
+    scaler = _scaler(env, adapter, max_size=4)
     adapter.cpu = 1.0
     _evaluate(env, scaler)
     assert adapter.size() == 4  # step clamped to the bound
@@ -185,7 +188,7 @@ def test_control_loop_runs_on_the_configured_cadence():
 
 def test_config_validation():
     for bad in (dict(min_size=0), dict(min_size=3, max_size=2),
-                dict(evaluate_interval=0.0), dict(step=0),
+                dict(evaluate_interval=0.0),
                 dict(scale_in_utilization=0.9,
                      scale_out_utilization=0.5)):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cluster.deployment import Deployment
 from repro.cluster.spec import DeploymentSpec
+from repro.ops import load
 from repro.ops.load import (
     LOAD_SHAPE_KINDS,
     MIN_SCALE,
@@ -62,16 +63,17 @@ def test_herd_holds_clients_off_then_reconnects_hot():
     assert shape.scale_at(1000.0) == pytest.approx(1.0, abs=0.05)
 
 
-def test_scale_never_below_floor():
+def test_scale_never_below_floor(monkeypatch):
+    monkeypatch.setattr(load, "BASE_SCALE", 0.01)
     config = LoadShapeConfig(kind="diurnal", trough_scale=0.001,
-                             peak_scale=1.0, base_scale=0.01)
+                             peak_scale=1.0)
     shape = LoadShape(config)
     assert shape.trough() >= MIN_SCALE
 
 
 def test_config_validation():
     for bad in (dict(kind="lunar"), dict(resolution=0.0),
-                dict(base_scale=-1.0), dict(trough_scale=0.0),
+                dict(trough_scale=0.0),
                 dict(trough_scale=2.0, peak_scale=1.0)):
         with pytest.raises(ValueError):
             LoadShape(_diurnal(**bad))
@@ -220,24 +222,19 @@ def test_controller_skips_none_populations():
     assert len(controller.populations) == 1
 
 
-# -- applies_to: rate scales are per-population -------------------------------
+# -- APPLIES_TO: rate scales are per-population -------------------------------
 
 
-def test_applies_to_validation():
-    LoadShapeConfig(applies_to="mqtt").validate()
-    with pytest.raises(ValueError):
-        LoadShapeConfig(applies_to="smtp").validate()
-
-
-def test_controller_scales_only_the_selected_kind():
+def test_controller_scales_only_the_selected_kind(monkeypatch):
     """Regression: a diurnal shape on web traffic must not scale MQTT
     herds — the controller drives only populations whose ``kind``
-    matches the shape's ``applies_to`` selector."""
+    matches the ``APPLIES_TO`` selector."""
+    monkeypatch.setattr(load, "APPLIES_TO", "web")
     env = Environment()
     web = FakePopulation("web")
     mqtt = FakePopulation("mqtt")
     quic = FakePopulation("quic")
-    shape = LoadShape(_diurnal(applies_to="web"))
+    shape = LoadShape(_diurnal())
     controller = LoadController(env, shape, [web, mqtt, quic])
     controller.start()
     env.run(until=20.0)
@@ -256,11 +253,11 @@ def test_controller_none_applies_to_keeps_driving_everything():
     assert populations[0].applied == populations[1].applied
 
 
-def test_deployment_applies_to_scopes_shape_to_one_population():
+def test_deployment_applies_to_scopes_shape_to_one_population(monkeypatch):
+    monkeypatch.setattr(load, "APPLIES_TO", "web")
     config = LoadShapeConfig(kind="flash_crowd", flash_at=2.0,
                              flash_ramp=1.0, flash_hold=4.0,
-                             flash_scale=3.0, resolution=1.0,
-                             applies_to="web")
+                             flash_scale=3.0, resolution=1.0)
     deployment = Deployment(_spec(
         mqtt_client_hosts=1,
         mqtt_workload=DeploymentSpec().mqtt_workload,

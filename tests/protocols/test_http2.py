@@ -423,7 +423,8 @@ def test_demux_dies_with_its_owning_process(world):
     assert not server.broken and not server_stream.reset
 
 
-def test_peer_fin_after_local_close_still_ends_the_connection(world):
+def test_peer_fin_after_local_close_still_ends_the_connection(
+        world, quiet_brokers):
     """``close()`` is the socket's, not the demux's: with the process
     alive, the peer's FIN still breaks the connection, resets its open
     streams and ends the accept loop."""

@@ -14,7 +14,6 @@ from repro.appserver import (
     AppServer,
     AppServerConfig,
     AppServerPool,
-    BrokerConfig,
     MqttBroker,
 )
 from repro.lb import ConsistentHashRing
@@ -23,8 +22,17 @@ from repro.protocols import BodyChunk, FrameType, H2Connection, HttpRequest
 from repro.proxygen import ProxygenConfig, ProxygenServer, ProxyTierContext
 
 
+@pytest.fixture(autouse=True)
+def _quiet_mini_stack_brokers(quiet_brokers):
+    """A :class:`MiniStack`'s broker sends no notifications of its own."""
+
+
 class MiniStack:
-    """client-host → edge proxy → origin proxy → apps/broker."""
+    """client-host → edge proxy → origin proxy → apps/broker.
+
+    Its broker publishes downstream unless the test uses the
+    ``quiet_brokers`` fixture, as every test in this package does.
+    """
 
     def __init__(self, world, edge_config=None, origin_config=None,
                  app_servers=2, app_config=None):
@@ -41,8 +49,7 @@ class MiniStack:
             self.app_servers.append(server)
 
         broker_host = world.host("broker")
-        self.broker = MqttBroker(broker_host, BrokerConfig(
-            downstream_publish_rate=0.0))
+        self.broker = MqttBroker(broker_host)
         self.broker.start()
         ring = ConsistentHashRing(replicas=30)
         ring.add(broker_host.ip)

@@ -10,6 +10,7 @@ import pytest
 from repro.clients import WebWorkloadConfig
 from repro.proxygen import ProxygenConfig
 from repro.regions import RegionalDeployment, RegionalSpec, release_all_pops
+from repro.regions import topology
 
 
 def _dep(seed, pops, proxies_per_pop, until, **kwargs):
@@ -101,14 +102,18 @@ def test_global_release_with_drain_wait_takes_batches_times_drain():
 # -- per-PoP ECMP across several L4LBs ---------------------------------------
 
 
-def _ecmp_dep(seed=3, l4lbs_per_pop=2):
+@pytest.fixture
+def two_l4lbs(monkeypatch):
+    monkeypatch.setattr(topology, "L4LBS_PER_POP", 2)
+
+
+def _ecmp_dep(seed=3):
     return _dep(seed=seed, pops=2, proxies_per_pop=3, until=20,
-                l4lbs_per_pop=l4lbs_per_pop,
                 web_workload=WebWorkloadConfig(clients_per_host=8,
                                                think_time=0.5))
 
 
-def test_ecmp_spreads_flows_over_every_l4lb():
+def test_ecmp_spreads_flows_over_every_l4lb(two_l4lbs):
     dep = _ecmp_dep()
     for pop in _pops(dep):
         assert len(pop.l4lbs) == 2
@@ -119,7 +124,7 @@ def test_ecmp_spreads_flows_over_every_l4lb():
         assert all(p > 0 for p in picks), (pop.name, picks)
 
 
-def test_all_l4lbs_of_a_pop_agree_on_backends():
+def test_all_l4lbs_of_a_pop_agree_on_backends(two_l4lbs):
     dep = _ecmp_dep()
     for pop in _pops(dep):
         healthy = {tuple(sorted(l4.healthy_backends()))
@@ -127,14 +132,14 @@ def test_all_l4lbs_of_a_pop_agree_on_backends():
         assert healthy == {tuple(sorted(h.ip for h in pop.hosts))}
 
 
-def test_all_katrans_lists_origin_and_every_pop_l4lb():
+def test_all_katrans_lists_origin_and_every_pop_l4lb(two_l4lbs):
     dep = _ecmp_dep()
     assert {k.name for k in dep.all_katrans()} == {
         "r0-origin-katran", "r0p0-katran-0", "r0p0-katran-1",
         "r0p1-katran-0", "r0p1-katran-1"}
 
 
-def test_same_seed_global_runs_are_byte_identical():
+def test_same_seed_global_runs_are_byte_identical(two_l4lbs):
     def one_run():
         dep = _ecmp_dep(seed=9)
         return {scope: dep.metrics.scoped_counters(scope).snapshot()

@@ -1,13 +1,19 @@
 """Admission control: drain-aware concurrency gate."""
 
+import pytest
+
 from repro.metrics import CounterSet
-from repro.resilience import AdmissionController, ResilienceConfig
+from repro.resilience import AdmissionController, ResilienceConfig, admission
 
 
-def _gate(max_inflight=4, drain_factor=0.5):
+@pytest.fixture(autouse=True)
+def _knobs(monkeypatch):
+    monkeypatch.setattr(admission, "DRAIN_INFLIGHT_FACTOR", 0.5)
+
+
+def _gate(max_inflight=4):
     counters = CounterSet()
     config = ResilienceConfig(enabled=True, max_inflight=max_inflight,
-                              drain_inflight_factor=drain_factor,
                               shed_retry_after=1.5)
     return counters, AdmissionController(config, counters, name="test")
 
@@ -23,7 +29,7 @@ def test_admits_until_limit_then_sheds():
 
 
 def test_draining_limit_shrinks():
-    counters, gate = _gate(max_inflight=4, drain_factor=0.5)
+    counters, gate = _gate(max_inflight=4)
     assert gate.limit() == 4
     assert gate.limit(draining=True) == 2
     assert gate.try_acquire(draining=True)
@@ -32,8 +38,9 @@ def test_draining_limit_shrinks():
     assert counters.get("admission_shed", tag="draining") == 1
 
 
-def test_draining_limit_never_below_one():
-    _, gate = _gate(max_inflight=2, drain_factor=0.1)
+def test_draining_limit_never_below_one(monkeypatch):
+    monkeypatch.setattr(admission, "DRAIN_INFLIGHT_FACTOR", 0.1)
+    _, gate = _gate(max_inflight=2)
     assert gate.limit(draining=True) == 1
 
 

@@ -1,17 +1,24 @@
 """Circuit breaker state machine: closed -> open -> half-open."""
 
+import pytest
+
 from repro.metrics import CounterSet
-from repro.resilience import BreakerBoard, CircuitBreaker, ResilienceConfig
+from repro.resilience import (
+    BreakerBoard, CircuitBreaker, ResilienceConfig, breaker as breakers)
 from repro.simkernel import Environment, RandomStreams
 
 
-def _config(**overrides):
-    base = dict(enabled=True, breaker_consecutive_failures=3,
-                breaker_error_ratio=0.5, breaker_window=8,
-                breaker_min_requests=4, breaker_open_duration=5.0,
-                breaker_open_jitter=0.0, breaker_half_open_successes=2)
-    base.update(overrides)
-    return ResilienceConfig(**base)
+@pytest.fixture(autouse=True)
+def _knobs(monkeypatch):
+    monkeypatch.setattr(breakers, "ERROR_RATIO", 0.5)
+    monkeypatch.setattr(breakers, "WINDOW", 8)
+    monkeypatch.setattr(breakers, "MIN_REQUESTS", 4)
+    monkeypatch.setattr(breakers, "OPEN_JITTER", 0.0)
+
+
+def _config():
+    return ResilienceConfig(enabled=True, breaker_consecutive_failures=3,
+                            breaker_open_duration=5.0)
 
 
 def _breaker(config=None, seed=0):
@@ -43,10 +50,11 @@ def test_trips_on_consecutive_failures():
     assert counters.get("breaker_rejected") == 1
 
 
-def test_success_resets_consecutive_count():
+def test_success_resets_consecutive_count(monkeypatch):
     # Ratio path disabled (min_requests too high) to isolate the
     # consecutive-failure counter reset.
-    _, _, breaker = _breaker(_config(breaker_min_requests=100))
+    monkeypatch.setattr(breakers, "MIN_REQUESTS", 100)
+    _, _, breaker = _breaker()
     for _ in range(10):
         breaker.record_failure()
         breaker.record_failure()
@@ -56,7 +64,7 @@ def test_success_resets_consecutive_count():
 
 def test_trips_on_window_error_ratio():
     # Alternate success/failure: never 3 consecutive, but the rolling
-    # window's failure ratio reaches breaker_error_ratio.
+    # window's failure ratio reaches ERROR_RATIO.
     _, _, breaker = _breaker()
     for _ in range(4):
         breaker.record_success()
@@ -90,10 +98,10 @@ def test_half_open_failure_retrips():
     assert counters.get("breaker_open") == 2
 
 
-def test_open_duration_jitter_is_deterministic():
-    config = _config(breaker_open_jitter=0.25)
-    _, _, one = _breaker(config, seed=3)
-    _, _, two = _breaker(config, seed=3)
+def test_open_duration_jitter_is_deterministic(monkeypatch):
+    monkeypatch.setattr(breakers, "OPEN_JITTER", 0.25)
+    _, _, one = _breaker(seed=3)
+    _, _, two = _breaker(seed=3)
     for breaker in (one, two):
         for _ in range(3):
             breaker.record_failure()

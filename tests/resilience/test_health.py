@@ -1,17 +1,24 @@
 """Outlier ejection: EWMA health, ejection windows, re-admission."""
 
+import pytest
+
 from repro.metrics import CounterSet
-from repro.resilience import OutlierTracker, ResilienceConfig
+from repro.resilience import OutlierTracker, ResilienceConfig, health
 from repro.simkernel import Environment, RandomStreams
 
 
-def _config(**overrides):
-    base = dict(enabled=True, min_samples=3, error_rate_threshold=0.5,
-                latency_threshold=1.0, ejection_duration=10.0,
-                ejection_max_duration=40.0, ejection_jitter=0.0,
-                max_ejected_fraction=0.5, ewma_alpha=0.5)
-    base.update(overrides)
-    return ResilienceConfig(**base)
+@pytest.fixture(autouse=True)
+def _knobs(monkeypatch):
+    monkeypatch.setattr(health, "MIN_SAMPLES", 3)
+    monkeypatch.setattr(health, "LATENCY_THRESHOLD", 1.0)
+    monkeypatch.setattr(health, "EJECTION_JITTER", 0.0)
+    monkeypatch.setattr(health, "EWMA_ALPHA", 0.5)
+
+
+def _config():
+    return ResilienceConfig(enabled=True, error_rate_threshold=0.5,
+                            ejection_duration=10.0,
+                            ejection_max_duration=40.0)
 
 
 def _tracker(config=None, seed=0, members=4):
@@ -35,7 +42,7 @@ def test_error_rate_ejects_after_min_samples():
     _, counters, tracker = _tracker()
     tracker.record_failure("a")
     tracker.record_failure("a")
-    assert not tracker.is_ejected("a")  # below min_samples
+    assert not tracker.is_ejected("a")  # below MIN_SAMPLES
     tracker.record_failure("a")
     assert tracker.is_ejected("a")
     assert counters.get("outlier_ejected") == 1
@@ -99,10 +106,10 @@ def test_max_ejected_fraction_suppresses():
     assert counters.get("outlier_ejection_suppressed") >= 1
 
 
-def test_jitter_varies_but_is_deterministic():
-    config = _config(ejection_jitter=0.25)
-    _, _, one = _tracker(config, seed=7)
-    _, _, two = _tracker(config, seed=7)
+def test_jitter_varies_but_is_deterministic(monkeypatch):
+    monkeypatch.setattr(health, "EJECTION_JITTER", 0.25)
+    _, _, one = _tracker(seed=7)
+    _, _, two = _tracker(seed=7)
     for tracker in (one, two):
         for _ in range(3):
             tracker.record_failure("a")

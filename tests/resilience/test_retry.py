@@ -1,35 +1,36 @@
 """Retry budgets (token bucket) and jittered exponential backoff."""
 
+import pytest
+
 from repro.metrics import CounterSet
-from repro.resilience import BackoffPolicy, ResilienceConfig, RetryBudget
+from repro.resilience import BackoffPolicy, RetryBudget, retry
 from repro.simkernel import RandomStreams
 
 
-def _config(**overrides):
-    base = dict(enabled=True, retry_base_delay=0.1,
-                retry_backoff_factor=2.0, retry_max_delay=1.0,
-                retry_jitter=0.0)
-    base.update(overrides)
-    return ResilienceConfig(**base)
+@pytest.fixture(autouse=True)
+def _knobs(monkeypatch):
+    monkeypatch.setattr(retry, "BASE_DELAY", 0.1)
+    monkeypatch.setattr(retry, "MAX_DELAY", 1.0)
+    monkeypatch.setattr(retry, "JITTER", 0.0)
 
 
 def test_backoff_zero_before_first_retry():
-    policy = BackoffPolicy(_config(), RandomStreams(0).stream("r"))
+    policy = BackoffPolicy(RandomStreams(0).stream("r"))
     assert policy.delay(0) == 0.0
 
 
 def test_backoff_exponential_then_capped():
-    policy = BackoffPolicy(_config(), RandomStreams(0).stream("r"))
+    policy = BackoffPolicy(RandomStreams(0).stream("r"))
     assert policy.delay(1) == 0.1
     assert policy.delay(2) == 0.2
     assert policy.delay(3) == 0.4
-    assert policy.delay(10) == 1.0  # retry_max_delay
+    assert policy.delay(10) == 1.0  # MAX_DELAY
 
 
-def test_backoff_jitter_bounds_and_determinism():
-    config = _config(retry_jitter=0.5)
-    one = BackoffPolicy(config, RandomStreams(5).stream("r"))
-    two = BackoffPolicy(config, RandomStreams(5).stream("r"))
+def test_backoff_jitter_bounds_and_determinism(monkeypatch):
+    monkeypatch.setattr(retry, "JITTER", 0.5)
+    one = BackoffPolicy(RandomStreams(5).stream("r"))
+    two = BackoffPolicy(RandomStreams(5).stream("r"))
     for attempt in range(1, 8):
         d1, d2 = one.delay(attempt), two.delay(attempt)
         assert d1 == d2  # same seed, same draws

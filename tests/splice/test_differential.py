@@ -1,7 +1,7 @@
 """The splice fast path's headline proof: differential fidelity.
 
 Same seed, same finite-work deployment (every client stops after
-``max_requests``, all terminal well before the horizon), run twice —
+``MAX_REQUESTS``, all terminal well before the horizon), run twice —
 splice on vs splice off.  The spliced run collapses each bulk upload's
 chunk train into one transfer event, so its *event schedule* differs by
 design; its *outcomes* must not.  The contract, pinned empirically and
@@ -27,6 +27,7 @@ enforced here:
 
 import pytest
 
+from repro.clients import web
 from repro.clients.web import WebWorkloadConfig
 from repro.experiments.common import (build_deployment,
                                       build_regional_deployment)
@@ -50,14 +51,18 @@ MECHANISMS = ("takeover_", "dcr_", "ppr_")
 HORIZON = 240.0
 
 
+@pytest.fixture(autouse=True)
+def _finite_work(monkeypatch):
+    monkeypatch.setattr(web, "MAX_REQUESTS", 6)
+
+
 def _workload() -> WebWorkloadConfig:
     # Every post crosses min_bulk_bytes (128 kB) so the governor sees
-    # real work; max_requests makes the run finite so both arms settle.
+    # real work; MAX_REQUESTS makes the run finite so both arms settle.
     return WebWorkloadConfig(clients_per_host=6, think_time=1.0,
                              post_fraction=0.5,
                              post_size_min=400_000,
-                             post_size_cap=2_000_000,
-                             max_requests=6)
+                             post_size_cap=2_000_000)
 
 
 def _build(seed: int, splice: bool, fault_plan=None):

@@ -266,14 +266,16 @@ def test_apply_precedence_and_no_mutation():
     assert regional.splice == SpliceConfig()
 
 
-def test_spec_lb_scheme_reaches_every_katran_on_both_builders():
+def test_spec_lb_scheme_reaches_every_katran_on_both_builders(monkeypatch):
     """``RegionalSpec.lb_scheme`` used to be declared but ignored."""
     from repro import Deployment, DeploymentSpec
+    from repro.regions import topology
 
+    monkeypatch.setattr(topology, "L4LBS_PER_POP", 2)
     for dep in (Deployment(DeploymentSpec(lb_scheme="stateless")),
                 RegionalDeployment(RegionalSpec(regions=1,
                                                 lb_scheme="stateless")),
-                RegionalDeployment(RegionalSpec(regions=2, l4lbs_per_pop=2,
+                RegionalDeployment(RegionalSpec(regions=2,
                                                 lb_scheme="stateless"))):
         katrans = dep.all_katrans()
         assert len(katrans) >= 2
@@ -334,9 +336,6 @@ def test_cli_rejects_bad_arguments(capsys):
     # silently dropped.
     for flag, value, parent in (("--trace-json", "x.json", "--trace"),
                                 ("--cohort-fidelity", "aggregate",
-                                 "--cohorts"),
-                                ("--faults-at", "3", "--faults"),
-                                ("--faults-duration", "10", "--faults"),
-                                ("--load-horizon", "10", "--load-shape")):
+                                 "--cohorts")):
         assert main(["fig09", flag, value]) == 2
         assert capsys.readouterr().err == f"{flag} requires {parent}\n"

@@ -4,6 +4,7 @@ import json
 
 from repro.simkernel import RandomStreams
 from repro.trace import Span, TraceCollector, TraceConfig
+from repro.trace import collector as caps
 from repro.trace.render import (interesting_traces, render_trace,
                                 render_trace_report)
 
@@ -79,8 +80,9 @@ def test_keep_errors_false_disables_tail_retention():
     assert collector.dropped_traces == 1
 
 
-def test_sampled_and_flagged_caps_are_separate():
-    collector = make_collector(TraceConfig(sample_rate=1.0, max_traces=2))
+def test_sampled_and_flagged_caps_are_separate(monkeypatch):
+    monkeypatch.setattr(caps, "MAX_TRACES", 2)
+    collector = make_collector(TraceConfig(sample_rate=1.0))
     for _ in range(4):
         collector.start_trace("clean").finish("ok")
     for _ in range(4):
@@ -91,9 +93,10 @@ def test_sampled_and_flagged_caps_are_separate():
     assert collector.dropped_traces == 4
 
 
-def test_annotation_and_event_caps():
-    collector = make_collector(
-        TraceConfig(max_annotations=2, max_events=1))
+def test_annotation_and_event_caps(monkeypatch):
+    monkeypatch.setattr(caps, "MAX_ANNOTATIONS", 2)
+    monkeypatch.setattr(caps, "MAX_EVENTS", 1)
+    collector = make_collector()
     span = collector.start_trace("req")
     for i in range(5):
         span.annotate("k", i)

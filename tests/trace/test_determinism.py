@@ -31,8 +31,7 @@ def _traced_run(seed: int) -> str:
         specs=[FaultSpec(kind="slow_host", where="appserver-0", at=4.0,
                          duration=3.0, params={"speed_factor": 0.5})],
         description="deterministic slowdown")
-    options = RunOptions(trace=TraceConfig(sample_rate=1.0,
-                                           max_traces=500),
+    options = RunOptions(trace=TraceConfig(sample_rate=1.0),
                          fault_plan=plan)
     deployment = build_deployment(
         seed=seed, edge_proxies=2, origin_proxies=1,
