@@ -33,13 +33,11 @@ def with_timeout(env: Environment, event: Event, timeout: float):
         # Whoever won — or if the event failed, or we were interrupted
         # — do not leave a dead deadline in the heap.  Detach our
         # callback first: ``Timeout.cancel`` only tombstones a timeout
-        # nobody waits on (the reference kernel's cannot be cancelled).
+        # nobody waits on.
         callbacks = deadline.callbacks
         if callbacks is not None:
             callbacks.remove(race._check)
-            cancel = getattr(deadline, "cancel", None)
-            if cancel is not None:
-                cancel()
+            deadline.cancel()
     if event in result:
         return result[event]
     # Cancel the pending get if the event supports it, so an unread

@@ -114,9 +114,8 @@ class TcpEndpoint:
         #: VIP in ``remote`` when an L4LB routed the connection).
         self.remote_host_ip = remote_host_ip
         self.inbox: Store = kernel.env.make_store()
-        #: Arrival hand-off: wakes a parked reader in place where the
-        #: kernel can (the frozen reference store only has ``put``).
-        self.inbox_deliver = getattr(self.inbox, "deliver", self.inbox.put)
+        #: Arrival hand-off: wakes a parked reader in place.
+        self.inbox_deliver = self.inbox.deliver
         self.owner: Optional["SimProcess"] = None
         self.conn: Optional[TcpConnection] = None
         self.peer: Optional["TcpEndpoint"] = None
@@ -238,7 +237,7 @@ class UdpSocket:
         self.reuseport = reuseport
         self.inbox: Store = kernel.env.make_store()
         #: Arrival hand-off, as :attr:`TcpEndpoint.inbox_deliver`.
-        self.inbox_deliver = getattr(self.inbox, "deliver", self.inbox.put)
+        self.inbox_deliver = self.inbox.deliver
         self.closed = False
 
     def sendto(self, payload: Any, dst: Endpoint, size: int = 100,

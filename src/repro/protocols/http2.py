@@ -201,9 +201,9 @@ class H2Connection:
         self.goaway_last_stream_id: Optional[int] = None
         self._highest_peer_stream = 0
         self.broken = False
-        #: ``Store.deliver`` (the frozen reference store only has ``put``).
-        store = type(self.incoming)
-        self._wake = getattr(store, "deliver", store.put)
+        #: ``Store.deliver``, unbound: it wakes whichever inbox it is
+        #: handed.
+        self._wake = type(self.incoming).deliver
 
     # -- lifecycle ------------------------------------------------------------
 

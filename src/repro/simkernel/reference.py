@@ -183,6 +183,10 @@ class Timeout(Event):
     def delay(self) -> float:
         return self._delay
 
+    def cancel(self) -> None:
+        """A no-op: this kernel pops a timeout nobody waits on as it
+        always did (the live kernel tombstones it)."""
+
 
 class Initialize(Event):
     """Internal event used to start a new :class:`Process`."""
@@ -618,6 +622,9 @@ class Store:
     def put(self, item: Any) -> StorePutEvent:
         """Queue ``item`` for storage; returns an event."""
         return StorePutEvent(self, item)
+
+    #: The live store's in-place hand-off; here it schedules, as ``put``.
+    deliver = put
 
     def get(self, timeout: Optional[float] = None) -> Event:
         """Request the next item; returns an event (raced against

@@ -30,15 +30,14 @@ event only where a process can be parked on it:
   pending then (``events.Process._bound``).
 
 The frozen kernel in :mod:`repro.simkernel.reference` still schedules
-every put, get and finish (its ``Store`` has no ``deliver``; callers
-bind ``getattr(store, "deliver", store.put)``), and races each get
-under a deadline against a timeout of its own.  A put event had no
-waiter — it popped as a no-op — and removing a no-op from the schedule
-changes no other pop; a getter woken by ``deliver`` resumes its process
-one same-instant hop earlier, which could reorder something only
-through an exact float-time tie with a third event (a delivery timeout
-that advances the clock pops with both same-instant lanes empty).  So a
-run here differs from a reference run in the scheduled-event count
+every put, get and finish (its ``Store.deliver`` is its ``put``), and
+races each get under a deadline against a timeout of its own.  A put
+event had no waiter — it popped as a no-op — and removing a no-op from
+the schedule changes no other pop; a getter woken by ``deliver``
+resumes its process one same-instant hop earlier, which could reorder
+something only through an exact float-time tie with a third event (a
+delivery timeout that advances the clock pops with both same-instant
+lanes empty).  So a run here differs from a reference run in the scheduled-event count
 (``env._eid``) and in nothing a model observes:
 ``tests/perf/test_differential.py`` holds every other field equal.
 

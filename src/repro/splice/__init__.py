@@ -120,9 +120,7 @@ class SpliceGovernor:
                 callbacks.remove(race._check)
             except ValueError:  # pragma: no cover - defensive
                 pass
-            cancel = getattr(pacing, "cancel", None)
-            if cancel is not None:
-                cancel()
+            pacing.cancel()
         return False
 
     def note_bulk(self, size: int, chunks: int) -> None:
