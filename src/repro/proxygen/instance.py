@@ -344,6 +344,9 @@ class ProxygenInstance:
         while conn.alive:
             item = yield conn.recv()
             if isinstance(item, StreamControl):
+                # The peer is gone (a Katran health probe closes right
+                # after connecting): close our end too.
+                conn.close()
                 return
             payload = item.payload
             if isinstance(payload, TlsClientHello):
@@ -480,7 +483,8 @@ class ProxygenInstance:
         try:
             while h2.alive:
                 stream = yield h2.accept_stream()
-                if stream is None:  # the transport died
+                if stream is None:  # the transport died: close our end
+                    conn.close()
                     return
                 self.process.run(self._serve_origin_stream(stream))
         finally:

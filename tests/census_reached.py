@@ -132,9 +132,6 @@ ALLOWLIST: dict[str, str] = {
     "repro.proxygen.tunnels:OriginMqttTunnel._refuse":
         "error path: the Origin finds no broker for a user, or the broker "
         "refuses or resets the tunnel's connection",
-    "repro.resilience.health:OutlierTracker.note_panic_pick":
-        "error path: every app server in rotation is ejected "
-        "(tests/appserver/test_pool_brokers.py)",
     "repro.protocols.quic:QuicStateTable.remove":
         "expiry past every run's horizon: QUIC state older than 60 s "
         "(proxygen/udp.py expire_loop)",

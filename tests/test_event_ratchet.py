@@ -180,17 +180,10 @@ def test_the_post_relay_leaves_no_race_for_the_collector(bulk_posts):
         garbage.most_common(8))
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "Katran health-probe connections are never closed by the proxy: "
-    "after the probe's FIN the serve loop returns without close(). "
-    "Measured on web_zdr, seed 0, t = 60: 514 Edge and 168 Origin "
-    "endpoints have fin_received set and are not closed, every one with "
-    "a Katran host as peer; they stay in SimProcess._endpoints, keep 792 "
-    "of the run's 872 dead endpoints alive through .peer, count in "
-    "connection_count() (read by fig17's memory model) and are "
-    "aborted at drain end as tcp_rst_sent{process_exit}. "
-    "Closing them on FIN moves those counters, so it is its own change."))
 def test_a_health_probe_connection_is_closed_by_the_proxy(released):
+    """Katran probes by connecting and closing; the proxy closes its end
+    on the probe's FIN, so no probe endpoint stays in its process, counts
+    in ``connection_count()`` or is aborted at drain end."""
     deployment, _, _ = released
     katran_ips = {katran.host.ip for katran in deployment.all_katrans()}
     instances = _instances(deployment.edge_servers + deployment.origin_servers)
