@@ -37,8 +37,8 @@ the schedule changes no other pop; a getter woken by ``deliver``
 resumes its process one same-instant hop earlier, which could reorder
 something only through an exact float-time tie with a third event (a
 delivery timeout that advances the clock pops with both same-instant
-lanes empty).  So a run here differs from a reference run in the scheduled-event count
-(``env._eid``) and in nothing a model observes:
+lanes empty).  So a run here differs from a reference run in the
+scheduled-event count (``env._eid``) and in nothing a model observes:
 ``tests/perf/test_differential.py`` holds every other field equal.
 
 Construct a store through the

@@ -190,7 +190,8 @@ def parameters_never_passed(harnesses: dict, sources: dict) -> list:
                     passed.update(k.arg for k in node.keywords)
     return sorted(f"{name}.{parameter}"
                   for name, parameters in harness_parameters(harnesses).items()
-                  for parameter in parameters if parameter not in passed)
+                  for parameter in parameters
+                  if parameter not in passed)
 
 
 def _read(*tops: str) -> dict:
@@ -198,7 +199,7 @@ def _read(*tops: str) -> dict:
             for top in tops for path in sorted((ROOT / top).rglob("*.py"))}
 
 
-def test_every_config_field_is_set_by_some_run():
+def test_every_config_field_is_set_by_some_caller():
     classes = declared(_read("src/repro"))
     assert len(classes) > 15 and "DeploymentSpec" in classes
     all_fields = {name for fields, _ in classes.values() for name in fields}
