@@ -23,7 +23,7 @@ def with_timeout(env: Environment, event: Event, timeout: float):
     other parties also decide or wait on (a connect attempt, a process,
     a condition).  A wait on the caller's own event — a receive — takes
     its deadline as an argument instead (``recv(timeout=...)``,
-    ``env.within``): no race, and one timer per process.
+    ``env.within``): no race, and no timer per wait.
     """
     deadline = env.timeout(timeout, value=TIMED_OUT)
     race = env.any_of([event, deadline])

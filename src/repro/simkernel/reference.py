@@ -37,7 +37,7 @@ frozen: the live ``Store`` is compared against it.
 What it carries that the historical text did not: a wait under a
 deadline (``env.within``, ``Store.get(timeout=...)``) is the race the
 model once built around each such wait (:class:`Within`), so the live
-kernel's one timer per process is compared against it.
+kernel's deadline heap is compared against it.
 """
 
 from __future__ import annotations

@@ -24,10 +24,10 @@ event only where a process can be parked on it:
 * Likewise a process that finishes successfully with no callback
   registered is born processed (``events.Process._finish``).
 * ``Store.get(timeout=...)`` schedules nothing for its deadline unless
-  the waiting process's one timer is unarmed (or armed too late): the
-  timer re-arms itself at the deadline it defers to, and expires the
-  get (withdrawn, succeeded with ``TIMED_OUT``) only if it is still
-  pending then (``events.Process._bound``).
+  it becomes the head of the environment's deadline heap, which keeps
+  one schedule entry; the heap expires the get (withdrawn, succeeded
+  with ``TIMED_OUT``) only if it is still pending at its deadline
+  (``events.Process._bound``).
 
 The frozen kernel in :mod:`repro.simkernel.reference` still schedules
 every put, get and finish (its ``Store.deliver`` is its ``put``), and

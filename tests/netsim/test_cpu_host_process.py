@@ -93,7 +93,7 @@ def test_cpu_costs_defaults_sane():
     assert costs.relay_message < costs.http_request
 
 
-# -- the core pool: a counter and a FIFO of grants ---------------------------
+# -- the core pool: a counter and a FIFO of waiters --------------------------
 
 
 def test_cpu_serializes_executions():
@@ -194,8 +194,9 @@ def test_cpu_waiter_interrupted_after_its_grant_passes_the_core_on():
 
     def holder():
         yield from cpu.execute(10.0)
-        # The release just scheduled the first waiter's grant; it has
-        # not popped, so the waiter holds the core without running.
+        # The release just handed the first waiter the core: its work's
+        # timeout is scheduled, and the waiter holds the core without
+        # having run.
         assert (cpu.busy, cpu.queue_length) == (1, 1)
         waiters[0].interrupt("killed")
 

@@ -22,10 +22,12 @@ compare:
 The one field that must differ is the number of scheduled events
 (``env._eid``): the reference kernel schedules every store put, a
 race event per ``with_timeout`` and the get each network delivery
-satisfies; the live kernel schedules only the events some process
-waits on.  A host's cores are not kernel code: ``CpuModel`` keeps them
-as a counter and queues ``env.event()`` grants, the same way on both
-kernels.  Everything else
+satisfies, and races a timeout per wait under a deadline; the live
+kernel schedules only the events some process waits on, and its
+deadlines wait in one heap with one schedule entry.  A host's cores are
+not kernel code: ``CpuModel`` keeps them as a counter and a FIFO of
+waiters, whose work a freed core starts with one ``env.timeout``, the
+same way on both kernels.  Everything else
 staying equal *is* the proof that the elided events were never
 observed.
 
@@ -38,6 +40,7 @@ the same ``Condition`` in both arms, and fails here.
 
 import contextlib
 import dataclasses
+import random
 
 import pytest
 
@@ -45,6 +48,9 @@ from repro.fuzz.runner import run_scenario
 from repro.fuzz.scenario import generate_scenario
 from repro.invariants import checkers as checkers_mod
 from repro.invariants.base import InvariantChecker
+from repro.netsim import CpuModel
+from repro.simkernel import Environment
+from repro.simkernel.events import TIMED_OUT, Interrupt
 from tests.differential import full_snapshot
 from repro.simkernel import events as live_kernel
 from repro.simkernel import reference as reference_kernel
@@ -229,3 +235,102 @@ def test_figure_experiment_counts_real_traffic():
                  for key, value in counters.items()
                  if key.endswith("get_ok") or key.endswith("served"))
     assert served > 0, "differential deployment carried no traffic"
+
+
+# -- saturated cores and one-shot deadlines -----------------------------------
+
+
+def _saturated_host(env=None):
+    """Work arriving faster than two cores serve it, so most executions
+    queue and are handed a core when another ends; waiters interrupted
+    while queued, at the instant of their hand-off (by the execution that
+    just ended) or mid-work; and beside each execution a short-lived
+    process that waits once under a deadline, answered in time or not.
+    Returns everything the run observed."""
+    with only_kernel(env):
+        env = Environment() if env is None else env
+        cpu = CpuModel(env, cores=2, speed=10.0, bucket_width=0.5)
+        rng = random.Random(11)
+        workers, log = [], []
+
+        def interrupt_one(candidates, why):
+            alive = [p for p in candidates
+                     if p.is_alive and p is not env.active_process]
+            if alive:
+                rng.choice(alive).interrupt(why)
+
+        def work(name, units):
+            try:
+                yield from cpu.execute(units)
+            except Interrupt as interrupt:
+                log.append(("interrupted", name, interrupt.cause, env.now,
+                            cpu.busy, cpu.queue_length))
+                return
+            log.append(("done", name, env.now, cpu.queue_length))
+            if rng.random() < 0.15:
+                # Whoever was just handed this core, or another waiter.
+                interrupt_one(workers[-8:], "at-release")
+
+        def exchange(name, deadline, answer_after):
+            store = env.make_store()
+            if answer_after is not None:
+                env.timeout(answer_after).callbacks.append(
+                    lambda _event: store.put(name))
+            outcome = yield store.get(timeout=deadline)
+            log.append(("exchange", name, outcome is TIMED_OUT, env.now))
+
+        def driver():
+            for name in range(240):
+                yield env.timeout(rng.expovariate(14.0))
+                workers.append(env.process(work(name, rng.uniform(0.5, 3.0))))
+                deadline = rng.uniform(0.05, 0.3)
+                answer_after = rng.choice((None, rng.uniform(0.01, 0.4)))
+                env.process(exchange(name, deadline, answer_after))
+                if rng.random() < 0.1:
+                    interrupt_one(workers[-6:], "queued")
+                if rng.random() < 0.1:
+                    interrupt_one(workers[:-6], "mid-work")
+
+        env.process(driver())
+        env.run()
+    return {"log": log, "buckets": dict(cpu.tracker.busy._buckets),
+            "busy_s": cpu.total_busy_seconds, "now": env.now,
+            "eid": env._eid}
+
+
+def test_saturated_cores_and_one_shot_deadlines_bit_identical():
+    """Both kernels run the same ``CpuModel``, whose hand-off gives a
+    waiter's callbacks to the timeout of its work and leaves an
+    interrupt to remove the waiter from them; the live kernel keeps the
+    deadlines in one heap, the reference races a timeout per wait.
+    Everything the run observed is equal; only the event count
+    differs."""
+    live = _saturated_host()
+    ref = _saturated_host(env=ReferenceEnvironment())
+    assert live.pop("eid") < ref.pop("eid")
+    assert live == ref
+    log = live["log"]
+    # Not vacuous: executions queued, interrupts landed in every way,
+    # and deadlines both fired and were beaten.
+    assert max(entry[3] for entry in log if entry[0] == "done") >= 5
+    causes = {entry[2] for entry in log if entry[0] == "interrupted"}
+    assert causes == {"queued", "at-release", "mid-work"}
+    assert {entry[2] for entry in log if entry[0] == "exchange"} == {
+        True, False}
+
+
+def test_closing_a_discarded_runs_executions_builds_no_event():
+    """The collector closes a discarded run's generators whenever it
+    runs — during the other kernel's arm, say.  An execution closed
+    after its hand-off passes the core on with a grant, so that builds
+    no event of either kernel."""
+    env = Environment()
+    cpu = CpuModel(env, cores=1, speed=1.0)
+    works = [cpu.execute(5.0) for _ in range(3)]
+    for work in works:
+        env.process(work)
+    env.run(until=1.0)  # one holds the core, two queue
+    with only_kernel(ReferenceEnvironment()):  # the live kernel is foreign
+        for work in works:
+            work.close()
+    assert cpu.busy == 0 and cpu.queue_length == 0

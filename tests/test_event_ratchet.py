@@ -32,17 +32,21 @@ from repro.protocols.http2 import H2Stream
 from repro.proxygen.config import ProxygenConfig
 from repro.simkernel.resources import Store
 
-#: Measured when the ceiling was last set: 18,111 events over 1,792 ops
-#: = 10.11 (11.18 while every receive under a deadline pushed its own
+#: Measured when the ceiling was last set: 17,109 events over 1,786 ops
+#: = 9.58 (10.22 while a queued CPU execution was granted its core by an
+#: event of its own and each process's deadline timer sat in the
+#: schedule; 11.18 while every receive under a deadline pushed its own
 #: timeout; 13.16 before the H2 demux moved into the delivery
 #: callback).  The ceiling sits 2 % above it.
-CEILING = 10.31
+CEILING = 9.77
 
 #: Bulk uploads: ``CHUNKS`` chunks of ``CHUNK_SIZE`` bytes each.
-#: Measured when the ceiling was last set: 24,673 events over 95
-#: uploads = 6.49 per chunk (6.54 with a timeout per receive under a
-#: deadline; 7.54 while the Origin's POST relay raced its two sources
-#: per chunk).  The ceiling sits 2 % above it.
+#: Measured when the ceiling was last set: 24,660 events over 95
+#: uploads = 6.49 per chunk (6.52 with a grant event per queued CPU
+#: execution and a deadline timer per process in the schedule; 6.54
+#: with a timeout per receive under a deadline; 7.54 while the Origin's
+#: POST relay raced its two sources per chunk).  The ceiling sits 2 %
+#: above it.
 CHUNKS, CHUNK_SIZE = 40, 16_000
 CHUNK_CEILING = 6.62
 
@@ -73,12 +77,13 @@ def released():
     deployment.start()
     deployment.run(until=10.0)  # every client connected
     env = deployment.env
-    events, ops = env._eid, _ops(deployment)
+    events, ops = env.stats()["events"], _ops(deployment)
     release = RollingRelease(env, deployment.edge_servers[:1],
                              RollingReleaseConfig(batch_fraction=1.0))
     env.process(release.execute())
     deployment.run(until=30.0)
-    return deployment, env._eid - events, _ops(deployment) - ops
+    return (deployment, env.stats()["events"] - events,
+            _ops(deployment) - ops)
 
 
 def _instances(servers):
@@ -140,7 +145,7 @@ def bulk_posts():
     deployment.start()
     deployment.run(until=10.0)
     env = deployment.env
-    events = env._eid
+    events = env.stats()["events"]
     uploads = deployment.metrics.aggregate("post_ok",
                                            scope_prefix="web-clients")
     env.process(deployment.app_servers[0].restart())
@@ -156,7 +161,7 @@ def bulk_posts():
         gc.garbage.clear()
     uploads = deployment.metrics.aggregate(
         "post_ok", scope_prefix="web-clients") - uploads
-    return (env._eid - events, uploads,
+    return (env.stats()["events"] - events, uploads,
             deployment.metrics.aggregate("ppr_379_received"), garbage)
 
 
