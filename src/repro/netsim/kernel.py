@@ -103,18 +103,17 @@ class Kernel:
 
         if network.host(via) is None:
             # No such host: behave like an ICMP unreachable after one RTT.
-            timeout = self.env.timeout(0.001)
-            timeout.callbacks.append(lambda _ev: _fail_refused(result))
+            self.env.call_later(0.001, _fail_refused, result)
             return result
 
-        def syn_arrives() -> None:
+        def syn_arrives(_item) -> None:
             dst_host = network.host(via)
             if dst_host is None:
                 _fail_refused(result)
                 return
             dst_host.kernel._handle_syn(flow, client_end, src_host, result)
 
-        network.transmit(src_host, via, _call, syn_arrives, size=SYN_SIZE)
+        network.transmit(src_host, via, syn_arrives, None, size=SYN_SIZE)
         return result
 
     def tcp_connect_within(self, process: "SimProcess", dst: Endpoint,
@@ -153,12 +152,14 @@ class Kernel:
 
     def _handle_syn(self, flow: FourTuple, client_end: TcpEndpoint,
                     src_host: "Host", result: Event) -> None:
-        """Server-side SYN processing: accept-queue or RST."""
+        """Server-side SYN processing: accept-queue or RST.  The accept
+        hand-off is its last act, after the SYN-ACK's jitter draw, where
+        the accept loop ran when it was scheduled."""
         listener = self.tcp_listeners.get(flow.dst)
         network = self.host.network
 
-        def reply(action) -> None:
-            network.transmit(self.host, src_host.ip, _call, action,
+        def reply(receiver, item) -> None:
+            network.transmit(self.host, src_host.ip, receiver, item,
                              size=SYN_SIZE)
 
         if (listener is None or listener.closed or not listener.accepting
@@ -167,17 +168,17 @@ class Kernel:
                 else "syn_while_draining" if not listener.accepting \
                 else "accept_queue_full"
             self.count_rst_sent(reason)
-            reply(lambda: _fail_refused(result))
+            reply(_fail_refused, result)
             return
 
         server_end = TcpEndpoint(self, flow.dst, flow.src, src_host.ip)
         TcpConnection(flow, client_end, server_end)
-        listener.accept_queue.put(server_end)
         self._c_accepted.inc()
         # Tagged by source so experiments can separate e.g. L4 health
         # probes from real connection-establishment storms.
         self.host.counters.inc("tcp_accepted_from", tag=src_host.name)
-        reply(lambda: result.succeed(client_end))
+        reply(result.deliver, client_end)
+        listener.accept_queue.deliver(server_end)
 
     # -- TCP: data plane ---------------------------------------------------------
 
@@ -236,10 +237,10 @@ class Kernel:
         self.host.network.transmit(self.host, via_ip, self._datagram_arrives,
                                    (datagram, via_ip), size=datagram.size)
 
-    def _datagram_arrives(self, arrival: Event) -> None:
+    def _datagram_arrives(self, arrival: tuple[Datagram, str]) -> None:
         """Sender-side delivery callback: the destination host is looked
         up at arrival time (it may have gone since the send)."""
-        datagram, via_ip = arrival._value
+        datagram, via_ip = arrival
         dst_host = self.host.network.host(via_ip)
         if dst_host is not None:
             dst_host.kernel._handle_datagram(datagram)
@@ -255,12 +256,6 @@ class Kernel:
             return
         self._c_udp_delivered.inc()
         sock.inbox_deliver(datagram)
-
-
-def _call(event: Event) -> None:
-    """Delivery callback for the handshake paths, whose item is a
-    closure (a few per connection; data and datagrams carry theirs)."""
-    event._value()
 
 
 def _close_if_established(attempt: Event) -> None:

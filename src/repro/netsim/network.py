@@ -20,7 +20,6 @@ from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from ..metrics.counters import CounterSet
 from ..simkernel.core import Environment
-from ..simkernel.events import Event
 from ..simkernel.rng import RandomStreams
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -187,13 +186,13 @@ class Network:
         self.drop_counters.inc("dropped_cause", tag=cause)
 
     def transmit(self, src: "Host", dst_ip: str,
-                 receiver: Callable[[Event], None], item: Any,
+                 receiver: Callable[[Any], None], item: Any,
                  size: int = 100, not_before: float = 0.0) -> float:
         """Hand ``item`` to ``receiver`` after the link delay (or drop it).
 
-        The delivery is one ``Timeout`` carrying ``item`` as its value
-        with ``receiver`` as its only callback, so ``receiver`` takes
-        the event and reads ``event._value``.
+        The delivery is one call entry (``env.call_later``): one event,
+        at the key its timeout had, and the run loop calls
+        ``receiver(item)``.
 
         ``not_before`` floors the arrival time — stream transports use it
         to keep per-connection delivery in order (a small message sent
@@ -235,5 +234,5 @@ class Network:
         if profile.loss > 0 and rng.random() < profile.loss:
             self._drop(src, dst, "loss")
             return arrival
-        env.timeout(arrival - now, item).callbacks.append(receiver)
+        env.call_later(arrival - now, receiver, item)
         return arrival

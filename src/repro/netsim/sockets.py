@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Optional
 
-from ..simkernel.events import Event
 from ..simkernel.resources import Store, StoreGetEvent
 from .addresses import Endpoint, FourTuple, Protocol
 from .errors import ConnectionResetSim, SocketClosedSim
@@ -192,10 +191,9 @@ class TcpEndpoint:
 
     # -- kernel-side receive ---------------------------------------------------
 
-    def deliver(self, arrival: Event) -> None:
-        """Delivery-timeout callback: the message ``arrival`` carries
-        has reached this endpoint."""
-        item = arrival._value
+    def deliver(self, item) -> None:
+        """Delivery callback (``Network.transmit``): ``item`` has
+        reached this endpoint."""
         if isinstance(item, StreamControl):
             if item.kind == ControlType.RST:
                 self.reset = True

@@ -86,9 +86,8 @@ class UnixChannelEnd:
             description.incref()  # the in-flight reference
             descriptions.append(description)
         message = UnixMessage(payload=payload, descriptions=descriptions)
-        peer = self.peer
-        timeout = self.host.env.timeout(LOCAL_IPC_DELAY)
-        timeout.callbacks.append(lambda _ev: peer.inbox.put(message))
+        self.host.env.call_later(LOCAL_IPC_DELAY, self.peer.inbox.put,
+                                 message)
 
     def recv(self, timeout: Optional[float] = None) -> Event:
         """``recvmsg``: event yielding ``(payload, [new_fds])`` — or,
@@ -156,10 +155,9 @@ def unix_connect(host: "Host", process: "SimProcess", path: str) -> Event:
     client_end.peer = server_end
     server_end.peer = client_end
 
-    def _deliver(_ev) -> None:
+    def _deliver(_arg) -> None:
         listener.accept_queue.put(server_end)
         result.succeed(client_end)
 
-    timeout = host.env.timeout(LOCAL_IPC_DELAY)
-    timeout.callbacks.append(_deliver)
+    host.env.call_later(LOCAL_IPC_DELAY, _deliver, None)
     return result

@@ -9,8 +9,8 @@ Option-3).
 
 Nobody runs a dispatcher: :meth:`H2Connection.start` rebinds the
 socket's arrival hand-off (``TcpEndpoint.inbox_deliver``) to
-:meth:`H2Connection._demux`, so a frame is routed inside the delivery
-timeout's callback, whose last act is ``Store.deliver`` on the stream's
+:meth:`H2Connection._demux`, so a frame is routed inside the delivery's
+callback, whose last act is ``Store.deliver`` on the stream's
 inbox (or the accept queue, for a new peer stream): the parked reader
 resumes there and then.  Transport death is an item in the accept queue,
 as FIN is in a socket inbox: ``accept_stream()`` yields ``None``.  The
@@ -276,7 +276,7 @@ class H2Connection:
 
     def _demux(self, item) -> None:
         """``endpoint.inbox_deliver``: route one arrival to its reader,
-        as the tail of the delivery timeout's callback."""
+        as the tail of the delivery's callback."""
         if self.broken or not self._process.alive:
             return
         if isinstance(item, StreamControl):

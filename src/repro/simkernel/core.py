@@ -3,7 +3,9 @@
 Hot-path layout (see also :mod:`repro.simkernel.events`): the scheduler
 is *two-lane* — events triggered at the current simulation time live in
 plain FIFO deques (one per priority) and never touch the heap, while
-future events go through a binary heap.  The run loop inlines
+future events go through a binary heap; either also holds *call
+entries*, ``(fn, arg)`` pairs (:meth:`Environment.call_later`) whose
+dispatch is ``fn(arg)``.  The run loop inlines
 :meth:`Environment.step` so a multi-million-event run pays one Python
 frame per *run*, not per event, and dispatch short-circuits the
 overwhelmingly common single-callback case.
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heapify, heappop, heappush, heapreplace
-from typing import Any, Generator, Optional
+from typing import Any, Callable, Generator, Optional
 
 from .events import (
     NORMAL,
@@ -78,6 +80,8 @@ class Environment:
         #: Pending deadlines, a heap of ``(time, key, Deadline)``; the
         #: schedule holds one entry, for its head (:meth:`_arm_deadline`).
         self._deadlines: list[tuple[float, float, Deadline]] = []
+        #: Waiters woken in place by ``deliver`` (not scheduled).
+        self._handoffs = 0
 
     # -- clock -----------------------------------------------------------
 
@@ -95,10 +99,13 @@ class Environment:
         """The kernel's own counts: events scheduled so far, the clock,
         future events, what compaction can drop — timeouts cancelled and
         finished processes' deadline records since the last one (a
-        ceiling: one popped is not uncounted) — and pending deadlines."""
+        ceiling: one popped is not uncounted) — pending deadlines, and
+        waiters ``deliver`` woke in place: ``events + handoffs`` counts
+        every wake-up, so moving one in place is seen."""
         return {"events": self._eid, "now": self._now,
                 "heap": len(self._queue), "tombstones": self._cancelled,
-                "deadlines": len(self._deadlines)}
+                "deadlines": len(self._deadlines),
+                "handoffs": self._handoffs}
 
     # -- event creation ----------------------------------------------------
 
@@ -149,6 +156,22 @@ class Environment:
             raise ValueError(f"Negative delay {delay}")
         _push(self, event, priority, self._now + delay)
 
+    def call_later(self, delay: float, fn: Callable[[Any], None],
+                   arg: Any) -> None:
+        """Call ``fn(arg)`` after ``delay``: one event, at the key a
+        timeout made now would have, but no event object."""
+        if delay < 0:
+            raise ValueError(f"Negative delay {delay}")
+        # ``_push``, inlined: one frame per network delivery.
+        now = self._now
+        at = now + delay
+        if at == now:
+            self._ready.append((fn, arg))
+            self._eid += 1
+        else:
+            self._eid = eid = self._eid + 1
+            heappush(self._queue, (at, NORMAL, eid, (fn, arg)))
+
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
         if self._urgent or self._ready:
@@ -182,9 +205,11 @@ class Environment:
         """The head's entry popped: expire its wait if it is still due.
         A record reaching the head is dropped (its wait is over) or
         re-keyed (deferred) at no event, until a live one heads the heap
-        and gets an entry."""
+        and gets an entry.  The expiry, which may wake its waiter in
+        place, comes last."""
         deadlines = self._deadlines
         due = True
+        expired = None
         while deadlines:
             at, key, record = deadlines[0]
             event = record._event
@@ -195,11 +220,14 @@ class Environment:
                     due = False
                     continue
                 if not due:
-                    return self._schedule_deadline(record)
-                event._expire()
+                    self._schedule_deadline(record)
+                    break
+                expired = event
             heappop(deadlines)
             record._at = record._event = record._entry = None
             due = False
+        if expired is not None:
+            expired._expire()
 
     def _note_cancelled(self) -> None:
         """Count a heap tombstone; reclaim in bulk when they dominate.
@@ -223,7 +251,8 @@ class Environment:
         """
         queue = self._queue
         live = [entry for entry in queue
-                if not (entry[3]._defused and entry[3]._ok
+                if type(entry[3]) is tuple  # a call entry
+                or not (entry[3]._defused and entry[3]._ok
                         and not entry[3].callbacks)]
         if len(live) != len(queue):
             # In place: the run loop holds a local reference to this list.
@@ -237,8 +266,9 @@ class Environment:
             heapify(deadlines)
         self._cancelled = 0
 
-    def _pop(self) -> Event:
-        """Remove and return the next event in (time, priority, id) order.
+    def _pop(self):
+        """Remove and return the next event (or call entry) in (time,
+        priority, id) order.
 
         Advances the clock when the next event comes from the future
         heap.  Raises :class:`EmptySchedule` when nothing is left.
@@ -265,6 +295,8 @@ class Environment:
     def step(self) -> None:
         """Process the single next event."""
         event = self._pop()
+        if type(event) is tuple:  # a call entry
+            return event[0](event[1])
         callbacks = event.callbacks
         event.callbacks = None
         if len(callbacks) == 1:
@@ -312,6 +344,7 @@ class Environment:
         urgent = self._urgent
         ready = self._ready
         pop = heappop
+        call_entry = tuple
         try:
             while True:
                 if queue and queue[0][0] == self._now and (
@@ -330,6 +363,9 @@ class Environment:
                     if stop_at is not None:
                         self._now = stop_at
                     break
+                if type(event) is call_entry:
+                    event[0](event[1])
+                    continue
                 callbacks = event.callbacks
                 event.callbacks = None
                 if len(callbacks) == 1:

@@ -20,6 +20,11 @@ here are optimized:
   timeouts — 40–50 % of all events on the ``bench/`` workloads) go
   into plain FIFO deques (one per priority) with no heap entry, no key
   tuple and no sift, while only *future* events touch the heap;
+* a network delivery is a call entry (``Environment.call_later``):
+  one event, keyed as its timeout was, and no event object;
+* a hand-off the run loop would pop next runs in place
+  (``Event.deliver``, ``Store.deliver``): an expired wait, a socket
+  arrival, an accept or a connect result costs no wake-up event;
 * :meth:`Process._resume` keeps the generator drive loop free of
   redundant attribute lookups and re-checks;
 * a wait under a deadline (``Store.get(timeout=...)``,
@@ -54,9 +59,10 @@ The pre-optimization implementation is frozen verbatim in
 proves the two produce identical runs — every counter, series, tap
 ordering and the final clock.  The one thing that differs is the
 scheduled-event count: stores here schedule only events some process
-waits on (see :mod:`repro.simkernel.resources`), and the deadline heap
-takes one schedule entry per head it gets — a deadline that is dropped
-or deferred before it heads the heap costs none.
+waits on (see :mod:`repro.simkernel.resources`), a hand-off run in
+place is not scheduled, and the deadline heap takes one schedule entry
+per head it gets — a deadline that is dropped or deferred before it
+heads the heap costs none.
 """
 
 from __future__ import annotations
@@ -214,10 +220,33 @@ class Event:
         env._eid += 1
         return self
 
+    def deliver(self, value: Any = None) -> None:
+        """:meth:`succeed`, as the last act of a kernel callback: the
+        callbacks run here and now if the run loop would pop this event
+        next — no process running, both same-instant lanes empty, no
+        heap entry at ``now`` — so this reorders nothing, not even under
+        a float-time tie; otherwise the event is scheduled."""
+        if self._value is not PENDING:
+            raise SimulationError(f"{self!r} has already been triggered")
+        self._ok = True
+        self._value = value
+        env = self.env
+        queue = env._queue
+        if (env._active_process is not None or env._ready or env._urgent
+                or queue and queue[0][0] == env._now):
+            env._ready.append(self)
+            env._eid += 1
+            return
+        env._handoffs += 1
+        callbacks = self.callbacks
+        self.callbacks = None
+        for callback in callbacks:
+            callback(self)
+
     def _expire(self) -> None:
-        """The waiter's deadline passed first: succeed with
+        """The waiter's deadline passed first: deliver
         :data:`TIMED_OUT` (see :meth:`Process._bound`)."""
-        self.succeed(TIMED_OUT)
+        self.deliver(TIMED_OUT)
 
     def __repr__(self) -> str:
         state = "processed" if self.processed else (
@@ -369,7 +398,7 @@ class Process(Event):
         the record gets an entry (``Environment._arm_deadline``).  So it
         fires at the float and in the order a timeout per wait would,
         costing an event only as the heap's head.  One due at once is a
-        zero timeout.
+        zero-delay call entry.
         """
         if delay < 0:
             raise ValueError(f"Negative delay {delay}")
@@ -377,9 +406,9 @@ class Process(Event):
         now = env._now
         until = now + delay
         if until == now:
-            Timeout(env, 0).callbacks.append(
-                lambda _timeout: self._target is event
-                and event._value is PENDING and event._expire())
+            env.call_later(0, lambda event: self._target is event
+                           and event._value is PENDING and event._expire(),
+                           event)
             return
         eid = env._eid
         last = env._reserved_key

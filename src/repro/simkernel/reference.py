@@ -37,7 +37,9 @@ frozen: the live ``Store`` is compared against it.
 What it carries that the historical text did not: a wait under a
 deadline (``env.within``, ``Store.get(timeout=...)``) is the race the
 model once built around each such wait (:class:`Within`), so the live
-kernel's deadline heap is compared against it.
+kernel's deadline heap is compared against it; and two shims:
+``Environment.call_later`` is a timeout with a callback, and
+``Event.deliver`` is ``succeed`` (as ``Store.deliver`` is ``put``).
 """
 
 from __future__ import annotations
@@ -135,6 +137,9 @@ class Event:
         self._value = value
         self.env.schedule(self, priority=NORMAL)
         return self
+
+    #: The live event's in-place hand-off; here it schedules, as ``succeed``.
+    deliver = succeed
 
     def fail(self, exception: BaseException) -> "Event":
         """Trigger the event as failed with ``exception``."""
@@ -475,6 +480,12 @@ class Environment:
     def within(self, event: Event, timeout: float) -> Within:
         """``event``'s value, or ``TIMED_OUT`` after ``timeout``: the race."""
         return Within(self, event, timeout)
+
+    def call_later(self, delay: float, fn: Callable[[Any], None],
+                   arg: Any) -> None:
+        """The live call entry, as the timeout with a callback it was."""
+        Timeout(self, delay, arg).callbacks.append(
+            lambda timeout: fn(timeout._value))
 
     # -- scheduling ---------------------------------------------------------
 

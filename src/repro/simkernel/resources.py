@@ -14,31 +14,29 @@ event only where a process can be parked on it:
   event is scheduled) or appends it to ``items``; it returns nothing
   and schedules nothing for itself.
 * ``Store.deliver`` is ``put`` for a kernel callback that ends by
-  feeding a store — a network delivery timeout reaching a socket inbox,
-  or the HTTP/2 demux that socket hands its arrivals to (stream inbox,
-  accept queue): the parked getter's callbacks run there and then, so
-  the delivery timeout itself is the reader's wake-up and the get is
-  never scheduled.  It falls back to ``put`` when a process is running
-  (``env._active_process``): resuming the waiter from inside another
-  generator would run it ahead of the caller's remaining code.
+  feeding a store — a network delivery reaching a socket inbox or a
+  listener's accept queue, or the HTTP/2 demux that socket hands its
+  arrivals to: it hands the item to the parked getter with
+  ``Event.deliver``, so whenever the run loop would pop that get next,
+  the delivery itself is the reader's wake-up and the get is never
+  scheduled.
 * Likewise a process that finishes successfully with no callback
   registered is born processed (``events.Process._finish``).
 * ``Store.get(timeout=...)`` schedules nothing for its deadline unless
   it becomes the head of the environment's deadline heap, which keeps
-  one schedule entry; the heap expires the get (withdrawn, succeeded
-  with ``TIMED_OUT``) only if it is still pending at its deadline
-  (``events.Process._bound``).
+  one schedule entry; the heap expires the get (withdrawn, handed
+  ``TIMED_OUT`` by ``Event.deliver``) only if it is still pending at
+  its deadline (``events.Process._bound``).
 
 The frozen kernel in :mod:`repro.simkernel.reference` still schedules
-every put, get and finish (its ``Store.deliver`` is its ``put``), and
-races each get under a deadline against a timeout of its own.  A put
-event had no waiter — it popped as a no-op — and removing a no-op from
-the schedule changes no other pop; a getter woken by ``deliver``
-resumes its process one same-instant hop earlier, which could reorder
-something only through an exact float-time tie with a third event (a
-delivery timeout that advances the clock pops with both same-instant
-lanes empty).  So a run here differs from a reference run in the
-scheduled-event count (``env._eid``) and in nothing a model observes:
+every put, get and finish (its ``Store.deliver`` is its ``put``, its
+``Event.deliver`` its ``succeed``), and races each get under a deadline
+against a timeout of its own.  A put event had no waiter — it popped as
+a no-op — and removing a no-op from the schedule changes no other pop;
+a getter woken in place is the event the run loop would have popped
+next, so running it there moves no other pop either.  So a run here
+differs from a reference run in the scheduled-event count
+(``env._eid``) and in nothing a model observes:
 ``tests/perf/test_differential.py`` holds every other field equal.
 
 Construct a store through the
@@ -97,7 +95,7 @@ class StoreGetEvent(Event):
         wake the waiter with ``TIMED_OUT``."""
         if not self._cancelled:
             self._cancelled = True
-            self.succeed(TIMED_OUT)
+            self.deliver(TIMED_OUT)
 
 
 class Store:
@@ -124,29 +122,13 @@ class Store:
 
     def deliver(self, item: Any) -> None:
         """:meth:`put` for a kernel callback whose last act it is: the
-        oldest parked getter is resumed here and now, not scheduled.
-
-        Only from the run loop's callback dispatch, in tail position
-        (the waiter runs before ``deliver`` returns).  Called from
-        inside a running process it is :meth:`put`: resuming the waiter
-        there would nest generators and run it ahead of the caller's
-        remaining code.
-        """
-        if self.env._active_process is not None:
-            self.put(item)
-            return
+        oldest parked getter is handed ``item`` by ``Event.deliver``, so
+        it resumes here and now if the run loop would pop it next."""
         get_queue = self._get_queue
         while get_queue:
             get_event = get_queue.pop(0)
             if not get_event._cancelled:
-                # What the run loop would do on popping the get, minus
-                # the schedule entry (``env._eid`` does not move).
-                get_event._ok = True
-                get_event._value = item
-                callbacks = get_event.callbacks
-                get_event.callbacks = None
-                for callback in callbacks:
-                    callback(get_event)
+                get_event.deliver(item)
                 return
         self.items.append(item)
 

@@ -93,8 +93,8 @@ def test_not_before_enforces_order():
     b = Host(env, network, "b", "10.0.0.2", "y", metrics)
     order = []
 
-    def receiver(arrival):
-        order.append(arrival._value)
+    def receiver(item):
+        order.append(item)
 
     # Big message first (slow: 10s serialization), small one after.
     t1 = network.transmit(a, b.ip, receiver, "big", size=1000)
@@ -143,11 +143,11 @@ def test_tcp_stream_delivery_is_in_order(world):
 
 
 def test_tcp_connect_event_cost_and_arrival_times_are_unchanged(world):
-    """The SYN / SYN-ACK paths kept their closures (behind one
-    trampoline) and the accept-queue ``put`` stayed a ``put`` ahead of
-    the SYN-ACK's jitter draw: same event count and, for a fixed seed,
-    bit-equal arrival times as before the delivery event carried its
-    item."""
+    """The SYN-ACK's receiver is the connect result's ``deliver``, and
+    the accept hand-off comes after the SYN-ACK's jitter draw, where the
+    scheduled accept loop ran: for a fixed seed, bit-equal arrival times
+    as before the delivery event carried its item, and the accept and
+    the connect result wake their waiters in place."""
     from repro.netsim import Endpoint, LinkProfile as LP
     world.network.add_profile("s", "s", LP(latency=0.01, jitter=0.005))
     a = world.host("a", site="s")
@@ -169,9 +169,10 @@ def test_tcp_connect_event_cost_and_arrival_times_are_unchanged(world):
     pb.run(server())
     pa.run(client())
     env.run(until=1)
-    # Two process starts, SYN, the accept get, SYN-ACK, the connect
-    # result; nobody waits on either process, so neither finish is
-    # scheduled.
-    assert env._eid == 6
-    assert log == [("accepted", "0x1.863fba9149fd2p-7", 5),
-                   ("connected", "0x1.69b500f417524p-6", 6)]
+    # Two process starts, SYN, SYN-ACK; the accept get and the connect
+    # result are handed off in place (6 while both were scheduled), and
+    # nobody waits on either process, so neither finish is scheduled.
+    assert env._eid == 4
+    assert env.stats()["handoffs"] == 2
+    assert log == [("accepted", "0x1.863fba9149fd2p-7", 4),
+                   ("connected", "0x1.69b500f417524p-6", 4)]

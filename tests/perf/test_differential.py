@@ -334,3 +334,111 @@ def test_closing_a_discarded_runs_executions_builds_no_event():
         for work in works:
             work.close()
     assert cpu.busy == 0 and cpu.queue_length == 0
+
+
+# -- a probe storm: ties where the hand-off acts ---------------------------------
+
+
+def _probe_storm(env=None):
+    """Katran-style health checks in a storm: three probers check four
+    backends at the same instants, two of them over links without
+    jitter, so SYNs, SYN-ACKs, accepts and deadlines tie at exact float
+    times (the third prober's link has jitter, so its hand-offs run in
+    place).  Each probe connects under a deadline, sends a ping or
+    nothing, and waits for the reply under a deadline; each backend
+    session waits for the ping under a longer one, so both sides'
+    deadlines expire in bunches (a silent probe then waits for the
+    session's FIN).  One backend has no listener
+    (refused), one address has no host (unreachable).  Returns
+    everything the run observed."""
+    from repro.netsim import Endpoint, LinkProfile
+    from repro.netsim.errors import ConnectionRefusedSim
+    from tests.conftest import World
+
+    with only_kernel(env):
+        world = World(environment=(lambda: env) if env is not None
+                      else Environment)
+        env = world.env
+        world.network.add_profile("far", "dc", LinkProfile(
+            latency=0.002, jitter=0.001))
+        backends = [world.host(f"b{i}") for i in range(4)]
+        log = []
+
+        def session(name, conn):
+            got = yield conn.recv(0.2)
+            if got is TIMED_OUT:
+                log.append(("session timed out", name, env.now))
+            else:
+                log.append(("session got", name,
+                            getattr(got, "payload", None), env.now))
+                if conn.alive:
+                    conn.send("pong", size=40)
+            conn.close()
+
+        def serve(host, process, listener):
+            while True:
+                conn = yield listener.accept(process)
+                # The backlog sees whether tied SYNs were handled first.
+                log.append(("accepted", host.name, listener.pending,
+                            env.now))
+                process.run(session(host.name, conn))
+
+        for host in backends[:3]:
+            process = host.spawn("hc-target")
+            _, listener = host.kernel.tcp_listen(process,
+                                                 Endpoint(host.ip, 80))
+            process.run(serve(host, process, listener))
+
+        def probe(host, process, target_ip, ping):
+            try:
+                conn = yield from host.kernel.tcp_connect_within(
+                    process, Endpoint(target_ip, 80), 0.05)
+            except ConnectionRefusedSim:
+                log.append(("refused", host.name, target_ip, env.now))
+                return
+            if conn is TIMED_OUT:
+                log.append(("connect timed out", host.name, env.now))
+                return
+            log.append(("connected", host.name, target_ip, env.now))
+            if ping:
+                conn.send("ping", size=40)
+            reply = yield conn.recv(0.1)
+            log.append(("reply", host.name, reply is TIMED_OUT, env.now))
+            if reply is TIMED_OUT:  # until the session gives up
+                closed = yield conn.recv(0.3)
+                log.append(("closed", host.name, closed is TIMED_OUT,
+                            env.now))
+            conn.close()
+
+        def prober(host, process):
+            targets = [backend.ip for backend in backends] + ["10.9.9.9"]
+            for round_ in range(6):
+                for target_ip in targets:
+                    process.run(probe(host, process, target_ip,
+                                      ping=round_ % 2 == 0))
+                yield env.timeout(0.5)
+
+        for i, site in enumerate(("dc", "dc", "far")):
+            host = world.host(f"katran{i}", site=site)
+            process = host.spawn("katran")
+            process.run(prober(host, process))
+        env.run(until=4.0)
+    return {"log": log, "snapshot": world.metrics.snapshot(),
+            "now": env.now, "eid": env._eid}
+
+
+def test_a_probe_storm_bit_identical():
+    """Same-instant deadline expiries, connects and accepts: where the
+    live kernel hands a waiter off in place and where it must schedule
+    it, the frozen kernel (which schedules every one) agrees."""
+    live = _probe_storm()
+    ref = _probe_storm(env=ReferenceEnvironment())
+    assert live.pop("eid") < ref.pop("eid")
+    assert live == ref
+    kinds = {entry[0] for entry in live["log"]}
+    assert {"accepted", "connected", "refused", "session got",
+            "session timed out", "reply"} <= kinds
+    replies = {entry[2] for entry in live["log"] if entry[0] == "reply"}
+    assert replies == {True, False}
+    # SYNs tied: some accepts found a sibling already queued.
+    assert any(entry[2] for entry in live["log"] if entry[0] == "accepted")

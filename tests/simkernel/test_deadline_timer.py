@@ -149,6 +149,37 @@ def test_deadlines_that_do_not_fire_push_o1_schedule_entries():
     assert bounded["deadlines"] == 0
 
 
+def _sessions(deadline, count=200):
+    """``count`` sessions started 0.01 s apart, each waiting on its
+    inbox, which nothing feeds, under ``deadline`` (or for ever)."""
+    env = Environment()
+    got = []
+
+    def session():
+        got.append((yield env.make_store().get(timeout=deadline)))
+
+    def spawner():
+        for _ in range(count):
+            env.process(session())
+            yield env.timeout(0.01)
+
+    env.process(spawner())
+    env.run(until=10.0)
+    return got, env.stats()
+
+
+def test_deadlines_that_all_fire_cost_their_entries_and_no_wake():
+    """Each deadline heads the heap once and fires from its own entry,
+    which wakes its session in place: 200 schedule entries, no wake
+    event (one each while the expired get was scheduled)."""
+    got, bounded = _sessions(0.5)
+    assert got == [TIMED_OUT] * 200
+    _, unbounded = _sessions(None)
+    assert bounded["events"] - unbounded["events"] == 200
+    assert bounded["handoffs"] - unbounded["handoffs"] == 200
+    assert bounded["deadlines"] == 0
+
+
 def _same_instant_from_processes(kernel):
     """Three processes a, b, c set deadlines due at t = 6 at one instant
     (t = 1), and a timeout due then too is created between b's and c's;

@@ -50,14 +50,22 @@ def test_event_wins_do_not_grow_the_heap():
 def test_stats_report_the_kernels_own_counts():
     env = Environment()
     assert env.stats() == {"events": 0, "now": 0.0, "heap": 0,
-                           "tombstones": 0, "deadlines": 0}
+                           "tombstones": 0, "deadlines": 0, "handoffs": 0}
     env.timeout(5.0)
     env.timeout(7.0).cancel()
     assert env.stats() == {"events": 2, "now": 0.0, "heap": 2,
-                           "tombstones": 1, "deadlines": 0}
+                           "tombstones": 1, "deadlines": 0, "handoffs": 0}
     env.run(until=6.0)
     assert env.stats() == {"events": 2, "now": 6.0, "heap": 1,
-                           "tombstones": 1, "deadlines": 0}
+                           "tombstones": 1, "deadlines": 0, "handoffs": 0}
+    # A getter woken in place is a hand-off, not an event.
+    store = Store(env)
+    got = store.get()
+    env.call_later(1.0, store.deliver, "item")
+    env.run(until=8.0)
+    assert got.value == "item"
+    assert env.stats() == {"events": 3, "now": 8.0, "heap": 0,
+                           "tombstones": 1, "deadlines": 0, "handoffs": 1}
 
 
 def test_timeout_win_still_returns_sentinel():

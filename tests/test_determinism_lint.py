@@ -36,16 +36,25 @@ ALLOWED = {
 }
 
 
-#: Besides ``simkernel/resources.py``, which defines it, the modules
-#: that may name ``deliver``: the socket layer binds ``Store.deliver``
-#: once per socket and calls it last in a delivery timeout's callback;
+#: The kernel modules that define ``deliver`` (``Event.deliver``, and
+#: ``Store.deliver``, which hands its getter off through it) and call
+#: it from inside the kernel: a deadline's expiry, the last act of its
+#: heap entry's callback or of a call entry.
+KERNEL_DELIVER = {"simkernel/events.py", "simkernel/resources.py"}
+
+#: Besides the kernel, the modules that may name ``deliver``: the
+#: socket layer binds ``Store.deliver`` once per socket and calls it
+#: last in a delivery's callback;
 #: ``H2Connection._demux`` *is* that hand-off for an HTTP/2 socket and
 #: ends every branch with the one ``deliver`` that can find a reader (a
 #: stream it just created has none; its backlog task runs in process
 #: context, where ``deliver`` is ``put``; transport-down walks
 #: ``streams`` and uses ``put``).  ``H2Stream.take_arrivals`` binds the
 #: same ``deliver`` as a plain socket's hand-off, aimed at a stream's
-#: inbox, so it is still the socket's last act.  A new caller has to argue both
+#: inbox, so it is still the socket's last act.  ``Kernel._handle_syn``
+#: ends with the accept queue's ``deliver``, and the SYN-ACK's receiver
+#: *is* the connect result's ``Event.deliver``: each is the last act of
+#: a delivery's call.  A new caller has to argue both
 #: in review (see the method's docstring), not discover a reordered run
 #: later.
 DELIVER_CALLERS = {"netsim/sockets.py", "netsim/kernel.py",
@@ -274,12 +283,15 @@ def test_process_global_mutable_state_can_only_shrink():
 
 def test_deliver_stays_where_its_precondition_holds():
     modules = _modules()
-    assert any(isinstance(node, ast.FunctionDef) and node.name == "deliver"
-               for node in ast.walk(modules["simkernel/resources.py"]))
+    for name in KERNEL_DELIVER:
+        assert any(isinstance(node, ast.FunctionDef)
+                   and node.name == "deliver"
+                   for node in ast.walk(modules[name]))
     found = {name for name, tree in modules.items()
-             if name != "simkernel/resources.py" and names_deliver(tree)}
+             if name not in KERNEL_DELIVER and names_deliver(tree)}
     assert found == DELIVER_CALLERS, (
-        "Store.deliver resumes the waiter before it returns: call it "
+        "Store.deliver and Event.deliver may resume the waiter before "
+        "they return: call them "
         "only as the last act of a kernel (timeout) callback — tail "
         "position, once, never inside a loop over state the waiter may "
         "change — and list the module here with that argument made in "

@@ -14,6 +14,8 @@ window leaves the collector no race to find.
 """
 
 import gc
+import hashlib
+import json
 from collections import Counter
 
 import pytest
@@ -32,27 +34,44 @@ from repro.protocols.http2 import H2Stream
 from repro.proxygen.config import ProxygenConfig
 from repro.simkernel.resources import Store
 
-#: Measured when the ceiling was last set: 17,109 events over 1,786 ops
-#: = 9.58 (10.22 while a queued CPU execution was granted its core by an
-#: event of its own and each process's deadline timer sat in the
-#: schedule; 11.18 while every receive under a deadline pushed its own
-#: timeout; 13.16 before the H2 demux moved into the delivery
-#: callback).  The ceiling sits 2 % above it.
-CEILING = 9.77
+#: Measured when the ceiling was last set: 16,442 events over 1,786 ops
+#: = 9.21 (9.58 while an expired wait, an accept and a connect result
+#: each woke their waiter by a scheduled event; 10.22 while a queued CPU
+#: execution was granted its core by an event of its own and each
+#: process's deadline timer sat in the schedule; 11.18 while every
+#: receive under a deadline pushed its own timeout; 13.16 before the H2
+#: demux moved into the delivery callback).  The ceiling sits 2 % above
+#: it.
+CEILING = 9.39
 
 #: Bulk uploads: ``CHUNKS`` chunks of ``CHUNK_SIZE`` bytes each.
-#: Measured when the ceiling was last set: 24,660 events over 95
-#: uploads = 6.49 per chunk (6.52 with a grant event per queued CPU
-#: execution and a deadline timer per process in the schedule; 6.54
+#: Measured when the ceiling was last set: 24,524 events over 95
+#: uploads = 6.45 per chunk (6.49 with a scheduled wake-up per expired
+#: wait, accept and connect result; 6.52 with a grant event per queued
+#: CPU execution and a deadline timer per process in the schedule; 6.54
 #: with a timeout per receive under a deadline; 7.54 while the Origin's
 #: POST relay raced its two sources per chunk).  The ceiling sits 2 %
 #: above it.
 CHUNKS, CHUNK_SIZE = 40, 16_000
-CHUNK_CEILING = 6.62
+CHUNK_CEILING = 6.58
+
+#: sha256 of ``json.dumps(metrics.snapshot(), sort_keys=True)`` at the
+#: end of each fixture's run: everything the run observed.  A change
+#: that schedules fewer events, or runs one in place, leaves both as
+#: they are; one that moves either changed behaviour.
+RELEASED_SNAPSHOT = (
+    "e89af8dfffedf02683c381d1bdce2f1bf00d1049b7a62a44eb8e04d3162f20ab")
+BULK_POSTS_SNAPSHOT = (
+    "3194e6a3893ee7bf88206a0a45a74fb98ee94cc4003c48b303af4b3b82000968")
 
 OPS = (("web-clients", "get_ok"), ("web-clients", "post_ok"),
        ("mqtt-clients", "publishes_sent"),
        ("mqtt-clients", "publishes_received"))
+
+
+def _snapshot_sha256(deployment) -> str:
+    return hashlib.sha256(json.dumps(deployment.metrics.snapshot(),
+                                     sort_keys=True).encode()).hexdigest()
 
 
 def _ops(deployment) -> float:
@@ -130,7 +149,8 @@ def bulk_posts():
     """Uploads of ``CHUNKS`` chunks each through one app server restart
     (the uploads outlast its drain, so the Origin replays at least one),
     t = 10..25.  Returns the window's events, its completed uploads, its
-    379s and what the collector found unreachable in it, by type."""
+    379s, the run's snapshot digest and what the collector found
+    unreachable in the window, by type."""
     deployment = Deployment(DeploymentSpec(
         seed=0, edge_proxies=2, origin_proxies=2, app_servers=2,
         web_client_hosts=1, mqtt_client_hosts=0, quic_client_hosts=0,
@@ -162,17 +182,26 @@ def bulk_posts():
     uploads = deployment.metrics.aggregate(
         "post_ok", scope_prefix="web-clients") - uploads
     return (env.stats()["events"] - events, uploads,
-            deployment.metrics.aggregate("ppr_379_received"), garbage)
+            deployment.metrics.aggregate("ppr_379_received"),
+            _snapshot_sha256(deployment), garbage)
 
 
 def test_events_per_relayed_chunk_stay_under_the_ceiling(bulk_posts):
-    events, uploads, replays, _ = bulk_posts
+    events, uploads, replays, *_ = bulk_posts
     assert uploads > 50 and replays >= 1
     per_chunk = events / (uploads * CHUNKS)
     assert per_chunk <= CHUNK_CEILING, (
         f"{events} events / {uploads:g} uploads of {CHUNKS} chunks = "
         f"{per_chunk:.2f} > {CHUNK_CEILING}: a body chunk got a new "
         "event: name who waits on it, or raise the ceiling on purpose")
+
+
+def test_what_both_runs_observed_is_pinned(released, bulk_posts):
+    """The runs' snapshots, byte for byte: the ceilings above may only
+    fall by scheduling less, never by observing something else."""
+    deployment, _, _ = released
+    assert _snapshot_sha256(deployment) == RELEASED_SNAPSHOT
+    assert bulk_posts[3] == BULK_POSTS_SNAPSHOT
 
 
 def test_the_post_relay_leaves_no_race_for_the_collector(bulk_posts):
