@@ -46,6 +46,9 @@ class Host:
                             bucket_width=cpu_bucket_width)
         self.unix_namespace: dict[str, UnixListener] = {}
         self.processes: list[SimProcess] = []
+        #: The network's route memo for sends from this host
+        #: (destination IP -> route, :meth:`Network.transmit`).
+        self.routes: dict[str, tuple] = {}
         network.register(self)
 
     # -- processes ------------------------------------------------------------

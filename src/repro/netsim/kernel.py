@@ -7,7 +7,7 @@ from typing import TYPE_CHECKING, Optional
 from ..simkernel.events import Event
 from .addresses import Endpoint, FourTuple, Protocol
 from .errors import BindError, ConnectionRefusedSim
-from .packet import Datagram, StreamControl, StreamMessage
+from .packet import Datagram
 from .filetable import FileDescription
 from .proc_utils import TIMED_OUT, with_timeout
 from .reuseport import ReusePortGroup
@@ -33,6 +33,7 @@ class Kernel:
     def __init__(self, host: "Host"):
         self.host = host
         self.env = host.env
+        self.network = host.network
         self.tcp_listeners: dict[Endpoint, TcpListenSocket] = {}
         self.udp_groups: dict[Endpoint, ReusePortGroup] = {}
         self._next_port = EPHEMERAL_BASE
@@ -182,8 +183,10 @@ class Kernel:
 
     # -- TCP: data plane ---------------------------------------------------------
 
-    def transmit_stream(self, endpoint: TcpEndpoint, item, control: bool = False) -> None:
-        """Deliver ``item`` to the endpoint's peer after link latency.
+    def transmit_stream(self, endpoint: TcpEndpoint, item,
+                        size: int = CONTROL_SIZE) -> None:
+        """Deliver ``item`` (``size`` bytes; a FIN or RST by default) to
+        the endpoint's peer after link latency.
 
         Delivery is kept in order per connection direction (TCP
         semantics): a small control message sent after a large payload
@@ -192,11 +195,9 @@ class Kernel:
         peer = endpoint.peer
         if peer is None:
             return
-        size = item.size if isinstance(item, StreamMessage) else CONTROL_SIZE
-        arrival = self.host.network.transmit(
-            self.host, endpoint.remote_host_ip, peer.deliver, item,
-            size=size, not_before=endpoint.next_in_order_arrival)
-        endpoint.next_in_order_arrival = arrival + 1e-9
+        endpoint.next_in_order_arrival = self.network.transmit(
+            self.host, endpoint.remote_host_ip, peer.deliver, item, size,
+            endpoint.next_in_order_arrival) + 1e-9
 
     # -- UDP -----------------------------------------------------------------------
 
@@ -234,8 +235,8 @@ class Kernel:
 
     def transmit_datagram(self, datagram: Datagram, via_ip: str) -> None:
         self._c_udp_sent.inc()
-        self.host.network.transmit(self.host, via_ip, self._datagram_arrives,
-                                   (datagram, via_ip), size=datagram.size)
+        self.network.transmit(self.host, via_ip, self._datagram_arrives,
+                              (datagram, via_ip), size=datagram.size)
 
     def _datagram_arrives(self, arrival: tuple[Datagram, str]) -> None:
         """Sender-side delivery callback: the destination host is looked

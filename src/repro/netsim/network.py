@@ -11,6 +11,18 @@ Fault injection layers *overrides* on top of the configured profiles
 of the profile below it, so overlapping fault windows compose and each
 clear peels off exactly its own layer — the base profile object is
 restored bit-identically once the last override pops.
+
+Routes are resolved per host pair, not per send.  What a transmission
+needs beyond its message — the destination :class:`Host`, the effective
+profile's terms and the jitter/loss rng — depends only on the source
+host, the destination IP and ``_profiles``, so :meth:`Network.transmit`
+memoizes it in the source host's ``routes`` (destination IP → route).
+Only :meth:`Network.add_profile` and :meth:`Network._rebuild_link`
+(every override push and pop) write ``_profiles``; each moves
+:attr:`Network.version` and empties every host's memo, so the next send
+on a pair re-resolves it.  An unknown destination is not memoized (the
+host may register later).  Every delivery still enters through
+``transmit``, the one place a delay is computed.
 """
 
 from __future__ import annotations
@@ -85,6 +97,9 @@ class Network:
         self._link_overrides: dict[tuple[str, str],
                                    list[tuple[int, Callable]]] = {}
         self._override_serial = 0
+        #: Moves whenever ``_profiles`` is written (every memoized
+        #: route is dropped then).
+        self.version = 0
 
     # -- topology ------------------------------------------------------------
 
@@ -116,6 +131,7 @@ class Network:
                 self._rebuild_link(pair)
             else:
                 self._profiles[pair] = profile
+                self._profiles_changed()
 
     def get_profile(self, src_site: str, dst_site: str) -> LinkProfile:
         """The *effective* profile a transmission between these sites
@@ -161,6 +177,7 @@ class Network:
         self._rebuild_link(pair)
 
     def _rebuild_link(self, pair: tuple[str, str]) -> None:
+        self._profiles_changed()
         had_entry, base = self._link_base[pair]
         stack = self._link_overrides[pair]
         if not stack:
@@ -177,6 +194,11 @@ class Network:
             profile = transform(profile)
         self._profiles[pair] = profile
 
+    def _profiles_changed(self) -> None:
+        self.version += 1
+        for host in self._hosts.values():
+            host.routes.clear()
+
     # -- delivery -------------------------------------------------------------
 
     def _drop(self, src: "Host", dst: Optional["Host"], cause: str) -> None:
@@ -185,34 +207,18 @@ class Network:
         self.drop_counters.inc("dropped", tag=f"{src.site}:{dst_site}")
         self.drop_counters.inc("dropped_cause", tag=cause)
 
-    def transmit(self, src: "Host", dst_ip: str,
-                 receiver: Callable[[Any], None], item: Any,
-                 size: int = 100, not_before: float = 0.0) -> float:
-        """Hand ``item`` to ``receiver`` after the link delay (or drop it).
-
-        The delivery is one call entry (``env.call_later``): one event,
-        at the key its timeout had, and the run loop calls
-        ``receiver(item)``.
-
-        ``not_before`` floors the arrival time — stream transports use it
-        to keep per-connection delivery in order (a small message sent
-        after a large one must not overtake it).  Returns the arrival
-        time (even for drops, so callers can keep their ordering clock).
-        """
-        env = self.env
-        now = env._now
+    def _route(self, src: "Host", dst_ip: str) -> Optional[tuple]:
+        """Resolve and memoize the route from ``src`` to ``dst_ip``:
+        ``(dst, latency, jitter, bandwidth, loss, rng)``, or None for an
+        unknown destination (not memoized)."""
         dst = self._hosts.get(dst_ip)
         if dst is None:
-            self._drop(src, None, "unknown_destination")
-            return max(now, not_before)
+            return None
         if src is dst:
             profile = self.local_profile
         else:
             profile = self._profiles.get((src.site, dst.site),
                                          self.default_profile)
-        # The rng draw order (jitter before the loss roll) must stay
-        # exactly as the frozen kernel era had it, or seeded runs
-        # diverge.
         site_rngs = self._site_rngs
         if site_rngs is None:
             rng = self.rng
@@ -221,18 +227,47 @@ class Network:
             if rng is None:
                 rng = site_rngs[src.site] = self._streams.stream(
                     f"net/{src.site}")
-        delay = profile.latency
-        if profile.jitter > 0:
+        route = src.routes[dst_ip] = (dst, profile.latency, profile.jitter,
+                                      profile.bandwidth, profile.loss, rng)
+        return route
+
+    def transmit(self, src: "Host", dst_ip: str,
+                 receiver: Callable[[Any], None], item: Any,
+                 size: int = 100, not_before: float = 0.0) -> float:
+        """Hand ``item`` to ``receiver`` after the link delay (or drop it).
+
+        The delivery is one call entry (``env.call_later``): one event,
+        at the key its timeout had, and the run loop calls
+        ``receiver(item)``.  The route comes from ``src.routes``
+        (resolved once per destination IP until :attr:`version` moves,
+        see the module docstring); only the draws and the arithmetic
+        below are per message.
+
+        ``not_before`` floors the arrival time — stream transports use it
+        to keep per-connection delivery in order (a small message sent
+        after a large one must not overtake it).  Returns the arrival
+        time (even for drops, so callers can keep their ordering clock).
+        """
+        now = self.env._now
+        route = src.routes.get(dst_ip) or self._route(src, dst_ip)
+        if route is None:
+            self._drop(src, None, "unknown_destination")
+            return max(now, not_before)
+        dst, delay, jitter, bandwidth, loss, rng = route
+        # The rng draw order (jitter before the loss roll) must stay
+        # exactly as the frozen kernel era had it, or seeded runs
+        # diverge.
+        if jitter > 0:
             # ``rng.uniform(0.0, jitter)`` bit for bit (it computes
             # ``0.0 + (jitter - 0.0) * random()``), minus its frame.
-            delay += profile.jitter * rng.random()
-        if profile.bandwidth:
-            delay += size / profile.bandwidth
+            delay += jitter * rng.random()
+        if bandwidth:
+            delay += size / bandwidth
         arrival = now + delay
         if arrival < not_before:
             arrival = not_before
-        if profile.loss > 0 and rng.random() < profile.loss:
+        if loss > 0 and rng.random() < loss:
             self._drop(src, dst, "loss")
             return arrival
-        env.call_later(arrival - now, receiver, item)
+        self.env.call_later(arrival - now, receiver, item)
         return arrival

@@ -155,8 +155,7 @@ class TcpEndpoint:
         if self.reset:
             raise ConnectionResetSim(f"connection {self.local}->{self.remote} reset")
         self.bytes_sent += size
-        message = StreamMessage(payload=payload, size=size)
-        self.kernel.transmit_stream(self, message)
+        self.kernel.transmit_stream(self, StreamMessage(payload, size), size)
 
     def recv(self, timeout: Optional[float] = None) -> StoreGetEvent:
         """Event yielding the next StreamMessage or StreamControl — or,
@@ -169,8 +168,7 @@ class TcpEndpoint:
             return
         self.closed = True
         if not self.reset:
-            self.kernel.transmit_stream(self, StreamControl(ControlType.FIN),
-                                        control=True)
+            self.kernel.transmit_stream(self, StreamControl(ControlType.FIN))
         self._detach()
 
     def abort(self, reason: str = "abort") -> None:
@@ -185,29 +183,30 @@ class TcpEndpoint:
         self.closed = True
         if not self.reset:
             self.kernel.count_rst_sent(reason)
-            self.kernel.transmit_stream(self, StreamControl(ControlType.RST),
-                                        control=True)
+            self.kernel.transmit_stream(self, StreamControl(ControlType.RST))
         self._detach()
 
     # -- kernel-side receive ---------------------------------------------------
 
     def deliver(self, item) -> None:
-        """Delivery callback (``Network.transmit``): ``item`` has
-        reached this endpoint."""
-        if isinstance(item, StreamControl):
-            if item.kind == ControlType.RST:
-                self.reset = True
-            elif item.kind == ControlType.FIN:
-                self.fin_received = True
+        """Delivery callback (``Network.transmit``): ``item`` (a
+        :class:`StreamMessage`, else a FIN or RST) has reached this
+        endpoint."""
+        if type(item) is StreamMessage:
+            if self.closed or (self.owner is not None
+                               and not self.owner.alive):
+                # Data for a dead endpoint: answer with RST.
+                self.kernel.count_rst_sent("data_after_close")
+                if self.peer is not None and not self.peer.closed:
+                    self.kernel.transmit_stream(
+                        self, StreamControl(ControlType.RST))
+                return
             self.inbox_deliver(item)
             return
-        if self.closed or (self.owner is not None and not self.owner.alive):
-            # Data for a dead endpoint: answer with RST.
-            self.kernel.count_rst_sent("data_after_close")
-            if self.peer is not None and not self.peer.closed:
-                self.kernel.transmit_stream(
-                    self, StreamControl(ControlType.RST), control=True)
-            return
+        if item.kind == ControlType.RST:
+            self.reset = True
+        elif item.kind == ControlType.FIN:
+            self.fin_received = True
         self.inbox_deliver(item)
 
     def _detach(self) -> None:

@@ -26,7 +26,9 @@ here are optimized:
   (``Event.deliver``, ``Store.deliver``): an expired wait, a socket
   arrival, an accept or a connect result costs no wake-up event;
 * :meth:`Process._resume` keeps the generator drive loop free of
-  redundant attribute lookups and re-checks;
+  redundant attribute lookups and re-checks, and a park appends the
+  process's one wake-up callback (``_wake``, bound at start), not a
+  fresh bound method;
 * a wait under a deadline (``Store.get(timeout=...)``,
   ``env.within``) parks the process on its own event and the deadline
   goes into its environment's deadline heap, one :class:`Deadline`
@@ -321,7 +323,7 @@ class Initialize(Event):
 
     def __init__(self, env: "Environment", process: "Process"):  # noqa: F821
         self.env = env
-        self.callbacks = [process._resume]
+        self.callbacks = [process._wake]
         self._value = None
         self._ok = True
         self._defused = False
@@ -337,13 +339,16 @@ class Process(Event):
     generator raised.
     """
 
-    __slots__ = ("_generator", "_target", "_deadline")
+    __slots__ = ("_generator", "_target", "_deadline", "_wake")
 
     def __init__(self, env: "Environment", generator: Generator):  # noqa: F821
         if not hasattr(generator, "throw"):
             raise TypeError(f"{generator!r} is not a generator")
         super().__init__(env)
         self._generator = generator
+        #: The one wake-up callback every park appends (bound once, not
+        #: per park; dropped in ``_finish``).
+        self._wake = self._resume
         self._target: Optional[Event] = Initialize(env, self)
         self._deadline: Optional[Deadline] = None
 
@@ -367,7 +372,7 @@ class Process(Event):
         # does not resume us a second time once it triggers.
         if self._target is not None and self._target.callbacks is not None:
             try:
-                self._target.callbacks.remove(self._resume)
+                self._target.callbacks.remove(self._wake)
             except ValueError:
                 pass
             # Withdraw queue registrations (store gets etc.): a dead
@@ -380,7 +385,7 @@ class Process(Event):
         event._ok = False
         event._value = Interrupt(cause)
         event._defused = True
-        event.callbacks.append(self._resume)
+        event.callbacks.append(self._wake)
         env._urgent.append(event)
         env._eid += 1
 
@@ -488,7 +493,7 @@ class Process(Event):
             callbacks = next_target.callbacks
             if callbacks is not None:
                 # Target not yet processed: park until it triggers.
-                callbacks.append(self._resume)
+                callbacks.append(self._wake)
                 self._target = next_target
                 record = self._deadline
                 if record is not None and record._event is not next_target:
@@ -504,7 +509,7 @@ class Process(Event):
     def _finish(self, ok: bool, value: Any) -> None:
         self._ok = ok
         self._value = value
-        self._target = None
+        self._target = self._wake = None
         record, self._deadline = self._deadline, None
         if record is not None and record._at is not None:
             # Its record holds neither this process nor its wait; it

@@ -176,3 +176,90 @@ def test_tcp_connect_event_cost_and_arrival_times_are_unchanged(world):
     assert env.stats()["handoffs"] == 2
     assert log == [("accepted", "0x1.863fba9149fd2p-7", 4),
                    ("connected", "0x1.69b500f417524p-6", 4)]
+
+
+# -- the route memo, through the socket path -----------------------------------
+
+BASE = LinkProfile(latency=0.01, jitter=0.004)
+
+
+def _slow(profile):
+    return LinkProfile(latency=profile.latency * 20, jitter=profile.jitter)
+
+
+def _unmemoized(network):
+    """Make ``network`` resolve every transmission's route afresh."""
+    transmit = network.transmit
+
+    def fresh(src, *args, **kwargs):
+        src.routes.clear()
+        return transmit(src, *args, **kwargs)
+
+    network.transmit = fresh
+
+
+def _arrivals(setup, change, memoized=True):
+    """Delay of each message on an established connection from site x
+    to site y: ``setup(network)`` runs before the first send,
+    ``change(network, state)`` between the first and the second."""
+    from repro.netsim import Endpoint
+    env, _, metrics, network = make_world()
+    if not memoized:
+        _unmemoized(network)
+    network.add_profile("x", "y", BASE)
+    a = Host(env, network, "a", "10.0.0.1", "x", metrics)
+    b = Host(env, network, "b", "10.0.0.2", "y", metrics)
+    pa, pb = a.spawn("pa"), b.spawn("pb")
+    endpoint = Endpoint(b.ip, 80)
+    _, listener = b.kernel.tcp_listen(pb, endpoint)
+    sent, got = {}, []
+
+    def server():
+        conn = yield listener.accept(pb)
+        while len(got) < 2:
+            item = yield conn.recv()
+            got.append(env.now - sent[item.payload])
+
+    def client():
+        conn = yield a.kernel.tcp_connect(pa, endpoint)
+        yield env.timeout(1)
+        state = setup(network)
+        sent["first"] = env.now
+        conn.send("first")
+        yield env.timeout(1)
+        change(network, state)
+        sent["second"] = env.now
+        conn.send("second")
+
+    pb.run(server())
+    pa.run(client())
+    env.run(until=5)
+    return got
+
+
+def _same_as_unmemoized(setup, change):
+    got = _arrivals(setup, change)
+    assert got == _arrivals(setup, change, memoized=False)
+    return got
+
+
+def test_an_override_applies_to_the_very_next_send():
+    first, second = _same_as_unmemoized(
+        lambda network: None,
+        lambda network, _: network.push_link_override("x", "y", _slow))
+    assert first < 0.014 and second >= 0.2
+
+
+def test_popping_an_override_restores_the_base_route():
+    first, second = _same_as_unmemoized(
+        lambda network: network.push_link_override("x", "y", _slow),
+        lambda network, token: network.pop_link_override(token))
+    assert first >= 0.2 and second < 0.014
+
+
+def test_a_new_profile_on_the_pair_applies_to_the_next_send():
+    first, second = _same_as_unmemoized(
+        lambda network: None,
+        lambda network, _: network.add_profile(
+            "x", "y", LinkProfile(latency=0.05, jitter=0.004)))
+    assert first < 0.014 and 0.05 <= second < 0.054

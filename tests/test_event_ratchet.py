@@ -9,8 +9,10 @@ enough for tier-1.  Same spirit as ``tests/test_config_surface.py``: it
 only moves on purpose.  The same run then says what it still holds: an
 HTTP/2 connection keeps only its open streams, and the per-connection
 objects carry no ``__dict__``.  A second run prices bulk uploads per
-relayed body chunk across an app server restart, and checks that its
-window leaves the collector no race to find.
+relayed body chunk across an app server restart, checks that its
+window leaves the collector no race to find, and that it resolves each
+route once, not per send.  A third run releases every Origin with DCR
+on, the re-home dials and broker re-attaches the other two never make.
 """
 
 import gc
@@ -63,6 +65,8 @@ RELEASED_SNAPSHOT = (
     "e89af8dfffedf02683c381d1bdce2f1bf00d1049b7a62a44eb8e04d3162f20ab")
 BULK_POSTS_SNAPSHOT = (
     "3194e6a3893ee7bf88206a0a45a74fb98ee94cc4003c48b303af4b3b82000968")
+ORIGIN_RELEASED_SNAPSHOT = (
+    "f8e4d40d7bed19b546dead251027057180c0040bc6378db9e58f7f8a6e46faa1")
 
 OPS = (("web-clients", "get_ok"), ("web-clients", "post_ok"),
        ("mqtt-clients", "publishes_sent"),
@@ -150,7 +154,9 @@ def bulk_posts():
     (the uploads outlast its drain, so the Origin replays at least one),
     t = 10..25.  Returns the window's events, its completed uploads, its
     379s, the run's snapshot digest and what the collector found
-    unreachable in the window, by type."""
+    unreachable in the window, by type.  Route resolutions are counted
+    per (source host, destination IP) over the whole run, with the
+    number of times the network's profile version moved."""
     deployment = Deployment(DeploymentSpec(
         seed=0, edge_proxies=2, origin_proxies=2, app_servers=2,
         web_client_hosts=1, mqtt_client_hosts=0, quic_client_hosts=0,
@@ -162,6 +168,15 @@ def bulk_posts():
             post_size_cap=CHUNKS * CHUNK_SIZE,
             post_chunk_size=CHUNK_SIZE, upload_bandwidth=750_000.0),
         mqtt_workload=None, quic_workload=None, splice=None))
+    network = deployment.network
+    resolved, version = Counter(), network.version
+    resolve = network._route
+
+    def counted(src, dst_ip):
+        resolved[src.ip, dst_ip] += 1
+        return resolve(src, dst_ip)
+
+    network._route = counted
     deployment.start()
     deployment.run(until=10.0)
     env = deployment.env
@@ -179,11 +194,13 @@ def bulk_posts():
     finally:
         gc.set_debug(0)
         gc.garbage.clear()
+        del network._route
     uploads = deployment.metrics.aggregate(
         "post_ok", scope_prefix="web-clients") - uploads
     return (env.stats()["events"] - events, uploads,
             deployment.metrics.aggregate("ppr_379_received"),
-            _snapshot_sha256(deployment), garbage)
+            _snapshot_sha256(deployment),
+            (resolved, network.version - version), garbage)
 
 
 def test_events_per_relayed_chunk_stay_under_the_ceiling(bulk_posts):
@@ -196,12 +213,28 @@ def test_events_per_relayed_chunk_stay_under_the_ceiling(bulk_posts):
         "event: name who waits on it, or raise the ceiling on purpose")
 
 
-def test_what_both_runs_observed_is_pinned(released, bulk_posts):
+def test_what_both_runs_observed_is_pinned(released, bulk_posts,
+                                          origin_released):
     """The runs' snapshots, byte for byte: the ceilings above may only
-    fall by scheduling less, never by observing something else."""
+    fall by scheduling less, and a send may only get cheaper, never by
+    observing something else (the Origin release's snapshot catches a
+    stale route on a re-home dial or a broker re-attach)."""
     deployment, _, _ = released
     assert _snapshot_sha256(deployment) == RELEASED_SNAPSHOT
     assert bulk_posts[3] == BULK_POSTS_SNAPSHOT
+    assert _snapshot_sha256(origin_released[0]) == ORIGIN_RELEASED_SNAPSHOT
+
+
+def test_a_route_is_resolved_once_per_host_pair(bulk_posts):
+    """Sends reuse the source host's route memo: over the run each
+    (host, peer IP) pair is resolved at most once, plus once per move of
+    the network's profile version (none here: no link fault).  The
+    event ceilings cannot see host work, so per-send resolution would
+    come back unseen without this."""
+    (resolved, bumps), _ = bulk_posts[4:]
+    assert bumps == 0
+    assert resolved and max(resolved.values()) <= 1 + bumps, (
+        resolved.most_common(4))
 
 
 def test_the_post_relay_leaves_no_race_for_the_collector(bulk_posts):
@@ -226,3 +259,75 @@ def test_a_health_probe_connection_is_closed_by_the_proxy(released):
                  if endpoint.remote_host_ip in katran_ips
                  and endpoint.fin_received]
     assert left_open == []
+
+
+@pytest.fixture(scope="module")
+def origin_released():
+    """``mqtt_dcr``'s shape at about 1/10 scale: every Origin released,
+    a quarter at a time, with DCR on, t = 10..60.  Returns the
+    deployment and the Edges' upstream dials in the release window."""
+    deployment = Deployment(DeploymentSpec(
+        seed=0, edge_proxies=6, origin_proxies=4, app_servers=2, brokers=4,
+        web_client_hosts=0, mqtt_client_hosts=2, quic_client_hosts=0,
+        origin_config=ProxygenConfig(mode="origin", drain_duration=8.0,
+                                     enable_takeover=True, enable_dcr=True,
+                                     spawn_delay=2.0),
+        web_workload=None, quic_workload=None,
+        mqtt_workload=MqttWorkloadConfig(users_per_host=38,
+                                         publish_interval=2.0)))
+    deployment.start()
+    deployment.run(until=10.0)
+    dialed = deployment.metrics.aggregate("upstream_dialed")
+    release = RollingRelease(deployment.env, deployment.origin_servers,
+                             RollingReleaseConfig(batch_fraction=0.25))
+    deployment.env.process(release.execute())
+    deployment.run(until=60.0)
+    return deployment, deployment.metrics.aggregate("upstream_dialed") - dialed
+
+
+def test_an_origin_release_rehomes_tunnels_and_breaks_no_session(
+        origin_released):
+    deployment, _ = origin_released
+    metrics = deployment.metrics
+    assert metrics.aggregate("takeover_completed") == 4
+    assert metrics.aggregate("dcr_rehomed") >= 100
+    assert metrics.aggregate("mqtt_session_broken") == 0
+    assert metrics.aggregate("mqtt_reconnects") == 0
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "dial herd: UpstreamPool.open_stream starts a _dial for every caller "
+    "that finds `current` unusable, so tunnels re-homed together each "
+    "dial their own connection (ROADMAP open item 10)"))
+def test_an_edge_dials_one_connection_per_origin_goaway(origin_released):
+    """Each Origin drains once, so an Edge's pool gets at most one GOAWAY
+    per Origin and should dial at most one connection per GOAWAY (93
+    dials for 118 re-homes here; 748 for 923 on ``mqtt_dcr``)."""
+    deployment, dialed = origin_released
+    most = len(deployment.edge_servers) * len(deployment.origin_servers)
+    assert dialed <= most, f"{dialed:g} upstream dials > {most}"
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "relays left open: MqttBroker._serve_conn returns on the Origin's "
+    "FIN/RST without conn.close(), and _serve_edge_conn's MQTT branch "
+    "returns after client_loop without closing its connection (ROADMAP "
+    "open item 11)"))
+def test_a_relay_connection_is_closed_once_its_peer_is_gone(
+        origin_released):
+    """A broker connection whose Origin sent FIN, and an Edge client
+    connection that was reset, should leave their live process, the way
+    a probe connection does.  118 broker endpoints stay here; the Edge
+    half shows only at figure scale, where clients reset during the
+    connect storm (1,076 and 393 on ``mqtt_dcr`` at t = 60)."""
+    deployment, _ = origin_released
+    at_brokers = [endpoint for broker in deployment.brokers
+                  if broker.process.alive
+                  for endpoint in broker.process.connections()
+                  if endpoint.fin_received]
+    at_edges = [endpoint for instance in _instances(deployment.edge_servers)
+                if instance.process.alive
+                for endpoint in instance.process.connections()
+                if endpoint.reset
+                and endpoint.remote != instance.upstream.origin_vip]
+    assert (len(at_brokers), len(at_edges)) == (0, 0)
