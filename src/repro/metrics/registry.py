@@ -75,10 +75,11 @@ class MetricsRegistry:
     def series(self, name: str, mode: str = "sum",
                bucket_width: Optional[float] = None) -> TimeSeries:
         """Named time series (created on first use)."""
-        if name not in self._series:
-            self._series[name] = TimeSeries(
+        series = self._series.get(name)
+        if series is None:
+            series = self._series[name] = TimeSeries(
                 bucket_width or self.bucket_width, mode=mode)
-        return self._series[name]
+        return series
 
     def has_series(self, name: str) -> bool:
         return name in self._series

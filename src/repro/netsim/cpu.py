@@ -30,8 +30,8 @@ interval across a bucket edge goes through ``add_busy``.
 
 from __future__ import annotations
 
-import math
 from collections import deque
+from math import floor
 
 from ..metrics.timeline import UtilizationTracker
 from ..simkernel.core import Environment
@@ -128,17 +128,23 @@ class CpuModel:
             if entry is None:
                 self._release(start_work=False)
             else:
-                try:
-                    self._waiters.remove(entry)
-                except ValueError:  # handed a core already
+                # Found by identity: a failed ``deque.remove`` would
+                # format the entry, and with it the event, into its
+                # message.
+                waiters = self._waiters
+                for index, waiter in enumerate(waiters):
+                    if waiter is entry:
+                        del waiters[index]
+                        break
+                else:  # handed a core already
                     self._release(start_work=False)
             raise
         end = env._now
         busy = end - start
         width = self._bucket_width
         # ``IntervalAccumulator.add`` for the one-bucket case, inline.
-        first = math.floor(start / width)
-        last = math.floor(end / width)
+        first = floor(start / width)
+        last = floor(end / width)
         if last * width >= end:
             last -= 1
         if first == last and busy:
@@ -147,7 +153,10 @@ class CpuModel:
         else:
             self.tracker.add_busy(start, end)
         self.total_busy_seconds += busy
-        self._release()
+        if self._waiters:
+            self._release()
+        else:  # nobody waits: free the core, no call
+            self.busy -= 1
 
     def background(self, work_units: float) -> None:
         """Fire-and-forget CPU burn (e.g. cache priming of a new instance)."""

@@ -183,21 +183,21 @@ class Kernel:
 
     # -- TCP: data plane ---------------------------------------------------------
 
-    def transmit_stream(self, endpoint: TcpEndpoint, item,
-                        size: int = CONTROL_SIZE) -> None:
-        """Deliver ``item`` (``size`` bytes; a FIN or RST by default) to
-        the endpoint's peer after link latency.
+    def transmit_stream(self, endpoint: TcpEndpoint, item) -> None:
+        """Deliver a FIN or RST ``item`` to the endpoint's peer after
+        link latency (data goes by :meth:`TcpEndpoint.send`, which
+        inlines this).
 
         Delivery is kept in order per connection direction (TCP
-        semantics): a small control message sent after a large payload
-        must not overtake it.
+        semantics): a control message sent after a large payload must
+        not overtake it.
         """
         peer = endpoint.peer
         if peer is None:
             return
         endpoint.next_in_order_arrival = self.network.transmit(
-            self.host, endpoint.remote_host_ip, peer.deliver, item, size,
-            endpoint.next_in_order_arrival) + 1e-9
+            self.host, endpoint.remote_host_ip, peer.deliver, item,
+            CONTROL_SIZE, endpoint.next_in_order_arrival) + 1e-9
 
     # -- UDP -----------------------------------------------------------------------
 

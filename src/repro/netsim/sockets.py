@@ -21,6 +21,10 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["TcpListenSocket", "TcpConnection", "TcpEndpoint", "UdpSocket"]
 
+#: Builds a slotted message without its class call (see
+#: :meth:`TcpEndpoint.send`).
+_new = object.__new__
+
 
 class TcpListenSocket:
     """A listening TCP socket with an accept queue.
@@ -155,7 +159,18 @@ class TcpEndpoint:
         if self.reset:
             raise ConnectionResetSim(f"connection {self.local}->{self.remote} reset")
         self.bytes_sent += size
-        self.kernel.transmit_stream(self, StreamMessage(payload, size), size)
+        # ``Kernel.transmit_stream``, inlined, with the message built in
+        # place: one frame per send.
+        peer = self.peer
+        if peer is None:
+            return
+        message = _new(StreamMessage)
+        message.payload = payload
+        message.size = size
+        kernel = self.kernel
+        self.next_in_order_arrival = kernel.network.transmit(
+            kernel.host, self.remote_host_ip, peer.deliver, message, size,
+            self.next_in_order_arrival) + 1e-9
 
     def recv(self, timeout: Optional[float] = None) -> StoreGetEvent:
         """Event yielding the next StreamMessage or StreamControl — or,

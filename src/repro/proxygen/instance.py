@@ -49,6 +49,7 @@ from .udp import QuicService
 from .upstream import UpstreamPool, UpstreamUnavailable
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..metrics.timeline import TimeSeries
     from ..netsim.sockets import TcpEndpoint, TcpListenSocket, UdpSocket
     from .server import ProxygenServer
 
@@ -84,6 +85,11 @@ class ProxygenInstance:
         # Bound handles for the per-request hot path.
         self._c_rps = self.counters.bound("rps")
         self._c_tls = self.counters.bound("tls_handshakes")
+        #: The ``rps/`` and ``throughput/`` series, looked up at first
+        #: use (an instance that serves nothing adds no empty series to
+        #: the snapshot) and kept.
+        self._rps_series: Optional["TimeSeries"] = None
+        self._throughput_series: Optional["TimeSeries"] = None
         #: The run's record and its TraceCollector, cached at boot
         #: (bound-handle rule: disabled tracing is one attribute read +
         #: None test per hop).
@@ -384,7 +390,7 @@ class ProxygenInstance:
     def _edge_http_body(self, conn: "TcpEndpoint", request: HttpRequest):
         env = self.host.env
         self._c_rps.inc()
-        self.host.metrics.series(f"rps/{self.server.name}").record(env.now)
+        self._record_rps(env.now)
         span = self._hop_span(request, "edge.http")
         yield from self.host.cpu.execute(CpuCosts.relay_message)
 
@@ -465,11 +471,20 @@ class ProxygenInstance:
                                    "Internal Server Error"), size=200)
             self._count_response(STATUS_INTERNAL_ERROR, 200)
 
+    def _record_rps(self, now: float) -> None:
+        series = self._rps_series
+        if series is None:
+            series = self._rps_series = self.host.metrics.series(
+                f"rps/{self.server.name}")
+        series.record(now)
+
     def _count_response(self, status: int, size: int) -> None:
         self.counters.inc("http_status", tag=str(status))
-        self.host.metrics.series(
-            f"throughput/{self.server.name}").record(
-                self.host.env.now, size)
+        series = self._throughput_series
+        if series is None:
+            series = self._throughput_series = self.host.metrics.series(
+                f"throughput/{self.server.name}")
+        series.record(self.host.env.now, size)
 
     # -- origin ------------------------------------------------------------
 
@@ -500,8 +515,7 @@ class ProxygenInstance:
         payload = frame.payload
         if isinstance(payload, HttpRequest):
             self._c_rps.inc()
-            self.host.metrics.series(
-                f"rps/{self.server.name}").record(self.host.env.now)
+            self._record_rps(self.host.env.now)
             plane = self.resilience
             if plane is None:
                 yield from self._origin_dispatch(stream, payload)

@@ -44,6 +44,10 @@ from .events import (
 
 __all__ = ["Environment", "EmptySchedule", "StopSimulation"]
 
+#: Builds a slotted event without its class call (see
+#: :meth:`Environment.timeout`).
+_new = object.__new__
+
 
 class EmptySchedule(Exception):
     """Raised internally when the event queue runs dry."""
@@ -114,8 +118,29 @@ class Environment:
         return Event(self)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """Create an event that triggers ``delay`` time units from now."""
-        return Timeout(self, delay, value)
+        """Create an event that triggers ``delay`` time units from now.
+
+        The timeout is built in place — no class call, no ``__init__``
+        frame: this is the only way one is made."""
+        if delay < 0:
+            raise ValueError(f"Negative delay {delay}")
+        event = _new(Timeout)
+        event.env = self
+        event.callbacks = []
+        event._value = value
+        event._ok = True
+        event._defused = False
+        event._delay = delay
+        # ``_push(self, event, NORMAL, at)``, inlined: one frame per timeout.
+        now = self._now
+        at = now + delay
+        if at == now:
+            self._ready.append(event)
+            self._eid += 1
+        else:
+            self._eid = eid = self._eid + 1
+            heappush(self._queue, (at, NORMAL, eid, event))
+        return event
 
     def process(self, generator: Generator) -> Process:
         """Start a new process driving ``generator``."""

@@ -25,8 +25,14 @@ here are optimized:
 * a hand-off the run loop would pop next runs in place
   (``Event.deliver``, ``Store.deliver``): an expired wait, a socket
   arrival, an accept or a connect result costs no wake-up event;
+* the events a hop builds are built in place by their factories
+  (``Environment.timeout``, ``Store.get``): ``object.__new__``, the
+  slot stores and, for a timeout, the push — no class call and no
+  ``__init__`` frame (:class:`Timeout` and ``StoreGetEvent`` have no
+  ``__init__``, so the factory is the only way to build one);
 * :meth:`Process._resume` keeps the generator drive loop free of
-  redundant attribute lookups and re-checks, and a park appends the
+  redundant attribute lookups and re-checks, calls ``generator.send``
+  without building a bound method first, and a park appends the
   process's one wake-up callback (``_wake``, bound at start), not a
   fresh bound method;
 * a wait under a deadline (``Store.get(timeout=...)``,
@@ -54,7 +60,12 @@ Every event is built by its environment (``env.timeout``,
 ``env.process``, ``env.any_of``, ``env.make_store`` …; nothing outside
 this package constructs an event class by name), so the classes here
 only ever meet :class:`~repro.simkernel.core.Environment` and a run
-under the frozen reference environment contains none of them.
+under the frozen reference environment contains none of them.  Model
+code — ``netsim`` included — stays kernel-agnostic: it calls these
+factories and ``env.call_later``, and never inlines one, because the
+same code runs on the frozen environment too (``call_later`` inlined
+into ``Network.transmit`` would push a live call entry into the frozen
+heap, which reads every entry as an event).
 
 The pre-optimization implementation is frozen verbatim in
 :mod:`repro.simkernel.reference`; ``tests/perf/test_differential.py``
@@ -257,28 +268,12 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that triggers after a fixed simulated delay."""
+    """An event that triggers after a fixed simulated delay.
+
+    It has no ``__init__``: ``Environment.timeout`` builds every timeout
+    in place."""
 
     __slots__ = ("_delay",)
-
-    def __init__(self, env: "Environment", delay: float, value: Any = None):  # noqa: F821
-        if delay < 0:
-            raise ValueError(f"Negative delay {delay}")
-        self.env = env
-        self.callbacks = []
-        self._value = value
-        self._ok = True
-        self._defused = False
-        self._delay = delay
-        # ``_push(env, self, NORMAL, at)``, inlined: one frame per timeout.
-        now = env._now
-        at = now + delay
-        if at == now:
-            env._ready.append(self)
-            env._eid += 1
-        else:
-            env._eid = eid = env._eid + 1
-            heappush(env._queue, (at, NORMAL, eid, self))
 
     def cancel(self) -> None:
         """Withdraw a timeout nobody is waiting on anymore.
@@ -445,11 +440,12 @@ class Process(Event):
         env = self.env
         env._active_process = self
         generator = self._generator
-        send = generator.send
         while True:
             if event._ok:
                 try:
-                    next_target = send(event._value)
+                    # Called, not bound first: a method call builds no
+                    # bound method object.
+                    next_target = generator.send(event._value)
                 except StopIteration as stop:
                     self._finish(True, stop.value)
                     break
@@ -470,6 +466,10 @@ class Process(Event):
                         # (the asyncio.CancelledError convention): process
                         # teardown interrupts every task of an exiting OS
                         # process and most tasks have nothing to clean up.
+                        # Nobody reads its traceback, which would hold
+                        # this frame and so the interrupt itself: a
+                        # cycle that only the collector could free.
+                        exc.__traceback__ = None
                         self._finish(True, None)
                         break
                     self._finish(False, exc)

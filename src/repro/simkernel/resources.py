@@ -43,7 +43,11 @@ Construct a store through the
 :class:`~repro.simkernel.core.Environment` factory method
 (``env.make_store()``), like every other event: a simulation driven by
 the reference environment then gets the frozen implementation and
-never meets these classes.
+never meets these classes.  A get is built by its factory,
+:meth:`Store.get`, in place — ``object.__new__`` and the slot stores,
+no class call and no ``__init__`` frame per receive
+(:class:`StoreGetEvent` has no ``__init__``), as
+``Environment.timeout`` builds a timeout.
 """
 
 from __future__ import annotations
@@ -53,37 +57,18 @@ from typing import Any, Optional
 from .core import Environment
 from .events import NORMAL, PENDING, TIMED_OUT, Event, _push
 
+#: Builds a slotted event without its class call (see :meth:`Store.get`).
+_new = object.__new__
+
 __all__ = ["Store", "StoreGetEvent"]
 
 
 class StoreGetEvent(Event):
-    """Event returned by :meth:`Store.get`; succeeds with the item."""
+    """Event returned by :meth:`Store.get`; succeeds with the item.
+
+    It has no ``__init__``: ``Store.get`` builds every get in place."""
 
     __slots__ = ("_cancelled",)
-
-    def __init__(self, store: "Store"):
-        env = store.env
-        self.env = env
-        self.callbacks = []
-        self._defused = False
-        self._cancelled = False
-        items = store.items
-        if items:
-            # ``put`` never leaves an item beside a live getter, so the
-            # head item is this getter's.
-            self._ok = True
-            self._value = items.pop(0)
-            _push(env, self, NORMAL, env._now)
-            return
-        self._ok = None
-        self._value = PENDING
-        get_queue = store._get_queue
-        # Withdrawn getters are dropped lazily; doing it here as well
-        # as in ``put`` bounds the queue of a store that is polled
-        # under a deadline but rarely fed.
-        while get_queue and get_queue[0]._cancelled:
-            get_queue.pop(0)
-        get_queue.append(self)
 
     def cancel(self) -> None:
         """Withdraw this get request if it has not yet been fulfilled."""
@@ -137,12 +122,36 @@ class Store:
 
         With a ``timeout`` the running process waits at most that long:
         the event yields the item, or ``TIMED_OUT`` and the get is
-        withdrawn (:meth:`Environment.within`).
+        withdrawn (:meth:`Environment.within`).  The event is built in
+        place — no class call, no ``__init__`` frame per receive.
         """
-        event = StoreGetEvent(self)
+        env = self.env
+        event = _new(StoreGetEvent)
+        event.env = env
+        event.callbacks = []
+        event._defused = False
+        event._cancelled = False
+        items = self.items
+        if items:
+            # ``put`` never leaves an item beside a live getter, so the
+            # head item is this getter's; a deadline has nothing to
+            # bound.
+            event._ok = True
+            event._value = items.pop(0)
+            _push(env, event, NORMAL, env._now)
+            return event
+        event._ok = None
+        event._value = PENDING
+        get_queue = self._get_queue
+        # Withdrawn getters are dropped lazily; doing it here as well
+        # as in ``put`` bounds the queue of a store that is polled
+        # under a deadline but rarely fed.
+        while get_queue and get_queue[0]._cancelled:
+            get_queue.pop(0)
+        get_queue.append(event)
         if timeout is None:
             return event
-        return self.env.within(event, timeout)
+        return env.within(event, timeout)
 
     def try_get(self) -> Any:
         """Synchronously pop the next item, or ``None`` if empty."""

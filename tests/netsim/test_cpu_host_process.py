@@ -212,6 +212,41 @@ def test_cpu_waiter_interrupted_after_its_grant_passes_the_core_on():
     assert cpu.busy == 0 and cpu.queue_length == 0
 
 
+def test_cpu_execution_interrupted_after_its_hand_off_formats_no_event(
+        monkeypatch):
+    """A waiter interrupted after the hand-off is no longer queued; it
+    is looked for by identity, so no error message is built from the
+    queue entry, whose event would be formatted by ``Event.__repr__``."""
+    from repro.simkernel.events import Event
+
+    def no_repr(event):
+        raise AssertionError("Event.__repr__ called")
+
+    monkeypatch.setattr(Event, "__repr__", no_repr)
+    env = Environment()
+    cpu = CpuModel(env, cores=1, speed=1.0)
+    done = []
+    waiters = []
+
+    def holder():
+        yield from cpu.execute(10.0)
+        waiters[0].interrupt("killed")  # just handed the core
+
+    def worker(label):
+        try:
+            yield from cpu.execute(1.0)
+        except Interrupt:
+            done.append((label, "interrupted"))
+            return
+        done.append((label, env.now))
+
+    env.process(holder())
+    waiters.extend(env.process(worker(label)) for label in ("first", "second"))
+    env.run()
+    assert done == [("first", "interrupted"), ("second", 11.0)]
+    assert cpu.busy == 0 and cpu.queue_length == 0
+
+
 def test_cpu_busy_buckets_equal_add_busy_exactly():
     """The inlined one-bucket accounting builds the very dict
     ``UtilizationTracker.add_busy`` builds from the same intervals."""
