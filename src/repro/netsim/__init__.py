@@ -31,7 +31,7 @@ from .packet import ControlType, Datagram, StreamControl, StreamMessage
 from .proc_utils import TIMED_OUT, with_timeout
 from .process import ProcessExit, SimProcess
 from .reuseport import ReusePortGroup
-from .sockets import TcpConnection, TcpEndpoint, TcpListenSocket, UdpSocket
+from .sockets import TcpEndpoint, TcpListenSocket, UdpSocket
 from .unix import UnixChannelEnd, UnixListener, UnixMessage
 
 __all__ = [
@@ -47,6 +47,6 @@ __all__ = [
     "TIMED_OUT", "with_timeout",
     "ProcessExit", "SimProcess",
     "ReusePortGroup",
-    "TcpConnection", "TcpEndpoint", "TcpListenSocket", "UdpSocket",
+    "TcpEndpoint", "TcpListenSocket", "UdpSocket",
     "UnixChannelEnd", "UnixListener", "UnixMessage",
 ]

@@ -63,5 +63,5 @@ def stable_hash(*parts) -> int:
     SO_REUSEPORT socket ring, ECMP next-hop choice and consistent-hash
     rings all derive from this.
     """
-    data = "\x1f".join(str(p) for p in parts).encode("utf-8")
+    data = "\x1f".join(map(str, parts)).encode("utf-8")
     return zlib.crc32(data) & 0xFFFFFFFF

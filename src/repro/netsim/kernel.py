@@ -11,7 +11,7 @@ from .packet import Datagram
 from .filetable import FileDescription
 from .proc_utils import TIMED_OUT, with_timeout
 from .reuseport import ReusePortGroup
-from .sockets import TcpConnection, TcpEndpoint, TcpListenSocket, UdpSocket
+from .sockets import TcpEndpoint, TcpListenSocket, UdpSocket
 
 if TYPE_CHECKING:  # pragma: no cover
     from .host import Host
@@ -173,7 +173,8 @@ class Kernel:
             return
 
         server_end = TcpEndpoint(self, flow.dst, flow.src, src_host.ip)
-        TcpConnection(flow, client_end, server_end)
+        client_end.peer = server_end
+        server_end.peer = client_end
         self._c_accepted.inc()
         # Tagged by source so experiments can separate e.g. L4 health
         # probes from real connection-establishment storms.

@@ -4,6 +4,11 @@ These are the *resources* behind file descriptors.  They hold the kernel
 side of connection state: accept queues, receive queues, FIN/RST
 bookkeeping.  Applications interact with them through generator-style
 blocking calls (``yield sock.recv()``).
+
+A TCP pair is two endpoints holding each other as ``peer``; a message
+in flight holds the endpoint it is for.  The second half to close
+unlinks the pair, so once its last FIN or RST is delivered a finished
+connection is freed by refcount, not by the cyclic collector.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .kernel import Kernel
     from .process import SimProcess
 
-__all__ = ["TcpListenSocket", "TcpConnection", "TcpEndpoint", "UdpSocket"]
+__all__ = ["TcpListenSocket", "TcpEndpoint", "UdpSocket"]
 
 #: Builds a slotted message without its class call (see
 #: :meth:`TcpEndpoint.send`).
@@ -79,20 +84,6 @@ class TcpListenSocket:
         return f"<TcpListenSocket {self.endpoint} pending={self.pending}>"
 
 
-class TcpConnection:
-    """An established TCP connection: two linked endpoints."""
-
-    def __init__(self, flow: FourTuple, client: "TcpEndpoint",
-                 server: "TcpEndpoint"):
-        self.flow = flow
-        self.client = client
-        self.server = server
-        client.conn = self
-        server.conn = self
-        client.peer = server
-        server.peer = client
-
-
 class TcpEndpoint:
     """One side of an established TCP connection.
 
@@ -104,7 +95,7 @@ class TcpEndpoint:
     """
 
     __slots__ = ("kernel", "local", "remote", "remote_host_ip", "inbox",
-                 "inbox_deliver", "owner", "conn", "peer", "closed", "reset",
+                 "inbox_deliver", "owner", "peer", "closed", "reset",
                  "fin_received", "bytes_sent", "next_in_order_arrival",
                  "l4lb_backend", "pool_reused")
 
@@ -120,7 +111,6 @@ class TcpEndpoint:
         #: Arrival hand-off: wakes a parked reader in place.
         self.inbox_deliver = self.inbox.deliver
         self.owner: Optional["SimProcess"] = None
-        self.conn: Optional[TcpConnection] = None
         self.peer: Optional["TcpEndpoint"] = None
         self.closed = False
         self.reset = False
@@ -227,6 +217,9 @@ class TcpEndpoint:
     def _detach(self) -> None:
         if self.owner is not None:
             self.owner.forget_endpoint(self)
+        peer = self.peer
+        if peer is not None and peer.closed:
+            self.peer = peer.peer = None  # neither half transmits again
 
     def __repr__(self) -> str:
         flags = "".join(flag for flag, on in [

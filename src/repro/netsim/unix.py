@@ -128,6 +128,9 @@ class UnixChannelEnd:
 
     def close(self) -> None:
         self.closed = True
+        peer = self.peer
+        if peer is not None and peer.closed:
+            self.peer = peer.peer = None  # neither end sends again
 
 
 def unix_listen(host: "Host", process: "SimProcess", path: str) -> UnixListener:

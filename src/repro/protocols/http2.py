@@ -25,6 +25,10 @@ demux belongs to the OS process ``start`` was given:
   — after the caller's code, at the same instant, in arrival order — so
   ``start()`` then ``send_goaway()`` still refuses them.
 
+A session and its socket hold each other (``_demux``) while it is up;
+once it is ``broken`` the socket's hand-off becomes a no-op, so neither
+waits for the cyclic collector.
+
 A stream lives in :attr:`H2Connection.streams` only while it is open.
 It leaves the moment it closes — both halves ended (``end_stream`` sent
 and received, in either order) or reset (either side's RST_STREAM, or
@@ -326,6 +330,7 @@ class H2Connection:
 
     def _on_transport_down(self) -> None:
         self.broken = True
+        self.endpoint.inbox_deliver = _drop  # ``_demux`` drops it all now
         # ``put``, not ``deliver``: a handler resumed inside this loop
         # could open a stream.  Readers wake in order, the accept loop last;
         # every stream still known is open, and every one is reset now.
@@ -335,3 +340,7 @@ class H2Connection:
                 stream_id=stream.id, type=FrameType.RST_STREAM, size=0))
         self.streams.clear()
         self.incoming.put(None)
+
+
+def _drop(item) -> None:
+    """A broken session's socket hand-off: the arrival reaches nobody."""

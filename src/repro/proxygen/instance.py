@@ -114,7 +114,6 @@ class ProxygenInstance:
         self.sibling_forward_port: Optional[int] = None
 
         self.quic_states = QuicStateTable(owner=self.name)
-        self.quic = QuicService(self)
         self.mqtt_tunnels: dict[int, object] = {}
         self._serving_tasks: list = []
         self._takeover_listener = None
@@ -245,6 +244,7 @@ class ProxygenInstance:
 
     def _start_serving_loops(self) -> None:
         run = self.process.run
+        quic = QuicService(self)  # its loops hold it; no cycle with us
         for vip_name, listener in self.tcp_listeners.items():
             self._serving_tasks.append(
                 run(self._accept_loop(vip_name, listener)))
@@ -252,9 +252,9 @@ class ProxygenInstance:
             for vip_name, sockets in self.udp_sockets.items():
                 for sock in sockets:
                     self._serving_tasks.append(
-                        run(self.quic.vip_socket_loop(sock)))
-        run(self.quic.forward_socket_loop(self.forward_sock))
-        run(self.quic.expire_loop())
+                        run(quic.vip_socket_loop(sock)))
+        run(quic.forward_socket_loop(self.forward_sock))
+        run(quic.expire_loop())
 
     # ------------------------------------------------------------------
     # draining / shutdown

@@ -121,6 +121,7 @@ def run_takeover_server_session(instance: "ProxygenInstance", channel):
     # Step D/E: confirmation received -> stop accepting, start draining.
     instance.begin_drain(reason="takeover")
     channel.send({"type": "drain_started"})
+    channel.close()
     return True
 
 
@@ -193,11 +194,11 @@ def run_takeover_client(instance: "ProxygenInstance"):
 
     channel.send({"type": "confirm"})
     outcome = yield channel.recv(timeout)
+    channel.close()  # the handshake is over either way
     if outcome is TIMED_OUT:
         # We already hold the FDs and sent confirm — the takeover stands
         # even if the drain ack never arrives (the old instance may have
         # died right after draining started).  Record it, keep serving.
-        channel.close()
         instance.counters.inc("takeover_drain_unconfirmed")
         drain_confirmed = False
     else:

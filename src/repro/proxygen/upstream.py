@@ -46,7 +46,10 @@ class UpstreamPool:
                  origin_router: Callable[[FourTuple], Optional[str]],
                  dial_retries: int = 3,
                  resilience: Optional["ResiliencePlane"] = None):
-        self.instance = instance
+        # Not the instance itself: that would hold it in a cycle.
+        self.host = instance.host
+        self.process = instance.process
+        self.counters = instance.counters
         self.origin_vip = origin_vip
         self.origin_router = origin_router
         self.dial_retries = dial_retries
@@ -84,8 +87,7 @@ class UpstreamPool:
         raise UpstreamUnavailable("could not reach any Origin proxy")
 
     def _dial(self):
-        instance = self.instance
-        host = instance.host
+        host, counters = self.host, self.counters
         plane = self.resilience
         # Route the new connection through the Origin's L4LB, exactly as
         # a fresh flow would be.
@@ -95,24 +97,23 @@ class UpstreamPool:
             self.origin_vip)
         backend_ip = self.origin_router(probe_flow)
         if backend_ip is None:
-            instance.counters.inc("upstream_dial_attempt", tag="no_route")
+            counters.inc("upstream_dial_attempt", tag="no_route")
             self.current = None
             return
         breaker = None
         if plane is not None:
             breaker = plane.breakers.get(f"origin:{backend_ip}")
             if not breaker.allow():
-                instance.counters.inc("upstream_dial_attempt",
-                                      tag="breaker_open")
+                counters.inc("upstream_dial_attempt", tag="breaker_open")
                 self.current = None
                 return
         try:
             outcome = yield from host.kernel.tcp_connect_within(
-                instance.process, self.origin_vip, DIAL_TIMEOUT,
+                self.process, self.origin_vip, DIAL_TIMEOUT,
                 via_ip=backend_ip)
         except ConnectionRefusedSim:
-            instance.counters.inc("upstream_dial_refused")
-            instance.counters.inc("upstream_dial_attempt", tag="refused")
+            counters.inc("upstream_dial_refused")
+            counters.inc("upstream_dial_attempt", tag="refused")
             if breaker is not None:
                 breaker.record_failure()
             self.current = None
@@ -120,7 +121,7 @@ class UpstreamPool:
         if outcome is TIMED_OUT:
             # Blackholed backend (WAN partition, dead region): give up
             # on this dial.
-            instance.counters.inc("upstream_dial_attempt", tag="timeout")
+            counters.inc("upstream_dial_attempt", tag="timeout")
             if breaker is not None:
                 breaker.record_failure()
             self.current = None
@@ -130,7 +131,7 @@ class UpstreamPool:
         if breaker is not None:
             breaker.record_success()
         conn = H2Connection(endpoint, role="client")
-        conn.start(instance.process)
+        conn.start(self.process)
         self.current = conn
-        instance.counters.inc("upstream_dialed")
-        instance.counters.inc("upstream_dial_attempt", tag="ok")
+        counters.inc("upstream_dialed")
+        counters.inc("upstream_dial_attempt", tag="ok")

@@ -55,7 +55,7 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from .core import Environment
-from .events import NORMAL, PENDING, TIMED_OUT, Event, _push
+from .events import NORMAL, PENDING, TIMED_OUT, Event, SimulationError, _push
 
 #: Builds a slotted event without its class call (see :meth:`Store.get`).
 _new = object.__new__
@@ -122,8 +122,8 @@ class Store:
 
         With a ``timeout`` the running process waits at most that long:
         the event yields the item, or ``TIMED_OUT`` and the get is
-        withdrawn (:meth:`Environment.within`).  The event is built in
-        place — no class call, no ``__init__`` frame per receive.
+        withdrawn (:meth:`Environment.within`, inlined).  The event is
+        built in place — no class call, no ``__init__`` frame per receive.
         """
         env = self.env
         event = _new(StoreGetEvent)
@@ -151,7 +151,12 @@ class Store:
         get_queue.append(event)
         if timeout is None:
             return event
-        return env.within(event, timeout)
+        process = env._active_process
+        if process is None:
+            raise SimulationError("only a running process can wait "
+                                  "under a deadline")
+        process._bound(event, timeout)
+        return event
 
     def try_get(self) -> Any:
         """Synchronously pop the next item, or ``None`` if empty."""

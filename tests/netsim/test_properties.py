@@ -97,3 +97,15 @@ def test_stable_hash_deterministic_and_separator_safe(a, b):
 def test_stable_hash_known_distinct():
     values = {stable_hash("a", i) for i in range(1000)}
     assert len(values) > 990  # 32-bit space: collisions very rare here
+
+
+def test_stable_hash_values_are_pinned():
+    """Every ring, ECMP choice and reuseport pick derives from these
+    bytes: a faster ``stable_hash`` must hash exactly the same ones."""
+    flow = FourTuple(Protocol.TCP, Endpoint("10.0.0.1", 40001),
+                     Endpoint("10.0.1.2", 443))
+    assert stable_hash(flow) == 450140879
+    assert stable_hash(flow, "salt-3") == 1570051360
+    assert stable_hash("edge-0", 7) == 3307726717
+    assert stable_hash() == 0
+    assert stable_hash(1.5, None, "é") == 2365699699

@@ -10,9 +10,12 @@ only moves on purpose.  The same run then says what it still holds: an
 HTTP/2 connection keeps only its open streams, and the per-connection
 objects carry no ``__dict__``.  A second run prices bulk uploads per
 relayed body chunk across an app server restart, checks that its
-window leaves the collector no race to find, and that it resolves each
+window leaves the collector nothing to find, and that it resolves each
 route once, not per send.  A third run releases every Origin with DCR
-on, the re-home dials and broker re-attaches the other two never make.
+on, the re-home dials and broker re-attaches the other two never make;
+its window too leaves the collector nothing: a finished connection, a
+broken HTTP/2 session, a takeover channel and an exited proxy instance
+are all freed by refcount.
 """
 
 import gc
@@ -247,6 +250,15 @@ def test_the_post_relay_leaves_no_race_for_the_collector(bulk_posts):
         garbage.most_common(8))
 
 
+def test_a_bulk_window_leaves_the_collector_nothing(bulk_posts):
+    """Every connection the window finishes is freed by refcount: a
+    closed pair unlinks and a broken HTTP/2 session lets go of its
+    socket (960 unreachable objects here while each closed pair was a
+    cycle of its endpoints, their connection object and inboxes)."""
+    *_, garbage = bulk_posts
+    assert not garbage, garbage.most_common(8)
+
+
 def test_a_health_probe_connection_is_closed_by_the_proxy(released):
     """Katran probes by connecting and closing; the proxy closes its end
     on the probe's FIN, so no probe endpoint stays in its process, counts
@@ -316,6 +328,17 @@ def test_an_uncaught_interrupt_leaves_no_cycle(origin_released):
     *_, garbage = origin_released
     assert garbage["Interrupt"] == 0 and garbage["traceback"] == 0, (
         garbage.most_common(8))
+
+
+def test_an_origin_release_leaves_the_collector_nothing(origin_released):
+    """Four Origin releases: the connections they finish, the sessions
+    that break, the takeover channels and the four exited instances are
+    all freed by refcount (7,920 unreachable objects here while they
+    were cycles: 1,000 ``TcpEndpoint``, 200 ``H2Connection``, 8
+    ``UnixChannelEnd``, 4 ``ProxygenInstance`` held by their
+    ``QuicService``)."""
+    *_, garbage = origin_released
+    assert not garbage, garbage.most_common(8)
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
