@@ -307,99 +307,93 @@ class AppServer:
         if self._shed(conn, request):
             return
         try:
-            yield from self._short_request_body(conn, request)
+            span = self._request_span(request, "app.request")
+            yield from self.host.cpu.execute(CpuCosts.http_request)
+            yield self.host.env.timeout(
+                self._rng.expovariate(1.0 / SERVICE_TIME_MEAN))
+            if not conn.alive:
+                if span is not None:
+                    span.fail("conn_gone")
+                return
+            if (self.fault_truncate_fraction > 0
+                    and self._rng.random() < self.fault_truncate_fraction):
+                # Fault mode ("upstream_truncate"): the response is cut off
+                # mid-body — downstream observes a reset, never a complete
+                # reply, and must fail over to another server.
+                self.counters.inc("responses_truncated")
+                conn.abort(reason="truncated_body")
+                if span is not None:
+                    span.fail("truncated")
+                return
+            rogue = self.fault_rogue_fraction or 0.0
+            if rogue > 0 and self._rng.random() < rogue:
+                # §5.2 incident mode: memory corruption produced random
+                # status codes — sometimes exactly 379, but never with the
+                # PartialPOST status message.
+                status = self._rng.choice(
+                    [STATUS_PARTIAL_POST_REPLAY, 287, 512, 379, 444])
+                conn.send(HttpResponse(status, request_id=request.id,
+                                       status_message="garbage"), size=600)
+                self.counters.inc("http_status", tag="rogue")
+                if span is not None:
+                    span.fail("rogue_status")
+                return
+            conn.send(HttpResponse(STATUS_OK, request_id=request.id),
+                      size=600)
+            self._c_status_200.inc()
+            self._c_served.inc()
+            if span is not None:
+                span.finish("ok")
         finally:
             if self.admission is not None:
                 self.admission.release()
-
-    def _short_request_body(self, conn: TcpEndpoint, request: HttpRequest):
-        span = self._request_span(request, "app.request")
-        yield from self.host.cpu.execute(CpuCosts.http_request)
-        yield self.host.env.timeout(
-            self._rng.expovariate(1.0 / SERVICE_TIME_MEAN))
-        if not conn.alive:
-            if span is not None:
-                span.fail("conn_gone")
-            return
-        if (self.fault_truncate_fraction > 0
-                and self._rng.random() < self.fault_truncate_fraction):
-            # Fault mode ("upstream_truncate"): the response is cut off
-            # mid-body — downstream observes a reset, never a complete
-            # reply, and must fail over to another server.
-            self.counters.inc("responses_truncated")
-            conn.abort(reason="truncated_body")
-            if span is not None:
-                span.fail("truncated")
-            return
-        rogue = self.fault_rogue_fraction or 0.0
-        if rogue > 0 and self._rng.random() < rogue:
-            # §5.2 incident mode: memory corruption produced random
-            # status codes — sometimes exactly 379, but never with the
-            # PartialPOST status message.
-            status = self._rng.choice(
-                [STATUS_PARTIAL_POST_REPLAY, 287, 512, 379, 444])
-            conn.send(HttpResponse(status, request_id=request.id,
-                                   status_message="garbage"), size=600)
-            self.counters.inc("http_status", tag="rogue")
-            if span is not None:
-                span.fail("rogue_status")
-            return
-        conn.send(HttpResponse(STATUS_OK, request_id=request.id),
-                  size=600)
-        self._c_status_200.inc()
-        self._c_served.inc()
-        if span is not None:
-            span.finish("ok")
 
     def _serve_streaming_post(self, conn: TcpEndpoint, request: HttpRequest):
         """Receive body chunks until done (or until a restart interrupts)."""
         if self._shed(conn, request):
             return
         try:
-            yield from self._streaming_post_body(conn, request)
+            post = InFlightPost(request, conn)
+            post.span = self._request_span(request, "app.post")
+            self.in_flight_posts[request.id] = post
+            while True:
+                item = yield conn.recv()
+                if isinstance(item, StreamControl):
+                    # Proxy/connection went away mid-upload.
+                    self.in_flight_posts.pop(request.id, None)
+                    if post.span is not None:
+                        post.span.fail("conn_gone")
+                    return
+                chunk = item.payload
+                if not isinstance(chunk, BodyChunk):
+                    continue
+                post.received_bytes += chunk.data_size
+                # A spliced bulk chunk stands for chunk.chunks wire frames
+                # (repro.splice); counting them keeps the 379 partial_chunks
+                # echo exact whether or not the train was coalesced.
+                post.received_chunks += chunk.chunks
+                yield from self.host.cpu.execute(
+                    CpuCosts.post_byte * chunk.data_size)
+                if chunk.is_last:
+                    break
+            post.complete = True
+            self.in_flight_posts.pop(request.id, None)
+            if post.received_bytes >= request.body_size:
+                # The full body landed — its side effect runs exactly here,
+                # whatever the response path does next.
+                if self.run_record.listeners:
+                    self.run_record.announce("post_applied", server=self,
+                                             request_id=request.id)
+            self._unanswered_posts[request.id] = post
+            yield from self.host.cpu.execute(CpuCosts.http_request)
+            del self._unanswered_posts[request.id]
+            if conn.alive:
+                self._answer_post(post)
+            elif post.span is not None:
+                post.span.fail("conn_gone")
         finally:
             if self.admission is not None:
                 self.admission.release()
-
-    def _streaming_post_body(self, conn: TcpEndpoint, request: HttpRequest):
-        post = InFlightPost(request, conn)
-        post.span = self._request_span(request, "app.post")
-        self.in_flight_posts[request.id] = post
-        while True:
-            item = yield conn.recv()
-            if isinstance(item, StreamControl):
-                # Proxy/connection went away mid-upload.
-                self.in_flight_posts.pop(request.id, None)
-                if post.span is not None:
-                    post.span.fail("conn_gone")
-                return
-            chunk = item.payload
-            if not isinstance(chunk, BodyChunk):
-                continue
-            post.received_bytes += chunk.data_size
-            # A spliced bulk chunk stands for chunk.chunks wire frames
-            # (repro.splice); counting them keeps the 379 partial_chunks
-            # echo exact whether or not the train was coalesced.
-            post.received_chunks += chunk.chunks
-            yield from self.host.cpu.execute(
-                CpuCosts.post_byte * chunk.data_size)
-            if chunk.is_last:
-                break
-        post.complete = True
-        self.in_flight_posts.pop(request.id, None)
-        if post.received_bytes >= request.body_size:
-            # The full body landed — its side effect runs exactly here,
-            # whatever the response path does next.
-            if self.run_record.listeners:
-                self.run_record.announce("post_applied", server=self,
-                                         request_id=request.id)
-        self._unanswered_posts[request.id] = post
-        yield from self.host.cpu.execute(CpuCosts.http_request)
-        del self._unanswered_posts[request.id]
-        if conn.alive:
-            self._answer_post(post)
-        elif post.span is not None:
-            post.span.fail("conn_gone")
 
     def _answer_post(self, post: InFlightPost) -> None:
         """Respond to a POST whose last chunk has landed."""

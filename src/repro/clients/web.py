@@ -216,24 +216,34 @@ class WebClientPopulation:
         start = env.now
         self.counters.inc("posts_started")
         governor = base.host.run_record.splice
+        sent = seq = 0
         try:
             conn.send(request, size=400)
             if (governor is not None and governor.engaged
                     and size >= MIN_BULK_BYTES):
-                early = yield from self._post_body_spliced(
+                sent, seq = yield from self._post_body_spliced(
                     conn, request, size, governor)
-            else:
-                early = yield from self._post_body_chunks(
-                    conn, request, size, 0, 0)
-            if early is not None:
-                verdict = self._digest_response(base, early, start,
-                                                kind="post", span=span)
-                if isinstance(verdict, float) and conn.alive:
-                    # Shed mid-upload: this connection has a
-                    # dangling POST stream — retire it before the
-                    # Retry-After backoff.
-                    conn.close()
-                return verdict
+            # The body per chunk, from offset ``sent`` onwards.
+            while sent < size:
+                chunk_size = min(config.post_chunk_size, size - sent)
+                sent += chunk_size
+                seq += 1
+                yield env.timeout(chunk_size / config.upload_bandwidth)
+                # An error response may arrive mid-upload (500 from a
+                # restarting app server without PPR).
+                early = conn.inbox.try_get()
+                if early is not None:
+                    verdict = self._digest_response(base, early, start,
+                                                    kind="post", span=span)
+                    if isinstance(verdict, float) and conn.alive:
+                        # Shed mid-upload: this connection has a
+                        # dangling POST stream — retire it before the
+                        # Retry-After backoff.
+                        conn.close()
+                    return verdict
+                conn.send(BodyChunk(request.id, chunk_size, seq,
+                                    is_last=(sent >= size)),
+                          size=chunk_size)
         except (SocketClosedSim, ConnectionResetSim):
             self.counters.inc("post_conn_reset")
             self.metrics.series("client/post_disrupted").record(env.now)
@@ -243,30 +253,6 @@ class WebClientPopulation:
         outcome = yield conn.recv(config.request_timeout)
         return self._digest_response(base, outcome, start, kind="post",
                                      span=span)
-
-    def _post_body_chunks(self, conn, request: HttpRequest, size: int,
-                          sent: int, seq: int):
-        """Stream the body per-chunk from offset ``sent`` onwards.
-
-        Returns an early-arrived inbox item (error/shed response mid
-        upload), or None when the whole body went out.
-        """
-        config = self.config
-        env = conn.kernel.env
-        while sent < size:
-            chunk_size = min(config.post_chunk_size, size - sent)
-            sent += chunk_size
-            seq += 1
-            yield env.timeout(chunk_size / config.upload_bandwidth)
-            # An error response may arrive mid-upload (500 from a
-            # restarting app server without PPR).
-            early = conn.inbox.try_get()
-            if early is not None:
-                return early
-            conn.send(BodyChunk(request.id, chunk_size, seq,
-                                is_last=(sent >= size)),
-                      size=chunk_size)
-        return None
 
     def _post_body_spliced(self, conn, request: HttpRequest, size: int,
                            governor):
@@ -278,7 +264,9 @@ class WebClientPopulation:
         mechanism boundary (release walk, fault window) fires the
         governor's wake mid-wait: the bytes whose pacing already elapsed
         are flushed as one catch-up chunk and the remainder streams at
-        per-chunk fidelity.
+        per-chunk fidelity.  Returns the ``(sent, seq)`` progress the
+        caller's per-chunk loop continues from: ``sent == size`` once the
+        whole body went out.
         """
         config = self.config
         env = conn.kernel.env
@@ -286,8 +274,7 @@ class WebClientPopulation:
         sent, seq = 0, 0
         while sent < size:
             if not governor.engaged:
-                return (yield from self._post_body_chunks(
-                    conn, request, size, sent, seq))
+                return sent, seq
             remaining = size - sent
             begun = env.now
             completed = yield from governor.bulk_wait(
@@ -298,7 +285,7 @@ class WebClientPopulation:
                                     is_last=True, chunks=chunks),
                           size=remaining)
                 governor.note_bulk(remaining, chunks)
-                return None
+                return size, seq + 1
             # De-spliced mid-transfer: flush the full chunks whose
             # pacing completed before the boundary, then loop (the
             # engaged check above routes the rest per-chunk).  At least
@@ -315,7 +302,7 @@ class WebClientPopulation:
                                     is_last=False, chunks=paced),
                           size=flush)
                 governor.note_bulk(flush, paced)
-        return None  # pragma: no cover - loop exits via returns above
+        return sent, seq  # pragma: no cover - loop exits via returns above
 
     def _start_request_trace(self, base: ClientBase, conn,
                              request: HttpRequest, kind: str):

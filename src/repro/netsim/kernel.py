@@ -128,7 +128,15 @@ class Kernel:
         already reports as ``TIMED_OUT``.
         """
         attempt = self.tcp_connect(process, dst, via_ip=via_ip)
-        outcome = yield from with_timeout(self.env, attempt, timeout)
+        try:
+            outcome = yield from with_timeout(self.env, attempt, timeout)
+        except ConnectionRefusedSim as refused:
+            # The refusal is ``attempt``'s value; its traceback would
+            # hold this frame and ``with_timeout``'s, which hold
+            # ``attempt``: a cycle only the collector frees.  It goes
+            # on from here with no traceback below the caller.
+            refused.__traceback__ = None
+            raise
         if outcome is TIMED_OUT:
             if attempt.triggered:
                 _close_if_established(attempt)

@@ -340,13 +340,10 @@ class ProxygenInstance:
             else:
                 self.process.run(self._serve_origin_conn(conn))
 
-    def _accept_costs(self):
-        yield from self.host.cpu.execute(CpuCosts.tcp_handshake)
-
     # -- edge ------------------------------------------------------------
 
     def _serve_edge_conn(self, conn: "TcpEndpoint"):
-        yield from self._accept_costs()
+        yield from self.host.cpu.execute(CpuCosts.tcp_handshake)
         while conn.alive:
             item = yield conn.recv()
             if isinstance(item, StreamControl):
@@ -369,10 +366,7 @@ class ProxygenInstance:
 
     def _edge_http(self, conn: "TcpEndpoint", request: HttpRequest):
         plane = self.resilience
-        if plane is None:
-            yield from self._edge_http_body(conn, request)
-            return
-        if not plane.admission.try_acquire(
+        if plane is not None and not plane.admission.try_acquire(
                 draining=self.state == self.STATE_DRAINING):
             if self.tracer is not None and request.trace is not None:
                 request.trace.annotate("shed.edge", self.name)
@@ -383,83 +377,80 @@ class ProxygenInstance:
                 self._count_response(response.status, 200)
             return
         try:
-            yield from self._edge_http_body(conn, request)
-        finally:
-            plane.admission.release()
+            self._c_rps.inc()
+            self._record_rps(self.host.env.now)
+            span = self._hop_span(request, "edge.http")
+            yield from self.host.cpu.execute(CpuCosts.relay_message)
 
-    def _edge_http_body(self, conn: "TcpEndpoint", request: HttpRequest):
-        env = self.host.env
-        self._c_rps.inc()
-        self._record_rps(env.now)
-        span = self._hop_span(request, "edge.http")
-        yield from self.host.cpu.execute(CpuCosts.relay_message)
+            if request.headers.get("cacheable") == "1":
+                # Served from the edge cache (Direct Server Return, §2.2).
+                yield from self.host.cpu.execute(CpuCosts.http_request * 0.5)
+                if conn.alive:
+                    response_size = 4000
+                    conn.send(HttpResponse(STATUS_OK, request.id),
+                              size=response_size)
+                    self._count_response(STATUS_OK, response_size)
+                if span is not None:
+                    span.annotate("edge.cache_hit")
+                    span.finish("ok")
+                return
 
-        if request.headers.get("cacheable") == "1":
-            # Served from the edge cache (Direct Server Return, §2.2).
-            yield from self.host.cpu.execute(CpuCosts.http_request * 0.5)
+            try:
+                stream = yield from self.upstream.open_stream()
+            except UpstreamUnavailable:
+                self._edge_http_error(conn, request, "stream_abort")
+                return
+            try:
+                stream.send(request, size=400, frame_type=FrameType.HEADERS,
+                            end_stream=not request.streaming)
+            except H2Error:
+                self._edge_http_error(conn, request, "stream_abort")
+                return
+
+            if request.streaming:
+                while conn.alive:
+                    item = yield conn.recv()
+                    if isinstance(item, StreamControl):
+                        stream.rst()
+                        self.counters.inc("client_gone_mid_post")
+                        if span is not None:
+                            span.fail("client_gone")
+                        return
+                    chunk = item.payload
+                    if not isinstance(chunk, BodyChunk):
+                        continue
+                    # A spliced bulk chunk stands for ``chunk.chunks`` wire
+                    # frames (repro.splice) — fold their relay cost exactly.
+                    yield from self.host.cpu.execute(
+                        CpuCosts.relay_message * chunk.chunks)
+                    try:
+                        stream.send(chunk, size=chunk.data_size,
+                                    end_stream=chunk.is_last)
+                    except H2Error:
+                        self._edge_http_error(conn, request, "stream_abort")
+                        return
+                    if chunk.is_last:
+                        break
+
+            outcome = yield stream.recv(self.config.upstream_timeout)
+            if outcome is TIMED_OUT:
+                kind = "write_timeout" if request.streaming else "timeout"
+                self._edge_http_error(conn, request, kind)
+                return
+            frame = outcome
+            if frame.type == FrameType.RST_STREAM or stream.reset:
+                self._edge_http_error(conn, request, "stream_abort")
+                return
+            response: HttpResponse = frame.payload
             if conn.alive:
-                response_size = 4000
-                conn.send(HttpResponse(STATUS_OK, request.id),
-                          size=response_size)
-                self._count_response(STATUS_OK, response_size)
+                response_size = max(600, response.body_size)
+                conn.send(response, size=response_size)
+                self._count_response(response.status, response_size)
             if span is not None:
-                span.annotate("edge.cache_hit")
                 span.finish("ok")
-            return
-
-        try:
-            stream = yield from self.upstream.open_stream()
-        except UpstreamUnavailable:
-            self._edge_http_error(conn, request, "stream_abort")
-            return
-        try:
-            stream.send(request, size=400, frame_type=FrameType.HEADERS,
-                        end_stream=not request.streaming)
-        except H2Error:
-            self._edge_http_error(conn, request, "stream_abort")
-            return
-
-        if request.streaming:
-            while conn.alive:
-                item = yield conn.recv()
-                if isinstance(item, StreamControl):
-                    stream.rst()
-                    self.counters.inc("client_gone_mid_post")
-                    if span is not None:
-                        span.fail("client_gone")
-                    return
-                chunk = item.payload
-                if not isinstance(chunk, BodyChunk):
-                    continue
-                # A spliced bulk chunk stands for ``chunk.chunks`` wire
-                # frames (repro.splice) — fold their relay cost exactly.
-                yield from self.host.cpu.execute(
-                    CpuCosts.relay_message * chunk.chunks)
-                try:
-                    stream.send(chunk, size=chunk.data_size,
-                                end_stream=chunk.is_last)
-                except H2Error:
-                    self._edge_http_error(conn, request, "stream_abort")
-                    return
-                if chunk.is_last:
-                    break
-
-        outcome = yield stream.recv(self.config.upstream_timeout)
-        if outcome is TIMED_OUT:
-            kind = "write_timeout" if request.streaming else "timeout"
-            self._edge_http_error(conn, request, kind)
-            return
-        frame = outcome
-        if frame.type == FrameType.RST_STREAM or stream.reset:
-            self._edge_http_error(conn, request, "stream_abort")
-            return
-        response: HttpResponse = frame.payload
-        if conn.alive:
-            response_size = max(600, response.body_size)
-            conn.send(response, size=response_size)
-            self._count_response(response.status, response_size)
-        if span is not None:
-            span.finish("ok")
+        finally:
+            if plane is not None:
+                plane.admission.release()
 
     def _edge_http_error(self, conn: "TcpEndpoint", request: HttpRequest,
                          kind: str) -> None:
@@ -489,7 +480,7 @@ class ProxygenInstance:
     # -- origin ------------------------------------------------------------
 
     def _serve_origin_conn(self, conn: "TcpEndpoint"):
-        yield from self._accept_costs()
+        yield from self.host.cpu.execute(CpuCosts.tcp_handshake)
         h2 = H2Connection(conn, role="server")
         h2.start(self.process)
         self.edge_h2_conns.append(h2)
@@ -501,48 +492,41 @@ class ProxygenInstance:
                 if stream is None:  # the transport died: close our end
                     conn.close()
                     return
-                self.process.run(self._serve_origin_stream(stream))
+                # ``_demux`` delivers a peer stream's opening frame before
+                # it wakes us, so the frame is already in the inbox.  An
+                # RST_STREAM (payload None) gets no handler.
+                payload = stream.inbox.try_get().payload
+                if isinstance(payload, HttpRequest):
+                    self.process.run(self._serve_origin_stream(stream,
+                                                               payload))
+                elif isinstance(payload, (MqttConnect, ReConnect)):
+                    tunnel = OriginMqttTunnel(self, stream, payload.user_id)
+                    self.process.run(tunnel.run(payload))
         finally:
             if h2 in self.edge_h2_conns:
                 self.edge_h2_conns.remove(h2)
 
-    def _serve_origin_stream(self, stream):
-        frame = stream.inbox.try_get()
-        if frame is None:
-            frame = yield stream.recv()
-        if frame.type == FrameType.RST_STREAM:
+    def _serve_origin_stream(self, stream, request: HttpRequest):
+        self._c_rps.inc()
+        self._record_rps(self.host.env.now)
+        plane = self.resilience
+        if plane is not None and not plane.admission.try_acquire(
+                draining=self.state == self.STATE_DRAINING):
+            if self.tracer is not None and request.trace is not None:
+                request.trace.annotate("shed.origin", self.name)
+            self._stream_reply(
+                stream,
+                shed_response(request.id, plane.admission.retry_after),
+                size=200)
             return
-        payload = frame.payload
-        if isinstance(payload, HttpRequest):
-            self._c_rps.inc()
-            self._record_rps(self.host.env.now)
-            plane = self.resilience
-            if plane is None:
-                yield from self._origin_dispatch(stream, payload)
-                return
-            if not plane.admission.try_acquire(
-                    draining=self.state == self.STATE_DRAINING):
-                if self.tracer is not None and payload.trace is not None:
-                    payload.trace.annotate("shed.origin", self.name)
-                self._stream_reply(
-                    stream,
-                    shed_response(payload.id, plane.admission.retry_after),
-                    size=200)
-                return
-            try:
-                yield from self._origin_dispatch(stream, payload)
-            finally:
+        try:
+            if request.streaming and request.method == "POST":
+                yield from self._origin_post(stream, request)
+            else:
+                yield from self._origin_short(stream, request)
+        finally:
+            if plane is not None:
                 plane.admission.release()
-        elif isinstance(payload, (MqttConnect, ReConnect)):
-            user_id = payload.user_id
-            tunnel = OriginMqttTunnel(self, stream, user_id)
-            yield from tunnel.run(payload)
-
-    def _origin_dispatch(self, stream, request: HttpRequest):
-        if request.streaming and request.method == "POST":
-            yield from self._origin_post(stream, request)
-        else:
-            yield from self._origin_short(stream, request)
 
     def _pick_backend(self, exclude: tuple[str, ...], span=None):
         """Pool pick that also honors per-backend circuit breakers."""

@@ -303,7 +303,9 @@ class OriginMqttTunnel:
         """Generator: establish toward the broker, then relay both ways.
 
         ``first_message`` is the MqttConnect (fresh session) or ReConnect
-        (DCR splice) that opened the stream.
+        (DCR splice) that opened the stream.  The stream's serve task
+        relays Edge stream → broker conn itself; a second task relays
+        the other way (:meth:`_from_broker_loop`).
         """
         instance = self.instance
         self.span = instance._hop_span(first_message, "origin.tunnel")
@@ -329,25 +331,6 @@ class OriginMqttTunnel:
             return
         instance.mqtt_tunnels[self.user_id] = self
         instance.process.run(self._from_broker_loop())
-        yield from self._from_edge_loop()
-
-    def _refuse(self) -> None:
-        self.instance.counters.inc("origin_tunnel_refused")
-        if self.span is not None:
-            self.span.fail("refused")
-        if not self.stream.reset:
-            try:
-                self.stream.send(ConnectRefuse(self.user_id), size=32,
-                                 end_stream=True)
-            except H2Error:
-                pass
-        self.closed = True
-
-    # -- relays --------------------------------------------------------------------
-
-    def _from_edge_loop(self):
-        """Edge stream → broker conn (runs in the stream's serve task)."""
-        instance = self.instance
         governor = instance.run_record.splice
         while not self.closed:
             frame = yield self.stream.recv()
@@ -370,6 +353,20 @@ class OriginMqttTunnel:
             self.broker_conn.send(message, size=frame.size)
             if isinstance(message, MqttPublish):
                 instance.counters.inc("mqtt_publish_relayed_up")
+
+    def _refuse(self) -> None:
+        self.instance.counters.inc("origin_tunnel_refused")
+        if self.span is not None:
+            self.span.fail("refused")
+        if not self.stream.reset:
+            try:
+                self.stream.send(ConnectRefuse(self.user_id), size=32,
+                                 end_stream=True)
+            except H2Error:
+                pass
+        self.closed = True
+
+    # -- relays --------------------------------------------------------------------
 
     def _from_broker_loop(self):
         """Broker conn → edge stream."""

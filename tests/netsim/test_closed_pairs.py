@@ -11,10 +11,11 @@ was freed by refcount alone.
 
 import gc
 import weakref
+from collections import Counter
 
 import pytest
 
-from repro.netsim import ControlType, Endpoint
+from repro.netsim import ConnectionRefusedSim, ControlType, Endpoint
 from repro.protocols import H2Connection
 
 
@@ -141,3 +142,40 @@ def test_a_closed_unix_pair_unlinks(world):
     assert ends["server"]().peer is ends["client"]()
     ends["server"]().close()
     assert ends["client"]() is None and ends["server"]() is None
+
+
+def _found_by_the_collector() -> Counter:
+    """What a collection would free now, by type (the collector is off,
+    so this is what refcount could not free)."""
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        gc.collect()
+        return Counter(type(obj).__name__ for obj in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+
+
+@pytest.mark.parametrize("dial", ["tcp_probe", "tcp_connect_within"])
+def test_a_refused_dial_under_a_deadline_leaves_no_cycle(world, dial):
+    """The refusal is the failed attempt's value.  While its traceback
+    held the frames that hold the attempt, the two were a cycle: three
+    frames and tracebacks, the attempt, its race and the refusal."""
+    server_host, client_host = world.host("server"), world.host("client")
+    proc = client_host.spawn("dialer")
+    kernel = client_host.kernel
+    dst = Endpoint(server_host.ip, 443)     # nothing listens there
+    outcomes = []
+
+    def dialer():
+        try:
+            outcomes.append(
+                (yield from getattr(kernel, dial)(proc, dst, 1.0)))
+        except ConnectionRefusedSim:
+            outcomes.append("refused")
+
+    assert not _found_by_the_collector()
+    proc.run(dialer())
+    world.env.run(until=2.0)
+    assert outcomes == [False if dial == "tcp_probe" else "refused"]
+    assert not _found_by_the_collector()

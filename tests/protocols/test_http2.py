@@ -505,3 +505,73 @@ def test_frames_queued_before_start_wait_for_the_caller(world, draining):
         assert log == [("caller done", 0, started),
                        (1, "first", started), (3, "second", started)]
         assert refused == []
+
+
+# -- what an accepted stream holds -----------------------------------------------
+
+
+@pytest.mark.parametrize("parked", [True, False])
+def test_an_accepted_stream_already_holds_its_opening_frame(world, parked):
+    """``_demux`` delivers a new peer stream's opening frame before it
+    wakes ``accept_stream``, whether the acceptor is parked there or
+    comes later: the Origin's accept loop takes that frame with
+    ``try_get`` and never waits for it."""
+    client, server, (cproc, sproc) = _h2_pair(world)
+    env = world.env
+    held = []
+
+    def acceptor():
+        if not parked:
+            yield env.timeout(0.5)          # both streams queue meanwhile
+        for _ in range(2):
+            stream = yield server.accept_stream()
+            held.append((stream.id,
+                         [frame.payload for frame in stream.inbox.items]))
+
+    sproc.run(acceptor())
+    env.run(until=0.2)
+    for payload in ("first", "second"):
+        client.open_stream().send(payload, frame_type=FrameType.HEADERS)
+    env.run(until=1)
+    assert held == [(1, ["first"]), (3, ["second"])]
+
+
+def test_a_peer_stream_opened_by_rst_stream_gets_no_origin_handler(
+        world, quiet_brokers, monkeypatch):
+    """A stream whose first frame is RST_STREAM is accepted (its id is
+    used up) and reset at once: the Origin's accept loop starts nothing
+    for it, and no counter moves."""
+    stack = MiniStack(world).start()
+    env = stack.env
+    edge, origin = stack.edge.active_instance, stack.origin.active_instance
+    spawned = []
+    run = origin.process.run
+
+    def recording_run(generator):
+        spawned.append(generator.__name__)
+        return run(generator)
+
+    monkeypatch.setattr(origin.process, "run", recording_run)
+
+    def reset_at_once():
+        stream = yield from edge.upstream.open_stream()
+        stream.rst()
+
+    # Dials: the connection's task, and the one-shot task for the RST
+    # that reached its socket during the accept cost.
+    edge.process.run(reset_at_once())
+    env.run(until=env.now + 0.5)
+    assert spawned == ["_serve_origin_conn", "_demux_backlog"]
+    (h2,) = origin.edge_h2_conns
+    assert h2._highest_peer_stream == 1 and h2.streams == {}
+    spawned.clear()
+    counters = world.metrics.snapshot()
+    del counters["series"], counters["quantiles"]
+
+    edge.process.run(reset_at_once())       # the connection is up
+    env.run(until=env.now + 0.5)
+    assert spawned == []
+    assert h2._highest_peer_stream == 3 and h2.streams == {}
+    after = world.metrics.snapshot()
+    del after["series"], after["quantiles"]
+    assert after == counters
