@@ -38,7 +38,7 @@ def main() -> None:
     for pop in pops:
         ok = dep.metrics.scoped_counters(
             f"web-clients-{pop.name}").get("get_ok")
-        print(f"  {pop.name}: {len(pop.l4lbs[0].healthy_backends())}/4 "
+        print(f"  {pop.name}: {len(pop.katran.healthy_backends())}/4 "
               f"healthy, {ok:.0f} requests served to local users")
 
     print(f"\nglobal release: 25% batches, each waiting out its "

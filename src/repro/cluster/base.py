@@ -55,7 +55,7 @@ CLIENT_CORES, CLIENT_CORE_SPEED = 64, 1000.0
 
 
 class RegionPoP:
-    """One Edge PoP: proxies behind ECMP'd L4LBs, plus its users."""
+    """One Edge PoP: proxies behind one Katran, plus its users."""
 
     def __init__(self, name: str, site: str, client_site: str,
                  context: ProxyTierContext):
@@ -66,8 +66,7 @@ class RegionPoP:
         self.context = context
         self.hosts: list[Host] = []
         self.servers: list[ProxygenServer] = []
-        self.l4lbs: list[Katran] = []
-        self.ecmp = None        # lb.ecmp.EcmpRouter
+        self.katran: Optional[Katran] = None
         self.resolver = None    # regions.anycast.AnycastResolver
         self.web_clients = None
         self.mqtt_clients = None
@@ -105,7 +104,7 @@ class Region:
         return [s for pop in self.pops for s in pop.servers]
 
     def katrans(self) -> list[Katran]:
-        out = [l4 for pop in self.pops for l4 in pop.l4lbs]
+        out = [pop.katran for pop in self.pops]
         if self.origin_katran is not None:
             out.append(self.origin_katran)
         return out

@@ -57,9 +57,8 @@ class Deployment(Topology):
         self.edge_hosts = edge.hosts
         for i in range(spec.edge_proxies):
             self._edge_proxy(edge, f"edge-proxy-{i}")
-        self.edge_katran = self._katran(
+        self.edge_katran = edge.katran = self._katran(
             "edge-katran", "edge", edge.hosts, self.edge_vips[0].endpoint)
-        edge.l4lbs.append(self.edge_katran)
 
         # Clients: every web host, then every MQTT host, then QUIC.
         for kind, workload, host_count in (

@@ -73,7 +73,6 @@ def run_arm(zdr: bool, seed: int = 0,
         batch_timeout=35.0,
         max_attempts=3,
         retry_backoff=3.0,
-        backoff_factor=2.0,
         error_budget=len(dep.edge_servers))
     release = RollingRelease(dep.env, dep.edge_servers, release_config,
                              name="chaos-edge-release")

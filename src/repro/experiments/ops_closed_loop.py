@@ -24,15 +24,14 @@ from __future__ import annotations
 from ..appserver.config import AppServerConfig
 from ..clients.web import WebWorkloadConfig
 from ..ops import (
-    AutoscalerConfig,
     CanaryConfig,
     CanaryController,
     LoadShape,
     LoadShapeConfig,
-    WavePlanConfig,
     attach_app_autoscaler,
     plan_release_waves,
 )
+from ..ops.canary import GATE_BATCHES
 from ..options import RunOptions
 from ..release.orchestrator import RollingRelease, RollingReleaseConfig
 from .common import ExperimentResult, aggregate_series, build_deployment
@@ -46,7 +45,8 @@ __all__ = ["run", "run_arm", "VersionedTarget"]
 #: binary burns straight past.
 ERROR_BUDGET = 150.0
 
-#: Sim seconds of the diurnal day, and the app pool it starts with.
+#: Sim seconds of the diurnal day, and the app pool it starts with
+#: (the autoscaler's floor, ``repro.ops.autoscale.MIN_SIZE``).
 DAY_LENGTH = 120.0
 APP_SERVERS = 6
 
@@ -88,8 +88,7 @@ def run_arm(gated: bool, seed: int = 0, rogue_fraction: float = 0.7,
             options: RunOptions = RunOptions()) -> dict:
     """One diurnal day with a bad release; ``gated`` adds the canary."""
     shape_config = LoadShapeConfig(kind="diurnal", day_length=DAY_LENGTH,
-                                   trough_scale=0.4, peak_scale=1.8,
-                                   peak_at=0.5, resolution=2.0)
+                                   peak_scale=1.8, resolution=2.0)
     deployment = build_deployment(
         seed=seed, edge_proxies=3, origin_proxies=2,
         app_servers=APP_SERVERS,
@@ -102,23 +101,16 @@ def run_arm(gated: bool, seed: int = 0, rogue_fraction: float = 0.7,
         # realistic 0.13–0.32 band the autoscaler can react to, with
         # enough headroom that a healthy release costs no requests.
         app_cores=2, app_core_speed=8.0, options=options)
-    autoscaler = attach_app_autoscaler(deployment, AutoscalerConfig(
-        min_size=APP_SERVERS, max_size=APP_SERVERS + 4,
-        evaluate_interval=5.0, signal_window=5.0,
-        scale_out_utilization=0.29, scale_in_utilization=0.16,
-        cooldown_out=10.0, cooldown_in=35.0))
+    autoscaler = attach_app_autoscaler(deployment)
 
     # Traffic-aware plan: wave starts at the quietest slots of the day,
     # batch fractions shrunk at load, all under the error budget.
     shape = LoadShape(shape_config)
-    plan_config = WavePlanConfig(
-        waves=3, base_batch_fraction=0.34, min_batch_fraction=0.17,
-        max_batch_fraction=0.34,
+    waves = plan_release_waves(
+        shape, start=warmup, horizon=DAY_LENGTH - warmup,
+        targets=APP_SERVERS,
         disruption_per_target=ERROR_BUDGET / (2.0 * APP_SERVERS),
         error_budget=ERROR_BUDGET)
-    waves = plan_release_waves(shape, start=warmup,
-                               horizon=DAY_LENGTH - warmup,
-                               targets=APP_SERVERS, config=plan_config)
     first_wave = waves[0]
 
     targets = [VersionedTarget(server, rogue_fraction)
@@ -126,9 +118,7 @@ def run_arm(gated: bool, seed: int = 0, rogue_fraction: float = 0.7,
     gate = None
     if gated:
         gate = CanaryController(deployment.env, CanaryConfig(
-            judgment_window=6.0, hold_window=3.0, max_holds=2,
-            min_requests=10.0, error_ratio_threshold=0.05,
-            regression_factor=3.0, gate_batches=1),
+            judgment_window=6.0, hold_window=3.0, min_requests=10.0),
             metrics=deployment.metrics)
     release = RollingRelease(
         deployment.env, targets,
@@ -215,10 +205,8 @@ def run(seed: int = 0,
     result.scalars["wave_fraction_at_trough"] = trough_wave.batch_fraction
     result.scalars["release_start"] = waves[0].start
 
-    gate = closed["gate"]
     release_closed = closed["release"]
     release_open = open_["release"]
-    gate_batches = gate.config.gate_batches
     result.claims.update({
         # The canary verdict fired and stopped the rollout within one
         # batch of the canary itself.
@@ -226,7 +214,7 @@ def run(seed: int = 0,
             release_closed.aborted
             and release_closed.abort_reason == "canary",
         "abort_within_one_batch_of_canary":
-            len(release_closed.batches) <= gate_batches + 1,
+            len(release_closed.batches) <= GATE_BATCHES + 1,
         "canary_batch_rolled_back":
             len(release_closed.rolled_back) > 0
             and not release_closed.rollback_failed,

@@ -62,9 +62,8 @@ def _proxy_resilience() -> ResilienceConfig:
     """The proxy tiers' knobs, sized for the scaled-down deployment."""
     return ResilienceConfig(
         enabled=True,
-        # Eject on the rogue error stream quickly but re-probe often
-        # enough that a recovered backend returns within the run.
-        error_rate_threshold=0.4,
+        # Re-probe an ejected backend often enough that a recovered
+        # one returns within the run.
         ejection_duration=6.0,
         ejection_max_duration=30.0,
         # Trip Edge→Origin breakers fast while a crashed Origin refuses.

@@ -38,7 +38,7 @@ __all__ = ["FuzzRunResult", "run_scenario"]
 #: takes besides its scenario's fault plan; everything else is the
 #: scenario's.
 FUZZ_OPTIONS = RunOptions(
-    trace=TraceConfig(sample_rate=0.0, keep_errors=True))
+    trace=TraceConfig(sample_rate=0.0))
 
 
 @dataclass

@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..cohorts.aggregate import expand, fold, modeled
+from ..ops import autoscale
 from .base import InvariantChecker
 
 __all__ = ["CHECKERS", "default_checkers", "make_checkers",
@@ -438,7 +439,7 @@ class AutoscalerDisciplineChecker(InvariantChecker):
     Three claims: (1) scale-in never targets a machine that was not
     actively serving when nominated — retiring a draining or dead
     instance would double-drain it; (2) no decision moves a pool past
-    its configured [min_size, max_size] bounds; (3) at every quiescent
+    its [``MIN_SIZE``, ``MAX_SIZE``] bounds; (3) at every quiescent
     point each autoscaled pool actually sits inside those bounds (the
     capacity floor holds continuously, not just at decision time).
     A deployment with no autoscalers attached trivially satisfies all
@@ -478,15 +479,14 @@ class AutoscalerDisciplineChecker(InvariantChecker):
         self._check_bounds()
 
     def _check_bounds(self) -> None:
+        low, high = autoscale.MIN_SIZE, autoscale.MAX_SIZE
         for scaler in self.deployment.autoscalers:
             size = scaler.adapter.size()
-            config = scaler.config
-            if not config.min_size <= size <= config.max_size:
+            if not low <= size <= high:
                 self.violation(
                     f"{scaler.name}: pool size {size} outside "
-                    f"[{config.min_size}, {config.max_size}]",
-                    autoscaler=scaler.name, size=size,
-                    min_size=config.min_size, max_size=config.max_size)
+                    f"[{low}, {high}]", autoscaler=scaler.name, size=size,
+                    min_size=low, max_size=high)
 
 
 class EvacuationCompletenessChecker(InvariantChecker):

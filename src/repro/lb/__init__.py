@@ -1,7 +1,6 @@
-"""L4 load balancing: consistent hashing, Katran, ECMP, flow routers."""
+"""L4 load balancing: consistent hashing, Katran, flow routers."""
 
 from .consistent_hash import ConsistentHashRing
-from .ecmp import EcmpRouter
 from .katran import BackendState, Katran, KatranConfig
 from .lru import LruConnectionTable
 from .routers import (ROUTER_SCHEMES, ConcuryRouter, FlowRouter,
@@ -10,7 +9,6 @@ from .routers import (ROUTER_SCHEMES, ConcuryRouter, FlowRouter,
 
 __all__ = [
     "ConsistentHashRing",
-    "EcmpRouter",
     "BackendState",
     "Katran",
     "KatranConfig",

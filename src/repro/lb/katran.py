@@ -1,8 +1,9 @@
 """Katran: the L4 load balancer (consistent hashing + health checks + LRU).
 
 Katran (§2.1) bridges the routers and the L7LB fleet: routers ECMP
-packets across Katran instances, and Katran consistent-hashes each flow
-onto an L7LB.  It continuously health-checks every L7LB; a backend that
+packets across Katran instances (the model has one per PoP, so no ECMP
+hop), and Katran consistent-hashes each flow onto an L7LB.  It
+continuously health-checks every L7LB; a backend that
 fails consecutive probes leaves the ring ("the restarted instances are
 removed from Katran table", §6.1.2).  Zero Downtime Restart keeps the
 listener answering throughout, so Katran never notices a release.

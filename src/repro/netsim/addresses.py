@@ -60,8 +60,8 @@ def stable_hash(*parts) -> int:
     """A process-stable 32-bit hash (Python's ``hash`` is salted per run).
 
     Used wherever the real kernel would hash flow tuples: the
-    SO_REUSEPORT socket ring, ECMP next-hop choice and consistent-hash
-    rings all derive from this.
+    SO_REUSEPORT socket ring and consistent-hash rings both derive from
+    this.
     """
     data = "\x1f".join(map(str, parts)).encode("utf-8")
     return zlib.crc32(data) & 0xFFFFFFFF

@@ -21,12 +21,7 @@ clock, no ``random`` — every quantity derives from the sim clock and
 the deployment's seeded streams.
 """
 
-from .autoscale import (
-    AppPoolAdapter,
-    Autoscaler,
-    AutoscalerConfig,
-    attach_app_autoscaler,
-)
+from .autoscale import AppPoolAdapter, Autoscaler, attach_app_autoscaler
 from .canary import (CanaryConfig, CanaryController, default_canary_gate,
                      judge_window)
 from .load import (
@@ -36,14 +31,13 @@ from .load import (
     LoadShapeConfig,
     named_load_shape,
 )
-from .scheduler import ReleaseWave, WavePlanConfig, plan_release_waves
+from .scheduler import ReleaseWave, plan_release_waves
 
 __all__ = [
-    "AppPoolAdapter", "Autoscaler", "AutoscalerConfig",
-    "attach_app_autoscaler",
+    "AppPoolAdapter", "Autoscaler", "attach_app_autoscaler",
     "CanaryConfig", "CanaryController", "default_canary_gate",
     "judge_window",
     "LOAD_SHAPE_KINDS", "LoadController", "LoadShape", "LoadShapeConfig",
     "named_load_shape",
-    "ReleaseWave", "WavePlanConfig", "plan_release_waves",
+    "ReleaseWave", "plan_release_waves",
 ]

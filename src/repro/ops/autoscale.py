@@ -2,8 +2,9 @@
 
 The :class:`Autoscaler` periodically evaluates a pool through a small
 adapter (size, CPU utilization, queue depth, grow, shrink) and scales
-out under pressure / in when idle, subject to min/max bounds and
-per-direction cooldowns.  Scale-in always respects drain: the victim is
+out under CPU pressure / in when idle, subject to min/max bounds and
+per-direction cooldowns.  The queue depth is recorded with each
+decision, not acted on.  Scale-in always respects drain: the victim is
 removed from rotation first and then drained to completion, never
 killed — and the adapter only ever nominates a machine that is actively
 serving (the autoscaler-discipline invariant checker audits exactly
@@ -12,50 +13,33 @@ this).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..run import run_of
 
-__all__ = ["AutoscalerConfig", "Autoscaler", "AppPoolAdapter",
-           "attach_app_autoscaler"]
+__all__ = ["Autoscaler", "AppPoolAdapter", "attach_app_autoscaler"]
 
 
-#: Optional queue-depth trip wire (adapter-defined units); ``None``
-#: disables the queue signal.
-QUEUE_DEPTH_HIGH: Optional[float] = None
 #: Machines added per scale-out decision.
 SCALE_OUT_STEP = 1
 
+# The policy of the one autoscaled pool, the closed-loop ops day's
+# (repro.experiments.ops_closed_loop) app fleet.  Read at each use, so
+# a test patches the module attribute.
 
-@dataclass
-class AutoscalerConfig:
-    """Policy knobs for one autoscaled pool."""
-
-    #: Hard bounds on pool membership.  ``min_size`` is the capacity
-    #: floor the invariant checker enforces.
-    min_size: int = 1
-    max_size: int = 8
-    #: Seconds between control-loop evaluations.
-    evaluate_interval: float = 5.0
-    #: Mean-utilization window fed into each decision.
-    signal_window: float = 5.0
-    #: Mean busy fraction at/above which the pool grows...
-    scale_out_utilization: float = 0.75
-    #: ...and at/below which it shrinks.
-    scale_in_utilization: float = 0.30
-    #: Minimum spacing between same-direction decisions.
-    cooldown_out: float = 10.0
-    cooldown_in: float = 20.0
-
-    def validate(self) -> None:
-        if self.min_size < 1 or self.max_size < self.min_size:
-            raise ValueError("need 1 <= min_size <= max_size")
-        if self.evaluate_interval <= 0 or self.signal_window <= 0:
-            raise ValueError("intervals must be positive")
-        if not 0 <= self.scale_in_utilization <= self.scale_out_utilization:
-            raise ValueError(
-                "need 0 <= scale_in_utilization <= scale_out_utilization")
+#: Hard bounds on pool membership.  ``MIN_SIZE`` is the capacity floor
+#: the invariant checker enforces: the day's seed fleet of 6.
+MIN_SIZE, MAX_SIZE = 6, 10
+#: Seconds between control-loop evaluations.
+EVALUATE_INTERVAL = 5.0
+#: Mean-utilization window fed into each decision.
+SIGNAL_WINDOW = 5.0
+#: Mean busy fraction at/above which the pool grows, and at/below which
+#: it shrinks (the day's diurnal swing moves CPU through 0.13–0.32).
+SCALE_OUT_UTILIZATION, SCALE_IN_UTILIZATION = 0.29, 0.16
+#: Minimum spacing between same-direction decisions.
+COOLDOWN_OUT, COOLDOWN_IN = 10.0, 35.0
 
 
 @dataclass
@@ -75,14 +59,12 @@ class ScaleDecision:
 class Autoscaler:
     """One control loop over one pool adapter."""
 
-    def __init__(self, env, adapter, config: Optional[AutoscalerConfig] = None,
-                 metrics=None, name: Optional[str] = None):
+    def __init__(self, env, adapter, metrics=None,
+                 name: Optional[str] = None):
         self.env = env
         #: Every decision is announced on the run's channel (repro.run).
         self.run_record = run_of(env)
         self.adapter = adapter
-        self.config = config or AutoscalerConfig()
-        self.config.validate()
         self.name = name or f"autoscaler-{adapter.tier}"
         self.counters = (metrics.scoped_counters(f"ops-{self.name}")
                          if metrics is not None else None)
@@ -98,43 +80,35 @@ class Autoscaler:
 
     def _run(self):
         while True:
-            yield self.env.timeout(self.config.evaluate_interval)
+            yield self.env.timeout(EVALUATE_INTERVAL)
             yield from self.evaluate()
 
     # -- the control loop body -------------------------------------------
 
     def evaluate(self):
         """Generator: one evaluation (and any scaling it decides on)."""
-        config = self.config
         now = self.env.now
-        utilization = self.adapter.utilization(config.signal_window)
+        utilization = self.adapter.utilization(SIGNAL_WINDOW)
         queue_depth = self.adapter.queue_depth()
         size = self.adapter.size()
         self.size_series.append((now, size))
         self._inc("evaluations")
 
-        queue_hot = (QUEUE_DEPTH_HIGH is not None
-                     and queue_depth >= QUEUE_DEPTH_HIGH)
-        pressured = utilization >= config.scale_out_utilization or queue_hot
-        idle = (utilization <= config.scale_in_utilization and not queue_hot)
-
-        if pressured and size < config.max_size:
-            if not self._cooled(self._last_out, config.cooldown_out, now):
+        if utilization >= SCALE_OUT_UTILIZATION and size < MAX_SIZE:
+            if not self._cooled(self._last_out, COOLDOWN_OUT, now):
                 self._inc("held_cooldown")
                 return
-            reason = "queue" if queue_hot else "utilization"
-            for _ in range(min(SCALE_OUT_STEP, config.max_size - size)):
+            for _ in range(min(SCALE_OUT_STEP, MAX_SIZE - size)):
                 target = yield from self.adapter.scale_out()
                 size += 1
-                self._record("out", reason, size - 1, size, utilization,
-                             queue_depth, target)
+                self._record("out", "utilization", size - 1, size,
+                             utilization, queue_depth, target)
             self._last_out = self.env.now
             return
 
-        if idle and size > config.min_size:
-            if not (self._cooled(self._last_in, config.cooldown_in, now)
-                    and self._cooled(self._last_out, config.cooldown_in,
-                                     now)):
+        if utilization <= SCALE_IN_UTILIZATION and size > MIN_SIZE:
+            if not (self._cooled(self._last_in, COOLDOWN_IN, now)
+                    and self._cooled(self._last_out, COOLDOWN_IN, now)):
                 self._inc("held_cooldown")
                 return
             victim = self.adapter.pick_scale_in()
@@ -172,8 +146,8 @@ class Autoscaler:
         self.run_record.announce(
             f"autoscale_{action}", autoscaler=self, scope=target_name,
             pool=self.adapter.tier, reason=reason, size_before=size_before,
-            size_after=size_after, min_size=self.config.min_size,
-            max_size=self.config.max_size, target=target,
+            size_after=size_after, min_size=MIN_SIZE,
+            max_size=MAX_SIZE, target=target,
             target_state=target_state)
 
 
@@ -234,12 +208,10 @@ def _mean_cpu(env, hosts, window: float) -> float:
     return total / buckets if buckets else 0.0
 
 
-def attach_app_autoscaler(deployment,
-                          config: Optional[AutoscalerConfig] = None
-                          ) -> Autoscaler:
+def attach_app_autoscaler(deployment) -> Autoscaler:
     """Build, register and start an app-pool autoscaler."""
     scaler = Autoscaler(deployment.env, AppPoolAdapter(deployment),
-                        config, metrics=deployment.metrics)
+                        metrics=deployment.metrics)
     deployment.autoscalers.append(scaler)
     return scaler.start()
 

@@ -26,6 +26,18 @@ __all__ = ["CanaryConfig", "CanaryController", "default_canary_gate",
 #: (load), which the control group shares, not binary badness.
 ERROR_STATUS_TAGS = ("500", "400", "rogue")
 
+#: How many low-traffic holds before giving the canary the benefit of
+#: the doubt and proceeding.
+MAX_HOLDS = 2
+#: Absolute canary error-ratio floor below which we never abort.
+ERROR_RATIO_THRESHOLD = 0.05
+#: Abort when the canary's error ratio exceeds this multiple of the
+#: control group's (whichever of the two bars is higher wins).
+REGRESSION_FACTOR = 3.0
+#: Judge only batch indexes below this (1 = classic "first batch is the
+#: canary").
+GATE_BATCHES = 1
+
 
 @dataclass
 class CanaryConfig:
@@ -36,38 +48,23 @@ class CanaryConfig:
     #: Extra wait between re-judgments when the canary saw too little
     #: traffic to call.
     hold_window: float = 2.5
-    #: How many low-traffic holds before giving the canary the benefit
-    #: of the doubt and proceeding.
-    max_holds: int = 2
     #: Minimum canary-group requests (ok + err) needed for a verdict.
     min_requests: float = 5.0
-    #: Absolute canary error-ratio floor below which we never abort.
-    error_ratio_threshold: float = 0.05
-    #: Abort when the canary's error ratio exceeds this multiple of the
-    #: control group's (whichever of the two bars is higher wins).
-    regression_factor: float = 3.0
-    #: Judge only batch indexes < gate_batches (1 = classic "first batch
-    #: is the canary"); ``None`` judges every batch.
-    gate_batches: Optional[int] = 1
 
     def validate(self) -> None:
         if self.judgment_window <= 0 or self.hold_window <= 0:
             raise ValueError("windows must be positive")
-        if self.max_holds < 0 or self.min_requests < 0:
-            raise ValueError("max_holds/min_requests must be >= 0")
-        if self.error_ratio_threshold < 0 or self.regression_factor <= 0:
-            raise ValueError("bad threshold configuration")
-        if self.gate_batches is not None and self.gate_batches < 1:
-            raise ValueError("gate_batches must be >= 1 (or None)")
+        if self.min_requests < 0:
+            raise ValueError("min_requests must be >= 0")
 
 
 def judge_window(canary_ok: float, canary_err: float, control_ok: float,
-                 control_err: float, config: CanaryConfig):
+                 control_err: float):
     """Pure verdict over one observation window.
 
     Returns ``(verdict, canary_ratio, control_ratio)`` where verdict is
     ``"abort"`` or ``"proceed"``.  The abort bar is the *higher* of the
-    absolute threshold and ``regression_factor ×`` the control group's
+    absolute threshold and :data:`REGRESSION_FACTOR` × the control group's
     own error ratio, so a fleet-wide burn (shared dependency down) does
     not scapegoat the canary.
     """
@@ -75,8 +72,7 @@ def judge_window(canary_ok: float, canary_err: float, control_ok: float,
     control_total = control_ok + control_err
     canary_ratio = canary_err / canary_total if canary_total else 0.0
     control_ratio = control_err / control_total if control_total else 0.0
-    bar = max(config.error_ratio_threshold,
-              config.regression_factor * control_ratio)
+    bar = max(ERROR_RATIO_THRESHOLD, REGRESSION_FACTOR * control_ratio)
     verdict = "abort" if canary_ratio > bar else "proceed"
     return verdict, canary_ratio, control_ratio
 
@@ -119,8 +115,7 @@ class CanaryController:
         ``"abort"``.
         """
         config = self.config
-        if (config.gate_batches is not None
-                and record.index >= config.gate_batches):
+        if record.index >= GATE_BATCHES:
             return "proceed"
 
         canary = [t for t in batch if _name(t) not in release.failed_targets]
@@ -144,7 +139,7 @@ class CanaryController:
             control_err = control_after[1] - control_before[1]
 
             if canary_ok + canary_err < config.min_requests:
-                if holds >= config.max_holds:
+                if holds >= MAX_HOLDS:
                     return self._decide(
                         record, "proceed", "insufficient_samples",
                         canary_ok, canary_err, control_ok, control_err)
@@ -154,7 +149,7 @@ class CanaryController:
                 continue
 
             verdict, canary_ratio, control_ratio = judge_window(
-                canary_ok, canary_err, control_ok, control_err, config)
+                canary_ok, canary_err, control_ok, control_err)
             reason = ("error_ratio" if verdict == "abort"
                       else "within_threshold")
             return self._decide(record, verdict, reason, canary_ok,

@@ -35,11 +35,14 @@ MIN_SCALE = 0.01
 #: Multiplier everything else in a shape scales relative to.
 BASE_SCALE = 1.0
 
-#: Which client populations a shape drives, by protocol kind (``web`` |
-#: ``mqtt`` | ``quic``); ``None`` drives every population.  A diurnal
-#: shape on web traffic must not scale MQTT herds — rate scales are
-#: per-population, and this is the selector.
-APPLIES_TO: Optional[str] = None
+#: Diurnal: the night's multiplier, and where in the day the peak sits
+#: (fraction of ``day_length``).
+TROUGH_SCALE = 0.4
+PEAK_AT = 0.5
+#: Flash crowd: the multiplier at the top of the spike.
+FLASH_SCALE = 2.5
+#: Post-outage herd: the multiplier the instant service comes back.
+HERD_SCALE = 2.5
 
 
 @dataclass(frozen=True)
@@ -52,22 +55,16 @@ class LoadShapeConfig:
 
     # -- diurnal -----------------------------------------------------------
     day_length: float = 120.0
-    trough_scale: float = 0.4
     peak_scale: float = 1.6
-    #: Where in the day the peak sits (fraction of ``day_length``).
-    peak_at: float = 0.5
 
     # -- flash crowd -------------------------------------------------------
     flash_at: float = 30.0
     flash_ramp: float = 5.0
     flash_hold: float = 20.0
-    flash_scale: float = 3.0
 
     # -- post-outage herd --------------------------------------------------
     outage_at: float = 20.0
     outage_duration: float = 10.0
-    #: Arrival-rate multiplier the instant service comes back.
-    herd_scale: float = 2.5
     #: Exponential decay constant back to baseline.
     herd_decay: float = 15.0
 
@@ -80,13 +77,11 @@ class LoadShapeConfig:
         if self.kind == "diurnal":
             if self.day_length <= 0:
                 raise ValueError("day_length must be positive")
-            if not 0 < self.trough_scale <= self.peak_scale:
-                raise ValueError("need 0 < trough_scale <= peak_scale")
+            if self.peak_scale < TROUGH_SCALE:
+                raise ValueError("need peak_scale >= TROUGH_SCALE")
         elif self.kind == "flash_crowd":
             if self.flash_ramp < 0 or self.flash_hold < 0:
                 raise ValueError("flash ramp/hold must be >= 0")
-            if self.flash_scale <= 0:
-                raise ValueError("flash_scale must be positive")
         else:  # post_outage_herd
             if self.outage_duration < 0 or self.herd_decay <= 0:
                 raise ValueError("outage/herd timings must be positive")
@@ -124,11 +119,10 @@ class LoadShape:
         config = self.config
         base = BASE_SCALE
         if config.kind == "diurnal":
-            phase = t / config.day_length - config.peak_at
+            phase = t / config.day_length - PEAK_AT
             blend = 0.5 * (1.0 + math.cos(2 * math.pi * phase))
-            return base * (config.trough_scale
-                           + (config.peak_scale - config.trough_scale)
-                           * blend)
+            return base * (TROUGH_SCALE
+                           + (config.peak_scale - TROUGH_SCALE) * blend)
         if config.kind == "flash_crowd":
             rise = config.flash_at
             top = rise + config.flash_ramp
@@ -142,7 +136,7 @@ class LoadShape:
                 frac = 1.0
             else:
                 frac = 1.0 - (t - fall) / max(config.flash_ramp, 1e-9)
-            return base * (1.0 + (config.flash_scale - 1.0) * frac)
+            return base * (1.0 + (FLASH_SCALE - 1.0) * frac)
         # post_outage_herd
         start = config.outage_at
         back = start + config.outage_duration
@@ -151,7 +145,7 @@ class LoadShape:
         if t < back:
             return base * MIN_SCALE  # clients held off by "the outage"
         decay = math.exp(-(t - back) / config.herd_decay)
-        return base * (1.0 + (config.herd_scale - 1.0) * decay)
+        return base * (1.0 + (HERD_SCALE - 1.0) * decay)
 
     # -- sampling ----------------------------------------------------------
 
@@ -222,17 +216,8 @@ class LoadController:
                  metrics=None, name: str = "ops-load"):
         self.env = env
         self.shape = shape
-        applies_to = APPLIES_TO
-        #: Rate scales are per-population: only populations whose
-        #: protocol ``kind`` matches the :data:`APPLIES_TO` selector
-        #: are driven; the rest keep their own scale untouched (a web
-        #: diurnal must not scale MQTT herds).  Cohort drivers
-        #: (repro.cohorts) carry ``kind`` too and fan the scale into
-        #: their lanes, so per-cohort scales come for free.
-        self.populations = [
-            p for p in populations
-            if p is not None and (applies_to is None
-                                  or getattr(p, "kind", None) == applies_to)]
+        #: Cohort drivers (repro.cohorts) fan the scale into their lanes.
+        self.populations = [p for p in populations if p is not None]
         self.name = name
         self.counters = (metrics.scoped_counters(name)
                          if metrics is not None else None)
@@ -273,13 +258,13 @@ def named_load_shape(name: str, horizon: float = 60.0) -> LoadShapeConfig:
         return LoadShapeConfig(
             kind="flash_crowd", flash_at=horizon * 0.3,
             flash_ramp=max(1.0, horizon * 0.05),
-            flash_hold=horizon * 0.2, flash_scale=2.5,
+            flash_hold=horizon * 0.2,
             resolution=max(0.5, horizon / 60.0))
     if name == "post_outage_herd":
         return LoadShapeConfig(
             kind="post_outage_herd", outage_at=horizon * 0.25,
             outage_duration=max(2.0, horizon * 0.1),
-            herd_scale=2.5, herd_decay=max(3.0, horizon * 0.15),
+            herd_decay=max(3.0, horizon * 0.15),
             resolution=max(0.5, horizon / 60.0))
     raise ValueError(f"unknown load shape {name!r}; "
                      f"available: {LOAD_SHAPE_KINDS}")

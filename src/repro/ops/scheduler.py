@@ -19,37 +19,14 @@ from typing import Optional
 
 from ..release.schedule import batch_fraction_for_load
 
-__all__ = ["WavePlanConfig", "ReleaseWave", "plan_release_waves"]
+__all__ = ["ReleaseWave", "plan_release_waves"]
 
-
-@dataclass
-class WavePlanConfig:
-    """Planner policy."""
-
-    #: Number of release waves to spread over the horizon.
-    waves: int = 4
-    #: Batch fraction used at the load trough...
-    base_batch_fraction: float = 0.25
-    #: ...clamped into this range everywhere else.
-    min_batch_fraction: float = 0.05
-    max_batch_fraction: float = 0.5
-    #: Expected client-visible disruption per restarted machine at unit
-    #: load scale (abstract "error units"; same units as error_budget).
-    disruption_per_target: float = 1.0
-    #: Total disruption the whole plan may incur; ``None`` = unlimited.
-    error_budget: Optional[float] = None
-
-    def validate(self) -> None:
-        if self.waves < 1:
-            raise ValueError("waves must be >= 1")
-        if not (0 < self.min_batch_fraction
-                <= self.max_batch_fraction <= 1):
-            raise ValueError(
-                "need 0 < min_batch_fraction <= max_batch_fraction <= 1")
-        if self.base_batch_fraction <= 0:
-            raise ValueError("base_batch_fraction must be positive")
-        if self.disruption_per_target < 0:
-            raise ValueError("disruption_per_target must be >= 0")
+#: Release waves spread over the horizon.
+WAVES = 3
+#: Batch fraction used at the load trough...
+BASE_BATCH_FRACTION = 0.34
+#: ...clamped into this range everywhere else.
+MIN_BATCH_FRACTION, MAX_BATCH_FRACTION = 0.17, 0.34
 
 
 @dataclass
@@ -62,26 +39,30 @@ class ReleaseWave:
 
 
 def plan_release_waves(shape, start: float, horizon: float, targets: int,
-                       config: Optional[WavePlanConfig] = None
+                       disruption_per_target: float = 1.0,
+                       error_budget: Optional[float] = None
                        ) -> list[ReleaseWave]:
     """Plan wave start times and batch fractions over ``horizon``.
 
-    The horizon is split into ``config.waves`` equal slots; each wave
+    The horizon is split into :data:`WAVES` equal slots; each wave
     starts at the quietest sampled instant of its slot (first such
-    instant on ties, so plans are deterministic).
+    instant on ties, so plans are deterministic).  With an
+    ``error_budget`` (``None`` = unlimited), fractions then shrink until
+    the projected disruption fits it, each restarted machine costing
+    ``disruption_per_target`` (the budget's units) at unit load scale.
     """
-    config = config or WavePlanConfig()
-    config.validate()
     if targets < 1:
         raise ValueError("targets must be >= 1")
     if horizon <= 0:
         raise ValueError("horizon must be positive")
+    if disruption_per_target < 0:
+        raise ValueError("disruption_per_target must be >= 0")
 
-    step = max(shape.config.resolution, horizon / (config.waves * 64))
+    step = max(shape.config.resolution, horizon / (WAVES * 64))
     trough = shape.trough()
-    slot = horizon / config.waves
+    slot = horizon / WAVES
     waves: list[ReleaseWave] = []
-    for index in range(config.waves):
+    for index in range(WAVES):
         slot_start = start + index * slot
         slot_end = start + (index + 1) * slot
         best_t, best_scale = slot_start, shape.scale_at(slot_start)
@@ -92,37 +73,38 @@ def plan_release_waves(shape, start: float, horizon: float, targets: int,
                 best_t, best_scale = t, scale
             t += step
         fraction = batch_fraction_for_load(
-            best_scale, config.base_batch_fraction, trough,
-            config.min_batch_fraction, config.max_batch_fraction)
+            best_scale, BASE_BATCH_FRACTION, trough,
+            MIN_BATCH_FRACTION, MAX_BATCH_FRACTION)
         waves.append(ReleaseWave(start=best_t, batch_fraction=fraction,
                                  load_scale=best_scale))
 
-    if config.error_budget is not None:
-        _fit_budget(waves, targets, config)
+    if error_budget is not None:
+        _fit_budget(waves, targets, disruption_per_target, error_budget)
     return waves
 
 
 def _projected_disruption(waves, targets: int,
-                          config: WavePlanConfig) -> float:
+                          disruption_per_target: float) -> float:
     """Σ over waves of batch_size × per-target cost × load scale."""
     per_wave_targets = targets / len(waves)
     return sum(
         math.ceil(wave.batch_fraction * per_wave_targets)
-        * config.disruption_per_target * wave.load_scale
+        * disruption_per_target * wave.load_scale
         for wave in waves)
 
 
-def _fit_budget(waves, targets: int, config: WavePlanConfig) -> None:
+def _fit_budget(waves, targets: int, disruption_per_target: float,
+                budget: float) -> None:
     """Deterministically shrink the costliest fractions into budget."""
-    budget = config.error_budget
-    while _projected_disruption(waves, targets, config) > budget:
+    while _projected_disruption(waves, targets,
+                                disruption_per_target) > budget:
         # Shrink the wave currently contributing the most disruption;
         # stop once everything is already at the floor.
         candidates = [w for w in waves
-                      if w.batch_fraction > config.min_batch_fraction]
+                      if w.batch_fraction > MIN_BATCH_FRACTION]
         if not candidates:
             break
         worst = max(candidates,
                     key=lambda w: w.batch_fraction * w.load_scale)
-        worst.batch_fraction = max(config.min_batch_fraction,
+        worst.batch_fraction = max(MIN_BATCH_FRACTION,
                                    worst.batch_fraction * 0.8)

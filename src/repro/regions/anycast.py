@@ -43,7 +43,7 @@ class RegionTarget:
                  router: Callable[[FourTuple], Optional[str]],
                  distance: int):
         self.region_name = region_name
-        #: Entry routing into the region (the nearest PoP's ECMP pick).
+        #: Entry routing into the region (the nearest PoP's Katran).
         self.router = router
         self.distance = distance
         self.healthy = True

@@ -112,13 +112,12 @@ def evacuate_region(deployment, region_name: str, grace: float = 1.0):
     # flows away before the drains start tearing down what is left.
     yield env.timeout(grace)
 
-    # 3a. Edge drain: leave the L4LBs first so no new flows land, then
-    # hard-drain what is in flight.
+    # 3a. Edge drain: leave the PoP's Katran first so no new flows
+    # land, then hard-drain what is in flight.
     exits = []
     for pop in region.pops:
-        for l4lb in pop.l4lbs:
-            for ip in list(l4lb.backends):
-                l4lb.remove_backend(ip)
+        for ip in list(pop.katran.backends):
+            pop.katran.remove_backend(ip)
         for server in pop.servers:
             instance = server.active_instance
             if instance is not None and instance.alive:

@@ -3,7 +3,7 @@
 Topology (the paper's Fig. 1, regionalized): ``regions`` Origin DCs sit
 on a WAN ring; each has ``pops_per_region`` Edge PoPs and its own app
 pool and MQTT brokers.  Every PoP announces the *same* anycast VIP
-behind :data:`L4LBS_PER_POP` ECMP'd Katrans; every Origin serves the same
+behind its one Katran; every Origin serves the same
 origin VIP, which is what lets an Edge dial a remote region's Origin
 ``via_ip`` when its own is gone.
 
@@ -27,7 +27,6 @@ from ..appserver.brokers import MqttBroker
 from ..cluster.base import (
     CLIENT_CORE_SPEED, CLIENT_CORES, Region, RegionPoP, Topology)
 from ..lb.consistent_hash import ConsistentHashRing
-from ..lb.ecmp import EcmpRouter
 from ..netsim.network import EDGE_ORIGIN, WAN_CLIENT_EDGE, LinkProfile
 from ..options import RunOptions
 from ..proxygen.context import ProxyTierContext
@@ -39,10 +38,6 @@ from .spec import (
     wan_profile)
 
 __all__ = ["Region", "RegionPoP", "RegionalDeployment"]
-
-#: L4LBs fronting each PoP; client flows spread over them via ECMP.
-L4LBS_PER_POP = 1
-
 
 class RegionalDeployment(Topology):
     """N regions, one anycast VIP, one global MQTT broker ring."""
@@ -105,7 +100,7 @@ class RegionalDeployment(Topology):
                 router.add_tier(other.name, other.origin_katran.route)
             region.origin_router = router
 
-        # Pass 3: Edge PoPs (proxies + ECMP'd L4LBs) and their links.
+        # Pass 3: Edge PoPs (proxies + their Katran) and their links.
         for r, region in enumerate(self.regions):
             edge_context = ProxyTierContext(
                 origin_vip=self.origin_vip,
@@ -128,12 +123,9 @@ class RegionalDeployment(Topology):
                             bandwidth=WAN_BANDWIDTH))
                 for i in range(spec.proxies_per_pop):
                     self._edge_proxy(pop, f"{pop.name}-edge-proxy-{i}")
-                for k in range(L4LBS_PER_POP):
-                    pop.l4lbs.append(self._katran(
-                        f"{pop.name}-katran-{k}", pop.site, pop.hosts,
-                        self.anycast_https))
-                pop.ecmp = EcmpRouter(pop.l4lbs,
-                                      salt=spec.seed * 997 + r * 31 + p)
+                pop.katran = self._katran(
+                    f"{pop.name}-katran-0", pop.site, pop.hosts,
+                    self.anycast_https)
                 region.pops.append(pop)
 
         # Pass 4: client links, anycast resolvers, client populations.
@@ -163,7 +155,7 @@ class RegionalDeployment(Topology):
                 for other in self.regions:
                     entry = other.pops[p % len(other.pops)]
                     resolver.add_target(
-                        other.name, entry.ecmp.route,
+                        other.name, entry.katran.route,
                         wan_distance(r, other.index, spec.regions))
                 pop.resolver = resolver
                 self._build_clients(

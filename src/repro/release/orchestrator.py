@@ -31,6 +31,9 @@ from ..simkernel.events import Interrupt
 
 __all__ = ["BatchRecord", "RollingRelease", "RollingReleaseConfig"]
 
+#: Each further retry of a batch waits this many times the last.
+BACKOFF_FACTOR = 2.0
+
 
 @dataclass
 class RollingReleaseConfig:
@@ -48,10 +51,9 @@ class RollingReleaseConfig:
     batch_timeout: Optional[float] = None
     #: Release attempts per batch (1 = no retry).
     max_attempts: int = 1
-    #: Idle wait before the first retry of a batch...
+    #: Idle wait before the first retry of a batch, multiplied by
+    #: :data:`BACKOFF_FACTOR` for each further retry.
     retry_backoff: float = 5.0
-    #: ...multiplied by this factor for each further retry.
-    backoff_factor: float = 2.0
     #: Permanently-failed targets tolerated before the release aborts
     #: (None = keep going no matter what; 0 = abort on the first).
     error_budget: Optional[int] = None
@@ -67,8 +69,8 @@ class RollingReleaseConfig:
     def validate(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        if self.retry_backoff < 0 or self.backoff_factor <= 0:
-            raise ValueError("retry backoff settings must be positive")
+        if self.retry_backoff < 0:
+            raise ValueError("retry_backoff must be >= 0")
         if self.batch_timeout is not None and self.batch_timeout <= 0:
             raise ValueError("batch_timeout must be positive")
         if self.error_budget is not None and self.error_budget < 0:
@@ -252,7 +254,7 @@ class RollingRelease:
                 return
             if attempt < config.max_attempts:
                 yield self.env.timeout(backoff)
-                backoff *= config.backoff_factor
+                backoff *= BACKOFF_FACTOR
         for target in pending:
             name = self._target_name(target)
             self.failed_targets.append(name)

@@ -25,15 +25,13 @@ class ResilienceConfig:
 
     Grouped by mechanism: passive health / outlier ejection, circuit
     breaking, hedging, and admission control.  What no run varies (the
-    EWMA, the breaker window, the jitters, the backoff curve) is a
-    constant beside its reader.
+    EWMA and its outlier thresholds, the breaker window, the jitters, the
+    backoff curve) is a constant beside its reader.
     """
 
     enabled: bool = False
 
     # -- passive health + outlier ejection (§3 capacity crunch) ----------
-    #: EWMA error rate above which a backend is an outlier.
-    error_rate_threshold: float = 0.4
     #: Base ejection duration (seconds); doubles per consecutive
     #: re-ejection up to ``ejection_max_duration``.
     ejection_duration: float = 8.0
@@ -57,8 +55,6 @@ class ResilienceConfig:
     shed_retry_after: float = 1.0
 
     def validate(self) -> None:
-        if not 0 < self.error_rate_threshold <= 1:
-            raise ValueError("error_rate_threshold must be in (0, 1]")
         if self.ejection_duration <= 0 \
                 or self.ejection_max_duration < self.ejection_duration:
             raise ValueError("bad ejection durations")

@@ -21,8 +21,10 @@ __all__ = ["BackendStats", "OutlierTracker"]
 
 #: EWMA smoothing factor for per-backend latency and error rate.
 EWMA_ALPHA = 0.3
-#: EWMA latency (seconds) above which a backend is an outlier.
+#: EWMA latency (seconds) and error rate above which a backend is an
+#: outlier.
 LATENCY_THRESHOLD = 1.5
+ERROR_RATE_THRESHOLD = 0.4
 #: Samples required before a backend may be ejected.
 MIN_SAMPLES = 5
 #: ± fraction of the ejection duration applied as deterministic jitter
@@ -113,7 +115,7 @@ class OutlierTracker:
         if stat.samples < MIN_SAMPLES:
             return False
         return (stat.ewma_latency > LATENCY_THRESHOLD
-                or stat.ewma_error_rate > self.config.error_rate_threshold)
+                or stat.ewma_error_rate > ERROR_RATE_THRESHOLD)
 
     def _ejection_allowed(self) -> bool:
         total = self.membership() if self.membership is not None \

@@ -57,6 +57,8 @@ LOGGED_ANNOUNCEMENTS = ("release_", "takeover_", "drain_", "fault_",
 MAX_TRACES = 250
 MAX_EVENTS = 2000
 MAX_ANNOTATIONS = 64
+#: A failed span flags its whole trace for tail-based retention.
+KEEP_ERRORS = True
 
 
 @dataclass(slots=True)
@@ -64,13 +66,12 @@ class TraceConfig:
     """Tuning knobs for a :class:`TraceCollector`.
 
     ``sample_rate`` is the head-based probability that a new trace is
-    retained when it finishes cleanly; errored or explicitly-kept traces
-    are retained regardless (tail-based), each category capped at
-    :data:`MAX_TRACES`.
+    retained when it finishes cleanly; errored (:data:`KEEP_ERRORS`) or
+    explicitly-kept traces are retained regardless (tail-based), each
+    category capped at :data:`MAX_TRACES`.
     """
 
     sample_rate: float = 1.0
-    keep_errors: bool = True
 
 
 class _Trace:
@@ -132,7 +133,7 @@ class Span:
     def fail(self, reason: str) -> None:
         """Close the span as failed and flag the whole trace for
         tail-based retention."""
-        if self.collector.config.keep_errors:
+        if KEEP_ERRORS:
             self.trace.error = True
         self.finish(status=reason)
 

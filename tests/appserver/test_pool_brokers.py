@@ -305,10 +305,10 @@ def _health_pool(world, count, monkeypatch):
     monkeypatch.setattr(health, "MIN_SAMPLES", 3)
     monkeypatch.setattr(health, "EJECTION_JITTER", 0.0)
     monkeypatch.setattr(health, "MAX_EJECTED_FRACTION", 1.0)
+    monkeypatch.setattr(health, "ERROR_RATE_THRESHOLD", 0.5)
     pool, servers = _pool_of(world, count)
     tracker = OutlierTracker(
-        ResilienceConfig(enabled=True, error_rate_threshold=0.5,
-                         ejection_duration=10.0),
+        ResilienceConfig(enabled=True, ejection_duration=10.0),
         world.env, RandomStreams(1).stream("t"))
     pool.attach_health(tracker)
     return pool, servers, tracker

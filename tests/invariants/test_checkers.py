@@ -238,14 +238,11 @@ def test_autoscaler_checker_samples_pool_bounds():
 
     class _Adapter:
         def size(self):
-            return 0  # below every min_size
+            return 0  # below MIN_SIZE
 
     class _Scaler:
         name = "autoscaler-app"
         adapter = _Adapter()
-
-        from repro.ops.autoscale import AutoscalerConfig
-        config = AutoscalerConfig(min_size=1, max_size=4)
 
     deployment.autoscalers.append(_Scaler())
     checker = _autoscaler_checker(deployment)

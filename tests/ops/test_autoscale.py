@@ -1,15 +1,15 @@
-"""Autoscaler policy (fake pool) and deployment membership wiring."""
+"""Autoscaler policy (fake pool) and deployment membership wiring.
+
+The policy is module constants (``repro.ops.autoscale``); a test that
+needs another value patches the constant.
+"""
 
 import pytest
 
 from repro.cluster.deployment import Deployment
 from repro.cluster.spec import DeploymentSpec
 from repro.ops import autoscale
-from repro.ops.autoscale import (
-    Autoscaler,
-    AutoscalerConfig,
-    attach_app_autoscaler,
-)
+from repro.ops.autoscale import Autoscaler, attach_app_autoscaler
 from repro.simkernel import Environment
 
 
@@ -63,22 +63,32 @@ class FakeAdapter:
         self.drained.append(member.name)
 
 
-def _scaler(env, adapter, **overrides):
-    defaults = dict(min_size=1, max_size=4, evaluate_interval=5.0,
-                    scale_out_utilization=0.75, scale_in_utilization=0.30,
-                    cooldown_out=10.0, cooldown_in=20.0)
-    defaults.update(overrides)
-    return Autoscaler(env, adapter, AutoscalerConfig(**defaults))
+@pytest.fixture
+def policy(monkeypatch):
+    """The fake pool's policy: ``policy(cooldown_in=0.0)`` patches the
+    named constants on top of these."""
+
+    def patch(**overrides):
+        values = dict(min_size=1, max_size=4, evaluate_interval=5.0,
+                      scale_out_utilization=0.75,
+                      scale_in_utilization=0.30, cooldown_out=10.0,
+                      cooldown_in=20.0)
+        values.update(overrides)
+        for name, value in values.items():
+            monkeypatch.setattr(autoscale, name.upper(), value)
+
+    patch()
+    return patch
 
 
 def _evaluate(env, scaler):
     env.run(until=env.process(scaler.evaluate()))
 
 
-def test_scales_out_under_cpu_pressure():
+def test_scales_out_under_cpu_pressure(policy):
     env = Environment()
     adapter = FakeAdapter(env)
-    scaler = _scaler(env, adapter)
+    scaler = Autoscaler(env, adapter)
     adapter.cpu = 0.9
     _evaluate(env, scaler)
     assert adapter.size() == 3
@@ -87,28 +97,12 @@ def test_scales_out_under_cpu_pressure():
     assert decision.size_before == 2 and decision.size_after == 3
 
 
-def test_queue_depth_trips_scale_out_at_low_cpu(monkeypatch):
-    monkeypatch.setattr(autoscale, "QUEUE_DEPTH_HIGH", 5.0)
-    env = Environment()
-    adapter = FakeAdapter(env)
-    scaler = _scaler(env, adapter)
-    adapter.cpu = 0.1
-    adapter.queue = 9.0
-    _evaluate(env, scaler)
-    assert adapter.size() == 3
-    assert scaler.decisions[0].reason == "queue"
-    # The queue signal also vetoes scale-in despite the idle CPU.
-    adapter.queue = 9.0
-    env.run(until=50.0)
-    _evaluate(env, scaler)
-    assert all(d.action == "out" for d in scaler.decisions)
-
-
-def test_scale_out_respects_max_size_and_step(monkeypatch):
+def test_scale_out_respects_max_size_and_step(monkeypatch, policy):
     monkeypatch.setattr(autoscale, "SCALE_OUT_STEP", 5)
+    policy(max_size=4)
     env = Environment()
     adapter = FakeAdapter(env, size=3)
-    scaler = _scaler(env, adapter, max_size=4)
+    scaler = Autoscaler(env, adapter)
     adapter.cpu = 1.0
     _evaluate(env, scaler)
     assert adapter.size() == 4  # step clamped to the bound
@@ -117,10 +111,11 @@ def test_scale_out_respects_max_size_and_step(monkeypatch):
     assert adapter.size() == 4  # at max: no further growth
 
 
-def test_scale_in_drains_the_newest_active_member():
+def test_scale_in_drains_the_newest_active_member(policy):
+    policy(cooldown_in=0.0)
     env = Environment()
     adapter = FakeAdapter(env, size=3)
-    scaler = _scaler(env, adapter, cooldown_in=0.0)
+    scaler = Autoscaler(env, adapter)
     adapter.cpu = 0.05
     _evaluate(env, scaler)
     assert adapter.drained == ["m2"]
@@ -128,30 +123,32 @@ def test_scale_in_drains_the_newest_active_member():
     assert (decision.action, decision.target) == ("in", "m2")
 
 
-def test_scale_in_holds_when_no_member_is_active():
+def test_scale_in_holds_when_no_member_is_active(policy):
+    policy(cooldown_in=0.0)
     env = Environment()
     adapter = FakeAdapter(env, size=2)
     for member in adapter.members:
         member.state = "draining"
-    scaler = _scaler(env, adapter, cooldown_in=0.0)
+    scaler = Autoscaler(env, adapter)
     adapter.cpu = 0.05
     _evaluate(env, scaler)
     assert adapter.size() == 2 and not scaler.decisions
 
 
-def test_scale_in_never_breaches_min_size():
+def test_scale_in_never_breaches_min_size(policy):
+    policy(cooldown_in=0.0)
     env = Environment()
     adapter = FakeAdapter(env, size=1)
-    scaler = _scaler(env, adapter, min_size=1, cooldown_in=0.0)
+    scaler = Autoscaler(env, adapter)
     adapter.cpu = 0.0
     _evaluate(env, scaler)
     assert adapter.size() == 1 and not scaler.decisions
 
 
-def test_cooldown_spaces_same_direction_decisions():
+def test_cooldown_spaces_same_direction_decisions(policy):
     env = Environment()
     adapter = FakeAdapter(env)
-    scaler = _scaler(env, adapter, cooldown_out=10.0)
+    scaler = Autoscaler(env, adapter)
     adapter.cpu = 0.9
     _evaluate(env, scaler)
     _evaluate(env, scaler)  # immediately again: held by cooldown
@@ -161,15 +158,15 @@ def test_cooldown_spaces_same_direction_decisions():
     assert adapter.size() == 4
 
 
-def test_recent_scale_out_also_blocks_scale_in():
+def test_recent_scale_out_also_blocks_scale_in(policy):
     """Flap guard: shrinking right after growing would thrash drains."""
     env = Environment()
     adapter = FakeAdapter(env)
-    scaler = _scaler(env, adapter, cooldown_in=20.0)
+    scaler = Autoscaler(env, adapter)
     adapter.cpu = 0.9
     _evaluate(env, scaler)
     adapter.cpu = 0.05
-    env.run(until=env.now + 5.0)  # > nothing; still inside cooldown_in
+    env.run(until=env.now + 5.0)  # > nothing; still inside COOLDOWN_IN
     _evaluate(env, scaler)
     assert adapter.size() == 3  # held
     env.run(until=env.now + 20.0)
@@ -177,30 +174,22 @@ def test_recent_scale_out_also_blocks_scale_in():
     assert adapter.size() == 2
 
 
-def test_control_loop_runs_on_the_configured_cadence():
+def test_control_loop_runs_on_the_configured_cadence(policy):
     env = Environment()
     adapter = FakeAdapter(env)
-    scaler = _scaler(env, adapter, evaluate_interval=5.0).start()
+    scaler = Autoscaler(env, adapter).start()
     env.run(until=26.0)
     assert [at for at, _ in scaler.size_series] == [5.0, 10.0, 15.0,
                                                     20.0, 25.0]
 
 
-def test_config_validation():
-    for bad in (dict(min_size=0), dict(min_size=3, max_size=2),
-                dict(evaluate_interval=0.0),
-                dict(scale_in_utilization=0.9,
-                     scale_out_utilization=0.5)):
-        with pytest.raises(ValueError):
-            AutoscalerConfig(**bad).validate()
-
-
-def test_decisions_tap_the_invariant_suite():
+def test_decisions_tap_the_invariant_suite(policy):
     """Every decision is announced on the run's channel, which is where
     a suite listens: no deployment attribute is consulted."""
+    policy(cooldown_in=0.0)
     env = Environment()
     adapter = FakeAdapter(env)
-    scaler = _scaler(env, adapter, cooldown_in=0.0)
+    scaler = Autoscaler(env, adapter)
     events = []
     scaler.run_record.subscribe(
         lambda event, **fields: events.append((event, fields)))
@@ -246,11 +235,11 @@ def test_grow_and_retire_app_server_round_trip():
     assert server.state == server.STATE_DOWN
 
 
-def test_attach_helpers_register_and_start():
+def test_attach_helpers_register_and_start(policy):
+    # MIN_SIZE pinned to the current fleet so the idle pool holds still.
+    policy(min_size=2, max_size=3)
     deployment = Deployment(_spec())
-    # min_size pinned to the current fleet so the idle pool holds still.
-    app = attach_app_autoscaler(deployment,
-                                AutoscalerConfig(min_size=2, max_size=3))
+    app = attach_app_autoscaler(deployment)
     assert deployment.autoscalers == [app]
     assert app.process is not None
     assert app.adapter.tier == "app"

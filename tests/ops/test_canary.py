@@ -13,9 +13,7 @@ from repro.simkernel import Environment
 
 
 def _config(**overrides):
-    defaults = dict(judgment_window=5.0, hold_window=2.0, max_holds=2,
-                    min_requests=5.0, error_ratio_threshold=0.05,
-                    regression_factor=3.0, gate_batches=1)
+    defaults = dict(judgment_window=5.0, hold_window=2.0, min_requests=5.0)
     defaults.update(overrides)
     return CanaryConfig(**defaults)
 
@@ -25,7 +23,7 @@ def _config(**overrides):
 
 def test_bad_canary_against_clean_control_aborts():
     verdict, canary_ratio, control_ratio = judge_window(
-        80.0, 20.0, 100.0, 0.0, _config())
+        80.0, 20.0, 100.0, 0.0)
     assert verdict == "abort"
     assert canary_ratio == pytest.approx(0.2)
     assert control_ratio == 0.0
@@ -33,19 +31,19 @@ def test_bad_canary_against_clean_control_aborts():
 
 def test_fleet_wide_burn_does_not_scapegoat_the_canary():
     # Both groups at 20% errors: a shared dependency is down, not the
-    # canary binary — regression_factor × control sets the bar at 60%.
-    verdict, _, _ = judge_window(80.0, 20.0, 80.0, 20.0, _config())
+    # canary binary — REGRESSION_FACTOR × control sets the bar at 60%.
+    verdict, _, _ = judge_window(80.0, 20.0, 80.0, 20.0)
     assert verdict == "proceed"
 
 
 def test_errors_below_absolute_threshold_never_abort():
-    verdict, _, _ = judge_window(99.0, 1.0, 100.0, 0.0, _config())
+    verdict, _, _ = judge_window(99.0, 1.0, 100.0, 0.0)
     assert verdict == "proceed"  # 1% < 5% floor
 
 
 def test_zero_traffic_ratios_are_zero_not_nan():
     verdict, canary_ratio, control_ratio = judge_window(
-        0.0, 0.0, 0.0, 0.0, _config())
+        0.0, 0.0, 0.0, 0.0)
     assert verdict == "proceed"
     assert canary_ratio == control_ratio == 0.0
 
@@ -59,9 +57,7 @@ def test_503_is_not_a_canary_error_tag():
 
 def test_config_validation():
     for bad in (dict(judgment_window=0.0), dict(hold_window=-1.0),
-                dict(max_holds=-1), dict(min_requests=-1.0),
-                dict(error_ratio_threshold=-0.1),
-                dict(regression_factor=0.0), dict(gate_batches=0)):
+                dict(min_requests=-1.0)):
         with pytest.raises(ValueError):
             _config(**bad).validate()
 
@@ -152,19 +148,19 @@ def test_bad_canary_aborts_with_recorded_ratios():
 def test_low_traffic_holds_then_gives_benefit_of_the_doubt():
     env = Environment()
     targets = [CountedTarget(env, f"t{i}", ok_rate=0.1) for i in range(4)]
-    gate = CanaryController(env, _config(max_holds=2), probe=_probe)
+    gate = CanaryController(env, _config(), probe=_probe)
     verdict = _review(env, gate, FakeRelease(targets), targets[:1],
                       FakeRecord(0))
     assert verdict == "proceed"
     assert gate.decisions[0]["reason"] == "insufficient_samples"
-    # 3 judgment windows interleaved with 2 holds.
+    # 3 judgment windows interleaved with MAX_HOLDS = 2 holds.
     assert env.now == pytest.approx(3 * 5.0 + 2 * 2.0)
 
 
 def test_batches_past_the_gate_are_waved_through():
     env = Environment()
     targets = [CountedTarget(env, f"t{i}") for i in range(4)]
-    gate = CanaryController(env, _config(gate_batches=1), probe=_probe)
+    gate = CanaryController(env, _config(), probe=_probe)
     verdict = _review(env, gate, FakeRelease(targets), targets[2:],
                       FakeRecord(1))
     assert verdict == "proceed"

@@ -18,8 +18,8 @@ from repro.simkernel import Environment
 
 
 def _diurnal(**overrides):
-    defaults = dict(kind="diurnal", day_length=20.0, trough_scale=0.5,
-                    peak_scale=1.5, peak_at=0.5, resolution=2.0)
+    defaults = dict(kind="diurnal", day_length=20.0, peak_scale=1.5,
+                    resolution=2.0)
     defaults.update(overrides)
     return LoadShapeConfig(**defaults)
 
@@ -29,7 +29,7 @@ def _diurnal(**overrides):
 
 def test_diurnal_peak_and_trough_match_config():
     shape = LoadShape(_diurnal())
-    assert shape.trough() == pytest.approx(0.5, abs=0.1)
+    assert shape.trough() == pytest.approx(load.TROUGH_SCALE, abs=0.1)
     assert shape.peak() == pytest.approx(1.5, abs=0.1)
     # Peak sits mid-day, trough at the day boundary.
     assert shape.scale_at(10.0) > shape.scale_at(0.0)
@@ -44,19 +44,18 @@ def test_diurnal_is_periodic():
 
 def test_flash_crowd_spikes_then_returns_to_baseline():
     config = LoadShapeConfig(kind="flash_crowd", flash_at=10.0,
-                             flash_ramp=2.0, flash_hold=5.0,
-                             flash_scale=3.0, resolution=1.0)
+                             flash_ramp=2.0, flash_hold=5.0, resolution=1.0)
     shape = LoadShape(config)
     assert shape.scale_at(5.0) == pytest.approx(1.0)
-    assert shape.scale_at(14.0) == pytest.approx(3.0)
+    assert shape.scale_at(14.0) == pytest.approx(load.FLASH_SCALE)
     # Past the horizon a non-periodic shape clamps to its last value.
     assert shape.scale_at(1000.0) == pytest.approx(1.0)
 
 
 def test_herd_holds_clients_off_then_reconnects_hot():
     config = LoadShapeConfig(kind="post_outage_herd", outage_at=10.0,
-                             outage_duration=5.0, herd_scale=2.5,
-                             herd_decay=5.0, resolution=1.0)
+                             outage_duration=5.0, herd_decay=5.0,
+                             resolution=1.0)
     shape = LoadShape(config)
     assert shape.scale_at(12.0) == pytest.approx(MIN_SCALE)
     assert shape.scale_at(15.6) > 2.0
@@ -65,16 +64,15 @@ def test_herd_holds_clients_off_then_reconnects_hot():
 
 def test_scale_never_below_floor(monkeypatch):
     monkeypatch.setattr(load, "BASE_SCALE", 0.01)
-    config = LoadShapeConfig(kind="diurnal", trough_scale=0.001,
-                             peak_scale=1.0)
+    monkeypatch.setattr(load, "TROUGH_SCALE", 0.001)
+    config = LoadShapeConfig(kind="diurnal", peak_scale=1.0)
     shape = LoadShape(config)
     assert shape.trough() >= MIN_SCALE
 
 
 def test_config_validation():
     for bad in (dict(kind="lunar"), dict(resolution=0.0),
-                dict(trough_scale=0.0),
-                dict(trough_scale=2.0, peak_scale=1.0)):
+                dict(peak_scale=0.3)):
         with pytest.raises(ValueError):
             LoadShape(_diurnal(**bad))
 
@@ -97,14 +95,14 @@ def test_next_change_reaches_a_different_value():
     assert shape.scale_at(now + delay) != shape.scale_at(now)
 
 
-def test_next_change_none_once_constant():
+def test_next_change_none_once_constant(monkeypatch):
     config = LoadShapeConfig(kind="flash_crowd", flash_at=5.0,
-                             flash_ramp=1.0, flash_hold=2.0,
-                             flash_scale=2.0, resolution=1.0)
+                             flash_ramp=1.0, flash_hold=2.0, resolution=1.0)
     shape = LoadShape(config)
     assert shape.next_change(100.0) is None
     # A flat (degenerate) diurnal day has no changes either.
-    flat = LoadShape(_diurnal(trough_scale=1.0, peak_scale=1.0))
+    monkeypatch.setattr(load, "TROUGH_SCALE", 1.0)
+    flat = LoadShape(_diurnal(peak_scale=1.0))
     assert flat.next_change(3.0) is None
 
 
@@ -204,8 +202,7 @@ def test_controller_cadence_is_independent_of_event_rate():
 def test_controller_stops_when_shape_goes_constant():
     env = Environment()
     config = LoadShapeConfig(kind="flash_crowd", flash_at=3.0,
-                             flash_ramp=1.0, flash_hold=2.0,
-                             flash_scale=2.0, resolution=1.0)
+                             flash_ramp=1.0, flash_hold=2.0, resolution=1.0)
     controller = LoadController(env, LoadShape(config), [FakePopulation()])
     process = controller.start()
     env.run(until=100.0)
@@ -222,27 +219,6 @@ def test_controller_skips_none_populations():
     assert len(controller.populations) == 1
 
 
-# -- APPLIES_TO: rate scales are per-population -------------------------------
-
-
-def test_controller_scales_only_the_selected_kind(monkeypatch):
-    """Regression: a diurnal shape on web traffic must not scale MQTT
-    herds — the controller drives only populations whose ``kind``
-    matches the ``APPLIES_TO`` selector."""
-    monkeypatch.setattr(load, "APPLIES_TO", "web")
-    env = Environment()
-    web = FakePopulation("web")
-    mqtt = FakePopulation("mqtt")
-    quic = FakePopulation("quic")
-    shape = LoadShape(_diurnal())
-    controller = LoadController(env, shape, [web, mqtt, quic])
-    controller.start()
-    env.run(until=20.0)
-    assert web.applied, "selected population never received an update"
-    assert mqtt.applied == [] and mqtt.rate_scale == 1.0
-    assert quic.applied == [] and quic.rate_scale == 1.0
-
-
 def test_controller_none_applies_to_keeps_driving_everything():
     env = Environment()
     populations = [FakePopulation("web"), FakePopulation("mqtt")]
@@ -251,21 +227,6 @@ def test_controller_none_applies_to_keeps_driving_everything():
     env.run(until=20.0)
     assert all(p.applied for p in populations)
     assert populations[0].applied == populations[1].applied
-
-
-def test_deployment_applies_to_scopes_shape_to_one_population(monkeypatch):
-    monkeypatch.setattr(load, "APPLIES_TO", "web")
-    config = LoadShapeConfig(kind="flash_crowd", flash_at=2.0,
-                             flash_ramp=1.0, flash_hold=4.0,
-                             flash_scale=3.0, resolution=1.0)
-    deployment = Deployment(_spec(
-        mqtt_client_hosts=1,
-        mqtt_workload=DeploymentSpec().mqtt_workload,
-        load_shape=config))
-    deployment.start()
-    deployment.run(until=5.0)  # mid-hold: web runs hot, MQTT untouched
-    assert deployment.web_clients.rate_scale == pytest.approx(3.0)
-    assert deployment.mqtt_clients.rate_scale == pytest.approx(1.0)
 
 
 # -- deployment wiring --------------------------------------------------------
@@ -282,13 +243,13 @@ def _spec(**overrides):
 
 def test_deployment_wires_spec_load_shape_into_clients():
     config = LoadShapeConfig(kind="flash_crowd", flash_at=2.0,
-                             flash_ramp=1.0, flash_hold=4.0,
-                             flash_scale=3.0, resolution=1.0)
+                             flash_ramp=1.0, flash_hold=4.0, resolution=1.0)
     deployment = Deployment(_spec(load_shape=config))
     assert deployment.load_controller is not None
     deployment.start()
     deployment.run(until=5.0)  # mid-hold: clients are running hot
-    assert deployment.web_clients.rate_scale == pytest.approx(3.0)
+    assert deployment.web_clients.rate_scale == pytest.approx(
+        load.FLASH_SCALE)
     deployment.run(until=12.0)  # spike over: back to baseline
     assert deployment.web_clients.rate_scale == pytest.approx(1.0)
 

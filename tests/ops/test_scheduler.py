@@ -1,19 +1,37 @@
-"""Wave planning: quiet-window picking, load-aware batch sizing, budget."""
+"""Wave planning: quiet-window picking, load-aware batch sizing, budget.
+
+The planner's policy is module constants (``repro.ops.scheduler``); a
+test that needs another value patches the constant.
+"""
 
 import pytest
 
+from repro.ops import scheduler
 from repro.ops.load import LoadShape, LoadShapeConfig
-from repro.ops.scheduler import (
-    WavePlanConfig,
-    plan_release_waves,
-)
+from repro.ops.scheduler import plan_release_waves
 from repro.release.schedule import batch_fraction_for_load
 
 
 def _diurnal_shape(day_length=100.0):
     return LoadShape(LoadShapeConfig(
-        kind="diurnal", day_length=day_length, trough_scale=0.4,
-        peak_scale=1.6, peak_at=0.5, resolution=1.0))
+        kind="diurnal", day_length=day_length, peak_scale=1.6,
+        resolution=1.0))
+
+
+@pytest.fixture
+def plan(monkeypatch):
+    """Four waves; ``plan(base_batch_fraction=0.3)`` patches the named
+    constants on top of these."""
+
+    def patch(**overrides):
+        values = dict(waves=4, base_batch_fraction=0.25,
+                      min_batch_fraction=0.05, max_batch_fraction=0.5)
+        values.update(overrides)
+        for name, value in values.items():
+            monkeypatch.setattr(scheduler, name.upper(), value)
+
+    patch()
+    return patch
 
 
 def test_batch_fraction_shrinks_with_load():
@@ -35,10 +53,9 @@ def test_batch_fraction_for_load_validates():
         batch_fraction_for_load(1.0, 0.3, 0.4, 0.6, 0.5)
 
 
-def test_waves_land_in_their_slots_in_order():
+def test_waves_land_in_their_slots_in_order(plan):
     shape = _diurnal_shape()
-    waves = plan_release_waves(shape, start=0.0, horizon=100.0, targets=12,
-                               config=WavePlanConfig(waves=4))
+    waves = plan_release_waves(shape, start=0.0, horizon=100.0, targets=12)
     assert len(waves) == 4
     for index, wave in enumerate(waves):
         assert 0.0 + index * 25.0 <= wave.start < (index + 1) * 25.0
@@ -46,11 +63,10 @@ def test_waves_land_in_their_slots_in_order():
             shape.scale_at(wave.start))
 
 
-def test_peak_slot_gets_smaller_batches_than_trough_slot():
+def test_peak_slot_gets_smaller_batches_than_trough_slot(plan):
     # Slot 0 contains the trough (day start), slot 1/2 the mid-day peak.
-    waves = plan_release_waves(_diurnal_shape(), 0.0, 100.0, 12,
-                               WavePlanConfig(waves=4,
-                                              base_batch_fraction=0.3))
+    plan(base_batch_fraction=0.3)
+    waves = plan_release_waves(_diurnal_shape(), 0.0, 100.0, 12)
     trough_wave = waves[0]
     peak_wave = max(waves, key=lambda w: w.load_scale)
     assert peak_wave.batch_fraction < trough_wave.batch_fraction
@@ -62,21 +78,17 @@ def test_peak_slot_gets_smaller_batches_than_trough_slot():
         assert wave.load_scale <= min(slot) + 1e-9
 
 
-def test_plans_are_deterministic():
+def test_plans_are_deterministic(plan):
     a = plan_release_waves(_diurnal_shape(), 0.0, 100.0, 12)
     b = plan_release_waves(_diurnal_shape(), 0.0, 100.0, 12)
     assert a == b
 
 
-def test_error_budget_shrinks_the_costliest_waves():
-    config = WavePlanConfig(waves=4, base_batch_fraction=0.5,
-                            min_batch_fraction=0.05,
-                            max_batch_fraction=0.5,
-                            disruption_per_target=10.0, error_budget=30.0)
-    unfit = plan_release_waves(_diurnal_shape(), 0.0, 100.0, 12,
-                               WavePlanConfig(waves=4,
-                                              base_batch_fraction=0.5))
-    fit = plan_release_waves(_diurnal_shape(), 0.0, 100.0, 12, config)
+def test_error_budget_shrinks_the_costliest_waves(plan):
+    plan(base_batch_fraction=0.5)
+    unfit = plan_release_waves(_diurnal_shape(), 0.0, 100.0, 12)
+    fit = plan_release_waves(_diurnal_shape(), 0.0, 100.0, 12,
+                             disruption_per_target=10.0, error_budget=30.0)
     assert sum(w.batch_fraction for w in fit) < \
         sum(w.batch_fraction for w in unfit)
     assert all(w.batch_fraction >= 0.05 for w in fit)
@@ -84,12 +96,11 @@ def test_error_budget_shrinks_the_costliest_waves():
     assert [w.start for w in fit] == [w.start for w in unfit]
 
 
-def test_budget_fitting_stops_at_the_floor():
-    config = WavePlanConfig(waves=2, base_batch_fraction=0.4,
-                            min_batch_fraction=0.1,
-                            disruption_per_target=1000.0,
-                            error_budget=1.0)  # unsatisfiable
-    waves = plan_release_waves(_diurnal_shape(), 0.0, 100.0, 8, config)
+def test_budget_fitting_stops_at_the_floor(plan):
+    plan(waves=2, base_batch_fraction=0.4, min_batch_fraction=0.1)
+    waves = plan_release_waves(_diurnal_shape(), 0.0, 100.0, 8,
+                               disruption_per_target=1000.0,
+                               error_budget=1.0)  # unsatisfiable
     assert all(w.batch_fraction == pytest.approx(0.1) for w in waves)
 
 
@@ -99,10 +110,5 @@ def test_planner_input_validation():
         plan_release_waves(shape, 0.0, 100.0, 0)
     with pytest.raises(ValueError):
         plan_release_waves(shape, 0.0, 0.0, 4)
-    for bad in (dict(waves=0), dict(min_batch_fraction=0.0),
-                dict(min_batch_fraction=0.6, max_batch_fraction=0.5),
-                dict(base_batch_fraction=0.0),
-                dict(disruption_per_target=-1.0)):
-        with pytest.raises(ValueError):
-            plan_release_waves(shape, 0.0, 100.0, 4,
-                               WavePlanConfig(**bad))
+    with pytest.raises(ValueError):
+        plan_release_waves(shape, 0.0, 100.0, 4, disruption_per_target=-1.0)

@@ -10,7 +10,6 @@ import pytest
 from repro.clients import WebWorkloadConfig
 from repro.proxygen import ProxygenConfig
 from repro.regions import RegionalDeployment, RegionalSpec, release_all_pops
-from repro.regions import topology
 
 
 def _dep(seed, pops, proxies_per_pop, until, **kwargs):
@@ -40,7 +39,7 @@ def test_pops_built_behind_one_anycast_vip(global_dep):
     assert len(_pops(global_dep)) == 3
     for pop in _pops(global_dep):
         assert len(pop.servers) == 3
-        assert {l4.hc_vip for l4 in pop.l4lbs} == {global_dep.anycast_https}
+        assert pop.katran.hc_vip == global_dep.anycast_https
 
 
 def test_each_pop_serves_its_clients(global_dep):
@@ -60,7 +59,7 @@ def test_all_pops_share_one_origin(global_dep):
 
 def test_pop_katrans_are_independent(global_dep):
     for pop in _pops(global_dep):
-        assert set(pop.l4lbs[0].healthy_backends()) == \
+        assert set(pop.katran.healthy_backends()) == \
             {h.ip for h in pop.hosts}
 
 
@@ -99,49 +98,24 @@ def test_global_release_with_drain_wait_takes_batches_times_drain():
         assert 16 <= release.duration <= 22
 
 
-# -- per-PoP ECMP across several L4LBs ---------------------------------------
+# -- one Katran per PoP -------------------------------------------------------
 
 
-@pytest.fixture
-def two_l4lbs(monkeypatch):
-    monkeypatch.setattr(topology, "L4LBS_PER_POP", 2)
-
-
-def _ecmp_dep(seed=3):
+def _two_pop_dep(seed):
     return _dep(seed=seed, pops=2, proxies_per_pop=3, until=20,
                 web_workload=WebWorkloadConfig(clients_per_host=8,
                                                think_time=0.5))
 
 
-def test_ecmp_spreads_flows_over_every_l4lb(two_l4lbs):
-    dep = _ecmp_dep()
-    for pop in _pops(dep):
-        assert len(pop.l4lbs) == 2
-        picks = [l4.counters.get("route_hash")
-                 + l4.counters.get("route_table_hit")
-                 + l4.counters.get("route_table_miss")
-                 for l4 in pop.l4lbs]
-        assert all(p > 0 for p in picks), (pop.name, picks)
+def test_all_katrans_lists_origin_and_every_pop_l4lb(global_dep):
+    assert {k.name for k in global_dep.all_katrans()} == {
+        "r0-origin-katran", "r0p0-katran-0", "r0p1-katran-0",
+        "r0p2-katran-0"}
 
 
-def test_all_l4lbs_of_a_pop_agree_on_backends(two_l4lbs):
-    dep = _ecmp_dep()
-    for pop in _pops(dep):
-        healthy = {tuple(sorted(l4.healthy_backends()))
-                   for l4 in pop.l4lbs}
-        assert healthy == {tuple(sorted(h.ip for h in pop.hosts))}
-
-
-def test_all_katrans_lists_origin_and_every_pop_l4lb(two_l4lbs):
-    dep = _ecmp_dep()
-    assert {k.name for k in dep.all_katrans()} == {
-        "r0-origin-katran", "r0p0-katran-0", "r0p0-katran-1",
-        "r0p1-katran-0", "r0p1-katran-1"}
-
-
-def test_same_seed_global_runs_are_byte_identical(two_l4lbs):
+def test_same_seed_global_runs_are_byte_identical():
     def one_run():
-        dep = _ecmp_dep(seed=9)
+        dep = _two_pop_dep(seed=9)
         return {scope: dep.metrics.scoped_counters(scope).snapshot()
                 for scope in dep.metrics.scopes()}
 

@@ -169,11 +169,10 @@ def test_failed_target_retried_with_backoff():
     env = Environment()
     target = FlakyTarget(env, "flaky", failures=2, duration=5.0)
     release = RollingRelease(env, [target], RollingReleaseConfig(
-        batch_fraction=1.0, max_attempts=3, retry_backoff=4.0,
-        backoff_factor=2.0))
+        batch_fraction=1.0, max_attempts=3, retry_backoff=4.0))
     env.run(until=env.process(release.execute()))
-    # attempt1 [0,5] + backoff 4 + attempt2 [9,14] + backoff 8 +
-    # attempt3 [22,27].
+    # attempt1 [0,5] + backoff 4 + attempt2 [9,14] + backoff 8
+    # (4 × BACKOFF_FACTOR) + attempt3 [22,27].
     assert target.attempts == 3
     assert target.restarts == [27.0]
     assert not release.failed_targets

@@ -11,13 +11,13 @@ from repro.simkernel import Environment, RandomStreams
 def _knobs(monkeypatch):
     monkeypatch.setattr(health, "MIN_SAMPLES", 3)
     monkeypatch.setattr(health, "LATENCY_THRESHOLD", 1.0)
+    monkeypatch.setattr(health, "ERROR_RATE_THRESHOLD", 0.5)
     monkeypatch.setattr(health, "EJECTION_JITTER", 0.0)
     monkeypatch.setattr(health, "EWMA_ALPHA", 0.5)
 
 
 def _config():
-    return ResilienceConfig(enabled=True, error_rate_threshold=0.5,
-                            ejection_duration=10.0,
+    return ResilienceConfig(enabled=True, ejection_duration=10.0,
                             ejection_max_duration=40.0)
 
 

@@ -22,9 +22,11 @@ A field counts as set when a caller passes it as a keyword (to the class
 that declares or inherits it, or to a lower-case callee such as
 ``replace()`` or a ``**kwargs`` helper, which credits every class with
 a field of that name), assigns it as an attribute, or names it as a
-string constant.  A keyword to some *other* class credits nothing.  A
-harness parameter counts as passed when some call of a ``run`` passes a
-keyword of its name.
+string constant.  A keyword to some *other* class credits nothing, and
+neither does a keyword whose value is the literal the field declares as
+its default: passing the default sets nothing a run varies.  A harness
+parameter counts as passed when some call of a ``run`` passes a keyword
+of its name.
 """
 
 import ast
@@ -61,24 +63,52 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
     return False
 
 
-def declared(sources: dict) -> dict:
-    """class name → (its own annotated fields, its base-class names)."""
-    classes = {}
+def _config_classes(sources: dict):
     for source in sources.values():
         for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.ClassDef) and _is_dataclass(node) \
                     and CONFIG_CLASS.search(node.name):
-                fields = [s.target.id for s in node.body
-                          if isinstance(s, ast.AnnAssign)
-                          and isinstance(s.target, ast.Name)]
-                bases = [b.id for b in node.bases if isinstance(b, ast.Name)]
-                classes[node.name] = (fields, bases)
-    return classes
+                yield node, [s for s in node.body
+                             if isinstance(s, ast.AnnAssign)
+                             and isinstance(s.target, ast.Name)]
 
 
-def fields_set(classes: dict, sources: dict) -> set:
+def declared(sources: dict) -> dict:
+    """class name → (its own annotated fields, its base-class names)."""
+    return {node.name: ([s.target.id for s in fields],
+                        [b.id for b in node.bases if isinstance(b, ast.Name)])
+            for node, fields in _config_classes(sources)}
+
+
+_NOT_A_LITERAL = object()
+
+
+def _literal(node) -> object:
+    try:
+        return ast.literal_eval(node)
+    except ValueError:
+        return _NOT_A_LITERAL
+
+
+def literal_defaults(sources: dict) -> dict:
+    """``(class, field)`` → the literal its declaration defaults to (a
+    field without a default, or with a computed one, is absent)."""
+    defaults = {}
+    for node, fields in _config_classes(sources):
+        for statement in fields:
+            if statement.value is not None:
+                value = _literal(statement.value)
+                if value is not _NOT_A_LITERAL:
+                    defaults[node.name, statement.target.id] = value
+    return defaults
+
+
+def fields_set(classes: dict, sources: dict, defaults=None) -> set:
     """Every ``(declaring class, field)`` some call site under
-    :data:`CALLERS` sets (``sources`` is keyed by repo-relative path)."""
+    :data:`CALLERS` sets (``sources`` is keyed by repo-relative path) to
+    something other than its literal default (``defaults``, as from
+    :func:`literal_defaults`)."""
+    defaults = defaults or {}
     owners = {}
     for cls, (fields, _) in classes.items():
         for name in fields:
@@ -105,11 +135,17 @@ def fields_set(classes: dict, sources: dict) -> set:
                     name = keyword.arg
                     if name not in owners:
                         continue
+                    value = _literal(keyword.value)
                     if callee in classes:
-                        if (cls := declaring(callee, name)):
-                            used.add((cls, name))
+                        targets = {declaring(callee, name)} - {None}
                     elif not callee[:1].isupper():
-                        used.update((cls, name) for cls in owners[name])
+                        targets = owners[name]
+                    else:
+                        continue
+                    used.update(
+                        (cls, name) for cls in targets
+                        if value is _NOT_A_LITERAL
+                        or defaults.get((cls, name), _NOT_A_LITERAL) != value)
             elif isinstance(node, ast.Attribute) \
                     and isinstance(node.ctx, ast.Store):
                 used.update((cls, node.attr)
@@ -121,8 +157,8 @@ def fields_set(classes: dict, sources: dict) -> set:
     return used
 
 
-def never_set(classes: dict, sources: dict) -> list:
-    used = fields_set(classes, sources)
+def never_set(classes: dict, sources: dict, defaults=None) -> list:
+    used = fields_set(classes, sources, defaults)
     return sorted(f"{cls}.{name}" for cls, (fields, _) in classes.items()
                   for name in fields
                   if (cls, name) not in used
@@ -200,13 +236,15 @@ def _read(*tops: str) -> dict:
 
 
 def test_every_config_field_is_set_by_some_caller():
-    classes = declared(_read("src/repro"))
+    sources = _read("src/repro")
+    classes = declared(sources)
     assert len(classes) > 15 and "DeploymentSpec" in classes
     all_fields = {name for fields, _ in classes.values() for name in fields}
     assert DEPLOYMENT_SETTINGS <= all_fields  # no stale allowlist entries
-    unset = never_set(classes, _read(*CALLERS))
+    unset = never_set(classes, _read(*CALLERS), literal_defaults(sources))
     assert not unset, (
-        f"{unset}: no run in src/ or bench/ sets these — make each a "
+        f"{unset}: no run in src/ or bench/ sets these to anything but "
+        f"their default — make each a "
         f"named constant beside its reader, which a test may patch (or, "
         f"for an address, port or path, extend DEPLOYMENT_SETTINGS)")
 
@@ -235,14 +273,15 @@ def test_every_harness_parameter_is_passed_by_some_call():
 
 
 def test_the_census_resolves_by_callee_class():
-    classes = declared({"m.py": (
+    planted = {"m.py": (
         "from dataclasses import dataclass\n"
-        "@dataclass\nclass BaseConfigs:\n    seed: int = 0\n"
+        "@dataclass\nclass BaseConfigs:\n    seed: int = SEED\n"
         "@dataclass\nclass ASpec(BaseConfigs):\n"
-        "    jitter: float = 0.0\n    depth: int = 1\n"
+        "    jitter: float = -0.5\n    depth: int = 1\n"
         "@dataclass\nclass BConfig:\n"
         "    jitter: float = 0.0\n    https_port: int = 443\n"
-        "class NotAConfig:\n    knob: int = 0\n")})
+        "class NotAConfig:\n    knob: int = 0\n")}
+    classes = declared(planted)
     assert set(classes) == {"BaseConfigs", "ASpec", "BConfig"}
 
     def unset(caller: str, path: str = "src/c.py") -> list:
@@ -263,6 +302,25 @@ def test_the_census_resolves_by_callee_class():
     for caller in ("replace(cfg, jitter=1)", "cfg.jitter = 1",
                    "setattr(cfg, 'jitter', 1)"):
         assert unset(caller) == ["ASpec.depth", "BaseConfigs.seed"]
+    # Passing the declared literal default sets nothing; any other
+    # value, or one the census cannot read as a literal, does.  A
+    # default that is not a literal (``SEED``) is never matched.
+    defaults = literal_defaults(planted)
+    assert defaults == {("ASpec", "jitter"): -0.5, ("ASpec", "depth"): 1,
+                        ("BConfig", "jitter"): 0.0,
+                        ("BConfig", "https_port"): 443}
+
+    def unset_default(caller: str) -> list:
+        return never_set(classes, {"src/c.py": caller}, defaults)
+
+    assert unset_default("ASpec(depth=1, jitter=-0.5)") == everything
+    assert unset_default("ASpec(depth=2)") == [
+        "ASpec.jitter", "BConfig.jitter", "BaseConfigs.seed"]
+    assert unset_default("ASpec(depth=DEPTH)") == unset_default(
+        "ASpec(depth=2)")
+    assert unset_default("replace(cfg, jitter=0.0)") == [
+        "ASpec.depth", "BConfig.jitter", "BaseConfigs.seed"]
+    assert "BaseConfigs.seed" not in unset_default("ASpec(seed=0)")
     # A benchmark is a run; a test or an example is not.
     assert "ASpec.depth" not in unset("ASpec(depth=2)", "bench/w.py")
     for path in ("tests/test_a.py", "examples/demo.py"):

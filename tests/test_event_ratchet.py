@@ -15,7 +15,9 @@ route once, not per send.  A third run releases every Origin with DCR
 on, the re-home dials and broker re-attaches the other two never make;
 its window too leaves the collector nothing: a finished connection, a
 broken HTTP/2 session, a takeover channel and an exited proxy instance
-are all freed by refcount.
+are all freed by refcount.  A fourth, regional run (two regions of two
+PoPs, one evacuated) pins what the anycast resolvers, the PoPs' Katrans
+and the cross-region re-home observe.
 """
 
 import gc
@@ -37,6 +39,7 @@ from repro.clients.web import WebWorkloadConfig
 from repro.netsim.sockets import TcpEndpoint
 from repro.protocols.http2 import H2Stream
 from repro.proxygen.config import ProxygenConfig
+from repro.regions import RegionalDeployment, RegionalSpec, evacuate_region
 from repro.simkernel.resources import Store
 
 #: Measured when the ceiling was last set: 16,442 events over 1,786 ops
@@ -70,6 +73,8 @@ BULK_POSTS_SNAPSHOT = (
     "3194e6a3893ee7bf88206a0a45a74fb98ee94cc4003c48b303af4b3b82000968")
 ORIGIN_RELEASED_SNAPSHOT = (
     "f8e4d40d7bed19b546dead251027057180c0040bc6378db9e58f7f8a6e46faa1")
+EVACUATED_SNAPSHOT = (
+    "d0b7251ed08cd0270a2af20b0d8a35033589586a65813242b11a9eb149610cda")
 
 OPS = (("web-clients", "get_ok"), ("web-clients", "post_ok"),
        ("mqtt-clients", "publishes_sent"),
@@ -216,16 +221,39 @@ def test_events_per_relayed_chunk_stay_under_the_ceiling(bulk_posts):
         "event: name who waits on it, or raise the ceiling on purpose")
 
 
+@pytest.fixture(scope="module")
+def evacuated():
+    """Two regions of two PoPs each, every PoP behind its one Katran;
+    region r1 evacuated from t = 8 under web and MQTT load, run to
+    t = 30."""
+    edge = ProxygenConfig(mode="edge", drain_duration=2.0, spawn_delay=0.5)
+    origin = ProxygenConfig(mode="origin", drain_duration=2.0,
+                            spawn_delay=0.5)
+    deployment = RegionalDeployment(RegionalSpec(
+        seed=0, regions=2, pops_per_region=2, proxies_per_pop=2,
+        origin_proxies=2, app_servers=2, brokers=1,
+        web_clients_per_pop=20, mqtt_users_per_pop=20,
+        edge_config=edge, origin_config=origin))
+    deployment.start()
+    deployment.run(until=8.0)
+    evacuation = deployment.env.process(evacuate_region(deployment, "r1"))
+    deployment.run(until=30.0)
+    assert evacuation.triggered, "the evacuation never finished"
+    return deployment
+
+
 def test_what_both_runs_observed_is_pinned(released, bulk_posts,
-                                          origin_released):
+                                          origin_released, evacuated):
     """The runs' snapshots, byte for byte: the ceilings above may only
     fall by scheduling less, and a send may only get cheaper, never by
     observing something else (the Origin release's snapshot catches a
-    stale route on a re-home dial or a broker re-attach)."""
+    stale route on a re-home dial or a broker re-attach; the regional
+    one, a change in how a client flow reaches a PoP's Katran)."""
     deployment, _, _ = released
     assert _snapshot_sha256(deployment) == RELEASED_SNAPSHOT
     assert bulk_posts[3] == BULK_POSTS_SNAPSHOT
     assert _snapshot_sha256(origin_released[0]) == ORIGIN_RELEASED_SNAPSHOT
+    assert _snapshot_sha256(evacuated) == EVACUATED_SNAPSHOT
 
 
 def test_a_route_is_resolved_once_per_host_pair(bulk_posts):

@@ -266,12 +266,10 @@ def test_apply_precedence_and_no_mutation():
     assert regional.splice == SpliceConfig()
 
 
-def test_spec_lb_scheme_reaches_every_katran_on_both_builders(monkeypatch):
+def test_spec_lb_scheme_reaches_every_katran_on_both_builders():
     """``RegionalSpec.lb_scheme`` used to be declared but ignored."""
     from repro import Deployment, DeploymentSpec
-    from repro.regions import topology
 
-    monkeypatch.setattr(topology, "L4LBS_PER_POP", 2)
     for dep in (Deployment(DeploymentSpec(lb_scheme="stateless")),
                 RegionalDeployment(RegionalSpec(regions=1,
                                                 lb_scheme="stateless")),

@@ -71,9 +71,9 @@ def test_fail_flags_trace_for_retention():
     assert statuses == {"req": "ok", "hop": "conn_gone"}
 
 
-def test_keep_errors_false_disables_tail_retention():
-    collector = make_collector(
-        TraceConfig(sample_rate=0.0, keep_errors=False))
+def test_keep_errors_false_disables_tail_retention(monkeypatch):
+    monkeypatch.setattr(caps, "KEEP_ERRORS", False)
+    collector = make_collector(TraceConfig(sample_rate=0.0))
     span = collector.start_trace("req")
     span.fail("boom")
     assert collector.traces() == []
