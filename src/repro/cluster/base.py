@@ -118,7 +118,6 @@ class Topology:
     """
 
     def __init__(self, spec, edge_vip_ip: str,
-                 env: Optional[Environment] = None,
                  options: RunOptions = RunOptions(),
                  partition_rng: bool = False):
         #: Folded into the spec once, here; afterwards only
@@ -126,7 +125,7 @@ class Topology:
         #: when the deployment starts).
         self.options = options
         self.spec = spec = options.apply(spec)
-        self.env = env or Environment()
+        self.env = Environment()
         #: What this run's components share (repro.run): its options,
         #: tracer, splice governor and the channel every mechanism
         #: window is announced on.  Complete before the first component

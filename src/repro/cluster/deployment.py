@@ -8,14 +8,11 @@ forwards to HHVM app servers and MQTT brokers.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..appserver.hhvm import AppServer
 from ..lb.katran import Katran
 from ..netsim.network import EDGE_ORIGIN, WAN_CLIENT_EDGE
 from ..options import RunOptions
 from ..proxygen.context import ProxyTierContext
-from ..simkernel.core import Environment
 from .base import Region, RegionPoP, Topology
 from .spec import DeploymentSpec
 
@@ -28,9 +25,8 @@ class Deployment(Topology):
     whose lists the flat ``*_hosts`` attributes alias."""
 
     def __init__(self, spec: DeploymentSpec,
-                 env: Optional[Environment] = None,
                  options: RunOptions = RunOptions()):
-        super().__init__(spec, spec.edge_vip_ip, env, options)
+        super().__init__(spec, spec.edge_vip_ip, options)
         spec = self.spec
         self.network.add_profile("client", "edge", WAN_CLIENT_EDGE)
         self.network.add_profile("edge", "origin", EDGE_ORIGIN)

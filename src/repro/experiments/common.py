@@ -91,14 +91,12 @@ def build_deployment(seed: int = 0,
                      web: Optional[WebWorkloadConfig] = None,
                      mqtt: Optional[MqttWorkloadConfig] = None,
                      quic: Optional[QuicWorkloadConfig] = None,
-                     env=None,
                      options: RunOptions = RunOptions(),
                      **spec_kwargs) -> Deployment:
     """A deployment sized for experiment runtime (seconds, not minutes).
 
     ``options`` are the run's (:mod:`repro.options`: the CLI's flags,
-    ``options.fault_plan`` included).  ``env`` swaps the simulation
-    kernel (e.g. the frozen reference kernel for differential testing).
+    ``options.fault_plan`` included).
     """
     spec = DeploymentSpec(
         seed=seed,
@@ -116,10 +114,10 @@ def build_deployment(seed: int = 0,
         mqtt_workload=mqtt,
         quic_workload=quic,
         **spec_kwargs)
-    return _started(Deployment(spec, env=env, options=options))
+    return _started(Deployment(spec, options=options))
 
 
-def build_regional_deployment(env=None, options: RunOptions = RunOptions(),
+def build_regional_deployment(options: RunOptions = RunOptions(),
                               **spec_kwargs) -> "RegionalDeployment":
     """A multi-region deployment with the same always-on harness wiring
     as :func:`build_deployment` (invariant suite attached, started).
@@ -128,7 +126,7 @@ def build_regional_deployment(env=None, options: RunOptions = RunOptions(),
     from ..regions import RegionalDeployment, RegionalSpec
 
     return _started(RegionalDeployment(RegionalSpec(**spec_kwargs),
-                                       env=env, options=options))
+                                       options=options))
 
 
 def _started(deployment):

@@ -155,22 +155,15 @@ def _drive_release(deployment: Deployment, entry: dict, releases: list):
 
 
 def run_scenario(scenario: Scenario,
-                 checkers: Optional[list[str]] = None,
-                 env=None) -> FuzzRunResult:
-    """Build, run and check one scenario (``checkers``: names or all).
-
-    ``env`` swaps the simulation kernel (e.g. a frozen
-    :class:`repro.simkernel.reference.Environment` for differential
-    testing); ``None`` uses the optimized live kernel.
-    """
+                 checkers: Optional[list[str]] = None) -> FuzzRunResult:
+    """Build, run and check one scenario (``checkers``: names or all)."""
     options = replace(FUZZ_OPTIONS, fault_plan=scenario.fault_plan())
     with planted_fault(scenario.planted):
         if scenario.regions > 1:
             deployment = RegionalDeployment(
-                _build_regional_spec(scenario), env=env, options=options)
+                _build_regional_spec(scenario), options=options)
         else:
-            deployment = Deployment(_build_spec(scenario), env=env,
-                                    options=options)
+            deployment = Deployment(_build_spec(scenario), options=options)
         suite = InvariantSuite(deployment,
                                checkers=make_checkers(checkers))
         suite.attach()

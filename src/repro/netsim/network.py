@@ -255,8 +255,7 @@ class Network:
             return max(now, not_before)
         dst, delay, jitter, bandwidth, loss, rng = route
         # The rng draw order (jitter before the loss roll) must stay
-        # exactly as the frozen kernel era had it, or seeded runs
-        # diverge.
+        # as it is, or seeded runs diverge.
         if jitter > 0:
             # ``rng.uniform(0.0, jitter)`` bit for bit (it computes
             # ``0.0 + (jitter - 0.0) * random()``), minus its frame.

@@ -52,7 +52,6 @@ class ScaleDecision:
     size_before: int
     size_after: int
     utilization: float
-    queue_depth: float
     target: Optional[str] = None  # machine retired on scale-in
 
 
@@ -89,7 +88,6 @@ class Autoscaler:
         """Generator: one evaluation (and any scaling it decides on)."""
         now = self.env.now
         utilization = self.adapter.utilization(SIGNAL_WINDOW)
-        queue_depth = self.adapter.queue_depth()
         size = self.adapter.size()
         self.size_series.append((now, size))
         self._inc("evaluations")
@@ -102,7 +100,7 @@ class Autoscaler:
                 target = yield from self.adapter.scale_out()
                 size += 1
                 self._record("out", "utilization", size - 1, size,
-                             utilization, queue_depth, target)
+                             utilization, target)
             self._last_out = self.env.now
             return
 
@@ -117,8 +115,7 @@ class Autoscaler:
                 return
             # Audit the decision *before* the drain starts: the checker
             # verifies the victim was actively serving when nominated.
-            self._record("in", "idle", size, size - 1, utilization,
-                         queue_depth, victim,
+            self._record("in", "idle", size, size - 1, utilization, victim,
                          target_state=self.adapter.member_state(victim))
             self._last_in = now
             yield from self.adapter.scale_in(victim)
@@ -134,14 +131,13 @@ class Autoscaler:
             self.counters.inc(name)
 
     def _record(self, action: str, reason: str, size_before: int,
-                size_after: int, utilization: float, queue_depth: float,
-                target, target_state: Optional[str] = None) -> None:
+                size_after: int, utilization: float, target,
+                target_state: Optional[str] = None) -> None:
         target_name = getattr(target, "name", None)
         self.decisions.append(ScaleDecision(
             at=self.env.now, action=action, reason=reason,
             size_before=size_before, size_after=size_after,
-            utilization=utilization, queue_depth=queue_depth,
-            target=target_name))
+            utilization=utilization, target=target_name))
         self._inc(f"scale_{action}")
         self.run_record.announce(
             f"autoscale_{action}", autoscaler=self, scope=target_name,
@@ -165,13 +161,6 @@ class AppPoolAdapter:
     def utilization(self, window: float) -> float:
         hosts = [s.host for s in self.deployment.app_pool.servers]
         return _mean_cpu(self.deployment.env, hosts, window)
-
-    def queue_depth(self) -> float:
-        servers = self.deployment.app_pool.servers
-        if not servers:
-            return 0.0
-        backlog = sum(len(s.in_flight_posts) for s in servers)
-        return backlog / len(servers)
 
     def member_state(self, server) -> str:
         return server.state

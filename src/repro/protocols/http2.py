@@ -106,10 +106,6 @@ class H2Stream:
         self.remote_closed = False
         self.reset = False
 
-    @property
-    def closed(self) -> bool:
-        return (self.local_closed and self.remote_closed) or self.reset
-
     def send(self, payload: Any, size: int = 100,
              end_stream: bool = False, frame_type: str = FrameType.DATA) -> None:
         """Send one frame on this stream."""
@@ -190,7 +186,7 @@ class H2Stream:
             self.reset = True
         if frame.end_stream:
             self.remote_closed = True
-        if self.closed:
+        if (self.local_closed and self.remote_closed) or self.reset:
             self.conn.streams.pop(self.id, None)
         self.conn._wake(self.inbox, frame)
 
@@ -258,7 +254,8 @@ class H2Connection:
         return self.incoming.get()
 
     def open_stream_count(self) -> int:
-        return sum(1 for s in self.streams.values() if not s.closed)
+        return sum(1 for s in self.streams.values()
+                   if not ((s.local_closed and s.remote_closed) or s.reset))
 
     # -- GOAWAY ----------------------------------------------------------------
 

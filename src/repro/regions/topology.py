@@ -30,7 +30,6 @@ from ..lb.consistent_hash import ConsistentHashRing
 from ..netsim.network import EDGE_ORIGIN, WAN_CLIENT_EDGE, LinkProfile
 from ..options import RunOptions
 from ..proxygen.context import ProxyTierContext
-from ..simkernel.core import Environment
 from .anycast import AnycastResolver
 from .routing import FallbackOriginRouter
 from .spec import (
@@ -43,10 +42,9 @@ class RegionalDeployment(Topology):
     """N regions, one anycast VIP, one global MQTT broker ring."""
 
     def __init__(self, spec: RegionalSpec,
-                 env: Optional[Environment] = None,
                  options: RunOptions = RunOptions()):
         spec.validate()
-        super().__init__(spec, spec.anycast_vip_ip, env, options,
+        super().__init__(spec, spec.anycast_vip_ip, options,
                          partition_rng=spec.partition_network_rng)
         self.anycast_https = self.edge_vips[0].endpoint
         self._ip_serial = 0

@@ -16,11 +16,6 @@ were pushed while ``now < t`` and therefore carry smaller event ids
 than every deque entry at ``t`` (pushed while ``now == t``), so
 draining same-time heap entries before the same-priority deque — and
 the URGENT lane before the NORMAL lane — reproduces heap order exactly.
-The pre-optimization implementation is frozen in
-:mod:`repro.simkernel.reference` and the differential tests in
-``tests/perf/`` prove the two produce identical runs (everything but
-the scheduled-event count, which is lower here: see
-:mod:`repro.simkernel.resources`).
 """
 
 from __future__ import annotations
@@ -361,10 +356,9 @@ class Environment:
                         f"until ({stop_at}) must be greater than now ({self._now})")
 
         # The inlined step loop.  Semantics are identical to calling
-        # :meth:`step` until ``EmptySchedule``/``stop_at`` (the frozen
-        # reference run loop); the pop logic of :meth:`_pop` and the
-        # dispatch are simply unrolled here so each event costs zero
-        # extra Python frames.
+        # :meth:`step` until ``EmptySchedule``/``stop_at``; the pop
+        # logic of :meth:`_pop` and the dispatch are simply unrolled
+        # here so each event costs zero extra Python frames.
         queue = self._queue
         urgent = self._urgent
         ready = self._ready

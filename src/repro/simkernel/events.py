@@ -52,30 +52,11 @@ smaller id than every deque entry at ``t`` (time is non-decreasing, so
 all pushes made while ``now < t`` precede all pushes made while
 ``now == t``).  The run loop therefore drains, at each ``t``: same-time
 URGENT heap entries, then the URGENT deque, then same-time NORMAL heap
-entries, then the NORMAL deque — exactly heap order, which the
-differential tests against the frozen single-heap reference kernel
-(:mod:`repro.simkernel.reference`) check on whole runs.
+entries, then the NORMAL deque — exactly heap order.
 
 Every event is built by its environment (``env.timeout``,
 ``env.process``, ``env.any_of``, ``env.make_store`` …; nothing outside
-this package constructs an event class by name), so the classes here
-only ever meet :class:`~repro.simkernel.core.Environment` and a run
-under the frozen reference environment contains none of them.  Model
-code — ``netsim`` included — stays kernel-agnostic: it calls these
-factories and ``env.call_later``, and never inlines one, because the
-same code runs on the frozen environment too (``call_later`` inlined
-into ``Network.transmit`` would push a live call entry into the frozen
-heap, which reads every entry as an event).
-
-The pre-optimization implementation is frozen verbatim in
-:mod:`repro.simkernel.reference`; ``tests/perf/test_differential.py``
-proves the two produce identical runs — every counter, series, tap
-ordering and the final clock.  The one thing that differs is the
-scheduled-event count: stores here schedule only events some process
-waits on (see :mod:`repro.simkernel.resources`), a hand-off run in
-place is not scheduled, and the deadline heap takes one schedule entry
-per head it gets — a deadline that is dropped or deferred before it
-heads the heap costs none.
+this package constructs an event class by name).
 """
 
 from __future__ import annotations

@@ -28,24 +28,11 @@ event only where a process can be parked on it:
   ``TIMED_OUT`` by ``Event.deliver``) only if it is still pending at
   its deadline (``events.Process._bound``).
 
-The frozen kernel in :mod:`repro.simkernel.reference` still schedules
-every put, get and finish (its ``Store.deliver`` is its ``put``, its
-``Event.deliver`` its ``succeed``), and races each get under a deadline
-against a timeout of its own.  A put event had no waiter — it popped as
-a no-op — and removing a no-op from the schedule changes no other pop;
-a getter woken in place is the event the run loop would have popped
-next, so running it there moves no other pop either.  So a run here
-differs from a reference run in the scheduled-event count
-(``env._eid``) and in nothing a model observes:
-``tests/perf/test_differential.py`` holds every other field equal.
-
 Construct a store through the
 :class:`~repro.simkernel.core.Environment` factory method
-(``env.make_store()``), like every other event: a simulation driven by
-the reference environment then gets the frozen implementation and
-never meets these classes.  A get is built by its factory,
-:meth:`Store.get`, in place — ``object.__new__`` and the slot stores,
-no class call and no ``__init__`` frame per receive
+(``env.make_store()``), like every other event.  A get is built by its
+factory, :meth:`Store.get`, in place — ``object.__new__`` and the slot
+stores, no class call and no ``__init__`` frame per receive
 (:class:`StoreGetEvent` has no ``__init__``), as
 ``Environment.timeout`` builds a timeout.
 """
@@ -167,10 +154,7 @@ class Store:
 #
 # Attached here (rather than defined on Environment) to avoid a circular
 # import; ``repro.simkernel.__init__`` imports this module, so the
-# factory exists whenever the package is in use.  The frozen reference
-# environment defines its own factory returning the frozen store, which
-# is how differential runs swap the *entire* kernel — events, run loop
-# and store — in one place.
+# factory exists whenever the package is in use.
 
 def _make_store(self: Environment) -> Store:
     """A :class:`Store` bound to this environment's kernel."""

@@ -38,14 +38,9 @@ PACKAGE = ROOT / "src" / "repro"
 #: Interpreters running at once: each holds one simulation in memory.
 WORKERS = 2
 
-#: The one reference kernel the differential tests compare against
-#: (``tests/perf/test_differential.py``); no run uses it by design.
-REFERENCE_MODULE = "repro.simkernel.reference"
-
 #: Why a function may stay unreached.  Every allowlist reason starts
 #: with one of these.
 REASONS = (
-    "reference kernel",
     "runs in a forked child",
     "kernel API tests single-step with",
     "test observation",
@@ -56,9 +51,6 @@ REASONS = (
 
 #: ``module:qualname`` (or a whole module) → why no run reaches it.
 ALLOWLIST: dict[str, str] = {
-    REFERENCE_MODULE: "reference kernel: the frozen kernel the "
-                      "differential tests run every model against "
-                      "(ROADMAP 2)",
     # Forked or spawned interpreters: the hook does not follow them.
     "repro.shard.runner:_worker_main":
         "runs in a forked child: one shard of shardscale --shards 2",

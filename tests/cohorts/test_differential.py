@@ -130,7 +130,7 @@ def test_condensed_rung_is_bit_identical(seed):
     _, condensed, condensed_verdicts = _run(
         seed, cohorts=CohortPolicy(fidelity="condensed"))
 
-    assert individual["eid"] == condensed["eid"], (
+    assert individual["events"] == condensed["events"], (
         f"seed {seed}: event counts diverged — the condensed rung "
         f"scheduled different work than individual mode")
     assert individual["now"] == condensed["now"]
@@ -195,7 +195,7 @@ def test_condensed_rung_is_bit_identical_on_regions(seed):
     assert len(drivers) == 8  # web + mqtt on each of four PoPs
     assert {d.scope for d in drivers} >= {"web-clients-r0p0/c0",
                                           "mqtt-clients-r1p1/c0"}
-    assert individual["eid"] == condensed["eid"]
+    assert individual["events"] == condensed["events"]
     assert individual["now"] == condensed["now"]
     assert _mechanism_counts(individual) == _mechanism_counts(condensed)
     assert _mechanism_counts(condensed).get("dcr_rehomed", 0) > 0

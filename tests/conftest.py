@@ -5,16 +5,16 @@ import pytest
 from repro.appserver import brokers
 from repro.metrics import MetricsRegistry
 from repro.netsim import Host, LinkProfile, Network
-from repro.cluster.base import Topology
 from repro.experiments import ALL_EXPERIMENTS
 from repro.simkernel import Environment, RandomStreams
+from tests.differential import topology_hook
 
 
 class World:
     """A small test world: environment, network, and helper factories."""
 
-    def __init__(self, seed: int = 0, environment=Environment):
-        self.env = environment()
+    def __init__(self, seed: int = 0):
+        self.env = Environment()
         self.streams = RandomStreams(seed)
         self.metrics = MetricsRegistry()
         self.network = Network(self.env, self.streams,
@@ -40,18 +40,12 @@ def quiet_brokers(monkeypatch):
 
 
 @pytest.fixture
-def built_runs(monkeypatch):
+def built_runs():
     """The records of every topology the test builds, in build order:
     ``Topology.__init__`` is hooked for the test's duration."""
     runs = []
-    build = Topology.__init__
-
-    def hooked(self, *args, **kwargs):
-        build(self, *args, **kwargs)
-        runs.append(self.run_record)
-
-    monkeypatch.setattr(Topology, "__init__", hooked)
-    return runs
+    with topology_hook(lambda topology: runs.append(topology.run_record)):
+        yield runs
 
 
 @pytest.fixture

@@ -1,19 +1,38 @@
-"""Shared plumbing for differential (bit-identical) comparisons.
+"""Shared plumbing for bit-identical comparisons of whole runs.
 
-Several suites prove that independently-built runs are *identical*, not
-statistically close: ``tests/perf`` (optimized kernel vs the frozen
-reference), ``tests/cohorts`` (individual clients vs the condensed
-cohort rung), ``tests/splice`` and the CLI double-run.  Nothing is
-rewound between their arms — each run draws its request and connection
-ids from its own record (``repro.run.RunRecord``) — so what they share
-is one comparable view of a run:
-
-* :func:`full_snapshot` — every metric a run produced
-  (:meth:`repro.metrics.MetricsRegistry.snapshot`) plus the kernel's
-  clock and event count, as one comparable dict.
+``tests/golden`` (every registered run against its record),
+``tests/cohorts``, ``tests/splice`` and the CLI double-run prove runs
+*identical*, not close.  Nothing is rewound between runs (each draws its
+ids from its own ``repro.run.RunRecord``), so they share one view of a
+run, :func:`full_snapshot`, and one way to find the topologies a block
+built, :func:`topology_hook`.
 """
+
+import contextlib
+
+from repro.cluster.base import Topology
 
 
 def full_snapshot(deployment) -> dict:
-    env = deployment.env
-    return {**deployment.metrics.snapshot(), "now": env.now, "eid": env._eid}
+    """Every metric the run recorded, its clock, scheduled events and
+    in-place hand-offs."""
+    stats = deployment.env.stats()
+    return {**deployment.metrics.snapshot(), "now": stats["now"],
+            "events": stats["events"], "handoffs": stats["handoffs"]}
+
+
+@contextlib.contextmanager
+def topology_hook(seen):
+    """Call ``seen(topology)`` for every topology built in the block,
+    in build order."""
+    build = Topology.__init__
+
+    def hooked(self, *args, **kwargs):
+        build(self, *args, **kwargs)
+        seen(self)
+
+    Topology.__init__ = hooked
+    try:
+        yield
+    finally:
+        Topology.__init__ = build

@@ -14,15 +14,12 @@ wall-clock read); everything else must match byte for byte, including
 the sparkline-free rows, claim verdicts, and invariant summaries.
 """
 
-import os
 import re
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
 from repro.experiments.__main__ import main
+from tests import golden
 
 #: The deliberately-nondeterministic output: the wall-time footer.
 _WALL = re.compile(r"^\s*\(\d+\.\d+s wall\)\s*$", re.MULTILINE)
@@ -80,15 +77,9 @@ def test_cli_output_is_not_vacuous(capsys):
 
 def test_a_figure_after_another_prints_its_standalone_bytes(capsys):
     """What ``all`` relies on: nothing is reset between two figures in
-    one process, and the second prints what it prints in a fresh
-    interpreter.  Both draw request and QUIC connection ids (fig13's
-    mix, fig10's flows), and each run counts its own from the start."""
-    src = str(Path(__file__).resolve().parents[2] / "src")
-    standalone = subprocess.run(
-        [sys.executable, "-m", "repro.experiments", "fig10", "--no-plots"],
-        capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": src}).stdout
+    one process, and the second observes and prints what its record,
+    made in a fresh interpreter, holds.  Both draw request and QUIC
+    connection ids (fig13's mix, fig10's flows), and each run counts
+    its own from the start.  This is ``golden.TIER1``'s figure."""
     _run_cli(["fig13"], capsys)
-    code, after = _run_cli(["fig10"], capsys)
-    assert code == 0
-    assert after == _WALL.sub("", standalone)
+    golden.assert_recorded("fig10 --seed 0", golden.CASES["fig10 --seed 0"]())

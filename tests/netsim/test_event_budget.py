@@ -4,11 +4,10 @@ A figure-scale run is almost nothing but message hops, so the number of
 kernel events one hop costs is the simulator's unit price.  These tests
 pin that price by the scheduled-event count (``env._eid``, or
 ``env.stats()["events"]``) — per primitive, for one whole
-request/response round trip, for one datagram (against the frozen
-kernel's price for it) and for one POST body chunk through the Origin
-relay — so an extra hop (a put event nobody yields on, a grant for a
-core, a race event around a single get or per chunk)
-cannot quietly come back.  Same spirit as
+request/response round trip, for one datagram and for one POST body
+chunk through the Origin relay — so an extra hop (a put event nobody
+yields on, a grant for a core, a race event around a single get or
+per chunk) cannot quietly come back.  Same spirit as
 ``tests/test_config_surface.py``: a ratchet, not a behaviour test; what
 each primitive *does* is pinned in ``tests/simkernel``.
 """
@@ -17,9 +16,8 @@ import pytest
 
 from repro.netsim import CpuModel, Endpoint
 from repro.netsim.proc_utils import TIMED_OUT, with_timeout
-from repro.simkernel import Environment, Store, reference
+from repro.simkernel import Environment, Store
 from repro.simkernel.events import Interrupt
-from tests.conftest import World
 from tests.proxygen.conftest import OriginRelay
 
 #: What a process nobody waits on schedules for itself: its Initialize.
@@ -113,15 +111,6 @@ def test_datagram_schedules_only_its_delivery_timeout(world):
     assert seen_in_step == [1, 2, 2, 2]
     assert [payload for payload, _ in seen] == [0, 1]
     assert [datagram.payload for datagram in unread.inbox.items] == [2, 3]
-
-    # The frozen kernel schedules the put, and the get it satisfies.
-    ref_prices, ref_seen_in_step, ref_seen, ref_unread = _datagram_prices(
-        World(environment=reference.Environment))
-    assert ref_prices == [3, 3, 2, 2]
-    assert ref_seen_in_step == [0, 1, 2, 2]
-    assert ref_seen == seen
-    assert [datagram.payload
-            for datagram in ref_unread.inbox.items] == [2, 3]
 
 
 def test_put_schedules_only_the_get_it_wakes():

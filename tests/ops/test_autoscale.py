@@ -28,7 +28,6 @@ class FakeAdapter:
         self.env = env
         self.members = [FakeMember(f"m{i}") for i in range(size)]
         self.cpu = 0.5
-        self.queue = 0.0
         self.grown = 0
         self.drained = []
 
@@ -37,9 +36,6 @@ class FakeAdapter:
 
     def utilization(self, window):
         return self.cpu
-
-    def queue_depth(self):
-        return self.queue
 
     def member_state(self, member):
         return member.state

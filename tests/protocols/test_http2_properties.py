@@ -50,7 +50,8 @@ def test_many_interleaved_streams_route_correctly(world):
             sproc.run(echo(stream))
 
     def echo(stream):
-        while not stream.closed:
+        while not (stream.local_closed and stream.remote_closed
+                   or stream.reset):
             frame = yield stream.recv()
             if frame.type == FrameType.RST_STREAM:
                 return

@@ -3,7 +3,7 @@
 The value dict a condition succeeds with contains only the children
 that were *processed and succeeded at the moment the condition
 triggered*.  Two consequences, both long-standing behavior that callers
-(and the frozen reference kernel) rely on:
+rely on:
 
 * an :class:`AnyOf` race reports exactly the winners processed so far —
   a child that succeeds *later* never appears in the dict, even though
@@ -14,77 +14,71 @@ triggered*.  Two consequences, both long-standing behavior that callers
 
 If either assertion here starts failing, the kernel's observable
 semantics changed: fix the kernel, don't update the test — or, if the
-change is intentional, change :mod:`repro.simkernel.reference` and the
-differential suite in the same commit and say so loudly in the log.
+change is intentional, rerecord ``tests/golden`` in the same commit and
+say so loudly in the log.
 """
 
 from repro.simkernel.core import Environment
-from repro.simkernel.reference import Environment as ReferenceEnvironment
-
-KERNELS = (Environment, ReferenceEnvironment)
 
 
 def test_anyof_excludes_late_winner():
-    for env_cls in KERNELS:
-        env = env_cls()
-        results = []
+    env = Environment()
+    results = []
 
-        def waiter():
-            fast = env.timeout(1.0, value="fast")
-            slow = env.timeout(2.0, value="slow")
-            values = yield env.any_of([fast, slow])
-            results.append((sorted(values.values()), env.now))
-            # The loser is excluded from the dict but its value is
-            # still readable once it triggers.
-            yield env.timeout(2.0)
-            assert slow.value == "slow"
-            assert slow not in values
+    def waiter():
+        fast = env.timeout(1.0, value="fast")
+        slow = env.timeout(2.0, value="slow")
+        values = yield env.any_of([fast, slow])
+        results.append((sorted(values.values()), env.now))
+        # The loser is excluded from the dict but its value is
+        # still readable once it triggers.
+        yield env.timeout(2.0)
+        assert slow.value == "slow"
+        assert slow not in values
 
-        env.process(waiter())
-        env.run()
-        assert results == [(["fast"], 1.0)]
+    env.process(waiter())
+    env.run()
+    assert results == [(["fast"], 1.0)]
 
 
 def test_triggered_but_unprocessed_child_is_excluded():
     """Two children trigger at the same tick: the one whose callbacks
     have not run yet when the condition fires is *not* collected."""
-    for env_cls in KERNELS:
-        env = env_cls()
-        collected = []
+    env = Environment()
+    collected = []
 
-        def driver():
-            first = env.event()
-            second = env.event()
-            cond = env.any_of([first, second])
-            cond.callbacks.append(
-                lambda event: collected.append(sorted(
-                    value for value in event.value.values())))
-            # Trigger both in the same tick.  ``first`` is dispatched
-            # first; the condition fires inside that dispatch, while
-            # ``second`` is triggered-but-unprocessed — excluded.
-            first.succeed("a")
-            second.succeed("b")
-            yield env.timeout(0.001)
-            assert second.processed and second.value == "b"
+    def driver():
+        first = env.event()
+        second = env.event()
+        cond = env.any_of([first, second])
+        cond.callbacks.append(
+            lambda event: collected.append(sorted(
+                value for value in event.value.values())))
+        # Trigger both in the same tick.  ``first`` is dispatched
+        # first; the condition fires inside that dispatch, while
+        # ``second`` is triggered-but-unprocessed — excluded.
+        first.succeed("a")
+        second.succeed("b")
+        yield env.timeout(0.001)
+        assert second.processed and second.value == "b"
 
-        env.process(driver())
-        env.run()
-        assert collected == [["a"]], env_cls.__module__
+    env.process(driver())
+    env.run()
+    assert collected == [["a"]]
 
 
 def test_allof_collects_every_child():
     """AllOf cannot fire before every child is processed, so the quirk
     never drops values there — the dict is always complete."""
-    for env_cls in KERNELS:
-        env = env_cls()
-        seen = []
+    env = Environment()
+    seen = []
 
-        def waiter():
-            events = [env.timeout(d, value=i)
-                      for i, d in enumerate((0.3, 0.1, 0.2))]
-            values = yield env.all_of(events)
-            seen.append([values[event] for event in events])
+    def waiter():
+        events = [env.timeout(d, value=i)
+                  for i, d in enumerate((0.3, 0.1, 0.2))]
+        values = yield env.all_of(events)
+        seen.append([values[event] for event in events])
 
-        env.process(waiter())
-        env.run()
-        assert seen == [[0, 1, 2]]
+    env.process(waiter())
+    env.run()
+    assert seen == [[0, 1, 2]]

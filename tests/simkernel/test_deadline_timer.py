@@ -6,9 +6,10 @@ event and put the deadline in the environment's deadline heap, one
 schedule holds one entry, for the heap's head; a record whose wait
 ended is dropped, and one that carries a later deadline is re-keyed,
 when it reaches the head — at no event.  These tests pin that this
-reproduces what a fresh timeout per wait did — the frozen kernel still
-races one (``reference.Within``) — down to the float the deadline fires
-at and the order deadlines at one instant fire in; that deadlines that
+reproduces what a fresh timeout per wait did, down to the float the
+deadline fires at and the order deadlines at one instant fire in (the
+values written in below are the ones a timeout raced per wait gave);
+that deadlines that
 do not fire cost O(1) schedule entries, not one each; and that neither
 a finished process nor a wait that ended stays reachable through the
 heap.
@@ -19,17 +20,15 @@ import weakref
 
 import pytest
 
-from repro.simkernel import Environment, reference
+from repro.simkernel import Environment
 from repro.simkernel.events import TIMED_OUT
 
-KERNELS = (Environment, reference.Environment)
 
-
-def _rearmed_deadline(kernel):
+def _rearmed_deadline():
     """Receive under 0.2 s, get an item at t = 0.1, then receive under
     0.7 s: the timer armed at 0.2 must re-arm at ``0.1 + 0.7``, which is
     not ``0.2 + ((0.1 + 0.7) - 0.2)``."""
-    env = kernel()
+    env = Environment()
     store = env.make_store()
     env.timeout(0.1).callbacks.append(lambda _event: store.put("item"))
     log = []
@@ -46,16 +45,15 @@ def _rearmed_deadline(kernel):
 def test_a_rearmed_deadline_fires_at_the_float_a_timeout_would():
     deadline = 0.1 + 0.7
     assert 0.2 + (deadline - 0.2) != deadline  # the trap
-    live = _rearmed_deadline(Environment)
+    live = _rearmed_deadline()
     assert live == [("item", 0.1), (TIMED_OUT, deadline)]
-    assert live == _rearmed_deadline(reference.Environment)
 
 
-def _same_instant_deadlines(kernel):
+def _same_instant_deadlines():
     """A's deadline is deferred behind its armed timer (set at t = 1.5,
     due 7.0); B's is set later (t = 2, due 7.0) on a fresh timer.  A
     timeout pushed per wait fires A's first."""
-    env = kernel()
+    env = Environment()
     store_a, store_b = env.make_store(), env.make_store()
     env.timeout(1.5).callbacks.append(lambda _event: store_a.put("item"))
     woke = []
@@ -77,9 +75,8 @@ def _same_instant_deadlines(kernel):
 
 
 def test_two_deadlines_at_one_instant_fire_in_the_order_they_were_set():
-    live = _same_instant_deadlines(Environment)
+    live = _same_instant_deadlines()
     assert live == [("a", TIMED_OUT, 7.0), ("b", TIMED_OUT, 7.0)]
-    assert live == _same_instant_deadlines(reference.Environment)
 
 
 def test_a_finished_process_with_an_armed_timer_is_freed_at_once():
@@ -180,12 +177,12 @@ def test_deadlines_that_all_fire_cost_their_entries_and_no_wake():
     assert bounded["deadlines"] == 0
 
 
-def _same_instant_from_processes(kernel):
+def _same_instant_from_processes():
     """Three processes a, b, c set deadlines due at t = 6 at one instant
     (t = 1), and a timeout due then too is created between b's and c's;
     it notes whose wait is decided when it pops.  A fourth process, d,
     sets a deadline later (t = 2) that is due sooner (t = 5)."""
-    env = kernel()
+    env = Environment()
     waits, log = {}, []
 
     def waiter(name, start, delay):
@@ -214,11 +211,10 @@ def _same_instant_from_processes(kernel):
 def test_deadlines_from_processes_at_one_instant_fire_in_the_order_set():
     """a's and b's deadlines fire before the timeout created after them
     and c's after it: the order timeouts pushed per wait would pop in."""
-    live = _same_instant_from_processes(Environment)
+    live = _same_instant_from_processes()
     assert live == [("d", TIMED_OUT, 5.0), ("timeout", ["a", "b"], 6.0),
                     ("a", TIMED_OUT, 6.0), ("b", TIMED_OUT, 6.0),
                     ("c", TIMED_OUT, 6.0)]
-    assert live == _same_instant_from_processes(reference.Environment)
 
 
 def test_a_loop_under_one_deadline_instant_pushes_nothing_per_wait():
@@ -293,11 +289,11 @@ def test_a_superseded_head_entry_is_revived_not_pushed_again(compact):
     assert log == [("item", 2.0), (TIMED_OUT, 10.0)]
 
 
-def _zero_deadlines(kernel):
+def _zero_deadlines():
     """At t = 1 a feeder schedules a put for this instant, then the
     receiver waits under a deadline due at once, twice: the first wait
     is answered by the put scheduled before it, the second times out."""
-    env = kernel()
+    env = Environment()
     store = env.make_store()
     log = []
 
@@ -336,9 +332,7 @@ def test_a_deadline_keeps_its_place_where_ids_leave_no_key_between():
 
 
 def test_a_deadline_due_at_once_expires_behind_this_instants_events():
-    """Not compared with the frozen kernel: it schedules the get a put
-    satisfies, so there the deadline popping after the put still wins."""
-    assert _zero_deadlines(Environment) == [("item", 1.0), (TIMED_OUT, 1.0)]
+    assert _zero_deadlines() == [("item", 1.0), (TIMED_OUT, 1.0)]
 
 
 class _Item:
@@ -385,37 +379,35 @@ def test_a_wait_that_ended_early_holds_nothing_until_its_deadline():
 def test_within_bounds_an_event_only_the_caller_waits_on():
     """``env.within`` on a plain event: the deadline succeeds it with
     ``TIMED_OUT``, so a producer that comes late finds it decided."""
-    for kernel in KERNELS:
-        env = kernel()
-        outcomes = []
+    env = Environment()
+    outcomes = []
 
-        def waiter():
-            for delay in (1.0, 3.0):
-                reply = env.event()
+    def waiter():
+        for delay in (1.0, 3.0):
+            reply = env.event()
 
-                def answer(_event, reply=reply):
-                    if not reply.triggered:
-                        reply.succeed("reply")
+            def answer(_event, reply=reply):
+                if not reply.triggered:
+                    reply.succeed("reply")
 
-                env.timeout(2.0).callbacks.append(answer)
-                outcomes.append((yield env.within(reply, delay)))
+            env.timeout(2.0).callbacks.append(answer)
+            outcomes.append((yield env.within(reply, delay)))
 
-        env.process(waiter())
-        env.run()
-        assert outcomes == [TIMED_OUT, "reply"], kernel
+    env.process(waiter())
+    env.run()
+    assert outcomes == [TIMED_OUT, "reply"]
 
 
 def test_a_negative_deadline_is_refused_as_a_timeout_would_be():
-    for kernel in KERNELS:
-        env = kernel()
-        store = env.make_store()
-        refused = []
+    env = Environment()
+    store = env.make_store()
+    refused = []
 
-        def waiter():
-            with pytest.raises(ValueError):
-                yield store.get(timeout=-1.0)
-            refused.append(env.now)
+    def waiter():
+        with pytest.raises(ValueError):
+            yield store.get(timeout=-1.0)
+        refused.append(env.now)
 
-        env.process(waiter())
-        env.run()
-        assert refused == [0.0], kernel
+    env.process(waiter())
+    env.run()
+    assert refused == [0.0]

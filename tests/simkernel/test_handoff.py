@@ -6,22 +6,20 @@ made then would have, with no event object.  ``Event.deliver`` (and
 ``Store.deliver``, which hands its getter off through it) runs the
 waiters in place only when the run loop would pop that event next — no
 process running, both same-instant lanes empty, no heap entry at
-``now`` — and schedules it as ``succeed`` otherwise.  The frozen kernel
-has them as a timeout with a callback and as ``succeed``; these tests
-pin that both kernels run the same programs in the same order.
+``now`` — and schedules it as ``succeed`` otherwise.  These tests pin
+that both run a program in the order a timeout with a callback and
+``succeed`` would: the order the logs below write in.
 """
 
 import pytest
 
-from repro.simkernel import Environment, reference
-
-KERNELS = (Environment, reference.Environment)
+from repro.simkernel import Environment
 
 
-def _interleaved(kernel):
+def _interleaved():
     """Timeouts with a callback and call entries made at the same
     moments, some due together, some at once; each logs where it ran."""
-    env = kernel()
+    env = Environment()
     log = []
 
     def note(what):
@@ -40,19 +38,22 @@ def _interleaved(kernel):
 
 
 def test_a_call_entry_pops_where_a_timeout_made_then_would():
-    live, live_events = _interleaved(Environment)
-    ref, ref_events = _interleaved(reference.Environment)
-    assert live == ref
-    assert live_events == ref_events == 21  # one event per entry
-    # The ties are real: entries due together ran in the order made.
-    assert live[:2] == [(("t", "first", 0.0), 0.0),
-                        (("c", "first", 0.0), 0.0)]
+    live, events = _interleaved()
+    assert events == 21  # one event per entry
+    # Pop order is (due time, order made): entries due together ran in
+    # the order made, the second burst's (made at t = 0.25) after the
+    # first's.
+    made = [(at + delay, (kind, tag, delay))
+            for at, tag in ((0.0, "first"), (0.25, "second"))
+            for delay in (0.5, 0.0, 0.25, 0.5, 0.0) for kind in "tc"]
+    made.sort(key=lambda entry: entry[0])  # stable: ties keep their order
+    assert live == [(what, due) for due, what in made]
 
 
-def _zero_delay(kernel):
+def _zero_delay():
     """From a callback at t = 1: a succeeded event, a call, a zero
     timeout and another call, all due now."""
-    env = kernel()
+    env = Environment()
     log = []
     event = env.event()
     event.callbacks.append(lambda _event: log.append("succeeded"))
@@ -69,14 +70,11 @@ def _zero_delay(kernel):
 
 
 def test_a_zero_delay_call_joins_the_ready_lane_in_fifo_order():
-    live = _zero_delay(Environment)
-    assert live == ["succeeded", "call 1", "zero", "call 2"]
-    assert live == _zero_delay(reference.Environment)
+    assert _zero_delay() == ["succeeded", "call 1", "zero", "call 2"]
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
-def test_step_runs_one_call_entry(kernel):
-    env = kernel()
+def test_step_runs_one_call_entry():
+    env = Environment()
     log = []
     env.call_later(1.0, log.append, "one")
     env.call_later(2.0, log.append, "two")
@@ -127,9 +125,9 @@ def test_a_handoff_that_is_provably_next_runs_in_place():
     assert log == [("woke", "value"), ("returned", 0, 1)]
 
 
-def _running_process(kernel):
+def _running_process():
     """A process delivers, then logs: the waiter runs after it."""
-    env = kernel()
+    env = Environment()
     event = env.event()
     log = []
 
@@ -147,11 +145,11 @@ def _running_process(kernel):
     return log, env
 
 
-def _busy_lane(kernel, urgent):
+def _busy_lane(urgent):
     """A callback at t = 1 makes something due now (a succeeded event,
     or a process start in the urgent lane), then delivers: that runs
     first."""
-    env = kernel()
+    env = Environment()
     event, other = env.event(), env.event()
     log = []
 
@@ -176,10 +174,10 @@ def _busy_lane(kernel, urgent):
     return log, env
 
 
-def _heap_entry_at_now(kernel):
+def _heap_entry_at_now():
     """Two timeouts due at t = 1, made in that order: the first
     delivers, so the second's callback is due before the waiter."""
-    env = kernel()
+    env = Environment()
     event = env.event()
     log = []
 
@@ -194,28 +192,30 @@ def _heap_entry_at_now(kernel):
     return log, env
 
 
+#: Each case, and what ran first: the waiter comes after it.
 CASES = {
-    "a running process": _running_process,
-    "a value in the ready lane": lambda kernel: _busy_lane(kernel, False),
-    "a start in the urgent lane": lambda kernel: _busy_lane(kernel, True),
-    "a heap entry at now": _heap_entry_at_now,
+    "a running process": (_running_process, ("deliverer", 1.0)),
+    "a value in the ready lane": (lambda: _busy_lane(False),
+                                  ("other", "other", 1.0)),
+    "a start in the urgent lane": (lambda: _busy_lane(True),
+                                   ("started", 1.0)),
+    "a heap entry at now": (_heap_entry_at_now, ("tied timeout", 1.0)),
 }
 
 
 @pytest.mark.parametrize("case", CASES)
 def test_a_handoff_that_is_not_provably_next_is_scheduled(case):
-    live, env = CASES[case](Environment)
-    ref, _ = CASES[case](reference.Environment)
-    assert live == ref
-    assert live[-1][0] == "waiter"  # after what was due first
+    build, first = CASES[case]
+    log, env = build()
+    assert log == [first, ("waiter", "value", 1.0)]
     assert env.stats()["handoffs"] == 0
 
 
-def _tied_store_delivery(kernel):
+def _tied_store_delivery():
     """``Store.deliver`` under an exact float-time tie: two arrivals
     due at t = 1, the first feeds a parked reader; the second arrival's
     callback is due before the reader resumes."""
-    env = kernel()
+    env = Environment()
     store = env.make_store()
     log = []
 
@@ -230,7 +230,6 @@ def _tied_store_delivery(kernel):
 
 
 def test_a_store_hand_off_under_a_time_tie_keeps_the_frozen_order():
-    live, env = _tied_store_delivery(Environment)
-    ref, _ = _tied_store_delivery(reference.Environment)
-    assert live == ref == ["tied arrival", ("reader", "item", 1.0)]
+    log, env = _tied_store_delivery()
+    assert log == ["tied arrival", ("reader", "item", 1.0)]
     assert env.stats()["handoffs"] == 0

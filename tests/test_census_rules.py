@@ -46,14 +46,14 @@ def test_the_census_rules():
     # ...and passes once it is allowlisted with a reason, as does a
     # whole module.
     allowlist = {"repro.m:orphan": "error path: a planted fault",
-                 "repro.frozen": "reference kernel"}
+                 "repro.frozen": "test observation"}
     assert _problems(everything - {"orphan", "kept"}, allowlist) == []
     # A stale entry fails: its function is reached, or gone, or its
     # module is reached throughout.
     for stale in ({"repro.m:orphan": "error path"},
                   {"repro.m:gone": "error path"},
-                  {"repro.frozen": "reference kernel"},
-                  {"repro.gone": "reference kernel"}):
+                  {"repro.frozen": "test observation"},
+                  {"repro.gone": "test observation"}):
         (problem,) = _problems(everything, stale)
         assert problem.startswith(next(iter(stale)) + ": allowlisted")
     # An entry without a reason from the fixed list fails.

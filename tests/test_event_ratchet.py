@@ -21,8 +21,6 @@ and the cross-region re-home observe.
 """
 
 import gc
-import hashlib
-import json
 from collections import Counter
 
 import pytest
@@ -41,6 +39,7 @@ from repro.protocols.http2 import H2Stream
 from repro.proxygen.config import ProxygenConfig
 from repro.regions import RegionalDeployment, RegionalSpec, evacuate_region
 from repro.simkernel.resources import Store
+from tests import golden
 
 #: Measured when the ceiling was last set: 16,442 events over 1,786 ops
 #: = 9.21 (9.58 while an expired wait, an accept and a connect result
@@ -63,27 +62,9 @@ CEILING = 9.39
 CHUNKS, CHUNK_SIZE = 40, 16_000
 CHUNK_CEILING = 6.58
 
-#: sha256 of ``json.dumps(metrics.snapshot(), sort_keys=True)`` at the
-#: end of each fixture's run: everything the run observed.  A change
-#: that schedules fewer events, or runs one in place, leaves both as
-#: they are; one that moves either changed behaviour.
-RELEASED_SNAPSHOT = (
-    "e89af8dfffedf02683c381d1bdce2f1bf00d1049b7a62a44eb8e04d3162f20ab")
-BULK_POSTS_SNAPSHOT = (
-    "3194e6a3893ee7bf88206a0a45a74fb98ee94cc4003c48b303af4b3b82000968")
-ORIGIN_RELEASED_SNAPSHOT = (
-    "f8e4d40d7bed19b546dead251027057180c0040bc6378db9e58f7f8a6e46faa1")
-EVACUATED_SNAPSHOT = (
-    "d0b7251ed08cd0270a2af20b0d8a35033589586a65813242b11a9eb149610cda")
-
 OPS = (("web-clients", "get_ok"), ("web-clients", "post_ok"),
        ("mqtt-clients", "publishes_sent"),
        ("mqtt-clients", "publishes_received"))
-
-
-def _snapshot_sha256(deployment) -> str:
-    return hashlib.sha256(json.dumps(deployment.metrics.snapshot(),
-                                     sort_keys=True).encode()).hexdigest()
 
 
 def _ops(deployment) -> float:
@@ -160,8 +141,8 @@ def test_an_h2_connection_keeps_only_its_open_streams(released):
 def bulk_posts():
     """Uploads of ``CHUNKS`` chunks each through one app server restart
     (the uploads outlast its drain, so the Origin replays at least one),
-    t = 10..25.  Returns the window's events, its completed uploads, its
-    379s, the run's snapshot digest and what the collector found
+    t = 10..25.  Returns the deployment, the window's events, its
+    completed uploads, its 379s and what the collector found
     unreachable in the window, by type.  Route resolutions are counted
     per (source host, destination IP) over the whole run, with the
     number of times the network's profile version moved."""
@@ -205,14 +186,13 @@ def bulk_posts():
         del network._route
     uploads = deployment.metrics.aggregate(
         "post_ok", scope_prefix="web-clients") - uploads
-    return (env.stats()["events"] - events, uploads,
+    return (deployment, env.stats()["events"] - events, uploads,
             deployment.metrics.aggregate("ppr_379_received"),
-            _snapshot_sha256(deployment),
             (resolved, network.version - version), garbage)
 
 
 def test_events_per_relayed_chunk_stay_under_the_ceiling(bulk_posts):
-    events, uploads, replays, *_ = bulk_posts
+    _, events, uploads, replays, *_ = bulk_posts
     assert uploads > 50 and replays >= 1
     per_chunk = events / (uploads * CHUNKS)
     assert per_chunk <= CHUNK_CEILING, (
@@ -239,21 +219,21 @@ def evacuated():
     evacuation = deployment.env.process(evacuate_region(deployment, "r1"))
     deployment.run(until=30.0)
     assert evacuation.triggered, "the evacuation never finished"
-    return deployment
+    return (deployment,)
 
 
 def test_what_both_runs_observed_is_pinned(released, bulk_posts,
                                           origin_released, evacuated):
-    """The runs' snapshots, byte for byte: the ceilings above may only
-    fall by scheduling less, and a send may only get cheaper, never by
+    """The runs' digests equal their golden cases (``tests/golden``,
+    built by these fixtures' builders): the ceilings above may only fall
+    by scheduling less, and a send may only get cheaper, never by
     observing something else (the Origin release's snapshot catches a
     stale route on a re-home dial or a broker re-attach; the regional
     one, a change in how a client flow reaches a PoP's Katran)."""
-    deployment, _, _ = released
-    assert _snapshot_sha256(deployment) == RELEASED_SNAPSHOT
-    assert bulk_posts[3] == BULK_POSTS_SNAPSHOT
-    assert _snapshot_sha256(origin_released[0]) == ORIGIN_RELEASED_SNAPSHOT
-    assert _snapshot_sha256(evacuated) == EVACUATED_SNAPSHOT
+    for name, run in (("released", released), ("bulk_posts", bulk_posts),
+                      ("origin_released", origin_released),
+                      ("evacuated", evacuated)):
+        golden.assert_recorded(f"ratchet {name}", golden.run_digest(run[0]))
 
 
 def test_a_route_is_resolved_once_per_host_pair(bulk_posts):

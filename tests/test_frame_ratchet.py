@@ -21,17 +21,18 @@ from repro.protocols import H2Connection
 #: Round trips counted, after one that opens the stream.
 MESSAGES = 40
 
-#: Measured when the ceiling was last set: 1,596 calls over the 40
+#: Measured when the ceiling was last set: 1,516 calls over the 40
 #: round trips (two hops each), and the ceiling is that count.  It was
-#: 41.85 per message (1,674 calls) while a receive under a deadline
-#: reached ``Process._bound`` through ``Environment.within``, and 57.67
-#: per message (2,307 calls) while each timeout, receive, stream
-#: message and H2 frame was built by a class call (an ``__init__``
-#: frame each), a data send went through ``Kernel.transmit_stream``, a
-#: stream's send through ``H2Connection.send_frame`` and
-#: ``TcpEndpoint.alive``, and a core nobody waited for was freed by a
-#: ``CpuModel._release`` call.
-CEILING = 39.90
+#: 39.90 per message (1,596 calls) while each arriving frame asked the
+#: stream's ``closed`` property whether to forget it, 41.85 (1,674
+#: calls) while a receive under a deadline reached ``Process._bound``
+#: through ``Environment.within``, and 57.67 per message (2,307 calls)
+#: while each timeout, receive, stream message and H2 frame was built by
+#: a class call (an ``__init__`` frame each), a data send went through
+#: ``Kernel.transmit_stream``, a stream's send through
+#: ``H2Connection.send_frame`` and ``TcpEndpoint.alive``, and a core
+#: nobody waited for was freed by a ``CpuModel._release`` call.
+CEILING = 37.90
 
 
 def _h2_pair(world):

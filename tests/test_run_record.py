@@ -17,7 +17,6 @@ from repro.netsim.network import Network
 from repro.release.orchestrator import RollingRelease, RollingReleaseConfig
 from repro.run import RunRecord, run_of
 from repro.simkernel.core import Environment
-from repro.simkernel.reference import Environment as ReferenceEnvironment
 from repro.simkernel.rng import RandomStreams
 
 
@@ -42,14 +41,14 @@ class _Recorder(InvariantChecker):
         self.events.append((event, fields))
 
 
-def test_one_record_per_environment_on_either_kernel():
-    for env in (Environment(), ReferenceEnvironment()):
-        record = run_of(env)
-        assert isinstance(record, RunRecord)
-        assert run_of(env) is record
-        assert record.options is record.tracer is record.splice is None
-        # Nobody listening: what a per-connection announcer tests.
-        assert not record.listeners
+def test_one_record_per_environment():
+    env = Environment()
+    record = run_of(env)
+    assert isinstance(record, RunRecord)
+    assert run_of(env) is record
+    assert record.options is record.tracer is record.splice is None
+    # Nobody listening: what a per-connection announcer tests.
+    assert not record.listeners
 
 
 def test_every_component_of_a_run_finds_the_same_record():
