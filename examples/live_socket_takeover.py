@@ -36,7 +36,7 @@ def http_get(addr):
 
 def main() -> None:
     path = tempfile.mktemp(suffix=".takeover.sock")
-    gen1 = MiniServer.bind(name="gen1")
+    gen1 = MiniServer.bind()
     gen1.start()
     takeover_srv = gen1.serve_takeover(path)
     addr = gen1.address
@@ -71,7 +71,7 @@ def main() -> None:
         time.sleep(0.02)
     print(f"gen1 is draining (stopped accepting) at "
           f"{results['ok']} requests; gen2 owns the socket now")
-    gen1.stop(close_listener=True)
+    gen1.stop()
     takeover_srv.stop()
     print("gen1 process state torn down completely (listener FD closed)")
 

@@ -18,21 +18,18 @@ def main() -> None:
     result = fig13_zdr_timeline.run(seed=0)
 
     print("cluster-wide service metrics (normalized to pre-restart):")
-    print(render_comparison({
-        "RPS": result.series["cluster_rps"],
-        "MQTT connections": result.series["cluster_mqtt_conns"],
-        "throughput": result.series["cluster_throughput"],
-    }, shared_scale=False))
+    for name, key in (("RPS", "cluster_rps"),
+                      ("MQTT connections", "cluster_mqtt_conns"),
+                      ("throughput", "cluster_throughput")):
+        print(render_series(name, result.series[key]))
 
     print("\nrestarted group (GR) vs rest of cluster (GNR):")
     print(render_comparison({
         "GR cpu": result.series["gr_cpu"],
         "GNR cpu": result.series["gnr_cpu"],
     }))
-    print(render_comparison({
-        "GR instances": result.series["gr_instances"],
-        "GNR instances": result.series["gnr_instances"],
-    }, shared_scale=False))
+    print(render_series("GR instances", result.series["gr_instances"]))
+    print(render_series("GNR instances", result.series["gnr_instances"]))
 
     print()
     for key, value in sorted(result.scalars.items()):

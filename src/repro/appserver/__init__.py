@@ -1,6 +1,6 @@
 """Application tier: HHVM-like app servers (with PPR) and MQTT brokers."""
 
-from .brokers import BrokerConfig, BrokerSession, MqttBroker
+from .brokers import BrokerSession, MqttBroker
 from .config import AppServerConfig
 from .hhvm import AppServer, InFlightPost
 from .pool import AppServerPool, UpstreamConnectionPool
@@ -9,7 +9,6 @@ __all__ = [
     "AppServer",
     "AppServerConfig",
     "AppServerPool",
-    "BrokerConfig",
     "BrokerSession",
     "InFlightPost",
     "MqttBroker",

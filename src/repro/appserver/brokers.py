@@ -30,7 +30,10 @@ from ..protocols.mqtt import (
 )
 from ..simkernel.rng import DistributionSampler
 
-__all__ = ["MqttBroker", "BrokerConfig", "BrokerSession"]
+__all__ = ["MqttBroker", "BrokerSession"]
+
+#: The port every broker listens on.
+BROKER_PORT = 1883
 
 #: QoS-style buffering: notifications queued per session while the
 #: relay path is briefly absent (a DCR splice in progress).
@@ -40,11 +43,6 @@ MAX_QUEUED_PER_SESSION = 50
 DOWNSTREAM_PUBLISH_RATE = 0.5
 #: How often the publisher loop scans sessions.
 PUBLISH_TICK = 1.0
-
-
-@dataclass
-class BrokerConfig:
-    port: int = 1883
 
 
 @dataclass
@@ -65,12 +63,10 @@ class BrokerSession:
 class MqttBroker:
     """A pub/sub broker holding sessions for a shard of users."""
 
-    def __init__(self, host: Host, config: Optional[BrokerConfig] = None,
-                 name: Optional[str] = None):
+    def __init__(self, host: Host):
         self.host = host
-        self.config = config or BrokerConfig()
-        self.name = name or f"broker@{host.name}"
-        self.endpoint = Endpoint(host.ip, self.config.port)
+        self.name = f"broker@{host.name}"
+        self.endpoint = Endpoint(host.ip, BROKER_PORT)
         self.counters = host.metrics.scoped_counters(self.name)
         self.sessions: dict[int, BrokerSession] = {}
         self.process: Optional[SimProcess] = None

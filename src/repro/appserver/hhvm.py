@@ -65,12 +65,11 @@ class AppServer:
     STATE_DRAINING = "draining"
     STATE_DOWN = "down"
 
-    def __init__(self, host: Host, config: Optional[AppServerConfig] = None,
-                 name: Optional[str] = None):
+    def __init__(self, host: Host, config: Optional[AppServerConfig] = None):
         self.host = host
         self.config = config or AppServerConfig()
         self.config.validate()
-        self.name = name or f"appserver@{host.name}"
+        self.name = f"appserver@{host.name}"
         self.endpoint = Endpoint(host.ip, self.config.port)
         self.counters = host.metrics.scoped_counters(self.name)
         # Bound handles for the per-request hot path.

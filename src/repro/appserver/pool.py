@@ -23,6 +23,10 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["AppServerPool", "UpstreamConnectionPool"]
 
+#: Idle keep-alive connections a proxy process holds per upstream; a
+#: connection checked in past the cap is closed.
+MAX_IDLE_PER_DEST = 8
+
 
 class AppServerPool:
     """Membership + pick logic over the app-server fleet.
@@ -34,11 +38,10 @@ class AppServerPool:
     server.
     """
 
-    def __init__(self, servers: Optional[list[AppServer]] = None,
-                 health: Optional["OutlierTracker"] = None):
-        self.servers: list[AppServer] = list(servers or [])
+    def __init__(self):
+        self.servers: list[AppServer] = []
         self._rr = 0
-        self.health = health
+        self.health: Optional["OutlierTracker"] = None
 
     def add(self, server: AppServer) -> None:
         self.servers.append(server)
@@ -70,10 +73,10 @@ class AppServerPool:
         return self.health is None \
             or not self.health.is_ejected(server.host.ip)
 
-    def healthy(self, exclude: tuple[str, ...] = ()) -> list[AppServer]:
-        """Servers currently in rotation (accepting, not excluded, and —
-        with health tracking attached — not ejected as outliers)."""
-        return [s for s in self.servers if self._eligible(s, exclude)]
+    def healthy(self) -> list[AppServer]:
+        """Servers currently in rotation (accepting and — with health
+        tracking attached — not ejected as outliers)."""
+        return [s for s in self.servers if self._eligible(s, ())]
 
     def pick(self, exclude: tuple[str, ...] = ()) -> Optional[AppServer]:
         """Round-robin over eligible servers, skipping ``exclude``."""
@@ -107,10 +110,9 @@ class AppServerPool:
         if self.health is not None:
             self.health.record_success(ip, latency)
 
-    def record_failure(self, ip: str,
-                       latency: Optional[float] = None) -> None:
+    def record_failure(self, ip: str) -> None:
         if self.health is not None:
-            self.health.record_failure(ip, latency)
+            self.health.record_failure(ip)
 
 
 class UpstreamConnectionPool:
@@ -126,11 +128,9 @@ class UpstreamConnectionPool:
     the backend over.
     """
 
-    def __init__(self, host: Host, process: SimProcess,
-                 max_idle_per_dest: int = 8):
+    def __init__(self, host: Host, process: SimProcess):
         self.host = host
         self.process = process
-        self.max_idle_per_dest = max_idle_per_dest
         self._idle: dict[tuple[str, int], list[TcpEndpoint]] = {}
         self.dials = 0
         self.reuses = 0
@@ -177,7 +177,7 @@ class UpstreamConnectionPool:
             return
         key = (conn.remote.ip, conn.remote.port)
         bucket = self._idle.setdefault(key, [])
-        if len(bucket) >= self.max_idle_per_dest:
+        if len(bucket) >= MAX_IDLE_PER_DEST:
             conn.close()
             return
         bucket.append(conn)

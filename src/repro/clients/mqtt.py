@@ -64,16 +64,16 @@ class MqttClientPopulation:
 
     def __init__(self, hosts: list[Host], vip: Endpoint, router: Router,
                  metrics: MetricsRegistry,
-                 config: MqttWorkloadConfig | None = None,
-                 name: str = "mqtt-clients", first_user_id: int = 1):
+                 config: MqttWorkloadConfig,
+                 name: str = "mqtt-clients", first_id: int = 1):
         self.hosts = hosts
         self.vip = vip
         self.router = router
         self.metrics = metrics
-        self.config = config or MqttWorkloadConfig()
+        self.config = config
         self.name = name
         self.counters = metrics.scoped_counters(name)
-        self._next_user = first_user_id
+        self._next_user = first_id
         self._bases: dict[int, ClientBase] = {}
         #: Arrival-rate multiplier (repro.ops.load): publish pacing is
         #: divided by this — one attribute read per publish.

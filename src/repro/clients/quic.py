@@ -47,16 +47,16 @@ class QuicClientPopulation:
 
     def __init__(self, hosts: list[Host], vip: Endpoint, router: Router,
                  metrics: MetricsRegistry,
-                 config: QuicWorkloadConfig | None = None,
-                 name: str = "quic-clients", first_flow_id: int = 1):
+                 config: QuicWorkloadConfig,
+                 name: str = "quic-clients", first_id: int = 1):
         self.hosts = hosts
         self.vip = vip
         self.router = router
         self.metrics = metrics
-        self.config = config or QuicWorkloadConfig()
+        self.config = config
         self.name = name
         self.counters = metrics.scoped_counters(name)
-        self._serial = first_flow_id - 1
+        self._serial = first_id - 1
         #: Arrival-rate multiplier (repro.ops.load): packet pacing is
         #: divided by this — one attribute read per packet.
         self.rate_scale = 1.0

@@ -74,16 +74,16 @@ class WebClientPopulation:
 
     def __init__(self, hosts: list[Host], vip: Endpoint, router: Router,
                  metrics: MetricsRegistry,
-                 config: WebWorkloadConfig | None = None,
-                 name: str = "web-clients", first_client_id: int = 1):
+                 config: WebWorkloadConfig,
+                 name: str = "web-clients", first_id: int = 1):
         self.hosts = hosts
         self.vip = vip
         self.router = router
         self.metrics = metrics
-        self.config = config or WebWorkloadConfig()
+        self.config = config
         self.name = name
         self.counters = metrics.scoped_counters(name)
-        self._client_serial = first_client_id - 1
+        self._client_serial = first_id - 1
         self._bases: dict[int, ClientBase] = {}
         #: Requests currently between "started" and their terminal
         #: counter, per kind — the request-conservation invariant's

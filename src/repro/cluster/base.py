@@ -258,7 +258,7 @@ class Topology:
         free id."""
         if workload is None:
             return first_id
-        cls, count_field, first_field = PROTOCOLS[kind]
+        cls, count_field = PROTOCOLS[kind]
         # edge_vips is (https, quic, mqtt); QUIC shares https's endpoint.
         vip = self.edge_vips[2 if kind == "mqtt" else 0].endpoint
         hosts = [self._host(host_name, pop.client_site, CLIENT_CORES,
@@ -269,7 +269,7 @@ class Topology:
         if policy is None:
             setattr(pop, f"{kind}_clients", cls(
                 hosts, vip, router, self.metrics, workload, name=name,
-                **{first_field: first_id}))
+                first_id=first_id))
             return first_id + per_host * len(hosts)
         drivers = self.cohort_set.drivers
         for host, cohort in zip(hosts, compile_cohorts(

@@ -100,8 +100,7 @@ def _merge(maps: list[dict[str, int]]) -> dict[str, int]:
     return out
 
 
-def fold(parts: list[CohortAggregate],
-         cohort: str | None = None) -> CohortAggregate:
+def fold(parts: list[CohortAggregate]) -> CohortAggregate:
     """Sum sub-aggregates back into one (inverse of :func:`expand`).
 
     All parts must share one weight — folding differently-weighted
@@ -112,10 +111,8 @@ def fold(parts: list[CohortAggregate],
     weights = {part.weight for part in parts}
     if len(weights) > 1:
         raise ValueError(f"cannot fold mixed weights {sorted(weights)}")
-    if cohort is None:
-        cohort = parts[0].cohort.split("[", 1)[0]
     return CohortAggregate(
-        cohort=cohort,
+        cohort=parts[0].cohort.split("[", 1)[0],
         size=sum(part.size for part in parts),
         weight=parts[0].weight,
         rep_counts=_merge([part.rep_counts for part in parts]),

@@ -38,11 +38,11 @@ from .spec import CohortPolicy, CohortSpec
 
 __all__ = ["CohortDriver", "CohortSet", "PROTOCOLS"]
 
-#: protocol → (population class, config count field, first-id kwarg).
+#: protocol → (population class, config count field).
 PROTOCOLS = {
-    "web": (WebClientPopulation, "clients_per_host", "first_client_id"),
-    "mqtt": (MqttClientPopulation, "users_per_host", "first_user_id"),
-    "quic": (QuicClientPopulation, "flows_per_host", "first_flow_id"),
+    "web": (WebClientPopulation, "clients_per_host"),
+    "mqtt": (MqttClientPopulation, "users_per_host"),
+    "quic": (QuicClientPopulation, "flows_per_host"),
 }
 
 #: Solo-lane client IDs start far above any representative ID so the
@@ -76,17 +76,17 @@ class CohortDriver:
         else:
             self.spawned = cohort.representatives()
             self.weight = cohort.size / self.spawned
-        cls, count_field, first_field = PROTOCOLS[cohort.protocol]
+        cls, count_field = PROTOCOLS[cohort.protocol]
         self.population = cls(
             [host], vip, router, metrics,
             replace(workload, **{count_field: self.spawned}),
-            name=scope, **{first_field: first_id})
+            name=scope, first_id=first_id)
         solo_first = _SOLO_ID_BASE + cohort_index * _SOLO_ID_STRIDE + 1
 
         def make_solo():
             return cls([host], vip, router, metrics,
                        replace(workload, **{count_field: 0}),
-                       name=f"{scope}/solo", **{first_field: solo_first})
+                       name=f"{scope}/solo", first_id=solo_first)
 
         self._make_solo = make_solo
         self.solo_population: Optional[object] = None

@@ -31,9 +31,14 @@ from .common import ExperimentResult, build_deployment, sum_counter
 __all__ = ["run", "run_lru_ablation", "run_drain_duration_sweep",
            "run_ppr_retry_budget"]
 
+#: The LRU ablation's pool size and health flaps per arm.
+LRU_BACKENDS = 8
+LRU_FLAPS = 4
+#: Seconds the drain sweep observes after its release starts.
+DRAIN_SWEEP_MEASURE = 30.0
 
-def run_lru_ablation(seed: int = 0, backends: int = 8,
-                     flows: int = 3000, flaps: int = 4) -> ExperimentResult:
+
+def run_lru_ablation(seed: int = 0, flows: int = 3000) -> ExperimentResult:
     """§5.1: how many existing flows get remapped when a backend's
     health flaps, with and without the LRU connection table."""
 
@@ -44,10 +49,10 @@ def run_lru_ablation(seed: int = 0, backends: int = 8,
         network = Network(env, streams,
                           default_profile=LinkProfile(latency=0.001))
         hosts = [Host(env, network, f"b{i}", f"10.0.1.{i + 1}", "edge",
-                      metrics) for i in range(backends)]
+                      metrics) for i in range(LRU_BACKENDS)]
         katran_host = Host(env, network, "katran", "10.0.0.200", "edge",
                            metrics)
-        katran = Katran(katran_host, hosts, hc_port=443,
+        katran = Katran(katran_host, hosts,
                         config=KatranConfig(lb_scheme=lb_scheme))
         flows_list = [FourTuple(Protocol.TCP,
                                 Endpoint("1.1.1.1", 1024 + i),
@@ -56,7 +61,7 @@ def run_lru_ablation(seed: int = 0, backends: int = 8,
         before = {f: katran.route(f) for f in flows_list}
         remapped = 0
         rng = streams.stream("flaps")
-        for _ in range(flaps):
+        for _ in range(LRU_FLAPS):
             victim_ip = rng.choice(list(katran.backends))
             state = katran.backends[victim_ip]
             # Momentary flap: down for a beat, then back.
@@ -73,7 +78,8 @@ def run_lru_ablation(seed: int = 0, backends: int = 8,
     without_lru = one_arm("stateless")
     result = ExperimentResult(
         name="ablation: Katran LRU connection table vs HC flaps",
-        params={"backends": backends, "flows": flows, "flaps": flaps})
+        params={"backends": LRU_BACKENDS, "flows": flows,
+                "flaps": LRU_FLAPS})
     result.scalars.update({
         "flows_remapped_with_lru": float(with_lru),
         "flows_remapped_without_lru": float(without_lru),
@@ -83,14 +89,14 @@ def run_lru_ablation(seed: int = 0, backends: int = 8,
         "lru_absorbs_flaps": with_lru == 0,
         # Without it, (victim share × flaps) of the flows get remapped
         # mid-flap — broken connections at the L4 layer.
-        "without_lru_remaps_flows": without_lru > flows * flaps * 0.02,
+        "without_lru_remaps_flows":
+            without_lru > flows * LRU_FLAPS * 0.02,
     })
     return result
 
 
 def run_drain_duration_sweep(seed: int = 0,
                              drains: tuple = (3.0, 10.0, 40.0),
-                             measure: float = 30.0,
                              options: RunOptions = RunOptions()
                              ) -> ExperimentResult:
     """Longer drains postpone (and, for work that ends naturally, avoid)
@@ -123,7 +129,7 @@ def run_drain_duration_sweep(seed: int = 0,
         release = RollingRelease(dep.env, dep.edge_servers,
                                  RollingReleaseConfig(batch_fraction=0.34))
         dep.env.process(release.execute())
-        dep.run(until=15 + measure)
+        dep.run(until=15 + DRAIN_SWEEP_MEASURE)
         broken = dep.metrics.scoped_counters(
             "mqtt-clients").get("session_broken")
         broken_by_drain[drain] = broken

@@ -28,12 +28,13 @@ __all__ = ["run", "run_arm"]
 
 #: The fault plan both arms run under (see ``repro.faults``).
 PLAN_NAME = "hc-flap-storm"
+#: Seconds every Edge and Origin instance drains.
+DRAIN = 10.0
 
 
 def run_arm(zdr: bool, seed: int = 0,
             warmup: float = 20.0, measure: float = 80.0,
-            drain: float = 10.0, fault_at: float = 8.0,
-            fault_duration: float = 45.0,
+            fault_at: float = 8.0, fault_duration: float = 45.0,
             options: RunOptions = RunOptions()) -> dict:
     """One release arm (ZDR or HardRestart) under :data:`PLAN_NAME`.
 
@@ -44,11 +45,11 @@ def run_arm(zdr: bool, seed: int = 0,
     plan = builtin_plan(PLAN_NAME, at=warmup + fault_at,
                         duration=fault_duration)
     edge_config = ProxygenConfig(
-        mode="edge", drain_duration=drain, enable_takeover=zdr,
+        mode="edge", drain_duration=DRAIN, enable_takeover=zdr,
         enable_dcr=zdr, spawn_delay=2.0,
         takeover_handshake_timeout=6.0)
     origin_config = ProxygenConfig(
-        mode="origin", drain_duration=drain, enable_takeover=zdr,
+        mode="origin", drain_duration=DRAIN, enable_takeover=zdr,
         enable_dcr=zdr, spawn_delay=2.0,
         takeover_handshake_timeout=6.0)
     dep = build_deployment(

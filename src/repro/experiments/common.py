@@ -149,13 +149,13 @@ def sum_counter(servers, name: str, tag: Optional[str] = None) -> float:
     return sum(s.counters.get(name, tag=tag) for s in servers)
 
 
-def aggregate_series(metrics, name: str, start: float, end: float,
-                     default: float = 0.0) -> list[tuple[float, float]]:
+def aggregate_series(metrics, name: str, start: float,
+                     end: float) -> list[tuple[float, float]]:
     if not metrics.has_series(name):
         width = metrics.bucket_width
         buckets = int((end - start) / width) + 1
-        return [(start + i * width, default) for i in range(buckets)]
-    return metrics.series(name).series(start, end, default=default)
+        return [(start + i * width, 0.0) for i in range(buckets)]
+    return metrics.series(name).series(start, end)
 
 
 def mean(values) -> float:

@@ -21,10 +21,17 @@ from .common import ExperimentResult, build_deployment, mean, sum_counter
 
 __all__ = ["run", "run_capacity", "run_handshake_cpu"]
 
+#: Fig 3a: the share of the Edge fleet each HardRestart batch takes out.
+BATCH_FRACTION = 0.2
+#: Fig 3b: the Origin fleet, the share of it that restarts hard, and the
+#: seconds each of the restart and control windows lasts.
+ORIGIN_PROXIES = 10
+RESTART_FRACTION = 0.1
+WINDOW = 20.0
+
 
 def run_capacity(seed: int = 0, edge_proxies: int = 10,
-                 batch_fraction: float = 0.2, drain: float = 10.0,
-                 gap: float = 4.0,
+                 drain: float = 10.0, gap: float = 4.0,
                  options: RunOptions = RunOptions()) -> ExperimentResult:
     """Fig 3a: Katran-visible capacity during a rolling HardRestart."""
     dep = build_deployment(
@@ -48,7 +55,7 @@ def run_capacity(seed: int = 0, edge_proxies: int = 10,
     dep.env.process(monitor())
     release = RollingRelease(
         dep.env, dep.edge_servers,
-        RollingReleaseConfig(batch_fraction=batch_fraction,
+        RollingReleaseConfig(batch_fraction=BATCH_FRACTION,
                              inter_batch_gap=gap))
     done = dep.env.process(release.execute())
     dep.env.run(until=done)
@@ -59,7 +66,7 @@ def run_capacity(seed: int = 0, edge_proxies: int = 10,
     result = ExperimentResult(
         name="fig03a: cluster capacity during rolling HardRestart",
         params={"edge_proxies": edge_proxies,
-                "batch_fraction": batch_fraction, "drain": drain},
+                "batch_fraction": BATCH_FRACTION, "drain": drain},
         runs=[dep.run_record])
     result.series["capacity"] = capacity
     result.scalars.update({
@@ -70,15 +77,13 @@ def run_capacity(seed: int = 0, edge_proxies: int = 10,
     result.claims.update({
         # One full batch is out at a time: capacity dips to ~1-batch.
         "capacity_dips_to_batch_size": (
-            min(during) <= 1.0 - batch_fraction + 0.05),
+            min(during) <= 1.0 - BATCH_FRACTION + 0.05),
         "mean_capacity_below_one": mean(during) < 0.97,
     })
     return result
 
 
-def run_handshake_cpu(seed: int = 0, origin_proxies: int = 10,
-                      restart_fraction: float = 0.1,
-                      window: float = 20.0,
+def run_handshake_cpu(seed: int = 0,
                       options: RunOptions = RunOptions()) -> ExperimentResult:
     """Fig 3b: reconnect-storm CPU after hard Origin restarts.
 
@@ -87,7 +92,7 @@ def run_handshake_cpu(seed: int = 0, origin_proxies: int = 10,
     equal-length baseline window before it.
     """
     dep = build_deployment(
-        seed=seed, origin_proxies=origin_proxies, edge_proxies=4,
+        seed=seed, origin_proxies=ORIGIN_PROXIES, edge_proxies=4,
         app_servers=6,
         origin_config=ProxygenConfig(mode="origin", drain_duration=4.0,
                                      enable_takeover=False,
@@ -118,18 +123,18 @@ def run_handshake_cpu(seed: int = 0, origin_proxies: int = 10,
     baseline_busy = sum(h.cpu.total_busy_seconds
                         for h in dep.app_hosts + dep.origin_hosts)
 
-    restart_count = max(1, round(origin_proxies * restart_fraction))
+    restart_count = max(1, round(ORIGIN_PROXIES * RESTART_FRACTION))
     release = RollingRelease(dep.env, dep.origin_servers[:restart_count],
                              RollingReleaseConfig(batch_fraction=1.0))
     dep.env.process(release.execute())
-    dep.run(until=warmup + window)
+    dep.run(until=warmup + WINDOW)
 
     after_work = handshake_work()
     after_busy = sum(h.cpu.total_busy_seconds
                      for h in dep.app_hosts + dep.origin_hosts)
 
     # A control window with no restart, same deployment, later in time.
-    dep.run(until=warmup + 2 * window)
+    dep.run(until=warmup + 2 * WINDOW)
     control_work = handshake_work()
 
     storm_work = after_work - before_work
@@ -138,8 +143,8 @@ def run_handshake_cpu(seed: int = 0, origin_proxies: int = 10,
 
     result = ExperimentResult(
         name="fig03b: reconnect CPU after hard Origin restarts",
-        params={"origin_proxies": origin_proxies,
-                "restart_fraction": restart_fraction, "window": window},
+        params={"origin_proxies": ORIGIN_PROXIES,
+                "restart_fraction": RESTART_FRACTION, "window": WINDOW},
         runs=[dep.run_record])
     result.scalars.update({
         "handshake_work_restart_window": storm_work,

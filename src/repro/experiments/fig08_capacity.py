@@ -25,12 +25,15 @@ __all__ = ["run", "run_arm"]
 
 #: Edge fleet every arm releases.
 EDGE_PROXIES = 10
+#: Seconds each Edge instance drains, and the seconds after warm-up the
+#: arm measures.
+DRAIN = 12.0
+MEASURE = 30.0
 
 
 def run_arm(takeover: bool, batch_fraction: float, seed: int = 0,
-            drain: float = 12.0, measure: float = 30.0,
             options: RunOptions = RunOptions()) -> dict:
-    config = ProxygenConfig(mode="edge", drain_duration=drain,
+    config = ProxygenConfig(mode="edge", drain_duration=DRAIN,
                             enable_takeover=takeover,
                             enable_dcr=takeover, spawn_delay=2.0)
     dep = build_deployment(
@@ -56,13 +59,13 @@ def run_arm(takeover: bool, batch_fraction: float, seed: int = 0,
         dep.env, dep.edge_servers,
         RollingReleaseConfig(batch_fraction=batch_fraction))
     dep.env.process(release.execute())
-    dep.run(until=warmup + measure)
+    dep.run(until=warmup + MEASURE)
 
     # Usable idle capacity per 1s bucket, normalized by the baseline.
     baseline = [mean(v for _, v in host.cpu.idle(warmup - 10, warmup))
                 for host in dep.edge_hosts]
     baseline_total = sum(baseline)
-    buckets = int(measure)
+    buckets = int(MEASURE)
     series = []
     for b in range(buckets):
         t0 = warmup + b

@@ -21,9 +21,13 @@ from .common import ExperimentResult, build_deployment, sum_counter
 
 __all__ = ["run", "run_arm"]
 
+#: Seconds of traffic before the first app-server restart, and between
+#: one restart's end and the next one's start.
+WARMUP = 20.0
+SPACING = 18.0
+
 
 def run_arm(enable_ppr: bool, seed: int = 0, restarts: int = 6,
-            warmup: float = 20.0, spacing: float = 18.0,
             options: RunOptions = RunOptions()) -> dict:
     dep = build_deployment(
         seed=seed, edge_proxies=2, origin_proxies=2, app_servers=4,
@@ -36,7 +40,7 @@ def run_arm(enable_ppr: bool, seed: int = 0, restarts: int = 6,
                               post_size_cap=4_000_000,
                               upload_bandwidth=150_000.0),
         mqtt=None, quic=None, options=options)
-    dep.run(until=warmup)
+    dep.run(until=WARMUP)
 
     per_restart_rescued: list[float] = []
     for i in range(restarts):
@@ -44,7 +48,7 @@ def run_arm(enable_ppr: bool, seed: int = 0, restarts: int = 6,
         target = dep.app_servers[i % len(dep.app_servers)]
         done = dep.env.process(target.restart())
         dep.env.run(until=done)
-        dep.run(until=dep.env.now + spacing)
+        dep.run(until=dep.env.now + SPACING)
         per_restart_rescued.append(
             sum_counter(dep.origin_servers, "ppr_379_received")
             - before_rescued)

@@ -25,15 +25,18 @@ from .common import ExperimentResult, build_deployment, sum_counter
 
 __all__ = ["run", "run_arm"]
 
+#: Seconds every Edge and Origin instance drains.
+DRAIN = 12.0
+
 
 def run_arm(zdr: bool, seed: int = 0, warmup: float = 25.0,
-            measure: float = 70.0, drain: float = 12.0,
+            measure: float = 70.0,
             options: RunOptions = RunOptions()) -> dict:
     edge_config = ProxygenConfig(
-        mode="edge", drain_duration=drain, enable_takeover=zdr,
+        mode="edge", drain_duration=DRAIN, enable_takeover=zdr,
         enable_dcr=zdr, spawn_delay=2.0)
     origin_config = ProxygenConfig(
-        mode="origin", drain_duration=drain, enable_takeover=zdr,
+        mode="origin", drain_duration=DRAIN, enable_takeover=zdr,
         enable_dcr=zdr, spawn_delay=2.0)
     dep = build_deployment(
         seed=seed, edge_proxies=4, origin_proxies=3, app_servers=4,

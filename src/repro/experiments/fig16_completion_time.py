@@ -30,6 +30,12 @@ from .common import (ExperimentResult, build_deployment,
 
 __all__ = ["run", "run_des_crosscheck", "run_global_des"]
 
+#: The global roll-out: PoPs in the region, Edge proxies per PoP, and
+#: the seconds each Edge instance drains (and each batch waits).
+GLOBAL_POPS = 3
+GLOBAL_PROXIES_PER_POP = 4
+GLOBAL_DRAIN = 6.0
+
 #: Production-scale parameters (from the paper's text).
 PROXYGEN_DRAIN = 20 * 60.0       # 20-minute drains
 PROXYGEN_BATCH_FRACTION = 0.20   # 5 batches
@@ -90,8 +96,7 @@ def run(seed: int = 0, samples: int = 400,
     return result
 
 
-def run_global_des(seed: int = 0, pops: int = 3, proxies_per_pop: int = 4,
-                   drain: float = 6.0,
+def run_global_des(seed: int = 0,
                    options: RunOptions = RunOptions()) -> ExperimentResult:
     """A *global* roll-out as a real simulation: every PoP's fleet
     releases concurrently (the paper's world-wide push), each batch
@@ -101,10 +106,10 @@ def run_global_des(seed: int = 0, pops: int = 3, proxies_per_pop: int = 4,
 
     # "N PoPs → one Origin DC" is the regional shape with one region.
     dep = build_regional_deployment(
-        seed=seed, regions=1, pops_per_region=pops,
-        proxies_per_pop=proxies_per_pop, origin_proxies=3, app_servers=4,
-        brokers=1, mqtt_users_per_pop=0,
-        edge_config=ProxygenConfig(mode="edge", drain_duration=drain,
+        seed=seed, regions=1, pops_per_region=GLOBAL_POPS,
+        proxies_per_pop=GLOBAL_PROXIES_PER_POP, origin_proxies=3,
+        app_servers=4, brokers=1, mqtt_users_per_pop=0,
+        edge_config=ProxygenConfig(mode="edge", drain_duration=GLOBAL_DRAIN,
                                    spawn_delay=1.0),
         origin_config=ProxygenConfig(mode="origin", drain_duration=8.0,
                                      spawn_delay=1.0),
@@ -113,19 +118,20 @@ def run_global_des(seed: int = 0, pops: int = 3, proxies_per_pop: int = 4,
         options=options)
     dep.run(until=15)
     releases, done = release_all_pops(dep, batch_fraction=0.25,
-                                      post_batch_wait=drain)
+                                      post_batch_wait=GLOBAL_DRAIN)
     dep.env.run(until=done)
     durations = [r.duration for r in releases]
     global_duration = (max(r.finished_at for r in releases)
                        - min(r.started_at for r in releases))
     predicted = completion_time_model(
-        machines=proxies_per_pop, batch_fraction=0.25,
-        drain_duration=drain, restart_overhead=1.2)
+        machines=GLOBAL_PROXIES_PER_POP, batch_fraction=0.25,
+        drain_duration=GLOBAL_DRAIN, restart_overhead=1.2)
 
     result = ExperimentResult(
         name="fig16-global: concurrent multi-PoP roll-out (DES)",
-        params={"pops": pops, "proxies_per_pop": proxies_per_pop,
-                "drain": drain, "seed": seed},
+        params={"pops": GLOBAL_POPS,
+                "proxies_per_pop": GLOBAL_PROXIES_PER_POP,
+                "drain": GLOBAL_DRAIN, "seed": seed},
         runs=[dep.run_record])
     result.scalars.update({
         "global_duration": global_duration,

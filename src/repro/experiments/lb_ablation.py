@@ -53,7 +53,7 @@ class _Arm:
         # version_tables_* scalar); dropping the cap re-introduces
         # misroutes at GC time, which repro.fuzz explores separately.
         self.katran = Katran(
-            katran_host, self.hosts, hc_port=443,
+            katran_host, self.hosts,
             config=KatranConfig(lb_scheme=scheme, flow_ttl=30.0,
                                 concury_max_versions=64))
         self.flows = [FourTuple(Protocol.TCP,

@@ -49,6 +49,10 @@ ERROR_BUDGET = 150.0
 #: (the autoscaler's floor, ``repro.ops.autoscale.MIN_SIZE``).
 DAY_LENGTH = 120.0
 APP_SERVERS = 6
+#: Share of its responses the bad candidate binary answers rogue.
+ROGUE_FRACTION = 0.7
+#: Sim seconds before the release plan's first wave may start.
+WARMUP = 10.0
 
 
 class VersionedTarget:
@@ -60,9 +64,8 @@ class VersionedTarget:
     rollback) reverts to the incumbent.
     """
 
-    def __init__(self, server, rogue_fraction: float):
+    def __init__(self, server):
         self.server = server
-        self.rogue_fraction = rogue_fraction
         self.candidate_live = False
 
     @property
@@ -79,12 +82,11 @@ class VersionedTarget:
             self.server.fault_rogue_fraction = None       # roll back
             self.candidate_live = False
         else:
-            self.server.fault_rogue_fraction = self.rogue_fraction
+            self.server.fault_rogue_fraction = ROGUE_FRACTION
             self.candidate_live = True
 
 
-def run_arm(gated: bool, seed: int = 0, rogue_fraction: float = 0.7,
-            warmup: float = 10.0,
+def run_arm(gated: bool, seed: int = 0,
             options: RunOptions = RunOptions()) -> dict:
     """One diurnal day with a bad release; ``gated`` adds the canary."""
     shape_config = LoadShapeConfig(kind="diurnal", day_length=DAY_LENGTH,
@@ -107,13 +109,13 @@ def run_arm(gated: bool, seed: int = 0, rogue_fraction: float = 0.7,
     # batch fractions shrunk at load, all under the error budget.
     shape = LoadShape(shape_config)
     waves = plan_release_waves(
-        shape, start=warmup, horizon=DAY_LENGTH - warmup,
+        shape, start=WARMUP, horizon=DAY_LENGTH - WARMUP,
         targets=APP_SERVERS,
         disruption_per_target=ERROR_BUDGET / (2.0 * APP_SERVERS),
         error_budget=ERROR_BUDGET)
     first_wave = waves[0]
 
-    targets = [VersionedTarget(server, rogue_fraction)
+    targets = [VersionedTarget(server)
                for server in deployment.app_servers]
     gate = None
     if gated:

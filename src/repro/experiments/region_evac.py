@@ -92,15 +92,14 @@ def _web_ok(deployment, region: str = "") -> float:
             + deployment.metrics.aggregate("post_ok", scope_prefix=prefix))
 
 
-def _web_errors(deployment, region: str = "") -> float:
-    prefix = f"web-clients-{region}" if region else "web-clients"
+def _web_errors(deployment) -> float:
     total = 0.0
     # connect_no_backend is how a stranded client surfaces: with
     # failover off its resolver has no healthy region to hand out.
     for name in ("get_timeout", "post_timeout", "get_error", "post_error",
                  "connect_no_backend", "tls_failed",
                  "request_conn_reset", "post_conn_reset"):
-        total += _sum_with_tags(deployment.metrics, prefix, name)
+        total += _sum_with_tags(deployment.metrics, "web-clients", name)
     return total
 
 
@@ -127,7 +126,7 @@ def _evacuation_arm(seed: int, scheme: str, options: RunOptions) -> dict:
     victim = deployment.region("r1")
     evacuated_ips = {host.ip for host in victim.broker_hosts}
     process = deployment.env.process(
-        evacuate_region(deployment, "r1", grace=1.0))
+        evacuate_region(deployment, "r1"))
     deployment.run(until=HORIZON)
     report = process.value if process.triggered else None
     return {

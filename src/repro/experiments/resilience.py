@@ -26,6 +26,10 @@ from .common import ExperimentResult, build_deployment, fault_summary, \
 
 __all__ = ["run", "run_arm"]
 
+#: Seconds of fault-free traffic, then the seconds measured under faults.
+WARMUP = 10.0
+MEASURE = 70.0
+
 
 def _fault_plan(at: float) -> FaultPlan:
     """Every resilience mechanism gets a fault to earn its keep.
@@ -93,8 +97,7 @@ def _shed_total(components) -> float:
         for comp in components)
 
 
-def run_arm(resilience_on: bool, seed: int = 0, warmup: float = 10.0,
-            measure: float = 70.0,
+def run_arm(resilience_on: bool, seed: int = 0,
             options: RunOptions = RunOptions()) -> dict:
     """One arm of the ablation; faults start when measurement does."""
     off = ResilienceConfig(enabled=False)
@@ -110,8 +113,8 @@ def run_arm(resilience_on: bool, seed: int = 0, warmup: float = 10.0,
                               post_size_min=100_000,
                               post_size_cap=1_000_000,
                               request_timeout=8.0),
-        options=replace(options, fault_plan=_fault_plan(at=warmup)))
-    dep.run(until=warmup + measure)
+        options=replace(options, fault_plan=_fault_plan(at=WARMUP)))
+    dep.run(until=WARMUP + MEASURE)
 
     clients = dep.metrics.prefix_counters("web-clients")
     errors = (clients.get("get_conn_reset") + clients.get("post_conn_reset")

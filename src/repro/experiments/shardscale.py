@@ -1,8 +1,8 @@
 """Sharded parallel simulation: independent regions across workers.
 
 Drives :func:`repro.shard.run_sharded` with the shard-independent spec
-shape (``failover=False``, ``local_broker_homing=True``,
-``partition_network_rng=True`` — see :mod:`repro.shard`): every region
+shape (``failover=False``, ``shardable=True`` — see
+:mod:`repro.shard`): every region
 serves from home-region brokers only, clients never re-resolve across
 regions, and each source site draws jitter/loss from its own RNG
 stream.  Under that shape the merged counter snapshot is a pure
@@ -63,8 +63,7 @@ def run(seed: int = 0,
         seed=seed,
         regions=REGIONS,
         failover=False,
-        local_broker_homing=True,
-        partition_network_rng=True,
+        shardable=True,
     )
     # Fault plans do not shard (run_sharded rejects them, so a
     # `--faults` chaos sweep over `all` must not abort here): run

@@ -78,16 +78,17 @@ class InvariantChecker:
         """End-of-run pass (the run's processes are quiesced)."""
 
 
+#: Seconds between whole-deployment samples.  Deliberately not a whole
+#: number: it avoids resonating with the integer-second cadence most
+#: harness events use, so samples land between state transitions rather
+#: than exactly on them.
+SAMPLE_INTERVAL = 0.997
+
+
 class InvariantSuite:
-    """All checkers attached to one deployment.
+    """All checkers attached to one deployment."""
 
-    ``sample_interval`` deliberately avoids resonating with the
-    integer-second cadence most harness events use, so periodic samples
-    land between state transitions rather than exactly on them.
-    """
-
-    def __init__(self, deployment, checkers: Optional[list] = None,
-                 sample_interval: float = 0.997):
+    def __init__(self, deployment, checkers: Optional[list] = None):
         # Imported lazily to avoid a module cycle and keep the
         # dependency direction (base <- checkers) obvious.
         from .checkers import default_checkers
@@ -95,7 +96,6 @@ class InvariantSuite:
         self.env = deployment.env
         self.checkers: list[InvariantChecker] = (
             checkers if checkers is not None else default_checkers())
-        self.sample_interval = sample_interval
         self._attached = False
         self._finalized = False
         for checker in self.checkers:
@@ -122,7 +122,7 @@ class InvariantSuite:
 
     def _sample_loop(self):
         while True:
-            yield self.env.timeout(self.sample_interval)
+            yield self.env.timeout(SAMPLE_INTERVAL)
             self.sample()
 
     # -- event fan-out ----------------------------------------------------

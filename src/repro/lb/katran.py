@@ -29,6 +29,8 @@ __all__ = ["Katran", "KatranConfig", "BackendState"]
 
 #: Virtual nodes per backend on the consistent-hash ring.
 HASH_REPLICAS = 50
+#: The port health probes target on a backend without a shared VIP.
+HC_PORT = 443
 
 #: Seconds between health probes of one backend, and a probe's timeout.
 HC_INTERVAL = 1.0
@@ -85,16 +87,15 @@ class BackendState:
 class Katran:
     """One L4LB instance routing flows to a pool of L7LB backends."""
 
-    def __init__(self, host: Host, backends: list[Host], hc_port: int = 443,
+    def __init__(self, host: Host, backends: list[Host],
                  config: Optional[KatranConfig] = None, name: str = "katran",
                  hc_vip: Optional[Endpoint] = None):
         self.host = host
         self.name = name
         self.config = config or KatranConfig()
         #: When the pool serves one shared VIP, probe that VIP (delivered
-        #: to each backend host); otherwise probe host:hc_port directly.
+        #: to each backend host); otherwise probe host:HC_PORT directly.
         self.hc_vip = hc_vip
-        self.hc_port = hc_port
         self.counters = host.metrics.scoped_counters(f"{name}@{host.name}")
         ring: ConsistentHashRing[str] = ConsistentHashRing(
             replicas=HASH_REPLICAS,
@@ -128,7 +129,7 @@ class Katran:
     # -- membership ------------------------------------------------------------
 
     def add_backend(self, backend_host: Host) -> None:
-        hc_endpoint = self.hc_vip or Endpoint(backend_host.ip, self.hc_port)
+        hc_endpoint = self.hc_vip or Endpoint(backend_host.ip, HC_PORT)
         state = BackendState(backend_host, hc_endpoint)
         self.backends[backend_host.ip] = state
         self.router.backend_added(backend_host.ip)

@@ -42,15 +42,14 @@ class CounterSet:
     once per pair.
 
     Key flattening caveat (pinned by ``tests/metrics/test_counters.py``):
-    snapshot keys are the flat string ``prefix + name[:tag]``, so
+    snapshot keys are the flat string ``name[:tag]``, so
     ``("a", tag="b:c")`` and ``("a:b", tag="c")`` alias the *same*
     counter.  Don't put ``:`` in counter names.
     """
 
-    __slots__ = ("prefix", "_counters", "_by_pair")
+    __slots__ = ("_counters", "_by_pair")
 
-    def __init__(self, prefix: str = ""):
-        self.prefix = prefix
+    def __init__(self):
         self._counters: dict[str, Counter] = {}
         #: (name, tag) → Counter cache so the hot path never rebuilds
         #: the f-string key.  Distinct pairs that flatten to the same
@@ -58,7 +57,7 @@ class CounterSet:
         self._by_pair: dict[tuple[str, Optional[str]], Counter] = {}
 
     def _key(self, name: str, tag: Optional[str]) -> str:
-        key = f"{self.prefix}{name}"
+        key = name
         if tag is not None:
             key = f"{key}:{tag}"
         return key
@@ -101,7 +100,7 @@ class CounterSet:
 
     def with_tag_prefix(self, name: str) -> dict[str, float]:
         """All counters whose key starts with ``name:`` keyed by tag."""
-        wanted = f"{self.prefix}{name}:"
+        wanted = f"{name}:"
         return {
             key[len(wanted):]: counter.value
             for key, counter in self._counters.items()

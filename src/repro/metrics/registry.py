@@ -72,20 +72,18 @@ class MetricsRegistry:
 
     # -- series ---------------------------------------------------------------
 
-    def series(self, name: str, mode: str = "sum",
-               bucket_width: Optional[float] = None) -> TimeSeries:
+    def series(self, name: str) -> TimeSeries:
         """Named time series (created on first use)."""
         series = self._series.get(name)
         if series is None:
-            series = self._series[name] = TimeSeries(
-                bucket_width or self.bucket_width, mode=mode)
+            series = self._series[name] = TimeSeries(self.bucket_width)
         return series
 
     def has_series(self, name: str) -> bool:
         return name in self._series
 
-    def series_names(self, prefix: str = "") -> list[str]:
-        return sorted(n for n in self._series if n.startswith(prefix))
+    def series_names(self) -> list[str]:
+        return sorted(self._series)
 
     # -- quantiles --------------------------------------------------------------
 

@@ -109,17 +109,12 @@ def render_resilience(decisions: dict) -> list[str]:
     return rows
 
 
-def render_comparison(series_map: dict[str, Sequence[tuple[float, float]]],
-                      width: int = 60, shared_scale: bool = True) -> str:
-    """Multiple series, optionally on one shared vertical scale."""
-    lines = []
+def render_comparison(
+        series_map: dict[str, Sequence[tuple[float, float]]]) -> str:
+    """Multiple series on one shared vertical scale."""
     lo = hi = None
-    if shared_scale:
-        all_values = [v for series in series_map.values()
-                      for _, v in series]
-        if all_values:
-            lo, hi = min(all_values), max(all_values)
-    for name, series in series_map.items():
-        lines.append(render_series(name, series, width=width,
-                                   lo=lo, hi=hi))
-    return "\n".join(lines)
+    all_values = [v for series in series_map.values() for _, v in series]
+    if all_values:
+        lo, hi = min(all_values), max(all_values)
+    return "\n".join(render_series(name, series, lo=lo, hi=hi)
+                     for name, series in series_map.items())

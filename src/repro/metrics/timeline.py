@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional
 
 __all__ = ["TimeSeries", "IntervalAccumulator", "UtilizationTracker"]
 
@@ -25,19 +24,15 @@ def _last_bucket(end: float, bucket_width: float) -> int:
 class TimeSeries:
     """Events accumulated into fixed-width time buckets.
 
-    ``record(t, value)`` adds ``value`` to the bucket containing ``t``.
-    Useful for rates (requests per bucket, publishes per bucket, errors
-    per bucket) and, with ``mode="mean"``, for sampled gauges.
+    ``record(t, value)`` adds ``value`` to the bucket containing ``t``:
+    rates (requests per bucket, publishes per bucket, errors per
+    bucket).  A bucket with no sample reads 0.
     """
 
-    def __init__(self, bucket_width: float, mode: str = "sum"):
+    def __init__(self, bucket_width: float):
         if bucket_width <= 0:
             raise ValueError("bucket_width must be positive")
-        if mode not in ("sum", "mean", "max"):
-            raise ValueError(f"Unknown mode {mode!r}")
         self.bucket_width = bucket_width
-        self.mode = mode
-        self._is_max = mode == "max"
         self._sums: dict[int, float] = {}
         self._counts: dict[int, int] = {}
 
@@ -47,32 +42,20 @@ class TimeSeries:
     def record(self, time: float, value: float = 1.0) -> None:
         bucket = math.floor(time / self.bucket_width)
         sums = self._sums
-        if self._is_max:
-            sums[bucket] = max(sums.get(bucket, float("-inf")), value)
-        else:
-            sums[bucket] = sums.get(bucket, 0.0) + value
+        sums[bucket] = sums.get(bucket, 0.0) + value
         counts = self._counts
         counts[bucket] = counts.get(bucket, 0) + 1
 
-    def value_at_bucket(self, bucket: int, default: float = 0.0) -> float:
-        if bucket not in self._sums:
-            return default
-        if self.mode == "mean":
-            return self._sums[bucket] / self._counts[bucket]
-        return self._sums[bucket]
-
-    def series(self, start: float, end: float,
-               default: float = 0.0) -> list[tuple[float, float]]:
+    def series(self, start: float, end: float) -> list[tuple[float, float]]:
         """(bucket_start_time, value) pairs covering [start, end)."""
         first = self.bucket_of(start)
         last = _last_bucket(end, self.bucket_width)
-        return [
-            (bucket * self.bucket_width, self.value_at_bucket(bucket, default))
-            for bucket in range(first, last + 1)
-        ]
+        sums = self._sums
+        return [(bucket * self.bucket_width, sums.get(bucket, 0.0))
+                for bucket in range(first, last + 1)]
 
-    def values(self, start: float, end: float, default: float = 0.0) -> list[float]:
-        return [value for _, value in self.series(start, end, default)]
+    def values(self, start: float, end: float) -> list[float]:
+        return [value for _, value in self.series(start, end)]
 
 
 class IntervalAccumulator:
@@ -117,33 +100,24 @@ class IntervalAccumulator:
 
 
 class UtilizationTracker:
-    """CPU utilization from busy intervals against a capacity.
+    """CPU utilization from busy intervals against a capacity
+    (core-seconds per second)."""
 
-    ``capacity_fn(t)`` returns the capacity (core-seconds per second) at
-    time ``t`` — capacity can change when parallel instances run during a
-    Socket Takeover.
-    """
-
-    def __init__(self, bucket_width: float, capacity: float = 1.0,
-                 capacity_fn: Optional[Callable[[float], float]] = None):
+    def __init__(self, bucket_width: float, capacity: float = 1.0):
         self.busy = IntervalAccumulator(bucket_width)
         self.bucket_width = bucket_width
         self.capacity = capacity
-        self.capacity_fn = capacity_fn
 
-    def add_busy(self, start: float, end: float, cores: float = 1.0) -> None:
-        """Record ``cores`` cores busy over [start, end)."""
-        self.busy.add(start, end, weight=cores * (end - start))
+    def add_busy(self, start: float, end: float) -> None:
+        """Record one core busy over [start, end)."""
+        self.busy.add(start, end, weight=end - start)
 
     def utilization(self, start: float, end: float) -> list[tuple[float, float]]:
         """(bucket_time, utilization in [0, inf)) over the window."""
-        out = []
-        for bucket_time, busy_seconds in self.busy.series(start, end):
-            capacity = (self.capacity_fn(bucket_time)
-                        if self.capacity_fn else self.capacity)
-            capacity_seconds = max(capacity, 1e-9) * self.bucket_width
-            out.append((bucket_time, busy_seconds / capacity_seconds))
-        return out
+        capacity_seconds = max(self.capacity, 1e-9) * self.bucket_width
+        return [(bucket_time, busy_seconds / capacity_seconds)
+                for bucket_time, busy_seconds
+                in self.busy.series(start, end)]
 
     def idle(self, start: float, end: float) -> list[tuple[float, float]]:
         """(bucket_time, idle fraction) — the paper's "idle CPU" metric."""

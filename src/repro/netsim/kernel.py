@@ -25,6 +25,9 @@ CONTROL_SIZE = 40
 
 #: First ephemeral source port handed out by each host.
 EPHEMERAL_BASE = 40_000
+#: Handshaken connections a listening socket queues for ``accept``; a
+#: SYN past it is refused.
+ACCEPT_BACKLOG = 1024
 
 
 class Kernel:
@@ -59,8 +62,8 @@ class Kernel:
 
     # -- TCP: binding --------------------------------------------------------
 
-    def tcp_listen(self, process: "SimProcess", endpoint: Endpoint,
-                   backlog: int = 1024) -> tuple[int, TcpListenSocket]:
+    def tcp_listen(self, process: "SimProcess",
+                   endpoint: Endpoint) -> tuple[int, TcpListenSocket]:
         """Create a listening socket bound to ``endpoint``.
 
         Returns ``(fd, socket)``; the FD lives in ``process``'s file
@@ -70,7 +73,7 @@ class Kernel:
         existing = self.tcp_listeners.get(endpoint)
         if existing is not None and not existing.closed:
             raise BindError(f"tcp address in use: {endpoint}")
-        listener = TcpListenSocket(self, endpoint, backlog=backlog)
+        listener = TcpListenSocket(self, endpoint)
         self.tcp_listeners[endpoint] = listener
         description = FileDescription(listener)
         fd = process.fd_table.install(description)
@@ -172,7 +175,7 @@ class Kernel:
                              size=SYN_SIZE)
 
         if (listener is None or listener.closed or not listener.accepting
-                or listener.pending >= listener.backlog):
+                or listener.pending >= ACCEPT_BACKLOG):
             reason = "syn_refused" if listener is None or listener.closed \
                 else "syn_while_draining" if not listener.accepting \
                 else "accept_queue_full"

@@ -119,9 +119,10 @@ class Network:
         return sorted({h.site for h in self._hosts.values()})
 
     def add_profile(self, src_site: str, dst_site: str,
-                    profile: LinkProfile, symmetric: bool = True) -> None:
+                    profile: LinkProfile) -> None:
+        """``profile`` for traffic between the two sites, both ways."""
         pairs = [(src_site, dst_site)]
-        if symmetric and dst_site != src_site:
+        if dst_site != src_site:
             pairs.append((dst_site, src_site))
         for pair in pairs:
             if pair in self._link_overrides:

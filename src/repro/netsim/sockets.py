@@ -41,10 +41,9 @@ class TcpListenSocket:
     entry for the listening socket").
     """
 
-    def __init__(self, kernel: "Kernel", endpoint: Endpoint, backlog: int = 1024):
+    def __init__(self, kernel: "Kernel", endpoint: Endpoint):
         self.kernel = kernel
         self.endpoint = endpoint
-        self.backlog = backlog
         self.accept_queue: Store = kernel.env.make_store()
         self.accepting = True
         self.closed = False

@@ -58,13 +58,12 @@ class ScaleDecision:
 class Autoscaler:
     """One control loop over one pool adapter."""
 
-    def __init__(self, env, adapter, metrics=None,
-                 name: Optional[str] = None):
+    def __init__(self, env, adapter, metrics=None):
         self.env = env
         #: Every decision is announced on the run's channel (repro.run).
         self.run_record = run_of(env)
         self.adapter = adapter
-        self.name = name or f"autoscaler-{adapter.tier}"
+        self.name = f"autoscaler-{adapter.tier}"
         self.counters = (metrics.scoped_counters(f"ops-{self.name}")
                          if metrics is not None else None)
         self.decisions: list[ScaleDecision] = []

@@ -77,7 +77,7 @@ def judge_window(canary_ok: float, canary_err: float, control_ok: float,
     return verdict, canary_ratio, control_ratio
 
 
-def _default_probe(targets):
+def _probe(targets):
     """Sum (ok, err) request counters across release targets."""
     ok = err = 0.0
     for target in targets:
@@ -95,13 +95,11 @@ class CanaryController:
     """Release gate implementing windowed canary-vs-control analysis."""
 
     def __init__(self, env, config: Optional[CanaryConfig] = None,
-                 metrics=None, probe=None, name: str = "canary"):
+                 metrics=None):
         self.env = env
         self.config = config or CanaryConfig()
         self.config.validate()
-        self.name = name
-        self.probe = probe or _default_probe
-        self.counters = (metrics.scoped_counters(f"ops-{name}")
+        self.counters = (metrics.scoped_counters("ops-canary")
                          if metrics is not None else None)
         self.decisions: list[dict] = []
 
@@ -128,11 +126,11 @@ class CanaryController:
 
         holds = 0
         while True:
-            canary_before = self.probe(canary)
-            control_before = self.probe(control)
+            canary_before = _probe(canary)
+            control_before = _probe(control)
             yield self.env.timeout(config.judgment_window)
-            canary_after = self.probe(canary)
-            control_after = self.probe(control)
+            canary_after = _probe(canary)
+            control_after = _probe(control)
             canary_ok = canary_after[0] - canary_before[0]
             canary_err = canary_after[1] - canary_before[1]
             control_ok = control_after[0] - control_before[0]

@@ -212,14 +212,12 @@ class LoadController:
     by the request count.
     """
 
-    def __init__(self, env, shape: LoadShape, populations,
-                 metrics=None, name: str = "ops-load"):
+    def __init__(self, env, shape: LoadShape, populations, metrics=None):
         self.env = env
         self.shape = shape
         #: Cohort drivers (repro.cohorts) fan the scale into their lanes.
         self.populations = [p for p in populations if p is not None]
-        self.name = name
-        self.counters = (metrics.scoped_counters(name)
+        self.counters = (metrics.scoped_counters("ops-load")
                          if metrics is not None else None)
         self.updates = 0
         self.current_scale = 1.0

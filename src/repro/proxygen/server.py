@@ -30,14 +30,13 @@ class ProxygenServer:
 
     def __init__(self, host: Host, config: ProxygenConfig,
                  context: ProxyTierContext,
-                 vips: list[VIP],
-                 name: Optional[str] = None):
+                 vips: list[VIP]):
         config.validate()
         self.host = host
         self.config = config
         self.context = context
         self.vips = vips
-        self.name = name or f"proxygen@{host.name}"
+        self.name = f"proxygen@{host.name}"
         self.counters = host.metrics.scoped_counters(self.name)
         self.generation = 0
         self.active_instance: Optional[ProxygenInstance] = None

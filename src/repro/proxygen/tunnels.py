@@ -41,6 +41,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["EdgeMqttTunnel", "OriginMqttTunnel"]
 
+#: Seconds a re-homed tunnel keeps relaying from its pre-splice stream.
+OLD_STREAM_GRACE = 2.0
+
 
 class EdgeMqttTunnel:
     """The Edge side of one user's MQTT tunnel."""
@@ -211,11 +214,11 @@ class EdgeMqttTunnel:
         instance.counters.inc("dcr_rehomed")
         return True
 
-    def _drain_old_stream(self, old_stream, grace: float = 2.0):
+    def _drain_old_stream(self, old_stream):
         """Relay publishes stranded on the pre-splice stream."""
         instance = self.instance
         env = instance.host.env
-        deadline = env.now + grace
+        deadline = env.now + OLD_STREAM_GRACE
         while env.now < deadline and not old_stream.reset:
             outcome = yield old_stream.recv(max(deadline - env.now, 1e-4))
             if outcome is TIMED_OUT:

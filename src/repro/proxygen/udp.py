@@ -28,6 +28,10 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["QuicService", "ForwardedPacket"]
 
+#: Seconds a QUIC connection's state lives, and between expiry sweeps.
+QUIC_STATE_MAX_AGE = 60.0
+EXPIRY_TICK = 5.0
+
 
 @dataclass
 class ForwardedPacket:
@@ -145,13 +149,15 @@ class QuicService:
 
     # -- connection expiry --------------------------------------------------------
 
-    def expire_loop(self, max_age: float = 60.0, tick: float = 5.0):
-        """Generator: drop QUIC connection state older than ``max_age``."""
+    def expire_loop(self):
+        """Generator: drop QUIC connection state older than
+        :data:`QUIC_STATE_MAX_AGE`."""
         instance = self.instance
         while instance.process.alive:
-            yield instance.host.env.timeout(tick)
+            yield instance.host.env.timeout(EXPIRY_TICK)
             now = instance.host.env.now
             for cid in instance.quic_states.connection_ids():
                 state = instance.quic_states.get(cid)
-                if state is not None and now - state.created_at > max_age:
+                if state is not None \
+                        and now - state.created_at > QUIC_STATE_MAX_AGE:
                     instance.quic_states.remove(cid)

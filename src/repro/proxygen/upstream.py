@@ -8,7 +8,7 @@ streams finish on the old one — the disruption-free path of §4.1.
 
 With the resilience plane attached, redials run through the shared
 retry budget and jittered backoff policy instead of a bare zero-delay
-``dial_retries`` loop, and each Origin backend sits behind a circuit
+:data:`DIAL_RETRIES` loop, and each Origin backend sits behind a circuit
 breaker so a dead/refusing backend is not re-dialled on every stream.
 """
 
@@ -32,6 +32,8 @@ __all__ = ["UpstreamPool", "UpstreamUnavailable"]
 #: dial would hang forever and the cross-region fallback tier could
 #: never kick in.
 DIAL_TIMEOUT = 5.0
+#: Immediate redials after a refused dial, without the resilience plane.
+DIAL_RETRIES = 3
 
 
 class UpstreamUnavailable(Exception):
@@ -44,7 +46,6 @@ class UpstreamPool:
     def __init__(self, instance: "ProxygenInstance",
                  origin_vip: Endpoint,
                  origin_router: Callable[[FourTuple], Optional[str]],
-                 dial_retries: int = 3,
                  resilience: Optional["ResiliencePlane"] = None):
         # Not the instance itself: that would hold it in a cycle.
         self.host = instance.host
@@ -52,7 +53,6 @@ class UpstreamPool:
         self.counters = instance.counters
         self.origin_vip = origin_vip
         self.origin_router = origin_router
-        self.dial_retries = dial_retries
         self.resilience = resilience
         self.current: Optional[H2Connection] = None
         self.dials = 0
@@ -69,7 +69,7 @@ class UpstreamPool:
         plane = self.resilience
         if plane is not None:
             plane.note_request()
-        for attempt in range(self.dial_retries + 1):
+        for attempt in range(DIAL_RETRIES + 1):
             if attempt > 0 and plane is not None:
                 # Re-dials are retries: pay the shared budget and back
                 # off with jitter instead of hammering the Origin VIP.

@@ -82,8 +82,7 @@ def _recv_exact(sock: socket.socket, count: int,
     return data
 
 
-def recv_message(sock: socket.socket,
-                 max_fds: int = MAX_FDS) -> tuple[Any, list[int]]:
+def recv_message(sock: socket.socket) -> tuple[Any, list[int]]:
     """Receive one message; returns ``(payload, fds)``.
 
     The received FDs are fresh descriptor numbers in this process
@@ -93,7 +92,7 @@ def recv_message(sock: socket.socket,
     before the error propagates, so no descriptor can leak.
     """
     buffered, raw_fds, _flags, _addr = socket.recv_fds(
-        sock, _RECV_CHUNK, max_fds)
+        sock, _RECV_CHUNK, MAX_FDS)
     fds = list(raw_fds)
     try:
         if not buffered:

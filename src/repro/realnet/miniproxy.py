@@ -39,21 +39,20 @@ class MiniServer:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def bind(cls, host: str = "127.0.0.1", port: int = 0,
-             name: str = "gen1") -> "MiniServer":
+    def bind(cls, host: str = "127.0.0.1", port: int = 0) -> "MiniServer":
         """Cold boot: create and bind our own listening socket."""
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         sock.bind((host, port))
         sock.listen(128)
-        return cls(sock, name=name)
+        return cls(sock)
 
     @classmethod
-    def take_over(cls, takeover_path: str, name: str = "gen2",
-                  vip: str = "http") -> "MiniServer":
+    def take_over(cls, takeover_path: str,
+                  name: str = "gen2") -> "MiniServer":
         """Warm boot: receive the predecessor's listening socket (§4.1)."""
         result = request_takeover(takeover_path)
-        return cls(result.sockets[vip], name=name)
+        return cls(result.sockets["http"], name=name)
 
     @property
     def address(self) -> tuple[str, int]:
@@ -111,15 +110,14 @@ class MiniServer:
         socket stays open (the successor owns a duplicate FD)."""
         self.accepting = False
 
-    def stop(self, close_listener: bool = True) -> None:
+    def stop(self) -> None:
         self.accepting = False
         self._stop.set()
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=5)
         for thread in self._threads:
             thread.join(timeout=5)
-        if close_listener:
-            self.listen_sock.close()
+        self.listen_sock.close()
 
     # -- takeover plumbing ----------------------------------------------------------
 

@@ -19,6 +19,9 @@ from .fd_passing import close_fds, recv_message, send_message
 
 __all__ = ["TakeoverServer", "request_takeover", "TakenOverSockets"]
 
+#: Seconds each blocking step of a takeover request may take.
+TAKEOVER_TIMEOUT = 5.0
+
 
 @dataclass
 class TakenOverSockets:
@@ -115,7 +118,7 @@ class TakeoverServer:
         send_message(conn, {"type": "drain_started"})
 
 
-def request_takeover(path: str, timeout: float = 5.0) -> TakenOverSockets:
+def request_takeover(path: str) -> TakenOverSockets:
     """Client side: fetch the serving process's sockets.
 
     The returned sockets are fully functional duplicates (shared open
@@ -126,7 +129,7 @@ def request_takeover(path: str, timeout: float = 5.0) -> TakenOverSockets:
     # settimeout() bounds each blocking call by *duration*, so unlike a
     # wall-clock deadline it is immune to clock steps (same discipline
     # as miniproxy's monotonic serve deadline).
-    client.settimeout(timeout)
+    client.settimeout(TAKEOVER_TIMEOUT)
     try:
         client.connect(path)
         send_message(client, {"type": "request_fds"})

@@ -33,6 +33,12 @@ from ..release.orchestrator import RollingRelease, RollingReleaseConfig
 
 __all__ = ["EvacuationReport", "evacuate_region", "release_all_pops"]
 
+#: Seconds of anycast settling between the withdraw + broker re-home
+#: (which are atomic in sim time, so no ReConnect can land between the
+#: ring change and the session hand-over) and the drains — long enough
+#: for resolvers to stop handing new flows to the region's PoPs.
+GRACE = 1.0
+
 
 @dataclass
 class EvacuationReport:
@@ -54,15 +60,8 @@ class EvacuationReport:
     moved_users: list[int] = field(default_factory=list)
 
 
-def evacuate_region(deployment, region_name: str, grace: float = 1.0):
-    """Generator process: evacuate ``region_name`` under live load.
-
-    ``grace`` is the anycast settling window between the withdraw +
-    broker re-home (which are atomic in sim time, so no ReConnect can
-    land between the ring change and the session hand-over) and the
-    drains — long enough for resolvers to stop handing new flows to
-    the region's PoPs.
-    """
+def evacuate_region(deployment, region_name: str):
+    """Generator process: evacuate ``region_name`` under live load."""
     env = deployment.env
     region = deployment.region(region_name)
     counters = deployment.metrics.scoped_counters("regions")
@@ -110,7 +109,7 @@ def evacuate_region(deployment, region_name: str, grace: float = 1.0):
 
     # Anycast settling window: let resolvers finish re-routing new
     # flows away before the drains start tearing down what is left.
-    yield env.timeout(grace)
+    yield env.timeout(GRACE)
 
     # 3a. Edge drain: leave the PoP's Katran first so no new flows
     # land, then hard-drain what is in flight.

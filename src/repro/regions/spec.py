@@ -62,20 +62,16 @@ class RegionalSpec(TierConfigs):
     #: Anycast failover + cross-region origin fallback; ``False`` pins
     #: every client/PoP to its home region (the ablation arm).
     failover: bool = True
-    #: Hash MQTT sessions onto the *home region's* brokers only instead
-    #: of the global cross-region ring.  Opt-in (default preserves the
-    #: global-ring behaviour DCR re-homing leans on); together with
-    #: ``failover=False`` and ``partition_network_rng`` it removes every
-    #: cross-region edge, which is what lets the sharded runner
-    #: (repro.shard) simulate regions in parallel workers and merge
-    #: results bit-identically.
-    local_broker_homing: bool = False
-    #: Draw network jitter/loss from one RNG stream per *source site*
-    #: instead of the single shared "network" stream.  Opt-in: the
-    #: shared stream's draw order depends on global event interleaving,
-    #: so per-site streams are required for shard-count-independent
-    #: results (and only for that — default runs keep their sequences).
-    partition_network_rng: bool = False
+    #: Regions share no state: MQTT sessions hash onto the *home
+    #: region's* brokers only, not the global cross-region ring, and
+    #: network jitter/loss comes from one RNG stream per *source site*,
+    #: not the single shared "network" stream (whose draw order depends
+    #: on global event interleaving).  Opt-in: the default keeps the
+    #: global ring DCR re-homing leans on and the shared stream's
+    #: sequences.  With ``failover=False`` it removes every cross-region
+    #: edge, which is what lets the sharded runner (repro.shard) simulate
+    #: regions in parallel workers and merge results bit-identically.
+    shardable: bool = False
     web_workload: Optional[WebWorkloadConfig] = None
     mqtt_workload: Optional[MqttWorkloadConfig] = None
 

@@ -45,7 +45,7 @@ class RegionalDeployment(Topology):
                  options: RunOptions = RunOptions()):
         spec.validate()
         super().__init__(spec, spec.anycast_vip_ip, options,
-                         partition_rng=spec.partition_network_rng)
+                         partition_rng=spec.shardable)
         self.anycast_https = self.edge_vips[0].endpoint
         self._ip_serial = 0
         self._next_user = 1
@@ -65,13 +65,13 @@ class RegionalDeployment(Topology):
         # Pass 1: every region's Origin DC (brokers, apps, proxies, LB).
         for r in range(spec.regions):
             region = Region(f"r{r}", r)
-            # With local homing each region's origin tier hashes MQTT
-            # sessions over its own brokers only (repro.shard: no
-            # cross-region session placement = no cross-shard edge);
-            # the global ring is still built for callers that hold it.
+            # A shardable region's origin tier hashes MQTT sessions over
+            # its own brokers only (repro.shard: no cross-region session
+            # placement = no cross-shard edge); the global ring is still
+            # built for callers that hold it.
             region_ring: ConsistentHashRing[str] = (
                 ConsistentHashRing(replicas=60, salt=spec.seed)
-                if spec.local_broker_homing else self.broker_ring)
+                if spec.shardable else self.broker_ring)
             self._build_origin(region, region_ring,
                                prefix=f"r{r}-", suffix=f"-r{r}")
             self.regions.append(region)

@@ -50,6 +50,9 @@ COMMITS_MIN, COMMITS_MAX = 10, 100
 #: probability a release lands inside it.
 PROXYGEN_PEAK_START, PROXYGEN_PEAK_END = 12, 17
 PROXYGEN_PEAK_MASS = 0.62
+#: Most a straggling batch stretches its time by, as a fraction (Fig 16's
+#: completion model).
+STRAGGLER_JITTER = 0.15
 
 
 @dataclass
@@ -101,12 +104,12 @@ class ReleaseTrace:
         """Commits per release — Fig 2c."""
         return sorted(e.commits for e in self.events if e.tier == tier)
 
-    def hour_of_day_pdf(self, tier: str, bins: int = 24) -> list[float]:
-        """Release-time density over the day — Fig 15."""
+    def hour_of_day_pdf(self, tier: str) -> list[float]:
+        """Release-time density over the day's hours — Fig 15."""
         events = [e for e in self.events if e.tier == tier]
-        histogram = [0] * bins
+        histogram = [0] * 24
         for event in events:
-            histogram[int(event.hour_of_day) % bins] += 1
+            histogram[int(event.hour_of_day) % 24] += 1
         total = max(1, len(events))
         return [count / total for count in histogram]
 
@@ -179,12 +182,12 @@ def batch_fraction_for_load(scale: float, base_fraction: float,
 
 def completion_time_model(machines: int, batch_fraction: float,
                           drain_duration: float, restart_overhead: float,
-                          rng=None, jitter: float = 0.15) -> float:
+                          rng=None) -> float:
     """Global-release completion time (Fig 16).
 
     Production waits out each batch's drain before the next batch (to
     preserve capacity), so completion ≈ batches × (drain + overhead).
-    ``jitter`` models batch stragglers.
+    With ``rng``, each batch straggles by up to :data:`STRAGGLER_JITTER`.
     """
     batches = max(1, math.ceil(1.0 / batch_fraction))
     if machines < batches:
@@ -193,6 +196,6 @@ def completion_time_model(machines: int, batch_fraction: float,
     for _ in range(batches):
         batch_time = drain_duration + restart_overhead
         if rng is not None:
-            batch_time *= 1.0 + rng.uniform(0, jitter)
+            batch_time *= 1.0 + rng.uniform(0, STRAGGLER_JITTER)
         total += batch_time
     return total

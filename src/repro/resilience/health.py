@@ -59,13 +59,12 @@ class OutlierTracker:
     shrinking pool.
     """
 
-    def __init__(self, config, env, rng, counters=None,
-                 membership: Optional[Callable[[], int]] = None):
+    def __init__(self, config, env, rng, counters=None):
         self.config = config
         self.env = env
         self.rng = rng
         self.counters = counters
-        self.membership = membership
+        self.membership: Optional[Callable[[], int]] = None
         self.stats: dict[str, BackendStats] = {}
 
     # -- recording --------------------------------------------------------
@@ -81,9 +80,8 @@ class OutlierTracker:
         streaming POST whose duration says nothing about the backend)."""
         self._record(key, error=0.0, latency=latency)
 
-    def record_failure(self, key: str,
-                       latency: Optional[float] = None) -> None:
-        self._record(key, error=1.0, latency=latency)
+    def record_failure(self, key: str) -> None:
+        self._record(key, error=1.0, latency=None)
 
     def _record(self, key: str, error: float,
                 latency: Optional[float]) -> None:

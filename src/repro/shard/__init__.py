@@ -2,9 +2,8 @@
 
 A multi-region deployment (:mod:`repro.regions`) whose regions share no
 runtime edges — ``failover=False`` pins clients and PoPs to their home
-region, ``local_broker_homing=True`` keeps MQTT sessions on home-region
-brokers, ``partition_network_rng=True`` gives every source site its own
-jitter/loss stream — factors into per-region simulations that can run
+region, ``shardable=True`` keeps MQTT sessions on home-region brokers
+and gives every source site its own jitter/loss stream — factors into per-region simulations that can run
 in parallel worker processes.  The runner here exploits that:
 
 * Every worker builds the **full** topology (so IP assignment, host

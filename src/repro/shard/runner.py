@@ -21,7 +21,7 @@ __all__ = ["run_sharded"]
 
 
 def _run_one(spec, until: float, region_names: Optional[list],
-             check_invariants: bool, options: RunOptions) -> tuple:
+             options: RunOptions) -> tuple:
     """Build, start (a subset of) and run one regional deployment;
     return its report dict and its run's record.  Runs in-process for
     the 1-shard arm and inside a forked worker for every sharded arm —
@@ -35,13 +35,11 @@ def _run_one(spec, until: float, region_names: Optional[list],
     # On the record, as build_deployment does: the in-process arm's
     # suite and collector reach the caller on ShardResult.runs; a forked
     # worker's verdicts travel back in its report.
-    suite = None
-    if check_invariants:
-        suite = deployment.run_record.suite = \
-            InvariantSuite(deployment).attach()
+    suite = deployment.run_record.suite = \
+        InvariantSuite(deployment).attach()
     deployment.start(only_regions=region_names)
     deployment.env.run(until=until)
-    violations = suite.finalize() if suite is not None else []
+    violations = suite.finalize()
     return {
         "counters": counters_snapshot(deployment.metrics),
         "violations": sorted((v.checker, v.message) for v in violations),
@@ -50,10 +48,9 @@ def _run_one(spec, until: float, region_names: Optional[list],
 
 
 def _worker_main(pipe, spec, until: float, region_names: list,
-                 check_invariants: bool, options: RunOptions) -> None:
+                 options: RunOptions) -> None:
     try:
-        report, _ = _run_one(spec, until, region_names, check_invariants,
-                             options)
+        report, _ = _run_one(spec, until, region_names, options)
         pipe.send(("ok", report))
     except BaseException as exc:  # noqa: BLE001 - reported, then re-raised
         pipe.send(("error", f"{type(exc).__name__}: {exc}"))
@@ -63,7 +60,6 @@ def _worker_main(pipe, spec, until: float, region_names: list,
 
 
 def run_sharded(spec, until: float, shards: int = 1,
-                check_invariants: bool = True,
                 options: RunOptions = RunOptions()) -> ShardResult:
     """Run a regional deployment across ``shards`` worker processes.
 
@@ -72,10 +68,9 @@ def run_sharded(spec, until: float, shards: int = 1,
     :class:`ShardResult` is a faithful merge either way, and the
     differential tests pin down the spec shape under which it is
     bit-identical to the 1-shard run (``failover=False``,
-    ``local_broker_homing=True``, ``partition_network_rng=True``, no
-    load shape).  Fault plans do not shard — every worker would inject
-    the same plan once, so ``options`` carrying one is rejected
-    outright rather than silently multiplied.
+    ``shardable=True``, no load shape).  Fault plans do not shard —
+    every worker would inject the same plan once, so ``options``
+    carrying one is rejected outright rather than silently multiplied.
     """
     if options.fault_plan is not None:
         raise ValueError(
@@ -83,7 +78,7 @@ def run_sharded(spec, until: float, shards: int = 1,
     plan = ShardPlan.for_spec(spec, shards)
     runs = []
     if shards == 1:
-        report, run = _run_one(spec, until, None, check_invariants, options)
+        report, run = _run_one(spec, until, None, options)
         reports, runs = [report], [run]
     else:
         context = multiprocessing.get_context("fork")
@@ -93,7 +88,7 @@ def run_sharded(spec, until: float, shards: int = 1,
             process = context.Process(
                 target=_worker_main,
                 args=(sender, spec, until, plan.regions_for(index),
-                      check_invariants, options),
+                      options),
                 name=f"shard-{index}")
             process.start()
             sender.close()

@@ -106,20 +106,14 @@ class SpliceGovernor:
         wake = self._wake
         race = env.any_of([pacing, wake])
         result = yield race
+        # The loser still holds the race's check (a condition never
+        # removes its own): take it off.
         if pacing in result:
-            callbacks = wake.callbacks
-            if callbacks is not None:
-                try:
-                    callbacks.remove(race._check)
-                except ValueError:  # pragma: no cover - defensive
-                    pass
+            if wake.callbacks is not None:
+                wake.callbacks.remove(race._check)
             return True
-        callbacks = pacing.callbacks
-        if callbacks is not None:
-            try:
-                callbacks.remove(race._check)
-            except ValueError:  # pragma: no cover - defensive
-                pass
+        if pacing.callbacks is not None:
+            pacing.callbacks.remove(race._check)
             pacing.cancel()
         return False
 

@@ -14,6 +14,9 @@ from .collector import MECHANISM_PREFIXES
 
 __all__ = ["render_trace", "render_trace_report", "interesting_traces"]
 
+#: Span trees a trace report prints after its summary rows.
+TRACES_SHOWN = 3
+
 
 def _duration(span: dict) -> float:
     end = span["end"] if span["end"] is not None else span["begin"]
@@ -92,18 +95,19 @@ def _mechanism_score(trace: dict) -> int:
         if key.startswith(MECHANISM_PREFIXES))
 
 
-def interesting_traces(traces: list[dict], limit: int = 3) -> list[dict]:
-    """The ``limit`` most mechanism-rich traces, takeover crossings and
-    errors first — what a human wants to see after a run."""
+def interesting_traces(traces: list[dict]) -> list[dict]:
+    """The :data:`TRACES_SHOWN` most mechanism-rich traces, takeover
+    crossings and errors first — what a human wants to see after a
+    run."""
     ranked = sorted(
         traces,
         key=lambda t: (bool(t.get("crossed_takeover")), bool(t.get("error")),
                        _mechanism_score(t), len(t["spans"])),
         reverse=True)
-    return ranked[:limit]
+    return ranked[:TRACES_SHOWN]
 
 
-def render_trace_report(doc: dict, limit: int = 3) -> list[str]:
+def render_trace_report(doc: dict) -> list[str]:
     """Summary rows + the most interesting span trees for one export."""
     traces = doc.get("traces", [])
     crossed = sum(1 for t in traces if t.get("crossed_takeover"))
@@ -120,7 +124,7 @@ def render_trace_report(doc: dict, limit: int = 3) -> list[str]:
                     counts[key] = counts.get(key, 0) + 1
     for key in sorted(counts):
         rows.append(f"  {key:28s} {counts[key]}")
-    for trace in interesting_traces(traces, limit=limit):
+    for trace in interesting_traces(traces):
         rows.append("")
         rows.extend(render_trace(trace).splitlines())
     return rows

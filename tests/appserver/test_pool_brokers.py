@@ -10,6 +10,7 @@ from repro.appserver import (
     UpstreamConnectionPool,
     brokers,
 )
+from repro.appserver import pool as pool_module
 from repro.netsim import Endpoint
 from repro.protocols import (
     ConnectAck,
@@ -111,11 +112,12 @@ def test_conn_pool_discards_dead_connections(world):
     assert pool.dials == 2
 
 
-def test_conn_pool_caps_idle(world):
+def test_conn_pool_caps_idle(world, monkeypatch):
+    monkeypatch.setattr(pool_module, "MAX_IDLE_PER_DEST", 1)
     pool_srv, servers = _pool_of(world, 1)
     proxy_host = world.host("proxy")
     proc = proxy_host.spawn("p")
-    pool = UpstreamConnectionPool(proxy_host, proc, max_idle_per_dest=1)
+    pool = UpstreamConnectionPool(proxy_host, proc)
     target = servers[0]
 
     def flow():
@@ -320,10 +322,7 @@ def test_pool_healthy_excludes_ejected(world, monkeypatch):
     for _ in range(3):
         pool.record_failure(bad_ip)
     assert servers[0] not in pool.healthy()
-    assert servers[0] not in pool.healthy(exclude=())
     assert set(pool.healthy()) == {servers[1], servers[2]}
-    # healthy() composes ejection with explicit exclusion.
-    assert pool.healthy(exclude=(servers[1].host.ip,)) == [servers[2]]
     picks = {pool.pick() for _ in range(6)}
     assert servers[0] not in picks
 

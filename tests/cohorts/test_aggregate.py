@@ -87,7 +87,6 @@ def test_fold_recovers_the_parent_cohort_name():
     parent = CohortAggregate(cohort="web-clients/c7", size=9, weight=3.0,
                              rep_counts={"get_ok": 10})
     assert fold(expand(parent, 4)).cohort == "web-clients/c7"
-    assert fold(expand(parent, 4), cohort="other").cohort == "other"
 
 
 def test_expand_rejects_zero_parts():

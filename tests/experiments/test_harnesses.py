@@ -116,7 +116,7 @@ def test_fig02d_small_claims_hold(built_runs):
 
 def test_fig03a_capacity_small(built_runs):
     result = fig03_restart_implications.run_capacity(
-        seed=2, edge_proxies=5, batch_fraction=0.2, drain=5.0, gap=2.0)
+        seed=2, edge_proxies=5, drain=5.0, gap=2.0)
     assert result.runs == built_runs
     assert result.all_claims_hold
     assert result.scalars["min_capacity_during_release"] <= 0.85

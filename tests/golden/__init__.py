@@ -5,7 +5,8 @@ a run built (``run0``, ``run1`` … in build order): the clock, the
 kernel's scheduled ``events`` and in-place ``handoffs``, a sha256 per
 metrics scope and the invariant verdicts (violations per checker).  A
 CLI case adds its exit status, claim verdicts and the sha256 of what it
-printed, wall-clock line stripped; a kernel scenario, its own log.
+printed, wall-clock line stripped; a fuzz case, the sha256 of what its
+run announced, in order; a kernel scenario, its own log.
 Every sha is its first 16 hex digits.
 
 ``python -m tests.golden --check`` reruns the cases in one interpreter
@@ -113,17 +114,34 @@ def _shardscale(seed: int) -> dict:
     return one if one == two else {**one, "2 shards": two}
 
 
+#: What an announcement's field may be for :func:`_fuzz` to keep it:
+#: the scalars that describe the event, not the objects handed along.
+SCALARS = (str, int, float, bool, type(None))
+
+
 def _fuzz(seed: int, duration=None) -> dict:
+    """A fuzz run's digest, plus the order of what its run announced:
+    each announcement's name and scalar fields, in sequence."""
     from repro.fuzz.runner import run_scenario
     from repro.fuzz.scenario import generate_scenario
 
     scenario = generate_scenario(seed)
     if duration is not None:
         scenario = dataclasses.replace(scenario, duration=duration)
-    built = []
-    with topology_hook(built.append):
+    built, announced = [], []
+
+    def hear(name, **fields):
+        announced.append([name, {key: value for key, value in fields.items()
+                                 if isinstance(value, SCALARS)}])
+
+    def built_one(topology):
+        built.append(topology)
+        topology.run_record.subscribe(hear)
+
+    with topology_hook(built_one):
         result = run_scenario(scenario)
-    return run_digest(built[0], result.violations)
+    return {**run_digest(built[0], result.violations),
+            "announced": _sha(announced)}
 
 
 def _bench(name: str, seed: int) -> dict:

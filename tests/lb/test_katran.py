@@ -29,28 +29,28 @@ def _pool(world, count=4, accepting=True):
 
 def test_route_spreads_over_backends(world):
     backends, _, kh = _pool(world)
-    katran = Katran(kh, backends, hc_port=443)
+    katran = Katran(kh, backends)
     chosen = {katran.route(_flow(p)) for p in range(1000, 1200)}
     assert chosen == {b.ip for b in backends}
 
 
 def test_route_is_flow_stable(world):
     backends, _, kh = _pool(world)
-    katran = Katran(kh, backends, hc_port=443)
+    katran = Katran(kh, backends)
     flow = _flow(5555)
     assert len({katran.route(flow) for _ in range(10)}) == 1
 
 
 def test_route_empty_pool_returns_none(world):
     kh = world.host("katran-host")
-    katran = Katran(kh, [], hc_port=443)
+    katran = Katran(kh, [])
     assert katran.route(_flow(1)) is None
 
 
 def test_health_check_keeps_accepting_backend_up(world, monkeypatch):
     backends, _, kh = _pool(world, count=2)
     monkeypatch.setattr(l4lb, "HC_INTERVAL", 0.5)
-    katran = Katran(kh, backends, hc_port=443)
+    katran = Katran(kh, backends)
     proc = kh.spawn("katran")
     katran.start(proc)
     world.env.run(until=5)
@@ -60,7 +60,7 @@ def test_health_check_keeps_accepting_backend_up(world, monkeypatch):
 def test_health_check_removes_draining_backend(world, monkeypatch):
     backends, listeners, kh = _pool(world, count=3)
     monkeypatch.setattr(l4lb, "HC_INTERVAL", 0.5)
-    katran = Katran(kh, backends, hc_port=443)
+    katran = Katran(kh, backends)
     proc = kh.spawn("katran")
     katran.start(proc)
     world.env.run(until=3)
@@ -76,7 +76,7 @@ def test_health_check_removes_draining_backend(world, monkeypatch):
 def test_backend_recovers_after_resume(world, monkeypatch):
     backends, listeners, kh = _pool(world, count=2)
     monkeypatch.setattr(l4lb, "HC_INTERVAL", 0.5)
-    katran = Katran(kh, backends, hc_port=443)
+    katran = Katran(kh, backends)
     proc = kh.spawn("katran")
     katran.start(proc)
     world.env.run(until=2)
@@ -92,7 +92,7 @@ def test_lru_pins_flow_across_ring_flap(world):
     """§5.1: the LRU absorbs momentary topology shuffles so existing
     flows keep landing on the same backend."""
     backends, listeners, kh = _pool(world, count=4)
-    katran = Katran(kh, backends, hc_port=443,
+    katran = Katran(kh, backends,
                     config=KatranConfig(lb_scheme="lru"))
     flows = [_flow(p) for p in range(3000, 3100)]
     before = {f: katran.route(f) for f in flows}
@@ -117,7 +117,7 @@ def test_lru_pins_flow_across_ring_flap(world):
 
 def test_without_lru_flap_remaps_flows(world):
     backends, listeners, kh = _pool(world, count=4)
-    katran = Katran(kh, backends, hc_port=443,
+    katran = Katran(kh, backends,
                     config=KatranConfig(lb_scheme="stateless"))
     flows = [_flow(p) for p in range(4000, 4400)]
     before = {f: katran.route(f) for f in flows}
@@ -154,7 +154,7 @@ def test_probe_completing_on_timeout_tick_is_closed(world, monkeypatch):
                  for p in backends[0].live_processes()]
     monkeypatch.setattr(l4lb, "HC_INTERVAL", 0.5)
     monkeypatch.setattr(l4lb, "HC_TIMEOUT", 0.002)
-    katran = Katran(kh, backends, hc_port=443)
+    katran = Katran(kh, backends)
     proc = kh.spawn("katran")
     katran.start(proc)
     world.env.run(until=20)
@@ -170,7 +170,7 @@ def test_probe_completing_on_timeout_tick_is_closed(world, monkeypatch):
 def test_remove_backend_decommissions_for_good(world, monkeypatch):
     backends, _, kh = _pool(world, count=4)
     monkeypatch.setattr(l4lb, "HC_INTERVAL", 0.5)
-    katran = Katran(kh, backends, hc_port=443)
+    katran = Katran(kh, backends)
     proc = kh.spawn("katran")
     katran.start(proc)
     world.env.run(until=3)
@@ -199,7 +199,7 @@ def test_remove_backend_decommissions_for_good(world, monkeypatch):
 
 def test_remove_absent_backend_is_noop(world):
     backends, _, kh = _pool(world, count=2)
-    katran = Katran(kh, backends, hc_port=443)
+    katran = Katran(kh, backends)
     katran.remove_backend("10.99.99.99")
     assert len(katran.backends) == 2
 

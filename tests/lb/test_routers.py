@@ -256,7 +256,7 @@ def test_takeover_clone_is_deterministic_for_stateless():
 def test_katran_builds_requested_router(world, scheme):
     kh = world.host("katran-host")
     backends = [world.host(f"b{i}") for i in range(3)]
-    katran = Katran(kh, backends, hc_port=443,
+    katran = Katran(kh, backends,
                     config=KatranConfig(lb_scheme=scheme))
     assert katran.router.scheme == scheme
     assert sorted(katran.router.members) == sorted(b.ip for b in backends)
@@ -264,10 +264,9 @@ def test_katran_builds_requested_router(world, scheme):
 
 def test_katran_lru_property_reflects_scheme(world):
     kh = world.host("katran-host")
-    katran = Katran(kh, [world.host("b0")], hc_port=443,
+    katran = Katran(kh, [world.host("b0")],
                     config=KatranConfig(lb_scheme="lru"))
     assert katran.lru is not None
     stateless = Katran(world.host("katran-2"), [world.host("b1")],
-                       hc_port=443,
                        config=KatranConfig(lb_scheme="stateless"))
     assert stateless.lru is None

@@ -36,12 +36,6 @@ def test_counterset_tags():
         "200": 10.0, "500": 3.0, "379": 1.0}
 
 
-def test_counterset_prefix():
-    counters = CounterSet(prefix="edge-1/")
-    counters.inc("rps")
-    assert counters.snapshot() == {"edge-1/rps": 1.0}
-
-
 def test_get_missing_allocates_nothing():
     """``get`` on a never-incremented counter returns 0.0 without
     creating the counter (the old implementation allocated a throwaway

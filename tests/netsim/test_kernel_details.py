@@ -8,6 +8,7 @@ from repro.netsim import (
     Protocol,
     with_timeout,
 )
+from repro.netsim import kernel as kernel_module
 
 
 def test_ephemeral_ports_unique_per_host(world):
@@ -17,13 +18,14 @@ def test_ephemeral_ports_unique_per_host(world):
     assert all(p > 40_000 for p in ports)
 
 
-def test_accept_backlog_overflow_refuses(world):
+def test_accept_backlog_overflow_refuses(world, monkeypatch):
+    monkeypatch.setattr(kernel_module, "ACCEPT_BACKLOG", 2)
     server = world.host("server")
     client = world.host("client")
     sproc = server.spawn("s")
     cproc = client.spawn("c")
     endpoint = Endpoint(server.ip, 443)
-    _, listener = server.kernel.tcp_listen(sproc, endpoint, backlog=2)
+    _, listener = server.kernel.tcp_listen(sproc, endpoint)
     refused = []
     accepted = []
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.metrics import CounterSet
 from repro.ops.canary import (
     ERROR_STATUS_TAGS,
     CanaryConfig,
@@ -69,29 +70,25 @@ class CountedTarget:
     """A release target whose request counters tick at a scripted rate.
 
     ``error_rate`` may be swapped mid-run (the ticker re-reads it), which
-    is how tests flip a target bad after its "release"."""
+    is how tests flip a target bad after its "release".  It counts
+    them as HTTP 200s and 500s, which the gate's probe reads."""
 
     def __init__(self, env, name, ok_rate=10.0, error_rate=0.0):
         self.env = env
         self.name = name
         self.ok_rate = ok_rate
         self.error_rate = error_rate
-        self.ok = 0.0
-        self.err = 0.0
+        self.counters = CounterSet()
         env.process(self._tick())
 
     def _tick(self):
         while True:
             yield self.env.timeout(1.0)
-            self.ok += self.ok_rate
-            self.err += self.error_rate
+            self.counters.inc("http_status", self.ok_rate, tag="200")
+            self.counters.inc("http_status", self.error_rate, tag="500")
 
     def release(self):
         yield self.env.timeout(0.5)
-
-
-def _probe(targets):
-    return (sum(t.ok for t in targets), sum(t.err for t in targets))
 
 
 class FakeRecord:
@@ -119,7 +116,7 @@ def _review(env, gate, release, batch, record):
 def test_healthy_canary_proceeds_after_one_window():
     env = Environment()
     targets = [CountedTarget(env, f"t{i}") for i in range(4)]
-    gate = CanaryController(env, _config(), probe=_probe)
+    gate = CanaryController(env, _config())
     verdict = _review(env, gate, FakeRelease(targets), targets[:1],
                       FakeRecord(0))
     assert verdict == "proceed"
@@ -135,7 +132,7 @@ def test_bad_canary_aborts_with_recorded_ratios():
     env = Environment()
     targets = [CountedTarget(env, f"t{i}") for i in range(4)]
     targets[0].error_rate = 5.0  # 33% errors on the canary
-    gate = CanaryController(env, _config(), probe=_probe)
+    gate = CanaryController(env, _config())
     verdict = _review(env, gate, FakeRelease(targets), targets[:1],
                       FakeRecord(0))
     assert verdict == "abort"
@@ -148,7 +145,7 @@ def test_bad_canary_aborts_with_recorded_ratios():
 def test_low_traffic_holds_then_gives_benefit_of_the_doubt():
     env = Environment()
     targets = [CountedTarget(env, f"t{i}", ok_rate=0.1) for i in range(4)]
-    gate = CanaryController(env, _config(), probe=_probe)
+    gate = CanaryController(env, _config())
     verdict = _review(env, gate, FakeRelease(targets), targets[:1],
                       FakeRecord(0))
     assert verdict == "proceed"
@@ -160,7 +157,7 @@ def test_low_traffic_holds_then_gives_benefit_of_the_doubt():
 def test_batches_past_the_gate_are_waved_through():
     env = Environment()
     targets = [CountedTarget(env, f"t{i}") for i in range(4)]
-    gate = CanaryController(env, _config(), probe=_probe)
+    gate = CanaryController(env, _config())
     verdict = _review(env, gate, FakeRelease(targets), targets[2:],
                       FakeRecord(1))
     assert verdict == "proceed"
@@ -171,7 +168,7 @@ def test_batches_past_the_gate_are_waved_through():
 def test_gate_abstains_without_a_control_group():
     env = Environment()
     targets = [CountedTarget(env, f"t{i}") for i in range(2)]
-    gate = CanaryController(env, _config(), probe=_probe)
+    gate = CanaryController(env, _config())
     verdict = _review(env, gate, FakeRelease(targets), targets,
                       FakeRecord(0))
     assert verdict == "proceed"
@@ -184,13 +181,13 @@ def test_failed_targets_are_excluded_from_the_canary_group():
     targets[0].error_rate = 100.0  # would trip the gate if counted
     release = FakeRelease(targets)
     release.failed_targets = ["t0"]  # but its restart never finished
-    gate = CanaryController(env, _config(), probe=_probe)
+    gate = CanaryController(env, _config())
     verdict = _review(env, gate, release, targets[:2], FakeRecord(0))
     assert verdict == "proceed"
 
 
 def test_default_probe_reads_status_counters():
-    from repro.ops.canary import _default_probe
+    from repro.ops.canary import _probe
 
     class Counters:
         def __init__(self, values):
@@ -208,7 +205,7 @@ def test_default_probe_reads_status_counters():
                      ("http_status", "rogue"): 3.0,
                      ("http_status", "503"): 50.0,
                      ("responses_truncated", None): 2.0})
-    ok, err = _default_probe([target, object()])  # counter-less skipped
+    ok, err = _probe([target, object()])  # counter-less skipped
     assert ok == 90.0
     assert err == 9.0  # 500 + rogue + truncated; 503 excluded
 
@@ -229,7 +226,7 @@ def test_gate_abort_stops_and_rolls_back_a_real_release():
             flipped.append(self.name)
 
     targets[0] = FlippingTarget(env, "t0")
-    gate = CanaryController(env, _config(), probe=_probe)
+    gate = CanaryController(env, _config())
     release = RollingRelease(env, targets, RollingReleaseConfig(
         batch_fraction=0.25, rollback_on_abort=True), gate=gate)
     env.run(until=env.process(release.execute()))

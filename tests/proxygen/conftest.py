@@ -124,11 +124,13 @@ class OriginRelay:
         app = SimpleNamespace(host=app_host, accepting=True,
                               endpoint=Endpoint(app_host.ip, 8080))
         vip = Endpoint("100.64.9.1", 443)
+        app_pool = AppServerPool()
+        app_pool.add(app)
         self.origin = ProxygenServer(
             origin_host,
             ProxygenConfig(mode="origin", drain_duration=5.0,
                            spawn_delay=0.5),
-            ProxyTierContext(app_pool=AppServerPool([app])),
+            ProxyTierContext(app_pool=app_pool),
             vips=[VIP("https", vip, Protocol.TCP)])
         env.run(until=env.process(self.origin.start()))
         app_proc, edge_proc = app_host.spawn("app"), edge_host.spawn("edge")

@@ -161,7 +161,7 @@ def test_takeover_client_rejects_mismatched_metadata(tmp_path):
     thread.start()
     try:
         with pytest.raises(RuntimeError, match="fd count"):
-            request_takeover(path, timeout=5.0)
+            request_takeover(path)
     finally:
         thread.join(timeout=10)
         listener.close()

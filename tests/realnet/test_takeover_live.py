@@ -50,10 +50,10 @@ def _http_get(addr, timeout=5):
 
 
 def test_mini_server_serves(tmp_path):
-    server = MiniServer.bind(name="solo")
+    server = MiniServer.bind()
     server.start()
     try:
-        assert _http_get(server.address) == "solo"
+        assert _http_get(server.address) == "gen1"
         deadline = time.time() + 2
         while server.requests_served < 1 and time.time() < deadline:
             time.sleep(0.01)
@@ -65,7 +65,7 @@ def test_mini_server_serves(tmp_path):
 def test_takeover_handover_between_generations(tmp_path):
     path = str(tmp_path / "takeover.sock")
     baseline_fds = _open_fd_count()
-    gen1 = MiniServer.bind(name="gen1")
+    gen1 = MiniServer.bind()
     gen1.start()
     takeover_srv = gen1.serve_takeover(path)
     addr = gen1.address
@@ -83,7 +83,7 @@ def test_takeover_handover_between_generations(tmp_path):
                 break
         assert served_by == "gen2"
         # The old process closes its FD: the socket must survive.
-        gen1.stop(close_listener=True)
+        gen1.stop()
         assert _http_get(addr) == "gen2"
         gen2.stop()
         takeover_srv.stop()
@@ -95,7 +95,7 @@ def test_takeover_handover_between_generations(tmp_path):
 def test_no_request_fails_during_handover(tmp_path):
     """Hammer the server across the restart: zero refused connections."""
     path = str(tmp_path / "takeover.sock")
-    gen1 = MiniServer.bind(name="gen1")
+    gen1 = MiniServer.bind()
     gen1.start()
     takeover_srv = gen1.serve_takeover(path)
     addr = gen1.address
@@ -116,7 +116,7 @@ def test_no_request_fails_during_handover(tmp_path):
         time.sleep(0.3)
         gen2 = MiniServer.take_over(path, name="gen2")
         gen2.start()
-        gen1.stop(close_listener=True)
+        gen1.stop()
         time.sleep(0.5)
         stop.set()
         thread.join(timeout=5)
@@ -131,7 +131,7 @@ def test_no_request_fails_during_handover(tmp_path):
 def test_takeover_across_real_processes(tmp_path):
     """The paper's actual setting: the successor is another OS process."""
     path = str(tmp_path / "takeover.sock")
-    gen1 = MiniServer.bind(name="parent")
+    gen1 = MiniServer.bind()
     gen1.start()
     takeover_srv = gen1.serve_takeover(path)
     addr = gen1.address
@@ -145,7 +145,7 @@ def test_takeover_across_real_processes(tmp_path):
             time.sleep(0.02)
         assert not gen1.accepting, "child never completed takeover"
         # Parent closes its listener FD entirely; the child keeps serving.
-        gen1.stop(close_listener=True)
+        gen1.stop()
         for _ in range(3):
             served_by = _http_get(addr, timeout=10)
             assert served_by.startswith("child-")
@@ -158,4 +158,4 @@ def test_takeover_across_real_processes(tmp_path):
 
 def test_takeover_request_without_server_fails(tmp_path):
     with pytest.raises((ConnectionError, OSError)):
-        request_takeover(str(tmp_path / "nope.sock"), timeout=1)
+        request_takeover(str(tmp_path / "nope.sock"))

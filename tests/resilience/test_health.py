@@ -26,8 +26,8 @@ def _tracker(config=None, seed=0, members=4):
     counters = CounterSet()
     tracker = OutlierTracker(config or _config(), env,
                              RandomStreams(seed).stream("t"),
-                             counters=counters,
-                             membership=lambda: members)
+                             counters=counters)
+    tracker.membership = lambda: members
     return env, counters, tracker
 
 

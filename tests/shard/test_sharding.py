@@ -1,8 +1,7 @@
 """The sharded runner's headline proof: N-shard == 1-shard, bit for bit.
 
 A shard-independent regional spec (``failover=False``,
-``local_broker_homing=True``, ``partition_network_rng=True``) factors
-into per-region simulations.  Running it through
+``shardable=True``) factors into per-region simulations.  Running it through
 :func:`repro.shard.run_sharded` with 1 worker (in-process) and with 2
 forked workers must merge to the *same* counter snapshot — every scope,
 every key, every value — and the same invariant verdicts.  Identical,
@@ -25,8 +24,7 @@ def _spec(seed: int, regions: int = 2) -> RegionalSpec:
         seed=seed,
         regions=regions,
         failover=False,
-        local_broker_homing=True,
-        partition_network_rng=True,
+        shardable=True,
     )
 
 

@@ -303,8 +303,7 @@ def test_fully_populated_options_pickle_round_trip():
 
 def test_sharded_run_under_options_equals_single_shard():
     spec = RegionalSpec(seed=0, regions=2, failover=False,
-                        local_broker_homing=True,
-                        partition_network_rng=True)
+                        shardable=True)
     # Fault plans and load shapes do not shard; everything else crosses.
     options = replace(_full_options(), fault_plan=None, load_shape=None)
     one = run_sharded(spec, until=10.0, shards=1, options=options)

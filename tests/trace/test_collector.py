@@ -226,8 +226,8 @@ def test_interesting_traces_prefers_takeover_and_errors():
     crossed.annotate("takeover.crossed")
     crossed.finish("ok")
 
-    ranked = interesting_traces(collector.traces(), limit=2)
-    assert [t["name"] for t in ranked] == ["crossed", "errored"]
+    ranked = interesting_traces(collector.traces())
+    assert [t["name"] for t in ranked] == ["crossed", "errored", "plain"]
 
 
 def test_span_annotations_coerce_objects_to_strings():
