@@ -58,6 +58,45 @@ class InFlightPost:
         self.span = None
 
 
+class _BodyRead:
+    """A streaming POST's body read, one relay step per chunk: take the
+    chunk, count it, burn its CPU, take the next — until the last chunk
+    (the relay wakes the handler with ``None``) or a FIN/RST (with it)."""
+
+    __slots__ = ("cpu", "inbox", "post", "relay")
+
+    def __init__(self, cpu, conn: TcpEndpoint, post: InFlightPost, relay):
+        self.cpu = cpu
+        self.inbox = conn.inbox
+        self.post = post
+        self.relay = relay
+        relay.read(self.inbox, self._chunk)
+
+    def _chunk(self, item) -> None:
+        relay = self.relay
+        if isinstance(item, StreamControl):
+            relay.wake(item)
+            return
+        chunk = item.payload
+        if not isinstance(chunk, BodyChunk):
+            relay.read(self.inbox, self._chunk)
+            return
+        post = self.post
+        post.received_bytes += chunk.data_size
+        # A spliced bulk chunk stands for chunk.chunks wire frames
+        # (repro.splice); counting them keeps the 379 partial_chunks
+        # echo exact whether or not the train was coalesced.
+        post.received_chunks += chunk.chunks
+        relay.charge(self.cpu, CpuCosts.post_byte * chunk.data_size,
+                     self._read, chunk)
+
+    def _read(self, chunk: BodyChunk) -> None:
+        if chunk.is_last:
+            self.relay.wake()
+        else:
+            self.relay.read(self.inbox, self._chunk)
+
+
 class AppServer:
     """One app-server machine across restarts."""
 
@@ -355,26 +394,20 @@ class AppServer:
             post = InFlightPost(request, conn)
             post.span = self._request_span(request, "app.post")
             self.in_flight_posts[request.id] = post
-            while True:
-                item = yield conn.recv()
-                if isinstance(item, StreamControl):
-                    # Proxy/connection went away mid-upload.
-                    self.in_flight_posts.pop(request.id, None)
-                    if post.span is not None:
-                        post.span.fail("conn_gone")
-                    return
-                chunk = item.payload
-                if not isinstance(chunk, BodyChunk):
-                    continue
-                post.received_bytes += chunk.data_size
-                # A spliced bulk chunk stands for chunk.chunks wire frames
-                # (repro.splice); counting them keeps the 379 partial_chunks
-                # echo exact whether or not the train was coalesced.
-                post.received_chunks += chunk.chunks
-                yield from self.host.cpu.execute(
-                    CpuCosts.post_byte * chunk.data_size)
-                if chunk.is_last:
-                    break
+            # The body is read chunk by chunk by relay steps; this wakes
+            # at the last chunk, or with the FIN/RST of a proxy gone.
+            relay = _BodyRead(self.host.cpu, conn, post,
+                              self.host.env.relay()).relay
+            try:
+                gone = yield relay
+            finally:
+                relay.close()
+            if gone is not None:
+                # Proxy/connection went away mid-upload.
+                self.in_flight_posts.pop(request.id, None)
+                if post.span is not None:
+                    post.span.fail("conn_gone")
+                return
             post.complete = True
             self.in_flight_posts.pop(request.id, None)
             if post.received_bytes >= request.body_size:

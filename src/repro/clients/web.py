@@ -65,6 +65,53 @@ class WebWorkloadConfig:
     request_timeout: float = 20.0
 
 
+class _Upload:
+    """A POST body paced by the client's WAN bandwidth, one relay step
+    per chunk: wait out the chunk's upload time, then send it — unless
+    a response came mid-upload (an error from a restarting app server
+    without PPR): the relay wakes the handler with it; after the last
+    chunk with ``None``, and a failed send throws its error."""
+
+    __slots__ = ("conn", "request", "size", "sent", "seq", "chunk_size",
+                 "bandwidth", "relay")
+
+    def __init__(self, conn, request: HttpRequest, size: int, sent: int,
+                 seq: int, config: WebWorkloadConfig, relay):
+        self.conn = conn
+        self.request = request
+        self.size = size
+        self.sent = sent
+        self.seq = seq
+        self.chunk_size = config.post_chunk_size
+        self.bandwidth = config.upload_bandwidth
+        self.relay = relay
+        self._pace()
+
+    def _pace(self) -> None:
+        chunk_size = min(self.chunk_size, self.size - self.sent)
+        self.sent += chunk_size
+        self.seq += 1
+        self.relay.later(chunk_size / self.bandwidth, self._send, chunk_size)
+
+    def _send(self, chunk_size: int) -> None:
+        conn = self.conn
+        early = conn.inbox.try_get()
+        if early is not None:
+            self.relay.wake(early)
+            return
+        try:
+            conn.send(BodyChunk(self.request.id, chunk_size, self.seq,
+                                is_last=(self.sent >= self.size)),
+                      size=chunk_size)
+        except (SocketClosedSim, ConnectionResetSim) as exc:
+            self.relay.throw(exc)
+            return
+        if self.sent < self.size:
+            self._pace()
+        else:
+            self.relay.wake()
+
+
 class WebClientPopulation:
     """Many web users spread over a few client hosts."""
 
@@ -223,15 +270,13 @@ class WebClientPopulation:
                     and size >= MIN_BULK_BYTES):
                 sent, seq = yield from self._post_body_spliced(
                     conn, request, size, governor)
-            # The body per chunk, from offset ``sent`` onwards.
-            while sent < size:
-                chunk_size = min(config.post_chunk_size, size - sent)
-                sent += chunk_size
-                seq += 1
-                yield env.timeout(chunk_size / config.upload_bandwidth)
-                # An error response may arrive mid-upload (500 from a
-                # restarting app server without PPR).
-                early = conn.inbox.try_get()
+            if sent < size:
+                # The body per chunk, from offset ``sent`` onwards, paced
+                # by relay steps; this wakes after the last chunk, with a
+                # response that came mid-upload, or with the failed
+                # send's error raised here.
+                early = yield _Upload(conn, request, size, sent, seq, config,
+                                      env.relay()).relay
                 if early is not None:
                     verdict = self._digest_response(base, early, start,
                                                     kind="post", span=span)
@@ -241,9 +286,6 @@ class WebClientPopulation:
                         # Retry-After backoff.
                         conn.close()
                     return verdict
-                conn.send(BodyChunk(request.id, chunk_size, seq,
-                                    is_last=(sent >= size)),
-                          size=chunk_size)
         except (SocketClosedSim, ConnectionResetSim):
             self.counters.inc("post_conn_reset")
             self.metrics.series("client/post_disrupted").record(env.now)

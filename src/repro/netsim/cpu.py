@@ -22,8 +22,19 @@ interrupt (or ``GeneratorExit``) is handled where it lands:
   grant that builds no event (the next waiter starts its work when it
   resumes), and no busy time is recorded.
 
-The busy interval goes straight into the tracker's bucket dict when it
-lies in one bucket (the same ``floor`` / ``_last_bucket`` arithmetic as
+A relay step burns its CPU with :meth:`CpuModel.charge` instead: the
+same burst as a call entry, at the heap key ``execute``'s timeout would
+have, in the same core queue, and a call of ``fn(arg)`` where the
+generator would have resumed.  A :class:`Charge` is withdrawn with
+:meth:`Charge.cancel` exactly as ``execute``'s interrupt arm withdraws
+an execution: dequeued while it waits, its core handed on with a bare
+grant once it holds one.  A charge granted a core without its work
+starts the work at the grant's same-instant call entry, as a granted
+execution does when it resumes.
+
+Both end a burst through :meth:`CpuModel._done`: the busy interval goes
+straight into the tracker's bucket dict when it lies in one bucket (the
+same ``floor`` / ``_last_bucket`` arithmetic as
 ``IntervalAccumulator.add``, so the sums are the same floats); an
 interval across a bucket edge goes through ``add_busy``.
 """
@@ -32,12 +43,21 @@ from __future__ import annotations
 
 from collections import deque
 from math import floor
+from typing import Any, Callable, Optional, Union
 
 from ..metrics.timeline import UtilizationTracker
 from ..simkernel.core import Environment
 from ..simkernel.events import Event
 
-__all__ = ["CpuModel", "CpuCosts"]
+__all__ = ["CpuModel", "CpuCosts", "Charge"]
+
+#: Builds a slotted charge without its class call (see
+#: :meth:`CpuModel.charge`).
+_new = object.__new__
+
+#: Where a :class:`Charge` is: waiting for a core, granted one without
+#: its work, running, or over (done or withdrawn).
+_QUEUED, _GRANTED, _RUNNING, _OVER = range(4)
 
 
 class CpuCosts:
@@ -61,6 +81,46 @@ class CpuCosts:
     cache_priming = 400.0
 
 
+class Charge:
+    """One CPU burst a callback charged (:meth:`CpuModel.charge`): what
+    it calls when done, and where it is.
+
+    It has no ``__init__``: ``CpuModel.charge`` builds it in place."""
+
+    __slots__ = ("cpu", "units", "fn", "arg", "start", "state")
+
+    def cancel(self) -> None:
+        """Withdraw the burst as an interrupt withdraws an execution:
+        out of the core queue while it waits; once it holds a core (its
+        work started or not), the core is handed on with a bare grant.
+        Its completion, if scheduled, pops as a no-op.  Over: nothing."""
+        state = self.state
+        self.state = _OVER
+        if state == _QUEUED:
+            waiters = self.cpu._waiters
+            for index, waiter in enumerate(waiters):
+                if waiter is self:
+                    del waiters[index]
+                    break
+        elif state != _OVER:
+            self.cpu._release(start_work=False)
+
+
+def _begin(charge: Charge) -> None:
+    """A charge granted a core without its work starts it now."""
+    if charge.state == _GRANTED:
+        charge.cpu._run(charge)
+
+
+def _complete(charge: Charge) -> None:
+    """A charge's burst is over: free its core, then call back."""
+    if charge.state != _RUNNING:
+        return  # withdrawn
+    charge.state = _OVER
+    charge.cpu._done(charge.start)
+    charge.fn(charge.arg)
+
+
 class CpuModel:
     """A host's CPU: ``cores`` parallel servers of ``speed`` units/sec."""
 
@@ -77,8 +137,9 @@ class CpuModel:
         #: Cores held, including ones handed to a waiter that has not
         #: resumed yet.
         self.busy = 0
-        #: Work waiting for a core, oldest first: (its event, units).
-        self._waiters: deque[tuple[Event, float]] = deque()
+        #: Work waiting for a core, oldest first: (its event, units) for
+        #: an execution, the :class:`Charge` for a charge.
+        self._waiters: deque[Union[tuple[Event, float], Charge]] = deque()
         self.tracker = UtilizationTracker(bucket_width, capacity=cores)
         self._buckets = self.tracker.busy._buckets
         self._bucket_width = bucket_width
@@ -92,15 +153,53 @@ class CpuModel:
     def _release(self, start_work: bool = True) -> None:
         """Start the oldest waiter's work on the core, or free it."""
         if self._waiters:
-            waiter, work_units = self._waiters.popleft()
+            waiter = self._waiters.popleft()
+            env = self.env
+            if type(waiter) is Charge:
+                if start_work:
+                    self._run(waiter)
+                else:  # the grant a granted execution's succeed() is
+                    waiter.state = _GRANTED
+                    env.call_later(0, _begin, waiter)
+                return
+            waiter, work_units = waiter
             if not start_work:
                 waiter.succeed()
                 return
-            env = self.env
             # Shared callbacks: an interrupt removes the waiter from both.
             env.timeout(work_units / self.speed,
                         env._now).callbacks = waiter.callbacks
         else:
+            self.busy -= 1
+
+    def _run(self, charge: Charge) -> None:
+        """Start a charge's work on the core it holds: its completion is
+        a call entry where ``execute``'s timeout would be."""
+        env = self.env
+        charge.start = env._now
+        charge.state = _RUNNING
+        env.call_later(charge.units / self.speed, _complete, charge)
+
+    def _done(self, start: float) -> None:
+        """A burst begun at ``start`` ends now: record its busy time and
+        hand its core to the oldest waiter, or free it."""
+        end = self.env._now
+        busy = end - start
+        width = self._bucket_width
+        # ``IntervalAccumulator.add`` for the one-bucket case, inline.
+        first = floor(start / width)
+        last = floor(end / width)
+        if last * width >= end:
+            last -= 1
+        if first == last and busy:
+            buckets = self._buckets
+            buckets[first] = buckets.get(first, 0.0) + busy
+        else:
+            self.tracker.add_busy(start, end)
+        self.total_busy_seconds += busy
+        if self._waiters:
+            self._release()
+        else:  # nobody waits: free the core, no call
             self.busy -= 1
 
     def execute(self, work_units: float):
@@ -139,24 +238,36 @@ class CpuModel:
                 else:  # handed a core already
                     self._release(start_work=False)
             raise
-        end = env._now
-        busy = end - start
-        width = self._bucket_width
-        # ``IntervalAccumulator.add`` for the one-bucket case, inline.
-        first = floor(start / width)
-        last = floor(end / width)
-        if last * width >= end:
-            last -= 1
-        if first == last and busy:
-            buckets = self._buckets
-            buckets[first] = buckets.get(first, 0.0) + busy
+        self._done(start)
+
+    def charge(self, work_units: float, fn: Callable[[Any], None],
+               arg: Any) -> Optional[Charge]:
+        """:meth:`execute` for a callback: occupy one core for
+        ``work_units / speed`` seconds, then call ``fn(arg)``.
+
+        Returns the :class:`Charge`, to withdraw it with
+        :meth:`Charge.cancel` (``None`` for no work: ``fn`` was called
+        already, as ``execute`` returns at once).
+        """
+        if work_units <= 0:
+            fn(arg)
+            return None
+        charge = _new(Charge)
+        charge.cpu = self
+        charge.units = work_units
+        charge.fn = fn
+        charge.arg = arg
+        if self.busy < self.cores:
+            self.busy += 1
+            # ``_run``, inlined: one frame per charge.
+            env = self.env
+            charge.start = env._now
+            charge.state = _RUNNING
+            env.call_later(work_units / self.speed, _complete, charge)
         else:
-            self.tracker.add_busy(start, end)
-        self.total_busy_seconds += busy
-        if self._waiters:
-            self._release()
-        else:  # nobody waits: free the core, no call
-            self.busy -= 1
+            charge.state = _QUEUED
+            self._waiters.append(charge)
+        return charge
 
     def background(self, work_units: float) -> None:
         """Fire-and-forget CPU burn (e.g. cache priming of a new instance)."""

@@ -181,15 +181,6 @@ class H2Stream:
             self.conn.send_frame(H2Frame(
                 stream_id=self.id, type=FrameType.RST_STREAM, size=32))
 
-    def _deliver(self, frame: H2Frame) -> None:
-        if frame.type == FrameType.RST_STREAM:
-            self.reset = True
-        if frame.end_stream:
-            self.remote_closed = True
-        if (self.local_closed and self.remote_closed) or self.reset:
-            self.conn.streams.pop(self.id, None)
-        self.conn._wake(self.inbox, frame)
-
 
 class H2Connection:
     """An HTTP/2 session over one simulated TCP endpoint.
@@ -305,20 +296,29 @@ class H2Connection:
             return
         if stream_id == 0:
             return  # connection-level PING etc.
-        stream = self.streams.get(stream_id)
-        if stream is not None:
-            stream._deliver(frame)
-        elif (not self._is_peer_stream(stream_id)
-                or stream_id <= self._highest_peer_stream):
-            return  # frame for a forgotten stream: drop
-        elif self.goaway_sent:
-            # Raced with our GOAWAY: refuse the new stream.
-            self.send_frame(H2Frame(
-                stream_id=stream_id, type=FrameType.RST_STREAM, size=32))
-        else:
-            stream = self.streams[stream_id] = H2Stream(self, stream_id)
+        streams = self.streams
+        stream = streams.get(stream_id)
+        new = stream is None
+        if new:
+            if (not self._is_peer_stream(stream_id)
+                    or stream_id <= self._highest_peer_stream):
+                return  # frame for a forgotten stream: drop
+            if self.goaway_sent:
+                # Raced with our GOAWAY: refuse the new stream.
+                self.send_frame(H2Frame(
+                    stream_id=stream_id, type=FrameType.RST_STREAM, size=32))
+                return
+            stream = streams[stream_id] = H2Stream(self, stream_id)
             self._highest_peer_stream = stream_id
-            stream._deliver(frame)  # nobody reads a stream this new
+        # The frame reaches its stream (nobody reads a stream this new).
+        if frame.type == FrameType.RST_STREAM:
+            stream.reset = True
+        if frame.end_stream:
+            stream.remote_closed = True
+        if (stream.local_closed and stream.remote_closed) or stream.reset:
+            streams.pop(stream_id, None)
+        self._wake(stream.inbox, frame)
+        if new:
             self._wake(self.incoming, stream)
 
     def _is_peer_stream(self, stream_id: int) -> bool:

@@ -62,6 +62,91 @@ UDP_SOCKETS_PER_VIP = 4
 SHORT_REQUEST_ATTEMPTS = 3
 
 
+class _BodyRelay:
+    """The Edge's streaming-POST relay, one step per chunk: take the
+    client's chunk, burn its relay CPU, send it up the stream — until
+    the last chunk or a dead client connection (the relay wakes the
+    handler with ``None``), the client's FIN/RST (with it) or a failed send
+    (throws its :class:`H2Error`)."""
+
+    __slots__ = ("cpu", "conn", "stream", "relay")
+
+    def __init__(self, cpu, conn: "TcpEndpoint", stream, relay):
+        self.cpu = cpu
+        self.conn = conn
+        self.stream = stream
+        self.relay = relay
+        relay.read(conn.inbox, self._chunk)
+
+    def _chunk(self, item) -> None:
+        if isinstance(item, StreamControl):
+            self.relay.wake(item)
+            return
+        chunk = item.payload
+        if not isinstance(chunk, BodyChunk):
+            self._next()
+            return
+        # A spliced bulk chunk stands for ``chunk.chunks`` wire frames
+        # (repro.splice) — fold their relay cost exactly.
+        self.relay.charge(self.cpu, CpuCosts.relay_message * chunk.chunks,
+                          self._send, chunk)
+
+    def _send(self, chunk: BodyChunk) -> None:
+        try:
+            self.stream.send(chunk, size=chunk.data_size,
+                             end_stream=chunk.is_last)
+        except H2Error as exc:
+            self.relay.throw(exc)
+            return
+        if chunk.is_last:
+            self.relay.wake()
+        else:
+            self._next()
+
+    def _next(self) -> None:
+        conn = self.conn
+        if not (conn.closed or conn.reset):  # ``conn.alive``, inlined
+            self.relay.read(conn.inbox, self._chunk)
+        else:
+            self.relay.wake()
+
+
+class _PostForward:
+    """The Origin's streaming-POST relay to one app server, one step per
+    item on the Edge stream's inbox (which also holds the app socket's
+    arrivals, ``H2Stream.take_arrivals``): a body chunk but the last
+    goes on to the live app connection; a frame with no chunk is
+    skipped.  The relay wakes the handler with the first item it leaves
+    alone."""
+
+    __slots__ = ("conn", "stream", "inbox", "relay", "forwarded")
+
+    def __init__(self, conn: "TcpEndpoint", stream, relay):
+        self.conn = conn
+        self.stream = stream
+        self.inbox = stream.inbox
+        self.relay = relay
+        #: Body bytes it sent on.
+        self.forwarded = 0
+        relay.read(self.inbox, self._item)
+
+    def _item(self, item) -> None:
+        if (isinstance(item, H2Frame) and item.type != FrameType.RST_STREAM
+                and not self.stream.reset):
+            chunk = item.payload
+            if not isinstance(chunk, BodyChunk):
+                self.relay.read(self.inbox, self._item)
+                return
+            conn = self.conn
+            # ``conn.alive``, inlined: a live connection takes the send.
+            if not (chunk.is_last or conn.closed or conn.reset):
+                conn.send(chunk, size=chunk.data_size)
+                self.forwarded += chunk.data_size
+                self.relay.read(self.inbox, self._item)
+                return
+        self.relay.wake(item)
+
+
 class ProxygenInstance:
     """One generation of a Proxygen on one host."""
 
@@ -407,30 +492,26 @@ class ProxygenInstance:
                 self._edge_http_error(conn, request, "stream_abort")
                 return
 
-            if request.streaming:
-                while conn.alive:
-                    item = yield conn.recv()
-                    if isinstance(item, StreamControl):
-                        stream.rst()
-                        self.counters.inc("client_gone_mid_post")
-                        if span is not None:
-                            span.fail("client_gone")
-                        return
-                    chunk = item.payload
-                    if not isinstance(chunk, BodyChunk):
-                        continue
-                    # A spliced bulk chunk stands for ``chunk.chunks`` wire
-                    # frames (repro.splice) — fold their relay cost exactly.
-                    yield from self.host.cpu.execute(
-                        CpuCosts.relay_message * chunk.chunks)
-                    try:
-                        stream.send(chunk, size=chunk.data_size,
-                                    end_stream=chunk.is_last)
-                    except H2Error:
-                        self._edge_http_error(conn, request, "stream_abort")
-                        return
-                    if chunk.is_last:
-                        break
+            if request.streaming and conn.alive:
+                # The body is relayed chunk by chunk by relay steps; this
+                # wakes after the last chunk, once the client connection
+                # is no longer alive, with the client's FIN/RST, or with
+                # the send's H2Error raised here.
+                relay = _BodyRelay(self.host.cpu, conn, stream,
+                                   self.host.env.relay()).relay
+                try:
+                    gone = yield relay
+                except H2Error:
+                    self._edge_http_error(conn, request, "stream_abort")
+                    return
+                finally:
+                    relay.close()
+                if gone is not None:
+                    stream.rst()
+                    self.counters.inc("client_gone_mid_post")
+                    if span is not None:
+                        span.fail("client_gone")
+                    return
 
             outcome = yield stream.recv(self.config.upstream_timeout)
             if outcome is TIMED_OUT:
@@ -926,7 +1007,14 @@ class ProxygenInstance:
                             self._fail_post(stream, request, "write_timeout")
                             return
                     else:
-                        item = yield stream.recv()
+                        # Relay steps forward the body; this wakes with
+                        # the first item they leave alone (the last
+                        # chunk, a reset, a chunk for a dead connection,
+                        # an app reply), where the loop goes on.
+                        forward = _PostForward(conn, stream,
+                                               self.host.env.relay())
+                        item = yield forward.relay
+                        forwarded += forward.forwarded
 
                     if isinstance(item, H2Frame):  # from the Edge
                         if item.type == FrameType.RST_STREAM or stream.reset:

@@ -6,6 +6,13 @@ packets, so it is stateless w.r.t. the tunnel — the property DCR (§4.2)
 exploits: when the Origin restarts it solicits the Edge to re-home the
 tunnel through another healthy Origin proxy, and the broker splices the
 new path into the existing session context.  The end user never notices.
+
+Each direction of a tunnel is one task whose generator sets up and
+handles the window edges (a FIN/RST, a broken stream, a DCR
+solicitation), while the messages in between are relayed by steps of a
+kernel relay (``env.relay()``): take the message, burn its relay CPU
+(``CpuModel.charge``, skipped while the splice governor is engaged),
+send it on, take the next — no process resumes per message.
 """
 
 from __future__ import annotations
@@ -56,6 +63,12 @@ class EdgeMqttTunnel:
         self.stream: Optional[H2Stream] = None
         self.closed = False
         self.span = None
+        self.cpu = instance.host.cpu
+        self.governor = instance.run_record.splice
+        #: Each direction's relay, and the stream the downstream one
+        #: reads.
+        self._up = self._down = None
+        self._down_stream: Optional[H2Stream] = None
 
     # -- establishment ---------------------------------------------------
 
@@ -81,71 +94,118 @@ class EdgeMqttTunnel:
 
     def client_loop(self):
         """Generator (runs in the connection's serve task): relay
-        messages from the end user toward the broker."""
+        messages from the end user toward the broker, one relay step
+        each, until the client's FIN/RST or the tunnel closes."""
+        if self.closed or not self.client_conn.alive:
+            return
+        relay = self._up = self.instance.host.env.relay()
+        relay.read(self.client_conn.inbox, self._from_client)
+        try:
+            gone = yield relay
+        finally:
+            relay.close()
+        if gone is not None:
+            self._on_client_gone()
+
+    def _from_client(self, item) -> None:
+        if isinstance(item, StreamControl):
+            self._up.wake(item)
+            return
+        # Established-tunnel splice (repro.splice): while no mechanism
+        # window is open, relayed messages skip the userspace CPU round
+        # trip — the kernel-splice framing of §4.1.  Counters are
+        # untouched either way.
+        governor = self.governor
+        if governor is not None and governor.engaged:
+            governor.relay_fastpath += 1
+            self._to_broker(item)
+        else:
+            self._up.charge(self.cpu, CpuCosts.relay_message,
+                            self._to_broker, item)
+
+    def _to_broker(self, item) -> None:
         instance = self.instance
-        governor = instance.run_record.splice
-        while self.client_conn.alive and not self.closed:
-            item = yield self.client_conn.recv()
-            if isinstance(item, StreamControl):
-                self._on_client_gone()
-                return
-            message = item.payload
-            # Established-tunnel splice (repro.splice): while no
-            # mechanism window is open, relayed messages skip the
-            # userspace CPU round trip — the kernel-splice framing of
-            # §4.1.  Counters below are untouched either way.
-            if governor is not None and governor.engaged:
-                governor.relay_fastpath += 1
-            else:
-                yield from instance.host.cpu.execute(CpuCosts.relay_message)
-            if self.stream is None or self.stream.reset or self.closed:
-                instance.counters.inc("mqtt_upstream_drop")
-                continue
+        message = item.payload
+        stream = self.stream
+        if stream is None or stream.reset or self.closed:
+            instance.counters.inc("mqtt_upstream_drop")
+        else:
             try:
-                self.stream.send(message, size=item.size)
+                stream.send(message, size=item.size)
             except H2Error:
                 instance.counters.inc("mqtt_upstream_drop")
-                continue
-            if isinstance(message, MqttPublish):
-                instance.counters.inc("mqtt_publish_relayed_up")
-                instance.host.metrics.series("mqtt/publish_up").record(
-                    instance.host.env.now)
+            else:
+                if isinstance(message, MqttPublish):
+                    instance.counters.inc("mqtt_publish_relayed_up")
+                    instance.host.metrics.series("mqtt/publish_up").record(
+                        instance.host.env.now)
+        if self.client_conn.alive and not self.closed:
+            self._up.read(self.client_conn.inbox, self._from_client)
+        else:
+            self._up.wake()
 
     # -- broker -> client direction ---------------------------------------------
 
     def _downstream_loop(self):
+        """Relay messages from the Origin stream to the end user, one
+        relay step each; the task wakes for a broken stream, a DCR
+        solicitation or a frame from a stream it no longer uses."""
         instance = self.instance
-        governor = instance.run_record.splice
         while not self.closed:
-            stream = self.stream
-            frame = yield stream.recv()
+            stream = self._down_stream = self.stream
+            relay = self._down = instance.host.env.relay()
+            relay.read(stream.inbox, self._from_origin)
+            try:
+                frame = yield relay
+            finally:
+                relay.close()
+            if frame is None:
+                return  # the client is gone, or the tunnel closed
             if stream is not self.stream:
                 continue  # re-homed while we were waiting; drop stale frame
             if frame.type == FrameType.RST_STREAM or stream.reset:
                 # The Origin hop died without DCR (or DCR failed).
                 self._on_tunnel_broken()
                 return
-            message = frame.payload
-            if isinstance(message, ReconnectSolicitation):
-                if instance.config.enable_dcr:
-                    ok = yield from self._rehome()
-                    if not ok:
-                        return
-                    continue
-                # Without DCR support, ignore: the drain will kill us.
-                continue
-            if governor is not None and governor.engaged:
-                governor.relay_fastpath += 1
-            else:
-                yield from instance.host.cpu.execute(CpuCosts.relay_message)
-            if not self.client_conn.alive:
-                self._teardown()
-                return
-            self.client_conn.send(message, size=frame.size)
-            if isinstance(message, MqttPublish):
-                instance.counters.inc("mqtt_publish_relayed_down")
-                instance.host.metrics.series("mqtt/publish_down").record(
-                    instance.host.env.now)
+            # A ReconnectSolicitation.
+            if instance.config.enable_dcr:
+                ok = yield from self._rehome()
+                if not ok:
+                    return
+            # Without DCR support, ignore: the drain will kill us.
+
+    def _from_origin(self, frame) -> None:
+        stream = self._down_stream
+        if (stream is not self.stream or frame.type == FrameType.RST_STREAM
+                or stream.reset
+                or isinstance(frame.payload, ReconnectSolicitation)):
+            self._down.wake(frame)
+            return
+        governor = self.governor
+        if governor is not None and governor.engaged:
+            governor.relay_fastpath += 1
+            self._to_client(frame)
+        else:
+            self._down.charge(self.cpu, CpuCosts.relay_message,
+                              self._to_client, frame)
+
+    def _to_client(self, frame) -> None:
+        if not self.client_conn.alive:
+            self._teardown()
+            self._down.wake()
+            return
+        message = frame.payload
+        self.client_conn.send(message, size=frame.size)
+        if isinstance(message, MqttPublish):
+            instance = self.instance
+            instance.counters.inc("mqtt_publish_relayed_down")
+            instance.host.metrics.series("mqtt/publish_down").record(
+                instance.host.env.now)
+        if self.closed:
+            self._down.wake()
+        else:
+            stream = self._down_stream = self.stream
+            self._down.read(stream.inbox, self._from_origin)
 
     # -- DCR -----------------------------------------------------------------
 
@@ -299,6 +359,10 @@ class OriginMqttTunnel:
         self.broker_ip: Optional[str] = None
         self.closed = False
         self.span = None
+        self.cpu = instance.host.cpu
+        self.governor = instance.run_record.splice
+        #: Each direction's relay.
+        self._up = self._down = None
 
     # -- establishment ---------------------------------------------------------
 
@@ -308,7 +372,9 @@ class OriginMqttTunnel:
         ``first_message`` is the MqttConnect (fresh session) or ReConnect
         (DCR splice) that opened the stream.  The stream's serve task
         relays Edge stream → broker conn itself; a second task relays
-        the other way (:meth:`_from_broker_loop`).
+        the other way (:meth:`_from_broker_loop`); each message is a
+        step of their relays, and the task wakes only when its stream
+        is reset or the tunnel closed.
         """
         instance = self.instance
         self.span = instance._hop_span(first_message, "origin.tunnel")
@@ -334,28 +400,16 @@ class OriginMqttTunnel:
             return
         instance.mqtt_tunnels[self.user_id] = self
         instance.process.run(self._from_broker_loop())
-        governor = instance.run_record.splice
-        while not self.closed:
-            frame = yield self.stream.recv()
-            if frame.type == FrameType.RST_STREAM or self.stream.reset:
-                self._teardown(close_broker=True)
-                return
-            message = frame.payload
-            if governor is not None and governor.engaged:
-                governor.relay_fastpath += 1
-            else:
-                yield from instance.host.cpu.execute(CpuCosts.relay_message)
-            if isinstance(message, MqttDisconnect) and frame.end_stream:
-                # Graceful hand-off (DCR re-home away from us) or client
-                # disconnect: stop relaying, release the broker conn.
-                self._teardown(close_broker=True)
-                return
-            if self.broker_conn is None or not self.broker_conn.alive:
-                instance.counters.inc("mqtt_broker_drop")
-                continue
-            self.broker_conn.send(message, size=frame.size)
-            if isinstance(message, MqttPublish):
-                instance.counters.inc("mqtt_publish_relayed_up")
+        if self.closed:
+            return
+        relay = self._up = instance.host.env.relay()
+        relay.read(self.stream.inbox, self._from_edge)
+        try:
+            reset = yield relay
+        finally:
+            relay.close()
+        if reset is not None:
+            self._teardown(close_broker=True)
 
     def _refuse(self) -> None:
         self.instance.counters.inc("origin_tunnel_refused")
@@ -371,32 +425,84 @@ class OriginMqttTunnel:
 
     # -- relays --------------------------------------------------------------------
 
+    def _from_edge(self, frame) -> None:
+        if frame.type == FrameType.RST_STREAM or self.stream.reset:
+            self._up.wake(frame)
+            return
+        governor = self.governor
+        if governor is not None and governor.engaged:
+            governor.relay_fastpath += 1
+            self._to_broker(frame)
+        else:
+            self._up.charge(self.cpu, CpuCosts.relay_message,
+                            self._to_broker, frame)
+
+    def _to_broker(self, frame) -> None:
+        message = frame.payload
+        if isinstance(message, MqttDisconnect) and frame.end_stream:
+            # Graceful hand-off (DCR re-home away from us) or client
+            # disconnect: stop relaying, release the broker conn.
+            self._teardown(close_broker=True)
+            self._up.wake()
+            return
+        broker_conn = self.broker_conn
+        if broker_conn is None or not broker_conn.alive:
+            self.instance.counters.inc("mqtt_broker_drop")
+        else:
+            broker_conn.send(message, size=frame.size)
+            if isinstance(message, MqttPublish):
+                self.instance.counters.inc("mqtt_publish_relayed_up")
+        if self.closed:
+            self._up.wake()
+        else:
+            self._up.read(self.stream.inbox, self._from_edge)
+
     def _from_broker_loop(self):
-        """Broker conn → edge stream."""
+        """Broker conn → edge stream, one relay step per message; the
+        task wakes for the broker's FIN/RST or once the tunnel closed."""
+        if self.closed:
+            return
+        relay = self._down = self.instance.host.env.relay()
+        relay.read(self.broker_conn.inbox, self._from_broker)
+        try:
+            gone = yield relay
+        finally:
+            relay.close()
+        if gone is not None:
+            if not self.closed and not self.stream.reset:
+                self.stream.rst()
+            self._teardown(close_broker=False)
+
+    def _from_broker(self, item) -> None:
+        if isinstance(item, StreamControl):
+            self._down.wake(item)
+            return
+        governor = self.governor
+        if governor is not None and governor.engaged:
+            governor.relay_fastpath += 1
+            self._to_edge(item)
+        else:
+            self._down.charge(self.cpu, CpuCosts.relay_message,
+                              self._to_edge, item)
+
+    def _to_edge(self, item) -> None:
         instance = self.instance
-        governor = instance.run_record.splice
-        while not self.closed:
-            item = yield self.broker_conn.recv()
-            if isinstance(item, StreamControl):
-                if not self.closed and not self.stream.reset:
-                    self.stream.rst()
-                self._teardown(close_broker=False)
-                return
-            message = item.payload
-            if governor is not None and governor.engaged:
-                governor.relay_fastpath += 1
-            else:
-                yield from instance.host.cpu.execute(CpuCosts.relay_message)
-            if self.stream.reset or self.closed:
-                instance.counters.inc("mqtt_edge_drop")
-                continue
+        message = item.payload
+        stream = self.stream
+        if stream.reset or self.closed:
+            instance.counters.inc("mqtt_edge_drop")
+        else:
             try:
-                self.stream.send(message, size=item.size)
+                stream.send(message, size=item.size)
             except H2Error:
                 instance.counters.inc("mqtt_edge_drop")
-                continue
-            if isinstance(message, MqttPublish):
-                instance.counters.inc("mqtt_publish_relayed_down")
+            else:
+                if isinstance(message, MqttPublish):
+                    instance.counters.inc("mqtt_publish_relayed_down")
+        if self.closed:
+            self._down.wake()
+        else:
+            self._down.read(self.broker_conn.inbox, self._from_broker)
 
     # -- DCR solicitation ---------------------------------------------------------
 

@@ -172,8 +172,8 @@ def evacuate_region(deployment, region_name: str):
     return report
 
 
-def release_all_pops(deployment, batch_fraction: float = 0.2,
-                     post_batch_wait: float = 0.0):
+def release_all_pops(deployment, batch_fraction: float,
+                     post_batch_wait: float):
     """Release every PoP's proxy fleet concurrently (the paper's global
     roll-out, §6.1.1); returns the per-PoP :class:`RollingRelease`
     objects and the completion event."""

@@ -25,6 +25,11 @@ here are optimized:
 * a hand-off the run loop would pop next runs in place
   (``Event.deliver``, ``Store.deliver``): an expired wait, a socket
   arrival, an accept or a connect result costs no wake-up event;
+* a relay's steady state resumes no process: its handler parks once
+  on a ``Relay`` (``env.relay()``, in ``resources``), and each item is
+  a step — a plain call armed as the store's reader, for a delay or for
+  a CPU charge's completion — at the pop where the generator would
+  have resumed; the handler resumes in place at the window edge;
 * the events a hop builds are built in place by their factories
   (``Environment.timeout``, ``Store.get``): ``object.__new__``, the
   slot stores and, for a timeout, the push — no class call and no

@@ -198,10 +198,12 @@ def _cases() -> dict:
 CASES = _cases()
 
 #: What tier-1 checks (``tests/perf/test_differential.py``, and the
-#: figure ``tests/experiments/test_cli_determinism.py``).
+#: figure ``tests/experiments/test_cli_determinism.py``); the two bench
+#: runs hold the relayed POST body and MQTT messages to their record.
 TIER1 = (*(f"fuzz {seed} @12s" for seed in range(25)),
          "kernel figure-shaped", "kernel saturated-host",
-         "kernel probe-storm", "fig10 --seed 0")
+         "kernel probe-storm", "fig10 --seed 0",
+         "bench bulk_post_ppr @0", "bench mqtt_dcr @0")
 
 
 @functools.lru_cache(maxsize=1)

@@ -3,9 +3,11 @@
 The three kernel scenarios here are ``tests/golden`` cases whose runs
 turn on the kernel's order: same-instant ties, hand-offs in place,
 deadlines fired or beaten, cores handed on.  Each test reruns a case of
-``golden.TIER1`` (these and the 25 fuzz scenarios at a 12 s horizon)
-and holds what it observed to ``tests/golden/record.json``, field for
-field, or seeded repro files stop replaying across a kernel change.
+``golden.TIER1`` (these, the 25 fuzz scenarios at a 12 s horizon and
+the two bench runs whose traffic is relayed POST bodies and MQTT
+messages) and holds what it observed to ``tests/golden/record.json``,
+field for field, or seeded repro files stop replaying across a kernel
+change.
 """
 
 import random
@@ -176,6 +178,14 @@ def probe_storm():
 @pytest.mark.parametrize("seed", range(25))
 def test_fuzz_scenario_bit_identical(seed):
     name = f"fuzz {seed} @12s"
+    golden.assert_recorded(name, golden.CASES[name]())
+
+
+@pytest.mark.parametrize("name", [name for name in golden.TIER1
+                                  if name.startswith("bench ")])
+def test_relayed_bench_traffic_bit_identical(name):
+    """The relays as callbacks: every POST chunk and MQTT message of a
+    bench run, relayed as recorded."""
     golden.assert_recorded(name, golden.CASES[name]())
 
 

@@ -69,7 +69,8 @@ def test_global_release_completes_everywhere():
                                           spawn_delay=0.5),
                web_workload=WebWorkloadConfig(clients_per_host=4,
                                               think_time=1.0))
-    releases, done = release_all_pops(dep, batch_fraction=0.5)
+    releases, done = release_all_pops(dep, batch_fraction=0.5,
+                                      post_batch_wait=0.0)
     dep.env.run(until=done)
     dep.run(until=dep.env.now + 6)
     for pop in _pops(dep):
