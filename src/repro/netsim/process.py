@@ -48,6 +48,9 @@ class SimProcess:
         self._endpoints: dict["TcpEndpoint", None] = {}
         self._tasks: list[Process] = []
         self._sweep_tasks_at = 64
+        #: Sessions demultiplexing arrivals on this process's behalf
+        #: (``H2Connection.start``), dict-as-set; exit tears each down.
+        self.sessions: dict = {}
         #: Resident memory attributable to this process (model units).
         self.base_memory = 0.0
         self.memory_per_connection = 0.0
@@ -96,11 +99,16 @@ class SimProcess:
         Closing FDs drops references; sockets whose descriptions are
         still referenced elsewhere (passed to a successor during Socket
         Takeover) survive — the heart of the zero-downtime restart.
+        Each session still up forgets its streams without waking their
+        readers: they are this process's tasks, interrupted below.
         """
         if not self.alive:
             return
         self.alive = False
         self.exit_reason = reason
+        for session in self.sessions:
+            session.forget()
+        self.sessions.clear()
         for endpoint in list(self._endpoints):
             endpoint.abort(reason="process_exit")
         self._endpoints.clear()

@@ -16,18 +16,19 @@ resumes there and then.  Transport death is an item in the accept queue,
 as FIN is in a socket inbox: ``accept_stream()`` yields ``None``.  The
 demux belongs to the OS process ``start`` was given:
 
-* once it has exited, arrivals reach nobody — the socket answers data
-  with RST before it gets here, and a late FIN/RST tears nothing down
-  (the process's tasks were interrupted; no one is left to tell);
+* once it has exited, arrivals reach nobody — its exit broke the
+  session (:meth:`H2Connection.forget`) and dropped its open streams
+  without waking their readers, who were its own interrupted tasks;
 * ``close()`` is the socket's: with the process alive, a peer FIN still
   breaks the connection, resets open streams and ends the accept loop;
 * frames the socket queued before ``start`` go through a one-shot task
   — after the caller's code, at the same instant, in arrival order — so
   ``start()`` then ``send_goaway()`` still refuses them.
 
-A session and its socket hold each other (``_demux``) while it is up;
-once it is ``broken`` the socket's hand-off becomes a no-op, so neither
-waits for the cyclic collector.
+A session and its socket hold each other (``_demux``), and it and its
+open streams too, while it is up; once it is ``broken`` the socket's
+hand-off becomes a no-op and no stream is known, so none of them waits
+for the cyclic collector.
 
 A stream lives in :attr:`H2Connection.streams` only while it is open.
 It leaves the moment it closes — both halves ended (``end_stream`` sent
@@ -215,6 +216,7 @@ class H2Connection:
     def start(self, process: "SimProcess") -> None:
         """Demultiplex arrivals from now on, on behalf of ``process``."""
         self._process = process
+        process.sessions[self] = None
         self.endpoint.inbox_deliver = self._demux
         if self.endpoint.inbox.items:
             process.run(self._demux_backlog())
@@ -222,6 +224,13 @@ class H2Connection:
     def close(self) -> None:
         """Close the underlying TCP connection (FIN)."""
         self.endpoint.close()
+
+    def forget(self) -> None:
+        """The owning process exited: break, and forget the open streams
+        without waking anyone (``SimProcess.exit``)."""
+        self.broken = True
+        self.endpoint.inbox_deliver = _drop
+        self.streams.clear()
 
     @property
     def alive(self) -> bool:
@@ -328,6 +337,7 @@ class H2Connection:
     def _on_transport_down(self) -> None:
         self.broken = True
         self.endpoint.inbox_deliver = _drop  # ``_demux`` drops it all now
+        del self._process.sessions[self]
         # ``put``, not ``deliver``: a handler resumed inside this loop
         # could open a stream.  Readers wake in order, the accept loop last;
         # every stream still known is open, and every one is reset now.

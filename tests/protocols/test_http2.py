@@ -384,10 +384,11 @@ def test_transport_death_resets_exactly_the_open_streams_in_open_order(world):
 
 
 def test_demux_dies_with_its_owning_process(world):
-    """The owning OS process exits with a stream open: data that was in
+    """The owning OS process exits with a stream open: the exit breaks
+    the session and forgets the stream without waking its reader (an
+    interrupted task of that process) or resetting it; data that was in
     flight is answered by the socket layer (RST), and the FIN behind it
-    reaches nobody — the connection is not torn down a second time, no
-    handler is resumed and nothing is scheduled."""
+    reaches nobody — no handler is resumed and nothing is scheduled."""
     client, server, (cproc, sproc) = _h2_pair(world)
     env = world.env
     log = []
@@ -410,6 +411,8 @@ def test_demux_dies_with_its_owning_process(world):
     (server_stream,) = server.streams.values()
 
     sproc.exit("killed")                # t=0.2; its RST lands at 0.201
+    assert server.broken and server.streams == {}
+    assert server.endpoint.inbox_deliver != server._demux
     env.run(until=0.2005)
     assert log == ["interrupted"]
     stream.send("body")                 # both land at the dead process
@@ -424,7 +427,7 @@ def test_demux_dies_with_its_owning_process(world):
     assert rst_sent.get("tcp_rst_sent", tag="data_after_close") == 1
     assert env._eid == scheduled
     assert log == ["interrupted"]
-    assert not server.broken and not server_stream.reset
+    assert not server_stream.reset and server_stream.inbox.items == []
 
 
 def test_peer_fin_after_local_close_still_ends_the_connection(
