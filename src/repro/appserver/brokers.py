@@ -89,7 +89,9 @@ class MqttBroker:
         while conn.alive:
             item = yield conn.recv()
             if isinstance(item, StreamControl):
+                # The Origin's relay is gone: close our end too.
                 self._detach_paths(conn)
+                conn.close()
                 return
             message = item.payload
             if isinstance(message, MqttConnect):

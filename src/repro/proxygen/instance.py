@@ -447,6 +447,7 @@ class ProxygenInstance:
                 ok = yield from tunnel.establish(payload)
                 if ok:
                     yield from tunnel.client_loop()
+                conn.close()  # the client or the tunnel is gone
                 return
 
     def _edge_http(self, conn: "TcpEndpoint", request: HttpRequest):

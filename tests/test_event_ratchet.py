@@ -380,18 +380,15 @@ def test_an_edge_dials_one_connection_per_origin_goaway(origin_released):
     assert dialed <= most, f"{dialed:g} upstream dials > {most}"
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "relays left open: MqttBroker._serve_conn returns on the Origin's "
-    "FIN/RST without conn.close(), and _serve_edge_conn's MQTT branch "
-    "returns after client_loop without closing its connection (ROADMAP "
-    "open item 11)"))
 def test_a_relay_connection_is_closed_once_its_peer_is_gone(
         origin_released):
     """A broker connection whose Origin sent FIN, and an Edge client
-    connection that was reset, should leave their live process, the way
-    a probe connection does.  118 broker endpoints stay here; the Edge
-    half shows only at figure scale, where clients reset during the
-    connect storm (1,076 and 393 on ``mqtt_dcr`` at t = 60)."""
+    connection that was reset, leave their live process, the way a
+    probe connection does: the broker and the Edge's MQTT serve task
+    close their end.  118 broker endpoints stayed here while they did
+    not; the Edge half shows only at figure scale, where clients reset
+    during the connect storm (1,076 and 393 on ``mqtt_dcr`` at
+    t = 60)."""
     deployment, *_ = origin_released
     at_brokers = [endpoint for broker in deployment.brokers
                   if broker.process.alive
