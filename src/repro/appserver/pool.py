@@ -19,6 +19,7 @@ from ..netsim.sockets import TcpEndpoint
 from .hhvm import AppServer
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..metrics.counters import CounterSet
     from ..resilience.health import OutlierTracker
 
 __all__ = ["AppServerPool", "UpstreamConnectionPool"]
@@ -128,14 +129,16 @@ class UpstreamConnectionPool:
     the backend over.
     """
 
-    def __init__(self, host: Host, process: SimProcess):
+    def __init__(self, host: Host, process: SimProcess,
+                 counters: "CounterSet"):
         self.host = host
         self.process = process
+        #: Its owner's counters, which outlive the process: they count
+        #: ``idle_discarded``, reused connections dead on first use.
+        self.counters = counters
         self._idle: dict[tuple[str, int], list[TcpEndpoint]] = {}
         self.dials = 0
         self.reuses = 0
-        #: Reused connections that turned out dead on first use.
-        self.idle_discarded = 0
 
     def checkout(self, ip: str, port: int):
         """Generator: yields a live TcpEndpoint to (ip, port).
@@ -167,7 +170,7 @@ class UpstreamConnectionPool:
 
     def note_stale_reuse(self, conn: TcpEndpoint) -> None:
         """A reused connection died on first use: count and bury it."""
-        self.idle_discarded += 1
+        self.counters.inc("idle_discarded")
         if conn.alive:
             conn.abort(reason="stale_idle")
 

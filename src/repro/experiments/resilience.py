@@ -142,11 +142,8 @@ def run_arm(resilience_on: bool, seed: int = 0,
         "hedge_won": sum_counter(proxies, "hedge_won"),
         "admission_shed": _shed_total(proxies) + _shed_total(apps),
         "sheds_absorbed_by_retry": sum_counter(proxies, "upstream_shed"),
-        "idle_discarded": sum(
-            inst.conn_pool.idle_discarded
-            for server in dep.origin_servers
-            for inst in (server.active_instance, server.draining_instance)
-            if inst is not None),
+        # Every instance's, also one a crash later replaced.
+        "idle_discarded": sum_counter(dep.origin_servers, "idle_discarded"),
     }
     return {
         "errors": errors,

@@ -214,7 +214,8 @@ class ProxygenInstance:
                 resilience=self.resilience)
         else:
             self.upstream = None
-        self.conn_pool = UpstreamConnectionPool(self.host, self.process)
+        self.conn_pool = UpstreamConnectionPool(self.host, self.process,
+                                                self.counters)
         self.edge_h2_conns: list[H2Connection] = []
 
     # ------------------------------------------------------------------

@@ -2,9 +2,12 @@
 
 Each Edge Proxygen keeps a long-lived HTTP/2 connection toward the
 Origin (§2.2) over which user requests and MQTT tunnels are multiplexed.
-When the Origin side drains it sends GOAWAY; the pool then dials a new
+When the Origin side drains it sends GOAWAY; the pool then dials one new
 connection (routed by the Origin's L4LB) for new streams while in-flight
-streams finish on the old one — the disruption-free path of §4.1.
+streams finish on the old one — the disruption-free path of §4.1.  One
+dial is in flight at a time: a caller that finds no usable connection
+while another caller dials waits for that dial, so a DCR re-home herd
+(§4.2) moves every tunnel onto the one new connection.
 
 With the resilience plane attached, redials run through the shared
 retry budget and jittered backoff policy instead of a bare zero-delay
@@ -23,6 +26,7 @@ from ..protocols.http2 import GoAwayError, H2Connection, H2Error, H2Stream
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..resilience.plane import ResiliencePlane
+    from ..simkernel.events import Event
     from .instance import ProxygenInstance
 
 __all__ = ["UpstreamPool", "UpstreamUnavailable"]
@@ -56,6 +60,8 @@ class UpstreamPool:
         self.resilience = resilience
         self.current: Optional[H2Connection] = None
         self.dials = 0
+        #: Succeeds when the dial in flight ends, however it ends.
+        self._dialing: Optional["Event"] = None
 
     def _usable(self, conn: Optional[H2Connection]) -> bool:
         return (conn is not None and conn.alive
@@ -65,6 +71,9 @@ class UpstreamPool:
         """Generator: a fresh stream on a usable upstream connection.
 
         Raises :class:`UpstreamUnavailable` after exhausting retries.
+        A caller that finds a dial in flight waits for it instead of
+        dialing its own; if that dial failed, the caller goes on to its
+        next attempt like the dialer.
         """
         plane = self.resilience
         if plane is not None:
@@ -77,8 +86,11 @@ class UpstreamPool:
                     break
                 yield from plane.backoff_wait(attempt)
             if not self._usable(self.current):
-                yield from self._dial()
-                if self.current is None:
+                if self._dialing is None:
+                    yield from self._dial()
+                else:
+                    yield self._dialing
+                if not self._usable(self.current):
                     continue
             try:
                 return self.current.open_stream()
@@ -87,6 +99,14 @@ class UpstreamPool:
         raise UpstreamUnavailable("could not reach any Origin proxy")
 
     def _dial(self):
+        done = self._dialing = self.host.env.event()
+        try:
+            yield from self._connect()
+        finally:  # an interrupted dial ends too: its waiters re-check
+            self._dialing = None
+            done.succeed()
+
+    def _connect(self):
         host, counters = self.host, self.counters
         plane = self.resilience
         # Route the new connection through the Origin's L4LB, exactly as

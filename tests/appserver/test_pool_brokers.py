@@ -70,7 +70,7 @@ def test_conn_pool_reuses_connections(world):
     pool_srv, servers = _pool_of(world, 1)
     proxy_host = world.host("proxy")
     proc = proxy_host.spawn("p")
-    pool = UpstreamConnectionPool(proxy_host, proc)
+    pool = UpstreamConnectionPool(proxy_host, proc, proxy_host.counters)
     target = servers[0]
     log = []
 
@@ -93,7 +93,7 @@ def test_conn_pool_discards_dead_connections(world):
     pool_srv, servers = _pool_of(world, 1)
     proxy_host = world.host("proxy")
     proc = proxy_host.spawn("p")
-    pool = UpstreamConnectionPool(proxy_host, proc)
+    pool = UpstreamConnectionPool(proxy_host, proc, proxy_host.counters)
     target = servers[0]
     log = []
 
@@ -117,7 +117,7 @@ def test_conn_pool_caps_idle(world, monkeypatch):
     pool_srv, servers = _pool_of(world, 1)
     proxy_host = world.host("proxy")
     proc = proxy_host.spawn("p")
-    pool = UpstreamConnectionPool(proxy_host, proc)
+    pool = UpstreamConnectionPool(proxy_host, proc, proxy_host.counters)
     target = servers[0]
 
     def flow():
@@ -360,7 +360,7 @@ def test_conn_pool_stale_reuse_discard_and_redial(world):
     pool_srv, servers = _pool_of(world, 1)
     proxy_host = world.host("proxy")
     proc = proxy_host.spawn("p")
-    pool = UpstreamConnectionPool(proxy_host, proc)
+    pool = UpstreamConnectionPool(proxy_host, proc, proxy_host.counters)
     target = servers[0]
     log = []
 
@@ -384,5 +384,5 @@ def test_conn_pool_stale_reuse_discard_and_redial(world):
     proc.run(flow())
     world.env.run(until=2)
     assert log == [True, True, True, False]
-    assert pool.idle_discarded == 1
+    assert proxy_host.counters.get("idle_discarded") == 1
     assert pool.dials == 2

@@ -80,7 +80,9 @@ def test_resilience_baseline_discards_stale_pooled_connections(built_runs):
     """A pooled Origin→App connection to the crash-rebooted app server
     is stale whether or not the data plane is on: the discard-and-redial
     is the pool's, not a resilience decision.  At seed 1 the baseline
-    arm discards one, which used to fail ``baseline_untouched``."""
+    arm discards one, which used to fail ``baseline_untouched``; the
+    Origin instance that discards it is replaced by a later crash, so
+    the count is the server's, not its last instance's."""
     arm = resilience.run_arm(False, seed=1)
     off = arm["decisions"]
     assert off["idle_discarded"] > 0

@@ -171,9 +171,15 @@ def test_drain_checker_catches_planted_gate_skip():
 
 
 def test_mqtt_checker_catches_planted_session_drop():
+    """Every Origin is released twice.  The Edge's tunnels share its one
+    upstream connection, so each release re-homes all of them in one
+    wave, and every ReConnect of a wave reaches the broker before any
+    old path dies; the plant's loss shows in the second wave, whose
+    ReConnects find the sessions the first wave's teardown dropped."""
     scenario = _takeover_scenario(
         duration=16.0, origin_proxies=2, mqtt_users=6,
-        releases=[{"tier": "origin", "at": 2.0, "batch_fraction": 0.5}],
+        releases=[{"tier": "origin", "at": at, "batch_fraction": 1.0}
+                  for at in (2.0, 9.0)],
         planted="drop_broker_sessions")
     result = run_scenario(scenario)
     assert "mqtt-continuity" in result.violated_checkers()
