@@ -89,10 +89,7 @@ class MqttBroker:
         while conn.alive:
             item = yield conn.recv()
             if isinstance(item, StreamControl):
-                # The Origin's relay is gone: close our end too.
-                self._detach_paths(conn)
-                conn.close()
-                return
+                break
             message = item.payload
             if isinstance(message, MqttConnect):
                 self._on_connect(conn, message)
@@ -102,6 +99,9 @@ class MqttBroker:
                 self._on_publish(message)
             elif isinstance(message, MqttPingReq):
                 conn.send(MqttPingResp(message.user_id), size=16)
+        # The Origin's relay is gone: close our end too.
+        self._detach_paths(conn)
+        conn.close()
 
     def _on_connect(self, conn: TcpEndpoint, message: MqttConnect) -> None:
         session = self.sessions.get(message.user_id)

@@ -433,10 +433,7 @@ class ProxygenInstance:
         while conn.alive:
             item = yield conn.recv()
             if isinstance(item, StreamControl):
-                # The peer is gone (a Katran health probe closes right
-                # after connecting): close our end too.
-                conn.close()
-                return
+                break  # e.g. a Katran health probe closes right away
             payload = item.payload
             if isinstance(payload, TlsClientHello):
                 yield from server_handle_hello(payload, conn, self.host.cpu)
@@ -448,8 +445,9 @@ class ProxygenInstance:
                 ok = yield from tunnel.establish(payload)
                 if ok:
                     yield from tunnel.client_loop()
-                conn.close()  # the client or the tunnel is gone
-                return
+                break
+        # The peer, or the tunnel it rode, is gone: close our end too.
+        conn.close()
 
     def _edge_http(self, conn: "TcpEndpoint", request: HttpRequest):
         plane = self.resilience
