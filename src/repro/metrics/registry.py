@@ -98,7 +98,7 @@ class MetricsRegistry:
         """Everything the run recorded, as plain data: copies, not
         views, so it pickles and compares with ``==``.
 
-        ``series`` holds ``(sums, counts)`` bucket dicts per name;
+        ``series`` holds a bucket → sum dict per name;
         ``quantiles`` holds the samples in *stored* order (a quantile
         read sorts them in place, so this is insertion order only until
         the first read).
@@ -107,7 +107,7 @@ class MetricsRegistry:
             "global": self.global_counters.snapshot(),
             "scoped": {scope: self._scoped[scope].snapshot()
                        for scope in self.scopes()},
-            "series": {name: (dict(series._sums), dict(series._counts))
+            "series": {name: dict(series._sums)
                        for name, series in sorted(self._series.items())},
             "quantiles": {name: list(samples._values)
                           for name, samples

@@ -34,7 +34,6 @@ class TimeSeries:
             raise ValueError("bucket_width must be positive")
         self.bucket_width = bucket_width
         self._sums: dict[int, float] = {}
-        self._counts: dict[int, int] = {}
 
     def bucket_of(self, time: float) -> int:
         return math.floor(time / self.bucket_width)
@@ -43,8 +42,6 @@ class TimeSeries:
         bucket = math.floor(time / self.bucket_width)
         sums = self._sums
         sums[bucket] = sums.get(bucket, 0.0) + value
-        counts = self._counts
-        counts[bucket] = counts.get(bucket, 0) + 1
 
     def series(self, start: float, end: float) -> list[tuple[float, float]]:
         """(bucket_start_time, value) pairs covering [start, end)."""

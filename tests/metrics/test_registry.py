@@ -78,7 +78,7 @@ def test_snapshot_is_plain_data_copied_out():
         "global": {},
         "scoped": {"edge-1": {"http_status:500": 2.0},
                    "edge-2": {"rps": 5.0}},
-        "series": {"errors": ({3: 2.0}, {3: 1})},
+        "series": {"errors": {3: 2.0}},
         "quantiles": {"latency": [3.0, 1.0, 2.0]},
     }
     assert list(snap["scoped"]) == ["edge-1", "edge-2"]
