@@ -65,10 +65,8 @@ class EdgeMqttTunnel:
         self.span = None
         self.cpu = instance.host.cpu
         self.governor = instance.run_record.splice
-        #: Each direction's relay, and the stream the downstream one
-        #: reads.
+        #: Each direction's relay.
         self._up = self._down = None
-        self._down_stream: Optional[H2Stream] = None
 
     # -- establishment ---------------------------------------------------
 
@@ -148,11 +146,12 @@ class EdgeMqttTunnel:
 
     def _downstream_loop(self):
         """Relay messages from the Origin stream to the end user, one
-        relay step each; the task wakes for a broken stream, a DCR
-        solicitation or a frame from a stream it no longer uses."""
+        relay step each; the task wakes for a broken stream or a DCR
+        solicitation.  Only its own :meth:`_rehome` moves
+        ``self.stream``, so the relay always reads the current one."""
         instance = self.instance
         while not self.closed:
-            stream = self._down_stream = self.stream
+            stream = self.stream
             relay = self._down = instance.host.env.relay()
             relay.read(stream.inbox, self._from_origin)
             try:
@@ -161,8 +160,6 @@ class EdgeMqttTunnel:
                 relay.close()
             if frame is None:
                 return  # the client is gone, or the tunnel closed
-            if stream is not self.stream:
-                continue  # re-homed while we were waiting; drop stale frame
             if frame.type == FrameType.RST_STREAM or stream.reset:
                 # The Origin hop died without DCR (or DCR failed).
                 self._on_tunnel_broken()
@@ -175,9 +172,7 @@ class EdgeMqttTunnel:
             # Without DCR support, ignore: the drain will kill us.
 
     def _from_origin(self, frame) -> None:
-        stream = self._down_stream
-        if (stream is not self.stream or frame.type == FrameType.RST_STREAM
-                or stream.reset
+        if (frame.type == FrameType.RST_STREAM or self.stream.reset
                 or isinstance(frame.payload, ReconnectSolicitation)):
             self._down.wake(frame)
             return
@@ -204,8 +199,7 @@ class EdgeMqttTunnel:
         if self.closed:
             self._down.wake()
         else:
-            stream = self._down_stream = self.stream
-            self._down.read(stream.inbox, self._from_origin)
+            self._down.read(self.stream.inbox, self._from_origin)
 
     # -- DCR -----------------------------------------------------------------
 
