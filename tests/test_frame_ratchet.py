@@ -5,11 +5,14 @@ The event ratchets (``tests/test_event_ratchet.py``,
 cannot see what it costs the host to build and hand on.  Once the event
 counts reached their floor, that host work is what a figure-scale run
 pays for, so this counts it too: the Python function entries
-(``sys.setprofile`` ``"call"`` events, generator resumptions included)
-per message relayed over an HTTP/2 stream on one established TCP
-connection, a CPU burst at each hop and each receive under a deadline —
-the shape of the Edge ↔ Origin relay.  It only moves on purpose: a
-pass-through call or a class call per hop that comes back shows here.
+(``sys.setprofile`` ``"call"`` events) per message relayed over an
+HTTP/2 stream on one established TCP connection, in the shape every
+production relay runs (the Edge and Origin MQTT tunnels, the POST body
+relays): a handler parks once on ``env.relay()``, and each message is
+a step armed by ``Relay.read`` on the stream's inbox, then a CPU burst
+armed by ``Relay.charge``, then the send.  It only moves on purpose: a
+call added to a relay step, a store's reader hand-off, the burst or the
+send shows here.
 """
 
 import gc
@@ -21,18 +24,12 @@ from repro.protocols import H2Connection
 #: Round trips counted, after one that opens the stream.
 MESSAGES = 40
 
-#: Measured when the ceiling was last set: 1,516 calls over the 40
-#: round trips (two hops each), and the ceiling is that count.  It was
-#: 39.90 per message (1,596 calls) while each arriving frame asked the
-#: stream's ``closed`` property whether to forget it, 41.85 (1,674
-#: calls) while a receive under a deadline reached ``Process._bound``
-#: through ``Environment.within``, and 57.67 per message (2,307 calls)
-#: while each timeout, receive, stream message and H2 frame was built by
-#: a class call (an ``__init__`` frame each), a data send went through
-#: ``Kernel.transmit_stream``, a stream's send through
-#: ``H2Connection.send_frame`` and ``TcpEndpoint.alive``, and a core
-#: nobody waited for was freed by a ``CpuModel._release`` call.
-CEILING = 37.90
+#: Measured when the ceiling was last set: 1,367 calls over the 40
+#: round trips (two hops each), and the ceiling is that count.  The
+#: generator loop this test counted before every production relay became
+#: steps (``recv`` under a deadline + ``CpuModel.execute`` per hop)
+#: measured 1,516 calls.
+CEILING = 34.175
 
 
 def _h2_pair(world):
@@ -68,25 +65,48 @@ def test_python_calls_per_relayed_message_stay_under_the_ceiling(world):
 
     def echo():
         stream = yield server.accept_stream()
-        frame = stream.inbox.try_get()
-        for _ in range(MESSAGES):
-            yield from server_cpu.execute(CpuCosts.relay_message)
-            stream.send(frame.payload, size=frame.size)
-            frame = yield stream.recv(30.0)
-        yield from server_cpu.execute(CpuCosts.relay_message)
-        stream.send(frame.payload, size=frame.size)
+        relay = env.relay()
 
-    def relay():
+        def sent(frame):
+            stream.send(frame.payload, size=frame.size)
+            if frame.payload == MESSAGES:
+                relay.wake()
+            else:
+                relay.read(stream.inbox, received)
+
+        def received(frame):
+            relay.charge(server_cpu, CpuCosts.relay_message, sent, frame)
+
+        relay.read(stream.inbox, received)  # the opening frame is queued
+        try:
+            yield relay
+        finally:
+            relay.close()
+
+    def relay_messages():
         stream = client.open_stream()
-        for n in range(MESSAGES + 1):
-            stream.send(n, size=1_000)
-            frame = yield stream.recv(30.0)
-            assert frame.payload == n
-            yield from client_cpu.execute(CpuCosts.relay_message)
-            relayed.append(n)
+        relay = env.relay()
+
+        def sent(frame):
+            relayed.append(frame.payload)
+            if frame.payload == MESSAGES:
+                relay.wake()
+                return
+            stream.send(frame.payload + 1, size=1_000)
+            relay.read(stream.inbox, received)
+
+        def received(frame):
+            relay.charge(client_cpu, CpuCosts.relay_message, sent, frame)
+
+        stream.send(0, size=1_000)
+        relay.read(stream.inbox, received)
+        try:
+            yield relay
+        finally:
+            relay.close()
 
     sproc.run(echo())
-    cproc.run(relay())
+    cproc.run(relay_messages())
     while not relayed:  # the round trip that opens the stream
         env.step()
     calls = 0
@@ -106,7 +126,7 @@ def test_python_calls_per_relayed_message_stay_under_the_ceiling(world):
     finally:
         sys.setprofile(None)
         gc.enable()
-    assert len(relayed) == MESSAGES + 1
+    assert relayed == list(range(MESSAGES + 1))
     per_message = calls / MESSAGES
     assert per_message <= CEILING, (
         f"{calls} Python calls / {MESSAGES} messages = {per_message:.2f} "
