@@ -169,6 +169,12 @@ def _runs() -> list[tuple[str, str, list[str], tuple[int, ...]]]:
         + [["--load-shape", shape] for shape in LOAD_SHAPE_KINDS])
     runs += [("fig12 " + " ".join(arm), experiments,
               ["fig12", "--no-plots", *arm], clean) for arm in fig12_arms]
+    # The resilience plane under a backend fault: app servers that answer
+    # 379 out of turn are all ejected at once, so an Origin's app pool
+    # serves in panic mode (``OutlierTracker.note_panic_pick``).
+    rogue = ["--resilience", "--faults", "rogue-379"]
+    runs.append(("fig12 " + " ".join(rogue), experiments,
+                 ["fig12", "--no-plots", *rogue], faulted))
     # The condensed rung at 100x: the ZDR arm's edge saturates and
     # completes no GET, so its errors-vs-traffic claim fails (exit 1)
     # and its latency quantiles are absent.
